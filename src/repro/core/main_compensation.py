@@ -7,28 +7,37 @@ time the stored vectors are compared with the current transaction's vectors
 and the contribution of the invalidated rows is *subtracted* from the
 cached aggregate.
 
-For join entries the subtraction is the inclusion–exclusion expansion over
-the tables with invalidations: with invalidated sets ``inv_a`` and still-
-visible sets ``now_a = stored_a ∩ current_a``,
+For join entries the subtraction telescopes over the tables with
+invalidations.  Order the dirty aliases ``a_1 … a_k`` and split each stored
+set into its invalidated and its still-visible rows,
+``stored_a = inv_a ⊎ now_a`` with ``now_a = stored_a ∩ current_a``.  A
+joined tuple of ``join(stored)`` that is *not* in ``join(now)`` has an
+invalidated row in at least one dirty alias; let ``i`` be the first such
+alias.  Then its rows come from ``now`` in every dirty alias before
+``a_i``, from ``inv`` in ``a_i``, and from anywhere in ``stored`` after it —
+and each such tuple has exactly one ``i``:
 
-    join(stored) = Σ_{T ⊆ aliases} join(a∈T: inv_a, a∉T: now_a)
+    join(stored) − join(now) = Σ_{i=1..k} join(a_j: now_j  for j < i,
+                                                a_i: inv_i,
+                                                a_j: stored_j for j > i)
 
-so ``join(now) = join(stored) − Σ_{T ≠ ∅} join(...)``.  The number of
-correction subjoins is ``2^k − 1`` for ``k`` tables with invalidations —
-normally ``k ≤ 1`` since updates are rare in the analyzed workloads
-(Section 3.2).  (The paper leaves optimizing this case to future work; we
-implement the exact expansion.)
+with clean aliases reading ``stored = now`` in every term.  That is ``k``
+correction subjoins, each pinned to one alias' invalidated rows, instead of
+the ``2^k − 1`` subsets of the inclusion–exclusion expansion; the subtracted
+tuple multiset is the same, so integer and quantum-decimal aggregates are
+unchanged to the bit.  (The paper assumes ``k ≤ 1`` — "updates are rare",
+Section 3.2 — and leaves this case to future work.)
 """
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Dict, List, Optional
 
 import numpy as np
 
 from ..errors import CacheError
-from ..query.executor import ComboSpec, QueryExecutor
+from ..obs.trace import Span
+from ..query.executor import ComboSpec, ExecutionStats, QueryExecutor
 from ..query.aggregates import GroupedAggregates
 from .cache_entry import AggregateCacheEntry
 
@@ -42,11 +51,16 @@ def apply_main_compensation(
     executor: QueryExecutor,
     snapshot: int,
     into: GroupedAggregates,
+    stats: Optional[ExecutionStats] = None,
+    span: Optional[Span] = None,
 ) -> int:
     """Subtract invalidated main-row contributions from ``into``.
 
     ``into`` must already contain (a copy of) the entry's value.  Returns
     the number of invalidated rows compensated (0 = entry was clean).
+    ``stats`` collects the executor counters of the correction subjoins;
+    ``span`` (the caller's ``main_compensation`` span) receives
+    ``dirty_aliases``, ``terms`` and ``invalidated_rows``.
     Raises :class:`StaleEntryError` when a referenced main partition has a
     different length than the stored snapshot (it was rebuilt by a merge
     without entry maintenance).
@@ -55,15 +69,20 @@ def apply_main_compensation(
         raise StaleEntryError(f"entry {entry.key} references rebuilt partitions")
     if entry.is_clean_for(snapshot):
         return 0
+    # Boolean views of the stored bit vectors against the partitions' own
+    # visibility masks: no packed round trip, no Python lists.
+    stored_mask = {
+        alias: bits.to_numpy() for alias, bits in entry.visibility.items()
+    }
+    now_mask = {
+        alias: stored_mask[alias] & partition.visible_mask(snapshot)
+        for alias, partition in entry.main_partitions.items()
+    }
     invalidated: Dict[str, np.ndarray] = {}
-    surviving: Dict[str, np.ndarray] = {}
-    for alias, partition in entry.main_partitions.items():
-        current = partition.visibility(snapshot)
-        stored = entry.visibility[alias]
-        inv = stored.and_not(current)
-        if inv.any():
-            invalidated[alias] = np.asarray(inv.set_indices(), dtype=np.int64)
-        surviving[alias] = np.flatnonzero((stored & current).to_numpy())
+    for alias, now in now_mask.items():
+        rows = np.flatnonzero(stored_mask[alias] != now)
+        if len(rows):
+            invalidated[alias] = rows
     if not invalidated:
         # The epoch check above said "something changed", but none of the
         # *stored* rows was invalidated (e.g. the stamps hit rows outside
@@ -73,18 +92,36 @@ def apply_main_compensation(
         return 0
     dirty_aliases = sorted(invalidated)
     total_rows = int(sum(len(rows) for rows in invalidated.values()))
+    # Row sets are built once and only where some term reads them: the first
+    # dirty alias is never read as ``stored``, the last never as ``now``
+    # (a single dirty alias needs neither), clean aliases read ``now``
+    # (= ``stored``) throughout.  Terms share the array objects, so the
+    # executor's per-call memo shares their scans.
+    surviving: Dict[str, np.ndarray] = {}
+    stored: Dict[str, np.ndarray] = {}
+    for alias in entry.main_partitions:
+        if alias != dirty_aliases[-1]:
+            surviving[alias] = np.flatnonzero(now_mask[alias])
+        if alias in invalidated and alias != dirty_aliases[0]:
+            stored[alias] = np.flatnonzero(stored_mask[alias])
     combos: List[ComboSpec] = []
-    for size in range(1, len(dirty_aliases) + 1):
-        for subset in combinations(dirty_aliases, size):
-            fixed: Dict[str, np.ndarray] = {}
-            for alias in entry.main_partitions:
-                if alias in subset:
-                    fixed[alias] = invalidated[alias]
-                else:
-                    fixed[alias] = surviving[alias]
-            combos.append(
-                ComboSpec(dict(entry.main_partitions), fixed_rows=fixed)
-            )
-    executor.execute(entry.query, snapshot, combos=combos, into=into, sign=-1)
+    for position, pinned in enumerate(dirty_aliases):
+        later = set(dirty_aliases[position + 1:])
+        fixed: Dict[str, np.ndarray] = {}
+        for alias in entry.main_partitions:
+            if alias == pinned:
+                fixed[alias] = invalidated[alias]
+            elif alias in later:
+                fixed[alias] = stored[alias]
+            else:
+                fixed[alias] = surviving[alias]
+        combos.append(ComboSpec(dict(entry.main_partitions), fixed_rows=fixed))
+    executor.execute(
+        entry.query, snapshot, combos=combos, into=into, sign=-1, stats=stats
+    )
+    if span is not None:
+        span.attrs["dirty_aliases"] = dirty_aliases
+        span.attrs["terms"] = len(combos)
+        span.attrs["invalidated_rows"] = total_rows
     entry.metrics.dirty_counter = total_rows
     return total_rows

@@ -754,7 +754,7 @@ class AggregateCacheManager:
             comp_span = span.child("main_compensation") if span is not None else None
             comp_started = time.perf_counter()
             rows = apply_main_compensation(
-                entry, self._executor, txn.snapshot, contribution
+                entry, self._executor, txn.snapshot, contribution, span=comp_span
             )
             elapsed = time.perf_counter() - comp_started
             if comp_span is not None:

@@ -112,6 +112,10 @@ class RecycledSubjoin:
     nbytes: int
     tables: FrozenSet[str]
     hits: int = 0
+    #: Per-alias rows that entered the join after semi-join reduction (None
+    #: or equal to ``row_counts`` when nothing was reduced) — replayed with
+    #: ``probe_side`` so a hit reports what the recompute would.
+    reduced_counts: Optional[Dict[str, int]] = None
 
 
 class RecycleContext:
@@ -202,7 +206,9 @@ class RecycleContext:
             self.misses += 1
         return entry
 
-    def store(self, key, combo: ComboSpec, provider, row_counts, probe_side) -> None:
+    def store(
+        self, key, combo: ComboSpec, provider, row_counts, probe_side, reduced_counts
+    ) -> None:
         """Publish one evaluated subjoin (``provider is None`` = empty)."""
         horizon = min(self._horizon(p) for p in combo.partitions.values())
         if horizon <= self.snapshot:  # pragma: no cover - defensive
@@ -221,6 +227,7 @@ class RecycleContext:
             indices=indices,
             partitions=partitions,
             row_counts=dict(row_counts),
+            reduced_counts=dict(reduced_counts),
             probe_side=probe_side,
             anchor=self.snapshot,
             horizon=horizon,

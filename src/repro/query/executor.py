@@ -11,7 +11,10 @@ pushdown filters (Section 5.3).
 Work that repeats across combinations referencing the same partition —
 visible-row scans with local filters and join-side hash tables — is memoized
 per ``execute`` call, which mirrors how a real engine would share scans
-across union branches.
+across union branches.  Before a subjoin joins anything its inputs are
+semi-join-reduced by their smaller neighbours (``_reduce_scans``), so a
+compensation subjoin pinned to a handful of changed rows costs in
+proportion to those rows, not to the mains it joins them with.
 
 Subjoins are mutually independent, so the executor can shard the
 combination list across a thread pool (:class:`ParallelConfig`): each
@@ -45,9 +48,11 @@ from .operators import (
     JoinedProvider,
     aggregate_into,
     build_hash_table,
+    filter_rows,
     join_kernel,
     probe_hash_join,
     scan_partition,
+    semi_join_reduce,
 )
 from .parallel import MEMO_PRIVATE, ParallelConfig
 from .query import AggregateQuery
@@ -174,25 +179,6 @@ def _fixed_rows_key(fixed) -> object:
     if isinstance(fixed, RowRange):
         return (fixed.start, fixed.stop)
     return id(fixed)
-
-
-def _filter_fixed_rows(
-    alias: str,
-    partition: Partition,
-    rows: np.ndarray,
-    filters: Sequence[Expr],
-) -> np.ndarray:
-    """Apply local filters to an explicitly pinned row set."""
-    from .operators import PartitionProvider
-
-    rows = np.asarray(rows, dtype=np.int64)
-    if not filters or not len(rows):
-        return rows
-    provider = PartitionProvider(alias, partition, rows)
-    keep = np.ones(len(rows), dtype=bool)
-    for expr in filters:
-        keep &= expr.evaluate(provider).astype(bool)
-    return rows[keep]
 
 
 class QueryExecutor:
@@ -410,11 +396,11 @@ class QueryExecutor:
         def compute() -> np.ndarray:
             if isinstance(fixed, RowRange):
                 rows = partition.visible_rows_in(snapshot, fixed.start, fixed.stop)
-                return _filter_fixed_rows(
+                return filter_rows(
                     alias, partition, rows, local_filters[alias] + extra
                 )
             if fixed is not None:
-                return _filter_fixed_rows(
+                return filter_rows(
                     alias, partition, fixed, local_filters[alias] + extra
                 )
             return scan_partition(
@@ -524,86 +510,79 @@ class QueryExecutor:
             for ref in query.tables
         }
         row_counts = {alias: len(rows) for alias, rows in scans.items()}
+        reduced = _reduce_scans(query, combo, scans)
+        reduced_counts = {alias: len(rows) for alias, rows in reduced.items()}
         # Runtime ordering ranks tier-weighted costs: identical to raw
         # counts while every partition is resident, biased toward probing
         # the memory-mapped side (hash tables built on hot inputs) once
-        # cold mains participate.
+        # cold mains participate.  It ranks the *scanned* counts, so the
+        # semi-join reduction above never changes the plan — the joined
+        # tuples come out in the same sequence with or without it, which
+        # keeps group order and float summation order bit-identical.
         first, steps = choose_join_order(
             query, tier_weighted_costs(row_counts, combo.partitions)
         )
         if stats is not None:
             stats.probe_sides.append(first)
         if attrs is not None:
-            attrs["rows_scanned"] = dict(sorted(row_counts.items()))
-            attrs["probe_side"] = first
-            mapped = sorted(
-                alias
-                for alias, partition in combo.partitions.items()
-                if getattr(partition, "storage_tier", "resident") == "mapped"
-            )
-            if mapped:
-                attrs["tier"] = {alias: "mapped" for alias in mapped}
-        if row_counts[first] == 0:
+            _describe_inputs(attrs, combo.partitions, row_counts, reduced_counts, first)
+
+        def empty():
             if stats is not None:
                 stats.combos_empty += 1
             if attrs is not None:
                 attrs["status"] = "empty"
             if recycle_key is not None:
-                recycle.store(recycle_key, combo, None, row_counts, first)
+                recycle.store(
+                    recycle_key, combo, None, row_counts, first, reduced_counts
+                )
             return None, stats
+
+        if not all(reduced_counts.values()):
+            return empty()
         provider = JoinedProvider(
-            {first: combo.partitions[first]}, {first: scans[first]}
+            {first: combo.partitions[first]}, {first: reduced[first]}
         )
         for step in steps:
             partition = combo.partitions[step.alias]
             key_columns = tuple(edge.side_for(step.alias) for edge in step.edges)
-            extra = combo.extra_filters.get(step.alias, [])
-            fixed = combo.fixed_rows.get(step.alias)
-            hash_key = (
-                step.alias,
-                id(partition),
-                key_columns,
-                tuple(sorted(e.canonical() for e in extra)),
-                _fixed_rows_key(fixed),
-                join_kernel(),  # never serve one kernel a table the other built
-            )
-            table = hash_memo.get_or_compute(
-                hash_key,
-                lambda: build_hash_table(partition, scans[step.alias], key_columns),
-            )
+            rows = reduced[step.alias]
+            if rows is not scans[step.alias]:
+                # The memo key describes the partition's full scan; a table
+                # over this subjoin's reduced rows must never be shared.
+                table = build_hash_table(partition, rows, key_columns)
+            else:
+                extra = combo.extra_filters.get(step.alias, [])
+                fixed = combo.fixed_rows.get(step.alias)
+                hash_key = (
+                    step.alias,
+                    id(partition),
+                    key_columns,
+                    tuple(sorted(e.canonical() for e in extra)),
+                    _fixed_rows_key(fixed),
+                    join_kernel(),  # never serve one kernel a table the other built
+                )
+                table = hash_memo.get_or_compute(
+                    hash_key,
+                    lambda: build_hash_table(partition, rows, key_columns),
+                )
             if not table:
-                if stats is not None:
-                    stats.combos_empty += 1
-                if attrs is not None:
-                    attrs["status"] = "empty"
-                if recycle_key is not None:
-                    recycle.store(recycle_key, combo, None, row_counts, first)
-                return None, stats
+                return empty()
             probe_columns = [edge.other(step.alias) for edge in step.edges]
             provider = probe_hash_join(
                 provider, probe_columns, step.alias, partition, table
             )
             if provider.row_count() == 0:
-                if stats is not None:
-                    stats.combos_empty += 1
-                if attrs is not None:
-                    attrs["status"] = "empty"
-                if recycle_key is not None:
-                    recycle.store(recycle_key, combo, None, row_counts, first)
-                return None, stats
+                return empty()
         for residual in residuals:
             mask = residual.evaluate(provider).astype(bool)
             provider = provider.select(mask)
             if provider.row_count() == 0:
-                if stats is not None:
-                    stats.combos_empty += 1
-                if attrs is not None:
-                    attrs["status"] = "empty"
-                if recycle_key is not None:
-                    recycle.store(recycle_key, combo, None, row_counts, first)
-                return None, stats
+                return empty()
         if recycle_key is not None:
-            recycle.store(recycle_key, combo, provider, row_counts, first)
+            recycle.store(
+                recycle_key, combo, provider, row_counts, first, reduced_counts
+            )
         partial = partial_factory()
         n = aggregate_into(partial, provider, query.group_by, query.aggregates, sign)
         if stats is not None:
@@ -628,15 +607,10 @@ class QueryExecutor:
         if stats is not None:
             stats.probe_sides.append(hit.probe_side)
         if attrs is not None:
-            attrs["rows_scanned"] = dict(sorted(hit.row_counts.items()))
-            attrs["probe_side"] = hit.probe_side
-            mapped = sorted(
-                alias
-                for alias, partition in hit.partitions.items()
-                if getattr(partition, "storage_tier", "resident") == "mapped"
+            _describe_inputs(
+                attrs, hit.partitions, hit.row_counts, hit.reduced_counts,
+                hit.probe_side,
             )
-            if mapped:
-                attrs["tier"] = {alias: "mapped" for alias in mapped}
             attrs["recycled"] = True
         if hit.indices is None:
             if stats is not None:
@@ -652,6 +626,66 @@ class QueryExecutor:
         if attrs is not None:
             attrs["rows_aggregated"] = n
         return partial, stats
+
+
+def _reduce_scans(
+    query: AggregateQuery, combo: ComboSpec, scans: Dict[str, np.ndarray]
+) -> Dict[str, np.ndarray]:
+    """Sideways information passing: semi-join-reduce skewed inputs.
+
+    Aliases are taken smallest-first; each one restricts every not yet taken
+    join neighbour to the rows whose key occurs among its own (possibly
+    already reduced) rows — :func:`~repro.query.operators.semi_join_reduce`,
+    which declines unless the two sides are skewed enough to pay.  A small
+    input thus thins the whole chain of joins hanging off it.  Every join
+    edge is a conjunctive inner equi-join whose NULL keys never match, a
+    reduction only drops rows that join nothing on that edge, and survivors
+    keep their order, so the subjoin yields the identical tuple multiset
+    from inputs sized by its smallest side.  Returns a new mapping; an alias
+    that was not reduced keeps its (memoized) scan array *object*, which is
+    how callers tell the two apart.  Ties break on the alias name, never on
+    FROM order.
+    """
+    reduced = dict(scans)
+    neighbours: Dict[str, List] = {alias: [] for alias in reduced}
+    for edge in query.join_edges:
+        for alias in edge.aliases():
+            neighbours[alias].append(edge)
+    pending = set(reduced)
+    while pending:
+        source = min(pending, key=lambda alias: (len(reduced[alias]), alias))
+        pending.discard(source)
+        if not len(reduced[source]):
+            break  # the subjoin is empty; nothing left worth reducing
+        for edge in neighbours[source]:
+            target, target_column = edge.other(source)
+            if target in pending:
+                reduced[target] = semi_join_reduce(
+                    combo.partitions[source], reduced[source], edge.side_for(source),
+                    combo.partitions[target], reduced[target], target_column,
+                )
+    return reduced
+
+
+def _describe_inputs(
+    attrs: Dict[str, object],
+    partitions: Dict[str, Partition],
+    row_counts: Dict[str, int],
+    reduced_counts: Optional[Dict[str, int]],
+    probe_side: str,
+) -> None:
+    """Input-side span attributes of one subjoin (computed or recycled)."""
+    attrs["rows_scanned"] = dict(sorted(row_counts.items()))
+    if reduced_counts is not None and reduced_counts != row_counts:
+        attrs["rows_after_reduction"] = dict(sorted(reduced_counts.items()))
+    attrs["probe_side"] = probe_side
+    mapped = sorted(
+        alias
+        for alias, partition in partitions.items()
+        if getattr(partition, "storage_tier", "resident") == "mapped"
+    )
+    if mapped:
+        attrs["tier"] = {alias: "mapped" for alias in mapped}
 
 
 def _physical_rows(combos: Sequence[ComboSpec]) -> int:

@@ -41,13 +41,15 @@ def _normalize(expr: Expr):
 
 
 def fast_filter_mask(
-    expr: Expr, partition, alias: Optional[str] = None
+    expr: Expr, partition, alias: Optional[str] = None, rows=None
 ) -> Optional[np.ndarray]:
     """Row mask for a simple comparison, or ``None`` if not applicable.
 
-    The mask covers *all* physical rows of the partition; the caller
-    intersects it with visibility.  NULL rows never pass (code ``-1`` maps
-    to the always-false slot), matching SQL comparison semantics.
+    The mask covers *all* physical rows of the partition (the caller
+    intersects it with visibility), or — given a row-index array ``rows`` —
+    exactly those rows, gathering only their codes.  NULL rows never pass
+    (code ``-1`` maps to the always-false slot), matching SQL comparison
+    semantics.
     """
     normalized = _normalize(expr)
     if normalized is None:
@@ -62,12 +64,14 @@ def fast_filter_mask(
         fragment: ColumnFragment = partition.column(name)
     except Exception:
         return None
-    codes = fragment.codes()
-    if op == "=":
-        return fragment.equality_mask(value)
+    codes = fragment.codes() if rows is None else fragment.codes_for(rows)
     dictionary = fragment.dictionary
-    if op == "!=":
+    if op in ("=", "!="):
         code = dictionary.lookup(value)
+        if op == "=":
+            if code is None:
+                return np.zeros(len(codes), dtype=bool)
+            return codes == code
         if code is None:
             # Everything non-NULL differs from an absent value.
             return codes != -1

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import QueryError
-from ..storage.dictionary import NULL_CODE, MainDictionary
+from ..storage.dictionary import NULL_CODE
 from ..storage.partition import Partition
 from ..storage.schema import SqlType
 from .aggregates import AggregateSpec, GroupedAggregates
@@ -176,13 +176,41 @@ def scan_partition(
             mask &= fast
         else:
             slow_filters.append(expr)
-    if slow_filters and mask.any():
-        provider = PartitionProvider(alias, partition, np.flatnonzero(mask))
-        keep = np.ones(provider.row_count(), dtype=bool)
+    return filter_rows(alias, partition, np.flatnonzero(mask), slow_filters)
+
+
+def filter_rows(
+    alias: str,
+    partition: Partition,
+    rows: np.ndarray,
+    filters: Sequence[Expr],
+) -> np.ndarray:
+    """The rows of an explicit row-index set that pass all local ``filters``.
+
+    The pinned-row counterpart of :func:`scan_partition`: simple
+    comparisons run in code space over the given rows only (one gather per
+    filter, nothing decoded), the expressions the fast path declines are
+    evaluated over the decoded survivors.  Row order is preserved.
+    """
+    from .fastpath import fast_filter_mask
+
+    rows = np.asarray(rows, dtype=np.int64)
+    slow_filters: List[Expr] = []
+    for expr in filters:
+        if not len(rows):
+            return rows
+        fast = fast_filter_mask(expr, partition, alias, rows)
+        if fast is not None:
+            rows = rows[fast]
+        else:
+            slow_filters.append(expr)
+    if slow_filters and len(rows):
+        provider = PartitionProvider(alias, partition, rows)
+        keep = np.ones(len(rows), dtype=bool)
         for expr in slow_filters:
             keep &= expr.evaluate(provider).astype(bool)
-        return provider.rows[keep]
-    return np.flatnonzero(mask)
+        rows = rows[keep]
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -270,58 +298,22 @@ class _CodeKeySpace:
         return combined, valid
 
 
-def _comparable_array(values: np.ndarray) -> Optional[np.ndarray]:
-    """A primitive-dtype copy usable for vectorized exact matching, or None.
-
-    Integer and string value sets qualify; floats qualify unless NaN is
-    present (NaN defeats sorted search yet can match by identity through a
-    dict lookup, so those value sets take the per-value fallback).
-    """
-    try:
-        arr = np.array(values.tolist())
-    except (ValueError, TypeError):
-        return None
-    kind = arr.dtype.kind
-    if kind in ("i", "U"):
-        return arr
-    if kind == "f" and not np.isnan(arr).any():
-        return arr
-    return None
-
-
 def _dict_lookup_many(build_dict, values: np.ndarray) -> np.ndarray:
     """Build-side codes for an array of values (``_NO_MATCH`` where absent).
 
-    Vectorized via ``searchsorted`` when both value sets share a primitive
-    dtype — main dictionaries are already sorted (codes are ranks), delta
-    dictionaries are sorted once per call.  Falls back to one hash lookup
-    per *distinct* value otherwise.
+    One hash lookup per value: cheaper at every size than a sorted search
+    over primitive copies of both dictionaries, whose materialization costs
+    more than the probes it saves.
     """
-    build_table = build_dict.decode_table()
-    n = len(build_table) - 1
-    if n == 0:
-        return np.full(len(values), _NO_MATCH, dtype=np.int64)
-    pv = _comparable_array(values)
-    bv = _comparable_array(build_table[:n]) if pv is not None else None
-    if bv is not None and pv.dtype.kind == bv.dtype.kind:
-        if isinstance(build_dict, MainDictionary):
-            order = None
-            sorted_bv = bv
-        else:
-            order = np.argsort(bv, kind="stable")
-            sorted_bv = bv[order]
-        pos = np.searchsorted(sorted_bv, pv)
-        pos = np.minimum(pos, n - 1)
-        hit = sorted_bv[pos] == pv
-        mapped = pos if order is None else order[pos]
-        return np.where(hit, mapped, _NO_MATCH).astype(np.int64, copy=False)
-    lookup = build_dict.lookup
-    out = np.full(len(values), _NO_MATCH, dtype=np.int64)
-    for i, value in enumerate(values.tolist()):
-        code = lookup(value)
-        if code is not None:
-            out[i] = code
-    return out
+    return np.array(
+        build_dict.lookup_many(values.tolist(), _NO_MATCH), dtype=np.int64
+    )
+
+
+#: ``_bridge_codes`` translates only the codes present among the probe rows
+#: when the rows are this many times fewer than the probe dictionary's
+#: values; a full-dictionary LUT would cost more to build than it saves.
+_SPARSE_BRIDGE_FACTOR = 4
 
 
 def _bridge_codes(probe_fragment, probe_codes: np.ndarray, build_fragment) -> np.ndarray:
@@ -331,17 +323,78 @@ def _bridge_codes(probe_fragment, probe_codes: np.ndarray, build_fragment) -> np
     unchanged (NULL stays ``-1`` and never matches).  Otherwise only the
     probe *dictionary* is materialized — one translation per distinct value,
     never per row — which is where main/delta dictionary skew is bridged.
+    A probe with few rows against a large dictionary (a compensation
+    subjoin probing from a handful of changed rows) translates just the
+    distinct codes it carries instead of the whole dictionary.
     NULL and values absent from the build dictionary map to ``_NO_MATCH``.
     """
     build_dict = build_fragment.dictionary
-    if probe_fragment.dictionary is build_dict:
+    probe_dict = probe_fragment.dictionary
+    if probe_dict is build_dict:
         return probe_codes
-    probe_table = probe_fragment.dictionary.decode_table()
+    probe_table = probe_dict.decode_table()
     m = len(probe_table) - 1
+    if _SPARSE_BRIDGE_FACTOR * len(probe_codes) < m:
+        # NULL_CODE decodes to None, which no dictionary contains.
+        present, inverse = np.unique(probe_codes, return_inverse=True)
+        return _dict_lookup_many(build_dict, probe_table[present])[inverse]
     lut = np.full(m + 1, _NO_MATCH, dtype=np.int64)
-    if m:
-        lut[:m] = _dict_lookup_many(build_dict, probe_table[:m])
+    lut[:m] = _dict_lookup_many(build_dict, probe_table[:m])
     return lut[probe_codes]
+
+
+#: Sideways information passing: a scan is semi-join-reduced by a
+#: neighbour's key set only when the neighbour has at most ``1/row skew`` of
+#: its rows (so finding the key set is cheap next to the join it thins)
+#: *and* the distinct keys number at most ``1/key skew`` of the reduced
+#: column's dictionary (so a fair share of the rows is expected to go).  The
+#: second test runs before any dictionary is bridged or any pass is made
+#: over the large side: a small dimension table whose keys span the whole
+#: fact-table dictionary — a reduction that would keep every row — costs
+#: one scatter over the small side.
+_SEMI_JOIN_ROW_SKEW = 4
+_SEMI_JOIN_KEY_SKEW = 2
+
+
+def semi_join_reduce(
+    key_partition: Partition,
+    key_rows: np.ndarray,
+    key_column: str,
+    partition: Partition,
+    rows: np.ndarray,
+    column: str,
+) -> np.ndarray:
+    """``rows`` restricted to those whose ``column`` equals a key of ``key_rows``.
+
+    Works on the exact key set in code space: the distinct non-NULL key
+    codes are bridged into ``column``'s dictionary, marked in a boolean LUT
+    over that dictionary, and ``rows`` is filtered with one code gather and
+    one LUT gather.  Row order is preserved, NULL keys never match — the
+    reduced set joins to exactly the tuples the full set would.  Returns
+    ``rows`` itself (same object) when the skew guards decline or every
+    row survives.
+    """
+    if not len(key_rows) * _SEMI_JOIN_ROW_SKEW <= len(rows):
+        return rows
+    key_fragment = key_partition.column(key_column)
+    fragment = partition.column(column)
+    # Distinct non-NULL key codes by scattering into a LUT over the key
+    # dictionary (trailing slot: NULL_CODE) — no sort, no hashing.
+    present = np.zeros(len(key_fragment.dictionary) + 1, dtype=bool)
+    present[key_fragment.codes_for(key_rows)] = True
+    keys = np.flatnonzero(present[:-1])
+    n_values = len(fragment.dictionary)
+    if not len(keys) * _SEMI_JOIN_KEY_SKEW <= n_values:
+        return rows
+    if key_fragment.dictionary is not fragment.dictionary:
+        keys = _dict_lookup_many(
+            fragment.dictionary, key_fragment.dictionary.decode_table()[keys]
+        )
+        keys = keys[keys != _NO_MATCH]
+    member = np.zeros(n_values + 1, dtype=bool)  # trailing slot: NULL_CODE
+    member[keys] = True
+    keep = member[fragment.codes_for(rows)]
+    return rows if keep.all() else rows[keep]
 
 
 class _CodeSpaceHashTable:

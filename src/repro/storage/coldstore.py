@@ -183,6 +183,9 @@ class LazyMainDictionary:
             return None
         return self._load().lookup(value)
 
+    def lookup_many(self, values, default: int) -> List[int]:
+        return self._load().lookup_many(values, default)
+
     def decode(self, code: int):
         return self._load().decode(code)
 

@@ -64,6 +64,11 @@ class DeltaDictionary:
             return None
         return self._codes.get(value)
 
+    def lookup_many(self, values: Iterable[object], default: int) -> List[int]:
+        """Codes for a batch of values, ``default`` where absent or NULL."""
+        get = self._codes.get
+        return [get(value, default) for value in values]
+
     def decode(self, code: int):
         """Return the value for ``code`` (``NULL_CODE`` -> None)."""
         if code == NULL_CODE:
@@ -138,6 +143,11 @@ class MainDictionary:
         if value is None:
             return None
         return self._codes.get(value)
+
+    def lookup_many(self, values: Iterable[object], default: int) -> List[int]:
+        """Codes for a batch of values, ``default`` where absent or NULL."""
+        get = self._codes.get
+        return [get(value, default) for value in values]
 
     def decode(self, code: int):
         """Return the value for ``code`` (``NULL_CODE`` -> None)."""

@@ -91,7 +91,7 @@ class TestJoinEntryCompensation:
 
     def test_invalidations_in_both_tables_inclusion_exclusion(self):
         db = self.make()
-        # One header and two items invalidated: the 2^k-1 expansion must not
+        # One header and two items invalidated: the correction terms must not
         # double-subtract the (header x item) doubly-invalidated tuples.
         db.update("item", 1, {"price": 123.0})
         db.delete("item", 2)
@@ -149,3 +149,128 @@ class TestStaleEntries:
         result = db.query(HEADER_ITEM_SQL, strategy=FULL)
         assert db.last_report.entries_recomputed == 1
         assert result == db.query(HEADER_ITEM_SQL, strategy=UNCACHED)
+
+
+class TestTelescopedCompensation:
+    """k dirty aliases cost k correction subjoins (not 2^k - 1) and subtract
+    exactly what naive recomputation over the surviving main rows omits."""
+
+    SQL = (
+        "SELECT c.state AS state, SUM(l.amount) AS revenue, COUNT(*) AS n "
+        "FROM cust c, ord o, nord n, line l "
+        "WHERE o.ck = c.ck AND n.ok = o.ok AND l.ok = o.ok "
+        "GROUP BY c.state"
+    )
+    #: Deletes/updates per table; order 3 loses its header, its new-order
+    #: row *and* a line, so one joined tuple is invalidated in three
+    #: joining aliases at once.
+    DIRTY = [
+        ("line", lambda db: (db.delete("line", 31), db.update("line", 52, {"amount": 7}))),
+        ("ord", lambda db: (db.delete("ord", 3), db.update("ord", 6, {"year": 1999}))),
+        ("nord", lambda db: db.delete("nord", 3)),
+        ("cust", lambda db: db.update("cust", 1, {"state": "ZZ"})),
+    ]
+
+    def make(self):
+        db = Database()
+        db.create_table("cust", [("ck", "INT"), ("state", "TEXT")], primary_key="ck")
+        db.create_table(
+            "ord", [("ok", "INT"), ("ck", "INT"), ("year", "INT")], primary_key="ok"
+        )
+        db.create_table("nord", [("ok", "INT")], primary_key="ok")
+        db.create_table(
+            "line", [("lk", "INT"), ("ok", "INT"), ("amount", "INT")], primary_key="lk"
+        )
+        self.load(db, range(0, 4), range(0, 12))
+        db.merge()
+        return db
+
+    @staticmethod
+    def load(db, customers, orders):
+        for ck in customers:
+            db.insert("cust", {"ck": ck, "state": "ABC"[ck % 3]})
+        for ok in orders:
+            db.insert("ord", {"ok": ok, "ck": ok % 4, "year": 2012 + ok % 3})
+            if ok % 4 != 2:
+                db.insert("nord", {"ok": ok})
+            for k in range(3):
+                db.insert("line", {"lk": ok * 10 + k, "ok": ok, "amount": ok + k})
+
+    @staticmethod
+    def naive(db, entry, snapshot):
+        """The all-main subjoin recomputed from the base data."""
+        from repro.query import ComboSpec
+
+        return db.executor.execute(
+            entry.query, snapshot, combos=[ComboSpec(dict(entry.main_partitions))]
+        )
+
+    @staticmethod
+    def rows(grouped):
+        return sorted(grouped.finalize())
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_k_dirty_aliases_cost_k_terms_and_equal_naive(self, k):
+        from repro.query import ExecutionStats
+
+        db = self.make()
+        db.query(self.SQL, strategy=FULL)
+        entry = entry_for(db, self.SQL)
+        for _table, dirty in self.DIRTY[:k]:
+            dirty(db)
+        snapshot = db.transactions.global_snapshot()
+        corrected, stats = entry.value.copy(), ExecutionStats()
+        compensated = amc(entry, db.executor, snapshot, corrected, stats=stats)
+        assert stats.combos_evaluated == k
+        assert compensated == [2, 4, 5, 6][k - 1]
+        assert self.rows(corrected) == self.rows(self.naive(db, entry, snapshot))
+        assert self.rows(corrected) != self.rows(entry.value)
+        # ... and through the manager, new versions included.
+        cached = db.query(self.SQL, strategy=FULL)
+        assert db.last_report.invalidated_rows_compensated == compensated
+        assert cached == db.query(self.SQL, strategy=UNCACHED)
+
+    def test_span_reports_dirty_aliases_terms_and_rows(self):
+        db = self.make()
+        db.query(self.SQL, strategy=FULL)
+        for _table, dirty in self.DIRTY[:3]:
+            dirty(db)
+        trace = db.explain_analyze(self.SQL)
+        span = trace.span_named("main_compensation")
+        assert span.attrs["dirty_aliases"] == ["l", "n", "o"]
+        assert span.attrs["terms"] == 3
+        assert span.attrs["invalidated_rows"] == span.attrs["rows_compensated"] == 5
+        assert "dirty_aliases=['l', 'n', 'o']" in trace.render()
+
+    def test_reader_older_than_entry_snapshot(self):
+        """Rows merged into the mains after the reader's snapshot are in the
+        stored vectors but invisible to it: compensation subtracts them, in
+        three aliases at once, down to the reader's own all-main answer."""
+        from repro.query import ExecutionStats
+
+        db = self.make()
+        reader = db.transactions.global_snapshot()
+        self.load(db, range(4, 5), range(12, 16))
+        db.merge()
+        db.query(self.SQL, strategy=FULL)
+        entry = entry_for(db, self.SQL)
+        assert reader < entry.snapshot
+        db.delete("line", 10)  # after the entry: still visible to the old reader
+        corrected, stats = entry.value.copy(), ExecutionStats()
+        amc(entry, db.executor, reader, corrected, stats=stats)
+        assert stats.combos_evaluated == 4  # cust, ord, nord and line all grew
+        assert self.rows(corrected) == self.rows(self.naive(db, entry, reader))
+        assert self.rows(corrected) != self.rows(entry.value)
+
+    def test_merge_time_maintenance_retires_the_debt(self):
+        db = self.make()
+        db.query(self.SQL, strategy=FULL)
+        for _table, dirty in self.DIRTY:
+            dirty(db)
+        self.load(db, range(4, 6), range(12, 15))
+        db.merge()  # plan_entry_maintenance -> apply_main_compensation
+        cached = db.query(self.SQL, strategy=FULL)
+        assert db.last_report.cache_hits == 1
+        assert db.last_report.entries_recomputed == 0
+        assert db.last_report.invalidated_rows_compensated == 0
+        assert cached == db.query(self.SQL, strategy=UNCACHED)

@@ -240,14 +240,27 @@ class TestCachePipelineParity:
 class TestBuildSideSelection:
     def test_probe_side_is_largest_scan(self, env):
         catalog, txn = env
-        stats = ExecutionStats()
+        stats, spans = ExecutionStats(), []
         QueryExecutor(catalog).execute(
-            header_first_query(), txn.latest_tid, stats=stats
+            header_first_query(), txn.latest_tid, stats=stats, span_sink=spans
         )
         # Regression: the legacy planner probed "h" (first in FROM), building
         # every hash table on the far larger item side.  The item scan is
-        # larger in every subjoin here, so "i" must probe throughout.
+        # larger in every subjoin here, so "i" must probe throughout —
+        # semi-join reduction thins the inputs but never re-plans the join.
         assert stats.probe_sides == ["i"] * stats.combos_evaluated
+        by_label = dict(zip(stats.subjoins, spans))
+        for label, span in by_label.items():
+            scanned = span.attrs["rows_scanned"]
+            joined = span.attrs.get("rows_after_reduction", scanned)
+            # No hash table on a side larger than the probe side's scan.
+            assert joined["h"] <= scanned["h"] <= scanned["i"], label
+        # The lone delta header (hid 5) matches no main item: the item side
+        # reduces to nothing and the subjoin is empty before any hash table.
+        empty = by_label["(h:delta, i:main)"].attrs
+        assert empty["rows_scanned"] == {"h": 1, "i": 48}
+        assert empty["rows_after_reduction"] == {"h": 1, "i": 0}
+        assert empty["status"] == "empty"
 
     def test_from_order_does_not_change_plan(self, env):
         catalog, txn = env
@@ -256,6 +269,10 @@ class TestBuildSideSelection:
         executor.execute(profit_query(), txn.latest_tid, stats=s1)
         executor.execute(header_first_query(), txn.latest_tid, stats=s2)
         assert s1.probe_sides == s2.probe_sides
+        # The combination order follows FROM; each subjoin's plan must not.
+        assert dict(zip(s1.subjoins, s1.probe_sides)) == dict(
+            zip(s2.subjoins, s2.probe_sides)
+        )
 
     def test_results_unchanged_by_build_side(self, env):
         catalog, txn = env
