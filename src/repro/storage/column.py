@@ -13,7 +13,7 @@ decoded access to row ranges (for join/aggregation processing).
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -59,17 +59,26 @@ class ColumnFragment:
     def build_main(cls, name: str, values: Sequence[object]) -> "ColumnFragment":
         """Bulk-build a read-optimized fragment from raw ``values``.
 
-        Used by the delta merge: the sorted main dictionary is created from
-        the distinct values and every row re-encoded against it.
+        Used where rows arrive decoded (checkpoint and snapshot restore):
+        the sorted main dictionary is created from the distinct values and
+        every row encoded against it in one batch lookup.  The delta merge
+        stays in code space and uses :meth:`from_codes` instead.
         """
         dictionary = MainDictionary(values)
+        codes = np.array(dictionary.lookup_many(values, NULL_CODE), dtype=np.int64)
+        return cls.from_codes(name, dictionary, codes)
+
+    @classmethod
+    def from_codes(
+        cls, name: str, dictionary: Dictionary, codes: np.ndarray
+    ) -> "ColumnFragment":
+        """A fragment over a ready dictionary and ``int64`` code array.
+
+        The array is adopted, not copied; every code must be a valid index
+        into ``dictionary`` or ``NULL_CODE``.
+        """
         fragment = cls(name, dictionary)
-        codes = np.fromiter(
-            (NULL_CODE if v is None else dictionary.lookup(v) for v in values),
-            dtype=np.int64,
-            count=len(values),
-        )
-        fragment._codes.extend(codes)
+        fragment._codes = IntVector.adopt(codes)
         return fragment
 
     # ------------------------------------------------------------------
@@ -107,10 +116,6 @@ class ColumnFragment:
         decoded once, which is the usual column-store trick.
         """
         return self.decode_codes(self.codes_for(rows))
-
-    def decode_all(self) -> List[object]:
-        """All row values in row order (used by the merge to rebuild mains)."""
-        return list(self.decode_rows(np.arange(len(self._codes), dtype=np.int64)))
 
     def equality_mask(self, value) -> np.ndarray:
         """Boolean mask over all rows where the column equals ``value``.

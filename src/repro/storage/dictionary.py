@@ -15,6 +15,7 @@ NULL is never stored in a dictionary; columns encode NULL as code ``-1``.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
@@ -29,11 +30,9 @@ def _build_decode_table(values: Sequence[object]) -> np.ndarray:
     a whole code vector decodes in one fancy-indexing operation without a
     separate NULL branch.
     """
-    table = np.empty(len(values) + 1, dtype=object)
-    for i, value in enumerate(values):
-        table[i] = value
-    table[-1] = None
-    return table
+    return np.fromiter(
+        chain(values, (None,)), dtype=object, count=len(values) + 1
+    )
 
 
 class DeltaDictionary:

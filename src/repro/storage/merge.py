@@ -23,15 +23,25 @@ the primary-key index, and only then fires ``after_merge``.  The aggregate
 cache depends on this all-or-nothing behavior: a half-merged table would
 strand its pending maintenance and corrupt every entry anchored on the old
 partitions.
+
+The rebuild itself works on the arrays the partitions already hold and
+never decodes a row: the old dictionaries are merged into the new sorted
+one, and every code vector is translated by one gather through an
+old-code -> new-code table (``_build_group``, docs/architecture.md §1).
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Protocol, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from typing import List, Optional, Protocol, Sequence, Tuple
+
+import numpy as np
 
 from ..errors import StorageError
+from .column import ColumnFragment
+from .dictionary import NULL_CODE, MainDictionary
 from .partition import LIVE, Partition
 from .table import PartitionGroup, Table
 
@@ -203,31 +213,93 @@ def _build_group(
 ) -> Tuple[Partition, Partition, int, int]:
     """Rebuild one (main, delta) pair off to the side, without swapping.
 
+    The rebuild never decodes a row (Krueger et al.'s merge): per partition
+    one mask of the rows that survive, per column a dictionary merge and one
+    code remap per source partition.  Surviving rows keep their order —
+    main, delta, update delta — which is what lets listeners rebase
+    positions and visibility vectors taken over the old partitions.
+
     Returns ``(new_main, new_delta, rows moved, rows dropped)``.
     """
-    rows: List[Dict[str, object]] = []
-    cts: List[int] = []
-    dts: List[int] = []
+    sources = group.partitions()
+    keeps: List[np.ndarray] = []
     moved = 0
     dropped = 0
-    for partition in group.partitions():
-        cts_arr = partition.cts_array()
-        dts_arr = partition.dts_array()
-        for row in range(partition.row_count):
-            if cts_arr[row] > snapshot:
-                raise StorageError(
-                    f"row created by future transaction {int(cts_arr[row])} "
-                    f"found during merge at snapshot {snapshot}"
-                )
-            invalidated = dts_arr[row] != LIVE and dts_arr[row] <= snapshot
-            if invalidated and not keep_history:
-                dropped += 1
-                continue
-            rows.append(partition.get_row(row))
-            cts.append(int(cts_arr[row]))
-            dts.append(int(dts_arr[row]))
-            if partition.kind == "delta":
-                moved += 1
-    new_main = Partition.build_main(group.main.name, table.schema, rows, cts, dts)
+    for partition in sources:
+        cts = partition.cts_array()
+        future = cts > snapshot
+        if future.any():
+            raise StorageError(
+                f"row created by future transaction {int(cts[future.argmax()])} "
+                f"found during merge at snapshot {snapshot}"
+            )
+        dts = partition.dts_array()
+        if keep_history:
+            keep = np.ones(len(dts), dtype=bool)
+        else:
+            keep = ~((dts != LIVE) & (dts <= snapshot))
+        kept = int(keep.sum())
+        dropped += len(dts) - kept
+        if partition.kind == "delta":
+            moved += kept
+        keeps.append(keep)
+    fragments = {
+        col.name: _merge_column(
+            col.name, [p.column(col.name) for p in sources], keeps
+        )
+        for col in table.schema
+    }
+    new_main = Partition.from_fragments(
+        group.main.name,
+        table.schema,
+        fragments,
+        _concatenate(p.cts_array()[keep] for p, keep in zip(sources, keeps)),
+        _concatenate(p.dts_array()[keep] for p, keep in zip(sources, keeps)),
+    )
     new_delta = Partition(group.delta.name, "delta", table.schema)
     return new_main, new_delta, moved, dropped
+
+
+def _merge_column(
+    name: str, fragments: Sequence[ColumnFragment], keeps: Sequence[np.ndarray]
+) -> ColumnFragment:
+    """Merge one column of a group's partitions into a main fragment.
+
+    Four steps, none of them per row in Python:
+
+    1. mark the codes the kept rows of each source reference (NULL's -1
+       lands in a trailing slot);
+    2. build the new sorted dictionary from exactly the marked values — an
+       unreferenced value must not survive, or the dictionary would grow
+       with every invalidated row.  Where sources hold ``==``-equal values
+       (``1`` / ``1.0``), the earliest source's representative is kept;
+    3. one old-code -> new-code table per source, |dictionary| lookups;
+    4. one gather through that table per source, concatenated in source
+       order.
+    """
+    sources = []  # per fragment: (kept codes, referenced old codes, their values)
+    for fragment, keep in zip(fragments, keeps):
+        codes = fragment.codes()[keep]
+        used = np.zeros(len(fragment.dictionary) + 1, dtype=bool)
+        used[codes] = True
+        present = np.flatnonzero(used[:-1])
+        values = fragment.dictionary.decode_table()[present].tolist()
+        sources.append((codes, present, values))
+    # A dict keeps the first of two equal keys.  The main's referenced
+    # values arrive sorted, so the sort is one merge of that run with the
+    # (short) delta runs.
+    distinct = dict.fromkeys(
+        chain.from_iterable(values for _codes, _present, values in sources)
+    )
+    dictionary = MainDictionary.from_sorted(sorted(distinct))
+    remapped: List[np.ndarray] = []
+    for fragment, (codes, present, values) in zip(fragments, sources):
+        remap = np.full(len(fragment.dictionary) + 1, NULL_CODE, dtype=np.int64)
+        remap[present] = dictionary.lookup_many(values, NULL_CODE)
+        remapped.append(remap[codes])
+    return ColumnFragment.from_codes(name, dictionary, _concatenate(remapped))
+
+
+def _concatenate(parts) -> np.ndarray:
+    """One native ``int64`` array (mapped sources are little-endian on disk)."""
+    return np.concatenate(list(parts), dtype=np.int64)

@@ -92,15 +92,52 @@ class Partition:
         cts: Sequence[int],
         dts: Sequence[int],
     ) -> "Partition":
-        """Bulk-build a read-optimized main partition (delta merge path)."""
+        """Bulk-build a read-optimized main partition from decoded rows
+        (checkpoint and snapshot restore; the delta merge stays in code
+        space and calls :meth:`from_fragments`)."""
         if not (len(rows) == len(cts) == len(dts)):
             raise StorageError("rows/cts/dts length mismatch in build_main")
+        fragments = {
+            col.name: ColumnFragment.build_main(
+                col.name, [row[col.name] for row in rows]
+            )
+            for col in schema
+        }
+        return cls.from_fragments(
+            name,
+            schema,
+            fragments,
+            np.array(cts, dtype=np.int64),
+            np.array(dts, dtype=np.int64),
+        )
+
+    @classmethod
+    def from_fragments(
+        cls,
+        name: str,
+        schema: Schema,
+        fragments: Dict[str, ColumnFragment],
+        cts: np.ndarray,
+        dts: np.ndarray,
+    ) -> "Partition":
+        """A main partition over ready column fragments and stamp arrays.
+
+        ``fragments`` holds one fragment per schema column; the ``int64``
+        stamp arrays are adopted, not copied.
+        """
+        if len(cts) != len(dts):
+            raise StorageError("cts/dts length mismatch in from_fragments")
         partition = cls(name, "main", schema)
         for col in schema:
-            values = [row[col.name] for row in rows]
-            partition._columns[col.name] = ColumnFragment.build_main(col.name, values)
-        partition._cts.extend(cts)
-        partition._dts.extend(dts)
+            fragment = fragments[col.name]
+            if len(fragment) != len(cts):
+                raise StorageError(
+                    f"column {col.name!r} has {len(fragment)} rows, "
+                    f"stamps have {len(cts)}"
+                )
+            partition._columns[col.name] = fragment
+        partition._cts = IntVector.adopt(cts)
+        partition._dts = IntVector.adopt(dts)
         return partition
 
     def append_row(self, row: Dict[str, object], cts: int) -> int:
@@ -161,7 +198,7 @@ class Partition:
         return list(self._columns)
 
     def get_row(self, row: int) -> Dict[str, object]:
-        """Decoded values of one row as a dict (diagnostics / merge path)."""
+        """Decoded values of one row as a dict (point reads, diagnostics)."""
         return {name: frag.value_at(row) for name, frag in self._columns.items()}
 
     def cts_array(self) -> np.ndarray:

@@ -18,15 +18,17 @@ All writes follow the insert-only MVCC discipline of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Callable, Dict, List, NamedTuple, Optional
+
+import numpy as np
 
 from ..errors import IntegrityError, SchemaError, StorageError
 from .partition import LIVE, Partition
 from .schema import Schema
 
 
-@dataclass(frozen=True)
-class RowLocator:
+class RowLocator(NamedTuple):
     """Physical address of a row version: (partition name, row index)."""
 
     partition: str
@@ -108,6 +110,13 @@ class Table:
                 "hot": make_group("hot", "hot_"),
                 "cold": make_group("cold", "cold_"),
             }
+        # Partition names are fixed at creation and survive merges and
+        # restores, so "which group owns this partition" is one lookup.
+        self._group_by_partition: Dict[str, PartitionGroup] = {
+            partition.name: grp
+            for grp in self._groups.values()
+            for partition in grp.partitions()
+        }
         # Primary-key index: current (latest) version of each live key.
         self._pk_index: Dict[object, RowLocator] = {}
         # Monotonic change counter covering DML, merges (partition swaps),
@@ -252,10 +261,10 @@ class Table:
         return locator
 
     def _group_of_partition(self, partition_name: str) -> PartitionGroup:
-        for grp in self._groups.values():
-            if partition_name in [p.name for p in grp.partitions()]:
-                return grp
-        raise StorageError(f"unknown partition {partition_name!r}")
+        try:
+            return self._group_by_partition[partition_name]
+        except KeyError:
+            raise StorageError(f"unknown partition {partition_name!r}") from None
 
     # ------------------------------------------------------------------
     # reads
@@ -361,19 +370,28 @@ class Table:
         self.bump_version()
 
     def rebuild_pk_index(self) -> None:
-        """Recompute the primary-key index after partitions were rebuilt."""
+        """Recompute the primary-key index after partitions were rebuilt.
+
+        One bulk pass per partition: the live rows' keys are decoded in one
+        gather and entered with ``dict.update``.  Partitions are visited
+        mains-first, so where a key is live in two partitions the later one
+        wins, as with row-at-a-time assignment.
+        """
         pk_col = self.schema.primary_key
         if pk_col is None:
             return
         self._pk_index.clear()
         for partition in self.partitions():
-            dts = partition.dts_array()
-            fragment = partition.column(pk_col)
-            for row in range(partition.row_count):
-                if dts[row] == LIVE:
-                    self._pk_index[fragment.value_at(row)] = RowLocator(
-                        partition.name, row
-                    )
+            live = np.flatnonzero(partition.dts_array() == LIVE)
+            keys = partition.column(pk_col).decode_rows(live).tolist()
+            # tuple.__new__ builds the named tuple without entering its
+            # Python-level __new__, which is what a per-row call costs.
+            locators = map(
+                tuple.__new__,
+                repeat(RowLocator),
+                zip(repeat(partition.name), live.tolist()),
+            )
+            self._pk_index.update(zip(keys, locators))
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{p.name}={p.row_count}" for p in self.partitions())

@@ -37,6 +37,21 @@ class IntVector:
             self._data = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
             self._size = 0
 
+    @classmethod
+    def adopt(cls, array: np.ndarray) -> "IntVector":
+        """Wrap a ready ``int64`` array without copying it.
+
+        The vector takes ownership: the caller must not keep writing to
+        ``array``.  This is how the delta merge hands over the code and
+        stamp vectors it computed in bulk.
+        """
+        if array.dtype != np.int64 or array.ndim != 1:
+            raise TypeError("IntVector.adopt needs a one-dimensional int64 array")
+        out = cls.__new__(cls)
+        out._data = array
+        out._size = len(array)
+        return out
+
     # ------------------------------------------------------------------
     def _ensure(self, extra: int) -> None:
         need = self._size + extra

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.storage import ColumnFragment
+from repro.storage import ColumnFragment, MainDictionary
 
 
 class TestDeltaFragment:
@@ -35,7 +35,7 @@ class TestDeltaFragment:
         frag = ColumnFragment("n")
         for value in [1, None, 1]:
             frag.append(value)
-        assert frag.decode_all() == [1, None, 1]
+        assert frag.decode_codes(frag.codes()).tolist() == [1, None, 1]
 
     def test_equality_mask(self):
         frag = ColumnFragment("k")
@@ -58,7 +58,7 @@ class TestMainFragment:
     def test_build_main_sorted_dictionary(self):
         frag = ColumnFragment.build_main("c", ["b", "a", "b", None])
         assert len(frag) == 4
-        assert frag.decode_all() == ["b", "a", "b", None]
+        assert frag.decode_codes(frag.codes()).tolist() == ["b", "a", "b", None]
         # codes are sorted ranks
         assert frag.codes().tolist() == [1, 0, 1, -1]
 
@@ -71,6 +71,22 @@ class TestMainFragment:
         frag = ColumnFragment.build_main("c", [])
         assert len(frag) == 0
         assert frag.min_value() is None
+
+
+    def test_build_main_encodes_equal_values_of_different_type_alike(self):
+        frag = ColumnFragment.build_main("c", [1.0, None, 1, 0.5, True])
+        assert frag.dictionary.values() == [0.5, 1.0]
+        assert type(frag.dictionary.values()[1]) is float  # first seen wins
+        assert frag.codes().tolist() == [1, -1, 1, 0, 1]
+
+    def test_from_codes_adopts_dictionary_and_codes(self):
+        dictionary = MainDictionary.from_sorted(["a", "b"])
+        codes = np.array([1, -1, 0], dtype=np.int64)
+        frag = ColumnFragment.from_codes("c", dictionary, codes)
+        assert frag.dictionary is dictionary
+        assert np.shares_memory(frag.codes(), codes)
+        assert frag.decode_codes(frag.codes()).tolist() == ["b", None, "a"]
+        assert frag.has_nulls()
 
 
 class TestMemory:
@@ -90,10 +106,10 @@ def test_property_roundtrip_delta(values):
     frag = ColumnFragment("v")
     for value in values:
         frag.append(value)
-    assert frag.decode_all() == values
+    assert frag.decode_codes(frag.codes()).tolist() == values
 
 
 @given(st.lists(st.one_of(st.none(), st.text(max_size=5))))
 def test_property_roundtrip_main(values):
     frag = ColumnFragment.build_main("v", values)
-    assert frag.decode_all() == values
+    assert frag.decode_codes(frag.codes()).tolist() == values

@@ -216,6 +216,48 @@ class TestAtomicity:
         assert table.partition("hot_delta").row_count == 1
         assert table.partition("cold_delta").row_count == 1
 
+    def test_future_row_in_second_group_cancels_the_first(self):
+        """The first group is announced and staged before the second one's
+        stamps are looked at; nothing of it may show."""
+        table = Table(
+            "t", schema(), aging_rule=threshold_aging("year", hot_if_at_least=2014)
+        )
+        for key, year in enumerate([2015, 2010, 2016, 2011]):
+            table.insert({"id": key, "year": year}, tid=key + 1)
+        merge_table(table, snapshot=4)
+        table.update(0, {"year": 2017}, tid=5)  # hot: main row invalidated
+        table.insert({"id": 7, "year": 2009}, tid=6)  # cold delta
+        table.insert({"id": 8, "year": 2008}, tid=99)  # cold delta, future
+
+        def state():
+            return {
+                p.name: (
+                    id(p),
+                    p.cts_array().tolist(),
+                    p.dts_array().tolist(),
+                    {
+                        c: (id(p.column(c).dictionary), p.column(c).dictionary.values(),
+                            p.column(c).codes().tolist())
+                        for c in p.column_names()
+                    },
+                )
+                for p in table.partitions()
+            }
+
+        before = state()
+        index_before = dict(table._pk_index)
+        version_before = table.version
+        listener = CancellableListener()
+        with pytest.raises(StorageError, match="future transaction 99"):
+            merge_table(table, snapshot=6, listeners=[listener])
+        assert [group for group, _rows in listener.before] == ["hot", "cold"]
+        assert listener.cancelled == ["hot", "cold"]
+        assert listener.after == []
+        assert state() == before
+        assert table._pk_index == index_before
+        assert table.version == version_before
+        assert table.pk_lookup(0).partition == "hot_delta"
+
     def test_retry_after_failure_succeeds(self):
         table = self.make()
         with pytest.raises(RuntimeError):

@@ -1,9 +1,10 @@
 """Unit tests for partitions and MVCC visibility."""
 
+import numpy as np
 import pytest
 
 from repro.errors import StorageError
-from repro.storage import ColumnDef, Partition, Schema, SqlType
+from repro.storage import ColumnDef, ColumnFragment, Partition, Schema, SqlType
 
 
 def schema():
@@ -95,6 +96,34 @@ class TestBuildMain:
         rows = [{"k": 3, "v": "z"}, {"k": 1, "v": "a"}]
         part = Partition.build_main("main", schema(), rows, [1, 1], [0, 0])
         assert part.column("k").codes().tolist() == [1, 0]
+
+
+class TestFromFragments:
+    def fragments(self):
+        return {
+            "k": ColumnFragment.build_main("k", [2, 1]),
+            "v": ColumnFragment.build_main("v", ["b", None]),
+        }
+
+    def test_adopts_fragments_and_stamps(self):
+        cts = np.array([1, 2], dtype=np.int64)
+        dts = np.array([0, 4], dtype=np.int64)
+        fragments = self.fragments()
+        part = Partition.from_fragments("main", schema(), fragments, cts, dts)
+        assert part.kind == "main"
+        assert part.column("k") is fragments["k"]
+        assert part.get_row(1) == {"k": 1, "v": None}
+        assert part.visible_mask(4).tolist() == [True, False]
+        part.invalidate(0, 7)
+        assert part.dts_array().tolist() == [7, 4]
+
+    def test_length_mismatch(self):
+        one = np.array([1], dtype=np.int64)
+        two = np.array([1, 2], dtype=np.int64)
+        with pytest.raises(StorageError):
+            Partition.from_fragments("main", schema(), self.fragments(), one, one)
+        with pytest.raises(StorageError):
+            Partition.from_fragments("main", schema(), self.fragments(), two, one)
 
 
 class TestStats:

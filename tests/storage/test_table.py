@@ -3,7 +3,14 @@
 import pytest
 
 from repro.errors import IntegrityError, SchemaError, StorageError
-from repro.storage import ColumnDef, Schema, SqlType, Table, threshold_aging
+from repro.storage import (
+    ColumnDef,
+    RowLocator,
+    Schema,
+    SqlType,
+    Table,
+    threshold_aging,
+)
 
 
 def schema():
@@ -157,3 +164,26 @@ class TestRebuildPkIndex:
         table.rebuild_pk_index()
         assert table.pk_lookup(1) is not None
         assert table.pk_lookup(2) is None
+
+    def test_later_partition_wins(self):
+        """A key live in two partitions (only reachable by hand) resolves to
+        the later one, as one assignment per row in partition order would."""
+        table = Table("t", schema(), separate_update_delta=True)
+        row = table.schema.validate_row({"id": 1})
+        for name in ("delta", "udelta"):
+            table.partition(name).append_row(row, cts=1)
+        table.rebuild_pk_index()
+        assert table.pk_lookup(1) == RowLocator("udelta", 0)
+
+    def test_update_finds_the_group_of_every_partition(self):
+        table = Table(
+            "t",
+            schema(),
+            aging_rule=threshold_aging("year", hot_if_at_least=2014),
+            separate_update_delta=True,
+        )
+        table.insert({"id": 1, "year": 2010}, tid=1)
+        assert table.update(1, {"amount": 1.0}, tid=2).partition == "cold_udelta"
+        assert table.update(1, {"amount": 2.0}, tid=3).partition == "cold_udelta"
+        with pytest.raises(StorageError):
+            table._group_of_partition("warm_main")

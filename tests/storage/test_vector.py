@@ -73,6 +73,24 @@ class TestIntVector:
     def test_nbytes(self):
         assert IntVector([1, 2, 3]).nbytes() == 24
 
+    def test_adopt_takes_the_array_without_copying(self):
+        array = np.array([4, 5, 6], dtype=np.int64)
+        v = IntVector.adopt(array)
+        assert list(v) == [4, 5, 6]
+        assert np.shares_memory(v.view(), array)
+        v[0] = 9  # a main partition's dts is stamped in place
+        v.append(7)  # and a vector stays growable, empty ones included
+        assert list(v) == [9, 5, 6, 7]
+        empty = IntVector.adopt(np.empty(0, dtype=np.int64))
+        empty.append(1)
+        assert list(empty) == [1]
+
+    def test_adopt_refuses_other_dtypes_and_shapes(self):
+        with pytest.raises(TypeError):
+            IntVector.adopt(np.array([1, 2], dtype=np.int32))
+        with pytest.raises(TypeError):
+            IntVector.adopt(np.zeros((2, 2), dtype=np.int64))
+
     @given(st.lists(st.integers(min_value=-(2**62), max_value=2**62)))
     def test_property_roundtrip(self, values):
         v = IntVector()
