@@ -15,7 +15,7 @@ An entry binds a :class:`CacheKey` to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import CacheError
 from ..query.aggregates import GroupedAggregates
@@ -23,6 +23,45 @@ from ..storage.bitvector import BitVector
 from ..storage.partition import Partition
 from .cache_key import CacheKey
 from .metrics import CacheMetrics, EntryStatus
+
+
+@dataclass
+class ResultOrder:
+    """The remembered output order of a *pure hit* (architecture §4).
+
+    When a read was answered by one clean entry and delta compensation
+    contributed nothing, its finished rows are ``finalize(entry.value)``
+    filtered by HAVING, sorted by ORDER BY and cut by LIMIT.  This records
+    only that order — references to the value's own group-key tuples, not
+    the rows — plus everything needed to tell that a later read would
+    derive the same order again; the manager checks it
+    (``AggregateCacheManager._reuse_result``) and emits the rows straight
+    from ``entry.value``.  Immutable once installed.
+    """
+
+    #: Group keys of ``value`` in output order, HAVING and LIMIT applied.
+    keys: List[Tuple]
+    #: ``AggregateQuery.presentation_key()`` of the statement (entries are
+    #: shared by statements differing only in HAVING / ORDER BY / LIMIT).
+    presentation: Tuple
+    #: The ``entry.value`` and ``entry.delta_memo`` objects the order was
+    #: derived beside; reuse requires the entry to still hold both.
+    value: GroupedAggregates
+    memo: "object"
+    #: The plan signature at the time: equal signatures mean no DML, merge,
+    #: registration or config switch touched a referenced table since.
+    signature: Tuple
+    #: Snapshot of the remembering read, and the smallest MVCC stamp above
+    #: it in any partition of any referenced table (``inf`` = none): the
+    #: order serves readers in ``[anchor, horizon)``.
+    anchor: int
+    horizon: float
+    #: ``delta_memo_rows_saved`` an incremental hit reports for this plan.
+    rows_saved: int = 0
+
+    def nbytes(self) -> int:
+        """A list header plus one reference per remembered group."""
+        return 56 + 8 * len(self.keys)
 
 
 @dataclass
@@ -47,6 +86,9 @@ class AggregateCacheEntry:
     # compare-and-set style under its lock, and any lifecycle event that
     # re-anchors the entry (merge maintenance via rebase) resets it.
     delta_memo: "object" = None
+    # The remembered output order of the last pure hit, or None; swapped
+    # under the manager's lock like the memo, reset by rebase.
+    result_order: Optional[ResultOrder] = None
 
     def __post_init__(self):
         missing = set(self.main_partitions) ^ set(self.visibility)
@@ -69,10 +111,11 @@ class AggregateCacheEntry:
         rows that were folded in by a later merge)."""
         if snapshot < self.snapshot:
             return False
-        return all(
-            partition.invalidation_epoch == self.invalidation_epochs[alias]
-            for alias, partition in self.main_partitions.items()
-        )
+        epochs = self.invalidation_epochs
+        for alias, partition in self.main_partitions.items():
+            if partition.invalidation_epoch != epochs[alias]:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     @property
@@ -125,6 +168,7 @@ class AggregateCacheEntry:
         # The merge rebuilt at least one referenced partition, so the memo's
         # watermarks and identity set no longer describe the live layout.
         self.delta_memo = None
+        self.result_order = None
 
     def __repr__(self) -> str:
         return (

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import CacheError, QueryAborted
@@ -40,6 +40,7 @@ from ..query.executor import (
     describe_partitions,
 )
 from ..query.query import AggregateQuery
+from ..query.result import QueryResult
 from ..query.sql import clear_parse_cache, parse_cache_stats, parse_sql
 from ..storage.aging import ConsistentAging
 from ..storage.catalog import Catalog
@@ -47,7 +48,7 @@ from ..storage.merge import MergeEvent
 from ..txn.consistent_view import ConsistentViewManager
 from ..txn.manager import Transaction
 from .admission import AdmissionPolicy, AdmissionRequest, AlwaysAdmit
-from .cache_entry import AggregateCacheEntry
+from .cache_entry import AggregateCacheEntry, ResultOrder
 from .cache_key import CacheKey
 from .enforcement import MDEnforcer
 from .delta_memo import (
@@ -99,6 +100,10 @@ class CacheQueryReport:
     delta_memo_reason: str = ""
     #: Covered prefix rows an incremental run did not rescan.
     delta_memo_rows_saved: int = 0
+    #: The read was a pure hit answered from the entry's remembered output
+    #: order (see :class:`~repro.core.cache_entry.ResultOrder`): no state
+    #: copy, no compensation, no HAVING / sort.
+    result_reused: bool = False
     #: Cross-query subjoin recycler activity during compensation (see
     #: repro.core.recycler): hits replayed stored joined tuples, misses
     #: evaluated and published, stale probes found an expired entry, and
@@ -224,6 +229,7 @@ class AggregateCacheManager:
         self.total_memo_bypass = 0  # queries the memo layer stepped aside for
         self.total_refresh_advances = 0  # proactive incremental refreshes
         self.total_refresh_rebuilds = 0  # proactive full rebuilds
+        self.total_result_reuses = 0  # pure hits served from a remembered order
         # Cross-query subjoin recycler (None when disabled by config); its
         # own counters live on the recycler, snapshotted under our lock in
         # counters_snapshot (manager → recycler is the one lock order).
@@ -343,6 +349,7 @@ class AggregateCacheManager:
                 "recycler_evictions": recycler["evictions"],
                 "refresh_advances": self.total_refresh_advances,
                 "refresh_rebuilds": self.total_refresh_rebuilds,
+                "result_reuses": self.total_result_reuses,
             }
 
     def refresh_obs_gauges(self) -> None:
@@ -419,10 +426,10 @@ class AggregateCacheManager:
 
         Accepts raw SQL text or a query object.  The plan cache is probed
         first — for SQL text by the raw statement (a hit skips parse *and*
-        bind), then by the bound statement's canonical key (a hit covers
-        re-spellings of the same statement).  A valid cached plan is an
-        integer-compare away (:func:`~repro.plan.physical.plan_signature`);
-        otherwise the statement is bound and lowered, and the fresh plan is
+        bind), then by the bound statement's canonical + presentation keys
+        (a hit covers re-spellings of the same statement).  A valid cached
+        plan is an integer-compare away
+        (:func:`~repro.plan.physical.plan_signature`); otherwise the statement is bound and lowered, and the fresh plan is
         admitted under both slots.
 
         ``star_join_tables`` is the per-statement star-join override
@@ -450,7 +457,16 @@ class AggregateCacheManager:
             bind_span.finish()
         plan_span = trace.child("plan") if trace is not None else None
         if plan is None:
-            canon_key = ("canon", bound.canonical_key(), strategy.value, override)
+            # The canonical key leaves out what does not change the cached
+            # extent; the plan carries the whole statement, so its slot must
+            # also tell HAVING / ORDER BY / LIMIT / output names apart.
+            canon_key = (
+                "canon",
+                bound.canonical_key(),
+                bound.presentation_key(),
+                strategy.value,
+                override,
+            )
             plan, canon_outcome = self.plan_cache.get(canon_key, self._signature_of)
             if outcome is None or plan is not None or canon_outcome == "invalidated":
                 outcome = canon_outcome
@@ -510,8 +526,16 @@ class AggregateCacheManager:
         trace: Optional[QueryTrace] = None,
         cancel=None,
         star_join_tables=None,
-    ) -> Tuple[GroupedAggregates, CacheQueryReport]:
-        """Answer a query through the cache pipeline (Fig. 3); returns (grouped result, report).
+    ) -> Tuple[QueryResult, CacheQueryReport]:
+        """Answer a query through the cache pipeline (Fig. 3); returns
+        (finished result, report).
+
+        The rows are finished here rather than by the caller because a
+        *pure hit* — one clean entry, nothing to compensate — is answered
+        from the entry itself: :meth:`_reuse_result` emits the rows from
+        ``entry.value`` in the output order an earlier such read
+        remembered, and :meth:`_remember_order` records that order once
+        the finished rows exist.
 
         ``cancel`` (a :class:`~repro.governor.deadline.CancelToken`) is
         checked at every subjoin boundary down the pipeline; an expired or
@@ -566,23 +590,26 @@ class AggregateCacheManager:
             )
             if scan_span is not None:
                 scan_span.finish()
+            finished = QueryResult.from_grouped(bound, grouped)
             report.time_total = time.perf_counter() - started
             self._record_query_obs(report)
             self._maybe_shed()
-            return grouped, report
+            return finished, report
         try:
             with self._lock:
                 self._clock += 1
-            result = GroupedAggregates(bound.aggregates)
-            entries = [
-                self._apply_main_entry(
-                    bound, combo, key, txn, result, report, trace, cancel
+            finished = self._reuse_result(plan, txn, report, trace)
+            if finished is None:
+                result = GroupedAggregates(bound.aggregates)
+                entries = [
+                    self._apply_main_entry(
+                        bound, combo, key, txn, result, report, trace, cancel
+                    )
+                    for combo, key in zip(plan.cached_combos, plan.cache_keys)
+                ]
+                pure = self._apply_delta_compensation(
+                    plan, txn, result, report, trace, entries, cancel
                 )
-                for combo, key in zip(plan.cached_combos, plan.cache_keys)
-            ]
-            self._apply_delta_compensation(
-                plan, txn, result, report, trace, entries, cancel
-            )
         except QueryAborted:
             raise  # a deadline/cancel abort is not a cache failure
         except Exception as exc:
@@ -595,10 +622,14 @@ class AggregateCacheManager:
             )
         if governor is not None:
             governor.record_cache_success()
+        if finished is None:
+            finished = QueryResult.from_grouped(bound, result)
+            if pure is not None:
+                self._remember_order(plan, txn.snapshot, *pure, finished)
         report.time_total = time.perf_counter() - started
         self._record_query_obs(report)
         self._maybe_shed()
-        return result, report
+        return finished, report
 
     def _fallback_uncached(
         self,
@@ -609,7 +640,7 @@ class AggregateCacheManager:
         trace: Optional[QueryTrace],
         cancel,
         started: float,
-    ) -> Tuple[GroupedAggregates, CacheQueryReport]:
+    ) -> Tuple[QueryResult, CacheQueryReport]:
         """Recompute a failed cached query from the base tables.
 
         Runs with a **fresh** report (and fresh executor stats) so nothing
@@ -635,10 +666,144 @@ class AggregateCacheManager:
         )
         if scan_span is not None:
             scan_span.finish()
+        finished = QueryResult.from_grouped(bound, grouped)
         report.time_total = time.perf_counter() - started
         self._record_query_obs(report)
         self._maybe_shed()
-        return grouped, report
+        return finished, report
+
+    # ------------------------------------------------------------------
+    # the pure hit (architecture §4)
+    # ------------------------------------------------------------------
+    def _reuse_result(
+        self,
+        plan: PhysicalPlan,
+        txn: Transaction,
+        report: CacheQueryReport,
+        trace: Optional[QueryTrace],
+    ) -> Optional[QueryResult]:
+        """Answer from the entry's remembered output order, if it holds.
+
+        It holds when a read taking the long way would provably derive it
+        again: the entry still carries the value and memo objects the
+        order was derived beside, no referenced table changed since (plan
+        signature), the entry is clean for this reader, and the reader
+        sits inside the window in which no row of any referenced table
+        changes visibility.  Then the rows are emitted from ``entry.value``
+        in that order — nothing is copied, compensated, filtered or sorted
+        — and the read is reported as the incremental hit it stands for.
+        """
+        if len(plan.cache_keys) != 1:
+            return None
+        # Started detached: a read that does not qualify leaves no span.
+        lookup = Span.begin("cache_lookup") if trace is not None else None
+        started = time.perf_counter()
+        snapshot = txn.snapshot
+        with self._lock:
+            entry = self._entries.get(plan.cache_keys[0])
+            order = entry.result_order if entry is not None else None
+            if (
+                order is None
+                or order.value is not entry.value
+                or order.memo is not entry.delta_memo
+                or order.signature != plan.signature
+                or not (order.anchor <= snapshot < order.horizon)
+                or order.presentation != plan.query.presentation_key()
+                or not entry.is_active
+                or not entry.is_clean_for(snapshot)
+            ):
+                return None
+            entry.metrics.record_use(self._clock)
+            self.total_hits += 1
+            self.total_result_reuses += 1
+        if self.fault_injector is not None:
+            self.fault_injector.fire("cache.compensation")
+        finished = QueryResult.trusted(
+            plan.query.output_columns(), order.value.finalize_keys(order.keys)
+        )
+        report.cache_hits += 1
+        report.result_reused = True
+        if order.memo is not None:
+            report.delta_memo_mode = "incremental"
+            report.delta_memo_rows_saved = order.rows_saved
+        else:
+            report.delta_memo_mode = "bypass"
+            report.delta_memo_reason = "disabled"
+        report.time_cache_lookup_or_build = time.perf_counter() - started
+        self.obs.cache_lookups.labels("hit").inc()
+        self.obs.cache_result_reuse.inc()
+        span = None
+        if lookup is not None:
+            lookup.attrs.update(
+                combo=describe_partitions(plan.cached_combos[0]),
+                outcome="hit",
+                reused=True,
+            )
+            trace.root.children.append(lookup.finish())
+            # One child per planned subjoin, as in every other mode.
+            span = trace.child("delta_compensation")
+            self._synthesize_memo_spans(plan, {}, [], span.children)
+        self._close_compensation(plan, report, span)
+        return finished
+
+    def _remember_order(
+        self,
+        plan: PhysicalPlan,
+        snapshot: int,
+        entry: AggregateCacheEntry,
+        memo: Optional[DeltaMemo],
+        finished: QueryResult,
+    ) -> None:
+        """Record the output order of a read whose delta compensation
+        added nothing (see :meth:`_apply_delta_compensation`), provided
+        main compensation had nothing to subtract either (an entry that is
+        not clean stays so until a merge rebases it, so its order could
+        never be used).
+
+        The horizon runs over *every* partition of every referenced table,
+        mains included: an order is a statement about the whole answer,
+        and a stamp above the anchor anywhere — say a delete stamped by a
+        still-open later transaction before this read — ends the window in
+        which older and newer readers see the same rows.
+        """
+        if not entry.is_clean_for(snapshot):
+            return
+        value = entry.value
+        horizon = float("inf")
+        for table in set(entry.tables.values()):
+            for partition in table.partitions():
+                horizon = min(horizon, partition.min_stamp_after(snapshot))
+        # The finished rows start with their group key; map each back to
+        # the value's own key tuple so the list holds references only.
+        own = {key: key for key in value.keys()}
+        width = len(plan.query.group_by)
+        rows_saved = 0
+        if memo is not None:
+            # What incremental_specs counts over unchanged watermarks.
+            rows_saved = sum(
+                partition.row_count
+                for sub in plan.subjoins
+                if sub.action == "evaluate"
+                for partition in sub.partitions.values()
+            )
+        order = ResultOrder(
+            keys=[own[row[:width]] for row in finished.rows],
+            presentation=plan.query.presentation_key(),
+            value=value,
+            memo=memo,
+            signature=plan.signature,
+            anchor=snapshot,
+            horizon=horizon,
+            rows_saved=rows_saved,
+        )
+        with self._lock:
+            if (
+                self._entries.get(entry.key) is entry
+                and entry.is_active
+                and entry.value is value
+                and entry.delta_memo is memo
+            ):
+                entry.result_order = order
 
     def _record_query_obs(self, report: CacheQueryReport) -> None:
         """Fold one finished query's report into the metrics registry.
@@ -877,7 +1042,8 @@ class AggregateCacheManager:
     # ------------------------------------------------------------------
     def tracked_bytes(self) -> int:
         """Approximate bytes charged against the memory budget: cached
-        values, delta memos, and the plan/parse caches."""
+        values, delta memos, remembered output orders, and the plan/parse
+        caches."""
         with self._lock:
             return self._tracked_bytes_locked()
 
@@ -888,6 +1054,9 @@ class AggregateCacheManager:
             memo = entry.delta_memo
             if memo is not None:
                 total += _memo_nbytes(memo)
+            order = entry.result_order
+            if order is not None:
+                total += order.nbytes()
         total += len(self.plan_cache) * _PLAN_CACHE_BYTES_PER_ENTRY
         total += (
             parse_cache_stats()["entries"] * _PARSE_CACHE_BYTES_PER_ENTRY
@@ -934,9 +1103,10 @@ class AggregateCacheManager:
            recompute at all);
         1. **recycled subjoins** (pure recomputable join intermediates —
            dropping them costs the next overlapping query one evaluation);
-        2. **delta memos** before entries (a memo only accelerates delta
-           compensation; the entry keeps serving hits without it),
-           least-recently-used entries' memos first;
+        2. **delta memos and remembered output orders** before entries
+           (they only accelerate a hit; the entry keeps serving without
+           them), least-recently-used entries' first — an order is tied to
+           its memo object, so the two go together;
         3. **cold entries before hot** via the existing eviction
            machinery (:class:`ProfitEviction` — lowest profit first);
         4. the **plan and parse caches** last (pure recompute caches).
@@ -977,11 +1147,13 @@ class AggregateCacheManager:
             for entry in by_lru:
                 if tracked <= budget_bytes:
                     break
-                memo = entry.delta_memo
-                if memo is None:
+                memo, order = entry.delta_memo, entry.result_order
+                if memo is None and order is None:
                     continue
-                nbytes = _memo_nbytes(memo)
-                entry.delta_memo = None
+                nbytes = (_memo_nbytes(memo) if memo is not None else 0) + (
+                    order.nbytes() if order is not None else 0
+                )
+                entry.delta_memo = entry.result_order = None
                 tracked -= nbytes
                 freed["memo"] += nbytes
                 shed["memo"] += 1
@@ -1036,7 +1208,7 @@ class AggregateCacheManager:
         trace: Optional[QueryTrace] = None,
         entries: Optional[List[Optional[AggregateCacheEntry]]] = None,
         cancel=None,
-    ) -> None:
+    ) -> Optional[Tuple[AggregateCacheEntry, Optional[DeltaMemo]]]:
         """Aggregate the plan's surviving compensation subjoins into ``result``.
 
         The pruning work already happened at plan time; here the pruned
@@ -1053,6 +1225,12 @@ class AggregateCacheManager:
         * ``bypass`` — the memo layer steps aside (disabled, hot/cold
           multi-entry plans, direct-scan answers, older readers) and the
           compensation union runs exactly as without it.
+
+        Returns ``(entry, memo)`` when the one entry answering the plan
+        got nothing added — ``result`` still equals its (possibly main-
+        compensated) value — ``memo`` being the memo the entry holds after
+        this read; None otherwise.  :meth:`_remember_order` takes it from
+        there.
         """
         if self.fault_injector is not None:
             self.fault_injector.fire("cache.compensation")
@@ -1063,25 +1241,18 @@ class AggregateCacheManager:
         # from the planned subjoin list (incremental).  One sink, every
         # subjoin exactly once — EXPLAIN ANALYZE parity depends on it.
         span_sink = span.children if span is not None else None
-        report.prune = replace(plan.prune)
-        # Synopsis skips are a property of the *current* storage tier, not
-        # of plan time: demotion deliberately leaves cached plans valid, so
-        # a plan built pre-demotion undercounts and must be re-derived from
-        # the live partitions (promotion back only happens via merge, which
-        # invalidates the plan anyway).
-        report.prune.synopsis_skips = _count_synopsis_skips(plan)
         mode, reason, entry, memo = self._route_delta_memo(plan, txn, entries)
         report.delta_memo_mode = mode
         report.delta_memo_reason = reason
         recycle = self._recycle_context(plan, txn)
         comp_started = time.perf_counter()
         if mode == "incremental":
-            self._delta_compensation_incremental(
+            installed = self._delta_compensation_incremental(
                 plan, txn, result, report, span_sink, entry, memo, cancel,
                 recycle,
             )
         else:
-            self._delta_compensation_full(
+            installed = self._delta_compensation_full(
                 plan,
                 txn,
                 result,
@@ -1092,6 +1263,14 @@ class AggregateCacheManager:
                 cancel,
                 recycle,
             )
+        pure = None
+        if installed is not None:
+            if installed.folded.group_count() == 0:
+                pure = (entry, installed)
+        elif reason == "disabled" and not plan.prune.evaluated:
+            # No memo layer, every subjoin pruned: nothing ran at all.
+            if entries is not None and len(entries) == 1 and entries[0] is not None:
+                pure = (entries[0], None)
         elapsed = time.perf_counter() - comp_started
         report.time_delta_compensation += elapsed
         # Compensation-pressure accounting: attribute this query's delta-
@@ -1107,7 +1286,24 @@ class AggregateCacheManager:
                 for owner in owners:
                     owner.metrics.compensation_time_delta += share
         self._finish_recycle(recycle, report)
+        self._close_compensation(plan, report, span)
+        return pure
+
+    def _close_compensation(
+        self, plan: PhysicalPlan, report: CacheQueryReport, span: Optional[Span]
+    ) -> None:
+        """What every compensated read ends with, whichever way its memo
+        mode was decided: the prune report, the per-mode counters, and the
+        ``delta_compensation`` span's summary attributes."""
+        report.prune = PruneReport(**vars(plan.prune))  # the report's own copy
+        # Synopsis skips are a property of the *current* storage tier, not
+        # of plan time: demotion deliberately leaves cached plans valid, so
+        # a plan built pre-demotion undercounts and must be re-derived from
+        # the live partitions (promotion back only happens via merge, which
+        # invalidates the plan anyway).
+        report.prune.synopsis_skips = _count_synopsis_skips(plan)
         self._record_prune_obs(report.prune)
+        mode = report.delta_memo_mode
         outcome = {"incremental": "hit", "full": "miss", "bypass": "bypass"}[mode]
         with self._lock:
             if mode == "incremental":
@@ -1128,8 +1324,8 @@ class AggregateCacheManager:
                 span.attrs["excluded"] = [e.describe() for e in plan.excluded]
                 span.attrs["subjoins_excluded"] = report.prune.combos_excluded
             span.attrs["compensation"] = mode
-            if reason:
-                span.attrs["compensation_reason"] = reason
+            if report.delta_memo_reason:
+                span.attrs["compensation_reason"] = report.delta_memo_reason
             if mode == "incremental":
                 span.attrs["rows_saved"] = report.delta_memo_rows_saved
 
@@ -1217,9 +1413,10 @@ class AggregateCacheManager:
         observed: Optional[DeltaMemo],
         cancel=None,
         recycle: Optional[RecycleContext] = None,
-    ) -> None:
+    ) -> Optional[DeltaMemo]:
         """Evaluate every surviving subjoin; with ``entry`` set, capture the
-        folded compensation value as a fresh memo on it."""
+        folded compensation value as a fresh memo on it.  Returns the memo
+        when this read installed it."""
         combos: List[ComboSpec] = []
         for sub in plan.subjoins:
             if sub.action == "pruned":
@@ -1239,7 +1436,7 @@ class AggregateCacheManager:
             recycle=recycle,
         )
         if entry is None:
-            return
+            return None
         result.merge(into)
         fresh = build_memo(
             into,
@@ -1251,6 +1448,8 @@ class AggregateCacheManager:
         with self._lock:
             if entry.delta_memo is observed and entry.is_active:
                 entry.delta_memo = fresh
+                return fresh
+        return None
 
     def _delta_compensation_incremental(
         self,
@@ -1263,7 +1462,7 @@ class AggregateCacheManager:
         memo: DeltaMemo,
         cancel=None,
         recycle: Optional[RecycleContext] = None,
-    ) -> None:
+    ) -> Optional[DeltaMemo]:
         """Merge the memo's folded value and scan only the delta suffix.
 
         The executor evaluates the inclusion–exclusion expansion of the
@@ -1271,6 +1470,9 @@ class AggregateCacheManager:
         into a private aggregate, which is merged into both the result and
         the advanced memo.  The advance is installed compare-and-swap: a
         losing racer keeps its correct local result and discards its memo.
+        Returns the memo the entry holds for this read's snapshot — the
+        advanced one, or ``memo`` itself when there was nothing to advance
+        over — and None for a losing racer.
         """
         specs, spec_counts, rows_saved = incremental_specs(
             plan.subjoins, memo.watermarks
@@ -1294,11 +1496,14 @@ class AggregateCacheManager:
             result.merge(inc)
         if span_sink is not None:
             self._synthesize_memo_spans(plan, spec_counts, inner, span_sink)
-        if specs or txn.snapshot != memo.anchor:
-            advanced = advance_memo(memo, txn.snapshot, inc, plan.signature)
-            with self._lock:
-                if entry.delta_memo is memo and entry.is_active:
-                    entry.delta_memo = advanced
+        if not specs and txn.snapshot == memo.anchor:
+            return memo
+        advanced = advance_memo(memo, txn.snapshot, inc, plan.signature)
+        with self._lock:
+            if entry.delta_memo is memo and entry.is_active:
+                entry.delta_memo = advanced
+                return advanced
+        return None
 
     @staticmethod
     def _synthesize_memo_spans(

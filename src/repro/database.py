@@ -978,15 +978,15 @@ class Database:
                     raise QueryError("pass either txn or as_of, not both")
                 reader = SnapshotReader(as_of)
                 with self.lock.read():
-                    grouped, report = self.cache.execute(
+                    result, report = self.cache.execute(
                         query, reader, strategy=strategy, trace=trace,
                         cancel=token, star_join_tables=star_join_tables,
                     )
-                return self._finish_query(report.plan.query, grouped, report)
+                return self._finish_query(result, report)
             transaction, own = self._txn_or_begin(txn)
             with self.lock.read():
                 try:
-                    grouped, report = self.cache.execute(
+                    result, report = self.cache.execute(
                         query, transaction, strategy=strategy, trace=trace,
                         cancel=token, star_join_tables=star_join_tables,
                     )
@@ -998,7 +998,7 @@ class Database:
                     raise
                 if own:
                     transaction.commit()
-            return self._finish_query(report.plan.query, grouped, report)
+            return self._finish_query(result, report)
         except QueryTimeout:
             self.governor.record_timeout()
             raise
@@ -1006,8 +1006,9 @@ class Database:
             self.governor.record_cancellation()
             raise
 
-    def _finish_query(self, query, grouped, report) -> QueryResult:
-        result = QueryResult.from_grouped(query, grouped)
+    def _finish_query(self, result: QueryResult, report) -> QueryResult:
+        # The manager finishes the rows itself (under the read lock): a
+        # pure hit renders them straight from the cached entry.
         result.report = report
         self.last_report = report
         return result

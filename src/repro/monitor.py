@@ -72,6 +72,8 @@ class CacheStats:
     total_misses: int
     total_evictions: int
     total_maintenance_runs: int
+    #: Hits answered from an entry's remembered output order (pure hits).
+    result_reuses: int = 0
     # Delta-compensation memo routing (see repro.core.delta_memo).
     memo_hits: int = 0  # incremental reuses
     memo_misses: int = 0  # full rebuilds
@@ -194,7 +196,9 @@ class DatabaseStats:
             "aggregate cache:",
             f"  entries={cache.entries} value-bytes~{cache.total_value_bytes} "
             f"hits={cache.total_hits} misses={cache.total_misses} "
-            f"hit-rate={cache.hit_rate:.1%} evictions={cache.total_evictions} "
+            f"hit-rate={cache.hit_rate:.1%} "
+            f"result-reuses={cache.result_reuses} "
+            f"evictions={cache.total_evictions} "
             f"maintenance-runs={cache.total_maintenance_runs}",
             f"  delta-memo: incremental={cache.memo_hits} "
             f"full={cache.memo_misses} bypass={cache.memo_bypass} "
@@ -288,6 +292,7 @@ def collect_statistics(db: Database) -> DatabaseStats:
         total_misses=counters["misses"],
         total_evictions=counters["evictions"],
         total_maintenance_runs=counters["maintenance_runs"],
+        result_reuses=counters["result_reuses"],
         memo_hits=counters["memo_hits"],
         memo_misses=counters["memo_misses"],
         memo_bypass=counters["memo_bypass"],

@@ -114,6 +114,11 @@ class EngineMetrics:
             "(advance / rebuild / skip).",
             labels=("action",),
         )
+        self.cache_result_reuse = r.counter(
+            names.CACHE_RESULT_REUSE_TOTAL,
+            "Pure hits answered from an entry's remembered output order "
+            "(no state copy, no compensation, no sort).",
+        )
         # --- planner / plan cache -----------------------------------------
         self.plan_build_seconds = r.histogram(
             names.PLAN_BUILD_SECONDS,

@@ -37,6 +37,7 @@ RECYCLER_BYTES = "repro_recycler_bytes"
 RECYCLER_ENTRIES = "repro_recycler_entries"
 RECYCLER_EVICTIONS_TOTAL = "repro_recycler_evictions_total"
 CACHE_REFRESH_TOTAL = "repro_cache_refresh_total"
+CACHE_RESULT_REUSE_TOTAL = "repro_cache_result_reuse_total"
 
 # --- planner / plan cache --------------------------------------------------
 PLAN_BUILD_SECONDS = "repro_plan_build_seconds"

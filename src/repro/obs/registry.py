@@ -112,6 +112,11 @@ class Counter(_Instrument):
 
     def labels(self, *values: str) -> "Counter":
         """The child counter for one label-value combination."""
+        # Children are never removed, so an existing one can be read
+        # without the lock (one lookup per query per labelled counter).
+        child = self._children.get(values)
+        if child is not None:
+            return child
         if len(values) != len(self.label_names):
             raise ObservabilityError(
                 f"counter {self.name} takes labels {self.label_names}, "

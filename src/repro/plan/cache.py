@@ -2,8 +2,8 @@
 
 Plans are cached under two slots pointing at one entry:
 
-* the **canonical slot** — ``(bound statement canonical key, strategy)`` —
-  hits any equivalent statement however it was phrased;
+* the **canonical slot** — ``(bound statement canonical key, presentation
+  key, strategy)`` — hits any equivalent statement however it was phrased;
 * optional **alias slots** — ``(raw SQL text, strategy)`` — hit
   byte-identical statements *before* parse/bind, which is what removes the
   fixed parse/bind/enumeration cost from the repeated-query hot path.
@@ -27,10 +27,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from .physical import PhysicalPlan
 
-#: A cache slot: ("canon"|"sql", statement text, strategy value,
-#: normalized per-statement star_join_tables override or None) — the
-#: override is part of the key because it changes the planned combo set.
-PlanKey = Tuple[str, str, str, Optional[Tuple[str, ...]]]
+#: A cache slot: ("sql", statement text, strategy value, override) or
+#: ("canon", canonical key, presentation key, strategy value, override),
+#: the override being the normalized per-statement star_join_tables or
+#: None — part of the key because it changes the planned combo set.  The
+#: cache treats keys as opaque.
+PlanKey = Tuple
 
 
 class _Entry:

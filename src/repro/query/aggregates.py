@@ -234,6 +234,14 @@ class GroupedAggregates:
             raise CacheError("cannot merge grouped aggregates with different specs")
         if sign == -1:
             self._require_self_maintainable("subtract from")
+        if not self._groups and sign == 1:
+            # The first fold into a fresh aggregate (a hit's cached value,
+            # an executor run's first partial): same groups, same states,
+            # in ``other``'s key order — adopt copies instead of adding each
+            # state to zero.
+            self._groups = other._copied_groups()
+            self._count_star = dict(other._count_star)
+            return
         for key, other_states in other._groups.items():
             states = self._groups.get(key)
             if states is None:
@@ -303,19 +311,35 @@ class GroupedAggregates:
         AVG resolves to sum/count (NULL for empty), SUM over no non-null
         input is NULL per SQL semantics.
         """
+        return self.finalize_keys(self._groups)
+
+    def finalize_keys(self, keys: Iterable[GroupKey]) -> List[Tuple]:
+        """The result rows of the given live groups, in the order given —
+        what :meth:`finalize` renders for them, without touching any other
+        group (a pure hit emits its remembered output order this way, see
+        :class:`repro.core.cache_entry.ResultOrder`)."""
+        # One small int per spec, decided once: 0 = the state's first slot
+        # as is (COUNT, MIN, MAX), 1 = SUM, 2 = AVG, 3 = COUNT DISTINCT.
+        kinds = [
+            1 if spec.func is AggFunc.SUM
+            else 2 if spec.func is AggFunc.AVG
+            else 3 if spec.distinct
+            else 0
+            for spec in self.specs
+        ]
+        groups = self._groups
         rows: List[Tuple] = []
-        for key, states in self._groups.items():
+        for key in keys:
             out: List[object] = list(key)
-            for i, spec in enumerate(self.specs):
-                state = states[i]
-                if spec.func is AggFunc.SUM:
-                    out.append(state[0] if state[1] > 0 else None)
-                elif spec.func is AggFunc.AVG:
-                    out.append(state[0] / state[1] if state[1] > 0 else None)
-                elif spec.func is AggFunc.COUNT:
-                    out.append(len(state[0]) if spec.distinct else state[0])
-                else:
+            for kind, state in zip(kinds, groups[key]):
+                if kind == 0:
                     out.append(state[0])
+                elif kind == 1:
+                    out.append(state[0] if state[1] > 0 else None)
+                elif kind == 2:
+                    out.append(state[0] / state[1] if state[1] > 0 else None)
+                else:
+                    out.append(len(state[0]))
             rows.append(tuple(out))
         return rows
 
@@ -333,9 +357,25 @@ class GroupedAggregates:
     def copy(self) -> "GroupedAggregates":
         """Deep copy (independent accumulator states; specs list shared)."""
         out = self.new_like()
-        out._groups = {k: [list(s) for s in states] for k, states in self._groups.items()}
+        out._groups = self._copied_groups()
         out._count_star = dict(self._count_star)
         return out
+
+    def _copied_groups(self) -> Dict[GroupKey, List[list]]:
+        """Independent accumulator states in this aggregate's key order
+        (COUNT DISTINCT sets are copied, never shared)."""
+        if any(spec.distinct for spec in self.specs):
+            return {
+                key: [
+                    [set(state[0])] if spec.distinct else list(state)
+                    for spec, state in zip(self.specs, states)
+                ]
+                for key, states in self._groups.items()
+            }
+        return {
+            key: [list(state) for state in states]
+            for key, states in self._groups.items()
+        }
 
     def total_rows_aggregated(self) -> int:
         """Sum of COUNT(*) over all groups (a cache-metrics input)."""

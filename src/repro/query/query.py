@@ -105,6 +105,7 @@ class AggregateQuery:
         if len(self.group_labels) != len(self.group_by):
             raise QueryError("group_labels must match group_by in length")
         self._canonical_key: Optional[str] = None
+        self._presentation_key: Optional[Tuple] = None
         self._validate()
 
     # ------------------------------------------------------------------
@@ -230,6 +231,22 @@ class AggregateQuery:
             f"GROUP[{groups}] AGG[{aggs}]"
         )
         return self._canonical_key
+
+    def presentation_key(self) -> Tuple:
+        """Everything :meth:`canonical_key` leaves out because it does not
+        change the cached extent, but that decides which groups are shown
+        and in what order: output names (HAVING and ORDER BY refer to
+        them), HAVING, ORDER BY, LIMIT.  Two statements sharing a cache
+        entry produce the same row sequence from it iff this key is equal.
+        Memoized like the canonical key."""
+        if self._presentation_key is None:
+            self._presentation_key = (
+                tuple(self.output_columns()),
+                None if self.having is None else self.having.canonical(),
+                tuple(self.order_by),
+                self.limit,
+            )
+        return self._presentation_key
 
     def __repr__(self) -> str:
         return f"AggregateQuery({self.canonical_key()})"

@@ -24,7 +24,11 @@ def _sort_key_for(value):
     another yields a NumPy ``float64`` for the same quantity, and ORDER BY
     must not split equal-valued rows into per-type blocks.
     """
-    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+    # Exact built-in numbers first: the ABC check below costs a cache probe
+    # per call and is only needed for NumPy scalars (and to keep bool out).
+    if type(value) in (int, float) or (
+        isinstance(value, numbers.Real) and not isinstance(value, bool)
+    ):
         return (True, "number", value)
     return (value is not None, type(value).__name__, value)
 
@@ -33,8 +37,17 @@ class QueryResult:
     """Immutable tabular result of an aggregate query."""
 
     def __init__(self, columns: Sequence[str], rows: Sequence[Tuple]):
+        rows = list(rows)
+        for row in rows:
+            if len(row) != len(columns):
+                raise QueryError(
+                    f"row width {len(row)} != column count {len(columns)}"
+                )
+        self._adopt(columns, rows)
+
+    def _adopt(self, columns: Sequence[str], rows: List[Tuple]) -> None:
         self.columns: List[str] = list(columns)
-        self.rows: List[Tuple] = list(rows)
+        self.rows: List[Tuple] = rows
         #: The CacheQueryReport of the query that produced this result.
         #: Attached by ``Database.query`` so concurrent callers each get
         #: their own report with their own result (``db.last_report`` is
@@ -42,11 +55,15 @@ class QueryResult:
         self.report = None
         #: The QueryTrace when the result came from ``explain_analyze``.
         self.trace = None
-        for row in self.rows:
-            if len(row) != len(self.columns):
-                raise QueryError(
-                    f"row width {len(row)} != column count {len(self.columns)}"
-                )
+
+    @classmethod
+    def trusted(cls, columns: Sequence[str], rows: List[Tuple]) -> "QueryResult":
+        """Wrap rows the engine rendered itself (every row as wide as
+        ``columns`` by construction): no per-row width check, and ``rows``
+        is taken over, not copied."""
+        result = cls.__new__(cls)
+        result._adopt(columns, rows)
+        return result
 
     # ------------------------------------------------------------------
     @classmethod
@@ -78,7 +95,7 @@ class QueryResult:
                 [OrderItem(c) for c in columns[: len(query.group_by)]]
             )
         if query.limit is not None:
-            result = cls(result.columns, result.rows[: query.limit])
+            result = cls.trusted(result.columns, result.rows[: query.limit])
         return result
 
     # ------------------------------------------------------------------
@@ -104,7 +121,7 @@ class QueryResult:
         for item in reversed(order):
             idx = self.column_index(item.column)
             rows.sort(key=lambda row: _sort_key_for(row[idx]), reverse=item.descending)
-        return QueryResult(self.columns, rows)
+        return QueryResult.trusted(self.columns, rows)
 
     def __len__(self) -> int:
         return len(self.rows)

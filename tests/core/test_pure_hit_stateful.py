@@ -1,0 +1,333 @@
+"""Model-based check of the pure hit: random histories of the engine's real
+operations over a CH-shaped and an ERP-shaped database.
+
+Invariant: every ``query()`` returns exactly the rows of the same call at
+``ExecutionStrategy.UNCACHED`` as a multiset (ORDER BY ties differ between
+strategies — ROADMAP's oracle item), and a read answered from a remembered
+output order returns the identical row *sequence* as the read that
+remembered it.  Each machine must also see ``result_reused`` at least once,
+so the test cannot pass by never taking the path under test.
+"""
+
+from collections import Counter
+
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+
+from repro import Database, ExecutionStrategy
+from repro.workloads import CH_QUERIES, ChBenchmark, ChConfig
+
+from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
+
+CACHED = [s for s in ExecutionStrategy if s.uses_cache]
+UNCACHED = ExecutionStrategy.UNCACHED
+QUANTUM = 0.25  # every amount a multiple: sums are exact in any fold order
+
+
+class ErpShape:
+    """header / item / category with both matching dependencies."""
+
+    statements = [
+        PROFIT_SQL,
+        PROFIT_SQL + " HAVING n > 2 ORDER BY profit DESC, category LIMIT 2",
+        HEADER_ITEM_SQL,
+        HEADER_ITEM_SQL + " ORDER BY n DESC, cid",
+        "SELECT h.year AS year, COUNT(*) AS n FROM header h GROUP BY h.year",
+    ]
+    tables = ["header", "item", "category"]
+
+    def __init__(self):
+        self.db = make_erp_db()
+        load_erp(self.db, n_headers=6, n_categories=3, merge=True)
+        self.items = list(range(18))  # load_erp numbers them from 0
+        self.next_id = 5000
+
+    def insert(self, k, txn):
+        """A header with two items, or (k odd) one late item of an old header."""
+        db = self.db
+        self.next_id += 1
+        if k % 2:
+            row = {"iid": self.next_id, "hid": k % 6, "cid": k % 3, "price": QUANTUM * k}
+            db.insert("item", row, txn=txn)
+            self.items.append(self.next_id)
+            return
+        hid = self.next_id
+        db.insert("header", {"hid": hid, "year": 2013 + k % 2}, txn=txn)
+        for j in range(2):
+            self.next_id += 1
+            db.insert(
+                "item",
+                {"iid": self.next_id, "hid": hid, "cid": (k + j) % 3, "price": QUANTUM * (k + j)},
+                txn=txn,
+            )
+            self.items.append(self.next_id)
+
+    def update(self, k, txn):
+        if k % 5 == 0:  # a dimension row: every joined group renames
+            self.db.update("category", k % 3, {"name": f"cat{k % 4}"}, txn=txn)
+        elif self.items:
+            iid = self.items[k % len(self.items)]
+            self.db.update("item", iid, {"price": QUANTUM * (k % 40)}, txn=txn)
+
+    def delete(self, k, txn):
+        if self.items:
+            self.db.delete("item", self.items.pop(k % len(self.items)), txn=txn)
+
+
+class ChShape:
+    """A tiny CH-benCHmark database, fully merged."""
+
+    statements = [CH_QUERIES[name] for name in ("Q3", "Q5", "Q8", "Q10")] + [
+        CH_QUERIES["Q10"].replace("ORDER BY revenue DESC", "HAVING revenue > 50 ORDER BY c_key LIMIT 4"),
+    ]
+    tables = ["orders", "orderline", "customer", "neworder"]
+
+    def __init__(self):
+        self.db = Database()
+        self.bench = ChBenchmark(
+            self.db,
+            ChConfig(
+                warehouses=1,
+                districts_per_warehouse=2,
+                customers_per_district=4,
+                orders_per_district=6,
+                orderlines_per_order=3,
+                items=12,
+                suppliers=4,
+                delta_fraction=0.0,
+                amount_quantum=QUANTUM,
+                seed=7,
+            ),
+        )
+        self.bench.load()
+        self.db.merge()
+        snapshot = self.db.transactions.global_snapshot()
+        self.orders = self._keys("orders", "o_key", snapshot)
+        self.orderlines = self._keys("orderline", "ol_key", snapshot)
+        self.customers = self._keys("customer", "c_key", snapshot)
+        self.stock = self._keys("stock", "s_key", snapshot)
+        self.next_id = 90000
+
+    def _keys(self, table, column, snapshot):
+        keys = []
+        for partition in self.db.table(table).partitions():
+            for row in partition.visible_rows(snapshot):
+                keys.append(partition.get_row(int(row))[column])
+        return sorted(keys)
+
+    def _orderline(self, o_key, k):
+        self.next_id += 1
+        s_key = self.stock[k % len(self.stock)]
+        stock = self.db.table("stock").get_row(s_key)
+        self.orderlines.append(self.next_id)
+        return {
+            "ol_key": self.next_id,
+            "ol_o_key": o_key,
+            "ol_i_id": stock["s_i_id"],
+            "ol_s_key": s_key,
+            "ol_quantity": 1 + k % 5,
+            "ol_amount": QUANTUM * (k % 400),
+            "ol_delivery_d": "2014-03-01",
+        }
+
+    def insert(self, k, txn):
+        """A new order with two lines (and its neworder row), or (k odd) a
+        late orderline of an existing order."""
+        db = self.db
+        if k % 2:
+            o_key = self.orders[k % len(self.orders)]
+            db.insert("orderline", self._orderline(o_key, k), txn=txn)
+            return
+        self.next_id += 1
+        o_key = self.next_id
+        db.insert(
+            "orders",
+            {
+                "o_key": o_key, "o_w_id": 1, "o_d_id": 1, "o_id": o_key,
+                "o_c_key": self.customers[k % len(self.customers)],
+                "o_entry_d": "2014-03-01", "o_year": 2014, "o_carrier_id": None,
+            },
+            txn=txn,
+        )
+        self.orders.append(o_key)
+        self.next_id += 1
+        db.insert("neworder", {"no_key": self.next_id, "no_o_key": o_key}, txn=txn)
+        for j in range(2):
+            db.insert("orderline", self._orderline(o_key, k + j), txn=txn)
+
+    def update(self, k, txn):
+        if k % 4 == 0:
+            c_key = self.customers[k % len(self.customers)]
+            state = ("CA", "NY", "TX", "WA")[k % 4 if k % 8 else 1]
+            self.db.update("customer", c_key, {"c_state": state}, txn=txn)
+        else:
+            ol_key = self.orderlines[k % len(self.orderlines)]
+            self.db.update("orderline", ol_key, {"ol_amount": QUANTUM * (k % 300)}, txn=txn)
+
+    def delete(self, k, txn):
+        if len(self.orderlines) > 4:
+            ol_key = self.orderlines.pop(k % len(self.orderlines))
+            self.db.delete("orderline", ol_key, txn=txn)
+
+
+class PureHitMachine(RuleBasedStateMachine):
+    shape_class = None
+    reuses = 0  # per machine class, across all examples
+
+    def __init__(self):
+        super().__init__()
+        self.shape = self.shape_class()
+        self.db = self.shape.db
+        self.open = []  # explicitly begun, not yet finished transactions
+        #: id(ResultOrder) -> (the order, the rows of the read that remembered it)
+        self.remembered = {}
+        self.last = 0  # index of the statement read last
+
+    def teardown(self):
+        for txn in self.open:
+            txn.abort()
+        self.db.close()
+
+    # ------------------------------------------------------------------
+    # writes
+    # ------------------------------------------------------------------
+    def _txn(self, pick):
+        """None (auto-commit) or one of the open transactions."""
+        if not self.open or pick % 3 == 0:
+            return None
+        return self.open[pick % len(self.open)]
+
+    @rule(k=st.integers(0, 10_000), pick=st.integers(0, 50))
+    def insert(self, k, pick):
+        self.shape.insert(k, self._txn(pick))
+
+    @rule(k=st.integers(0, 10_000), pick=st.integers(0, 50))
+    def update(self, k, pick):
+        self.shape.update(k, self._txn(pick))
+
+    @rule(k=st.integers(0, 10_000), pick=st.integers(0, 50))
+    def delete(self, k, pick):
+        self.shape.delete(k, self._txn(pick))
+
+    @precondition(lambda self: len(self.open) < 3)
+    @rule()
+    def begin(self):
+        self.open.append(self.db.begin())
+
+    @precondition(lambda self: self.open)
+    @rule(pick=st.integers(0, 50), commit=st.booleans())
+    def finish(self, pick, commit):
+        txn = self.open.pop(pick % len(self.open))
+        txn.commit() if commit else txn.abort()
+
+    # ------------------------------------------------------------------
+    # maintenance and configuration
+    # ------------------------------------------------------------------
+    @rule()
+    def merge_all(self):
+        self.db.merge()
+
+    @rule(pick=st.integers(0, 50))
+    def merge_one(self, pick):
+        self.db.merge(self.shape.tables[pick % len(self.shape.tables)])
+
+    @rule()
+    def refresh(self):
+        self.db.refresh_cache()
+
+    @rule()
+    def shed_everything(self):
+        self.db.cache.shed_to_budget(0)
+
+    @rule(flag=st.sampled_from(["star_join_reduction", "predicate_pushdown"]))
+    def toggle(self, flag):
+        config = self.db.cache.config
+        setattr(config, flag, not getattr(config, flag))
+
+    # ------------------------------------------------------------------
+    # reads
+    # ------------------------------------------------------------------
+    @rule(
+        # None: the statement of the previous read again, so that "read,
+        # write, read the same" histories are common rather than lucky.
+        which=st.none() | st.integers(0, 50),
+        strategy=st.sampled_from(CACHED),
+        reader=st.sampled_from(["fresh", "fresh", "fresh", "txn", "as_of"]),
+        back=st.integers(0, 6),
+        no_star=st.booleans(),
+        repeat=st.integers(1, 3),
+    )
+    def query(self, which, strategy, reader, back, no_star, repeat):
+        if which is not None:
+            self.last = which % len(self.shape.statements)
+        sql = self.shape.statements[self.last]
+        kwargs = {}
+        if no_star:
+            kwargs["star_join_tables"] = ()
+        if reader == "txn" and self.open:
+            kwargs["txn"] = self.open[back % len(self.open)]
+        elif reader == "as_of":
+            # Around the remembered anchors: a few tids back, or just ahead.
+            latest = self.db.transactions.global_snapshot()
+            kwargs["as_of"] = max(1, latest + 1 - back)
+        for _ in range(repeat):
+            self._read(sql, strategy, kwargs)
+
+    @invariant()
+    def last_statement_still_equals_uncached(self):
+        """After every step — each write, merge, shed, toggle — the
+        statement read last is read again by a fresh reader."""
+        self._read(self.shape.statements[self.last], None, {})
+
+    def _read(self, sql, strategy, kwargs):
+        truth = self.db.query(sql, strategy=UNCACHED, **kwargs).rows
+        result = self.db.query(sql, strategy=strategy, **kwargs)
+        assert Counter(result.rows) == Counter(truth), (sql, kwargs, strategy)
+        self._check_sequence(sql, result)
+
+    def _check_sequence(self, sql, result):
+        entries = self.db.cache.entries_for(self.db.parse(sql))
+        order = entries[0].result_order if len(entries) == 1 else None
+        if result.report.result_reused:
+            type(self).reuses += 1
+            assert result.rows == self.remembered[id(order)][1]
+        elif order is not None and id(order) not in self.remembered:
+            # Every read of this machine passes through here and only reads
+            # install orders, so an unseen order is this read's own.  (The
+            # object is kept alongside so its id cannot be recycled.)
+            self.remembered[id(order)] = (order, result.rows)
+
+
+class ErpMachine(PureHitMachine):
+    shape_class = ErpShape
+
+
+class ChMachine(PureHitMachine):
+    shape_class = ChShape
+
+
+SETTINGS = settings(
+    max_examples=30,
+    stateful_step_count=40,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
+
+
+def test_erp_histories_equal_uncached_and_do_reuse():
+    ErpMachine.reuses = 0
+    run_state_machine_as_test(ErpMachine, settings=SETTINGS)
+    assert ErpMachine.reuses > 0
+
+
+def test_ch_histories_equal_uncached_and_do_reuse():
+    ChMachine.reuses = 0
+    run_state_machine_as_test(ChMachine, settings=SETTINGS)
+    assert ChMachine.reuses > 0

@@ -157,6 +157,24 @@ class TestSlotsAndBounds:
         assert lookup_outcome(db, respelled) == "hit"
         assert len(db.plan_cache) == 1
 
+    def test_presentation_is_part_of_the_canonical_slot(self):
+        """ORDER BY / LIMIT / HAVING / output names do not change the
+        cached extent, hence not the canonical key — but the plan carries
+        the whole statement, so they must not share a slot (they used to:
+        the second spelling was answered in the first one's shape)."""
+        db = make_two_domain_db()
+        shaped = PROFIT_SQL + " HAVING n > 1 ORDER BY profit DESC LIMIT 1"
+        assert db.parse(PROFIT_SQL).canonical_key() == db.parse(shaped).canonical_key()
+        warm(db, PROFIT_SQL)
+        assert lookup_outcome(db, shaped) == "miss"
+        assert len(db.plan_cache) == 2
+        for strategy in (FULL, ExecutionStrategy.UNCACHED):
+            plain = db.query(PROFIT_SQL, strategy=strategy).rows
+            top = db.query(shaped, strategy=strategy).rows
+            assert len(plain) == 2 and len(top) == 1
+            assert top[0] == max(plain, key=lambda row: row[1])
+        assert db.cache.entry_count() == 1  # one extent serves both
+
     def test_lru_eviction_respects_capacity(self):
         db = make_erp_db(cache_config=CacheConfig(plan_cache_size=2))
         load_erp(db, n_headers=2, merge=True)

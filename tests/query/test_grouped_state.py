@@ -130,6 +130,64 @@ class TestMergeEdgeCases:
         assert grouped.group_count() == 1
         assert grouped.finalize() == [("b", 9.0, 1)]
 
+    def test_merge_into_empty_adopts_independent_copies(self):
+        """The first fold into a fresh aggregate takes ``other``'s groups
+        over — same states, same key order as the per-key loop gives —
+        without sharing a single mutable object with it."""
+        mixed = specs() + [
+            AggregateSpec(AggFunc.COUNT, Col("v", "t"), "d", distinct=True),
+            AggregateSpec(AggFunc.AVG, Col("v", "t"), "a"),
+            AggregateSpec(AggFunc.MAX, Col("v", "t"), "hi"),
+        ]
+        other = GroupedAggregates(mixed)
+        values = np.array([3.0, 1.0, None, 2.0], dtype=object)
+        other.accumulate([("z",), ("a",), ("m",), ("a",)], [values] * 5)
+        adopted = other.new_like()
+        adopted.merge(other)
+        # Reference: the per-key loop, reached by seeding a group first.
+        looped = other.new_like()
+        looped.accumulate([("seed",)], [np.array([0.0], dtype=object)] * 5)
+        looped.merge(other)
+        assert list(adopted.keys()) == list(other.keys()) == [("z",), ("a",), ("m",)]
+        assert adopted.finalize() == other.finalize()
+        assert adopted.finalize() == [r for r in looped.finalize() if r[0] != "seed"]
+        for key in other.keys():
+            assert adopted.raw_states(key) == other.raw_states(key)
+            assert adopted.count_star(key) == other.count_star(key)
+            for mine, theirs in zip(adopted._groups[key], other._groups[key]):
+                assert mine is not theirs
+            assert adopted._groups[key][2][0] is not other._groups[key][2][0]
+        adopted.accumulate([("a",)], [np.array([9.0], dtype=object)] * 5)
+        assert other.finalize()[1] == ("a", 3.0, 2, 2, 1.5, 2.0)
+        # Canonically equal specs built separately adopt just the same, and
+        # copy() no longer shares COUNT DISTINCT sets either.
+        separate = GroupedAggregates(list(mixed))
+        separate.merge(other)
+        assert separate.finalize() == other.finalize()
+        assert other.copy()._groups[("a",)][2][0] is not other._groups[("a",)][2][0]
+
+    def test_merge_into_empty_with_sign_minus_one_still_negates(self):
+        other = GroupedAggregates(specs())
+        other.accumulate([("g",)], [np.array([2.0], dtype=object), np.array([0])])
+        target = other.new_like()
+        target.merge(other, sign=-1)
+        assert target.count_star(("g",)) == -1
+        assert target.raw_states(("g",)) == [[-2.0, -1], [-1]]
+
+    def test_finalize_keys_renders_only_the_given_groups_in_order(self):
+        grouped = GroupedAggregates(
+            specs() + [AggregateSpec(AggFunc.AVG, Col("v", "t"), "a")]
+        )
+        values = np.array([1.0, 2.0, None, 4.0], dtype=object)
+        grouped.accumulate([("a",), ("b",), ("c",), ("b",)], [values] * 3)
+        rows = {row[0]: row for row in grouped.finalize()}
+        assert rows["c"] == ("c", None, 1, None)  # SUM/AVG of no value: NULL
+        assert grouped.finalize_keys([("c",), ("a",)]) == [rows["c"], rows["a"]]
+        assert grouped.finalize_keys([]) == []
+        assert grouped.finalize_keys(grouped.keys()) == grouped.finalize()
+        with pytest.raises(KeyError):
+            grouped.finalize_keys([("missing",)])
+
     def test_new_like_shares_specs_identity(self):
         grouped = GroupedAggregates(specs())
         fresh = grouped.new_like()
@@ -171,6 +229,20 @@ class TestResultRendering:
         ordered = result.sorted_by([OrderItem("g")])
         # ints group before strings (type-name order), each group sorted.
         assert ordered.column_values("g") == [1, "a", "b"]
+
+    def test_sort_groups_every_real_number_together(self):
+        rows = [(np.float64(2.5),), (1,), (True,), (np.int64(2),), (0.5,), (None,)]
+        ordered = QueryResult(["x"], rows).sorted_by([OrderItem("x")])
+        # NULL first, then bool (its own type group), then the numbers by
+        # value whatever their machine type.
+        assert ordered.column_values("x") == [None, True, 0.5, 1, 2, 2.5]
+
+    def test_trusted_takes_rows_over_unchecked(self):
+        rows = [(1, 2.0)]
+        result = QueryResult.trusted(["a", "b"], rows)
+        assert result.rows is rows and result.columns == ["a", "b"]
+        assert result.report is None and result.trace is None
+        assert result == QueryResult(["a", "b"], [(1, 2.0)])
 
     def test_equality_cross_type_and_length(self):
         a = QueryResult(["x"], [(1,)])
