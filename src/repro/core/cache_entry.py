@@ -89,6 +89,9 @@ class AggregateCacheEntry:
     # The remembered output order of the last pure hit, or None; swapped
     # under the manager's lock like the memo, reset by rebase.
     result_order: Optional[ResultOrder] = None
+    # alias -> change bits of the columns the query reads there, filled in
+    # on first use by repro.core.effective_rows.read_masks.
+    read_masks: Optional[Dict[str, int]] = None
 
     def __post_init__(self):
         missing = set(self.main_partitions) ^ set(self.visibility)

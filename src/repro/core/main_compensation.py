@@ -27,6 +27,11 @@ the ``2^k − 1`` subsets of the inclusion–exclusion expansion; the subtracted
 tuple multiset is the same, so integer and quantum-decimal aggregates are
 unchanged to the bit.  (The paper assumes ``k ≤ 1`` — "updates are rare",
 Section 3.2 — and leaves this case to future work.)
+
+An invalidated row whose visible successor changed no column the query
+reads is not subtracted at all: :mod:`repro.core.effective_rows` revives it
+(it joins ``now``) and hides the successor from delta compensation, so
+``inv`` holds only the rows whose change the query can see.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from ..obs.trace import Span
 from ..query.executor import ComboSpec, ExecutionStats, QueryExecutor
 from ..query.aggregates import GroupedAggregates
 from .cache_entry import AggregateCacheEntry
+from .effective_rows import EffectiveRows, effective_rows
 
 
 class StaleEntryError(CacheError):
@@ -53,14 +59,20 @@ def apply_main_compensation(
     into: GroupedAggregates,
     stats: Optional[ExecutionStats] = None,
     span: Optional[Span] = None,
+    effective: Optional[EffectiveRows] = None,
 ) -> int:
     """Subtract invalidated main-row contributions from ``into``.
 
     ``into`` must already contain (a copy of) the entry's value.  Returns
-    the number of invalidated rows compensated (0 = entry was clean).
+    the number of invalidated rows subtracted (0 = entry was clean, or
+    every invalidated row was revived).
     ``stats`` collects the executor counters of the correction subjoins;
     ``span`` (the caller's ``main_compensation`` span) receives
-    ``dirty_aliases``, ``terms`` and ``invalidated_rows``.
+    ``dirty_aliases``, ``terms`` and ``invalidated_rows``, and
+    ``revived_rows`` / ``suppressed_rows`` when silent versions were
+    cancelled.  ``effective`` is the caller's
+    :func:`~repro.core.effective_rows.effective_rows` result for this
+    snapshot, when it already has one.
     Raises :class:`StaleEntryError` when a referenced main partition has a
     different length than the stored snapshot (it was rebuilt by a merge
     without entry maintenance).
@@ -78,6 +90,13 @@ def apply_main_compensation(
         alias: stored_mask[alias] & partition.visible_mask(snapshot)
         for alias, partition in entry.main_partitions.items()
     }
+    if effective is None:
+        effective = effective_rows(entry, snapshot)
+    for alias, rows in effective.revived.items():
+        now_mask[alias][rows] = True
+    if effective and span is not None:
+        span.attrs["revived_rows"] = effective.cancelled
+        span.attrs["suppressed_rows"] = sum(map(len, effective.suppressed.values()))
     invalidated: Dict[str, np.ndarray] = {}
     for alias, now in now_mask.items():
         rows = np.flatnonzero(stored_mask[alias] != now)
@@ -85,9 +104,10 @@ def apply_main_compensation(
             invalidated[alias] = rows
     if not invalidated:
         # The epoch check above said "something changed", but none of the
-        # *stored* rows was invalidated (e.g. the stamps hit rows outside
-        # the entry's visibility).  The counter still reflects an earlier
-        # compensation run; reset it — this entry currently owes nothing.
+        # *stored* rows is to be subtracted (the stamps hit rows outside
+        # the entry's visibility, or every one was revived).  The counter
+        # still reflects an earlier compensation run; reset it — this
+        # entry currently owes nothing.
         entry.metrics.dirty_counter = 0
         return 0
     dirty_aliases = sorted(invalidated)

@@ -16,6 +16,14 @@ pre-merge state is still queryable:
 After the physical swap the entry is re-anchored: the merging alias points
 at the rebuilt main with a fresh visibility snapshot, and the other aliases'
 stored visibilities advance to the merge snapshot.
+
+Both steps run over the effective row sets of the merge snapshot
+(:mod:`repro.core.effective_rows`): a main row whose successor changed no
+column the query reads is not subtracted and the successor not added.  In
+the merging alias that pair simply leaves with the old partitions; in any
+other alias the revived row is still counted by the value, so it stays in
+the stored visibility and the entry stays not-clean for that alias until
+its own table merges.
 """
 
 from __future__ import annotations
@@ -23,6 +31,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from ..plan.cost import FILTER_SELECTIVITY
 from ..query.aggregates import GroupedAggregates
@@ -32,6 +42,7 @@ from ..storage.merge import MergeEvent
 from .cache_entry import AggregateCacheEntry
 from .cache_key import CacheKey
 from .delta_memo import classify_memo
+from .effective_rows import effective_rows, execute_effective
 from .main_compensation import StaleEntryError, apply_main_compensation
 
 
@@ -43,6 +54,9 @@ class _PendingMaintenance:
     merging_alias: str
     corrected: GroupedAggregates
     elapsed: float
+    # alias -> main rows the corrected value still counts although the
+    # merge snapshot no longer sees them (effective_rows' revived sets).
+    revived: Dict[str, np.ndarray]
     # The merge event this plan belongs to.  The atomic two-phase merge
     # announces *all* group events before any swap, so the manager holds
     # plans for several events at once and must pair each with its
@@ -76,8 +90,11 @@ def plan_entry_maintenance(
     alias = aliases[0]
     started = time.perf_counter()
     corrected = entry.value.copy()
+    effective = effective_rows(entry, event.snapshot)
     # Step 1: retire invalidation debt (all aliases) at the merge snapshot.
-    apply_main_compensation(entry, executor, event.snapshot, corrected)
+    apply_main_compensation(
+        entry, executor, event.snapshot, corrected, effective=effective
+    )
     # Step 2: fold in the rows the merge moves out of the delta(s) — the
     # insert delta plus, when the table keeps one, the separate update delta.
     delta_names = [event.delta_name]
@@ -88,15 +105,13 @@ def plan_entry_maintenance(
         combo_partitions = dict(entry.main_partitions)
         combo_partitions[alias] = event.table.partition(delta_name)
         combos.append(ComboSpec(combo_partitions))
-    executor.execute(
-        entry.query,
-        event.snapshot,
-        combos=combos,
-        into=corrected,
-        sign=1,
+    execute_effective(
+        executor, entry.query, event.snapshot, combos, effective, corrected
     )
     elapsed = time.perf_counter() - started
-    return _PendingMaintenance(entry, alias, corrected, elapsed, event)
+    return _PendingMaintenance(
+        entry, alias, corrected, elapsed, effective.revived, event
+    )
 
 
 def finish_entry_maintenance(
@@ -115,11 +130,20 @@ def finish_entry_maintenance(
     )
     # The other aliases' partitions were not rebuilt, but their stored
     # visibility advances to the merge snapshot: step 1 above permanently
-    # subtracted everything invisible at that snapshot.
+    # subtracted everything invisible at that snapshot — except the rows it
+    # revived, which the value still counts.  Those stay stored, and an
+    # epoch no partition ever has keeps is_clean_for from skipping the
+    # compensation that hides their successors.
     for other_alias, partition in entry.main_partitions.items():
         if other_alias != alias:
-            entry.visibility[other_alias] = partition.visibility(event.snapshot)
-            entry.invalidation_epochs[other_alias] = partition.invalidation_epoch
+            stored = partition.visibility(event.snapshot)
+            epoch = partition.invalidation_epoch
+            revived = pending.revived.get(other_alias)
+            if revived is not None:
+                stored.set_many(revived)
+                epoch = -1
+            entry.visibility[other_alias] = stored
+            entry.invalidation_epochs[other_alias] = epoch
     entry.metrics.maintenance_time += pending.elapsed
     # The merge consumed the delta rows this entry's compensation pressure
     # accumulated over, so the advisor's "time since last maintenance"

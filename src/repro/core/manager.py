@@ -51,6 +51,7 @@ from .admission import AdmissionPolicy, AdmissionRequest, AlwaysAdmit
 from .cache_entry import AggregateCacheEntry, ResultOrder
 from .cache_key import CacheKey
 from .enforcement import MDEnforcer
+from .effective_rows import EffectiveRows, effective_rows, execute_effective
 from .delta_memo import (
     DeltaMemo,
     advance_memo,
@@ -85,7 +86,11 @@ class CacheQueryReport:
     entries_created: int = 0
     admission_rejected: int = 0
     entries_recomputed: int = 0  # stale/invalidated entries replaced
-    invalidated_rows_compensated: int = 0
+    invalidated_rows_compensated: int = 0  # main rows actually subtracted
+    #: Invalidated main rows that were *not* subtracted because their
+    #: visible successor changed no column this query reads (and that
+    #: successor was hidden from delta compensation in exchange).
+    silent_rows_cancelled: int = 0
     prune: PruneReport = field(default_factory=PruneReport)
     executor_stats: ExecutionStats = field(default_factory=ExecutionStats)
     time_total: float = 0.0
@@ -601,14 +606,19 @@ class AggregateCacheManager:
             finished = self._reuse_result(plan, txn, report, trace)
             if finished is None:
                 result = GroupedAggregates(bound.aggregates)
-                entries = [
+                answered = [
                     self._apply_main_entry(
                         bound, combo, key, txn, result, report, trace, cancel
                     )
                     for combo, key in zip(plan.cached_combos, plan.cache_keys)
                 ]
                 pure = self._apply_delta_compensation(
-                    plan, txn, result, report, trace, entries, cancel
+                    plan, txn, result, report,
+                    # Several entries (hot/cold) never cancel anything.
+                    answered[0][1] if len(answered) == 1 else EffectiveRows(),
+                    trace,
+                    [entry for entry, _effective in answered],
+                    cancel,
                 )
         except QueryAborted:
             raise  # a deadline/cancel abort is not a cache failure
@@ -831,6 +841,8 @@ class AggregateCacheManager:
             obs.delta_compensation_seconds.observe(report.time_delta_compensation)
         if report.invalidated_rows_compensated:
             obs.compensated_rows.inc(report.invalidated_rows_compensated)
+        if report.silent_rows_cancelled:
+            obs.silent_rows_cancelled.inc(report.silent_rows_cancelled)
 
     # ------------------------------------------------------------------
     def _apply_main_entry(
@@ -843,7 +855,7 @@ class AggregateCacheManager:
         report: CacheQueryReport,
         trace: Optional[QueryTrace] = None,
         cancel=None,
-    ) -> Optional[AggregateCacheEntry]:
+    ) -> Tuple[Optional[AggregateCacheEntry], EffectiveRows]:
         """Look up / create the entry for one all-main combination and fold
         its main-compensated value into ``result``.
 
@@ -852,7 +864,10 @@ class AggregateCacheManager:
         value answered this combination, or None when the combination was
         answered by a direct scan (admission rejected / entry too new) —
         the delta-memo routing needs to know which entry, if any, owns the
-        compensation state this query is about to compute.
+        compensation state this query is about to compute — and the
+        effective row sets main compensation ran over, which delta
+        compensation must run over too (empty unless something was
+        cancelled).
         """
         span = (
             trace.child("cache_lookup", combo=describe_partitions(combo))
@@ -888,6 +903,7 @@ class AggregateCacheManager:
                 build_span.finish()
                 build_span.attrs["admitted"] = entry is not None
         report.time_cache_lookup_or_build += time.perf_counter() - lookup_started
+        effective = EffectiveRows()
         try:
             if entry is None:
                 # Admission rejected: compute this query's main contribution
@@ -896,7 +912,7 @@ class AggregateCacheManager:
                     bound, combo, txn, result, report, span,
                     "admission_rejected", cancel,
                 )
-                return None
+                return None, effective
             if txn.snapshot < entry.snapshot:
                 # The entry is anchored at a newer snapshot than this reader
                 # (time travel, or a transaction begun before the last merge).
@@ -907,19 +923,21 @@ class AggregateCacheManager:
                     bound, combo, txn, result, report, span,
                     "entry_too_new", cancel,
                 )
-                return None
+                return None, effective
             with self._lock:
                 entry.metrics.record_use(self._clock)
             if entry.is_clean_for(txn.snapshot):
                 # Fast path: nothing was invalidated since the entry snapshot,
                 # so the cached value contributes as-is (merge copies states).
                 result.merge(entry.value)
-                return entry
+                return entry, effective
             contribution = entry.value.copy()
             comp_span = span.child("main_compensation") if span is not None else None
             comp_started = time.perf_counter()
+            effective = effective_rows(entry, txn.snapshot)
             rows = apply_main_compensation(
-                entry, self._executor, txn.snapshot, contribution, span=comp_span
+                entry, self._executor, txn.snapshot, contribution,
+                span=comp_span, effective=effective,
             )
             elapsed = time.perf_counter() - comp_started
             if comp_span is not None:
@@ -928,8 +946,9 @@ class AggregateCacheManager:
             entry.metrics.compensation_time_main += elapsed
             report.time_main_compensation += elapsed
             report.invalidated_rows_compensated += rows
+            report.silent_rows_cancelled += effective.cancelled
             result.merge(contribution)
-            return entry
+            return entry, effective
         finally:
             if span is not None:
                 span.finish()
@@ -1205,6 +1224,7 @@ class AggregateCacheManager:
         txn: Transaction,
         result: GroupedAggregates,
         report: CacheQueryReport,
+        effective: EffectiveRows,
         trace: Optional[QueryTrace] = None,
         entries: Optional[List[Optional[AggregateCacheEntry]]] = None,
         cancel=None,
@@ -1225,6 +1245,9 @@ class AggregateCacheManager:
         * ``bypass`` — the memo layer steps aside (disabled, hot/cold
           multi-entry plans, direct-scan answers, older readers) and the
           compensation union runs exactly as without it.
+
+        Whatever the mode, the subjoins read ``effective`` — the row sets
+        main compensation left uncompensated (:mod:`repro.core.effective_rows`).
 
         Returns ``(entry, memo)`` when the one entry answering the plan
         got nothing added — ``result`` still equals its (possibly main-
@@ -1248,8 +1271,8 @@ class AggregateCacheManager:
         comp_started = time.perf_counter()
         if mode == "incremental":
             installed = self._delta_compensation_incremental(
-                plan, txn, result, report, span_sink, entry, memo, cancel,
-                recycle,
+                plan, txn, result, report, effective, span_sink, entry, memo,
+                cancel, recycle,
             )
         else:
             installed = self._delta_compensation_full(
@@ -1257,6 +1280,7 @@ class AggregateCacheManager:
                 txn,
                 result,
                 report,
+                effective,
                 span_sink,
                 entry if mode == "full" else None,
                 memo,
@@ -1408,6 +1432,7 @@ class AggregateCacheManager:
         txn: Transaction,
         result: GroupedAggregates,
         report: CacheQueryReport,
+        effective: EffectiveRows,
         span_sink: Optional[List[Span]],
         entry: Optional[AggregateCacheEntry],
         observed: Optional[DeltaMemo],
@@ -1425,13 +1450,15 @@ class AggregateCacheManager:
                 continue
             combos.append(sub.to_spec())
         into = result if entry is None else result.new_like()
-        self._executor.execute(
+        execute_effective(
+            self._executor,
             plan.query,
             txn.snapshot,
-            combos=combos,
-            into=into,
+            combos,
+            effective,
+            into,
+            span_sink,
             stats=report.executor_stats,
-            span_sink=span_sink,
             cancel=cancel,
             recycle=recycle,
         )
@@ -1457,6 +1484,7 @@ class AggregateCacheManager:
         txn: Transaction,
         result: GroupedAggregates,
         report: CacheQueryReport,
+        effective: EffectiveRows,
         span_sink: Optional[List[Span]],
         entry: AggregateCacheEntry,
         memo: DeltaMemo,
@@ -1483,13 +1511,15 @@ class AggregateCacheManager:
         inner: List[Span] = []
         if specs:
             inc = result.new_like()
-            self._executor.execute(
+            execute_effective(
+                self._executor,
                 plan.query,
                 txn.snapshot,
-                combos=specs,
-                into=inc,
+                specs,
+                effective,
+                inc,
+                inner if span_sink is not None else None,
                 stats=report.executor_stats,
-                span_sink=inner if span_sink is not None else None,
                 cancel=cancel,
                 recycle=recycle,
             )
@@ -1663,11 +1693,13 @@ class AggregateCacheManager:
         inc: Optional[GroupedAggregates] = None
         if specs:
             inc = memo.folded.new_like()
-            self._executor.execute(
+            execute_effective(
+                self._executor,
                 plan.query,
                 snapshot,
-                combos=specs,
-                into=inc,
+                specs,
+                effective_rows(entry, snapshot),
+                inc,
                 recycle=recycle,
             )
         if not specs and snapshot == memo.anchor:
@@ -1689,11 +1721,13 @@ class AggregateCacheManager:
             sub.to_spec() for sub in plan.subjoins if sub.action != "pruned"
         ]
         into = GroupedAggregates(plan.query.aggregates)
-        self._executor.execute(
+        execute_effective(
+            self._executor,
             plan.query,
             snapshot,
-            combos=combos,
-            into=into,
+            combos,
+            effective_rows(entry, snapshot),
+            into,
             recycle=recycle,
         )
         fresh = build_memo(

@@ -78,6 +78,11 @@ class EngineMetrics:
             names.COMPENSATED_ROWS_TOTAL,
             "Invalidated main rows compensated across all queries.",
         )
+        self.silent_rows_cancelled = r.counter(
+            names.CACHE_SILENT_ROWS_CANCELLED_TOTAL,
+            "Invalidated main rows left uncompensated because their visible "
+            "successor changed no column the query reads.",
+        )
         self.delta_memo_lookups = r.counter(
             names.DELTA_MEMO_LOOKUPS_TOTAL,
             "Delta-compensation memo routing decisions, by outcome "

@@ -30,6 +30,7 @@ CACHE_MAINTENANCE_RUNS_TOTAL = "repro_cache_maintenance_runs_total"
 MAIN_COMPENSATION_SECONDS = "repro_main_compensation_seconds"
 DELTA_COMPENSATION_SECONDS = "repro_delta_compensation_seconds"
 COMPENSATED_ROWS_TOTAL = "repro_compensated_rows_total"
+CACHE_SILENT_ROWS_CANCELLED_TOTAL = "repro_cache_silent_rows_cancelled_total"
 DELTA_MEMO_LOOKUPS_TOTAL = "repro_delta_memo_lookups_total"
 DELTA_MEMO_ROWS_SAVED_TOTAL = "repro_delta_memo_rows_saved_total"
 RECYCLER_LOOKUPS_TOTAL = "repro_recycler_lookups_total"

@@ -251,7 +251,12 @@ class _CodeKeySpace:
         combined: Optional[np.ndarray] = None
         domain = 1
         for codes in code_cols:
-            ucodes = np.unique(codes)
+            # Sort + adjacent dedup: np.unique without an inverse does the
+            # same through a several times slower path on NumPy 2.x.
+            ucodes = np.sort(codes)
+            distinct = np.ones(len(ucodes), dtype=bool)
+            np.not_equal(ucodes[1:], ucodes[:-1], out=distinct[1:])
+            ucodes = ucodes[distinct]
             ranks = np.searchsorted(ucodes, codes)
             radix = int(len(ucodes))
             compact: Optional[np.ndarray] = None

@@ -124,6 +124,15 @@ class BitVector:
 
     __getitem__ = get
 
+    def get_many(self, indices: np.ndarray) -> np.ndarray:
+        """The bits at ``indices`` as a boolean array (vectorized :meth:`get`;
+        every index must be in range)."""
+        idx = np.asarray(indices, dtype=np.int64)
+        if idx.size and (int(idx.min()) < 0 or int(idx.max()) >= self._length):
+            raise IndexError(f"bit index out of range [0, {self._length})")
+        shifts = (idx % _WORD_BITS).astype(np.uint64)
+        return ((self._words[idx // _WORD_BITS] >> shifts) & np.uint64(1)).astype(bool)
+
     # ------------------------------------------------------------------
     # properties
     # ------------------------------------------------------------------

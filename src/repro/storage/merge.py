@@ -141,6 +141,10 @@ def merge_table(
     Any failure before the swap — including a listener's ``before_merge`` —
     leaves the table untouched: listeners get ``cancel_merge(event)`` for
     every event already announced, then the exception propagates.
+
+    A group with nothing to merge (:func:`_nothing_to_merge`) is passed over
+    before any event is announced: no rebuild, no version bump, no listener
+    call — its main, and everything cached over it, stays as it is.
     """
     stats = MergeStats(table=table.name)
     merge_started = time.perf_counter()
@@ -150,6 +154,8 @@ def merge_table(
     fire = faults.fire if faults is not None else (lambda point: None)
     try:
         for group in groups:
+            if _nothing_to_merge(group):
+                continue
             event = MergeEvent(
                 table=table,
                 group_name=group.name,
@@ -187,7 +193,8 @@ def merge_table(
         stats.groups_merged += 1
         stats.rows_moved += item.moved
         stats.rows_dropped += item.dropped
-    table.rebuild_pk_index()
+    if staged:
+        table.rebuild_pk_index()
     fire("merge.after_swap")
     for item in staged:
         for listener in listeners:
@@ -199,6 +206,15 @@ def merge_table(
         if stats.rows_dropped:
             obs.merge_rows_dropped.inc(stats.rows_dropped)
     return stats
+
+
+def _nothing_to_merge(group: PartitionGroup) -> bool:
+    """No delta row to move and no invalidated main row to drop: the rebuilt
+    main would equal the one in place (static dimension tables, merged along
+    with everything else by ``Database.merge()``)."""
+    return all(
+        delta.is_physically_empty() for delta in group.delta_partitions()
+    ) and not group.main.dts_array().any()
 
 
 def _cancel_listeners(listeners: Sequence[MergeListener], event) -> None:

@@ -16,7 +16,7 @@ of the stamps, materialized either as a numpy mask or as the packed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +37,62 @@ class ColumnStats:
     min: object
     max: object
     has_nulls: bool
+
+
+class LineageLog:
+    """Update lineage of one delta partition: which rows are new versions
+    of which main rows, and what changed on the way.
+
+    An update is *invalidate + append*, which forgets that the appended row
+    replaces the invalidated one.  :meth:`~repro.storage.table.Table.update`
+    keeps the link here: one record per appended version whose chain of old
+    versions starts in the group's main partition — ``(successor row in this
+    partition, ancestor row in that main, OR of the change masks along the
+    chain)``, a mask being one :meth:`~repro.storage.schema.Schema.change_bit`
+    per column whose value differs.  Inserted rows, and versions of rows that
+    never reached a main, have no record.  The log lives and dies with its
+    partition — a merge builds a fresh delta — and is never persisted: a
+    restored partition has none, and a missing record only ever means
+    "ordinary invalidation".
+    """
+
+    __slots__ = ("_successors", "_ancestors", "_changed")
+
+    def __init__(self):
+        self._successors = IntVector()
+        self._ancestors = IntVector()
+        self._changed = IntVector()
+
+    def __len__(self) -> int:
+        return len(self._successors)
+
+    def record(self, successor: int, ancestor: int, changed: int) -> None:
+        """Log that row ``successor`` descends from main row ``ancestor``
+        with the columns in ``changed`` differing.  Successors arrive in
+        append order, so the log stays sorted by them."""
+        self._successors.append(successor)
+        self._ancestors.append(ancestor)
+        self._changed.append(changed)
+
+    def lookup(self, successor: int) -> Optional[Tuple[int, int]]:
+        """``(ancestor, changed)`` of one row, or None without a record."""
+        successors = self._successors.view()
+        position = int(np.searchsorted(successors, successor))
+        if position == len(successors) or successors[position] != successor:
+            return None
+        return self._ancestors[position], self._changed[position]
+
+    def arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Zero-copy ``(successors, ancestors, changed)`` views, aligned."""
+        return (
+            self._successors.view(),
+            self._ancestors.view(),
+            self._changed.view(),
+        )
+
+    def nbytes(self) -> int:
+        """Bytes of the three vectors' live elements."""
+        return 3 * self._successors.nbytes()
 
 
 class Partition:
@@ -64,6 +120,10 @@ class Partition:
             }
         self._cts = IntVector()
         self._dts = IntVector()
+        #: Update lineage of the rows appended here (deltas only).
+        self.lineage: Optional[LineageLog] = (
+            LineageLog() if kind == "delta" else None
+        )
         # Monotonic count of invalidations ever applied to this partition.
         # Cache entries snapshot it to detect "nothing was invalidated since
         # entry creation" in O(1), skipping the bit-vector diff entirely.
@@ -212,14 +272,23 @@ class Partition:
     # ------------------------------------------------------------------
     # visibility
     # ------------------------------------------------------------------
-    def visible_mask(self, snapshot: int) -> np.ndarray:
-        """Boolean mask of rows visible to ``snapshot``.
+    def visible_mask(
+        self, snapshot: int, start: int = 0, stop: Optional[int] = None
+    ) -> np.ndarray:
+        """Boolean mask of rows ``[start, stop)`` visible to ``snapshot``.
 
         A row is visible iff it was created at or before the snapshot and
-        not invalidated at or before it.
+        not invalidated at or before it.  The stamp vectors are sliced
+        before the compare, so a range costs O(stop - start).
         """
-        cts = self._cts.view()
-        dts = self._dts.view()
+        cts = self._cts.view()[start:stop]
+        dts = self._dts.view()[start:stop]
+        return (cts <= snapshot) & ((dts == LIVE) | (dts > snapshot))
+
+    def visible_at(self, snapshot: int, rows: np.ndarray) -> np.ndarray:
+        """Per given row index, whether it is visible to ``snapshot``."""
+        cts = self._cts.view()[rows]
+        dts = self._dts.view()[rows]
         return (cts <= snapshot) & ((dts == LIVE) | (dts > snapshot))
 
     def visibility(self, snapshot: int) -> BitVector:
@@ -246,10 +315,7 @@ class Partition:
         stop = min(stop, len(self._cts))
         if start >= stop:
             return np.empty(0, dtype=np.int64)
-        cts = self._cts.view()[start:stop]
-        dts = self._dts.view()[start:stop]
-        mask = (cts <= snapshot) & ((dts == LIVE) | (dts > snapshot))
-        return np.flatnonzero(mask) + start
+        return np.flatnonzero(self.visible_mask(snapshot, start, stop)) + start
 
     def min_stamp_after(self, snapshot: int, start: int = 0, stop: Optional[int] = None) -> float:
         """The smallest MVCC stamp strictly greater than ``snapshot`` in rows
@@ -362,7 +428,8 @@ class Partition:
         return freed
 
     def nbytes(self) -> int:
-        """Approximate bytes: all column fragments + MVCC stamp vectors."""
+        """Approximate bytes: all column fragments + MVCC stamp vectors
+        (+ the lineage log of a delta)."""
         return self.nbytes_resident() + self.nbytes_mapped()
 
     def nbytes_resident(self) -> int:
@@ -371,6 +438,8 @@ class Partition:
         for stamps in (self._cts, self._dts):
             if not getattr(stamps, "is_mapped_store", False):
                 total += stamps.nbytes()
+        if self.lineage is not None:
+            total += self.lineage.nbytes()
         return total
 
     def nbytes_mapped(self) -> int:

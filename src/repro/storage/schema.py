@@ -15,6 +15,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SchemaError
 
+#: Columns past this position share the last usable bit of a signed 64-bit
+#: change mask (see :meth:`Schema.change_bit`).
+_CHANGE_BITS = 62
+
 
 class SqlType(enum.Enum):
     """Supported column types.
@@ -89,6 +93,10 @@ class Schema:
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate column names in schema: {names}")
         self._by_name: Dict[str, ColumnDef] = {c.name: c for c in self._columns}
+        self._change_bits: Dict[str, int] = {
+            name: 1 << min(position, _CHANGE_BITS)
+            for position, name in enumerate(names)
+        }
         if primary_key is not None and primary_key not in self._by_name:
             raise SchemaError(f"primary key column {primary_key!r} not in schema")
         self.primary_key = primary_key
@@ -122,6 +130,23 @@ class Schema:
             return self._by_name[name]
         except KeyError:
             raise SchemaError(f"unknown column {name!r}") from None
+
+    def change_bit(self, name: str) -> int:
+        """The bit standing for ``name`` in an update's change mask (the
+        lineage log of :class:`~repro.storage.partition.Partition`): one bit
+        per column by schema position, and one shared, saturating bit for
+        every column past the 62nd — set, it reads "anything may have
+        changed" (:meth:`wide_change_bit`)."""
+        try:
+            return self._change_bits[name]
+        except KeyError:
+            raise SchemaError(f"unknown column {name!r}") from None
+
+    def wide_change_bit(self) -> int:
+        """The saturating bit if this schema has columns sharing it, else 0;
+        every read mask includes it, so a change to a column that has no bit
+        of its own is never taken for silent."""
+        return 1 << _CHANGE_BITS if len(self._columns) > _CHANGE_BITS else 0
 
     def __len__(self) -> int:
         return len(self._columns)

@@ -223,6 +223,7 @@ class Table:
         old version (updates of cold rows go to the cold delta, Section 5.4).
         """
         old_locator = self._require_pk(pk_value)
+        group = self._group_of_partition(old_locator.partition)
         old_partition = self.partition(old_locator.partition)
         old_row = old_partition.get_row(old_locator.row)
         new_row = dict(old_row)
@@ -234,10 +235,21 @@ class Table:
         pk_col = self.schema.primary_key
         if new_row[pk_col] != pk_value:
             raise IntegrityError("primary-key updates are not supported")
-        group = self._group_of_partition(old_locator.partition)
         old_partition.invalidate(old_locator.row, tid)
         target = group.update_delta if group.update_delta is not None else group.delta
         row_idx = target.append_row(new_row, tid)
+        # Update lineage (see LineageLog): the new version's ancestor in the
+        # group's main, and the columns that differ from it.
+        if old_partition is group.main:
+            link = (old_locator.row, 0)
+        else:
+            link = old_partition.lineage.lookup(old_locator.row)
+        if link is not None:
+            ancestor, changed = link
+            for key in changes:
+                if new_row[key] != old_row[key]:
+                    changed |= self.schema.change_bit(key)
+            target.lineage.record(row_idx, ancestor, changed)
         locator = RowLocator(target.name, row_idx)
         self._pk_index[pk_value] = locator
         self.bump_version()

@@ -153,7 +153,12 @@ class TestStaleEntries:
 
 class TestTelescopedCompensation:
     """k dirty aliases cost k correction subjoins (not 2^k - 1) and subtract
-    exactly what naive recomputation over the surviving main rows omits."""
+    exactly what naive recomputation over the surviving main rows omits.
+
+    Two of the updates below are *silent* for the statement — line 52 is
+    written the amount it already has, order 6 changes a column the
+    statement never reads — so their old versions are revived, not
+    subtracted (repro.core.effective_rows)."""
 
     SQL = (
         "SELECT c.state AS state, SUM(l.amount) AS revenue, COUNT(*) AS n "
@@ -196,14 +201,27 @@ class TestTelescopedCompensation:
             for k in range(3):
                 db.insert("line", {"lk": ok * 10 + k, "ok": ok, "amount": ok + k})
 
-    @staticmethod
-    def naive(db, entry, snapshot):
-        """The all-main subjoin recomputed from the base data."""
+    #: alias -> (key column, keys) of the main rows DIRTY updates silently.
+    SILENT = {"l": ("lk", [52]), "o": ("ok", [6])}
+
+    @classmethod
+    def naive(cls, db, entry, snapshot, silent=()):
+        """The all-main subjoin recomputed from the base data: over the
+        visible main rows, and the old versions of the silently updated
+        keys of the ``silent`` aliases (they stand for their successors)."""
+        import numpy as np
+
         from repro.query import ComboSpec
 
-        return db.executor.execute(
-            entry.query, snapshot, combos=[ComboSpec(dict(entry.main_partitions))]
-        )
+        fixed = {}
+        for alias in silent:
+            column, keys = cls.SILENT[alias]
+            main = entry.main_partitions[alias]
+            mask = main.visible_mask(snapshot)
+            mask |= np.isin(main.column(column).decode_rows(np.arange(len(mask))), keys)
+            fixed[alias] = np.flatnonzero(mask)
+        spec = ComboSpec(dict(entry.main_partitions), fixed_rows=fixed)
+        return db.executor.execute(entry.query, snapshot, combos=[spec])
 
     @staticmethod
     def rows(grouped):
@@ -222,12 +240,15 @@ class TestTelescopedCompensation:
         corrected, stats = entry.value.copy(), ExecutionStats()
         compensated = amc(entry, db.executor, snapshot, corrected, stats=stats)
         assert stats.combos_evaluated == k
-        assert compensated == [2, 4, 5, 6][k - 1]
-        assert self.rows(corrected) == self.rows(self.naive(db, entry, snapshot))
+        assert compensated == [1, 2, 3, 4][k - 1]
+        assert self.rows(corrected) == self.rows(
+            self.naive(db, entry, snapshot, silent=["l", "o"][:k])
+        )
         assert self.rows(corrected) != self.rows(entry.value)
         # ... and through the manager, new versions included.
         cached = db.query(self.SQL, strategy=FULL)
         assert db.last_report.invalidated_rows_compensated == compensated
+        assert db.last_report.silent_rows_cancelled == min(k, 2)
         assert cached == db.query(self.SQL, strategy=UNCACHED)
 
     def test_span_reports_dirty_aliases_terms_and_rows(self):
@@ -239,8 +260,42 @@ class TestTelescopedCompensation:
         span = trace.span_named("main_compensation")
         assert span.attrs["dirty_aliases"] == ["l", "n", "o"]
         assert span.attrs["terms"] == 3
-        assert span.attrs["invalidated_rows"] == span.attrs["rows_compensated"] == 5
+        assert span.attrs["invalidated_rows"] == span.attrs["rows_compensated"] == 3
+        assert span.attrs["revived_rows"] == span.attrs["suppressed_rows"] == 2
         assert "dirty_aliases=['l', 'n', 'o']" in trace.render()
+
+    def test_silent_updates_cost_zero_terms_and_zero_subjoins(self):
+        from repro.query import ExecutionStats
+
+        db = self.make()
+        db.query(self.SQL, strategy=FULL)
+        entry = entry_for(db, self.SQL)
+        db.update("ord", 6, {"year": 1999})  # a column the statement never reads
+        db.update("line", 52, {"amount": 7})  # the value it already had
+        snapshot = db.transactions.global_snapshot()
+        corrected, stats = entry.value.copy(), ExecutionStats()
+        assert amc(entry, db.executor, snapshot, corrected, stats=stats) == 0
+        assert stats.combos_evaluated == 0
+        assert self.rows(corrected) == self.rows(entry.value)
+        # Through the manager: the new versions are the deltas' only rows,
+        # so every delta subjoin is cancelled before the executor — and
+        # still leaves its one span.
+        trace = db.explain_analyze(self.SQL)
+        report = trace.report
+        assert report.invalidated_rows_compensated == 0
+        assert report.silent_rows_cancelled == 2
+        assert report.executor_stats.combos_evaluated == 0
+        subjoins = [s for s in trace.root.walk() if s.name == "subjoin"]
+        assert len(subjoins) == report.prune.combos_total
+        assert {s.attrs["status"] for s in subjoins} <= {"cancelled", "pruned"}
+        assert sum(s.attrs["status"] == "cancelled" for s in subjoins) == report.prune.evaluated
+        assert trace.result == db.query(self.SQL, strategy=UNCACHED)
+        assert not entry.is_clean_for(snapshot)
+        db.merge()  # both pairs leave with the old partitions
+        assert db.query(self.SQL, strategy=FULL) == db.query(self.SQL, strategy=UNCACHED)
+        assert db.last_report.result_reused is False
+        assert db.last_report.silent_rows_cancelled == 0
+        assert entry_for(db, self.SQL).is_clean_for(db.transactions.global_snapshot())
 
     def test_reader_older_than_entry_snapshot(self):
         """Rows merged into the mains after the reader's snapshot are in the

@@ -102,6 +102,9 @@ class TestDropMode:
         load_erp(db, n_headers=4, merge=True)
         db.query(HEADER_ITEM_SQL, strategy=FULL)
         db.query("SELECT lang, COUNT(*) AS n FROM category GROUP BY lang", strategy=FULL)
+        db.merge("header")  # nothing to merge: no event, nothing dropped
+        assert db.cache.entry_count() == 2
+        db.insert("header", {"hid": 77, "year": 2013})
         db.merge("header")  # touches only the header/item entry
         assert db.cache.entry_count() == 1
 

@@ -7,8 +7,16 @@ strategies — ROADMAP's oracle item), and a read answered from a remembered
 output order returns the identical row *sequence* as the read that
 remembered it.  Each machine must also see ``result_reused`` at least once,
 so the test cannot pass by never taking the path under test.
+
+The same machine guards the cancelling of silent updates
+(``repro.core.effective_rows``): ``touch`` gives one key several versions in
+a row — changing a column no join statement reads, one they do, writing a
+value back, deleting — inside and outside open transactions, with merges,
+refreshes and older readers in between, and each machine must see
+``silent_rows_cancelled`` at least once.
 """
 
+import os
 from collections import Counter
 
 from hypothesis import HealthCheck, settings
@@ -29,6 +37,7 @@ from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
 CACHED = [s for s in ExecutionStrategy if s.uses_cache]
 UNCACHED = ExecutionStrategy.UNCACHED
 QUANTUM = 0.25  # every amount a multiple: sums are exact in any fold order
+HOWS = ["silent", "silent", "relevant", "same", "delete"]
 
 
 class ErpShape:
@@ -40,6 +49,9 @@ class ErpShape:
         HEADER_ITEM_SQL,
         HEADER_ITEM_SQL + " ORDER BY n DESC, cid",
         "SELECT h.year AS year, COUNT(*) AS n FROM header h GROUP BY h.year",
+        # Reads no price: every price update is silent for it, and its memo
+        # (one table, so no main epoch in it) advances across them.
+        "SELECT i.cid AS cid, COUNT(*) AS n FROM item i GROUP BY i.cid",
     ]
     tables = ["header", "item", "category"]
 
@@ -80,12 +92,38 @@ class ErpShape:
         if self.items:
             self.db.delete("item", self.items.pop(k % len(self.items)), txn=txn)
 
+    def touch(self, k, how, txn):
+        """One more version (or the end) of the key ``k`` picks.  A header's
+        year is silent for the joins and relevant for the header statement;
+        an item has no column every statement ignores."""
+        db = self.db
+        if k % 3 == 0:
+            column = "lang" if how == "silent" else "name"
+            value = f"v{k % 4}"
+            if how == "same":
+                value = db.table("category").get_row(k % 3)[column]
+            db.update("category", k % 3, {column: value}, txn=txn)
+        elif k % 3 == 1:
+            hid = k % 6
+            year = db.table("header").get_row(hid)["year"]
+            db.update("header", hid, {"year": year if how == "same" else 2013 + k % 3}, txn=txn)
+        elif self.items:
+            iid = self.items[k % len(self.items)]
+            if how == "delete":
+                self.items.remove(iid)
+                db.delete("item", iid, txn=txn)
+                return
+            price = db.table("item").get_row(iid)["price"]
+            db.update("item", iid, {"price": QUANTUM * (k % 40) if how == "relevant" else price}, txn=txn)
+
 
 class ChShape:
     """A tiny CH-benCHmark database, fully merged."""
 
     statements = [CH_QUERIES[name] for name in ("Q3", "Q5", "Q8", "Q10")] + [
         CH_QUERIES["Q10"].replace("ORDER BY revenue DESC", "HAVING revenue > 50 ORDER BY c_key LIMIT 4"),
+        # One table: its memo never sees a main epoch (see ErpShape).
+        "SELECT c.c_state AS state, COUNT(*) AS n FROM customer c GROUP BY c.c_state",
     ]
     tables = ["orders", "orderline", "customer", "neworder"]
 
@@ -176,10 +214,31 @@ class ChShape:
             ol_key = self.orderlines.pop(k % len(self.orderlines))
             self.db.delete("orderline", ol_key, txn=txn)
 
+    def touch(self, k, how, txn):
+        """One more version (or the end) of the key ``k`` picks: the payment
+        and delivery columns no statement reads, or one some statement does."""
+        db = self.db
+        table, keys, silent, relevant = (
+            ("customer", self.customers, ("c_balance", QUANTUM * (k % 90)), ("c_state", "CANYTXWA"[k % 4 * 2:][:2])),
+            ("orders", self.orders, ("o_carrier_id", 1 + k % 9), ("o_year", 2012 + k % 3)),
+            ("orderline", self.orderlines, ("ol_delivery_d", f"2014-04-{1 + k % 28:02d}"), ("ol_amount", QUANTUM * (k % 300))),
+        )[k % 3]
+        key = keys[k % len(keys)]
+        if how == "delete":
+            if table == "orderline" and len(keys) > 4:
+                keys.remove(key)
+                db.delete(table, key, txn=txn)
+            return
+        column, value = silent if how == "silent" else relevant
+        if how == "same":
+            value = db.table(table).get_row(key)[column]
+        db.update(table, key, {column: value}, txn=txn)
+
 
 class PureHitMachine(RuleBasedStateMachine):
     shape_class = None
     reuses = 0  # per machine class, across all examples
+    cancelled = 0
 
     def __init__(self):
         super().__init__()
@@ -216,6 +275,17 @@ class PureHitMachine(RuleBasedStateMachine):
     def delete(self, k, pick):
         self.shape.delete(k, self._txn(pick))
 
+    @rule(
+        k=st.integers(0, 10_000),
+        hows=st.lists(st.sampled_from(HOWS), min_size=1, max_size=3),
+        picks=st.lists(st.integers(0, 50), min_size=3, max_size=3),
+    )
+    def touch(self, k, hows, picks):
+        """Up to three versions of one key in a row, each in a transaction
+        of its own choosing."""
+        for how, pick in zip(hows, picks):
+            self.shape.touch(k, how, self._txn(pick))
+
     @precondition(lambda self: len(self.open) < 3)
     @rule()
     def begin(self):
@@ -240,7 +310,11 @@ class PureHitMachine(RuleBasedStateMachine):
 
     @rule()
     def refresh(self):
+        """What a refresh installs on an entry only shows in the next read
+        of that entry, so every statement is read right after it."""
         self.db.refresh_cache()
+        for sql in self.shape.statements:
+            self._read(sql, None, {})
 
     @rule()
     def shed_everything(self):
@@ -290,6 +364,7 @@ class PureHitMachine(RuleBasedStateMachine):
         truth = self.db.query(sql, strategy=UNCACHED, **kwargs).rows
         result = self.db.query(sql, strategy=strategy, **kwargs)
         assert Counter(result.rows) == Counter(truth), (sql, kwargs, strategy)
+        type(self).cancelled += result.report.silent_rows_cancelled
         self._check_sequence(sql, result)
 
     def _check_sequence(self, sql, result):
@@ -314,7 +389,8 @@ class ChMachine(PureHitMachine):
 
 
 SETTINGS = settings(
-    max_examples=30,
+    # CI's chaos job raises the budget (STATEFUL_EXAMPLES).
+    max_examples=int(os.environ.get("STATEFUL_EXAMPLES", "30")),
     stateful_step_count=40,
     deadline=None,
     suppress_health_check=list(HealthCheck),
@@ -322,12 +398,14 @@ SETTINGS = settings(
 
 
 def test_erp_histories_equal_uncached_and_do_reuse():
-    ErpMachine.reuses = 0
+    ErpMachine.reuses = ErpMachine.cancelled = 0
     run_state_machine_as_test(ErpMachine, settings=SETTINGS)
     assert ErpMachine.reuses > 0
+    assert ErpMachine.cancelled > 0
 
 
 def test_ch_histories_equal_uncached_and_do_reuse():
-    ChMachine.reuses = 0
+    ChMachine.reuses = ChMachine.cancelled = 0
     run_state_machine_as_test(ChMachine, settings=SETTINGS)
     assert ChMachine.reuses > 0
+    assert ChMachine.cancelled > 0

@@ -45,6 +45,20 @@ class TestRoundtrip:
             < recovered.recovery_stats.records_scanned
         )
 
+    def test_merge_with_nothing_to_merge_is_still_logged_and_reported(self, tmp_path):
+        db = make_erp_db(path=tmp_path / "db")
+        load_erp(db, n_headers=2, merge=True)
+        versions = {t.name: t.version for t in db.catalog.tables()}
+        logged = sum(r.type == "merge" for r in db.wal.scan().records)
+        stats = db.merge()  # empty deltas, unstamped mains
+        assert [(s.table, s.groups_merged) for s in stats] == [
+            (t.name, 0) for t in db.catalog.tables()
+        ]
+        assert {t.name: t.version for t in db.catalog.tables()} == versions
+        assert sum(r.type == "merge" for r in db.wal.scan().records) == logged + len(stats)
+        expected = db.query(PROFIT_SQL)
+        assert reopen(db).query(PROFIT_SQL) == expected
+
     def test_update_and_delete_replay(self, tmp_path):
         db = make_erp_db(path=tmp_path / "db")
         load_erp(db, n_headers=3, merge=False)

@@ -67,6 +67,14 @@ class TestBitAccess:
         with pytest.raises(IndexError):
             bv.set(-1)
 
+    def test_get_many_matches_get_across_word_boundaries(self):
+        bv = BitVector.from_indices(200, [0, 63, 64, 130, 199])
+        probes = np.array([199, 0, 1, 63, 64, 65, 130, 0])
+        assert bv.get_many(probes).tolist() == [bv.get(int(i)) for i in probes]
+        assert bv.get_many(np.empty(0, dtype=np.int64)).tolist() == []
+        with pytest.raises(IndexError):
+            bv.get_many(np.array([3, 200]))
+
     def test_getitem_alias(self):
         bv = BitVector.from_bools([True, False])
         assert bv[0] is True

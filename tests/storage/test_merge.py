@@ -122,6 +122,41 @@ class TestListeners:
         assert listener.after == [("default", 0)]
 
 
+class TestNothingToMerge:
+    def test_group_with_empty_delta_and_unstamped_main_is_passed_over(self):
+        table = Table("t", schema())
+        table.insert({"id": 1}, tid=1)
+        merge_table(table, snapshot=1)
+        main, version, index = table.partition("main"), table.version, dict(table._pk_index)
+        listener = RecordingListener()
+        stats = merge_table(table, snapshot=1, listeners=[listener])
+        assert (stats.table, stats.groups_merged, stats.rows_moved) == ("t", 0, 0)
+        assert listener.before == listener.after == []
+        assert table.partition("main") is main
+        assert (table.version, table._pk_index) == (version, index)
+
+    def test_a_stamped_main_row_is_something_to_merge(self):
+        table = Table("t", schema())
+        table.insert({"id": 1}, tid=1)
+        merge_table(table, snapshot=1)
+        table.delete(1, tid=2)
+        listener = RecordingListener()
+        stats = merge_table(table, snapshot=2, listeners=[listener])
+        assert (stats.groups_merged, stats.rows_dropped) == (1, 1)
+        assert listener.before == [("default", 0)]
+        assert table.partition("main").row_count == 0
+
+    def test_only_the_idle_group_of_an_aged_table_is_passed_over(self):
+        table = Table(
+            "t", schema(), aging_rule=threshold_aging("year", hot_if_at_least=2014)
+        )
+        table.insert({"id": 1, "year": 2015}, tid=1)
+        listener = RecordingListener()
+        stats = merge_table(table, snapshot=1, listeners=[listener])
+        assert stats.groups_merged == 1
+        assert listener.before == [("hot", 1)]
+
+
 class TestAgedMerge:
     def make(self):
         table = Table(
