@@ -72,7 +72,7 @@ class DeltaMemo:
     #: id(partition) -> invalidation_epoch at memo time.
     epochs: Dict[int, int]
     #: id(partition) -> the partition object itself.  Holds strong
-    #: references so the ids above cannot be recycled, and lets validation
+    #: references so the ids above cannot be reused, and lets validation
     #: compare object identity against the current plan's partitions.
     partitions: Dict[int, Partition]
     #: The plan signature active when the memo was taken; equal signatures

@@ -72,7 +72,6 @@ from .maintenance import (
 from .matching_dependency import MatchingDependency
 from .metrics import CacheMetrics
 from .pruning import PruneReport
-from .recycler import RecycleContext, SubjoinRecycler
 from .strategies import CacheConfig, ExecutionStrategy, MaintenanceMode
 
 
@@ -109,14 +108,11 @@ class CacheQueryReport:
     #: order (see :class:`~repro.core.cache_entry.ResultOrder`): no state
     #: copy, no compensation, no HAVING / sort.
     result_reused: bool = False
-    #: Cross-query subjoin recycler activity during compensation (see
-    #: repro.core.recycler): hits replayed stored joined tuples, misses
-    #: evaluated and published, stale probes found an expired entry, and
-    #: stored counts successful publications.
+    #: Always 0.  Kept because the end-to-end benchmark harness
+    #: (benchmarks/e2e/driver.py) reads these two fields and
+    #: ``counters_snapshot()["recycler_bytes"]``.
     recycler_hits: int = 0
     recycler_misses: int = 0
-    recycler_stale: int = 0
-    recycler_stored: int = 0
     #: Why the query bypassed the cache while degraded: "breaker_open"
     #: (cache breaker open, cached path skipped upfront) or "fallback"
     #: (the cached path failed mid-query and the answer was recomputed
@@ -235,14 +231,6 @@ class AggregateCacheManager:
         self.total_refresh_advances = 0  # proactive incremental refreshes
         self.total_refresh_rebuilds = 0  # proactive full rebuilds
         self.total_result_reuses = 0  # pure hits served from a remembered order
-        # Cross-query subjoin recycler (None when disabled by config); its
-        # own counters live on the recycler, snapshotted under our lock in
-        # counters_snapshot (manager → recycler is the one lock order).
-        self.recycler: Optional[SubjoinRecycler] = (
-            SubjoinRecycler(max_bytes=self.config.recycler_max_bytes, obs=self.obs)
-            if self.config.subjoin_recycler
-            else None
-        )
 
     # ------------------------------------------------------------------
     # object-awareness registration
@@ -300,12 +288,9 @@ class AggregateCacheManager:
             return [e for e in self._entries.values() if e.key.query_text == text]
 
     def clear(self) -> None:
-        """Drop every cache entry (and the recycled subjoins derived from
-        the same computations)."""
+        """Drop every cache entry."""
         with self._lock:
             self._entries.clear()
-            if self.recycler is not None:
-                self.recycler.clear()
 
     def counters_snapshot(self) -> Dict[str, int]:
         """A consistent view of the lifetime counters (for the monitor).
@@ -319,19 +304,6 @@ class AggregateCacheManager:
         a second lock take during which a shed or insert may have run.
         """
         with self._lock:
-            recycler = (
-                self.recycler.stats()
-                if self.recycler is not None
-                else {
-                    "entries": 0,
-                    "bytes": 0,
-                    "hits": 0,
-                    "misses": 0,
-                    "stale": 0,
-                    "stored": 0,
-                    "evictions": 0,
-                }
-            )
             return {
                 "entries": len(self._entries),
                 "value_bytes": sum(
@@ -345,13 +317,7 @@ class AggregateCacheManager:
                 "memo_hits": self.total_memo_hits,
                 "memo_misses": self.total_memo_misses,
                 "memo_bypass": self.total_memo_bypass,
-                "recycler_entries": recycler["entries"],
-                "recycler_bytes": recycler["bytes"],
-                "recycler_hits": recycler["hits"],
-                "recycler_misses": recycler["misses"],
-                "recycler_stale": recycler["stale"],
-                "recycler_stored": recycler["stored"],
-                "recycler_evictions": recycler["evictions"],
+                "recycler_bytes": 0,  # see CacheQueryReport.recycler_hits
                 "refresh_advances": self.total_refresh_advances,
                 "refresh_rebuilds": self.total_refresh_rebuilds,
                 "result_reuses": self.total_result_reuses,
@@ -374,10 +340,6 @@ class AggregateCacheManager:
                 sum(e.metrics.profit() for e in entries)
             )
             self.obs.governor_tracked_bytes.set(self._tracked_bytes_locked())
-            if self.recycler is not None:
-                recycler = self.recycler.stats()
-                self.obs.recycler_bytes.set(recycler["bytes"])
-                self.obs.recycler_entries.set(recycler["entries"])
         self.obs.plan_cache_entries.set(len(self.plan_cache))
         tiers = {"hot": 0, "cold_resident": 0, "cold_mapped": 0}
         for name in self._catalog.table_names():
@@ -407,8 +369,6 @@ class AggregateCacheManager:
         dropped_plans = self.plan_cache.evict_for_table(table_name)
         if dropped_plans:
             self.obs.plan_cache_evictions.inc(dropped_plans)
-        if self.recycler is not None:
-            self.recycler.evict_for_table(table_name)
         return len(victims)
 
     def explain(self, query, strategy=None, star_join_tables=None):
@@ -1081,8 +1041,6 @@ class AggregateCacheManager:
             parse_cache_stats()["entries"] * _PARSE_CACHE_BYTES_PER_ENTRY
         )
         total += self._cold_overhead_bytes()
-        if self.recycler is not None:
-            total += self.recycler.nbytes()
         return total
 
     def _cold_overhead_bytes(self) -> int:
@@ -1117,11 +1075,9 @@ class AggregateCacheManager:
 
         Shedding follows profit order — cheapest-to-rebuild state first:
 
-        0. **mapped cold columns** (released lazy dictionaries / memmap
+        1. **mapped cold columns** (released lazy dictionaries / memmap
            handles re-fault in from the cold files on next access — no
            recompute at all);
-        1. **recycled subjoins** (pure recomputable join intermediates —
-           dropping them costs the next overlapping query one evaluation);
         2. **delta memos and remembered output orders** before entries
            (they only accelerate a hit; the entry keeps serving without
            them), least-recently-used entries' first — an order is tied to
@@ -1130,11 +1086,12 @@ class AggregateCacheManager:
            machinery (:class:`ProfitEviction` — lowest profit first);
         4. the **plan and parse caches** last (pure recompute caches).
 
-        Returns the per-kind shed counts; totals are recorded on the
-        governor (``repro_governor_sheds_total``).
+        Returns the per-kind shed counts (keys ``cold``, ``memo``,
+        ``entry``, ``plan``); totals are recorded on the governor
+        (``repro_governor_sheds_total``).
         """
-        shed = {"cold": 0, "recycler": 0, "memo": 0, "entry": 0, "plan": 0}
-        freed = {"cold": 0, "recycler": 0, "memo": 0, "entry": 0, "plan": 0}
+        shed = {"cold": 0, "memo": 0, "entry": 0, "plan": 0}
+        freed = {"cold": 0, "memo": 0, "entry": 0, "plan": 0}
         evicted = 0
         plan_dropped = 0
         with self._lock:
@@ -1153,12 +1110,6 @@ class AggregateCacheManager:
                         self.governor.record_shed("cold", 1, cold_freed)
                         self.governor.set_tracked_bytes(tracked)
                     return shed
-            if tracked > budget_bytes and self.recycler is not None:
-                dropped, recycler_freed = self.recycler.clear()
-                if dropped:
-                    tracked -= recycler_freed
-                    freed["recycler"] = recycler_freed
-                    shed["recycler"] = dropped
             by_lru = sorted(
                 self._entries.values(),
                 key=lambda e: e.metrics.last_access_clock,
@@ -1267,12 +1218,11 @@ class AggregateCacheManager:
         mode, reason, entry, memo = self._route_delta_memo(plan, txn, entries)
         report.delta_memo_mode = mode
         report.delta_memo_reason = reason
-        recycle = self._recycle_context(plan, txn)
         comp_started = time.perf_counter()
         if mode == "incremental":
             installed = self._delta_compensation_incremental(
                 plan, txn, result, report, effective, span_sink, entry, memo,
-                cancel, recycle,
+                cancel,
             )
         else:
             installed = self._delta_compensation_full(
@@ -1285,7 +1235,6 @@ class AggregateCacheManager:
                 entry if mode == "full" else None,
                 memo,
                 cancel,
-                recycle,
             )
         pure = None
         if installed is not None:
@@ -1309,7 +1258,6 @@ class AggregateCacheManager:
             with self._lock:
                 for owner in owners:
                     owner.metrics.compensation_time_delta += share
-        self._finish_recycle(recycle, report)
         self._close_compensation(plan, report, span)
         return pure
 
@@ -1352,39 +1300,6 @@ class AggregateCacheManager:
                 span.attrs["compensation_reason"] = report.delta_memo_reason
             if mode == "incremental":
                 span.attrs["rows_saved"] = report.delta_memo_rows_saved
-
-    def _recycle_context(
-        self, plan: PhysicalPlan, txn: Transaction
-    ) -> Optional[RecycleContext]:
-        """Mint a per-query recycler handle, or None when recycling is off."""
-        if self.recycler is None:
-            return None
-        return self.recycler.context(
-            plan.recycle_fingerprint(), plan.signature, txn.snapshot
-        )
-
-    def _finish_recycle(
-        self,
-        recycle: Optional[RecycleContext],
-        report: Optional[CacheQueryReport],
-    ) -> None:
-        """Fold one context's outcome counts into the report and metrics."""
-        if recycle is None:
-            return
-        if report is not None:
-            report.recycler_hits += recycle.hits
-            report.recycler_misses += recycle.misses
-            report.recycler_stale += recycle.stale
-            report.recycler_stored += recycle.stored
-        if self.obs.enabled:
-            for outcome, count in (
-                ("hit", recycle.hits),
-                ("miss", recycle.misses),
-                ("stale", recycle.stale),
-                ("bypass", recycle.bypass),
-            ):
-                if count:
-                    self.obs.recycler_lookups.labels(outcome).inc(count)
 
     def _route_delta_memo(
         self,
@@ -1437,7 +1352,6 @@ class AggregateCacheManager:
         entry: Optional[AggregateCacheEntry],
         observed: Optional[DeltaMemo],
         cancel=None,
-        recycle: Optional[RecycleContext] = None,
     ) -> Optional[DeltaMemo]:
         """Evaluate every surviving subjoin; with ``entry`` set, capture the
         folded compensation value as a fresh memo on it.  Returns the memo
@@ -1460,7 +1374,6 @@ class AggregateCacheManager:
             span_sink,
             stats=report.executor_stats,
             cancel=cancel,
-            recycle=recycle,
         )
         if entry is None:
             return None
@@ -1489,7 +1402,6 @@ class AggregateCacheManager:
         entry: AggregateCacheEntry,
         memo: DeltaMemo,
         cancel=None,
-        recycle: Optional[RecycleContext] = None,
     ) -> Optional[DeltaMemo]:
         """Merge the memo's folded value and scan only the delta suffix.
 
@@ -1521,7 +1433,6 @@ class AggregateCacheManager:
                 inner if span_sink is not None else None,
                 stats=report.executor_stats,
                 cancel=cancel,
-                recycle=recycle,
             )
             result.merge(inc)
         if span_sink is not None:
@@ -1609,9 +1520,7 @@ class AggregateCacheManager:
         """Apply cardinality-routed refreshes (see
         :func:`repro.core.maintenance.plan_cache_refresh`): advance or
         rebuild each routed entry's delta memo *now*, off the query path,
-        so the next hit replays an already-advanced memo.  The refresh
-        work also populates the subjoin recycler — overlapping queries
-        arriving after the refresh recycle its subjoins directly.
+        so the next hit replays an already-advanced memo.
 
         ``decisions`` defaults to a fresh plan; ``max_entries`` bounds the
         work per idle tick (remaining decisions are returned untouched).
@@ -1642,20 +1551,14 @@ class AggregateCacheManager:
             if len(plan.cache_keys) != 1:
                 decision.action, decision.reason = "skip", "multi_entry"
                 continue
-            recycle = None
-            if self.recycler is not None:
-                recycle = self.recycler.context(
-                    plan.recycle_fingerprint(), plan.signature, snapshot
-                )
             if decision.action == "advance":
-                done = self._refresh_advance(entry, plan, snapshot, recycle)
+                done = self._refresh_advance(entry, plan, snapshot)
                 if not done:
-                    done = self._refresh_rebuild(entry, plan, snapshot, recycle)
+                    done = self._refresh_rebuild(entry, plan, snapshot)
                     if done:
                         decision.action, decision.reason = "rebuild", "advance_raced"
             else:
-                done = self._refresh_rebuild(entry, plan, snapshot, recycle)
-            self._finish_recycle(recycle, None)
+                done = self._refresh_rebuild(entry, plan, snapshot)
             if not done:
                 decision.action, decision.reason = "skip", "raced"
                 continue
@@ -1669,9 +1572,7 @@ class AggregateCacheManager:
                 self.obs.cache_refresh.labels(decision.action).inc()
         return decisions
 
-    def _refresh_advance(
-        self, entry, plan: PhysicalPlan, snapshot: int, recycle
-    ) -> bool:
+    def _refresh_advance(self, entry, plan: PhysicalPlan, snapshot: int) -> bool:
         """Incremental refresh: scan only the suffix past the memo's
         watermarks and CAS-install the advanced memo.  Returns False when
         the memo cannot advance (raced away / went stale) — the caller
@@ -1700,7 +1601,6 @@ class AggregateCacheManager:
                 specs,
                 effective_rows(entry, snapshot),
                 inc,
-                recycle=recycle,
             )
         if not specs and snapshot == memo.anchor:
             return True  # nothing to advance; the memo already serves here
@@ -1710,9 +1610,7 @@ class AggregateCacheManager:
                 entry.delta_memo = advanced
         return True
 
-    def _refresh_rebuild(
-        self, entry, plan: PhysicalPlan, snapshot: int, recycle
-    ) -> bool:
+    def _refresh_rebuild(self, entry, plan: PhysicalPlan, snapshot: int) -> bool:
         """Full refresh: recompute the compensation union into a throwaway
         aggregate and CAS-install the fresh memo."""
         with self._lock:
@@ -1728,7 +1626,6 @@ class AggregateCacheManager:
             combos,
             effective_rows(entry, snapshot),
             into,
-            recycle=recycle,
         )
         fresh = build_memo(
             into,
@@ -1799,13 +1696,6 @@ class AggregateCacheManager:
             for key in self._pending_drops:
                 self._entries.pop(key, None)
             self._pending_drops = set()
-        # The swap replaced the table's partitions, so recycled subjoins
-        # referencing them can never validate again (identity + signature
-        # both moved on) — drop them eagerly rather than letting them age
-        # out as stale probes.  A *cancelled* merge keeps the pre-merge
-        # partitions and deliberately does not purge.
-        if self.recycler is not None:
-            self.recycler.evict_for_table(event.table.name)
 
     def cancel_merge(self, event: Optional[MergeEvent] = None) -> None:
         """Discard maintenance planned for an aborted merge.

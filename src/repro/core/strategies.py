@@ -90,15 +90,6 @@ class CacheConfig:
     # exclusion candidates to exactly those names (() = exclude nothing).
     # A per-query star_join_tables=... takes precedence when given.
     star_join_tables: Optional[Union[str, Iterable[str]]] = None
-    # Share compensation-subjoin intermediates across overlapping queries
-    # (same join core, different group-by/aggregates) through a process-wide
-    # recycler (see repro.core.recycler).  Off = every query recomputes its
-    # own compensation subjoins, as in the paper.
-    subjoin_recycler: bool = True
-    # Byte budget of the subjoin recycler's LRU store.  Recycled indices
-    # also count toward the governor's tracked bytes and are shed right
-    # after cold-tier overhead (they are pure recomputable derivations).
-    recycler_max_bytes: int = 32 * 1024 * 1024
     # Cardinality-based refresh routing: an entry whose estimated affected
     # rows exceed this fraction of the rows its memo already covers is
     # refreshed by full rebuild instead of incremental memo advance.

@@ -843,8 +843,8 @@ class Database:
         """Idle hook: proactively advance or rebuild cache-entry delta
         memos per the cardinality-based refresh policy (see
         :func:`repro.core.maintenance.plan_cache_refresh`), so steady-state
-        queries hit already-advanced memos and a pre-populated subjoin
-        recycler instead of compensating on the critical path.
+        queries hit already-advanced memos instead of compensating on the
+        critical path.
 
         Runs under the shared read lock — refreshes are snapshot reads
         plus compare-and-swap memo installs, exactly like query-time

@@ -78,17 +78,10 @@ class CacheStats:
     memo_hits: int = 0  # incremental reuses
     memo_misses: int = 0  # full rebuilds
     memo_bypass: int = 0
-    #: Total bytes the memory budget tracks (entries + memos + recycler +
+    #: Total bytes the memory budget tracks (entries + memos + orders +
     #: plan/parse estimates + cold overhead), from the same locked snapshot
     #: as the counters above.
     tracked_bytes: int = 0
-    # Cross-query subjoin recycler (see repro.core.recycler).
-    recycler_entries: int = 0
-    recycler_bytes: int = 0
-    recycler_hits: int = 0
-    recycler_misses: int = 0
-    recycler_stale: int = 0
-    recycler_evictions: int = 0
     # Proactive cardinality-based refreshes (see repro.core.maintenance).
     refresh_advances: int = 0
     refresh_rebuilds: int = 0
@@ -104,12 +97,6 @@ class CacheStats:
         """Incremental reuses / routed compensations, 0.0 before any."""
         routed = self.memo_hits + self.memo_misses + self.memo_bypass
         return self.memo_hits / routed if routed else 0.0
-
-    @property
-    def recycler_hit_rate(self) -> float:
-        """Recycler hits / probes, 0.0 before any probe."""
-        probes = self.recycler_hits + self.recycler_misses + self.recycler_stale
-        return self.recycler_hits / probes if probes else 0.0
 
 
 @dataclass
@@ -203,11 +190,6 @@ class DatabaseStats:
             f"  delta-memo: incremental={cache.memo_hits} "
             f"full={cache.memo_misses} bypass={cache.memo_bypass} "
             f"incremental-rate={cache.memo_hit_rate:.1%}",
-            f"  recycler: entries={cache.recycler_entries} "
-            f"~{cache.recycler_bytes}B hits={cache.recycler_hits} "
-            f"misses={cache.recycler_misses} stale={cache.recycler_stale} "
-            f"hit-rate={cache.recycler_hit_rate:.1%} "
-            f"evictions={cache.recycler_evictions}",
             f"  refresh: advances={cache.refresh_advances} "
             f"rebuilds={cache.refresh_rebuilds}",
             "",
@@ -297,12 +279,6 @@ def collect_statistics(db: Database) -> DatabaseStats:
         memo_misses=counters["memo_misses"],
         memo_bypass=counters["memo_bypass"],
         tracked_bytes=counters["tracked_bytes"],
-        recycler_entries=counters["recycler_entries"],
-        recycler_bytes=counters["recycler_bytes"],
-        recycler_hits=counters["recycler_hits"],
-        recycler_misses=counters["recycler_misses"],
-        recycler_stale=counters["recycler_stale"],
-        recycler_evictions=counters["recycler_evictions"],
         refresh_advances=counters["refresh_advances"],
         refresh_rebuilds=counters["refresh_rebuilds"],
     )

@@ -93,26 +93,6 @@ class EngineMetrics:
             names.DELTA_MEMO_ROWS_SAVED_TOTAL,
             "Covered delta-prefix rows incremental compensation skipped.",
         )
-        self.recycler_lookups = r.counter(
-            names.RECYCLER_LOOKUPS_TOTAL,
-            "Cross-query subjoin recycler probes, by outcome "
-            "(hit / miss / stale = horizon or partition mismatch / "
-            "bypass = not stably keyable).",
-            labels=("outcome",),
-        )
-        self.recycler_bytes = r.gauge(
-            names.RECYCLER_BYTES,
-            "Approximate bytes held by recycled subjoin indices.",
-        )
-        self.recycler_entries = r.gauge(
-            names.RECYCLER_ENTRIES, "Live recycled subjoin entries."
-        )
-        self.recycler_evictions = r.counter(
-            names.RECYCLER_EVICTIONS_TOTAL,
-            "Recycled subjoins dropped, by reason "
-            "(budget / stale / invalidated / shed).",
-            labels=("reason",),
-        )
         self.cache_refresh = r.counter(
             names.CACHE_REFRESH_TOTAL,
             "Proactive cache-entry refreshes, by routed action "

@@ -33,10 +33,6 @@ COMPENSATED_ROWS_TOTAL = "repro_compensated_rows_total"
 CACHE_SILENT_ROWS_CANCELLED_TOTAL = "repro_cache_silent_rows_cancelled_total"
 DELTA_MEMO_LOOKUPS_TOTAL = "repro_delta_memo_lookups_total"
 DELTA_MEMO_ROWS_SAVED_TOTAL = "repro_delta_memo_rows_saved_total"
-RECYCLER_LOOKUPS_TOTAL = "repro_recycler_lookups_total"
-RECYCLER_BYTES = "repro_recycler_bytes"
-RECYCLER_ENTRIES = "repro_recycler_entries"
-RECYCLER_EVICTIONS_TOTAL = "repro_recycler_evictions_total"
 CACHE_REFRESH_TOTAL = "repro_cache_refresh_total"
 CACHE_RESULT_REUSE_TOTAL = "repro_cache_result_reuse_total"
 

@@ -116,19 +116,6 @@ class PhysicalPlan:
         set was generated under — part of delta-memo identity."""
         return excluded_fingerprint(self.excluded)
 
-    def recycle_fingerprint(self) -> Tuple:
-        """The join-core identity of this plan's statement, memoized on the
-        plan so the plan cache doubles as the recycler's handle: a
-        plan-cache hit reuses the fingerprint without recomputation.  (A
-        racing double-compute stores the same tuple twice — benign.)"""
-        fingerprint = getattr(self, "_recycle_fp", None)
-        if fingerprint is None:
-            from ..core.recycler import join_core_fingerprint
-
-            fingerprint = join_core_fingerprint(self.query)
-            self._recycle_fp = fingerprint
-        return fingerprint
-
 
 def plan_signature(
     catalog: Catalog,

@@ -243,7 +243,6 @@ class QueryExecutor:
         parallel: Optional[ParallelConfig] = None,
         span_sink: Optional[List[Span]] = None,
         cancel=None,
-        recycle=None,
     ) -> GroupedAggregates:
         """Evaluate the union of the given subjoins into a grouped state.
 
@@ -271,13 +270,6 @@ class QueryExecutor:
         at the next subjoin boundary with a typed
         :class:`~repro.errors.QueryAborted` instead of running to
         completion.  An abort folds nothing further into ``into``.
-
-        ``recycle`` is an optional
-        :class:`~repro.core.recycler.RecycleContext`: each subjoin probes
-        the shared cross-query recycler before evaluating and publishes its
-        joined index state after.  A hit replays the stored tuples through
-        a fresh aggregation (same floats, same fold order), so results and
-        stats are bit-identical with recycling on or off.
         """
         if cancel is not None:
             cancel.check()
@@ -302,7 +294,6 @@ class QueryExecutor:
             partials = self._run_parallel(
                 bound, residuals, local_filters, snapshot, combos, sign,
                 want_stats, config, partial_factory, want_spans, cancel,
-                recycle,
             )
         else:
             scan_memo, hash_memo = DictMemo(), DictMemo()
@@ -310,7 +301,7 @@ class QueryExecutor:
                 self._execute_combo(
                     bound, residuals, local_filters, snapshot, combo, sign,
                     scan_memo, hash_memo, want_stats, partial_factory,
-                    want_spans, recycle,
+                    want_spans,
                 )
                 for combo in combos
             )
@@ -338,7 +329,6 @@ class QueryExecutor:
         partial_factory,
         want_spans: bool = False,
         cancel=None,
-        recycle=None,
     ):
         """Submit one task per subjoin; yield results in combination order."""
         if config.memo == MEMO_PRIVATE:
@@ -367,7 +357,6 @@ class QueryExecutor:
             return self._execute_combo(
                 query, residuals, local_filters, snapshot, combo, sign,
                 scan_memo, hash_memo, want_stats, partial_factory, want_spans,
-                recycle,
             )
 
         pool = self._ensure_pool(config.n_workers)
@@ -422,7 +411,6 @@ class QueryExecutor:
         want_stats: bool,
         partial_factory,
         want_spans: bool = False,
-        recycle=None,
     ) -> Tuple[Optional[GroupedAggregates], Optional[ExecutionStats], Optional[Span]]:
         """Evaluate one subjoin into a fresh partial grouped state.
 
@@ -434,7 +422,6 @@ class QueryExecutor:
             return (*self._execute_combo_inner(
                 query, residuals, local_filters, snapshot, combo, sign,
                 scan_memo, hash_memo, want_stats, partial_factory, None,
-                recycle,
             ), None)
         attrs: Dict[str, object] = {
             "combo": combo.describe(),
@@ -456,7 +443,6 @@ class QueryExecutor:
         partial, stats = self._execute_combo_inner(
             query, residuals, local_filters, snapshot, combo, sign,
             scan_memo, hash_memo, want_stats, partial_factory, attrs,
-            recycle,
         )
         span = Span(
             name="subjoin",
@@ -479,7 +465,6 @@ class QueryExecutor:
         want_stats: bool,
         partial_factory,
         attrs: Optional[Dict[str, object]],
-        recycle=None,
     ) -> Tuple[Optional[GroupedAggregates], Optional[ExecutionStats]]:
         missing = {ref.alias for ref in query.tables} - set(combo.partitions)
         if missing:
@@ -488,21 +473,6 @@ class QueryExecutor:
         if stats is not None:
             stats.combos_evaluated += 1
             stats.subjoins.append(combo.describe())
-        # Cross-query recycling: probe the shared subjoin store before doing
-        # any work.  A hit replays the stored joined indices through a fresh
-        # aggregation — deterministic evaluation means the recycled tuples
-        # are the exact tuples this subjoin would have produced, so results
-        # (and stats, and span attrs apart from ``recycled``) match the
-        # recompute bit for bit.
-        recycle_key = None
-        if recycle is not None:
-            recycle_key = recycle.key_for(combo)
-            if recycle_key is not None:
-                hit = recycle.lookup(recycle_key, combo)
-                if hit is not None:
-                    return self._replay_recycled(
-                        query, hit, sign, stats, attrs, partial_factory
-                    )
         # Scan every alias up front (memoized across subjoins): the counts
         # drive build-side selection, and any empty input empties the join.
         scans = {
@@ -525,17 +495,23 @@ class QueryExecutor:
         if stats is not None:
             stats.probe_sides.append(first)
         if attrs is not None:
-            _describe_inputs(attrs, combo.partitions, row_counts, reduced_counts, first)
+            attrs["rows_scanned"] = dict(sorted(row_counts.items()))
+            if reduced_counts != row_counts:
+                attrs["rows_after_reduction"] = dict(sorted(reduced_counts.items()))
+            attrs["probe_side"] = first
+            mapped = sorted(
+                alias
+                for alias, partition in combo.partitions.items()
+                if getattr(partition, "storage_tier", "resident") == "mapped"
+            )
+            if mapped:
+                attrs["tier"] = {alias: "mapped" for alias in mapped}
 
         def empty():
             if stats is not None:
                 stats.combos_empty += 1
             if attrs is not None:
                 attrs["status"] = "empty"
-            if recycle_key is not None:
-                recycle.store(
-                    recycle_key, combo, None, row_counts, first, reduced_counts
-                )
             return None, stats
 
         if not all(reduced_counts.values()):
@@ -579,46 +555,6 @@ class QueryExecutor:
             provider = provider.select(mask)
             if provider.row_count() == 0:
                 return empty()
-        if recycle_key is not None:
-            recycle.store(
-                recycle_key, combo, provider, row_counts, first, reduced_counts
-            )
-        partial = partial_factory()
-        n = aggregate_into(partial, provider, query.group_by, query.aggregates, sign)
-        if stats is not None:
-            stats.rows_aggregated += n
-        if attrs is not None:
-            attrs["rows_aggregated"] = n
-        return partial, stats
-
-    def _replay_recycled(
-        self,
-        query: AggregateQuery,
-        hit,
-        sign: int,
-        stats: Optional[ExecutionStats],
-        attrs: Optional[Dict[str, object]],
-        partial_factory,
-    ) -> Tuple[Optional[GroupedAggregates], Optional[ExecutionStats]]:
-        """Fold a recycled subjoin: replay the stored stats/attrs the
-        recompute would have produced, then aggregate the stored joined
-        tuples live (group-by and aggregates belong to *this* query, not
-        the producer's)."""
-        if stats is not None:
-            stats.probe_sides.append(hit.probe_side)
-        if attrs is not None:
-            _describe_inputs(
-                attrs, hit.partitions, hit.row_counts, hit.reduced_counts,
-                hit.probe_side,
-            )
-            attrs["recycled"] = True
-        if hit.indices is None:
-            if stats is not None:
-                stats.combos_empty += 1
-            if attrs is not None:
-                attrs["status"] = "empty"
-            return None, stats
-        provider = JoinedProvider(dict(hit.partitions), dict(hit.indices))
         partial = partial_factory()
         n = aggregate_into(partial, provider, query.group_by, query.aggregates, sign)
         if stats is not None:
@@ -665,27 +601,6 @@ def _reduce_scans(
                     combo.partitions[target], reduced[target], target_column,
                 )
     return reduced
-
-
-def _describe_inputs(
-    attrs: Dict[str, object],
-    partitions: Dict[str, Partition],
-    row_counts: Dict[str, int],
-    reduced_counts: Optional[Dict[str, int]],
-    probe_side: str,
-) -> None:
-    """Input-side span attributes of one subjoin (computed or recycled)."""
-    attrs["rows_scanned"] = dict(sorted(row_counts.items()))
-    if reduced_counts is not None and reduced_counts != row_counts:
-        attrs["rows_after_reduction"] = dict(sorted(reduced_counts.items()))
-    attrs["probe_side"] = probe_side
-    mapped = sorted(
-        alias
-        for alias, partition in partitions.items()
-        if getattr(partition, "storage_tier", "resident") == "mapped"
-    )
-    if mapped:
-        attrs["tier"] = {alias: "mapped" for alias in mapped}
 
 
 def _physical_rows(combos: Sequence[ComboSpec]) -> int:

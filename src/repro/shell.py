@@ -18,7 +18,6 @@ the engine:
 ``\\plans``         plan cache contents and hit/miss/invalidation counters
 ``\\stats``         storage / cache / enforcement statistics
 ``\\health``        governor health: breaker states and degraded modes
-``\\recycler``      cross-query subjoin recycler occupancy and hit rates
 ``\\metrics``       the metrics registry in Prometheus text format
 ``\\save DIR``      write a snapshot of the database to a directory
 ``\\open DIR``      replace the session database with a saved snapshot
@@ -108,7 +107,6 @@ class Shell:
             "\\report": self._cmd_report,
             "\\stats": self._cmd_stats,
             "\\health": self._cmd_health,
-            "\\recycler": self._cmd_recycler,
             "\\metrics": self._cmd_metrics,
             "\\save": self._cmd_save,
             "\\open": self._cmd_open,
@@ -288,36 +286,6 @@ class Shell:
 
     def _cmd_health(self, _argument: str) -> None:
         self._print(self.db.health().render())
-
-    def _cmd_recycler(self, _argument: str) -> None:
-        counters = self.db.cache.counters_snapshot()
-        if self.db.cache.recycler is None:
-            self._print("subjoin recycler: disabled (subjoin_recycler=False)")
-            return
-        probes = (
-            counters["recycler_hits"]
-            + counters["recycler_misses"]
-            + counters["recycler_stale"]
-        )
-        rate = counters["recycler_hits"] / probes if probes else 0.0
-        self._print(
-            f"subjoin recycler: entries={counters['recycler_entries']} "
-            f"~{counters['recycler_bytes']}B "
-            f"(budget {self.db.cache.recycler.max_bytes}B)"
-        )
-        self._print(
-            f"  probes: hits={counters['recycler_hits']} "
-            f"misses={counters['recycler_misses']} "
-            f"stale={counters['recycler_stale']} hit-rate={rate:.1%}"
-        )
-        self._print(
-            f"  stored={counters['recycler_stored']} "
-            f"evictions={counters['recycler_evictions']}"
-        )
-        self._print(
-            f"  refresh: advances={counters['refresh_advances']} "
-            f"rebuilds={counters['refresh_rebuilds']}"
-        )
 
     def _cmd_metrics(self, _argument: str) -> None:
         text = self.db.export_metrics()

@@ -355,7 +355,7 @@ class TestLifecycle:
         entry = entry_of(db, PROFIT_SQL)
         plan = db.cache.plan_for(PROFIT_SQL)
         snapshot = db.transactions.global_snapshot()
-        assert db.cache._refresh_rebuild(entry, plan, snapshot, None)
+        assert db.cache._refresh_rebuild(entry, plan, snapshot)
         assert entry.result_order.memo is not entry.delta_memo
         result = db.query(PROFIT_SQL)
         assert not result.report.result_reused

@@ -4,8 +4,7 @@
 from the estimated *affected rows* — physical delta growth past the memo's
 watermarks, discounted by synopsis-based selectivity of the entry's local
 filters.  ``Database.refresh_cache`` applies the routed actions off the
-query path, so the next query replays an already-advanced memo (and the
-refresh work itself populates the subjoin recycler).
+query path, so the next query replays an already-advanced memo.
 """
 
 import pytest
@@ -184,12 +183,6 @@ class TestApplication:
         assert len(planned) >= 2  # more work was routed than the tick allows
         counters = db.cache.counters_snapshot()
         assert counters["refresh_advances"] + counters["refresh_rebuilds"] == 1
-
-    def test_refresh_populates_the_recycler(self):
-        db = self._grown_db()
-        before = db.cache.counters_snapshot()["recycler_stored"]
-        db.refresh_cache()
-        assert db.cache.counters_snapshot()["recycler_stored"] > before
 
     def test_rebuild_route_applies_correctly(self):
         db = make_erp_db(

@@ -33,6 +33,17 @@ WORKLOAD_SQL = [
 ]
 
 
+SHED_KINDS = {"cold", "memo", "entry", "plan"}
+
+
+def _derived_bytes(entry) -> int:
+    """Bytes of an entry's delta memo plus its remembered output order."""
+    memo, order = entry.delta_memo, entry.result_order
+    return (memo.folded.approximate_nbytes() if memo is not None else 0) + (
+        order.nbytes() if order is not None else 0
+    )
+
+
 def _populated_db(**kwargs) -> Database:
     db = make_erp_db(**kwargs)
     load_erp(db, n_headers=8, merge=True)
@@ -64,44 +75,45 @@ class TestTrackedBytes:
 
 
 class TestSheddingOrder:
-    def test_recycled_subjoins_shed_before_memos_and_entries(self):
+    def test_shed_reports_exactly_cold_memo_entry_plan(self):
         db = _populated_db()
         _run_workload(db)
-        assert db.cache.recycler.entry_count() > 0
+        assert set(db.cache.shed_to_budget(db.cache.tracked_bytes())) == SHED_KINDS
+        assert set(db.cache.shed_to_budget(0)) == SHED_KINDS
+
+    def test_least_recently_used_memo_and_order_shed_first(self):
+        db = _populated_db()
+        _run_workload(db)
+        by_lru = sorted(
+            db.cache.entries(), key=lambda e: e.metrics.last_access_clock
+        )
+        derived = [e for e in by_lru if _derived_bytes(e)]
+        assert derived, "workload should have built delta memos"
         entries_before = db.cache.entry_count()
-        memos_before = sum(
-            1 for e in db.cache.entries() if e.delta_memo is not None
-        )
-        # A budget just below the full footprint: the recycled subjoins
-        # (cheapest-to-rebuild derived state) cover it alone.
+        # A budget just below the full footprint (no cold tier here): the
+        # least recently used entry's memo and order cover it alone.
         shed = db.cache.shed_to_budget(db.cache.tracked_bytes() - 1)
-        assert shed["recycler"] >= 1
-        assert shed["memo"] == 0
-        assert shed["entry"] == 0
-        assert db.cache.recycler.entry_count() == 0
+        assert shed == {"cold": 0, "memo": 1, "entry": 0, "plan": 0}
         assert db.cache.entry_count() == entries_before
-        assert (
-            sum(1 for e in db.cache.entries() if e.delta_memo is not None)
-            == memos_before
-        )
+        assert _derived_bytes(derived[0]) == 0
+        assert all(_derived_bytes(e) for e in derived[1:])
 
     def test_memos_shed_before_entries(self):
         db = _populated_db()
         _run_workload(db)
-        with_memos = [
-            e for e in db.cache.entries() if e.delta_memo is not None
-        ]
-        assert with_memos, "workload should have built delta memos"
+        held = [_derived_bytes(e) for e in db.cache.entries()]
         entries_before = db.cache.entry_count()
-        # Squeeze past the recycler stage: budget below the footprint minus
-        # everything the recycler can free, so at least one memo must go.
-        recycler_bytes = db.cache.recycler.nbytes()
-        shed = db.cache.shed_to_budget(
-            db.cache.tracked_bytes() - recycler_bytes - 1
-        )
-        assert shed["memo"] >= 1
-        assert shed["entry"] == 0
+        # A budget every memo and order together just meets: all of them
+        # go, no entry and no plan does.
+        shed = db.cache.shed_to_budget(db.cache.tracked_bytes() - sum(held))
+        assert shed == {
+            "cold": 0,
+            "memo": sum(1 for nbytes in held if nbytes),
+            "entry": 0,
+            "plan": 0,
+        }
         assert db.cache.entry_count() == entries_before
+        assert not any(_derived_bytes(e) for e in db.cache.entries())
 
     def test_entries_shed_when_memos_are_not_enough(self):
         db = _populated_db()

@@ -100,6 +100,7 @@ class TestRendering:
         assert "item" in text
         assert "aggregate cache:" in text
         assert "matching dependencies:" in text
+        assert "refresh:" in text
 
     def test_shell_stats_command(self):
         db = make_db()
@@ -131,44 +132,3 @@ class TestSnapshotCoherence:
         db.query(HEADER_ITEM_SQL, strategy=FULL)
         assert db.statistics().cache.tracked_bytes == db.cache.tracked_bytes()
 
-
-class TestRecyclerStats:
-    def test_recycler_counters_surface(self):
-        overlapping = (
-            "SELECT i.cid AS cid, COUNT(*) AS n "
-            "FROM header h, item i WHERE h.hid = i.hid GROUP BY i.cid"
-        )
-        db = make_db()
-        db.query(HEADER_ITEM_SQL, strategy=FULL)
-        db.query(overlapping, strategy=FULL)
-        cache = db.statistics().cache
-        assert cache.recycler_entries > 0
-        assert cache.recycler_bytes > 0
-        assert cache.recycler_hits > 0
-        assert 0.0 < cache.recycler_hit_rate <= 1.0
-
-    def test_render_mentions_recycler_and_refresh(self):
-        db = make_db()
-        db.query(HEADER_ITEM_SQL, strategy=FULL)
-        text = db.statistics().render()
-        assert "recycler:" in text
-        assert "refresh:" in text
-
-    def test_shell_recycler_command(self):
-        db = make_db()
-        db.query(HEADER_ITEM_SQL, strategy=FULL)
-        stdin = io.StringIO("\\recycler\n\\quit\n")
-        stdout = io.StringIO()
-        Shell(db=db, stdin=stdin, stdout=stdout).run()
-        out = stdout.getvalue()
-        assert "subjoin recycler:" in out
-        assert "hit-rate=" in out
-
-    def test_shell_recycler_command_when_disabled(self):
-        from repro import CacheConfig
-
-        db = make_erp_db(cache_config=CacheConfig(subjoin_recycler=False))
-        stdin = io.StringIO("\\recycler\n\\quit\n")
-        stdout = io.StringIO()
-        Shell(db=db, stdin=stdin, stdout=stdout).run()
-        assert "disabled" in stdout.getvalue()
