@@ -3,7 +3,7 @@
 from .admission import AdmissionPolicy, AdmissionRequest, AlwaysAdmit, ProfitAdmission
 from .cache_entry import AggregateCacheEntry
 from .cache_key import CacheKey, cache_key_for
-from .delta_compensation import build_compensation_combos, compensation_assignments
+from .delta_compensation import compensation_assignments
 from .enforcement import EnforcementStats, MDEnforcer
 from .eviction import EvictionPolicy, LruEviction, ProfitEviction
 from .explain import QueryPlan, SubjoinPlan, explain_query
@@ -43,7 +43,6 @@ __all__ = [
     "SubjoinPlan",
     "StaleEntryError",
     "apply_main_compensation",
-    "build_compensation_combos",
     "cache_key_for",
     "compensation_assignments",
     "explain_query",

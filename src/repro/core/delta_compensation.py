@@ -3,9 +3,9 @@
 A query answered from the aggregate cache combines the cached all-main
 aggregate(s) with the on-the-fly aggregate of every other partition
 combination: ``JwithCache(t) = JnoCache(t) \\ {main}^t``.  This module
-enumerates that compensation set, runs each subjoin through the
-:class:`JoinPruner`, and returns the surviving :class:`ComboSpec` list
-(with pushdown filters attached) ready for the executor.
+enumerates that compensation set; the planner (:mod:`repro.plan.physical`)
+runs each subjoin through the :class:`~repro.core.pruning.JoinPruner` and
+attaches the pushdown filters.
 
 Star-join-aware variant reduction (:mod:`repro.plan.star_join`) shrinks
 the enumeration itself: tables excluded by the planner are pinned to
@@ -28,15 +28,12 @@ restricts the rescans to the rows past the memo's watermarks.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Sequence, Tuple
 
-from ..obs.trace import Span
 from ..plan.star_join import ExcludedTable, exclusion_is_sound
-from ..query.executor import ComboSpec, describe_partitions
 from ..query.query import AggregateQuery
 from ..storage.catalog import Catalog
 from ..storage.partition import Partition
-from .pruning import JoinPruner, PruneReport
 
 
 def _combo_identity(assignment: Dict[str, Partition]) -> FrozenSet[Tuple[str, int]]:
@@ -90,69 +87,6 @@ def compensation_assignments(
         for chosen in itertools.product(*per_alias)
         if _combo_identity(dict(chosen)) not in cached_ids
     ]
-
-
-def build_compensation_combos(
-    query: AggregateQuery,
-    catalog: Catalog,
-    cached_combos: Sequence[Dict[str, Partition]],
-    pruner: Optional[JoinPruner],
-    report: Optional[PruneReport] = None,
-    span_sink: Optional[List[Span]] = None,
-    excluded: Sequence[ExcludedTable] = (),
-) -> List[ComboSpec]:
-    """Enumerate, prune, and annotate the delta-compensation subjoins.
-
-    ``pruner=None`` disables all pruning (the CACHED_NO_PRUNING strategy).
-    ``excluded`` applies star-join variant reduction (gate re-validated;
-    see :func:`compensation_assignments`).  The ``report`` collects
-    per-reason counters for benchmarks and tests — ``combos_total`` counts
-    the *reduced* enumeration, ``combos_excluded`` the combinations the
-    reduction skipped; ``span_sink`` (EXPLAIN ANALYZE) receives one trace
-    span per *pruned* subjoin carrying its prune reason — the evaluated
-    ones get their spans from the executor, so together the sink sees
-    every enumerated compensation subjoin exactly once.
-    """
-    live = sound_exclusions(query, catalog, excluded)
-    assignments = compensation_assignments(query, catalog, cached_combos, live)
-    if report is not None and live:
-        report.excluded_tables += len(live)
-        report.combos_excluded += excluded_combo_count(query, catalog, live)
-    combos: List[ComboSpec] = []
-    for assignment in assignments:
-        if report is not None:
-            report.combos_total += 1
-        if pruner is None:
-            combos.append(ComboSpec(assignment))
-            if report is not None:
-                report.evaluated += 1
-            continue
-        reason, pushdown = pruner.check(assignment)
-        if reason is not None:
-            if report is not None:
-                if reason == "empty":
-                    report.pruned_empty += 1
-                elif reason == "logical":
-                    report.pruned_logical += 1
-                else:
-                    report.pruned_dynamic += 1
-            if span_sink is not None:
-                span_sink.append(
-                    Span(
-                        name="subjoin",
-                        attrs={
-                            "combo": describe_partitions(assignment),
-                            "status": "pruned",
-                            "prune_reason": reason,
-                        },
-                    )
-                )
-            continue
-        if report is not None:
-            report.evaluated += 1
-            report.pushdown_filters += sum(len(v) for v in pushdown.values())
-        combos.append(ComboSpec(assignment, extra_filters=pushdown))
-    return combos
 
 
 def excluded_combo_count(

@@ -39,14 +39,13 @@ grows.  A subjoin pruned at memo time was truly empty over the covered
 prefixes (the pruner is conservative over *all* physical rows), so its
 prefix contribution to ``folded`` is zero regardless of which strategy
 later evaluates it; once it grows, its new rows sit above the watermark and
-the inclusion–exclusion expansion in :func:`incremental_specs` rescans
-every old×new cross term.
+the telescoped expansion in :func:`incremental_specs` scans every term
+holding a new row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Dict, List, Optional, Tuple
 
 from ..query.aggregates import GroupedAggregates
@@ -187,24 +186,26 @@ def incremental_specs(
     """Expand the evaluated subjoins into delta-restricted combo specs.
 
     For each evaluated subjoin whose partitions grew past their watermarks,
-    the contribution of the new rows is the inclusion–exclusion expansion
-    over the grown aliases: with old region ``O_a = [0, W_a)`` and new
-    region ``N_a = [W_a, rc_a)``,
+    the contribution of the new rows telescopes over the ``k`` grown
+    aliases ``g_1 … g_k`` (sorted): with old region ``O_a = [0, W_a)``, new
+    region ``N_a = [W_a, rc_a)`` and full extent ``F_a = [0, rc_a)``,
 
-        join(full) - join(old) = Σ_{∅ ≠ T ⊆ grown} join(a∈T: N_a, a∉T: O_a)
+        join(full) - join(old) = Σ_i join(g_<i: F, g_i: N, g_>i: O)
 
-    — every term pins at least one alias to its new rows, so no old×old
-    work is repeated.  Aliases whose partition did not grow keep their
-    plain snapshot scan (their full extent is the old region).
+    — term ``i`` is join(g_≤i full, rest old) minus join(g_<i full, rest
+    old), so the sum collapses to the difference, and every term pins one
+    alias to its new rows: no old×old work is repeated.  The same identity
+    drives main compensation (:mod:`repro.core.main_compensation`).
+    Aliases whose partition did not grow keep their plain snapshot scan
+    (their full extent is the old region).
 
     Returns ``(specs, spec_counts, rows_saved)``: the executor-ready
-    specs in deterministic order (subjoin order, then subsets by size then
-    alias tuple), a map of subjoin index → number of specs it expanded to
-    (``2^k - 1`` for ``k`` grown aliases; 0 = fully memoized), and the
-    number of already-covered prefix rows whose rescan the expansion
-    avoided (the sum of watermarks of each evaluated subjoin's partitions —
-    an approximation of the full-mode scan volume, which full mode would
-    partially share across subjoins via scan memos).
+    specs in deterministic order (subjoin order, then term order), a map
+    of subjoin index → number of specs it expanded to (``k``; 0 = fully
+    memoized), and the number of already-covered prefix rows whose rescan
+    the expansion avoided (the sum of watermarks of each evaluated
+    subjoin's partitions — an approximation of the full-mode scan volume,
+    which full mode would partially share across subjoins via scan memos).
     """
     specs: List[ComboSpec] = []
     spec_counts: Dict[int, int] = {}
@@ -220,29 +221,25 @@ def incremental_specs(
         rows_saved += sum(
             watermarks.get(id(p), 0) for p in sub.partitions.values()
         )
-        spec_counts[index] = (1 << len(grown)) - 1
-        if not grown:
-            continue
-        for size in range(1, len(grown) + 1):
-            for subset in combinations(grown, size):
-                chosen = set(subset)
-                fixed: Dict[str, RowRange] = {}
-                for alias in grown:
-                    partition = sub.partitions[alias]
-                    low = watermarks.get(id(partition), 0)
-                    if alias in chosen:
-                        fixed[alias] = RowRange(low, partition.row_count)
-                    else:
-                        fixed[alias] = RowRange(0, low)
-                specs.append(
-                    ComboSpec(
-                        dict(sub.partitions),
-                        extra_filters={
-                            a: list(f) for a, f in sub.pushdown.items()
-                        },
-                        fixed_rows=fixed,
-                    )
+        spec_counts[index] = len(grown)
+        for term in range(len(grown)):
+            fixed: Dict[str, RowRange] = {}
+            for position, alias in enumerate(grown):
+                partition = sub.partitions[alias]
+                low = watermarks.get(id(partition), 0)
+                if position < term:
+                    fixed[alias] = RowRange(0, partition.row_count)
+                elif position == term:
+                    fixed[alias] = RowRange(low, partition.row_count)
+                else:
+                    fixed[alias] = RowRange(0, low)
+            specs.append(
+                ComboSpec(
+                    dict(sub.partitions),
+                    extra_filters={a: list(f) for a, f in sub.pushdown.items()},
+                    fixed_rows=fixed,
                 )
+            )
     return specs, spec_counts, rows_saved
 
 

@@ -12,14 +12,18 @@ All the fates rendered here come straight from the
 :class:`~repro.plan.physical.PhysicalPlan` the manager's planner built —
 the same object :meth:`~repro.core.manager.AggregateCacheManager.execute`
 interprets — so EXPLAIN can never disagree with execution.  Only the
-HIT/MISS entry states are resolved here, against the live entry map.
+HIT/MISS entry states and the displayed join order are resolved here: the
+order is the executor's own :func:`~repro.plan.cost.choose_join_order` over
+plan-time estimates of the current partitions (at run time the executor
+ranks the actual scan counts instead), so the plan need not carry it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
+from ..plan.cost import choose_join_order, estimate_scan_rows, tier_weighted_costs
 from ..query.query import AggregateQuery
 from .strategies import ExecutionStrategy
 
@@ -144,13 +148,27 @@ def explain_query(
             alias: [e.canonical() for e in exprs]
             for alias, exprs in sub.pushdown.items()
         }
+        probe, order = display_join_order(physical.query, sub)
         plan.subjoins.append(
             SubjoinPlan(
-                names,
-                "evaluate",
-                pushdown=rendered,
-                probe_side=sub.probe_side,
-                join_order=list(sub.join_order),
+                names, "evaluate", pushdown=rendered, probe_side=probe, join_order=order
             )
         )
     return plan
+
+
+def display_join_order(query: AggregateQuery, sub) -> Tuple[str, List[str]]:
+    """Probe side and left-deep order (probe first) of one evaluated
+    subjoin, seeded from estimated scan sizes: partition rows halved per
+    local or pushdown filter, weighted by storage tier."""
+    estimates = {
+        alias: estimate_scan_rows(
+            partition.row_count,
+            len(query.local_filters(alias)) + len(sub.pushdown.get(alias, ())),
+        )
+        for alias, partition in sub.partitions.items()
+    }
+    probe, steps = choose_join_order(
+        query, tier_weighted_costs(estimates, sub.partitions)
+    )
+    return probe, [probe] + [step.alias for step in steps]

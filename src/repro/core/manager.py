@@ -30,7 +30,7 @@ from ..obs.instruments import EngineMetrics
 from ..obs.trace import QueryTrace, Span
 from ..plan.cache import PlanCache
 from ..plan.logical import Binder
-from ..plan.physical import PhysicalPlan, Planner, plan_signature
+from ..plan.physical import PhysicalPlan, Planner, plan_validity
 from ..plan.star_join import normalize_star_join_override
 from ..query.aggregates import GroupedAggregates
 from ..query.executor import (
@@ -239,27 +239,26 @@ class AggregateCacheManager:
         """Activate an MD for pruning/pushdown decisions."""
         with self._lock:
             self._mds.append(md)
-        self._bump_plan_versions((md.parent_table, md.child_table))
+        self._bump_plan_epochs((md.parent_table, md.child_table))
 
     def register_consistent_aging(self, declaration: ConsistentAging) -> None:
         """Activate a consistent-aging declaration for logical pruning."""
         with self._lock:
             self._agings.append(declaration)
-        self._bump_plan_versions(
+        self._bump_plan_epochs(
             (declaration.left_table, declaration.right_table)
         )
 
-    def _bump_plan_versions(self, table_names) -> None:
+    def _bump_plan_epochs(self, table_names) -> None:
         """Invalidate cached plans over the given tables.
 
-        Object-awareness registrations change pruning/pushdown decisions
-        for exactly the plans referencing these tables; bumping the table
-        versions fails their signature compare while unrelated plans stay
-        hot.
+        Object-awareness registrations change the pruner of exactly the
+        plans referencing these tables; bumping the table epochs fails
+        their structure compare while unrelated plans stay hot.
         """
         for name in table_names:
             if self._catalog.has_table(name):
-                self._catalog.table(name).bump_version()
+                self._catalog.table(name).bump_epoch()
 
     @property
     def matching_dependencies(self) -> List[MatchingDependency]:
@@ -392,10 +391,10 @@ class AggregateCacheManager:
         Accepts raw SQL text or a query object.  The plan cache is probed
         first — for SQL text by the raw statement (a hit skips parse *and*
         bind), then by the bound statement's canonical + presentation keys
-        (a hit covers re-spellings of the same statement).  A valid cached
-        plan is an integer-compare away
-        (:func:`~repro.plan.physical.plan_signature`); otherwise the statement is bound and lowered, and the fresh plan is
-        admitted under both slots.
+        (a hit covers re-spellings of the same statement).  A cached plan
+        whose tables only saw DML since gets its verdicts re-derived
+        (:meth:`_rederive`); otherwise the statement is bound and lowered,
+        and the fresh plan is admitted under both slots.
 
         ``star_join_tables`` is the per-statement star-join override
         (None = config override, then automatic detection).  It is part
@@ -413,7 +412,7 @@ class AggregateCacheManager:
         plan = None
         outcome: Optional[str] = None
         if sql_key is not None:
-            plan, outcome = self.plan_cache.get(sql_key, self._signature_of)
+            plan, outcome = self.plan_cache.get(sql_key, self._validity_of)
         bound = None
         if plan is None:
             parsed = parse_sql(sql) if sql is not None else query
@@ -421,7 +420,9 @@ class AggregateCacheManager:
         if bind_span is not None:
             bind_span.finish()
         plan_span = trace.child("plan") if trace is not None else None
-        if plan is None:
+        if outcome == "stale":
+            plan, outcome = self._rederive(sql_key, plan)
+        elif plan is None:
             # The canonical key leaves out what does not change the cached
             # extent; the plan carries the whole statement, so its slot must
             # also tell HAVING / ORDER BY / LIMIT / output names apart.
@@ -432,20 +433,13 @@ class AggregateCacheManager:
                 strategy.value,
                 override,
             )
-            plan, canon_outcome = self.plan_cache.get(canon_key, self._signature_of)
+            plan, canon_outcome = self.plan_cache.get(canon_key, self._validity_of)
+            if canon_outcome == "stale":
+                plan, canon_outcome = self._rederive(canon_key, plan)
             if outcome is None or plan is not None or canon_outcome == "invalidated":
                 outcome = canon_outcome
             if plan is None:
-                build_started = time.perf_counter()
-                with self._lock:
-                    mds, agings = list(self._mds), list(self._agings)
-                plan = self._planner.build(
-                    self._binder.plan(bound), strategy, mds, agings,
-                    star_override=override,
-                )
-                self.obs.plan_build_seconds.observe(
-                    time.perf_counter() - build_started
-                )
+                plan = self._build(self._binder.plan(bound), strategy, override)
                 self.plan_cache.put(
                     canon_key,
                     plan,
@@ -463,21 +457,43 @@ class AggregateCacheManager:
             self.obs.plan_cache_lookups.labels(outcome).inc()
         return plan
 
-    def _signature_of(self, plan: PhysicalPlan) -> Tuple:
-        """The current validity fingerprint of a cached plan's tables.
+    def _build(self, logical, strategy, override) -> PhysicalPlan:
+        """A full plan build under the registered MDs and agings."""
+        build_started = time.perf_counter()
+        with self._lock:
+            mds, agings = list(self._mds), list(self._agings)
+        plan = self._planner.build(
+            logical, strategy, mds, agings, star_override=override
+        )
+        self.obs.plan_build_seconds.observe(time.perf_counter() - build_started)
+        return plan
 
-        Reuses the plan's stored exclusion decision: exclusions are a pure
-        function of (query, override, config flag, table versions), and
-        the versions are in the signature — so a delta going empty→
-        non-empty bumps its table's version, mismatches here, and forces
-        a rebuild that re-detects.
+    def _rederive(self, key, stale: PhysicalPlan) -> Tuple[PhysicalPlan, str]:
+        """Settle a ``"stale"`` lookup of ``key`` — same structure, the data
+        moved — outside the cache lock.
+
+        The verdicts are re-derived over the cached skeleton (outcome
+        ``"hit"``).  If the star-join exclusions flipped instead, the plan
+        is rebuilt from the cached logical plan, which the unchanged
+        structure keeps valid (outcome ``"invalidated"``).
         """
-        return plan_signature(
+        fresh = self._planner.reprune(stale)
+        rederived = fresh is not None
+        if not rederived:
+            fresh = self._build(stale.logical, stale.strategy, stale.star_override)
+        self.plan_cache.settle(key, stale, fresh, rederived)
+        return fresh, "hit" if rederived else "invalidated"
+
+    def _validity_of(self, plan: PhysicalPlan) -> Tuple[Tuple, Tuple]:
+        """The current ``(structure, signature)`` of a cached plan's
+        tables, under the plan's own exclusion decision (see
+        :func:`~repro.plan.physical.plan_validity`)."""
+        return plan_validity(
             self._catalog,
             self.config,
             plan.table_names(),
-            star_override=plan.star_override,
-            excluded=plan.excluded,
+            plan.star_override,
+            plan.excluded,
         )
 
     # ------------------------------------------------------------------
@@ -1405,8 +1421,8 @@ class AggregateCacheManager:
     ) -> Optional[DeltaMemo]:
         """Merge the memo's folded value and scan only the delta suffix.
 
-        The executor evaluates the inclusion–exclusion expansion of the
-        grown subjoins (see :func:`~repro.core.delta_memo.incremental_specs`)
+        The executor evaluates the telescoped expansion of the grown
+        subjoins (see :func:`~repro.core.delta_memo.incremental_specs`)
         into a private aggregate, which is merged into both the result and
         the advanced memo.  The advance is installed compare-and-swap: a
         losing racer keeps its correct local result and discards its memo.

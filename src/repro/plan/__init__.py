@@ -7,10 +7,11 @@ thrown away) by the executor, the cache manager, and EXPLAIN separately:
   catalog once, producing a :class:`~repro.plan.logical.LogicalPlan`;
 * :class:`~repro.plan.physical.Planner` lowers it to a
   :class:`~repro.plan.physical.PhysicalPlan` — every subjoin's partition
-  assignment, prune verdict, pushdown filters, and cost-seeded join order;
+  assignment, prune verdict, and pushdown filters;
 * :class:`~repro.plan.cache.PlanCache` keys plans by (normalized
-  statement, strategy) and validates them against per-table version
-  counters, so repeated statements skip parse/bind/enumeration entirely.
+  statement, strategy) and validates them against per-table structural
+  epochs, so repeated statements skip parse/bind/enumeration entirely —
+  after DML only the prune verdicts are derived again.
 
 ``cost``, ``logical``, and ``star_join`` are imported eagerly (they
 depend only on the query/storage layers); ``physical`` and ``cache``

@@ -1,4 +1,4 @@
-"""The versioned plan cache: normalized statement → :class:`PhysicalPlan`.
+"""The plan cache: normalized statement → :class:`PhysicalPlan`.
 
 Plans are cached under two slots pointing at one entry:
 
@@ -8,15 +8,20 @@ Plans are cached under two slots pointing at one entry:
   byte-identical statements *before* parse/bind, which is what removes the
   fixed parse/bind/enumeration cost from the repeated-query hot path.
 
-Validity is an integer compare: every entry stores the
-:func:`~repro.plan.physical.plan_signature` of its build moment, and a
-lookup recomputes the current signature — table versions are bumped on
-DML/merge/DDL, so a stale plan can never be served.  Stale entries are
-dropped on discovery (outcome ``"invalidated"``); capacity is enforced by
-LRU over entries (an entry and all its alias slots live and die together).
+Validity is two tuple compares (see
+:func:`~repro.plan.physical.plan_validity`), both computed in one pass per
+lookup.  A changed ``structure`` — a merge, schema change, MD / aging
+registration, config switch, or a dropped table — drops the entry
+(outcome ``"invalidated"``).  A matching structure with a changed data
+``signature`` — insert, update or delete — returns the plan as
+``"stale"``: the caller re-derives its verdicts outside the lock and
+:meth:`PlanCache.settle` swaps the fresh plan in (counted as a hit), or a
+rebuild when the star-join exclusions flipped (counted as an
+invalidation).  Capacity is enforced by LRU over entries (an entry and
+all its alias slots live and die together).
 
 The cache is thread-safe: one lock guards the maps, and lookups never run
-user code under it beyond the signature recompute (a few attribute reads).
+user code under it beyond the validity recompute (a few attribute reads).
 """
 
 from __future__ import annotations
@@ -36,16 +41,15 @@ PlanKey = Tuple
 
 
 class _Entry:
-    __slots__ = ("plan", "signature", "alias_keys")
+    __slots__ = ("plan", "alias_keys")
 
-    def __init__(self, plan: PhysicalPlan, signature: Tuple, alias_keys: Tuple):
+    def __init__(self, plan: PhysicalPlan, alias_keys: Tuple):
         self.plan = plan
-        self.signature = signature
         self.alias_keys = alias_keys
 
 
 class PlanCache:
-    """Bounded, versioned, thread-safe cache of physical plans."""
+    """Bounded, epoch-keyed, thread-safe cache of physical plans."""
 
     def __init__(self, capacity: int = 128):
         self._capacity = capacity
@@ -58,6 +62,10 @@ class PlanCache:
         self.misses = 0
         self.invalidations = 0
         self.evictions = 0
+        #: Hits that re-derived the verdicts over the cached skeleton.
+        self.rederived = 0
+        #: Invalidations found by re-deriving: the exclusions flipped.
+        self.exclusion_flips = 0
 
     @property
     def enabled(self) -> bool:
@@ -70,14 +78,17 @@ class PlanCache:
 
     # ------------------------------------------------------------------
     def get(
-        self, key: PlanKey, signer: Callable[[PhysicalPlan], Tuple]
+        self,
+        key: PlanKey,
+        validity: Callable[[PhysicalPlan], Tuple[Tuple, Tuple]],
     ) -> Tuple[Optional[PhysicalPlan], str]:
         """Look up a plan; returns ``(plan, outcome)``.
 
-        ``signer`` recomputes the current signature of a candidate plan
-        (catalog versions + config); a mismatch — or a signer exception,
-        e.g. a referenced table was dropped — invalidates the entry in
-        place.  Outcomes: ``"hit"``, ``"miss"``, ``"invalidated"``.
+        ``validity`` recomputes a candidate plan's current ``(structure,
+        signature)``.  A structure mismatch — or an exception, e.g. a
+        referenced table was dropped — invalidates the entry in place.
+        Outcomes: ``"hit"``, ``"stale"`` (structure holds, data moved: the
+        plan comes back for :meth:`settle`), ``"miss"``, ``"invalidated"``.
         """
         if not self.enabled:
             return None, "miss"
@@ -87,17 +98,41 @@ class PlanCache:
             if entry is None:
                 self.misses += 1
                 return None, "miss"
+            plan = entry.plan
             try:
-                current = signer(entry.plan)
+                structure, signature = validity(plan)
             except Exception:
-                current = None
-            if current != entry.signature:
-                self._drop_locked(primary)
+                structure = signature = None
+            # The signature embeds the structure: one compare on a pure hit.
+            if signature == plan.signature:
+                self._entries.move_to_end(primary)
+                self.hits += 1
+                return plan, "hit"
+            if structure == plan.structure:
+                self._entries.move_to_end(primary)
+                return plan, "stale"
+            self._drop_locked(primary)
+            self.invalidations += 1
+            return None, "invalidated"
+
+    def settle(
+        self, key: PlanKey, stale: PhysicalPlan, fresh: PhysicalPlan, rederived: bool
+    ) -> None:
+        """Finish a ``"stale"`` lookup of ``key`` by swapping ``fresh`` into
+        the entry, if it still holds ``stale`` (a concurrent reader may have
+        settled it first).  ``rederived``: ``fresh`` re-derived the verdicts
+        (counted as a hit); otherwise the star-join exclusions flipped and
+        ``fresh`` is a rebuild (counted as an invalidation)."""
+        with self._lock:
+            if rederived:
+                self.hits += 1
+                self.rederived += 1
+            else:
                 self.invalidations += 1
-                return None, "invalidated"
-            self._entries.move_to_end(primary)
-            self.hits += 1
-            return entry.plan, "hit"
+                self.exclusion_flips += 1
+            entry = self._entries.get(self._aliases.get(key, key))
+            if entry is not None and entry.plan is stale:
+                entry.plan = fresh
 
     def put(
         self,
@@ -108,15 +143,15 @@ class PlanCache:
         """Admit a plan under its canonical key plus optional alias slots.
 
         Re-admitting an existing primary key replaces the entry (its old
-        alias slots are released).  The plan's own ``signature`` — stamped
-        at build time — is what future lookups compare against.
+        alias slots are released).  The plan's own ``structure`` and
+        ``signature`` are what future lookups compare against.
         """
         if not self.enabled:
             return
         with self._lock:
             if primary_key in self._entries:
                 self._drop_locked(primary_key)
-            entry = _Entry(plan, plan.signature, tuple(alias_keys))
+            entry = _Entry(plan, tuple(alias_keys))
             self._entries[primary_key] = entry
             for alias in entry.alias_keys:
                 self._aliases[alias] = primary_key
@@ -169,6 +204,8 @@ class PlanCache:
                 "misses": self.misses,
                 "invalidations": self.invalidations,
                 "evictions": self.evictions,
+                "rederived": self.rederived,
+                "exclusion_flips": self.exclusion_flips,
             }
 
     def cached_plans(self) -> List[PhysicalPlan]:

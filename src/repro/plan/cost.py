@@ -1,13 +1,14 @@
-"""The planner's cost model: join ordering and scan-size estimation.
+"""The cost model: join ordering and scan-size estimation.
 
 The engine keeps exactly one join-ordering algorithm — a left-deep order
 over the (connected) join graph, probing from the largest input and
-hashing the smallest connectable candidate first.  The *planner* runs it
-over **estimated** partition row counts (physical rows discounted by a
-fixed per-filter selectivity) to expose the expected order in EXPLAIN;
-the *executor* runs the same function over the **actual** scanned row
-counts of each subjoin, so the runtime order adapts to visibility and
-filters while remaining bit-identical between serial and parallel runs.
+hashing the smallest connectable candidate first.  The *executor* runs it
+over the **actual** scanned row counts of each subjoin, so the runtime
+order adapts to visibility and filters while remaining bit-identical
+between serial and parallel runs.  EXPLAIN runs the same function over
+**estimated** partition row counts (physical rows discounted by a fixed
+per-filter selectivity) to display the expected order; physical plans
+carry no order.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from ..errors import QueryError
 from ..query.query import AggregateQuery, JoinEdge
 
 #: Fixed selectivity attributed to each local/pushdown filter conjunct when
-#: estimating scan sizes at plan time.  Deliberately crude — the estimate
-#: only seeds join ordering and EXPLAIN display, never correctness.
+#: estimating scan sizes for EXPLAIN.  Deliberately crude — the estimate
+#: only seeds the displayed join order, never execution or correctness.
 FILTER_SELECTIVITY = 0.5
 
 #: Cost multiplier for scanning a memory-mapped cold partition relative to
@@ -113,7 +114,7 @@ def estimate_scan_rows(physical_rows: int, n_filters: int) -> int:
     """Expected rows surviving a scan with ``n_filters`` local conjuncts.
 
     ``ceil``-free on purpose: a partition with rows never estimates to zero
-    (the floor is 1), so plan-time ordering cannot mistake a filtered
+    (the floor is 1), so the estimated ordering cannot mistake a filtered
     partition for an empty one.
     """
     if physical_rows <= 0:

@@ -1,22 +1,29 @@
 """Physical planning: :class:`LogicalPlan` → :class:`PhysicalPlan`.
 
 The :class:`Planner` lowers a bound statement to everything execution
-needs, decided once: the cached all-main combinations with their cache
-keys, the full compensation-subjoin list with each subjoin's fate (prune
-verdict + reason, pushdown filters), and a cost-seeded join order / probe
-side per evaluated subjoin (estimated partition row counts through
-:mod:`repro.plan.cost`).  EXPLAIN, EXPLAIN ANALYZE, and ``execute`` all
-consume the same :class:`PhysicalPlan` object, so they cannot drift.
+needs, in two halves:
 
-A plan is a snapshot of the partition layout at build time; its
-``signature`` folds every referenced table's version counter, so the plan
-cache can decide validity with an integer compare (see
-:func:`plan_signature`).
+* the **skeleton**, fixed by the catalog's structure — the cached
+  all-main combinations with their cache keys, the star-join exclusions,
+  the compensation assignments (one partition per alias), and the
+  :class:`JoinPruner` built from the registered MDs and agings;
+* the **verdicts**, derived from the data — each subjoin's fate (prune
+  verdict + reason, pushdown filters) over the partitions' current
+  ``tid`` ranges and row counts: the paper's runtime prefilter (Eq. 5).
+
+EXPLAIN, EXPLAIN ANALYZE, and ``execute`` all consume the same
+:class:`PhysicalPlan` object, so they cannot drift.
+
+A plan carries two keys (see :func:`plan_validity`): its ``structure``
+folds every referenced table's structural ``epoch``, its ``signature``
+every table's data ``version``.  The plan cache keeps a plan while the
+structure matches and, when only the data moved, has
+:meth:`Planner.reprune` re-derive the verdicts over the same skeleton.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..query.executor import ComboSpec, all_partition_combos, main_only_combos
@@ -25,14 +32,9 @@ from ..query.query import AggregateQuery
 from ..storage.catalog import Catalog
 from ..storage.partition import Partition
 from ..core.cache_key import CacheKey, cache_key_for
-from ..core.delta_compensation import (
-    compensation_assignments,
-    excluded_combo_count,
-    sound_exclusions,
-)
+from ..core.delta_compensation import compensation_assignments, excluded_combo_count
 from ..core.pruning import JoinPruner, PruneReport
 from ..core.strategies import CacheConfig, ExecutionStrategy
-from .cost import choose_join_order, estimate_scan_rows, tier_weighted_costs
 from .logical import LogicalPlan
 from .star_join import (
     ExcludedTable,
@@ -50,15 +52,6 @@ class PlannedSubjoin:
     action: str  # "evaluate" | "pruned"
     reason: str = ""  # "", "empty", "logical", "dynamic"
     pushdown: Dict[str, List[Expr]] = field(default_factory=dict)
-    #: Plan-time scan-size estimates per alias (cost-model input).
-    estimated_rows: Dict[str, int] = field(default_factory=dict)
-    #: Tier-weighted scan costs (rows × cold-scan multiplier) — what the
-    #: join ordering actually ranked; equals ``estimated_rows`` while every
-    #: partition is resident.
-    estimated_cost: Dict[str, float] = field(default_factory=dict)
-    #: Cost-seeded probe side and full left-deep order (probe first).
-    probe_side: Optional[str] = None
-    join_order: List[str] = field(default_factory=list)
     #: True on pruned subjoins that involved a memory-mapped cold
     #: partition: the verdict came from the RAM synopsis, a cold disk
     #: scan was skipped without faulting anything in.
@@ -78,13 +71,25 @@ class PlannedSubjoin:
 
 @dataclass
 class PhysicalPlan:
-    """Everything needed to answer one statement under one strategy."""
+    """Everything needed to answer one statement under one strategy.
+
+    Never mutated once built: :meth:`Planner.reprune` derives a new plan
+    that shares this one's skeleton.
+    """
 
     logical: LogicalPlan
     strategy: ExecutionStrategy
+    #: The two halves of :func:`plan_validity` at the moment the verdicts
+    #: were derived.
+    structure: Tuple = ()
     signature: Tuple = ()
     cached_combos: List[Dict[str, Partition]] = field(default_factory=list)
     cache_keys: List[CacheKey] = field(default_factory=list)
+    #: Every subjoin's alias → partition assignment, in subjoin order: the
+    #: skeleton the verdicts are derived over.
+    assignments: List[Dict[str, Partition]] = field(default_factory=list)
+    #: Derives the verdicts; None when the strategy prunes nothing.
+    pruner: Optional[JoinPruner] = None
     subjoins: List[PlannedSubjoin] = field(default_factory=list)
     prune: PruneReport = field(default_factory=PruneReport)
     #: Star-join variant reduction: tables pinned to their mains with a
@@ -117,6 +122,51 @@ class PhysicalPlan:
         return excluded_fingerprint(self.excluded)
 
 
+def plan_validity(
+    catalog: Catalog,
+    config: CacheConfig,
+    table_names: Sequence[str],
+    star_override: Optional[Tuple[str, ...]] = None,
+    excluded: Tuple[ExcludedTable, ...] = (),
+) -> Tuple[Tuple, Tuple]:
+    """``(structure, signature)`` of a plan over ``table_names``, in one
+    pass over the tables.
+
+    ``structure`` is what a plan's meaning depends on: the pruning-relevant
+    config switches, the star-join flag and overrides, and every
+    referenced table's (name, id, epoch).  Merges, schema changes and MD /
+    aging registration move the epoch, drop/recreate changes the id.
+    While it holds, a cached plan's skeleton stands.
+
+    ``signature`` adds every table's data ``version`` — insert, update and
+    delete move it too — and the ``(alias, reason)`` star-join exclusions.
+    Equal signatures mean nothing a plan's verdicts, a delta memo, or a
+    remembered output order was derived from has changed (see
+    :func:`repro.core.delta_memo.classify_memo`).  A dimension delta going
+    empty→non-empty flips the exclusions; :meth:`Planner.reprune` then
+    refuses, the plan is rebuilt, and memos stamped with the old
+    exclusions are never replayed.
+
+    Raises ``CatalogError`` when a referenced table no longer exists (the
+    caller treats that as invalidated).
+    """
+    switches = (
+        config.predicate_pushdown,
+        config.enforce_referential_integrity,
+        config.star_join_reduction,
+        normalize_star_join_override(config.star_join_tables),
+        star_override,
+    )
+    tables = []
+    versions = []
+    for name in table_names:
+        table = catalog.table(name)
+        tables.append((name, table.table_id, table.epoch))
+        versions.append(table.version)
+    structure = (switches, tuple(tables))
+    return structure, (structure, excluded_fingerprint(excluded), tuple(versions))
+
+
 def plan_signature(
     catalog: Catalog,
     config: CacheConfig,
@@ -124,37 +174,8 @@ def plan_signature(
     star_override: Optional[Tuple[str, ...]] = None,
     excluded: Tuple[ExcludedTable, ...] = (),
 ) -> Tuple:
-    """The validity fingerprint of a plan over ``table_names``.
-
-    Folds the pruning-relevant config switches plus every referenced
-    table's (name, id, version): DML, merges, and schema changes bump the
-    version, drop/recreate changes the id — so "is this cached plan still
-    valid?" is a tuple equality, no content inspection.  Raises
-    ``CatalogError`` when a referenced table no longer exists (the caller
-    treats that as invalidated).
-
-    The star-join component pins the variant-reduction decision: the
-    config flag and override, the per-statement override, and the
-    resulting ``(alias, reason)`` exclusions.  Toggling any of these —
-    or a dimension delta going empty→non-empty, which flips the detected
-    exclusions — changes the signature, invalidating cached plans *and*
-    delta memos stamped with it (memos folded over a different combo set
-    must never be replayed; see :func:`repro.core.delta_memo.classify_memo`).
-    """
-    return (
-        config.predicate_pushdown,
-        config.enforce_referential_integrity,
-        (
-            config.star_join_reduction,
-            normalize_star_join_override(config.star_join_tables),
-            star_override,
-            excluded_fingerprint(excluded),
-        ),
-        tuple(
-            (name, catalog.table(name).table_id, catalog.table(name).version)
-            for name in table_names
-        ),
-    )
+    """The ``signature`` half of :func:`plan_validity`."""
+    return plan_validity(catalog, config, table_names, star_override, excluded)[1]
 
 
 class Planner:
@@ -173,57 +194,36 @@ class Planner:
         star_override: Optional[Tuple[str, ...]] = None,
     ) -> PhysicalPlan:
         """Plan ``logical`` under ``strategy`` with the given object
-        declarations (matching dependencies / consistent agings).
+        declarations (matching dependencies / consistent agings): the
+        skeleton, then the verdicts :meth:`reprune` re-derives.
 
         ``star_override`` is the normalized per-statement
         ``star_join_tables`` override (None = fall back to the config
         override, then automatic detection).
         """
         bound = logical.query
-        excluded: Tuple[ExcludedTable, ...] = ()
-        if (
-            strategy.uses_cache
-            and strategy.prunes_empty
-            and logical.cacheable
-            and self._config.star_join_reduction
-        ):
-            effective = (
-                star_override
-                if star_override is not None
-                else normalize_star_join_override(self._config.star_join_tables)
-            )
-            excluded = detect_star_join_tables(bound, self._catalog, effective)
         plan = PhysicalPlan(
             logical=logical,
             strategy=strategy,
-            signature=plan_signature(
-                self._catalog,
-                self._config,
-                logical.table_names(),
-                star_override=star_override,
-                excluded=excluded,
-            ),
-            excluded=excluded,
+            excluded=self._exclusions(logical, strategy, star_override),
             star_override=star_override,
         )
         if not strategy.uses_cache or not logical.cacheable:
-            # The uncached path evaluates the full product and never runs
-            # the pruner, so the prune report stays zeroed — matching what
-            # execution reports for these statements.
-            for assignment in all_partition_combos(bound, self._catalog):
-                plan.subjoins.append(self._planned_evaluate(bound, assignment, {}))
-            return plan
+            plan.assignments = all_partition_combos(bound, self._catalog)
+            return self._derive(plan)
         plan.cached_combos = main_only_combos(bound, self._catalog)
         plan.cache_keys = [
             cache_key_for(bound, self._catalog, combo)
             for combo in plan.cached_combos
         ]
-        pruner: Optional[JoinPruner] = None
+        plan.assignments = compensation_assignments(
+            bound, self._catalog, plan.cached_combos, plan.excluded
+        )
         if strategy.prunes_empty or strategy.prunes_dynamic:
             # obs=None: per-decision metrics would under-count on plan-cache
             # hits.  The manager folds the plan's PruneReport into the
             # registry once per query instead.
-            pruner = JoinPruner(
+            plan.pruner = JoinPruner(
                 bound,
                 mds,
                 agings,
@@ -232,70 +232,94 @@ class Planner:
                 assume_md_integrity=self._config.enforce_referential_integrity,
                 obs=None,
             )
-        live = sound_exclusions(bound, self._catalog, plan.excluded)
-        if live:
-            plan.prune.excluded_tables = len(live)
-            plan.prune.combos_excluded = excluded_combo_count(
-                bound, self._catalog, live
-            )
-        for assignment in compensation_assignments(
-            bound, self._catalog, plan.cached_combos, live
-        ):
-            plan.prune.combos_total += 1
-            if pruner is None:
-                plan.prune.evaluated += 1
-                plan.subjoins.append(self._planned_evaluate(bound, assignment, {}))
-                continue
-            reason, pushdown = pruner.check(assignment)
-            if reason is not None:
-                if reason == "empty":
-                    plan.prune.pruned_empty += 1
-                elif reason == "logical":
-                    plan.prune.pruned_logical += 1
-                else:
-                    plan.prune.pruned_dynamic += 1
-                synopsis = any(
-                    p.storage_tier == "mapped" for p in assignment.values()
-                )
-                if synopsis:
-                    plan.prune.synopsis_skips += 1
-                plan.subjoins.append(
-                    PlannedSubjoin(
-                        dict(assignment), "pruned", reason,
-                        synopsis_pruned=synopsis,
-                    )
-                )
-                continue
-            plan.prune.evaluated += 1
-            plan.prune.pushdown_filters += sum(len(v) for v in pushdown.values())
-            plan.subjoins.append(self._planned_evaluate(bound, assignment, pushdown))
-        return plan
+        return self._derive(plan)
 
-    def _planned_evaluate(
+    def reprune(self, plan: PhysicalPlan) -> Optional[PhysicalPlan]:
+        """Re-derive the verdicts of a plan whose tables' data changed but
+        whose structure did not.
+
+        Returns a new plan sharing ``plan``'s skeleton, or None when the
+        star-join exclusions flipped (a dimension delta went empty →
+        non-empty): that changes the assignments and the memo identity, so
+        the caller must build afresh.
+        """
+        excluded = self._exclusions(plan.logical, plan.strategy, plan.star_override)
+        if excluded_fingerprint(excluded) != plan.excluded_fingerprint():
+            return None
+        return self._derive(plan)
+
+    def _exclusions(
         self,
-        bound: AggregateQuery,
-        assignment: Dict[str, Partition],
-        pushdown: Dict[str, List[Expr]],
-    ) -> PlannedSubjoin:
-        """Annotate an evaluated subjoin with its cost-seeded join order."""
-        estimates = {
-            alias: estimate_scan_rows(
-                partition.row_count,
-                len(bound.local_filters(alias)) + len(pushdown.get(alias, ())),
+        logical: LogicalPlan,
+        strategy: ExecutionStrategy,
+        star_override: Optional[Tuple[str, ...]],
+    ) -> Tuple[ExcludedTable, ...]:
+        """The star-join exclusions over the current deltas; none outside
+        the cached pruning strategies or with the config switch off."""
+        if not (
+            strategy.uses_cache
+            and strategy.prunes_empty
+            and logical.cacheable
+            and self._config.star_join_reduction
+        ):
+            return ()
+        effective = (
+            star_override
+            if star_override is not None
+            else normalize_star_join_override(self._config.star_join_tables)
+        )
+        return detect_star_join_tables(logical.query, self._catalog, effective)
+
+    def _derive(self, skeleton: PhysicalPlan) -> PhysicalPlan:
+        """The verdict half: every assignment's fate over the current data,
+        the prune report, and the keys they were derived under — as a new
+        plan sharing ``skeleton``'s structural parts."""
+        structure, signature = plan_validity(
+            self._catalog,
+            self._config,
+            skeleton.table_names(),
+            skeleton.star_override,
+            skeleton.excluded,
+        )
+        prune = PruneReport()
+        if not skeleton.strategy.uses_cache or not skeleton.cacheable:
+            # The uncached path evaluates the full product and never runs
+            # the pruner, so the prune report stays zeroed — matching what
+            # execution reports for these statements.
+            return replace(
+                skeleton, structure=structure, signature=signature, prune=prune,
+                subjoins=[PlannedSubjoin(a, "evaluate") for a in skeleton.assignments],
             )
-            for alias, partition in assignment.items()
-        }
-        # Ordering ranks tier-weighted costs, not raw rows: a memory-mapped
-        # cold partition scans at a penalty, so comparable inputs prefer
-        # probing/hashing on the resident side.
-        costs = tier_weighted_costs(estimates, assignment)
-        probe, steps = choose_join_order(bound, costs)
-        return PlannedSubjoin(
-            partitions=dict(assignment),
-            action="evaluate",
-            pushdown={a: list(f) for a, f in pushdown.items()},
-            estimated_rows=estimates,
-            estimated_cost=costs,
-            probe_side=probe,
-            join_order=[probe] + [step.alias for step in steps],
+        subjoins: List[PlannedSubjoin] = []
+        if skeleton.excluded:
+            prune.excluded_tables = len(skeleton.excluded)
+            prune.combos_excluded = excluded_combo_count(
+                skeleton.query, self._catalog, skeleton.excluded
+            )
+        pruner = skeleton.pruner
+        for assignment in skeleton.assignments:
+            prune.combos_total += 1
+            reason, pushdown = (
+                pruner.check(assignment) if pruner is not None else (None, {})
+            )
+            if reason is None:
+                prune.evaluated += 1
+                prune.pushdown_filters += sum(len(v) for v in pushdown.values())
+                subjoins.append(PlannedSubjoin(assignment, "evaluate", pushdown=pushdown))
+                continue
+            if reason == "empty":
+                prune.pruned_empty += 1
+            elif reason == "logical":
+                prune.pruned_logical += 1
+            else:
+                prune.pruned_dynamic += 1
+            synopsis = any(p.storage_tier == "mapped" for p in assignment.values())
+            if synopsis:
+                prune.synopsis_skips += 1
+            subjoins.append(
+                PlannedSubjoin(assignment, "pruned", reason, synopsis_pruned=synopsis)
+            )
+        return replace(
+            skeleton, structure=structure, signature=signature,
+            subjoins=subjoins, prune=prune,
         )

@@ -129,9 +129,7 @@ class Partition:
         # entry creation" in O(1), skipping the bit-vector diff entirely.
         self.invalidation_epoch = 0
         # Monotonic write counter: bumped on every append and invalidation.
-        # The plan cache keys on the owning table's version (which folds
-        # this in), so "has anything changed since this plan was built?"
-        # is an integer compare instead of a content inspection.
+        # The resident synopsis below is keyed on it.
         self.version = 0
         # Resident synopsis: per-column (min, max, has_nulls), rebuilt
         # lazily whenever the version moves.  This is what lets the pruner
@@ -139,6 +137,10 @@ class Partition:
         # and spares resident partitions the repeated O(dict) min/max walk.
         self._synopsis: Dict[str, ColumnStats] = {}
         self._synopsis_version = -1
+        #: ``"mapped"`` once demotion or reattach moved the backing into the
+        #: cold store (:meth:`attach_mapped_stamps`), else ``"resident"``.
+        #: A merge builds a fresh, resident partition.
+        self.storage_tier = "resident"
 
     # ------------------------------------------------------------------
     # construction
@@ -382,17 +384,10 @@ class Partition:
     # ------------------------------------------------------------------
     # storage tiers
     # ------------------------------------------------------------------
-    @property
-    def storage_tier(self) -> str:
-        """``"mapped"`` once the fragments live in the cold store, else
-        ``"resident"``."""
-        for fragment in self._columns.values():
-            if fragment.is_mapped:
-                return "mapped"
-        return "resident"
-
     def attach_mapped_stamps(self, cts, dts) -> None:
-        """Swap the MVCC stamp vectors onto mapped backing (demotion).
+        """Swap the MVCC stamp vectors onto mapped backing — the last step
+        of demotion and reattach, after every fragment was mapped, so it
+        also marks the partition ``mapped``.
 
         ``dts`` may be None to keep the resident vector — recovery uses
         that when WAL replay stamped invalidations after the demotion, so
@@ -406,6 +401,7 @@ class Partition:
         self._cts = cts
         if dts is not None:
             self._dts = dts
+        self.storage_tier = "mapped"
 
     def _promote_dts(self) -> None:
         """Copy a mapped ``dts`` vector back to a resident one (copy-on-write

@@ -119,16 +119,26 @@ class Table:
         }
         # Primary-key index: current (latest) version of each live key.
         self._pk_index: Dict[object, RowLocator] = {}
-        # Monotonic change counter covering DML, merges (partition swaps),
-        # and schema evolution.  Cached query plans are keyed on it: a plan
-        # is valid exactly while every referenced table's version is
-        # unchanged, so plan-cache invalidation is an integer compare.
+        # Two monotonic change counters.  ``epoch`` moves on structural
+        # changes only — a merge's partition swap, schema evolution, and
+        # MD / consistent-aging registration — which change what a cached
+        # plan means; the plan cache keys on it.  ``version`` moves on those
+        # and on every insert/update/delete: it stamps the data a plan's
+        # prune verdicts, a delta memo, or a remembered order were derived
+        # from, so "did anything change?" is an integer compare.
+        self.epoch = 0
         self.version = 0
 
     def bump_version(self) -> int:
-        """Advance and return the table's change counter (any write path)."""
+        """Advance and return the data change counter (any write path)."""
         self.version += 1
         return self.version
+
+    def bump_epoch(self) -> None:
+        """Advance the structural counter — and the version, since a
+        structural change is a change too."""
+        self.epoch += 1
+        self.bump_version()
 
     # ------------------------------------------------------------------
     # partition access
@@ -357,7 +367,7 @@ class Table:
                 group.update_delta = Partition(
                     group.update_delta.name, "delta", self.schema
                 )
-        self.bump_version()
+        self.bump_epoch()
 
     # ------------------------------------------------------------------
     # merge support (used by repro.storage.merge)
@@ -379,7 +389,7 @@ class Table:
                     group.update_delta.name, "delta", self.schema
                 )
             group.update_delta = new_update_delta
-        self.bump_version()
+        self.bump_epoch()
 
     def rebuild_pk_index(self) -> None:
         """Recompute the primary-key index after partitions were rebuilt.

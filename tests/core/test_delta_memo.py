@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro import CacheConfig, Database, ExecutionStrategy
+from repro.core.delta_memo import incremental_specs
 from repro.query.parallel import ParallelConfig
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
@@ -86,6 +87,59 @@ class TestMemoReuse:
         assert stats.memo_misses == 1
         assert stats.memo_hits == 1
         assert "delta-memo" in erp_db.statistics().render()
+
+
+def _grow_item(db):
+    db.insert("item", {"iid": 9800, "hid": 100, "cid": 0, "price": 1.25})
+
+
+def _grow_header_and_item(db):
+    load_erp(db, n_headers=1, start_hid=400, merge=False)
+
+
+def _grow_all_three(db):
+    db.insert("category", {"cid": 7, "name": "cat7", "lang": "ENG"})
+    db.insert_business_object(
+        "header",
+        {"hid": 500, "year": 2013},
+        "item",
+        [{"iid": 50000, "hid": 500, "cid": 7, "price": 2.5}],
+    )
+
+
+class TestTelescopedIncrement:
+    """An incremental read scans one term per grown alias of a subjoin —
+    k specs, not the 2^k - 1 subsets of inclusion–exclusion."""
+
+    @pytest.mark.parametrize(
+        "k, grow", [(1, _grow_item), (2, _grow_header_and_item), (3, _grow_all_three)]
+    )
+    def test_one_spec_per_grown_alias_and_equal_to_uncached(self, erp_db, k, grow):
+        kwargs = {"strategy": FULL, "star_join_tables": ()}
+        erp_db.query(PROFIT_SQL, **kwargs)
+        erp_db.query(PROFIT_SQL, **kwargs)
+        (entry,) = erp_db.cache.entries()
+        memo = entry.delta_memo
+        grow(erp_db)
+        plan = erp_db.cache.plan_for(PROFIT_SQL, FULL, star_join_tables=())
+        specs, spec_counts, _rows_saved = incremental_specs(
+            plan.subjoins, memo.watermarks
+        )
+        for index, sub in enumerate(plan.subjoins):
+            if sub.action != "evaluate":
+                assert index not in spec_counts
+                continue
+            grown = [
+                alias
+                for alias, partition in sub.partitions.items()
+                if partition.row_count > memo.watermarks.get(id(partition), 0)
+            ]
+            assert spec_counts[index] == len(grown)
+        assert max(spec_counts.values()) == k
+        assert len(specs) == sum(spec_counts.values())
+        result = erp_db.query(PROFIT_SQL, **kwargs)
+        assert result.report.delta_memo_mode == "incremental"
+        assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
 
 
 class TestInvalidationMatrix:

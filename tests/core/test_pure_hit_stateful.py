@@ -14,6 +14,11 @@ a row — changing a column no join statement reads, one they do, writing a
 value back, deleting — inside and outside open transactions, with merges,
 refreshes and older readers in between, and each machine must see
 ``silent_rows_cancelled`` at least once.
+
+Plans are keyed on the tables' structural epochs: DML re-derives a cached
+plan's prune verdicts over its skeleton, and a star-join exclusion flip
+rebuilds it.  Each machine must see both, and ``clear_plan_cache`` mixes
+fresh builds in between.
 """
 
 import os
@@ -239,6 +244,8 @@ class PureHitMachine(RuleBasedStateMachine):
     shape_class = None
     reuses = 0  # per machine class, across all examples
     cancelled = 0
+    rederived = 0
+    flips = 0
 
     def __init__(self):
         super().__init__()
@@ -252,6 +259,9 @@ class PureHitMachine(RuleBasedStateMachine):
     def teardown(self):
         for txn in self.open:
             txn.abort()
+        stats = self.db.plan_cache.stats()
+        type(self).rederived += stats["rederived"]
+        type(self).flips += stats["exclusion_flips"]
         self.db.close()
 
     # ------------------------------------------------------------------
@@ -319,6 +329,10 @@ class PureHitMachine(RuleBasedStateMachine):
     @rule()
     def shed_everything(self):
         self.db.cache.shed_to_budget(0)
+
+    @rule()
+    def clear_plan_cache(self):
+        self.db.plan_cache.clear()
 
     @rule(flag=st.sampled_from(["star_join_reduction", "predicate_pushdown"]))
     def toggle(self, flag):
@@ -399,13 +413,19 @@ SETTINGS = settings(
 
 def test_erp_histories_equal_uncached_and_do_reuse():
     ErpMachine.reuses = ErpMachine.cancelled = 0
+    ErpMachine.rederived = ErpMachine.flips = 0
     run_state_machine_as_test(ErpMachine, settings=SETTINGS)
     assert ErpMachine.reuses > 0
     assert ErpMachine.cancelled > 0
+    assert ErpMachine.rederived > 0
+    assert ErpMachine.flips > 0
 
 
 def test_ch_histories_equal_uncached_and_do_reuse():
     ChMachine.reuses = ChMachine.cancelled = 0
+    ChMachine.rederived = ChMachine.flips = 0
     run_state_machine_as_test(ChMachine, settings=SETTINGS)
     assert ChMachine.reuses > 0
     assert ChMachine.cancelled > 0
+    assert ChMachine.rederived > 0
+    assert ChMachine.flips > 0

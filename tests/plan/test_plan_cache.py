@@ -49,34 +49,40 @@ def warm(db: Database, *sqls: str) -> None:
 
 
 class TestInvalidationMatrix:
-    """Every mutation bumps exactly the affected tables' versions, so it
-    invalidates exactly the plans referencing them."""
+    """A structural change (merge, registration, schema) moves exactly the
+    affected tables' epochs, so it invalidates exactly the plans referencing
+    them; DML only moves their versions, and those plans re-derive their
+    verdicts over the cached skeleton (tests/plan/test_plan_epoch.py)."""
 
     @pytest.mark.parametrize(
-        "mutate",
+        "mutate, outcome",
         [
             pytest.param(
                 lambda db: db.insert(
                     "item", {"iid": 7777, "hid": 0, "cid": 0, "price": 1.0}
                 ),
+                "hit",
                 id="insert",
             ),
             pytest.param(
-                lambda db: db.update("item", 0, {"price": 99.0}), id="update"
+                lambda db: db.update("item", 0, {"price": 99.0}), "hit", id="update"
             ),
-            pytest.param(lambda db: db.delete("item", 1), id="delete"),
-            pytest.param(lambda db: db.merge("item"), id="merge"),
+            pytest.param(lambda db: db.delete("item", 1), "hit", id="delete"),
+            pytest.param(lambda db: db.merge("item"), "invalidated", id="merge"),
         ],
     )
-    def test_dml_and_merge_invalidate_only_affected_plans(self, mutate):
+    def test_dml_and_merge_invalidate_only_affected_plans(self, mutate, outcome):
         db = make_two_domain_db()
         warm(db, PROFIT_SQL, OTHER_SQL)
+        rederived = db.plan_cache.stats()["rederived"]
         mutate(db)
-        assert lookup_outcome(db, PROFIT_SQL) == "invalidated"
+        assert lookup_outcome(db, PROFIT_SQL) == outcome
+        assert db.plan_cache.stats()["rederived"] == rederived + (outcome == "hit")
         # The unrelated plan kept serving hits the whole time.
         assert lookup_outcome(db, OTHER_SQL) == "hit"
-        # The rebuilt plan is hot again.
+        # The re-derived or rebuilt plan is hot again.
         assert lookup_outcome(db, PROFIT_SQL) == "hit"
+        assert db.plan_cache.stats()["rederived"] == rederived + (outcome == "hit")
 
     def test_drop_table_evicts_only_its_plans(self):
         db = make_two_domain_db()

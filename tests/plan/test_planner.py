@@ -1,5 +1,6 @@
 """Planner and cost-model unit tests: one plan object carries the full
-subjoin list with fates, pushdown, and cost-seeded join orders."""
+subjoin list with fates and pushdown; EXPLAIN adds cost-seeded join
+orders."""
 
 import pytest
 
@@ -61,19 +62,29 @@ class TestPlannerOutput:
         assert plan.prune.combos_excluded == 0
 
     def test_evaluated_subjoins_carry_join_order(self):
+        """Plans carry no join order; EXPLAIN derives the displayed one
+        from estimated scan sizes of the plan's partitions."""
         db = loaded_db()
-        plan = db.cache.plan_for(PROFIT_SQL, FULL)
+        physical = db.cache.plan_for(PROFIT_SQL, FULL)
+        explained = db.cache.explain(PROFIT_SQL, FULL)
         aliases = {"h", "i", "d"}
-        for sub in plan.subjoins:
+        assert len(explained.subjoins) == len(physical.subjoins)
+        for sub, shown in zip(physical.subjoins, explained.subjoins):
             if sub.action != "evaluate":
-                assert sub.probe_side is None
+                assert shown.probe_side is None and shown.join_order == []
                 continue
-            assert set(sub.join_order) == aliases
-            assert sub.join_order[0] == sub.probe_side
-            assert set(sub.estimated_rows) == aliases
+            assert set(shown.join_order) == aliases
+            assert shown.join_order[0] == shown.probe_side
+            estimated = {
+                alias: estimate_scan_rows(
+                    partition.row_count,
+                    len(physical.query.local_filters(alias))
+                    + len(sub.pushdown.get(alias, ())),
+                )
+                for alias, partition in sub.partitions.items()
+            }
             # Probe side = the largest estimated input.
-            largest = max(sub.estimated_rows.values())
-            assert sub.estimated_rows[sub.probe_side] == largest
+            assert estimated[shown.probe_side] == max(estimated.values())
 
     def test_uncached_plan_covers_full_product(self):
         db = loaded_db()
