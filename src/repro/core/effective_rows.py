@@ -65,7 +65,10 @@ class EffectiveRows:
     def pin(self, spec: ComboSpec, snapshot: int) -> Optional[ComboSpec]:
         """``spec`` with every affected input pinned to its effective rows,
         inside the row range it was restricted to, if any; None when such
-        an input has no row left, which empties the subjoin."""
+        an input has no row left, which empties the subjoin.  An input
+        pinned to an explicit row array already names effective rows (a
+        memo step's entered and left rows, or the anchor's) and is kept as
+        it is."""
         fixed = None
         for alias, partition in spec.partitions.items():
             # The entry's tables have one main each (hot/cold bypasses).
@@ -76,6 +79,8 @@ class EffectiveRows:
             if swapped is None:
                 continue
             within = spec.fixed_rows.get(alias)
+            if isinstance(within, np.ndarray):
+                continue
             rows = self._pinned.get((id(partition), within))
             if rows is None:
                 start, stop = 0, partition.row_count
@@ -94,7 +99,7 @@ class EffectiveRows:
             fixed[alias] = rows
         if fixed is None:
             return spec
-        return ComboSpec(spec.partitions, spec.extra_filters, fixed)
+        return ComboSpec(spec.partitions, spec.extra_filters, fixed, spec.sign)
 
 
 def read_masks(entry: AggregateCacheEntry) -> Dict[str, int]:

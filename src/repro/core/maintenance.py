@@ -159,22 +159,23 @@ def finish_entry_maintenance(
 # Cardinality-based proactive refresh (idle-time maintenance)
 # ---------------------------------------------------------------------------
 #
-# Between merges, entries accumulate delta growth that some future query
+# Between merges, entries accumulate changed rows that some future query
 # will pay for at lookup time.  The refresh planner estimates *affected
-# rows* per entry — physical delta growth past the memo's watermarks,
-# discounted by synopsis-based selectivity of the entry's local filters —
-# and routes each entry to one of three actions (the strategy-selection
-# idea from dynamic-tables-ducklake, SNIPPETS.md 3):
+# rows* per entry — rows appended or invalidated since the memo's
+# watermarks, discounted by synopsis-based selectivity of the entry's local
+# filters — and routes each entry to one of three actions (the
+# strategy-selection idea from dynamic-tables-ducklake, SNIPPETS.md 3):
 #
-# * ``skip``     — nothing grew (or the memo layer cannot engage);
-# * ``advance``  — modest growth: scan only the appended suffix and
-#                  advance the memo incrementally;
-# * ``rebuild``  — growth dominates the covered prefix (or the memo is
-#                  stale): recompute the compensation union outright.
+# * ``skip``     — nothing changed (or the memo layer cannot engage);
+# * ``advance``  — modest change: take the memo's visibility step, which
+#                  reads only the changed rows;
+# * ``rebuild``  — change dominates the covered prefix (or the memo cannot
+#                  step: no memo, another partition set or exclusion):
+#                  recompute the compensation union outright.
 #
 # ``Database.refresh_cache`` / ``MergeAdvisor.recommend_refresh`` drive
 # this from idle hooks so steady-state traffic hits an already-advanced
-# memo instead of paying the suffix scan on the critical path.
+# memo instead of paying the step on the critical path.
 
 
 @dataclass
@@ -184,8 +185,8 @@ class RefreshDecision:
     key: CacheKey
     action: str  # "advance" | "rebuild" | "skip"
     reason: str
-    #: Estimated rows a query-time compensation would have to scan now
-    #: (delta growth past the watermarks, selectivity-discounted).
+    #: Estimated rows a query-time step would fold in now (appended or
+    #: invalidated since the watermarks, selectivity-discounted).
     affected_rows: int = 0
     #: Rows the memo's covered prefix already spares.
     covered_rows: int = 0
@@ -235,21 +236,22 @@ def _suffix_selectivity(partition, filters) -> float:
 
 
 def estimate_affected_rows(entry: AggregateCacheEntry, plan, memo) -> int:
-    """Selectivity-discounted delta growth past ``memo``'s watermarks —
-    the rows a query-time incremental compensation would scan today."""
+    """Selectivity-discounted rows changed since ``memo``'s watermarks —
+    appended or invalidated, what the partition's write ``version`` counts
+    — the rows a query-time visibility step would fold in today."""
     alias_of: Dict[int, str] = {}
     for sub in plan.subjoins:
         for alias, partition in sub.partitions.items():
             alias_of[id(partition)] = alias
     affected = 0.0
-    for pid, watermark in memo.watermarks.items():
+    for pid, mark in memo.watermarks.items():
         partition = memo.partitions[pid]
-        grown = partition.row_count - watermark
-        if grown <= 0:
+        changed = partition.version - mark.version
+        if changed <= 0:
             continue
         alias = alias_of.get(pid)
         filters = entry.query.local_filters(alias) if alias is not None else []
-        affected += grown * _suffix_selectivity(partition, filters)
+        affected += changed * _suffix_selectivity(partition, filters)
     return int(affected)
 
 
@@ -261,8 +263,6 @@ def plan_cache_refresh(
     Pure planning — no aggregation happens here; the manager's
     ``refresh_entries`` applies the decisions (and the advisor's
     ``recommend_refresh`` surfaces them without applying)."""
-    from .delta_memo import plan_partitions
-
     decisions: List[RefreshDecision] = []
     for entry in manager.entries():
         if not entry.is_active:
@@ -282,13 +282,7 @@ def plan_cache_refresh(
             decisions.append(RefreshDecision(key, "skip", "multi_entry"))
             continue
         memo = entry.delta_memo
-        verdict = classify_memo(
-            memo,
-            snapshot,
-            plan_partitions(plan.subjoins),
-            plan.signature,
-            plan.excluded_fingerprint(),
-        )
+        verdict = classify_memo(memo, snapshot, plan)
         if verdict == "rebuild":
             decisions.append(
                 RefreshDecision(
@@ -303,7 +297,8 @@ def plan_cache_refresh(
             continue
         covered = memo.rows_below_watermarks()
         affected = estimate_affected_rows(entry, plan, memo)
-        if affected == 0 and snapshot == memo.anchor:
+        pending = any(mark.ahead for mark in memo.watermarks.values())
+        if affected == 0 and not pending:
             decisions.append(
                 RefreshDecision(key, "skip", "clean", 0, covered)
             )
@@ -312,7 +307,7 @@ def plan_cache_refresh(
                 RefreshDecision(
                     key,
                     "rebuild",
-                    f"growth exceeds {rebuild_ratio:.0%} of covered prefix",
+                    f"change exceeds {rebuild_ratio:.0%} of covered prefix",
                     affected,
                     covered,
                 )

@@ -54,11 +54,13 @@ from .enforcement import MDEnforcer
 from .effective_rows import EffectiveRows, effective_rows, execute_effective
 from .delta_memo import (
     DeltaMemo,
+    VisibilityStep,
     advance_memo,
     build_memo,
     classify_memo,
-    incremental_specs,
-    plan_partitions,
+    rows_saved,
+    subjoin_step_specs,
+    visibility_step,
 )
 from .eviction import EvictionPolicy, ProfitEviction
 from .main_compensation import StaleEntryError, apply_main_compensation
@@ -85,7 +87,9 @@ class CacheQueryReport:
     entries_created: int = 0
     admission_rejected: int = 0
     entries_recomputed: int = 0  # stale/invalidated entries replaced
-    invalidated_rows_compensated: int = 0  # main rows actually subtracted
+    #: Main rows this read subtracted: those invalidated since the entry's
+    #: snapshot, or — when the delta memo stepped — since the memo's anchor.
+    invalidated_rows_compensated: int = 0
     #: Invalidated main rows that were *not* subtracted because their
     #: visible successor changed no column this query reads (and that
     #: successor was hidden from delta compensation in exchange).
@@ -96,10 +100,11 @@ class CacheQueryReport:
     time_cache_lookup_or_build: float = 0.0
     time_main_compensation: float = 0.0
     time_delta_compensation: float = 0.0
-    #: How delta compensation ran: "incremental" (reused a memo and scanned
-    #: only the delta suffix), "full" (recomputed everything, memo rebuilt),
-    #: "bypass" (memo layer not applicable — see delta_memo_reason), or ""
-    #: for queries that never reach delta compensation.
+    #: How compensation ran: "incremental" (stepped a memo over the rows
+    #: that changed since its anchor), "full" (recomputed everything, memo
+    #: rebuilt), "bypass" (memo layer not applicable — see
+    #: delta_memo_reason), or "" for queries that never reach delta
+    #: compensation.
     delta_memo_mode: str = ""
     delta_memo_reason: str = ""
     #: Covered prefix rows an incremental run did not rescan.
@@ -120,6 +125,21 @@ class CacheQueryReport:
     degraded_reason: str = ""
     #: The physical plan the query ran (carries the bound statement).
     plan: Optional[PhysicalPlan] = None
+
+
+@dataclass
+class _MemoRoute:
+    """How one read uses the answering entry's delta memo."""
+
+    mode: str  # "incremental" | "full" | "bypass" (CacheQueryReport)
+    reason: str = ""
+    entry: Optional[AggregateCacheEntry] = None
+    #: The memo object read under the lock: installs compare-and-swap
+    #: against exactly it, so a concurrent reader that raced past this one
+    #: cannot have its newer memo clobbered.
+    memo: Optional[DeltaMemo] = None
+    #: The memo's visibility step to this read's snapshot, once taken.
+    step: Optional[VisibilityStep] = None
 
 
 #: Flat per-entry estimates for the auxiliary caches under the memory
@@ -581,20 +601,18 @@ class AggregateCacheManager:
                 self._clock += 1
             finished = self._reuse_result(plan, txn, report, trace)
             if finished is None:
+                # The entries' values go to ``result``; everything the read
+                # adds to or takes from them to ``comp``, which a memo keeps.
                 result = GroupedAggregates(bound.aggregates)
+                comp = result.new_like(signed=True)
                 answered = [
                     self._apply_main_entry(
-                        bound, combo, key, txn, result, report, trace, cancel
+                        plan, combo, key, txn, result, comp, report, trace, cancel
                     )
                     for combo, key in zip(plan.cached_combos, plan.cache_keys)
                 ]
                 pure = self._apply_delta_compensation(
-                    plan, txn, result, report,
-                    # Several entries (hot/cold) never cancel anything.
-                    answered[0][1] if len(answered) == 1 else EffectiveRows(),
-                    trace,
-                    [entry for entry, _effective in answered],
-                    cancel,
+                    plan, txn, result, comp, report, answered, trace, cancel
                 )
         except QueryAborted:
             raise  # a deadline/cancel abort is not a cache failure
@@ -763,15 +781,6 @@ class AggregateCacheManager:
         # the value's own key tuple so the list holds references only.
         own = {key: key for key in value.keys()}
         width = len(plan.query.group_by)
-        rows_saved = 0
-        if memo is not None:
-            # What incremental_specs counts over unchanged watermarks.
-            rows_saved = sum(
-                partition.row_count
-                for sub in plan.subjoins
-                if sub.action == "evaluate"
-                for partition in sub.partitions.values()
-            )
         order = ResultOrder(
             keys=[own[row[:width]] for row in finished.rows],
             presentation=plan.query.presentation_key(),
@@ -780,7 +789,7 @@ class AggregateCacheManager:
             signature=plan.signature,
             anchor=snapshot,
             horizon=horizon,
-            rows_saved=rows_saved,
+            rows_saved=0 if memo is None else rows_saved(plan.subjoins, memo.watermarks),
         )
         with self._lock:
             if (
@@ -823,28 +832,30 @@ class AggregateCacheManager:
     # ------------------------------------------------------------------
     def _apply_main_entry(
         self,
-        bound: AggregateQuery,
+        plan: PhysicalPlan,
         combo: Dict,
         key: CacheKey,
         txn: Transaction,
         result: GroupedAggregates,
+        comp: GroupedAggregates,
         report: CacheQueryReport,
         trace: Optional[QueryTrace] = None,
         cancel=None,
-    ) -> Tuple[Optional[AggregateCacheEntry], EffectiveRows]:
-        """Look up / create the entry for one all-main combination and fold
-        its main-compensated value into ``result``.
+    ) -> Tuple[Optional[AggregateCacheEntry], EffectiveRows, Optional[_MemoRoute]]:
+        """Look up / create the entry for one all-main combination, fold its
+        value into ``result`` and its main compensation into ``comp``.
 
         ``key`` was computed by the planner — on a plan-cache hit the key
         derivation is skipped entirely.  Returns the entry whose cached
         value answered this combination, or None when the combination was
-        answered by a direct scan (admission rejected / entry too new) —
-        the delta-memo routing needs to know which entry, if any, owns the
-        compensation state this query is about to compute — and the
+        answered by a direct scan (admission rejected / entry too new); the
         effective row sets main compensation ran over, which delta
         compensation must run over too (empty unless something was
-        cancelled).
+        cancelled); and how the entry's memo is used (None without an
+        entry).  A memo that steps takes its main-side terms here: the
+        rows that entered or left the mains since its anchor.
         """
+        bound = plan.query
         span = (
             trace.child("cache_lookup", combo=describe_partitions(combo))
             if trace is not None
@@ -888,7 +899,7 @@ class AggregateCacheManager:
                     bound, combo, txn, result, report, span,
                     "admission_rejected", cancel,
                 )
-                return None, effective
+                return None, effective, None
             if txn.snapshot < entry.snapshot:
                 # The entry is anchored at a newer snapshot than this reader
                 # (time travel, or a transaction begun before the last merge).
@@ -899,22 +910,26 @@ class AggregateCacheManager:
                     bound, combo, txn, result, report, span,
                     "entry_too_new", cancel,
                 )
-                return None, effective
+                return None, effective, None
             with self._lock:
                 entry.metrics.record_use(self._clock)
+            route = self._route_delta_memo(plan, txn, entry)
+            result.merge(entry.value)
             if entry.is_clean_for(txn.snapshot):
-                # Fast path: nothing was invalidated since the entry snapshot,
-                # so the cached value contributes as-is (merge copies states).
-                result.merge(entry.value)
-                return entry, effective
-            contribution = entry.value.copy()
+                # Nothing was invalidated since the entry snapshot: the mains
+                # read as the entry stored them.
+                return entry, effective, route
             comp_span = span.child("main_compensation") if span is not None else None
             comp_started = time.perf_counter()
-            effective = effective_rows(entry, txn.snapshot)
-            rows = apply_main_compensation(
-                entry, self._executor, txn.snapshot, contribution,
-                span=comp_span, effective=effective,
-            )
+            if route.mode == "incremental" and self._take_step(route, txn):
+                effective = route.step.effective
+                rows = self._step_main(plan, entry, txn, comp, route, comp_span, cancel)
+            else:
+                effective = effective_rows(entry, txn.snapshot)
+                rows = apply_main_compensation(
+                    entry, self._executor, txn.snapshot, comp,
+                    span=comp_span, effective=effective,
+                )
             elapsed = time.perf_counter() - comp_started
             if comp_span is not None:
                 comp_span.finish()
@@ -923,11 +938,57 @@ class AggregateCacheManager:
             report.time_main_compensation += elapsed
             report.invalidated_rows_compensated += rows
             report.silent_rows_cancelled += effective.cancelled
-            result.merge(contribution)
-            return entry, effective
+            return entry, effective, route
         finally:
             if span is not None:
                 span.finish()
+
+    def _take_step(self, route: _MemoRoute, txn: Transaction) -> bool:
+        """Take the route's visibility step; a memo that cannot step (a
+        stamp at or below its anchor landed since) is rebuilt instead."""
+        route.step = visibility_step(route.memo, route.entry, txn.snapshot)
+        if route.step is None:
+            route.mode, route.reason = "full", "stale"
+        return route.step is not None
+
+    def _step_main(
+        self,
+        plan: PhysicalPlan,
+        entry: AggregateCacheEntry,
+        txn: Transaction,
+        comp: GroupedAggregates,
+        route: _MemoRoute,
+        span: Optional[Span],
+        cancel=None,
+    ) -> int:
+        """Fold the step's all-main terms into ``comp``; returns the main
+        rows that left since the memo's anchor."""
+        step = route.step
+        specs = step.specs(entry.main_partitions, pruner=plan.pruner)
+        if specs:
+            execute_effective(
+                self._executor, entry.query, txn.snapshot, specs, step.effective,
+                comp, cancel=cancel,
+            )
+        moved = {
+            alias: step.shifts[id(partition)]
+            for alias, partition in entry.main_partitions.items()
+            if id(partition) in step.shifts
+        }
+        rows = sum(shift.rows_left() for shift in moved.values())
+        if span is not None:
+            span.attrs.update(
+                dirty_aliases=sorted(moved),
+                terms=len(specs),
+                invalidated_rows=rows,
+                memo_anchor=route.memo.anchor,
+            )
+            if step.effective:
+                span.attrs["revived_rows"] = step.effective.cancelled
+                span.attrs["suppressed_rows"] = sum(
+                    map(len, step.effective.suppressed.values())
+                )
+        return rows
 
     def _direct_main_scan(
         self,
@@ -1190,13 +1251,14 @@ class AggregateCacheManager:
         plan: PhysicalPlan,
         txn: Transaction,
         result: GroupedAggregates,
+        comp: GroupedAggregates,
         report: CacheQueryReport,
-        effective: EffectiveRows,
+        answered: List[Tuple[Optional[AggregateCacheEntry], EffectiveRows, Optional[_MemoRoute]]],
         trace: Optional[QueryTrace] = None,
-        entries: Optional[List[Optional[AggregateCacheEntry]]] = None,
         cancel=None,
     ) -> Optional[Tuple[AggregateCacheEntry, Optional[DeltaMemo]]]:
-        """Aggregate the plan's surviving compensation subjoins into ``result``.
+        """Aggregate the plan's surviving compensation subjoins into
+        ``comp``, and ``comp`` into ``result``.
 
         The pruning work already happened at plan time; here the pruned
         subjoins only emit their trace spans, and the evaluated ones run
@@ -1205,16 +1267,17 @@ class AggregateCacheManager:
         When the query was answered by exactly one cache entry, the entry's
         delta memo (see :mod:`repro.core.delta_memo`) routes the work:
 
-        * ``incremental`` — the memo's folded compensation value is merged
-          as-is and only the rows appended past its watermarks are scanned;
-        * ``full`` — everything is recomputed and the result installed as a
-          fresh memo for the next hit;
+        * ``incremental`` — the memo's folded compensation is merged as-is,
+          and the visibility step's terms over each delta subjoin join only
+          the rows that entered or left since its anchor;
+        * ``full`` — everything is recomputed and the whole compensation,
+          main compensation included, installed as a fresh memo;
         * ``bypass`` — the memo layer steps aside (disabled, hot/cold
           multi-entry plans, direct-scan answers, older readers) and the
           compensation union runs exactly as without it.
 
-        Whatever the mode, the subjoins read ``effective`` — the row sets
-        main compensation left uncompensated (:mod:`repro.core.effective_rows`).
+        Whatever the mode, the subjoins read the effective row sets main
+        compensation ran over (:mod:`repro.core.effective_rows`).
 
         Returns ``(entry, memo)`` when the one entry answering the plan
         got nothing added — ``result`` still equals its (possibly main-
@@ -1231,34 +1294,33 @@ class AggregateCacheManager:
         # from the planned subjoin list (incremental).  One sink, every
         # subjoin exactly once — EXPLAIN ANALYZE parity depends on it.
         span_sink = span.children if span is not None else None
-        mode, reason, entry, memo = self._route_delta_memo(plan, txn, entries)
-        report.delta_memo_mode = mode
-        report.delta_memo_reason = reason
+        entries = [entry for entry, _effective, _route in answered]
+        # Several entries (hot/cold) never cancel anything.
+        effective = answered[0][1] if len(answered) == 1 else EffectiveRows()
+        route = answered[0][2] if len(answered) == 1 else None
+        if route is None:
+            route = self._route_delta_memo(plan, txn, None)
         comp_started = time.perf_counter()
-        if mode == "incremental":
+        if route.mode == "incremental" and (
+            route.step is not None or self._take_step(route, txn)
+        ):
             installed = self._delta_compensation_incremental(
-                plan, txn, result, report, effective, span_sink, entry, memo,
-                cancel,
+                plan, txn, result, comp, report, span_sink, route, cancel
             )
         else:
             installed = self._delta_compensation_full(
-                plan,
-                txn,
-                result,
-                report,
-                effective,
-                span_sink,
-                entry if mode == "full" else None,
-                memo,
+                plan, txn, result, comp, report, effective, span_sink, route,
                 cancel,
             )
+        report.delta_memo_mode = route.mode
+        report.delta_memo_reason = route.reason
         pure = None
         if installed is not None:
             if installed.folded.group_count() == 0:
-                pure = (entry, installed)
-        elif reason == "disabled" and not plan.prune.evaluated:
+                pure = (route.entry, installed)
+        elif route.reason == "disabled" and not plan.prune.evaluated:
             # No memo layer, every subjoin pruned: nothing ran at all.
-            if entries is not None and len(entries) == 1 and entries[0] is not None:
+            if len(entries) == 1 and entries[0] is not None:
                 pure = (entries[0], None)
         elapsed = time.perf_counter() - comp_started
         report.time_delta_compensation += elapsed
@@ -1268,7 +1330,7 @@ class AggregateCacheManager:
         # cumulative until the entry's *successful* maintenance resets it
         # (see finish_entry_maintenance) — a cancelled two-phase merge
         # must neither reset nor double-count it.
-        owners = [e for e in (entries or []) if e is not None]
+        owners = [e for e in entries if e is not None]
         if owners:
             share = elapsed / len(owners)
             with self._lock:
@@ -1321,57 +1383,45 @@ class AggregateCacheManager:
         self,
         plan: PhysicalPlan,
         txn: Transaction,
-        entries: Optional[List[Optional[AggregateCacheEntry]]],
-    ) -> Tuple[str, str, Optional[AggregateCacheEntry], Optional[DeltaMemo]]:
-        """Pick the delta-compensation mode for this query.
-
-        Returns ``(mode, reason, entry, observed_memo)``; ``observed_memo``
-        is the memo object read under the lock — install/advance later
-        compare-and-swaps against exactly this object, so a concurrent
-        reader that raced past us cannot have its newer memo clobbered.
-        """
+        entry: Optional[AggregateCacheEntry],
+    ) -> _MemoRoute:
+        """Pick the memo mode for this query, answered by ``entry`` (None:
+        several entries or a direct scan)."""
         if not self.config.delta_memo:
-            return "bypass", "disabled", None, None
-        if entries is None or len(plan.cache_keys) != 1:
+            return _MemoRoute("bypass", "disabled")
+        if len(plan.cache_keys) != 1:
             # Hot/cold plans answer through several entries; the folded
             # compensation value is shared across them and belongs to no
             # single entry, so the memo layer does not engage.
-            return "bypass", "multi_entry", None, None
-        if len(entries) != 1 or entries[0] is None:
-            return "bypass", "no_entry", None, None
-        entry = entries[0]
+            return _MemoRoute("bypass", "multi_entry")
+        if entry is None:
+            return _MemoRoute("bypass", "no_entry")
         with self._lock:
             memo = entry.delta_memo
-        verdict = classify_memo(
-            memo,
-            txn.snapshot,
-            plan_partitions(plan.subjoins),
-            plan.signature,
-            plan.excluded_fingerprint(),
-        )
+        verdict = classify_memo(memo, txn.snapshot, plan)
         if verdict == "older_reader":
             # This reader predates the memo's anchor; the memo stays put
             # for newer readers and this query compensates from scratch.
-            return "bypass", "older_reader", entry, memo
+            return _MemoRoute("bypass", "older_reader", entry, memo)
         if verdict == "rebuild":
-            return "full", "" if memo is None else "stale", entry, memo
-        return "incremental", "", entry, memo
+            return _MemoRoute("full", "" if memo is None else "stale", entry, memo)
+        return _MemoRoute("incremental", "", entry, memo)
 
     def _delta_compensation_full(
         self,
         plan: PhysicalPlan,
         txn: Transaction,
         result: GroupedAggregates,
+        comp: GroupedAggregates,
         report: CacheQueryReport,
         effective: EffectiveRows,
         span_sink: Optional[List[Span]],
-        entry: Optional[AggregateCacheEntry],
-        observed: Optional[DeltaMemo],
+        route: _MemoRoute,
         cancel=None,
     ) -> Optional[DeltaMemo]:
-        """Evaluate every surviving subjoin; with ``entry`` set, capture the
-        folded compensation value as a fresh memo on it.  Returns the memo
-        when this read installed it."""
+        """Evaluate every surviving subjoin into ``comp``; in ``full`` mode,
+        capture ``comp`` as a fresh memo on the route's entry.  Returns the
+        memo when this read installed it."""
         combos: List[ComboSpec] = []
         for sub in plan.subjoins:
             if sub.action == "pruned":
@@ -1379,87 +1429,80 @@ class AggregateCacheManager:
                     span_sink.append(_pruned_span(sub))
                 continue
             combos.append(sub.to_spec())
-        into = result if entry is None else result.new_like()
         execute_effective(
             self._executor,
             plan.query,
             txn.snapshot,
             combos,
             effective,
-            into,
+            comp,
             span_sink,
             stats=report.executor_stats,
             cancel=cancel,
         )
-        if entry is None:
+        result.merge(comp)
+        if route.mode != "full":
             return None
-        result.merge(into)
-        fresh = build_memo(
-            into,
-            txn.snapshot,
-            plan_partitions(plan.subjoins),
-            plan.signature,
-            plan.excluded_fingerprint(),
-        )
-        with self._lock:
-            if entry.delta_memo is observed and entry.is_active:
-                entry.delta_memo = fresh
-                return fresh
-        return None
+        fresh = build_memo(comp, txn.snapshot, plan, effective)
+        return self._install(route, fresh)
 
     def _delta_compensation_incremental(
         self,
         plan: PhysicalPlan,
         txn: Transaction,
         result: GroupedAggregates,
+        comp: GroupedAggregates,
         report: CacheQueryReport,
-        effective: EffectiveRows,
         span_sink: Optional[List[Span]],
-        entry: AggregateCacheEntry,
-        memo: DeltaMemo,
+        route: _MemoRoute,
         cancel=None,
     ) -> Optional[DeltaMemo]:
-        """Merge the memo's folded value and scan only the delta suffix.
+        """Merge the memo's folded value and step it over the delta
+        subjoins.
 
-        The executor evaluates the telescoped expansion of the grown
-        subjoins (see :func:`~repro.core.delta_memo.incremental_specs`)
-        into a private aggregate, which is merged into both the result and
-        the advanced memo.  The advance is installed compare-and-swap: a
-        losing racer keeps its correct local result and discards its memo.
+        The executor evaluates the step's telescoped terms of every
+        evaluated subjoin (see :func:`~repro.core.delta_memo.
+        subjoin_step_specs`) into ``comp``, which already holds the main-
+        side terms; the advanced memo's folded value (the memo's plus
+        ``comp``) goes into the result.  The advance is installed compare-
+        and-swap: a losing racer keeps its correct local result and
+        discards its memo.
         Returns the memo the entry holds for this read's snapshot — the
-        advanced one, or ``memo`` itself when there was nothing to advance
-        over — and None for a losing racer.
+        advanced one, or the memo itself when nothing moved — and None for
+        a losing racer.
         """
-        specs, spec_counts, rows_saved = incremental_specs(
-            plan.subjoins, memo.watermarks
-        )
-        report.delta_memo_rows_saved = rows_saved
-        result.merge(memo.folded)
-        inc: Optional[GroupedAggregates] = None
+        memo, step = route.memo, route.step
+        specs, spec_counts = subjoin_step_specs(plan, step)
+        report.delta_memo_rows_saved = rows_saved(plan.subjoins, memo.watermarks)
         inner: List[Span] = []
         if specs:
-            inc = result.new_like()
             execute_effective(
                 self._executor,
                 plan.query,
                 txn.snapshot,
                 specs,
-                effective,
-                inc,
+                step.effective,
+                comp,
                 inner if span_sink is not None else None,
                 stats=report.executor_stats,
                 cancel=cancel,
             )
-            result.merge(inc)
         if span_sink is not None:
             self._synthesize_memo_spans(plan, spec_counts, inner, span_sink)
-        if not specs and txn.snapshot == memo.anchor:
+        advanced = advance_memo(memo, step, txn.snapshot, comp, plan.signature)
+        result.merge(advanced.folded)
+        if advanced is memo:
             return memo
-        advanced = advance_memo(memo, txn.snapshot, inc, plan.signature)
+        return self._install(route, advanced)
+
+    def _install(self, route: _MemoRoute, memo: DeltaMemo) -> Optional[DeltaMemo]:
+        """Compare-and-swap ``memo`` onto the route's entry; returns it when
+        it went in."""
+        entry = route.entry
         with self._lock:
-            if entry.delta_memo is memo and entry.is_active:
-                entry.delta_memo = advanced
-                return advanced
+            if entry.delta_memo is route.memo and entry.is_active:
+                entry.delta_memo = memo
+                return memo
         return None
 
     @staticmethod
@@ -1474,7 +1517,10 @@ class AggregateCacheManager:
         The executor produced one span per *expanded* spec; those become
         "memo_scan" children of their planned subjoin's span so trace
         consumers (parity tests, EXPLAIN ANALYZE) see the same one-span-
-        per-planned-subjoin shape in every compensation mode.
+        per-planned-subjoin shape in every compensation mode.  A subjoin
+        none of whose inputs moved is ``memoized``; one whose every spec was
+        cancelled away (:func:`~repro.core.effective_rows.execute_effective`)
+        is ``cancelled``.
         """
         worker = threading.current_thread().name
         cursor = 0
@@ -1489,13 +1535,19 @@ class AggregateCacheManager:
             for child in children:
                 child.name = "memo_scan"
                 duration += child.duration
+            if not count:
+                status = "memoized"
+            elif all(child.attrs["status"] == "cancelled" for child in children):
+                status = "cancelled"
+            else:
+                status = "evaluated"
             span_sink.append(
                 Span(
                     name="subjoin",
                     duration=duration,
                     attrs={
                         "combo": describe_partitions(sub.partitions),
-                        "status": "evaluated" if count else "memoized",
+                        "status": status,
                         "worker": worker,
                     },
                     children=children,
@@ -1589,72 +1641,55 @@ class AggregateCacheManager:
         return decisions
 
     def _refresh_advance(self, entry, plan: PhysicalPlan, snapshot: int) -> bool:
-        """Incremental refresh: scan only the suffix past the memo's
-        watermarks and CAS-install the advanced memo.  Returns False when
-        the memo cannot advance (raced away / went stale) — the caller
-        falls back to a rebuild."""
+        """Incremental refresh: take the memo's visibility step — main side
+        and delta subjoins alike — and CAS-install the advanced memo.
+        Returns False when the memo cannot step (raced away / partitions
+        swapped / a stamp landed at or below its anchor) — the caller falls
+        back to a rebuild."""
         with self._lock:
             memo = entry.delta_memo
-        verdict = classify_memo(
-            memo,
-            snapshot,
-            plan_partitions(plan.subjoins),
-            plan.signature,
-            plan.excluded_fingerprint(),
-        )
+        verdict = classify_memo(memo, snapshot, plan)
         if verdict != "incremental":
             return False
-        specs, _spec_counts, _rows_saved = incremental_specs(
-            plan.subjoins, memo.watermarks
-        )
+        step = visibility_step(memo, entry, snapshot)
+        if step is None:
+            return False
         inc: Optional[GroupedAggregates] = None
-        if specs:
+        if step.shifts:
+            specs = step.specs(entry.main_partitions, pruner=plan.pruner)
+            specs += subjoin_step_specs(plan, step)[0]
             inc = memo.folded.new_like()
             execute_effective(
-                self._executor,
-                plan.query,
-                snapshot,
-                specs,
-                effective_rows(entry, snapshot),
-                inc,
+                self._executor, plan.query, snapshot, specs, step.effective, inc
             )
-        if not specs and snapshot == memo.anchor:
-            return True  # nothing to advance; the memo already serves here
-        advanced = advance_memo(memo, snapshot, inc, plan.signature)
-        with self._lock:
-            if entry.delta_memo is memo and entry.is_active:
-                entry.delta_memo = advanced
+        advanced = advance_memo(memo, step, snapshot, inc, plan.signature)
+        if advanced is not memo:
+            self._install(_MemoRoute("incremental", entry=entry, memo=memo), advanced)
         return True
 
     def _refresh_rebuild(self, entry, plan: PhysicalPlan, snapshot: int) -> bool:
-        """Full refresh: recompute the compensation union into a throwaway
-        aggregate and CAS-install the fresh memo."""
+        """Full refresh: recompute the entry's whole compensation — main
+        compensation and the delta subjoins — into a throwaway aggregate
+        and CAS-install the fresh memo."""
         with self._lock:
             observed = entry.delta_memo
+        into = GroupedAggregates(plan.query.aggregates, signed=True)
+        effective = effective_rows(entry, snapshot)
+        try:
+            apply_main_compensation(
+                entry, self._executor, snapshot, into, effective=effective
+            )
+        except StaleEntryError:
+            return False  # the next read recomputes the entry itself
         combos = [
             sub.to_spec() for sub in plan.subjoins if sub.action != "pruned"
         ]
-        into = GroupedAggregates(plan.query.aggregates)
         execute_effective(
-            self._executor,
-            plan.query,
-            snapshot,
-            combos,
-            effective_rows(entry, snapshot),
-            into,
+            self._executor, plan.query, snapshot, combos, effective, into
         )
-        fresh = build_memo(
-            into,
-            snapshot,
-            plan_partitions(plan.subjoins),
-            plan.signature,
-            plan.excluded_fingerprint(),
-        )
-        with self._lock:
-            if entry.delta_memo is observed and entry.is_active:
-                entry.delta_memo = fresh
-                return True
-        return False
+        fresh = build_memo(into, snapshot, plan, effective)
+        route = _MemoRoute("full", entry=entry, memo=observed)
+        return self._install(route, fresh) is not None
 
     # ------------------------------------------------------------------
     # merge maintenance (MergeListener protocol)

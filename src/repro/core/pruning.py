@@ -33,9 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..query.expr import Cmp, Col, Expr, Lit, Not, Or
 from ..query.query import AggregateQuery, JoinEdge
 from ..storage.aging import ConsistentAging
+from ..storage.dictionary import NULL_CODE, DeltaDictionary
 from ..storage.partition import Partition
 from .matching_dependency import MatchingDependency
 from .strategies import ExecutionStrategy
@@ -204,6 +207,45 @@ class JoinPruner:
                 )
         return None, pushdown
 
+    def row_set_columns(self) -> Dict[str, Tuple[str, ...]]:
+        """alias -> the tid columns :meth:`rows_disjoint` reads on it (none
+        when the strategy prunes nothing dynamically or the matching
+        dependencies are not trusted)."""
+        out: Dict[str, Tuple[str, ...]] = {}
+        if not (self._strategy.prunes_dynamic and self._assume_md_integrity):
+            return out
+        for info in self._edges:
+            if info.md is not None:
+                for alias in info.edge.aliases():
+                    if info.md.tid_column not in out.get(alias, ()):
+                        out[alias] = out.get(alias, ()) + (info.md.tid_column,)
+        return out
+
+    def rows_disjoint(self, tid_range, restricted) -> bool:
+        """Equation 5 over row sets instead of partitions: whether an
+        MD-covered edge pairs two row sets whose tid ranges do not meet,
+        which empties their join.  ``tid_range(alias, column)`` is the
+        ``(min, max)`` of the set read as ``alias`` — ``(None, None)`` when
+        it holds no non-NULL tid, None when unknown (never pruned on).  Only
+        edges touching an alias in ``restricted`` (read as part of its
+        partition) are checked: the subjoin's own verdict covers the rest."""
+        if not (self._strategy.prunes_dynamic and self._assume_md_integrity):
+            return False
+        for info in self._edges:
+            if info.md is None or not (
+                info.edge.left_alias in restricted or info.edge.right_alias in restricted
+            ):
+                continue
+            left = tid_range(info.edge.left_alias, info.md.tid_column)
+            right = tid_range(info.edge.right_alias, info.md.tid_column)
+            if left is None or right is None:
+                continue
+            if left[0] is None or right[0] is None:
+                return True
+            if left[1] < right[0] or left[0] > right[1]:
+                return True
+        return False
+
     def _collect_pushdown(
         self,
         info: _EdgeInfo,
@@ -241,6 +283,25 @@ class JoinPruner:
                 filters.append(Cmp("<=", col, Lit(hi)))
             else:
                 filters.append(_null_safe_range(col, lo, hi))
+
+
+def tid_range(partition: Partition, column: str, rows) -> Tuple:
+    """The ``(min, max)`` of ``column`` over some rows of ``partition`` (an
+    index array or a :class:`~repro.query.executor.RowRange`), ``(None,
+    None)`` when none of them holds a non-NULL value."""
+    fragment = partition.column(column)
+    if isinstance(rows, np.ndarray):
+        codes = fragment.codes_for(rows)
+    else:
+        codes = fragment.codes()[rows.start:rows.stop]
+    codes = codes[codes != NULL_CODE]
+    if not len(codes):
+        return None, None
+    dictionary = fragment.dictionary
+    if not isinstance(dictionary, DeltaDictionary):  # sorted: codes are ranks
+        return dictionary.decode(int(codes.min())), dictionary.decode(int(codes.max()))
+    values = dictionary.decode_table()[codes]
+    return values.min(), values.max()
 
 
 def _null_safe_range(col: Col, lo, hi) -> Expr:

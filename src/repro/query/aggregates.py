@@ -99,12 +99,19 @@ class GroupedAggregates:
     cache value*: an entry stores one of these (computed on the mains), a
     query-time copy absorbs delta compensation with ``sign=+1`` and main
     compensation with ``sign=-1``, and ``finalize`` renders the result rows.
+
+    A *signed* state holds a difference of two row multisets rather than a
+    multiset — the compensation a cache entry's value still needs.  There a
+    group whose COUNT(*) nets to zero can still carry a sum (an update that
+    changes a price but not the group), so only groups whose every state is
+    zero are retired.
     """
 
-    __slots__ = ("specs", "_groups", "_count_star")
+    __slots__ = ("specs", "signed", "_groups", "_count_star")
 
-    def __init__(self, specs: Sequence[AggregateSpec]):
+    def __init__(self, specs: Sequence[AggregateSpec], signed: bool = False):
         self.specs: List[AggregateSpec] = list(specs)
+        self.signed = signed
         self._groups: Dict[GroupKey, List[list]] = {}
         self._count_star: Dict[GroupKey, int] = {}
 
@@ -241,6 +248,8 @@ class GroupedAggregates:
             # state to zero.
             self._groups = other._copied_groups()
             self._count_star = dict(other._count_star)
+            if other.signed and not self.signed:
+                self._retire_empty_groups()
             return
         for key, other_states in other._groups.items():
             states = self._groups.get(key)
@@ -270,7 +279,8 @@ class GroupedAggregates:
                         state[0] is None or other_state[0] > state[0]
                     ):
                         state[0] = other_state[0]
-        self._retire_empty_groups()
+        # Only the groups ``other`` touched can have emptied.
+        self._retire_empty_groups(other._groups)
 
     def _require_self_maintainable(self, action: str) -> None:
         for spec in self.specs:
@@ -280,8 +290,16 @@ class GroupedAggregates:
                     f"{spec.canonical()}"
                 )
 
-    def _retire_empty_groups(self) -> None:
-        dead = [key for key, n in self._count_star.items() if n == 0]
+    def _retire_empty_groups(self, keys: Optional[Iterable[GroupKey]] = None) -> None:
+        """Drop the empty groups among ``keys`` (default: all of them)."""
+        stars = self._count_star
+        if keys is None:
+            keys = stars
+        dead = [key for key in keys if stars[key] == 0]
+        if self.signed:
+            dead = [
+                key for key in dead if not any(any(s) for s in self._groups[key])
+            ]
         for key in dead:
             del self._groups[key]
             del self._count_star[key]
@@ -343,14 +361,15 @@ class GroupedAggregates:
             rows.append(tuple(out))
         return rows
 
-    def new_like(self) -> "GroupedAggregates":
+    def new_like(self, signed: Optional[bool] = None) -> "GroupedAggregates":
         """An empty grouped state *sharing* this one's specs list.
 
         The parallel executor builds per-subjoin partials this way so that
         folding them back hits :meth:`merge`'s fast identity check instead
-        of comparing canonical spec forms on every subjoin.
+        of comparing canonical spec forms on every subjoin.  ``signed``
+        defaults to this state's own.
         """
-        fresh = GroupedAggregates(())
+        fresh = GroupedAggregates((), self.signed if signed is None else signed)
         fresh.specs = self.specs
         return fresh
 

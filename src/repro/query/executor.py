@@ -92,11 +92,15 @@ class ComboSpec:
     snapshot describes.  Local and extra filters still apply on top.
     A :class:`RowRange` value instead *keeps* the snapshot-visibility scan
     but restricts it to the contiguous interval (delta-memo compensation).
+
+    ``sign`` multiplies the ``execute`` call's own: compensation folds the
+    rows that entered (+1) and left (-1) a subjoin's inputs in one call.
     """
 
     partitions: Dict[str, Partition]
     extra_filters: Dict[str, List[Expr]] = field(default_factory=dict)
     fixed_rows: Dict[str, Union[np.ndarray, RowRange]] = field(default_factory=dict)
+    sign: int = 1
 
     def describe(self) -> str:
         """Compact '(alias:partition, ...)' rendering for stats/plans."""
@@ -418,6 +422,7 @@ class QueryExecutor:
         subjoin is empty and the span is None unless requested.  The
         caller folds everything back in combination order.
         """
+        sign *= combo.sign
         if not want_spans:
             return (*self._execute_combo_inner(
                 query, residuals, local_filters, snapshot, combo, sign,
@@ -473,12 +478,30 @@ class QueryExecutor:
         if stats is not None:
             stats.combos_evaluated += 1
             stats.subjoins.append(combo.describe())
+
+        def empty():
+            if stats is not None:
+                stats.combos_empty += 1
+            if attrs is not None:
+                attrs["status"] = "empty"
+            return None, stats
+
         # Scan every alias up front (memoized across subjoins): the counts
         # drive build-side selection, and any empty input empties the join.
-        scans = {
-            ref.alias: self._scan(ref.alias, combo, local_filters, snapshot, scan_memo)
-            for ref in query.tables
-        }
+        # Inputs restricted to given rows (compensation terms) are scanned
+        # first; an empty one ends the subjoin before the full scans run,
+        # and stands as its probe side.
+        scans: Dict[str, np.ndarray] = {}
+        for ref in sorted(query.tables, key=lambda ref: ref.alias not in combo.fixed_rows):
+            rows = self._scan(ref.alias, combo, local_filters, snapshot, scan_memo)
+            scans[ref.alias] = rows
+            if not len(rows) and ref.alias in combo.fixed_rows:
+                if stats is not None:
+                    stats.probe_sides.append(ref.alias)
+                if attrs is not None:
+                    attrs["rows_scanned"] = {a: len(r) for a, r in sorted(scans.items())}
+                    attrs["probe_side"] = ref.alias
+                return empty()
         row_counts = {alias: len(rows) for alias, rows in scans.items()}
         reduced = _reduce_scans(query, combo, scans)
         reduced_counts = {alias: len(rows) for alias, rows in reduced.items()}
@@ -506,14 +529,6 @@ class QueryExecutor:
             )
             if mapped:
                 attrs["tier"] = {alias: "mapped" for alias in mapped}
-
-        def empty():
-            if stats is not None:
-                stats.combos_empty += 1
-            if attrs is not None:
-                attrs["status"] = "empty"
-            return None, stats
-
         if not all(reduced_counts.values()):
             return empty()
         provider = JoinedProvider(

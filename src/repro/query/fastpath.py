@@ -17,16 +17,22 @@ evaluated without decompressing the column.
 
 from __future__ import annotations
 
-import bisect
+import operator
 from typing import Optional
 
 import numpy as np
 
 from ..storage.column import ColumnFragment
-from ..storage.dictionary import MainDictionary
+from ..storage.dictionary import NULL_CODE, MainDictionary
 from .expr import Cmp, Col, Expr, Lit
 
 _FLIP = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "=": "=", "!=": "!="}
+_RANGE_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+#: A range filter over explicit rows of an unsorted dictionary compares the
+#: rows' own values when they are this many times fewer than the distinct
+#: values, instead of building an allowed-code table over all of them.
+_SPARSE_RANGE_FACTOR = 4
 
 
 def _normalize(expr: Expr):
@@ -77,43 +83,32 @@ def fast_filter_mask(
             return codes != -1
         return (codes != code) & (codes != -1)
     # Range operators: build an allowed-codes table from the dictionary.
-    values = dictionary.values()
-    if not values:
+    if not len(dictionary):
         return np.zeros(len(codes), dtype=bool)
     try:
         if isinstance(dictionary, MainDictionary):
-            allowed = _sorted_range_allowed(values, op, value)
-        else:
-            allowed = _generic_range_allowed(values, op, value)
+            # Codes are ranks, so the allowed codes are one interval, found
+            # by binary search (NULL's -1 lies below every bound).
+            if op in ("<", "<="):
+                return (codes >= 0) & (codes < dictionary.rank(value, op == "<="))
+            return codes >= dictionary.rank(value, op == ">")
+        table = dictionary.decode_table()
+        if _SPARSE_RANGE_FACTOR * len(codes) < len(dictionary):
+            # A handful of pinned rows (a compensation step's changed rows)
+            # against a large unsorted dictionary: compare their own values.
+            keep = codes != NULL_CODE
+            out = np.zeros(len(codes), dtype=bool)
+            out[keep] = _compare(table[codes[keep]], op, value)
+            return out
+        # lut[code]; the trailing slot is NULL's -1, always false.
+        lut = np.zeros(len(dictionary) + 1, dtype=bool)
+        lut[:-1] = _compare(table[:-1], op, value)
     except TypeError:
         return None  # incomparable literal type; fall back to generic eval
-    # lut[code + 1]: slot 0 is the NULL code (-1), always false.
-    lut = np.zeros(len(values) + 1, dtype=bool)
-    lut[1:] = allowed
-    return lut[codes + 1]
+    return lut[codes]
 
 
-def _sorted_range_allowed(values, op: str, value) -> np.ndarray:
-    """Allowed-code mask via binary search on a sorted dictionary (O(log n))."""
-    n = len(values)
-    allowed = np.zeros(n, dtype=bool)
-    if op == "<":
-        allowed[: bisect.bisect_left(values, value)] = True
-    elif op == "<=":
-        allowed[: bisect.bisect_right(values, value)] = True
-    elif op == ">":
-        allowed[bisect.bisect_right(values, value):] = True
-    elif op == ">=":
-        allowed[bisect.bisect_left(values, value):] = True
-    return allowed
-
-
-def _generic_range_allowed(values, op: str, value) -> np.ndarray:
-    """Allowed-code mask for an unsorted (delta) dictionary (O(distinct))."""
-    if op == "<":
-        return np.fromiter((v < value for v in values), dtype=bool, count=len(values))
-    if op == "<=":
-        return np.fromiter((v <= value for v in values), dtype=bool, count=len(values))
-    if op == ">":
-        return np.fromiter((v > value for v in values), dtype=bool, count=len(values))
-    return np.fromiter((v >= value for v in values), dtype=bool, count=len(values))
+def _compare(values: np.ndarray, op: str, value) -> np.ndarray:
+    """``values <op> value`` elementwise over an object array (each element
+    compared by Python's own operator, as a row-at-a-time filter would)."""
+    return np.asarray(_RANGE_OPS[op](values, value), dtype=bool)

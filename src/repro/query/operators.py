@@ -317,8 +317,9 @@ def _dict_lookup_many(build_dict, values: np.ndarray) -> np.ndarray:
 
 #: ``_bridge_codes`` translates only the codes present among the probe rows
 #: when the rows are this many times fewer than the probe dictionary's
-#: values; a full-dictionary LUT would cost more to build than it saves.
-_SPARSE_BRIDGE_FACTOR = 4
+#: values; a full-dictionary LUT would cost more to build than it saves
+#: (the two break even near one row per value).
+_SPARSE_BRIDGE_FACTOR = 2
 
 
 def _bridge_codes(probe_fragment, probe_codes: np.ndarray, build_fragment) -> np.ndarray:

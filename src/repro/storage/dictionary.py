@@ -15,6 +15,7 @@ NULL is never stored in a dictionary; columns encode NULL as code ``-1``.
 
 from __future__ import annotations
 
+import bisect
 from itertools import chain
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -54,7 +55,6 @@ class DeltaDictionary:
             code = len(self._values)
             self._values.append(value)
             self._codes[value] = code
-            self._decode_table = None  # LUT is stale once the dictionary grows
         return code
 
     def lookup(self, value) -> Optional[int]:
@@ -87,13 +87,19 @@ class DeltaDictionary:
     def decode_table(self) -> np.ndarray:
         """Cached decode LUT: ``table[code]`` -> value, ``table[-1]`` -> None.
 
-        Rebuilt lazily after the dictionary grows; callers must treat the
-        array as read-only (it is shared across all decode calls).
+        Extended lazily after the dictionary grows — codes never change, so
+        the old table's entries are copied and only the new values are
+        decoded.  Callers must treat the array as read-only (it is shared
+        across all decode calls; a grown dictionary hands out a new one).
         """
         table = self._decode_table
-        if table is None or len(table) != len(self._values) + 1:
-            table = _build_decode_table(self._values)
-            self._decode_table = table
+        size = len(self._values)
+        if table is None or len(table) != size + 1:
+            known = 0 if table is None else len(table) - 1
+            fresh = np.empty(size + 1, dtype=object)
+            fresh[:known] = table[:known] if known else ()
+            fresh[known:] = _build_decode_table(self._values[known:])
+            table = self._decode_table = fresh
         return table
 
     def min_value(self):
@@ -163,6 +169,11 @@ class MainDictionary:
     def values(self) -> List[object]:
         """The distinct values in code (= sorted) order (a copy)."""
         return list(self._values)
+
+    def rank(self, value, right: bool = False) -> int:
+        """How many values sort below ``value`` (``right``: or equal it) —
+        the code where a range predicate's allowed interval starts or ends."""
+        return (bisect.bisect_right if right else bisect.bisect_left)(self._values, value)
 
     def decode_table(self) -> np.ndarray:
         """Cached decode LUT: ``table[code]`` -> value, ``table[-1]`` -> None.

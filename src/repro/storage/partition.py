@@ -323,9 +323,11 @@ class Partition:
         """The smallest MVCC stamp strictly greater than ``snapshot`` in rows
         ``[start, stop)``, over both stamp vectors; ``inf`` when none exists.
 
-        The delta memo uses this as its validity *horizon*: a memo anchored
-        at snapshot ``S`` stays usable for any reader ``S' < horizon``,
-        because no covered row changes visibility anywhere in ``(S, horizon)``.
+        The pure hit uses this as its validity *horizon*: an output order
+        remembered at snapshot ``S`` serves any reader ``S' < horizon``,
+        because no row changes visibility anywhere in ``(S, horizon)``; the
+        delta memo asks it whether rows it covers are ``ahead`` of its
+        anchor.
         """
         stop = len(self._cts) if stop is None else min(stop, len(self._cts))
         start = max(0, start)

@@ -1,10 +1,11 @@
-"""Delta-compensation memo lifecycle: validity matrix, bypasses, parity.
+"""Compensation memo lifecycle: the visibility step, bypasses, parity.
 
-The memo (repro.core.delta_memo) reuses the folded compensation value of a
-previous hit and rescans only the delta rows appended past its watermarks.
-These tests pin down every way that reuse must *not* happen — DML on each
-referenced table, merges, older readers, future stamps below the watermark
-— and that serial/parallel and memo-on/off runs agree bit for bit.
+The memo (repro.core.delta_memo) keeps an entry's whole compensation at
+its anchor and steps it to a later reader over just the rows whose
+visibility differs between the two snapshots.  These tests pin down that
+DML on each referenced table and stamps below the watermark advance it,
+that merges rebuild it and older readers bypass it, and that
+serial/parallel and memo-on/off runs agree bit for bit.
 """
 
 import random
@@ -12,7 +13,7 @@ import random
 import pytest
 
 from repro import CacheConfig, Database, ExecutionStrategy
-from repro.core.delta_memo import incremental_specs
+from repro.core.delta_memo import subjoin_step_specs, visibility_step
 from repro.query.parallel import ParallelConfig
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
@@ -122,9 +123,9 @@ class TestTelescopedIncrement:
         memo = entry.delta_memo
         grow(erp_db)
         plan = erp_db.cache.plan_for(PROFIT_SQL, FULL, star_join_tables=())
-        specs, spec_counts, _rows_saved = incremental_specs(
-            plan.subjoins, memo.watermarks
-        )
+        step = visibility_step(memo, entry, erp_db.transactions.global_snapshot())
+        specs, spec_counts = subjoin_step_specs(plan, step)
+        terms = {}
         for index, sub in enumerate(plan.subjoins):
             if sub.action != "evaluate":
                 assert index not in spec_counts
@@ -132,11 +133,39 @@ class TestTelescopedIncrement:
             grown = [
                 alias
                 for alias, partition in sub.partitions.items()
-                if partition.row_count > memo.watermarks.get(id(partition), 0)
+                if partition.row_count > memo.watermarks[id(partition)].rows
             ]
-            assert spec_counts[index] == len(grown)
-        assert max(spec_counts.values()) == k
+            terms[index] = len(step.specs(sub.partitions, sub.pushdown))
+            assert terms[index] == len(grown)
+            # Tid-range pruning only ever drops terms.
+            assert spec_counts[index] <= terms[index]
+        assert max(terms.values()) == k
         assert len(specs) == sum(spec_counts.values())
+        result = erp_db.query(PROFIT_SQL, **kwargs)
+        assert result.report.delta_memo_mode == "incremental"
+        assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
+
+    def test_terms_pairing_new_objects_with_old_rows_are_pruned(self, erp_db):
+        """A new business object's header and items carry one fresh tid, so
+        the term joining the new headers to the items below the watermark
+        is empty by Equation 5 over those row sets, and is never run."""
+        kwargs = {"strategy": FULL, "star_join_tables": ()}
+        erp_db.query(PROFIT_SQL, **kwargs)
+        (entry,) = erp_db.cache.entries()
+        memo = entry.delta_memo
+        _grow_header_and_item(erp_db)
+        plan = erp_db.cache.plan_for(PROFIT_SQL, FULL, star_join_tables=())
+        step = visibility_step(memo, entry, erp_db.transactions.global_snapshot())
+        _specs, spec_counts = subjoin_step_specs(plan, step)
+        both = next(
+            index
+            for index, sub in enumerate(plan.subjoins)
+            if sub.action == "evaluate"
+            and sub.partitions["h"].kind == sub.partitions["i"].kind == "delta"
+            and sub.partitions["d"].kind == "main"
+        )
+        assert len(step.specs(plan.subjoins[both].partitions)) == 2
+        assert spec_counts[both] == 1
         result = erp_db.query(PROFIT_SQL, **kwargs)
         assert result.report.delta_memo_mode == "incremental"
         assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
@@ -144,28 +173,34 @@ class TestTelescopedIncrement:
 
 class TestInvalidationMatrix:
     @pytest.mark.parametrize("table,pk", [("header", 0), ("item", 1), ("category", 0)])
-    def test_update_on_each_referenced_table_rebuilds(self, erp_db, table, pk):
-        erp_db.query(PROFIT_SQL, strategy=FULL)
-        erp_db.query(PROFIT_SQL, strategy=FULL)
+    def test_update_on_each_referenced_table_advances(self, erp_db, table, pk):
+        # Star-join reduction off: a category update would otherwise end the
+        # empty-delta exclusion of ``category``, which does rebuild the memo
+        # (test_star_join_memo.py).
+        kwargs = {"strategy": FULL, "star_join_tables": ()}
+        erp_db.query(PROFIT_SQL, **kwargs)
+        erp_db.query(PROFIT_SQL, **kwargs)
         changes = {
             "header": {"year": 2099},
             "item": {"price": 50.0},
             "category": {"name": "renamed"},
         }[table]
         erp_db.update(table, pk, changes)
-        result = erp_db.query(PROFIT_SQL, strategy=FULL)
-        # The update invalidated a stored row (epoch bump) and appended the
-        # new version: the memo must not be reused as-is.
-        assert erp_db.last_report.delta_memo_mode == "full"
+        result = erp_db.query(PROFIT_SQL, **kwargs)
+        # The update invalidated a stored row and appended the new version:
+        # the memo steps over both.
+        assert erp_db.last_report.delta_memo_mode == "incremental"
         assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
 
     @pytest.mark.parametrize("table,pk", [("header", 2), ("item", 3), ("category", 1)])
-    def test_delete_on_each_referenced_table_rebuilds(self, erp_db, table, pk):
-        erp_db.query(PROFIT_SQL, strategy=FULL)
-        erp_db.query(PROFIT_SQL, strategy=FULL)
+    def test_delete_on_each_referenced_table_advances(self, erp_db, table, pk):
+        kwargs = {"strategy": FULL, "star_join_tables": ()}
+        erp_db.query(PROFIT_SQL, **kwargs)
+        erp_db.query(PROFIT_SQL, **kwargs)
         erp_db.delete(table, pk)
-        result = erp_db.query(PROFIT_SQL, strategy=FULL)
-        assert erp_db.last_report.delta_memo_mode == "full"
+        result = erp_db.query(PROFIT_SQL, **kwargs)
+        assert erp_db.last_report.delta_memo_mode == "incremental"
+        assert erp_db.last_report.invalidated_rows_compensated == 1
         assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
 
     def test_delta_merge_resets_the_memo(self, erp_db):
@@ -182,45 +217,82 @@ class TestInvalidationMatrix:
         erp_db.query(PROFIT_SQL, strategy=FULL)
         assert erp_db.last_report.delta_memo_mode == "incremental"
 
-    def test_future_cts_below_watermark_forces_rebuild(self, erp_db):
+    def test_future_cts_below_watermark_advances(self, erp_db):
         """Rows appended by writers *newer* than a pinned reader end up
-        below the watermark when that reader advances the memo.  No epoch
-        ever moves, yet the rows become visible later — the horizon must
-        catch them."""
+        below the watermark when that reader advances the memo.  They
+        become visible later without any version moving again: the step of
+        the newer reader finds their ``cts`` inside ``(anchor, S]``."""
         erp_db.query(PROFIT_SQL, strategy=FULL)  # entry + memo installed
         txn = erp_db.begin()  # snapshot S
         load_erp(erp_db, n_headers=2, start_hid=300, merge=False)  # cts > S
         before = _uncached_rows(erp_db, PROFIT_SQL, txn=txn)
         result = erp_db.query(PROFIT_SQL, strategy=FULL, txn=txn)
-        # The pinned reader reuses the memo (nothing it can see changed),
-        # scans the suffix (finding nothing visible), and advances the
-        # watermarks *over* the still-invisible rows.
+        # The pinned reader steps over the suffix (finding nothing visible)
+        # and advances the watermarks *over* the still-invisible rows.
         assert erp_db.last_report.delta_memo_mode == "incremental"
         assert result.rows == before
+        (entry,) = erp_db.cache.entries()
+        assert entry.delta_memo.anchor == txn.snapshot
+        assert any(mark.ahead for mark in entry.delta_memo.watermarks.values())
         txn.commit()
         result = erp_db.query(PROFIT_SQL, strategy=FULL)
-        # The advanced memo covers rows this newer reader must see; its
-        # horizon (the smallest future cts) forces the rebuild.
-        assert erp_db.last_report.delta_memo_mode == "full"
+        assert erp_db.last_report.delta_memo_mode == "incremental"
         assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
         assert result.rows != before
 
-    def test_future_dts_below_watermark_forces_rebuild(self, erp_db):
+    def test_future_dts_below_watermark_advances(self, erp_db):
         """The deleter-side twin: a covered row whose delete committed after
-        the pinned reader's snapshot.  The rebuild triggered by the epoch
-        bump anchors a memo that still *contains* the row (the deleter is
-        invisible to it); only the horizon keeps newer readers away."""
-        erp_db.query(PROFIT_SQL, strategy=FULL)  # entry exists
+        the pinned reader's snapshot.  The pinned reader's step leaves the
+        row counted (its ``dts`` lies in that reader's future); the newer
+        reader's step subtracts it."""
+        erp_db.query(PROFIT_SQL, strategy=FULL)  # entry + memo installed
         txn = erp_db.begin()  # snapshot S sees hid=100's first item
-        erp_db.delete("item", 100 * 100)  # dts > S, epoch bump
+        erp_db.delete("item", 100 * 100)  # dts > S, a delta row
         result = erp_db.query(PROFIT_SQL, strategy=FULL, txn=txn)
-        assert erp_db.last_report.delta_memo_mode == "full"  # epoch moved
+        assert erp_db.last_report.delta_memo_mode == "incremental"
         assert result.rows == _uncached_rows(erp_db, PROFIT_SQL, txn=txn)
         txn.commit()
-        # The fresh memo's epochs match current state; without the horizon
-        # its folded value — deleted row included — would be served stale.
         result = erp_db.query(PROFIT_SQL, strategy=FULL)
-        assert erp_db.last_report.delta_memo_mode == "full"
+        assert erp_db.last_report.delta_memo_mode == "incremental"
+        assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
+        assert result.rows != _uncached_rows(erp_db, PROFIT_SQL, as_of=txn.snapshot)
+
+    def test_update_then_delete_of_a_revived_row_across_two_reads(self, erp_db):
+        """A silent update revives the stored category row (no statement
+        column changed); deleting its successor ends the revival, and the
+        step subtracts the stored row only then."""
+        kwargs = {"strategy": FULL, "star_join_tables": ()}
+        erp_db.query(PROFIT_SQL, **kwargs)
+        erp_db.update("category", 0, {"lang": "GER"})
+        result = erp_db.query(PROFIT_SQL, **kwargs)
+        report = result.report
+        assert report.delta_memo_mode == "incremental"
+        assert (report.silent_rows_cancelled, report.invalidated_rows_compensated) == (1, 0)
+        assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
+        erp_db.delete("category", 0)
+        result = erp_db.query(PROFIT_SQL, **kwargs)
+        report = result.report
+        assert report.delta_memo_mode == "incremental"
+        assert (report.silent_rows_cancelled, report.invalidated_rows_compensated) == (0, 1)
+        assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
+
+    def test_stamp_below_the_anchor_after_the_memo_rebuilds(self, erp_db):
+        """An open transaction older than the memo's reader deletes a row
+        the memo counted: the anchor's own state changed, which no step can
+        express, so the memo is rebuilt."""
+        erp_db.query(PROFIT_SQL, strategy=FULL)
+        writer = erp_db.begin()  # older than the next read's anchor
+        _grow_item(erp_db)
+        erp_db.query(PROFIT_SQL, strategy=FULL)  # steps the memo past it
+        (entry,) = erp_db.cache.entries()
+        assert entry.delta_memo.anchor > writer.snapshot
+        erp_db.delete("item", 2, txn=writer)  # dts below the anchor
+        writer.commit()
+        result = erp_db.query(PROFIT_SQL, strategy=FULL)
+        assert (result.report.delta_memo_mode, result.report.delta_memo_reason) == (
+            "full",
+            "stale",
+        )
         assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
 
 
@@ -255,6 +327,25 @@ class TestBypasses:
         txn.commit()
         erp_db.query(PROFIT_SQL, strategy=FULL)
         assert erp_db.last_report.delta_memo_mode == "incremental"
+
+    def test_older_reader_never_installs_a_memo(self, erp_db):
+        """Not even under a plan whose exclusions differ from the memo's
+        (which a newer reader would rebuild): the older reader compensates
+        from scratch and the newer memo stays."""
+        erp_db.query(PROFIT_SQL, strategy=FULL)
+        txn = erp_db.begin()
+        erp_db.delete("item", 1)
+        erp_db.query(PROFIT_SQL, strategy=FULL)  # steps the memo past ``txn``
+        (entry,) = erp_db.cache.entries()
+        memo = entry.delta_memo
+        assert memo.anchor > txn.snapshot
+        no_pruning = ExecutionStrategy.CACHED_NO_PRUNING  # no star-join exclusion
+        result = erp_db.query(PROFIT_SQL, strategy=no_pruning, txn=txn)
+        report = erp_db.last_report
+        assert (report.delta_memo_mode, report.delta_memo_reason) == ("bypass", "older_reader")
+        assert result.rows == _uncached_rows(erp_db, PROFIT_SQL, txn=txn)
+        assert entry.delta_memo is memo
+        txn.commit()
 
     def test_direct_scan_answers_bypass(self, erp_db):
         erp_db.query(PROFIT_SQL, strategy=FULL)

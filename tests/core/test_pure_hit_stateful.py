@@ -19,11 +19,21 @@ Plans are keyed on the tables' structural epochs: DML re-derives a cached
 plan's prune verdicts over its skeleton, and a star-join exclusion flip
 rebuilds it.  Each machine must see both, and ``clear_plan_cache`` mixes
 fresh builds in between.
+
+Compensation memos advance by a visibility step (``repro.core.delta_memo``)
+over every write.  Each machine must see a step over a main row that left
+(an update or delete of a merged row), over a delta row that left, and over
+a delta row below the memo's watermark that entered — one a newer
+transaction had appended before an older reader advanced the memo past it.
+A memo's anchor never moves back: an older reader bypasses the memo rather
+than installing its own.
 """
 
 import os
 from collections import Counter
 
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -35,6 +45,7 @@ from hypothesis.stateful import (
 )
 
 from repro import Database, ExecutionStrategy
+from repro.core import manager
 from repro.workloads import CH_QUERIES, ChBenchmark, ChConfig
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
@@ -93,9 +104,10 @@ class ErpShape:
             iid = self.items[k % len(self.items)]
             self.db.update("item", iid, {"price": QUANTUM * (k % 40)}, txn=txn)
 
-    def delete(self, k, txn):
+    def delete(self, k, txn, newest=False):
         if self.items:
-            self.db.delete("item", self.items.pop(k % len(self.items)), txn=txn)
+            at = -1 if newest else k % len(self.items)
+            self.db.delete("item", self.items.pop(at), txn=txn)
 
     def touch(self, k, how, txn):
         """One more version (or the end) of the key ``k`` picks.  A header's
@@ -214,9 +226,9 @@ class ChShape:
             ol_key = self.orderlines[k % len(self.orderlines)]
             self.db.update("orderline", ol_key, {"ol_amount": QUANTUM * (k % 300)}, txn=txn)
 
-    def delete(self, k, txn):
+    def delete(self, k, txn, newest=False):
         if len(self.orderlines) > 4:
-            ol_key = self.orderlines.pop(k % len(self.orderlines))
+            ol_key = self.orderlines.pop(-1 if newest else k % len(self.orderlines))
             self.db.delete("orderline", ol_key, txn=txn)
 
     def touch(self, k, how, txn):
@@ -254,6 +266,8 @@ class PureHitMachine(RuleBasedStateMachine):
         self.open = []  # explicitly begun, not yet finished transactions
         #: id(ResultOrder) -> (the order, the rows of the read that remembered it)
         self.remembered = {}
+        #: id(entry) -> (the entry, the anchor of the last memo seen on it)
+        self.anchors = {}
         self.last = 0  # index of the statement read last
 
     def teardown(self):
@@ -281,9 +295,11 @@ class PureHitMachine(RuleBasedStateMachine):
     def update(self, k, pick):
         self.shape.update(k, self._txn(pick))
 
-    @rule(k=st.integers(0, 10_000), pick=st.integers(0, 50))
-    def delete(self, k, pick):
-        self.shape.delete(k, self._txn(pick))
+    @rule(k=st.integers(0, 10_000), pick=st.integers(0, 50), newest=st.booleans())
+    def delete(self, k, pick, newest):
+        """Any row, or the one inserted last (still in a delta, below the
+        watermark of a memo that stepped over its insert)."""
+        self.shape.delete(k, self._txn(pick), newest)
 
     @rule(
         k=st.integers(0, 10_000),
@@ -368,6 +384,25 @@ class PureHitMachine(RuleBasedStateMachine):
         for _ in range(repeat):
             self._read(sql, strategy, kwargs)
 
+    @rule(k=st.integers(0, 10_000), which=st.integers(0, 50))
+    def delete_what_a_memo_covers(self, k, which):
+        """Insert and read, so that the memo steps over the new rows, then
+        delete the newest: the next read steps over a delta row leaving."""
+        self.last = which % len(self.shape.statements)
+        self.shape.insert(k, None)
+        self._read(self.shape.statements[self.last], None, {})
+        self.shape.delete(k, None, newest=True)
+
+    @rule(k=st.integers(0, 10_000), strategy=st.sampled_from(CACHED))
+    def read_behind_a_newer_writer(self, k, strategy):
+        """A transaction reads the last statement after a newer one wrote:
+        its step carries the memo's watermark past rows it cannot see, and
+        the next fresh read must find them below it."""
+        txn = self.db.begin()
+        self.shape.insert(k, None)
+        self._read(self.shape.statements[self.last], strategy, {"txn": txn})
+        txn.commit()
+
     @invariant()
     def last_statement_still_equals_uncached(self):
         """After every step — each write, merge, shed, toggle — the
@@ -380,6 +415,15 @@ class PureHitMachine(RuleBasedStateMachine):
         assert Counter(result.rows) == Counter(truth), (sql, kwargs, strategy)
         type(self).cancelled += result.report.silent_rows_cancelled
         self._check_sequence(sql, result)
+        self._check_anchor(sql)
+
+    def _check_anchor(self, sql):
+        for entry in self.db.cache.entries_for(self.db.parse(sql)):
+            if entry.delta_memo is None:
+                continue
+            _entry, anchor = self.anchors.get(id(entry), (entry, 0))
+            assert entry.delta_memo.anchor >= anchor, (sql, anchor, entry.delta_memo.anchor)
+            self.anchors[id(entry)] = (entry, entry.delta_memo.anchor)
 
     def _check_sequence(self, sql, result):
         entries = self.db.cache.entries_for(self.db.parse(sql))
@@ -411,21 +455,43 @@ SETTINGS = settings(
 )
 
 
-def test_erp_histories_equal_uncached_and_do_reuse():
-    ErpMachine.reuses = ErpMachine.cancelled = 0
-    ErpMachine.rederived = ErpMachine.flips = 0
-    run_state_machine_as_test(ErpMachine, settings=SETTINGS)
-    assert ErpMachine.reuses > 0
-    assert ErpMachine.cancelled > 0
-    assert ErpMachine.rederived > 0
-    assert ErpMachine.flips > 0
+@pytest.fixture
+def counted_steps(monkeypatch):
+    """Record, per machine class, what the memos' visibility steps moved."""
+    real = manager.visibility_step
+    counts = Counter()
+
+    def counted(memo, entry, snapshot):
+        step = real(memo, entry, snapshot)
+        for pid, shift in (step.shifts if step is not None else {}).items():
+            kind = memo.partitions[pid].kind
+            for sign, rows in shift.parts:
+                if isinstance(rows, np.ndarray):
+                    if sign < 0:
+                        counts[f"{kind}_left"] += 1
+                    elif kind == "delta":
+                        counts["entered_below"] += 1
+        return step
+
+    monkeypatch.setattr(manager, "visibility_step", counted)
+    return counts
 
 
-def test_ch_histories_equal_uncached_and_do_reuse():
-    ChMachine.reuses = ChMachine.cancelled = 0
-    ChMachine.rederived = ChMachine.flips = 0
-    run_state_machine_as_test(ChMachine, settings=SETTINGS)
-    assert ChMachine.reuses > 0
-    assert ChMachine.cancelled > 0
-    assert ChMachine.rederived > 0
-    assert ChMachine.flips > 0
+def _run(machine, steps):
+    machine.reuses = machine.cancelled = 0
+    machine.rederived = machine.flips = 0
+    run_state_machine_as_test(machine, settings=SETTINGS)
+    assert machine.reuses > 0
+    assert machine.cancelled > 0
+    assert machine.rederived > 0
+    assert machine.flips > 0
+    for moved in ("main_left", "delta_left", "entered_below"):
+        assert steps[moved] > 0, moved
+
+
+def test_erp_histories_equal_uncached_and_do_reuse(counted_steps):
+    _run(ErpMachine, counted_steps)
+
+
+def test_ch_histories_equal_uncached_and_do_reuse(counted_steps):
+    _run(ChMachine, counted_steps)
