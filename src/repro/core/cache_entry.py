@@ -15,7 +15,9 @@ An entry binds a :class:`CacheKey` to
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
+
+import numpy as np
 
 from ..errors import CacheError
 from ..query.aggregates import GroupedAggregates
@@ -32,15 +34,15 @@ class ResultOrder:
     When a read was answered by one clean entry and delta compensation
     contributed nothing, its finished rows are ``finalize(entry.value)``
     filtered by HAVING, sorted by ORDER BY and cut by LIMIT.  This records
-    only that order — references to the value's own group-key tuples, not
-    the rows — plus everything needed to tell that a later read would
-    derive the same order again; the manager checks it
+    only that order — the slots of ``value``'s groups, not the rows — plus
+    everything needed to tell that a later read would derive the same
+    order again; the manager checks it
     (``AggregateCacheManager._reuse_result``) and emits the rows straight
     from ``entry.value``.  Immutable once installed.
     """
 
-    #: Group keys of ``value`` in output order, HAVING and LIMIT applied.
-    keys: List[Tuple]
+    #: Slots of ``value``'s groups in output order, HAVING and LIMIT applied.
+    slots: np.ndarray
     #: ``AggregateQuery.presentation_key()`` of the statement (entries are
     #: shared by statements differing only in HAVING / ORDER BY / LIMIT).
     presentation: Tuple
@@ -60,8 +62,8 @@ class ResultOrder:
     rows_saved: int = 0
 
     def nbytes(self) -> int:
-        """A list header plus one reference per remembered group."""
-        return 56 + 8 * len(self.keys)
+        """The slot array: 8 bytes per remembered group."""
+        return self.slots.nbytes
 
 
 @dataclass

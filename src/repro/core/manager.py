@@ -723,7 +723,7 @@ class AggregateCacheManager:
         if self.fault_injector is not None:
             self.fault_injector.fire("cache.compensation")
         finished = QueryResult.trusted(
-            plan.query.output_columns(), order.value.finalize_keys(order.keys)
+            plan.query.output_columns(), order.value.finalize_slots(order.slots)
         )
         report.cache_hits += 1
         report.result_reused = True
@@ -777,12 +777,11 @@ class AggregateCacheManager:
         for table in set(entry.tables.values()):
             for partition in table.partitions():
                 horizon = min(horizon, partition.min_stamp_after(snapshot))
-        # The finished rows start with their group key; map each back to
-        # the value's own key tuple so the list holds references only.
-        own = {key: key for key in value.keys()}
+        # The finished rows start with their group key; the key table maps
+        # each to its slot in the value.
         width = len(plan.query.group_by)
         order = ResultOrder(
-            keys=[own[row[:width]] for row in finished.rows],
+            slots=value.slots_of(row[:width] for row in finished.rows),
             presentation=plan.query.presentation_key(),
             value=value,
             memo=memo,

@@ -30,12 +30,7 @@ class InMemoryExtent:
 
     def apply(self, key: Tuple, values: List[object], sign: int) -> None:
         """Fold one row change (key, per-spec values, sign) into the map."""
-        columns = []
-        for value in values:
-            arr = np.empty(1, dtype=object)
-            arr[0] = value
-            columns.append(arr)
-        self._grouped.accumulate([key], columns, sign=sign)
+        self._grouped.accumulate((key,), [(value,) for value in values], sign=sign)
 
     def rows(self) -> List[Tuple]:
         """Finalized view rows."""
@@ -81,16 +76,16 @@ class SummaryTableExtent:
         return _KEY_SEPARATOR.join(repr(part) for part in key)
 
     def _load_initial(self, grouped: GroupedAggregates) -> None:
-        for key in list(grouped.keys()):
+        keys, n_star, states = grouped.state_columns()
+        columns = {"n_star": n_star.tolist()}
+        for i, (spec, arrays) in enumerate(zip(self._specs, states)):
+            if spec.func in (AggFunc.SUM, AggFunc.AVG):
+                columns[f"a{i}_sum"] = [float(v) for v in arrays[0].tolist()]
+            columns[f"a{i}_cnt"] = arrays[-1].tolist()
+        for pos, key in enumerate(keys):
             row = self._fresh_row(key)
-            states = grouped.raw_states(key)
-            for i, spec in enumerate(self._specs):
-                if spec.func in (AggFunc.SUM, AggFunc.AVG):
-                    row[f"a{i}_sum"] = float(states[i][0])
-                    row[f"a{i}_cnt"] = int(states[i][1])
-                else:
-                    row[f"a{i}_cnt"] = int(states[i][0])
-            row["n_star"] = grouped.count_star(key)
+            for name, values in columns.items():
+                row[name] = values[pos]
             self._db.insert(self._table_name, row)
 
     def _fresh_row(self, key: Tuple) -> Dict[str, object]:

@@ -15,6 +15,7 @@ cache, exactly as in the paper.
 from __future__ import annotations
 
 import enum
+import operator
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -83,22 +84,95 @@ class AggregateSpec:
         return AggregateSpec(self.func, arg, self.output, self.distinct)
 
 
-# Internal accumulator state per (group, aggregate):
-#   SUM / AVG        -> [sum, non-null count]
-#   COUNT            -> [count]
-#   COUNT DISTINCT   -> [set of seen values]
-#   MIN              -> [value or None]
-#   MAX              -> [value or None]
+# Columnar grouped state (docs/architecture.md §3): a key table maps each
+# live group key to a dense *slot* — first-insertion order; a retired group
+# that comes back gets a new slot at the end — and each state component is
+# one array indexed by slot.  Component 0 is the COUNT(*) every state
+# carries (Fig. 2); then per spec: SUM / AVG -> sum, non-null count;
+# COUNT(expr) -> non-null count; COUNT DISTINCT -> set; MIN / MAX -> value.
+# A sum column starts as int64 zeros (int 0, as Python's ``sum``), stays
+# int64 while its integers fit, turns float64 when its first contributions
+# are floats, and holds Python numbers otherwise.  Every addition happens in
+# the order of ``state += sign * value`` over Python numbers.
 GroupKey = Tuple
+_SUM, _COUNT, _SET, _MIN, _MAX = range(5)  # component kinds
+#: Key-table bytes per slot beside the slot -> key array: a dict entry with
+#: its share of the hash index (29-45 B measured on CPython 3.11).
+_KEY_SLOT_BYTES = 40
+_EMPTY = np.empty(0, dtype=object)  # every component of an empty state (see _claim)
+_COMPONENTS = {  # (func, distinct) -> the spec's component kinds
+    (AggFunc.SUM, False): (_SUM, _COUNT), (AggFunc.AVG, False): (_SUM, _COUNT),
+    (AggFunc.COUNT, False): (_COUNT,), (AggFunc.COUNT, True): (_SET,),
+    (AggFunc.MIN, False): (_MIN,), (AggFunc.MAX, False): (_MAX,),
+}
+
+
+def _layout(specs: Sequence[AggregateSpec]) -> Tuple[tuple, tuple]:
+    """Component kinds; per spec (func, distinct, its first component)."""
+    kinds = [_COUNT]
+    renders = []
+    for spec in specs:
+        own = () if spec.is_count_star else _COMPONENTS[spec.func, spec.distinct]
+        renders.append((spec.func, spec.distinct, len(kinds) if own else 0))
+        kinds += own
+    return tuple(kinds), tuple(renders)
+
+
+def _objects(values) -> np.ndarray:
+    out = np.empty(len(values), dtype=object)
+    out[:] = values
+    return out
+
+
+def _fresh(kind: int, n: int) -> np.ndarray:
+    """``n`` empty states of one component kind."""
+    if kind in (_SUM, _COUNT):
+        return np.zeros(n, dtype=np.int64)
+    return _objects([set() for _ in range(n)]) if kind == _SET else np.empty(n, dtype=object)
+
+
+def _numbers(values: list) -> np.ndarray:
+    """Row values as the narrowest exact array."""
+    kinds = set(map(type, values))
+    if kinds in ({int}, {float}):
+        try:
+            return np.array(values, dtype=np.float64 if float in kinds else np.int64)
+        except OverflowError:  # ints past int64
+            pass
+    return _objects(values)
+
+
+def _widened(col: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``col`` able to hold sums with ``values``: int zeros fit any column,
+    an untouched int64 column takes their dtype, any other mismatch falls
+    back to Python objects."""
+    zero = values.dtype.kind == "i" and not np.count_nonzero(values)
+    if zero or col.dtype in (values.dtype, object):
+        return col
+    fresh = col.dtype.kind == "i" and not np.count_nonzero(col)
+    return col.astype(values.dtype if fresh else object)
+
+
+def _add(col: np.ndarray, at: np.ndarray, values: np.ndarray, sign: int) -> np.ndarray:
+    """``col[at] += sign * values`` for distinct slots ``at``; returns the
+    (possibly widened) column."""
+    col = _widened(col, values)
+    values = values.astype(col.dtype, copy=False)
+    old = col[at]
+    new = old + values if sign > 0 else old - values
+    if col.dtype.kind == "i" and (
+        (old ^ new) & ((values ^ new) if sign > 0 else (old ^ values)) < 0
+    ).any():  # wrapped past int64: exact Python ints from here on
+        return _add(col.astype(object), at, values, sign)
+    col[at] = new
+    return col
 
 
 class GroupedAggregates:
-    """Mutable grouped aggregation state supporting signed accumulation.
-
-    This object is both the executor's aggregation sink and the *aggregate
-    cache value*: an entry stores one of these (computed on the mains), a
-    query-time copy absorbs delta compensation with ``sign=+1`` and main
-    compensation with ``sign=-1``, and ``finalize`` renders the result rows.
+    """Mutable grouped aggregation state supporting signed accumulation: the
+    executor's sink, the *aggregate cache value* (computed on the mains), a
+    memo's ``folded`` compensation and a read's result, which absorbs delta
+    compensation with ``sign=+1`` and main compensation with ``sign=-1``.
 
     A *signed* state holds a difference of two row multisets rather than a
     multiset — the compensation a cache entry's value still needs.  There a
@@ -107,306 +181,229 @@ class GroupedAggregates:
     zero are retired.
     """
 
-    __slots__ = ("specs", "signed", "_groups", "_count_star")
+    __slots__ = ("specs", "signed", "_kinds", "_renders", "_slot", "_keys", "_cols")
 
     def __init__(self, specs: Sequence[AggregateSpec], signed: bool = False):
         self.specs: List[AggregateSpec] = list(specs)
         self.signed = signed
-        self._groups: Dict[GroupKey, List[list]] = {}
-        self._count_star: Dict[GroupKey, int] = {}
+        self._kinds, self._renders = _layout(self.specs)
+        self._reset()
 
-    # ------------------------------------------------------------------
-    # accumulation
-    # ------------------------------------------------------------------
-    def _new_states(self) -> List[list]:
-        states: List[list] = []
-        for spec in self.specs:
-            if spec.func in (AggFunc.SUM, AggFunc.AVG):
-                # The sum starts at integer 0, not 0.0: integer columns then
-                # accumulate through Python's arbitrary-precision ints and
-                # stay exact past 2**53, while float contributions promote
-                # the state to float with bit-identical results (0 + x and
-                # 0.0 + x round the same for every float x).
-                states.append([0, 0])
-            elif spec.func is AggFunc.COUNT:
-                states.append([set()] if spec.distinct else [0])
-            else:  # MIN / MAX
-                states.append([None])
-        return states
+    def _reset(self) -> None:
+        self._slot: Dict[GroupKey, int] = {}  # live key -> slot (the key table)
+        self._keys = _EMPTY  # slot -> key, retired ones too
+        self._cols = [_EMPTY] * len(self._kinds)
 
-    def accumulate(
-        self,
-        keys: Sequence[GroupKey],
-        agg_columns: Sequence[np.ndarray],
-        sign: int = 1,
-    ) -> None:
-        """Fold rows into the groups.
+    def accumulate(self, keys: Sequence[GroupKey], agg_columns: Sequence, sign: int = 1) -> None:
+        """Fold rows into the groups, one after the other: one group key per
+        row in ``keys``, one value sequence per spec in ``agg_columns``
+        (ignored for COUNT(*)).  ``sign=-1`` subtracts."""
+        self._check_sign(sign)
+        local: Dict[GroupKey, int] = {}
+        rows = [local.setdefault(key, len(local)) for key in keys]
+        slots = self._claim(local)
+        jobs = [(0, rows)]  # (component, its values per row); COUNT(*) counts every row
+        for (_func, _distinct, j), column in zip(self._renders, agg_columns):
+            if j:
+                jobs += [(j, column), (j + 1, column)] if self._kinds[j] == _SUM else [(j, column)]
+        for j, column in jobs:
+            self._fold_rows(j, slots, rows, column, sign, single=True)
+        self._retire(slots)
 
-        ``keys`` has one group key per row; ``agg_columns`` has one value
-        array per aggregate spec (ignored entry for COUNT(*)).  ``sign=-1``
-        subtracts — only legal when every aggregate is self-maintainable.
-        """
-        if sign not in (1, -1):
-            raise ValueError("sign must be +1 or -1")
-        if sign == -1:
-            self._require_self_maintainable("subtract from")
-        groups = self._groups
-        count_star = self._count_star
-        specs = self.specs
-        for row, key in enumerate(keys):
-            states = groups.get(key)
-            if states is None:
-                states = self._new_states()
-                groups[key] = states
-                count_star[key] = 0
-            count_star[key] += sign
-            for i, spec in enumerate(specs):
-                state = states[i]
-                if spec.func in (AggFunc.SUM, AggFunc.AVG):
-                    value = agg_columns[i][row]
-                    if value is not None:
-                        state[0] += sign * value
-                        state[1] += sign
-                elif spec.func is AggFunc.COUNT:
-                    if spec.arg is None:
-                        state[0] += sign
-                    elif spec.distinct:
-                        value = agg_columns[i][row]
-                        if value is not None:
-                            state[0].add(value)
-                    else:
-                        value = agg_columns[i][row]
-                        if value is not None:
-                            state[0] += sign
-                elif spec.func is AggFunc.MIN:
-                    value = agg_columns[i][row]
-                    if value is not None and (state[0] is None or value < state[0]):
-                        state[0] = value
-                else:  # MAX
-                    value = agg_columns[i][row]
-                    if value is not None and (state[0] is None or value > state[0]):
-                        state[0] = value
-        self._retire_empty_groups()
-
-    def accumulate_groups(
-        self,
-        keys: Sequence[GroupKey],
-        spec_states: Sequence[Sequence],
-        count_star: Sequence[int],
-        sign: int = 1,
-    ) -> None:
-        """Fold *pre-aggregated* group contributions (vectorized fast path).
-
-        ``spec_states[i][g]`` is the aggregated contribution of group ``g``
-        for spec ``i``: a ``(sum, non-null count)`` pair for SUM/AVG, a bare
-        count for COUNT.  Only self-maintainable specs are supported — the
-        executor falls back to :meth:`accumulate` otherwise.
-        """
-        if sign == -1:
-            self._require_self_maintainable("subtract from")
-        groups = self._groups
-        stars = self._count_star
-        specs = self.specs
-        for g, key in enumerate(keys):
-            states = groups.get(key)
-            if states is None:
-                states = self._new_states()
-                groups[key] = states
-                stars[key] = 0
-            stars[key] += sign * int(count_star[g])
-            for i, spec in enumerate(specs):
-                state = states[i]
-                contribution = spec_states[i][g]
-                if spec.func in (AggFunc.SUM, AggFunc.AVG):
-                    state[0] += sign * contribution[0]
-                    state[1] += sign * int(contribution[1])
-                elif spec.func is AggFunc.COUNT:
-                    state[0] += sign * int(contribution)
-                else:  # pragma: no cover - guarded by caller
-                    raise CacheError(
-                        "accumulate_groups requires self-maintainable specs"
-                    )
-        self._retire_empty_groups()
+    def fold(self, keys: Iterable[GroupKey], components: Sequence, sign: int = 1) -> None:
+        """Add pre-aggregated contributions of distinct groups straight into
+        their slots — the vectorized aggregation's output, or another state
+        in :meth:`merge`.  ``components[c][g]`` belongs to the ``g``-th key,
+        in layout order: COUNT(*), then sum and non-null count per SUM/AVG,
+        non-null count per COUNT(expr), set per COUNT DISTINCT, MIN/MAX."""
+        self._check_sign(sign)
+        slots = self._claim(keys)
+        for j, part in enumerate(components):
+            if self._kinds[j] == _SUM:
+                self._cols[j] = _add(self._cols[j], slots, part, sign)
+            elif self._kinds[j] == _COUNT:
+                self._cols[j][slots] += sign * part
+            else:
+                self._fold_rows(j, slots, range(len(slots)), part, sign, single=False)
+        self._retire(slots)  # only the groups touched can have emptied
 
     def merge(self, other: "GroupedAggregates", sign: int = 1) -> None:
-        """Fold another grouped state into this one (cache compensation).
-
-        ``other`` is not mutated.  Spec compatibility is checked by object
-        identity first (the common case: both sides were built from the same
-        bound query) before falling back to canonical comparison.
-        """
+        """Fold another grouped state into this one (cache compensation): a
+        slot remap through the key table, then one vector add per component.
+        ``other`` is not mutated.  Specs are compared by identity first (both
+        sides built from the same bound query), then canonically."""
         if self.specs is not other.specs and [
             s.canonical() for s in self.specs
         ] != [s.canonical() for s in other.specs]:
             raise CacheError("cannot merge grouped aggregates with different specs")
-        if sign == -1:
-            self._require_self_maintainable("subtract from")
-        if not self._groups and sign == 1:
-            # The first fold into a fresh aggregate (a hit's cached value,
-            # an executor run's first partial): same groups, same states,
-            # in ``other``'s key order — adopt copies instead of adding each
-            # state to zero.
-            self._groups = other._copied_groups()
-            self._count_star = dict(other._count_star)
-            if other.signed and not self.signed:
-                self._retire_empty_groups()
+        self._check_sign(sign)
+        if not other._slot:
             return
-        for key, other_states in other._groups.items():
-            states = self._groups.get(key)
-            if states is None:
-                states = self._new_states()
-                self._groups[key] = states
-                self._count_star[key] = 0
-            self._count_star[key] += sign * other._count_star[key]
-            for i, spec in enumerate(self.specs):
-                state = states[i]
-                other_state = other_states[i]
-                if spec.func in (AggFunc.SUM, AggFunc.AVG):
-                    state[0] += sign * other_state[0]
-                    state[1] += sign * other_state[1]
-                elif spec.func is AggFunc.COUNT:
-                    if spec.distinct:
-                        state[0] |= other_state[0]
-                    else:
-                        state[0] += sign * other_state[0]
-                elif spec.func is AggFunc.MIN:
-                    if other_state[0] is not None and (
-                        state[0] is None or other_state[0] < state[0]
-                    ):
-                        state[0] = other_state[0]
-                else:  # MAX
-                    if other_state[0] is not None and (
-                        state[0] is None or other_state[0] > state[0]
-                    ):
-                        state[0] = other_state[0]
-        # Only the groups ``other`` touched can have emptied.
-        self._retire_empty_groups(other._groups)
+        if not self._slot and sign == 1:
+            # The first fold into a fresh aggregate (a hit's cached value,
+            # an executor run's first partial): adopt a copy.
+            self._copy_from(other)
+            if other.signed and not self.signed:
+                self._retire(self._live())
+            return
+        src = other._live()
+        self.fold(other._slot, [col[src] for col in other._cols], sign)
 
-    def _require_self_maintainable(self, action: str) -> None:
-        for spec in self.specs:
-            if not spec.self_maintainable:
-                raise CacheError(
-                    f"cannot {action} non-self-maintainable aggregate "
-                    f"{spec.canonical()}"
-                )
+    def _check_sign(self, sign: int) -> None:
+        if sign not in (1, -1):
+            raise ValueError("sign must be +1 or -1")
+        fixed = [s for s in self.specs if not s.self_maintainable] if sign == -1 else ()
+        if fixed:
+            raise CacheError(f"cannot subtract from non-self-maintainable aggregate "
+                             f"{fixed[0].canonical()}")
 
-    def _retire_empty_groups(self, keys: Optional[Iterable[GroupKey]] = None) -> None:
-        """Drop the empty groups among ``keys`` (default: all of them)."""
-        stars = self._count_star
-        if keys is None:
-            keys = stars
-        dead = [key for key in keys if stars[key] == 0]
+    def _claim(self, keys: Iterable[GroupKey]) -> np.ndarray:
+        """The slots of ``keys``, an empty one at the end for each new key."""
+        slot_of, start, slots, new = self._slot, len(self._keys), [], []
+        for key in keys:
+            slot = slot_of.get(key)
+            if slot is None:
+                slot = slot_of[key] = start + len(new)
+                new.append(key)
+            slots.append(slot)
+        if new:
+            keys = np.fromiter(new, dtype=object, count=len(new))
+            grown = [_fresh(kind, len(new)) for kind in self._kinds]
+            if start:  # an empty state takes the fresh arrays as they are
+                keys = np.concatenate((self._keys, keys))
+                grown = [np.concatenate(pair) for pair in zip(self._cols, grown)]
+            self._keys, self._cols = keys, grown
+        return np.array(slots, dtype=np.intp)
+
+    def _fold_rows(self, j: int, slots: np.ndarray, rows: Sequence[int], values: Sequence,
+                   sign: int, single: bool) -> None:
+        """Fold ``values[r]`` (a row's value if ``single``, else a group's
+        count / set / extremum) into group ``slots[rows[r]]`` of component
+        ``j`` in order, on the states taken out as Python values."""
+        kind, states, nulls = self._kinds[j], self._cols[j][slots].tolist(), False
+        for i, value in zip(rows, values):
+            if value is None:
+                nulls = True
+                continue
+            held = states[i]
+            if kind == _SUM or kind == _COUNT:
+                states[i] = held + (sign if kind == _COUNT and single else sign * value)
+            elif kind == _SET:
+                held.add(value) if single else held.update(value)
+            elif held is None or (value < held if kind == _MIN else value > held):
+                states[i] = value
+        if nulls:  # store only the groups a value reached
+            reached = sorted({i for i, value in zip(rows, values) if value is not None})
+            slots, states = slots[reached], [states[i] for i in reached]
+        if kind == _SUM and states:
+            states = _numbers(states)
+            self._cols[j] = _widened(self._cols[j], states)
+        self._cols[j][slots] = states
+
+    def _retire(self, slots: np.ndarray) -> None:
+        """Drop the empty groups among ``slots`` from the key table."""
+        stars = self._cols[0][slots]
+        if np.count_nonzero(stars) == len(stars):
+            return
+        dead = slots[stars == 0]
         if self.signed:
-            dead = [
-                key for key in dead if not any(any(s) for s in self._groups[key])
-            ]
-        for key in dead:
-            del self._groups[key]
-            del self._count_star[key]
+            for col in self._cols[1:]:
+                dead = dead[~col[dead].astype(bool)]
+        for slot in dead.tolist():
+            del self._slot[self._keys[slot]]
 
-    # ------------------------------------------------------------------
-    # reads
-    # ------------------------------------------------------------------
+    def _live(self) -> np.ndarray:  # in key-table (= ascending) order
+        if len(self._slot) == len(self._keys):
+            return np.arange(len(self._keys), dtype=np.intp)
+        return np.fromiter(self._slot.values(), dtype=np.intp, count=len(self._slot))
+
     def group_count(self) -> int:
         """Number of live groups."""
-        return len(self._groups)
-
-    def count_star(self, key: GroupKey) -> int:
-        """COUNT(*) of one group (0 if absent)."""
-        return self._count_star.get(key, 0)
+        return len(self._slot)
 
     def keys(self) -> Iterable[GroupKey]:
-        """The live group keys."""
-        return self._groups.keys()
+        """The live group keys, in first-insertion order."""
+        return self._slot.keys()
 
-    def raw_states(self, key: GroupKey) -> List[list]:
-        """The internal accumulator states of one group (copied)."""
-        return [list(state) for state in self._groups[key]]
+    def slots_of(self, keys: Iterable[GroupKey]) -> np.ndarray:
+        """The slots of the given live group keys (KeyError if one is not)."""
+        return np.array([self._slot[key] for key in keys], dtype=np.intp)
+
+    def state_columns(self) -> Tuple[List[GroupKey], np.ndarray, List[tuple]]:
+        """The live groups in bulk: keys, COUNT(*) and per spec its state
+        arrays in key order — (sum, non-null count) for SUM/AVG, (count,) for
+        COUNT(*) / COUNT, (values,) for MIN/MAX and COUNT DISTINCT (sets)."""
+        live = self._live()
+        cols = [col[live] for col in self._cols]
+        return list(self._slot), cols[0], [
+            tuple(cols[j : j + (2 if self._kinds[j] == _SUM else 1)])
+            for _func, _distinct, j in self._renders
+        ]
 
     def finalize(self) -> List[Tuple]:
-        """Render result rows: group key columns followed by aggregate values.
+        """Render result rows: group key columns followed by aggregate values
+        (SUM / AVG over no non-null input is NULL per SQL semantics)."""
+        return self._render(list(self._slot), self._live())
 
-        AVG resolves to sum/count (NULL for empty), SUM over no non-null
-        input is NULL per SQL semantics.
-        """
-        return self.finalize_keys(self._groups)
+    def finalize_slots(self, slots: np.ndarray) -> List[Tuple]:
+        """What :meth:`finalize` renders for the given live slots, in their
+        order, touching no other group (a pure hit emits its remembered
+        :class:`repro.core.cache_entry.ResultOrder` this way)."""
+        return self._render(self._keys[slots].tolist(), slots)
 
-    def finalize_keys(self, keys: Iterable[GroupKey]) -> List[Tuple]:
-        """The result rows of the given live groups, in the order given —
-        what :meth:`finalize` renders for them, without touching any other
-        group (a pure hit emits its remembered output order this way, see
-        :class:`repro.core.cache_entry.ResultOrder`)."""
-        # One small int per spec, decided once: 0 = the state's first slot
-        # as is (COUNT, MIN, MAX), 1 = SUM, 2 = AVG, 3 = COUNT DISTINCT.
-        kinds = [
-            1 if spec.func is AggFunc.SUM
-            else 2 if spec.func is AggFunc.AVG
-            else 3 if spec.distinct
-            else 0
-            for spec in self.specs
-        ]
-        groups = self._groups
-        rows: List[Tuple] = []
-        for key in keys:
-            out: List[object] = list(key)
-            for kind, state in zip(kinds, groups[key]):
-                if kind == 0:
-                    out.append(state[0])
-                elif kind == 1:
-                    out.append(state[0] if state[1] > 0 else None)
-                elif kind == 2:
-                    out.append(state[0] / state[1] if state[1] > 0 else None)
-                else:
-                    out.append(len(state[0]))
-            rows.append(tuple(out))
-        return rows
+    def _render(self, keys: List[GroupKey], slots: np.ndarray) -> List[Tuple]:
+        """One gather per component, Python scalars via ``tolist``."""
+        cols = []
+        for func, distinct, j in self._renders:
+            values = self._cols[j][slots]
+            if func not in (AggFunc.SUM, AggFunc.AVG):
+                cols.append([len(s) for s in values] if distinct else values.tolist())
+                continue
+            counts = self._cols[j + 1][slots]
+            avg = func is AggFunc.AVG
+            if counts.min(initial=1) > 0 and (not avg or values.dtype.kind == "f"):
+                cols.append((values / counts if avg else values).tolist())
+            else:  # NULL over no input; Python divides int / int exactly
+                cols.append([(s / c if avg else s) if c > 0 else None
+                             for s, c in zip(values.tolist(), counts.tolist())])
+        return list(map(operator.add, keys, zip(*cols) if cols else [()] * len(keys)))
 
     def new_like(self, signed: Optional[bool] = None) -> "GroupedAggregates":
-        """An empty grouped state *sharing* this one's specs list.
-
-        The parallel executor builds per-subjoin partials this way so that
-        folding them back hits :meth:`merge`'s fast identity check instead
-        of comparing canonical spec forms on every subjoin.  ``signed``
-        defaults to this state's own.
-        """
-        fresh = GroupedAggregates((), self.signed if signed is None else signed)
-        fresh.specs = self.specs
+        """An empty state *sharing* this one's specs list (so :meth:`merge`
+        passes its identity check at once); ``signed`` defaults to its own."""
+        fresh = GroupedAggregates.__new__(GroupedAggregates)
+        fresh.specs, fresh._kinds, fresh._renders = self.specs, self._kinds, self._renders
+        fresh.signed = self.signed if signed is None else signed
+        fresh._reset()
         return fresh
 
     def copy(self) -> "GroupedAggregates":
-        """Deep copy (independent accumulator states; specs list shared)."""
+        """Deep copy (independent arrays and sets; specs list shared)."""
         out = self.new_like()
-        out._groups = self._copied_groups()
-        out._count_star = dict(self._count_star)
+        out._copy_from(self)
         return out
 
-    def _copied_groups(self) -> Dict[GroupKey, List[list]]:
-        """Independent accumulator states in this aggregate's key order
-        (COUNT DISTINCT sets are copied, never shared)."""
-        if any(spec.distinct for spec in self.specs):
-            return {
-                key: [
-                    [set(state[0])] if spec.distinct else list(state)
-                    for spec, state in zip(self.specs, states)
-                ]
-                for key, states in self._groups.items()
-            }
-        return {
-            key: [list(state) for state in states]
-            for key, states in self._groups.items()
-        }
+    def _copy_from(self, other: "GroupedAggregates") -> None:
+        """Copy ``other``'s live groups into slots ``0..n-1``, same order."""
+        live = other._live()
+        compact = len(live) == len(other._keys)
+        self._slot = dict(other._slot) if compact else dict(zip(other._slot, range(len(live))))
+        self._keys = other._keys[live]
+        self._cols = [
+            _objects([set(seen) for seen in col[live]]) if kind == _SET else col[live]
+            for kind, col in zip(self._kinds, other._cols)
+        ]
 
     def total_rows_aggregated(self) -> int:
         """Sum of COUNT(*) over all groups (a cache-metrics input)."""
-        return sum(self._count_star.values())
+        return int(self._cols[0].sum())  # a retired slot's COUNT(*) is zero
 
     def approximate_nbytes(self) -> int:
-        """Rough size of the grouped state, used by cache metrics/eviction."""
-        per_group = 48 + 24 * max(1, len(self.specs))
-        return len(self._groups) * per_group
+        """Bytes for cache metrics and eviction: the arrays' (references only
+        for object arrays) plus ``_KEY_SLOT_BYTES`` per key-table slot."""
+        arrays = self._keys.nbytes + sum(col.nbytes for col in self._cols)
+        return arrays + _KEY_SLOT_BYTES * len(self._keys)
 
     def __repr__(self) -> str:
-        return (
-            f"GroupedAggregates(groups={len(self._groups)}, "
-            f"specs=[{', '.join(s.canonical() for s in self.specs)}])"
-        )
+        specs = ", ".join(s.canonical() for s in self.specs)
+        return f"GroupedAggregates(groups={len(self._slot)}, specs=[{specs}])"

@@ -717,19 +717,19 @@ def _exact_int_group_sums(
     nulls: np.ndarray,
     group_idx: np.ndarray,
     n_groups: int,
-) -> List[int]:
+) -> np.ndarray:
     """Per-group sums of integer values, exact at any magnitude.
 
     Non-null values are grouped with a stable sort and reduced per segment.
     The int64 ``reduceat`` fast path is guarded by a worst-case magnitude
     bound (``n * max|v|`` must fit int64); anything bigger reduces in
-    object dtype, i.e. Python's arbitrary-precision ints.  Returns Python
-    ints, matching what the row loop accumulates.
+    object dtype, i.e. Python's arbitrary-precision ints.  Returns int64
+    sums, or an object array of Python ints when they might not fit.
     """
     mask = ~nulls
     gi = group_idx[mask] if nulls.any() else group_idx
     if gi.size == 0:
-        return [0] * n_groups
+        return np.zeros(n_groups, dtype=np.int64)
     vals = values[mask] if nulls.any() else values
     order = np.argsort(gi, kind="stable")
     counts = np.bincount(gi, minlength=n_groups)
@@ -747,9 +747,8 @@ def _exact_int_group_sums(
             segments = np.add.reduceat(v64[order], boundaries)
     if segments is None:
         segments = np.add.reduceat(vals[order], boundaries)
-    sums = [0] * n_groups
-    for slot, total in zip(np.flatnonzero(present).tolist(), segments.tolist()):
-        sums[slot] = int(total)
+    sums = np.zeros(n_groups, dtype=segments.dtype)
+    sums[present] = segments
     return sums
 
 
@@ -791,17 +790,17 @@ def _aggregate_vectorized(
             fragment.decode_codes(codes[first_rows] - 1)
             for fragment, codes in zip(fragments, code_cols)
         ]
-        keys = [tuple(col[g] for col in key_cols) for g in range(n_groups)]
+        keys = list(zip(*(col.tolist() for col in key_cols)))
     else:
         group_idx = np.zeros(n, dtype=np.int64)
         n_groups = 1
         keys = [()]
     count_star = np.bincount(group_idx, minlength=n_groups)
     # ----------------------------------------------------------- reductions
-    spec_states: List[object] = []
+    # One array per state component, in the grouped state's layout order.
+    components: List[np.ndarray] = [count_star]
     for spec in specs:
-        if spec.func is AggFunc.COUNT and spec.arg is None:
-            spec_states.append(count_star)
+        if spec.is_count_star:
             continue
         arg = spec.arg
         values: Optional[np.ndarray] = None
@@ -823,20 +822,19 @@ def _aggregate_vectorized(
             group_idx[~nulls] if nulls.any() else group_idx, minlength=n_groups
         )
         if spec.func is AggFunc.COUNT:
-            spec_states.append(nonnull)
+            components.append(nonnull)
             continue
         if int_typed is None:
             int_typed = _int_valued(values, nulls)
         if int_typed:
-            sums: Sequence = _exact_int_group_sums(values, nulls, group_idx, n_groups)
+            sums = _exact_int_group_sums(values, nulls, group_idx, n_groups)
         else:
             safe = values.copy()
             safe[nulls] = 0.0
-            # .tolist() hands the accumulators Python floats, the same type
-            # the row loop produces — bincount's in-order accumulation is
-            # already bit-identical to the loop's sequential adds.
+            # bincount's in-order accumulation is bit-identical to the row
+            # loop's sequential adds into a fresh state.
             sums = np.bincount(
                 group_idx, weights=safe.astype(np.float64), minlength=n_groups
-            ).tolist()
-        spec_states.append(list(zip(sums, nonnull)))
-    grouped.accumulate_groups(keys, spec_states, count_star, sign=sign)
+            )
+        components += (sums, nonnull)
+    grouped.fold(keys, components, sign=sign)

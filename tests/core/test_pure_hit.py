@@ -7,6 +7,7 @@ import time
 from contextlib import ExitStack
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from repro import CacheConfig, Database, ExecutionStrategy
@@ -292,12 +293,11 @@ class TestLifecycle:
         rows = db.query(SHAPED_SQL).rows
         order = entry_of(db, SHAPED_SQL).result_order
         assert isinstance(order, ResultOrder)
-        assert len(order.keys) == len(rows)
-        assert order.nbytes() == 56 + 8 * len(rows)
+        assert order.slots.dtype == np.intp and len(order.slots) == len(rows)
+        assert order.nbytes() == 8 * len(rows)
         entry = entry_of(db, SHAPED_SQL)
-        # The keys are the value's own tuples, not copies.
-        own = {id(key) for key in entry.value.keys()}
-        assert all(id(key) in own for key in order.keys)
+        # The slots address the value's own groups, in output order.
+        assert entry.value.finalize_slots(order.slots) == rows
         with_order = db.cache.tracked_bytes()
         entry.result_order = None
         assert with_order - db.cache.tracked_bytes() == order.nbytes()

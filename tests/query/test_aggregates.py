@@ -67,7 +67,7 @@ class TestAccumulate:
         assert row[1] == 2.0
         assert row[2] == 1
         assert row[3] == 2.0
-        assert grouped.count_star(("g",)) == 3
+        assert grouped.total_rows_aggregated() == 3  # COUNT(*) of the one group
 
     def test_sum_all_null_is_null(self):
         grouped = GroupedAggregates(specs((AggFunc.SUM, True)))
@@ -87,8 +87,12 @@ class TestAccumulate:
 
     def test_invalid_sign(self):
         grouped = GroupedAggregates(specs((AggFunc.COUNT, False)))
+        grouped.accumulate([()], [arr([None])])
         with pytest.raises(ValueError):
             grouped.accumulate([()], [arr([None])], sign=2)
+        with pytest.raises(ValueError):  # merge no longer scales by any int
+            grouped.merge(grouped.copy(), sign=2)
+        assert grouped.finalize() == [(1,)]
 
 
 class TestSubtraction:

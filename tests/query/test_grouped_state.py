@@ -1,5 +1,5 @@
 """Direct tests for grouped-state internals the executor exercises only
-indirectly: pre-aggregated group folding, raw state access, and result
+indirectly: pre-aggregated group folding, bulk state access, and result
 rendering edges."""
 
 import numpy as np
@@ -18,35 +18,45 @@ def specs():
     ]
 
 
+def ints(*values):
+    return np.array(values, dtype=np.int64)
+
+
 class TestAccumulateGroups:
+    """``fold``: pre-aggregated per-group contributions, as the vectorized
+    aggregation hands them over — one array per state component."""
+
     def test_fold_preaggregated_contributions(self):
         grouped = GroupedAggregates(specs())
-        grouped.accumulate_groups(
+        grouped.fold(
             keys=[("a",), ("b",)],
-            spec_states=[[(10.0, 2), (5.0, 1)], [2, 1]],
-            count_star=[2, 1],
+            # COUNT(*), then SUM's sum and non-null count
+            components=[ints(2, 1), np.array([10.0, 5.0]), ints(2, 1)],
         )
-        rows = {row[0]: row[1:] for row in grouped.finalize()}
-        assert rows["a"] == (10.0, 2)
-        assert rows["b"] == (5.0, 1)
-        assert grouped.count_star(("a",)) == 2
+        assert grouped.finalize() == [("a", 10.0, 2), ("b", 5.0, 1)]
+        assert grouped.total_rows_aggregated() == 3
 
     def test_subtract_retires_groups(self):
         grouped = GroupedAggregates(specs())
-        grouped.accumulate_groups([("a",)], [[(10.0, 2)], [2]], [2])
-        grouped.accumulate_groups([("a",)], [[(10.0, 2)], [2]], [2], sign=-1)
+        grouped.fold([("a",)], [ints(2), np.array([10.0]), ints(2)])
+        grouped.fold([("a",)], [ints(2), np.array([10.0]), ints(2)], sign=-1)
         assert grouped.group_count() == 0
 
     def test_subtract_requires_self_maintainable(self):
         bad = GroupedAggregates([AggregateSpec(AggFunc.MIN, Col("v", "t"), "m")])
         with pytest.raises(CacheError):
-            bad.accumulate_groups([("a",)], [[(1, 1)]], [1], sign=-1)
+            bad.fold([("a",)], [ints(1), np.array([1], dtype=object)], sign=-1)
+        assert bad.group_count() == 0
 
     def test_raw_states_are_copies(self):
+        """``state_columns`` reads the states in bulk, as copies."""
         grouped = GroupedAggregates(specs())
-        grouped.accumulate_groups([("a",)], [[(10.0, 2)], [2]], [2])
-        states = grouped.raw_states(("a",))
-        states[0][0] = 999.0
+        grouped.fold([("a",)], [ints(2), np.array([10.0]), ints(2)])
+        keys, stars, states = grouped.state_columns()
+        assert keys == [("a",)] and stars.tolist() == [2]
+        assert [a.tolist() for a in states[0]] == [[10.0], [2]]
+        assert states[1][0] is stars  # COUNT(*) is the COUNT(*) array
+        states[0][0][0] = 999.0
         assert grouped.finalize()[0][1] == 10.0
 
 
@@ -65,7 +75,7 @@ class TestMergeEdgeCases:
         # sum 12.0 over 3 non-null values; the NULL row counts for COUNT(*)
         # but not for the average.
         assert left.finalize() == [("g", 4.0)]
-        assert left.count_star(("g",)) == 4
+        assert left.total_rows_aggregated() == 4
 
     def test_distinct_count_union(self):
         distinct = [AggregateSpec(AggFunc.COUNT, Col("v", "t"), "d", distinct=True)]
@@ -124,7 +134,7 @@ class TestMergeEdgeCases:
             sign=-1,
         )
         grouped.merge(negative)  # "a" now at count -2: retained, not retired
-        assert grouped.count_star(("a",)) == -2
+        assert grouped.total_rows_aggregated() == -2
         assert grouped.group_count() == 1
         grouped.merge(positive)  # "a" cancels to 0 and retires; "b" stays
         assert grouped.group_count() == 1
@@ -151,30 +161,37 @@ class TestMergeEdgeCases:
         assert list(adopted.keys()) == list(other.keys()) == [("z",), ("a",), ("m",)]
         assert adopted.finalize() == other.finalize()
         assert adopted.finalize() == [r for r in looped.finalize() if r[0] != "seed"]
-        for key in other.keys():
-            assert adopted.raw_states(key) == other.raw_states(key)
-            assert adopted.count_star(key) == other.count_star(key)
-            for mine, theirs in zip(adopted._groups[key], other._groups[key]):
-                assert mine is not theirs
-            assert adopted._groups[key][2][0] is not other._groups[key][2][0]
+        assert adopted.total_rows_aggregated() == other.total_rows_aggregated()
+        _, mine, my_states = adopted.state_columns()
+        _, theirs, their_states = other.state_columns()
+        assert mine.tolist() == theirs.tolist()
+        for a, b in zip(my_states, their_states):
+            assert [x.tolist() for x in a] == [y.tolist() for y in b]
+        # The COUNT DISTINCT sets are copies, not the same objects.
+        assert all(s is not t for s, t in zip(my_states[2][0], their_states[2][0]))
         adopted.accumulate([("a",)], [np.array([9.0], dtype=object)] * 5)
         assert other.finalize()[1] == ("a", 3.0, 2, 2, 1.5, 2.0)
         # Canonically equal specs built separately adopt just the same, and
-        # copy() no longer shares COUNT DISTINCT sets either.
+        # copy() does not share COUNT DISTINCT sets either.
         separate = GroupedAggregates(list(mixed))
         separate.merge(other)
         assert separate.finalize() == other.finalize()
-        assert other.copy()._groups[("a",)][2][0] is not other._groups[("a",)][2][0]
+        copied = other.copy()
+        copied.accumulate([("a",)], [np.array([7.0], dtype=object)] * 5)
+        assert other.finalize()[1] == ("a", 3.0, 2, 2, 1.5, 2.0)
 
     def test_merge_into_empty_with_sign_minus_one_still_negates(self):
         other = GroupedAggregates(specs())
         other.accumulate([("g",)], [np.array([2.0], dtype=object), np.array([0])])
         target = other.new_like()
         target.merge(other, sign=-1)
-        assert target.count_star(("g",)) == -1
-        assert target.raw_states(("g",)) == [[-2.0, -1], [-1]]
+        assert target.total_rows_aggregated() == -1
+        _, stars, states = target.state_columns()
+        assert [a.tolist() for a in states[0]] == [[-2.0], [-1]]
+        assert stars.tolist() == [-1]
 
     def test_finalize_keys_renders_only_the_given_groups_in_order(self):
+        """``finalize_slots`` over slots the key table resolved."""
         grouped = GroupedAggregates(
             specs() + [AggregateSpec(AggFunc.AVG, Col("v", "t"), "a")]
         )
@@ -182,11 +199,13 @@ class TestMergeEdgeCases:
         grouped.accumulate([("a",), ("b",), ("c",), ("b",)], [values] * 3)
         rows = {row[0]: row for row in grouped.finalize()}
         assert rows["c"] == ("c", None, 1, None)  # SUM/AVG of no value: NULL
-        assert grouped.finalize_keys([("c",), ("a",)]) == [rows["c"], rows["a"]]
-        assert grouped.finalize_keys([]) == []
-        assert grouped.finalize_keys(grouped.keys()) == grouped.finalize()
+        slots = grouped.slots_of([("c",), ("a",)])
+        assert slots.dtype == np.intp
+        assert grouped.finalize_slots(slots) == [rows["c"], rows["a"]]
+        assert grouped.finalize_slots(grouped.slots_of([])) == []
+        assert grouped.finalize_slots(grouped.slots_of(grouped.keys())) == grouped.finalize()
         with pytest.raises(KeyError):
-            grouped.finalize_keys([("missing",)])
+            grouped.slots_of([("missing",)])
 
     def test_new_like_shares_specs_identity(self):
         grouped = GroupedAggregates(specs())

@@ -72,8 +72,10 @@ def assert_same_execution(a, b):
     """Grouped state, result order, value types and every counter."""
     (grouped_a, stats_a, _), (grouped_b, stats_b, _) = a, b
     assert list(grouped_a.keys()) == list(grouped_b.keys())
-    for key in grouped_a.keys():
-        assert grouped_a.raw_states(key) == grouped_b.raw_states(key)
+    states_a, states_b = grouped_a.state_columns(), grouped_b.state_columns()
+    assert states_a[1].tolist() == states_b[1].tolist()
+    for a, b in zip(states_a[2], states_b[2]):
+        assert [x.tolist() for x in a] == [y.tolist() for y in b]
     assert_bit_identical(grouped_a.finalize(), grouped_b.finalize())
     assert stats_a == stats_b
 
