@@ -153,13 +153,20 @@ def _widened(col: np.ndarray, values: np.ndarray) -> np.ndarray:
     return col.astype(values.dtype if fresh else object)
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _signed_add(old: np.ndarray, values: np.ndarray, sign: int) -> np.ndarray:
+    """``old ± values``; a float sum overflows to inf (and inf − inf gives
+    nan) silently, as the row loop's Python float adds do."""
+    return old + values if sign > 0 else old - values
+
+
 def _add(col: np.ndarray, at: np.ndarray, values: np.ndarray, sign: int) -> np.ndarray:
     """``col[at] += sign * values`` for distinct slots ``at``; returns the
     (possibly widened) column."""
     col = _widened(col, values)
     values = values.astype(col.dtype, copy=False)
     old = col[at]
-    new = old + values if sign > 0 else old - values
+    new = _signed_add(old, values, sign)
     if col.dtype.kind == "i" and (
         (old ^ new) & ((values ^ new) if sign > 0 else (old ^ values)) < 0
     ).any():  # wrapped past int64: exact Python ints from here on

@@ -432,7 +432,6 @@ class QueryExecutor:
             "combo": combo.describe(),
             "status": "evaluated",
             "worker": threading.current_thread().name,
-            "kernel": join_kernel(),
         }
         if combo.extra_filters:
             attrs["pushdown_filters"] = {
@@ -538,10 +537,13 @@ class QueryExecutor:
             partition = combo.partitions[step.alias]
             key_columns = tuple(edge.side_for(step.alias) for edge in step.edges)
             rows = reduced[step.alias]
+            kernel = join_kernel(len(rows), provider.row_count())
+            if attrs is not None:
+                attrs.setdefault("kernels", {})[step.alias] = kernel
             if rows is not scans[step.alias]:
                 # The memo key describes the partition's full scan; a table
                 # over this subjoin's reduced rows must never be shared.
-                table = build_hash_table(partition, rows, key_columns)
+                table = build_hash_table(partition, rows, key_columns, kernel)
             else:
                 extra = combo.extra_filters.get(step.alias, [])
                 fixed = combo.fixed_rows.get(step.alias)
@@ -551,11 +553,11 @@ class QueryExecutor:
                     key_columns,
                     tuple(sorted(e.canonical() for e in extra)),
                     _fixed_rows_key(fixed),
-                    join_kernel(),  # never serve one kernel a table the other built
+                    kernel,  # a table built for a small step never serves a large one
                 )
                 table = hash_memo.get_or_compute(
                     hash_key,
-                    lambda: build_hash_table(partition, rows, key_columns),
+                    lambda: build_hash_table(partition, rows, key_columns, kernel),
                 )
             if not table:
                 return empty()

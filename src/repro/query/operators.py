@@ -5,20 +5,24 @@ an intermediate join result is a dict ``alias -> int array`` of parallel row
 indices into each alias' partition.  Values are decoded through the column
 dictionaries only where an expression needs them.
 
-Joins and large aggregations run in **dictionary-code space** (the
+Main-sized joins and aggregations run in **dictionary-code space** (the
 Krueger-et-al. "fast updates on read-optimized databases" template): the
 build side of a hash join is grouped by ``np.unique`` over its stacked key
 code matrix, the probe side is *bridged* into the build side's code space by
 translating dictionaries (one lookup per distinct value, never per row), and
-match multiplicities are expanded with ``np.repeat`` + prefix sums.  A
-row-at-a-time reference kernel is kept behind ``REPRO_JOIN_KERNEL=rowloop``
-(or :func:`kernel_override`); both kernels are bit-identical, which the
-parity suite in ``tests/query/test_kernel_parity.py`` pins down.
+match multiplicities are expanded with ``np.repeat`` + prefix sums.  That
+setup is a fixed cost of a dozen NumPy calls, which delta-sized inputs never
+pay back: a hash step whose build rows and probe tuples both number at most
+``_SMALL_INPUT_ROWS`` runs a plain dictionary loop instead
+(:func:`join_kernel`), as does an aggregation over fewer rows.  Both
+kernels emit the same ``(probe position, build row)`` sequence — ascending
+probe position, build order within a key — so a subjoin mixing them step by
+step joins the same tuples in the same order; the parity suites in
+``tests/query/`` pin that.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,26 +39,32 @@ from .expr import Col, Expr
 # kernel selection
 # ---------------------------------------------------------------------------
 
-#: Environment variable selecting the join/aggregation kernel.
-JOIN_KERNEL_ENV = "REPRO_JOIN_KERNEL"
 KERNEL_VECTORIZED = "vectorized"
 KERNEL_ROWLOOP = "rowloop"
+
+#: Inputs this small take the row-at-a-time paths: a hash step whose build
+#: and probe sides both have at most this many rows, an aggregation over
+#: fewer.  Below it the code-space kernels' fixed NumPy setup costs more
+#: than the rows do.
+_SMALL_INPUT_ROWS = 48
 
 _KERNEL_OVERRIDE: Optional[str] = None
 
 
-def join_kernel() -> str:
-    """The active kernel: :func:`kernel_override` > env var > vectorized."""
+def join_kernel(build_rows: int, probe_rows: int) -> str:
+    """The kernel for one hash step: :func:`kernel_override` if set, else the
+    row loop when both sides have at most ``_SMALL_INPUT_ROWS`` rows."""
     if _KERNEL_OVERRIDE is not None:
         return _KERNEL_OVERRIDE
-    if os.environ.get(JOIN_KERNEL_ENV, "").strip().lower() == KERNEL_ROWLOOP:
+    if build_rows <= _SMALL_INPUT_ROWS and probe_rows <= _SMALL_INPUT_ROWS:
         return KERNEL_ROWLOOP
     return KERNEL_VECTORIZED
 
 
 @contextmanager
 def kernel_override(kernel: str):
-    """Force a kernel inside the block (parity tests and benchmarks)."""
+    """Force one kernel for every join step and aggregation inside the block
+    (the parity tests' seam)."""
     global _KERNEL_OVERRIDE
     if kernel not in (KERNEL_VECTORIZED, KERNEL_ROWLOOP):
         raise QueryError(f"unknown join kernel {kernel!r}")
@@ -517,10 +527,11 @@ class _CodeSpaceHashTable:
 
 
 class _RowLoopHashTable:
-    """Reference row-at-a-time build side over decoded tuple keys.
+    """Row-at-a-time build side over decoded tuple keys: the kernel for
+    delta-sized steps, where one dict pass beats the code-space setup.
 
-    Kept as the bit-identity baseline the parity suite and the kernel
-    benchmark compare against (``REPRO_JOIN_KERNEL=rowloop``).
+    Keys are decoded once per column; rows with a NULL in any key column
+    are left out, so a probe key holding NULL simply finds nothing.
     """
 
     kernel = KERNEL_ROWLOOP
@@ -531,13 +542,16 @@ class _RowLoopHashTable:
         self.partition = partition
         self.key_columns = tuple(key_columns)
         rows = np.asarray(rows, dtype=np.int64)
-        arrays = [partition.column(col).decode_rows(rows) for col in key_columns]
+        columns = [partition.column(col).decode_rows(rows).tolist() for col in key_columns]
         table: Dict[Tuple, List[int]] = {}
-        for i in range(len(rows)):
-            key = tuple(arr[i] for arr in arrays)
-            if any(part is None for part in key):
+        for key, row in zip(zip(*columns), rows.tolist()):
+            if None in key:
                 continue
-            table.setdefault(key, []).append(int(rows[i]))
+            matches = table.get(key)
+            if matches is None:
+                table[key] = [row]
+            else:
+                matches.append(row)
         self.table = table
 
     def __len__(self) -> int:
@@ -548,24 +562,23 @@ class _RowLoopHashTable:
 
     def probe(self, current: "JoinedProvider", probe_columns) -> Tuple[np.ndarray, np.ndarray]:
         """Row-at-a-time probe; same contract as the code-space kernel."""
-        probe_arrays = [current.get(alias, col) for alias, col in probe_columns]
-        n = current.row_count()
-        keep_positions: List[int] = []
-        matched_rows: List[int] = []
-        table = self.table
-        for i in range(n):
-            key = tuple(arr[i] for arr in probe_arrays)
-            if any(part is None for part in key):
+        columns = [current.get(alias, col).tolist() for alias, col in probe_columns]
+        lookup = self.table.get
+        positions: List[int] = []
+        matched: List[int] = []
+        for i, key in enumerate(zip(*columns)):
+            matches = lookup(key)
+            if matches is None:
                 continue
-            matches = table.get(key)
-            if not matches:
-                continue
-            for row in matches:
-                keep_positions.append(i)
-                matched_rows.append(row)
+            if len(matches) == 1:
+                positions.append(i)
+                matched.append(matches[0])
+            else:
+                positions += [i] * len(matches)
+                matched += matches
         return (
-            np.asarray(keep_positions, dtype=np.int64),
-            np.asarray(matched_rows, dtype=np.int64),
+            np.array(positions, dtype=np.int64),
+            np.array(matched, dtype=np.int64),
         )
 
     def as_dict(self) -> Dict[Tuple, List[int]]:
@@ -574,16 +587,16 @@ class _RowLoopHashTable:
 
 
 def build_hash_table(
-    partition: Partition, rows: np.ndarray, key_columns: Sequence[str]
+    partition: Partition, rows: np.ndarray, key_columns: Sequence[str], kernel: str
 ):
     """Hash the given rows of ``partition`` on the composite key columns.
 
-    Returns the active kernel's build-side table (code-space by default,
-    row-loop under ``REPRO_JOIN_KERNEL=rowloop``).  Rows with a NULL in any
-    key column never join and are dropped here.  The result is falsy when
-    no row survives, so callers can short-circuit empty subjoins.
+    Returns ``kernel``'s build-side table (the executor passes the one
+    :func:`join_kernel` chose for the step).  Rows with a NULL in any key
+    column never join and are dropped here.  The result is falsy when no
+    row survives, so callers can short-circuit empty subjoins.
     """
-    if join_kernel() == KERNEL_ROWLOOP:
+    if kernel == KERNEL_ROWLOOP:
         return _RowLoopHashTable(partition, rows, key_columns)
     return _CodeSpaceHashTable(partition, rows, key_columns)
 
@@ -616,9 +629,6 @@ def probe_hash_join(
 # grouped aggregation
 # ---------------------------------------------------------------------------
 
-_VECTORIZE_THRESHOLD = 48  # below this the plain row loop is cheaper
-
-
 def aggregate_into(
     grouped: GroupedAggregates,
     provider: JoinedProvider,
@@ -631,16 +641,17 @@ def aggregate_into(
     Large self-maintainable aggregations take a vectorized path: rows are
     grouped on dictionary *codes* (overflow-safe mixed-radix fold across the
     group-by columns) and reduced per group before the grouped state is
-    touched once per group — the column-store way.  Small inputs, MIN/MAX
-    aggregations, and the ``rowloop`` kernel use the straightforward row
-    loop.  Both paths produce bit-identical grouped state.
+    touched once per group — the column-store way.  Inputs under
+    ``_SMALL_INPUT_ROWS``, MIN/MAX aggregations, and a forced ``rowloop``
+    kernel use the straightforward row loop.  Both paths produce
+    bit-identical grouped state.
     """
     n = provider.row_count()
     if n == 0:
         return 0
     vectorizable = (
-        join_kernel() == KERNEL_VECTORIZED
-        and n >= _VECTORIZE_THRESHOLD
+        _KERNEL_OVERRIDE != KERNEL_ROWLOOP
+        and n >= _SMALL_INPUT_ROWS
         and all(spec.self_maintainable for spec in specs)
         and all(col.alias is not None for col in group_by)
     )

@@ -2,6 +2,9 @@
 indirectly: pre-aggregated group folding, bulk state access, and result
 rendering edges."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -179,6 +182,29 @@ class TestMergeEdgeCases:
         copied = other.copy()
         copied.accumulate([("a",)], [np.array([7.0], dtype=object)] * 5)
         assert other.finalize()[1] == ("a", 3.0, 2, 2, 1.5, 2.0)
+
+    def test_float_overflow_merges_like_the_row_loop(self):
+        """A float sum past float64 is inf, and inf − inf is nan, in the
+        vector add of ``merge`` exactly as in ``accumulate``'s Python adds —
+        silently, even with warnings raised as errors."""
+
+        def one_row(value):
+            state = GroupedAggregates(specs())
+            state.accumulate([("g",)], [np.array([value], dtype=object), ints(0)])
+            return state
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            looped = GroupedAggregates(specs())
+            looped.accumulate([("g",)] * 2, [np.array([1.7e308] * 2, dtype=object), ints(0, 0)])
+            merged = one_row(1.7e308)
+            merged.merge(one_row(1.7e308))
+            assert looped.finalize() == merged.finalize() == [("g", math.inf, 2)]
+            looped.accumulate([("g",)], [np.array([math.inf], dtype=object), ints(0)], sign=-1)
+            merged.merge(one_row(math.inf), sign=-1)
+            for state in (looped, merged):
+                ((_, total, count),) = state.finalize()
+                assert math.isnan(total) and count == 1
 
     def test_merge_into_empty_with_sign_minus_one_still_negates(self):
         other = GroupedAggregates(specs())

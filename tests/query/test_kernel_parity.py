@@ -48,7 +48,7 @@ def vectorize_threshold(request, monkeypatch):
     48-row cutoff and would otherwise only exercise the join kernels), and
     once with the stock threshold so the fallback wiring stays covered."""
     if request.param is not None:
-        monkeypatch.setattr(operators, "_VECTORIZE_THRESHOLD", request.param)
+        monkeypatch.setattr(operators, "_SMALL_INPUT_ROWS", request.param)
 
 
 def build_catalog(seed: int, empty_delta: bool = False):
@@ -191,14 +191,11 @@ def test_join_index_level_parity(seed):
             current = JoinedProvider({"h": probe_part}, {"h": probe_rows})
             outputs = {}
             for kernel in (KERNEL_VECTORIZED, KERNEL_ROWLOOP):
-                with kernel_override(kernel):
-                    table = build_hash_table(build_part, build_rows, ["hid"])
-                    if not table:
-                        outputs[kernel] = None
-                        continue
-                    joined = probe_hash_join(
-                        current, [("h", "hid")], "i", build_part, table
-                    )
+                table = build_hash_table(build_part, build_rows, ["hid"], kernel)
+                if not table:
+                    outputs[kernel] = None
+                    continue
+                joined = probe_hash_join(current, [("h", "hid")], "i", build_part, table)
                 outputs[kernel] = {
                     alias: idx.tolist() for alias, idx in joined.indices.items()
                 }

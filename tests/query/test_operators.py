@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.errors import QueryError
 from repro.query import AggFunc, AggregateSpec, Col, GroupedAggregates
+from repro.query import operators
 from repro.query.operators import (
     KERNEL_ROWLOOP,
     KERNEL_VECTORIZED,
@@ -96,8 +97,7 @@ class TestProviders:
 class TestHashJoin:
     @BOTH_KERNELS
     def test_build_skips_null_keys(self, item_part, kernel):
-        with kernel_override(kernel):
-            table = build_hash_table(item_part, np.arange(4), ["hid"])
+        table = build_hash_table(item_part, np.arange(4), ["hid"], kernel)
         assert table.kernel == kernel
         assert len(table) == 2 and bool(table)
         grouped = table.as_dict()
@@ -106,8 +106,7 @@ class TestHashJoin:
 
     @BOTH_KERNELS
     def test_empty_table_is_falsy(self, item_part, kernel):
-        with kernel_override(kernel):
-            table = build_hash_table(item_part, np.array([3]), ["hid"])  # NULL key
+        table = build_hash_table(item_part, np.array([3]), ["hid"], kernel)  # NULL key
         assert not table
         assert len(table) == 0
         assert table.as_dict() == {}
@@ -115,9 +114,8 @@ class TestHashJoin:
     @BOTH_KERNELS
     def test_probe_expands_matches(self, header_part, item_part, kernel):
         current = JoinedProvider({"h": header_part}, {"h": np.array([0, 1, 2])})
-        with kernel_override(kernel):
-            table = build_hash_table(item_part, np.arange(4), ["hid"])
-            joined = probe_hash_join(current, [("h", "hid")], "i", item_part, table)
+        table = build_hash_table(item_part, np.arange(4), ["hid"], kernel)
+        joined = probe_hash_join(current, [("h", "hid")], "i", item_part, table)
         assert joined.row_count() == 3  # h1 matches twice, h2 once, h3 zero
         assert joined.indices["h"].tolist() == [0, 0, 1]
         assert joined.indices["i"].tolist() == [0, 1, 2]
@@ -125,9 +123,8 @@ class TestHashJoin:
     @BOTH_KERNELS
     def test_probe_null_keys_never_match(self, header_part, item_part, kernel):
         current = JoinedProvider({"i": item_part}, {"i": np.array([3])})
-        with kernel_override(kernel):
-            table = build_hash_table(header_part, np.arange(3), ["hid"])
-            joined = probe_hash_join(current, [("i", "hid")], "h", header_part, table)
+        table = build_hash_table(header_part, np.arange(3), ["hid"], kernel)
+        joined = probe_hash_join(current, [("i", "hid")], "h", header_part, table)
         assert joined.row_count() == 0
 
     @BOTH_KERNELS
@@ -141,18 +138,19 @@ class TestHashJoin:
             [{"a": 1, "b": 2}, {"a": 1, "b": 3}],
         )
         current = JoinedProvider({"l": left}, {"l": np.arange(2)})
-        with kernel_override(kernel):
-            table = build_hash_table(right, np.arange(2), ["a", "b"])
-            joined = probe_hash_join(current, [("l", "a"), ("l", "b")], "r", right, table)
+        table = build_hash_table(right, np.arange(2), ["a", "b"], kernel)
+        joined = probe_hash_join(current, [("l", "a"), ("l", "b")], "r", right, table)
         assert joined.row_count() == 1
         assert joined.indices["l"].tolist() == [1]
 
-    def test_kernel_selection_env(self, monkeypatch):
-        assert join_kernel() == KERNEL_VECTORIZED
-        monkeypatch.setenv("REPRO_JOIN_KERNEL", "rowloop")
-        assert join_kernel() == KERNEL_ROWLOOP
+    def test_kernel_selection_by_size(self):
+        n = operators._SMALL_INPUT_ROWS
+        assert join_kernel(n, n) == join_kernel(0, 1) == KERNEL_ROWLOOP
+        assert join_kernel(n + 1, n) == join_kernel(n, n + 1) == KERNEL_VECTORIZED
         with kernel_override(KERNEL_VECTORIZED):
-            assert join_kernel() == KERNEL_VECTORIZED  # override beats env
+            assert join_kernel(1, 1) == KERNEL_VECTORIZED  # the override wins
+        with kernel_override(KERNEL_ROWLOOP):
+            assert join_kernel(n + 1, 10 * n) == KERNEL_ROWLOOP
         with pytest.raises(QueryError):
             with kernel_override("simd"):
                 pass
@@ -172,9 +170,8 @@ class TestHashJoin:
         current = JoinedProvider({"h": header_part}, {"h": np.array([0, 1, 2])})
         results = {}
         for kernel in (KERNEL_VECTORIZED, KERNEL_ROWLOOP):
-            with kernel_override(kernel):
-                table = build_hash_table(main, np.arange(4), ["hid"])
-                joined = probe_hash_join(current, [("h", "hid")], "m", main, table)
+            table = build_hash_table(main, np.arange(4), ["hid"], kernel)
+            joined = probe_hash_join(current, [("h", "hid")], "m", main, table)
             results[kernel] = {
                 alias: idx.tolist() for alias, idx in joined.indices.items()
             }
@@ -300,15 +297,13 @@ def test_property_vectorized_equals_row_loop(rows):
     vectorized = GroupedAggregates(specs())
     aggregate_into(vectorized, provider, [Col("hid", "i")], specs())
 
-    from repro.query import operators
-
-    original = operators._VECTORIZE_THRESHOLD
-    operators._VECTORIZE_THRESHOLD = 10**9  # force the row loop
+    original = operators._SMALL_INPUT_ROWS
+    operators._SMALL_INPUT_ROWS = 10**9  # force the row loop
     try:
         looped = GroupedAggregates(specs())
         aggregate_into(looped, provider, [Col("hid", "i")], specs())
     finally:
-        operators._VECTORIZE_THRESHOLD = original
+        operators._SMALL_INPUT_ROWS = original
 
     left = {row[0]: row[1:] for row in vectorized.finalize()}
     right = {row[0]: row[1:] for row in looped.finalize()}
