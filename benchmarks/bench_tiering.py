@@ -10,7 +10,7 @@ This benchmark builds the CH-benCHmark twice with a 1:3 hot/cold split
 one tiered — and asserts the tier contract:
 
 * **bit identity**: Q3/Q5 return identical rows (values *and* types) on
-  both layouts, uncached and cached, serial and parallel;
+  both layouts, uncached and cached;
 * **resident ceiling**: after demotion (cold handles released), the aged
   tables' resident bytes are <= ``CEILING_RATIO`` of the all-resident
   baseline — the synopsis is all that stays hot-RAM-resident of the cold
@@ -78,17 +78,13 @@ def _config() -> ChConfig:
 
 
 def get_pair(tmp_path_factory):
-    """(all-resident db, tiered db): same data, same seed, one demoted.
-
-    The tiered database also runs with two workers, so the bit-identity
-    assertions cover serial-resident vs parallel-tiered in one sweep.
-    """
+    """(all-resident db, tiered db): same data, same seed, one demoted."""
     if "pair" not in _STATE:
         resident = Database()
         ChBenchmark(resident, _config()).load()
 
         cold_dir = tmp_path_factory.mktemp("coldstore")
-        tiered = Database(cold_path=cold_dir, n_workers=2)
+        tiered = Database(cold_path=cold_dir)
         ChBenchmark(tiered, _config()).load()
 
         _STATE["resident_baseline_bytes"] = sum(

@@ -5,7 +5,7 @@ Walks the observability layer (docs/architecture.md §9) end to end:
 * `db.explain_analyze(sql)` runs the query and returns a `QueryTrace`
   — a tree of timed spans: bind → cache lookup (build on a miss) →
   delta compensation with one span per compensation subjoin, each
-  carrying its prune reason or its rows-scanned/pushdown/worker detail,
+  carrying its prune reason or its rows-scanned/pushdown detail,
 * a cold run (cache miss, entry built) vs. a warm run (hit, only the
   delta compensated) of the paper's Listing-1 profit query,
 * `db.export_metrics()` — the same execution counted in the

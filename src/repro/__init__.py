@@ -50,7 +50,7 @@ from .governor import (
     ResourceGovernor,
 )
 from .obs import EngineMetrics, MetricsRegistry, QueryTrace, Span, parse_prometheus
-from .query import AggregateQuery, ParallelConfig, QueryResult, parse_sql
+from .query import AggregateQuery, QueryResult, parse_sql
 from .reliability import FaultInjector, SimulatedCrash
 from .storage import ColumnDef, Schema, SqlType, ratio_aging, threshold_aging, tid_column
 
@@ -78,7 +78,6 @@ __all__ = [
     "MaintenanceMode",
     "MatchingDependency",
     "MetricsRegistry",
-    "ParallelConfig",
     "ProfitAdmission",
     "ProfitEviction",
     "QueryAborted",

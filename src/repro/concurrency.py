@@ -1,28 +1,18 @@
-"""Concurrency primitives for the multi-threaded serving path.
+"""Concurrency primitive for the multi-threaded serving path.
 
-Two pieces live here:
-
-* :class:`ReadWriteLock` — the database-level lock.  Queries take the
-  *shared* side so they proceed in parallel; DML, delta merges, DDL, and
-  recovery take the *exclusive* side.  The lock is reentrant in both
-  directions for the owning thread (``merge`` calls ``checkpoint``,
-  ``auto_merge`` calls ``merge``, write listeners may issue reads), and
-  writer-preferring so a steady query stream cannot starve writers.
-
-* :class:`StripedMemo` — a lock-striped memo table for the parallel
-  executor's *shared* scan/hash-table memos.  Each key hashes to one of a
-  fixed number of stripes; the stripe lock is held across the compute so
-  two workers never build the same hash table twice.  Distinct keys on
-  different stripes proceed concurrently.
+:class:`ReadWriteLock` is the database-level lock.  Queries take the
+*shared* side so they proceed in parallel; DML, delta merges, DDL, and
+recovery take the *exclusive* side.  The lock is reentrant in both
+directions for the owning thread (``merge`` calls ``checkpoint``,
+``auto_merge`` calls ``merge``, write listeners may issue reads), and
+writer-preferring so a steady query stream cannot starve writers.
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Callable, Dict, Tuple, TypeVar
-
-V = TypeVar("V")
+from typing import Dict
 
 
 class ReadWriteLock:
@@ -128,62 +118,3 @@ class ReadWriteLock:
             f"writer={'held' if self._writer else 'free'})"
         )
 
-
-class StripedMemo:
-    """A ``get_or_compute`` memo table with per-stripe locking.
-
-    The stripe lock is held *across the compute*, so concurrent requests
-    for the same key block instead of duplicating work — the right trade
-    for the executor's memos, whose values (partition scans, join-side
-    hash tables) are expensive and reused by many subjoins.  Keys landing
-    on different stripes never contend.
-    """
-
-    __slots__ = ("_stripes",)
-
-    def __init__(self, n_stripes: int = 16):
-        if n_stripes < 1:
-            raise ValueError("n_stripes must be >= 1")
-        self._stripes: Tuple[Tuple[threading.Lock, Dict], ...] = tuple(
-            (threading.Lock(), {}) for _ in range(n_stripes)
-        )
-
-    def get_or_compute(self, key, factory: Callable[[], V]) -> V:
-        """The memoized value for ``key``, computing it once if absent."""
-        lock, table = self._stripes[hash(key) % len(self._stripes)]
-        with lock:
-            try:
-                return table[key]
-            except KeyError:
-                value = factory()
-                table[key] = value
-                return value
-
-    def __len__(self) -> int:
-        return sum(len(table) for _lock, table in self._stripes)
-
-
-class DictMemo:
-    """Same interface as :class:`StripedMemo` over a plain (unlocked) dict.
-
-    The serial executor and the parallel executor's *private* memo mode
-    use this — one instance per execute call or per worker thread, so no
-    synchronization is needed.
-    """
-
-    __slots__ = ("_table",)
-
-    def __init__(self):
-        self._table: Dict = {}
-
-    def get_or_compute(self, key, factory: Callable[[], V]) -> V:
-        """The memoized value for ``key``, computing it once if absent."""
-        try:
-            return self._table[key]
-        except KeyError:
-            value = factory()
-            self._table[key] = value
-            return value
-
-    def __len__(self) -> int:
-        return len(self._table)

@@ -1521,7 +1521,6 @@ class AggregateCacheManager:
         cancelled away (:func:`~repro.core.effective_rows.execute_effective`)
         is ``cancelled``.
         """
-        worker = threading.current_thread().name
         cursor = 0
         for index, sub in enumerate(plan.subjoins):
             if sub.action == "pruned":
@@ -1547,7 +1546,6 @@ class AggregateCacheManager:
                     attrs={
                         "combo": describe_partitions(sub.partitions),
                         "status": status,
-                        "worker": worker,
                     },
                     children=children,
                 )

@@ -53,7 +53,6 @@ from .governor import (
 from .obs import EngineMetrics
 from .obs.trace import QueryTrace
 from .query.executor import QueryExecutor
-from .query.parallel import ParallelConfig
 from .query.query import AggregateQuery
 from .query.result import QueryResult
 from .query.sql import parse_sql
@@ -103,9 +102,8 @@ class Database:
     readers–writer lock (``db.lock``) lets any number of queries proceed in
     parallel while DML, delta merges, DDL, and checkpointing take exclusive
     ownership; cache admission/eviction bookkeeping during a query is
-    guarded by the cache manager's own internal lock.  Pass ``n_workers``
-    (or a full :class:`ParallelConfig` as ``parallel``) to additionally
-    shard each query's subjoin list across an intra-query worker pool.
+    guarded by the cache manager's own internal lock.  Each query runs its
+    subjoins serially on the calling thread.
     """
 
     def __init__(
@@ -116,18 +114,14 @@ class Database:
         path=None,
         cold_path=None,
         fault_injector: Optional[FaultInjector] = None,
-        n_workers: Optional[int] = None,
-        parallel: Optional[ParallelConfig] = None,
         observability: bool = True,
         governor: Optional[Union[ResourceGovernor, GovernorConfig]] = None,
     ):
-        if parallel is None and n_workers is not None:
-            parallel = ParallelConfig(n_workers=n_workers) if n_workers > 1 else None
         self.lock = ReadWriteLock()
         self.catalog = Catalog()
         self.transactions = TransactionManager()
         self.views = ConsistentViewManager(self.transactions)
-        self.executor = QueryExecutor(self.catalog, parallel=parallel)
+        self.executor = QueryExecutor(self.catalog)
         config = cache_config if cache_config is not None else CacheConfig()
         self.faults = fault_injector if fault_injector is not None else FaultInjector()
         # ``observability=False`` swaps in the shared no-op registry: every
@@ -345,16 +339,15 @@ class Database:
 
         Exactly one caller performs the shutdown; concurrent and repeated
         calls return immediately.  The closer takes the database write
-        lock first, so every in-flight query drains before the executor
-        pool stops and the WAL handle is released — closing under
-        concurrent readers never yanks resources out from under them.
+        lock first, so every in-flight query drains before the WAL handle
+        is released — closing under concurrent readers never yanks it out
+        from under them.
         """
         with self._close_lock:
             if self._closed:
                 return
             self._closed = True
         with self.lock.write():  # drain in-flight readers before teardown
-            self.executor.close()
             if self._wal is not None:
                 try:
                     # Last chance for transactions whose WAL append failed

@@ -1,10 +1,10 @@
 """Shared parsing for ``REPRO_*`` environment knobs.
 
-Every knob follows the same contract (generalized from the original
-``REPRO_N_WORKERS`` handling in :mod:`repro.query.parallel`):
+Every knob follows the same contract:
 
 * unset or empty → the caller's default;
-* malformed (not a number) → warn **once per variable per process** and
+* malformed (not a number, or a non-finite float such as ``nan`` or
+  ``inf``) → warn **once per variable per process** and
   fall back to the default — silently ignoring it would leave a typo like
   ``REPRO_QUERY_TIMEOUT_MS=1oo`` undetected, while warning on every
   ``Database()`` construction would drown real output;
@@ -15,6 +15,7 @@ Every knob follows the same contract (generalized from the original
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import warnings
@@ -46,6 +47,10 @@ def _parse(
         return default
     try:
         value = convert(raw)
+        if isinstance(value, float) and not math.isfinite(value):
+            # NaN would slip past the range check below, and an infinite
+            # budget or deadline is not a value any knob means.
+            raise ValueError(raw)
     except ValueError:
         with _warned_lock:
             first = name not in _warned
@@ -81,4 +86,4 @@ def env_float(
     minimum: Optional[float] = None,
 ) -> Optional[float]:
     """Read a float knob from the environment (contract above)."""
-    return _parse(name, default, float, "a number", minimum)
+    return _parse(name, default, float, "a finite number", minimum)

@@ -2,8 +2,8 @@
 
 Queries cannot be preempted — Python threads only stop where the code
 lets them — so cancellation is *cooperative*: the executor calls
-``token.check()`` at every subjoin/batch boundary (serial loop iterations,
-parallel worker tasks, delta-memo incremental scans) and the check raises
+``token.check()`` at every subjoin/batch boundary (before each subjoin,
+delta-memo incremental scans) and the check raises
 a typed :class:`~repro.errors.QueryAborted` subclass the moment the token
 is cancelled or its deadline has expired.
 
@@ -68,8 +68,8 @@ class CancelToken:
     A token is cancelled explicitly (:meth:`cancel`, from any thread) or
     implicitly by its :class:`Deadline` expiring; :meth:`check` raises
     :class:`~repro.errors.QueryCancelled` / :class:`~repro.errors.QueryTimeout`
-    respectively.  One token may be shared by all parallel workers of a
-    query — both paths are thread-safe and idempotent.  The cancelled
+    respectively.  :meth:`cancel` may be called from a thread other than
+    the one running the query — both paths are idempotent.  The cancelled
     flag is a plain slot (writes are atomic under the GIL, and the reason
     is written strictly before the flag), and the stride counter races
     benignly: a torn update only shifts *when* the next clock read

@@ -6,14 +6,14 @@ and main compensation as children) → delta compensation (with one child
 span per compensation subjoin — pruned or evaluated).  The cache manager
 fills the tree while answering the query; the executor contributes the
 evaluated-subjoin spans (partition assignment, rows scanned, pushdown
-filters, worker id) and the pruning layer contributes one near-zero-cost
+filters) and the pruning layer contributes one near-zero-cost
 span per pruned subjoin carrying its :class:`PruneReport` reason.
 
 Spans are plain data: traces can be rendered (:meth:`QueryTrace.render`),
 walked (:meth:`QueryTrace.subjoin_spans`), or serialized
-(:meth:`QueryTrace.to_dict`).  Serial and parallel executions of the same
-query produce the same span *set* — only timings and worker ids differ —
-which the test suite asserts.
+(:meth:`QueryTrace.to_dict`).  Runs of the same query over the same state
+produce the same span *set* — only timings differ — which the test suite
+compares through :meth:`QueryTrace.identity`.
 """
 
 from __future__ import annotations
@@ -66,8 +66,8 @@ class Span:
 
     # ------------------------------------------------------------------
     def identity(self) -> tuple:
-        """Timing- and worker-free identity, for cross-run comparison."""
-        skip = {"worker", "rows_scanned", "seconds"}
+        """Timing-free identity, for cross-run comparison."""
+        skip = {"rows_scanned", "seconds"}
         stable = tuple(
             sorted((k, repr(v)) for k, v in self.attrs.items() if k not in skip)
         )

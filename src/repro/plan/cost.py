@@ -4,8 +4,7 @@ The engine keeps exactly one join-ordering algorithm — a left-deep order
 over the (connected) join graph, probing from the largest input and
 hashing the smallest connectable candidate first.  The *executor* runs it
 over the **actual** scanned row counts of each subjoin, so the runtime
-order adapts to visibility and filters while remaining bit-identical
-between serial and parallel runs.  EXPLAIN runs the same function over
+order adapts to visibility and filters.  EXPLAIN runs the same function over
 **estimated** partition row counts (physical rows discounted by a fixed
 per-filter selectivity) to display the expected order; physical plans
 carry no order.

@@ -22,7 +22,6 @@ from .expr import (
     conjuncts_of,
     single_alias_of,
 )
-from .parallel import ParallelConfig, default_workers
 from .query import AggregateQuery, JoinEdge, OrderItem, TableRef
 from .result import QueryResult
 from .sql import clear_parse_cache, parse_cache_stats, parse_sql
@@ -46,14 +45,12 @@ __all__ = [
     "Not",
     "Or",
     "OrderItem",
-    "ParallelConfig",
     "QueryExecutor",
     "QueryResult",
     "TableRef",
     "all_partition_combos",
     "clear_parse_cache",
     "conjuncts_of",
-    "default_workers",
     "main_only_combos",
     "parse_cache_stats",
     "parse_sql",

@@ -16,26 +16,21 @@ semi-join-reduced by their smaller neighbours (``_reduce_scans``), so a
 compensation subjoin pinned to a handful of changed rows costs in
 proportion to those rows, not to the mains it joins them with.
 
-Subjoins are mutually independent, so the executor can shard the
-combination list across a thread pool (:class:`ParallelConfig`): each
-worker folds its subjoins into a private grouped partial and the partials
-are merged back **in combination order**, making parallel results
-bit-identical to serial ones.  Workers either share one lock-striped memo
-or keep per-worker memos, per configuration.
+Subjoins run one after another on the calling thread.  Each is evaluated
+into a fresh grouped partial that is merged into the result **in
+combination order**, so a query's float additions happen in one fixed
+order.
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..concurrency import DictMemo, StripedMemo
 from ..errors import QueryError
 from ..obs.trace import Span
 from ..plan.cost import choose_join_order, tier_weighted_costs
@@ -54,7 +49,6 @@ from .operators import (
     scan_partition,
     semi_join_reduce,
 )
-from .parallel import MEMO_PRIVATE, ParallelConfig
 from .query import AggregateQuery
 
 
@@ -118,13 +112,8 @@ def describe_partitions(partitions: Dict[str, Partition]) -> str:
 
 @dataclass
 class ExecutionStats:
-    """Counters filled during one ``execute`` call.
-
-    In parallel executions every subjoin fills a private instance which is
-    folded back via :meth:`merge` in combination order, so serial and
-    parallel runs of the same query produce *identical* stats — including
-    the order of ``subjoins`` and ``probe_sides``.
-    """
+    """Counters filled during one ``execute`` call; ``subjoins`` and
+    ``probe_sides`` list the subjoins in combination order."""
 
     combos_evaluated: int = 0
     combos_empty: int = 0
@@ -132,14 +121,6 @@ class ExecutionStats:
     subjoins: List[str] = field(default_factory=list)
     #: Per subjoin, the alias chosen as the probe (non-hashed) side.
     probe_sides: List[str] = field(default_factory=list)
-
-    def merge(self, other: "ExecutionStats") -> None:
-        """Fold another stats object into this one (order-preserving)."""
-        self.combos_evaluated += other.combos_evaluated
-        self.combos_empty += other.combos_empty
-        self.rows_aggregated += other.rows_aggregated
-        self.subjoins.extend(other.subjoins)
-        self.probe_sides.extend(other.probe_sides)
 
 
 def all_partition_combos(
@@ -188,41 +169,9 @@ def _fixed_rows_key(fixed) -> object:
 class QueryExecutor:
     """Evaluates aggregate queries over explicit partition combinations."""
 
-    def __init__(self, catalog: Catalog, parallel: Optional[ParallelConfig] = None):
+    def __init__(self, catalog: Catalog):
         self._catalog = catalog
         self._binder = Binder(catalog)
-        self._parallel = parallel
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._pool_size = 0
-        self._pool_lock = threading.Lock()
-
-    # ------------------------------------------------------------------
-    # worker pool
-    # ------------------------------------------------------------------
-    @property
-    def parallel_config(self) -> Optional[ParallelConfig]:
-        """The default parallel configuration (None = always serial)."""
-        return self._parallel
-
-    def _ensure_pool(self, n_workers: int) -> ThreadPoolExecutor:
-        with self._pool_lock:
-            if self._pool is None or self._pool_size != n_workers:
-                if self._pool is not None:
-                    self._pool.shutdown(wait=False)
-                self._pool = ThreadPoolExecutor(
-                    max_workers=n_workers, thread_name_prefix="repro-subjoin"
-                )
-                self._pool_size = n_workers
-            return self._pool
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; executor stays usable —
-        a later parallel execute recreates the pool)."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
-                self._pool_size = 0
 
     # ------------------------------------------------------------------
     # binding
@@ -244,7 +193,6 @@ class QueryExecutor:
         into: Optional[GroupedAggregates] = None,
         sign: int = 1,
         stats: Optional[ExecutionStats] = None,
-        parallel: Optional[ParallelConfig] = None,
         span_sink: Optional[List[Span]] = None,
         cancel=None,
     ) -> GroupedAggregates:
@@ -254,119 +202,45 @@ class QueryExecutor:
         the aggregate cache fold compensation contributions into (a copy of)
         a cached value; ``sign=-1`` subtracts, for main compensation.
 
-        ``parallel`` overrides the executor's default
-        :class:`ParallelConfig` for this call.  Every subjoin is evaluated
-        into a private partial which is merged into the result **in
-        combination order**, for serial and parallel runs alike — the two
-        modes perform the same floating-point operations in the same order
-        and return bit-identical results and stats.
+        Every subjoin is evaluated into a fresh partial which is merged into
+        the result **in combination order**; folding subjoins straight into
+        ``into`` would change the order of the float additions.
 
-        ``span_sink`` collects one trace :class:`Span` per evaluated
-        subjoin (partition assignment, rows scanned, probe side, pushdown
-        filter counts, worker id).  Spans are appended in combination
-        order, so serial and parallel runs produce the same span sequence
-        up to timings and worker names.
+        ``stats`` receives the counters and ``span_sink`` one trace
+        :class:`Span` per evaluated subjoin (partition assignment, rows
+        scanned, probe side, pushdown filter counts), both in combination
+        order.
 
         ``cancel`` is an optional
         :class:`~repro.governor.deadline.CancelToken`: it is checked
-        before every subjoin — in the serial fold loop and inside every
-        parallel worker task — so a cancelled or timed-out query aborts
-        at the next subjoin boundary with a typed
+        before every subjoin, so a cancelled or timed-out query aborts at
+        the next subjoin boundary with a typed
         :class:`~repro.errors.QueryAborted` instead of running to
         completion.  An abort folds nothing further into ``into``.
         """
-        if cancel is not None:
-            cancel.check()
         bound = self.bind(query)
         if combos is None:
             combos = [
                 ComboSpec(partitions)
                 for partitions in all_partition_combos(bound, self._catalog)
             ]
-        else:
-            combos = list(combos)
         grouped = into if into is not None else GroupedAggregates(bound.aggregates)
         residuals = bound.residual_filters()
         local_filters = {ref.alias: bound.local_filters(ref.alias) for ref in bound.tables}
-        want_stats = stats is not None
-        want_spans = span_sink is not None
-        config = parallel if parallel is not None else self._parallel
-        partial_factory = grouped.new_like
-        if config is not None and config.should_parallelize(
-            len(combos), _physical_rows(combos)
-        ):
-            partials = self._run_parallel(
-                bound, residuals, local_filters, snapshot, combos, sign,
-                want_stats, config, partial_factory, want_spans, cancel,
-            )
-        else:
-            scan_memo, hash_memo = DictMemo(), DictMemo()
-            partials = (
-                self._execute_combo(
-                    bound, residuals, local_filters, snapshot, combo, sign,
-                    scan_memo, hash_memo, want_stats, partial_factory,
-                    want_spans,
-                )
-                for combo in combos
-            )
-        for partial, combo_stats, span in partials:
+        # Scans and join-side hash tables repeat across subjoins that share
+        # a partition; both memos live for this call only.
+        scan_memo: Dict[tuple, np.ndarray] = {}
+        hash_memo: Dict[tuple, object] = {}
+        for combo in combos:
             if cancel is not None:
-                cancel.check()  # serial subjoin boundary (parallel workers check in-task)
-            if want_stats:
-                stats.merge(combo_stats)
-            if want_spans and span is not None:
-                span_sink.append(span)
+                cancel.check()
+            partial = self._execute_combo(
+                bound, residuals, local_filters, snapshot, combo, sign,
+                scan_memo, hash_memo, grouped.new_like, stats, span_sink,
+            )
             if partial is not None:
                 grouped.merge(partial)
         return grouped
-
-    def _run_parallel(
-        self,
-        query: AggregateQuery,
-        residuals: List[Expr],
-        local_filters: Dict[str, List[Expr]],
-        snapshot: int,
-        combos: Sequence[ComboSpec],
-        sign: int,
-        want_stats: bool,
-        config: ParallelConfig,
-        partial_factory,
-        want_spans: bool = False,
-        cancel=None,
-    ):
-        """Submit one task per subjoin; yield results in combination order."""
-        if config.memo == MEMO_PRIVATE:
-            per_thread: Dict[int, Tuple[DictMemo, DictMemo]] = {}
-
-            def memos() -> Tuple[DictMemo, DictMemo]:
-                ident = threading.get_ident()
-                pair = per_thread.get(ident)
-                if pair is None:
-                    # setdefault keeps the first pair if two tasks on a new
-                    # thread race (they cannot: one thread, one task at a
-                    # time — but stay defensive).
-                    pair = per_thread.setdefault(ident, (DictMemo(), DictMemo()))
-                return pair
-
-        else:
-            shared = (StripedMemo(), StripedMemo())
-
-            def memos() -> Tuple[StripedMemo, StripedMemo]:
-                return shared
-
-        def task(combo: ComboSpec):
-            if cancel is not None:
-                cancel.check()  # parallel subjoin boundary, on the worker
-            scan_memo, hash_memo = memos()
-            return self._execute_combo(
-                query, residuals, local_filters, snapshot, combo, sign,
-                scan_memo, hash_memo, want_stats, partial_factory, want_spans,
-            )
-
-        pool = self._ensure_pool(config.n_workers)
-        futures = [pool.submit(task, combo) for combo in combos]
-        for future in futures:
-            yield future.result()
 
     def _scan(
         self,
@@ -374,7 +248,7 @@ class QueryExecutor:
         combo: ComboSpec,
         local_filters: Dict[str, List[Expr]],
         snapshot: int,
-        scan_memo,
+        scan_memo: Dict[tuple, np.ndarray],
     ) -> np.ndarray:
         partition = combo.partitions[alias]
         extra = combo.extra_filters.get(alias, [])
@@ -385,22 +259,18 @@ class QueryExecutor:
             tuple(sorted(e.canonical() for e in extra)),
             _fixed_rows_key(fixed),
         )
-
-        def compute() -> np.ndarray:
+        rows = scan_memo.get(key)
+        if rows is None:
+            filters = local_filters[alias] + extra
             if isinstance(fixed, RowRange):
-                rows = partition.visible_rows_in(snapshot, fixed.start, fixed.stop)
-                return filter_rows(
-                    alias, partition, rows, local_filters[alias] + extra
-                )
-            if fixed is not None:
-                return filter_rows(
-                    alias, partition, fixed, local_filters[alias] + extra
-                )
-            return scan_partition(
-                alias, partition, snapshot, local_filters[alias] + extra
-            )
-
-        return scan_memo.get_or_compute(key, compute)
+                visible = partition.visible_rows_in(snapshot, fixed.start, fixed.stop)
+                rows = filter_rows(alias, partition, visible, filters)
+            elif fixed is not None:
+                rows = filter_rows(alias, partition, fixed, filters)
+            else:
+                rows = scan_partition(alias, partition, snapshot, filters)
+            scan_memo[key] = rows
+        return rows
 
     def _execute_combo(
         self,
@@ -410,28 +280,26 @@ class QueryExecutor:
         snapshot: int,
         combo: ComboSpec,
         sign: int,
-        scan_memo,
-        hash_memo,
-        want_stats: bool,
+        scan_memo: Dict[tuple, np.ndarray],
+        hash_memo: Dict[tuple, object],
         partial_factory,
-        want_spans: bool = False,
-    ) -> Tuple[Optional[GroupedAggregates], Optional[ExecutionStats], Optional[Span]]:
+        stats: Optional[ExecutionStats],
+        span_sink: Optional[List[Span]],
+    ) -> Optional[GroupedAggregates]:
         """Evaluate one subjoin into a fresh partial grouped state.
 
-        Returns ``(partial, stats, span)``; the partial is None when the
-        subjoin is empty and the span is None unless requested.  The
-        caller folds everything back in combination order.
+        Returns the partial, or None when the subjoin is empty; counts go
+        to ``stats`` and one span to ``span_sink`` (each when given).
         """
         sign *= combo.sign
-        if not want_spans:
-            return (*self._execute_combo_inner(
+        if span_sink is None:
+            return self._execute_combo_inner(
                 query, residuals, local_filters, snapshot, combo, sign,
-                scan_memo, hash_memo, want_stats, partial_factory, None,
-            ), None)
+                scan_memo, hash_memo, partial_factory, stats, None,
+            )
         attrs: Dict[str, object] = {
             "combo": combo.describe(),
             "status": "evaluated",
-            "worker": threading.current_thread().name,
         }
         if combo.extra_filters:
             attrs["pushdown_filters"] = {
@@ -444,17 +312,17 @@ class QueryExecutor:
         if sign != 1:
             attrs["sign"] = sign
         started = time.perf_counter()
-        partial, stats = self._execute_combo_inner(
+        partial = self._execute_combo_inner(
             query, residuals, local_filters, snapshot, combo, sign,
-            scan_memo, hash_memo, want_stats, partial_factory, attrs,
+            scan_memo, hash_memo, partial_factory, stats, attrs,
         )
-        span = Span(
+        span_sink.append(Span(
             name="subjoin",
             start=started,
             duration=time.perf_counter() - started,
             attrs=attrs,
-        )
-        return partial, stats, span
+        ))
+        return partial
 
     def _execute_combo_inner(
         self,
@@ -464,16 +332,15 @@ class QueryExecutor:
         snapshot: int,
         combo: ComboSpec,
         sign: int,
-        scan_memo,
-        hash_memo,
-        want_stats: bool,
+        scan_memo: Dict[tuple, np.ndarray],
+        hash_memo: Dict[tuple, object],
         partial_factory,
+        stats: Optional[ExecutionStats],
         attrs: Optional[Dict[str, object]],
-    ) -> Tuple[Optional[GroupedAggregates], Optional[ExecutionStats]]:
+    ) -> Optional[GroupedAggregates]:
         missing = {ref.alias for ref in query.tables} - set(combo.partitions)
         if missing:
             raise QueryError(f"combo misses partitions for aliases {sorted(missing)}")
-        stats = ExecutionStats() if want_stats else None
         if stats is not None:
             stats.combos_evaluated += 1
             stats.subjoins.append(combo.describe())
@@ -483,7 +350,7 @@ class QueryExecutor:
                 stats.combos_empty += 1
             if attrs is not None:
                 attrs["status"] = "empty"
-            return None, stats
+            return None
 
         # Scan every alias up front (memoized across subjoins): the counts
         # drive build-side selection, and any empty input empties the join.
@@ -555,10 +422,10 @@ class QueryExecutor:
                     _fixed_rows_key(fixed),
                     kernel,  # a table built for a small step never serves a large one
                 )
-                table = hash_memo.get_or_compute(
-                    hash_key,
-                    lambda: build_hash_table(partition, rows, key_columns, kernel),
-                )
+                table = hash_memo.get(hash_key)
+                if table is None:
+                    table = build_hash_table(partition, rows, key_columns, kernel)
+                    hash_memo[hash_key] = table
             if not table:
                 return empty()
             probe_columns = [edge.other(step.alias) for edge in step.edges]
@@ -578,7 +445,7 @@ class QueryExecutor:
             stats.rows_aggregated += n
         if attrs is not None:
             attrs["rows_aggregated"] = n
-        return partial, stats
+        return partial
 
 
 def _reduce_scans(
@@ -619,12 +486,3 @@ def _reduce_scans(
                 )
     return reduced
 
-
-def _physical_rows(combos: Sequence[ComboSpec]) -> int:
-    """Summed physical row count over the distinct partitions referenced —
-    a cheap upper bound on the scan work a combination list implies."""
-    seen: Dict[int, int] = {}
-    for combo in combos:
-        for partition in combo.partitions.values():
-            seen[id(partition)] = partition.row_count
-    return sum(seen.values())

@@ -311,8 +311,8 @@ class Shell:
 
         replaced = self.db
         self.db = load_database(argument)
-        # The old database's worker pool (and WAL handle) would otherwise
-        # leak its threads for the rest of the session.
+        # The old database's WAL handle would otherwise stay open for the
+        # rest of the session.
         replaced.close()
         self._print(
             f"snapshot loaded; tables: {', '.join(self.db.catalog.table_names())}"

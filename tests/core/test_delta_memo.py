@@ -4,8 +4,8 @@ The memo (repro.core.delta_memo) keeps an entry's whole compensation at
 its anchor and steps it to a later reader over just the rows whose
 visibility differs between the two snapshots.  These tests pin down that
 DML on each referenced table and stamps below the watermark advance it,
-that merges rebuild it and older readers bypass it, and that
-serial/parallel and memo-on/off runs agree bit for bit.
+that merges rebuild it and older readers bypass it, and that memo-on and
+memo-off runs agree bit for bit.
 """
 
 import random
@@ -14,7 +14,6 @@ import pytest
 
 from repro import CacheConfig, Database, ExecutionStrategy
 from repro.core.delta_memo import subjoin_step_specs, visibility_step
-from repro.query.parallel import ParallelConfig
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
 
@@ -419,23 +418,11 @@ def _randomized_run(db, rng_seed: int, queries=(PROFIT_SQL, HEADER_ITEM_SQL)):
 class TestParity:
     @pytest.mark.parametrize("seed", [7, 21])
     def test_memo_on_off_serial_parallel_identical(self, seed):
-        """The same randomized history must produce bit-identical rows under
-        every (memo, parallelism) combination."""
-        configs = {
-            "memo-serial": dict(cache_config=CacheConfig(delta_memo=True)),
-            "nomemo-serial": dict(cache_config=CacheConfig(delta_memo=False)),
-            "memo-parallel": dict(
-                cache_config=CacheConfig(delta_memo=True),
-                parallel=ParallelConfig(n_workers=4, min_combos=1, min_rows=1),
-            ),
-            "nomemo-parallel": dict(
-                cache_config=CacheConfig(delta_memo=False),
-                parallel=ParallelConfig(n_workers=4, min_combos=1, min_rows=1),
-            ),
-        }
+        """The same randomized history must produce bit-identical rows with
+        the memo on and off; subjoins run serially in both."""
         reference = None
-        for name, kwargs in configs.items():
-            db = make_erp_db(**kwargs)
+        for delta_memo in (True, False):
+            db = make_erp_db(cache_config=CacheConfig(delta_memo=delta_memo))
             load_erp(db, n_headers=5, merge=True)
             outputs = _randomized_run(db, seed)
             if reference is None:
@@ -443,7 +430,7 @@ class TestParity:
                 # The memo actually engaged in the reference run.
                 assert db.cache.counters_snapshot()["memo_hits"] > 0
             else:
-                assert outputs == reference, f"{name} diverged"
+                assert outputs == reference, "memo off diverged"
 
     def test_concurrent_writer_snapshots(self, erp_db):
         """Readers pinned across writer commits never see memo'd rows from

@@ -10,7 +10,7 @@ Satellite guarantees pinned here:
   suffix — an all-excluded join must not silently return an empty combo
   list when a delta later grows rows;
 * reduction on/off is bit-identical (values, types, order) across
-  serial x parallel x memo x plan-cache configurations, including
+  memo x plan-cache configurations, including
   concurrent-writer histories that grow a previously-empty dimension
   delta mid-run.
 """
@@ -22,7 +22,6 @@ import pytest
 from repro import CacheConfig, Database, ExecutionStrategy
 from repro.core.delta_compensation import sound_exclusions
 from repro.plan.star_join import ExcludedTable
-from repro.query.parallel import ParallelConfig
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
 
@@ -139,9 +138,6 @@ class TestReductionParity:
 
     CONFIGS = {
         "serial": {},
-        "parallel": {
-            "parallel": ParallelConfig(n_workers=4, min_combos=1, min_rows=1)
-        },
         "no_memo": {"cache_config": CacheConfig(delta_memo=False)},
         "no_plan_cache": {"cache_config": CacheConfig(plan_cache_size=0)},
     }

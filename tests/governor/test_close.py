@@ -53,7 +53,7 @@ class TestCloseIdempotency:
 
 class TestCloseUnderConcurrentReaders:
     def test_close_waits_for_in_flight_queries(self):
-        db = make_erp_db(n_workers=2)
+        db = make_erp_db()
         load_erp(db, n_headers=6, merge=True)
         load_erp(db, n_headers=2, start_hid=100, merge=False)
         expected = db.query(

@@ -137,9 +137,7 @@ def _run_chaos(db, faults, point, arm_kwargs):
 )
 def test_chaos_in_memory(point, arm_kwargs):
     faults = FaultInjector(seed=1234)
-    db = make_erp_db(
-        fault_injector=faults, governor=CHAOS_GOVERNOR, n_workers=2
-    )
+    db = make_erp_db(fault_injector=faults, governor=CHAOS_GOVERNOR)
     _run_chaos(db, faults, point, arm_kwargs)
 
 

@@ -1,6 +1,6 @@
 """Multi-threaded stress test: concurrent queries, inserts, and merges.
 
-Hammers one shared :class:`Database` with parallel query threads while a
+Hammers one shared :class:`Database` with concurrent query threads while a
 writer inserts business objects and a maintenance thread runs periodic
 delta merges.  The run asserts three things:
 
@@ -22,7 +22,7 @@ from collections import defaultdict
 
 import pytest
 
-from repro import Database, ExecutionStrategy, ParallelConfig
+from repro import Database, ExecutionStrategy
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, make_erp_db
 
@@ -49,9 +49,7 @@ def _insert_object(db: Database, hid: int, log: list) -> None:
 
 
 def test_queries_inserts_merges_concurrently():
-    db = make_erp_db(
-        parallel=ParallelConfig(n_workers=2, min_combos=2, min_rows=64)
-    )
+    db = make_erp_db()
     for cid in range(N_CATEGORIES):
         db.insert("category", {"cid": cid, "name": f"cat{cid}", "lang": "ENG"})
     inserted_items: list = []

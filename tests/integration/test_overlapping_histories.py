@@ -1,8 +1,7 @@
 """Randomized overlapping-query histories: bit-identity across engines.
 
 One seeded history — interleaved overlapping queries, business-object
-inserts, and merges — replayed on every engine configuration in
-{serial, parallel} x {memo on, memo off}.
+inserts, and merges — replayed with the memo on and off.
 Every configuration must produce byte-for-byte identical result streams
 (values, Python types, row order), and each matches the uncached truth
 computed on the same database state.  A second test aims concurrent
@@ -15,7 +14,7 @@ import threading
 
 import pytest
 
-from repro import CacheConfig, Database, ExecutionStrategy, ParallelConfig
+from repro import CacheConfig, ExecutionStrategy
 
 from ..conftest import load_erp, make_erp_db
 
@@ -44,15 +43,9 @@ QUERY_POOL = [
     "FROM header h, item i WHERE h.hid = i.hid GROUP BY h.year",
 ]
 
-PARALLEL = ParallelConfig(n_workers=2, min_combos=2, min_rows=1)
-
 CONFIGS = {
-    "serial": dict(),
-    "serial-no-memo": dict(cache_config=CacheConfig(delta_memo=False)),
-    "parallel": dict(parallel=PARALLEL),
-    "parallel-no-memo": dict(
-        cache_config=CacheConfig(delta_memo=False), parallel=PARALLEL
-    ),
+    "memo": dict(),
+    "no-memo": dict(cache_config=CacheConfig(delta_memo=False)),
 }
 
 
@@ -115,7 +108,7 @@ def test_history_bit_identical_across_configurations(seed):
 
 
 def test_concurrent_overlapping_readers_with_writer():
-    db = make_erp_db(parallel=PARALLEL)
+    db = make_erp_db()
     load_erp(db, n_headers=6, merge=True)
     load_erp(db, n_headers=2, start_hid=100, merge=False)
 

@@ -5,18 +5,9 @@
    ``counters_snapshot()`` it had already taken.
 2. ``Database.last_report`` was one shared attribute — concurrent queries
    overwrote each other's reports.
-3. ``default_workers()`` silently swallowed a malformed
-   ``REPRO_N_WORKERS`` and quietly clamped 0/negatives to 1.
 """
 
 import threading
-import warnings
-
-import pytest
-
-from repro import Database
-from repro import envutil
-from repro.query.parallel import ParallelConfig, default_workers
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
 
@@ -126,33 +117,3 @@ class TestLastReportRaces:
         thread.join()
         assert seen["report"] is None
 
-
-class TestWorkerEnvValidation:
-    def test_valid_value_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_WORKERS", "3")
-        assert default_workers() == 3
-        assert ParallelConfig.auto().n_workers == 3
-
-    def test_malformed_value_warns_once_and_falls_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_WORKERS", "fuor")
-        envutil._reset_warnings()
-        with pytest.warns(RuntimeWarning, match="malformed REPRO_N_WORKERS"):
-            assert default_workers() >= 1
-        # Second call: warn-once, no second warning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert default_workers() >= 1
-
-    def test_zero_is_rejected_with_clear_message(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_WORKERS", "0")
-        with pytest.raises(ValueError, match="must be >= 1"):
-            default_workers()
-
-    def test_negative_is_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_N_WORKERS", "-2")
-        with pytest.raises(ValueError, match="REPRO_N_WORKERS"):
-            default_workers()
-
-    def test_unset_uses_cpu_count(self, monkeypatch):
-        monkeypatch.delenv("REPRO_N_WORKERS", raising=False)
-        assert default_workers() >= 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Database, ExecutionStrategy, ParallelConfig
+from repro import ExecutionStrategy
 
 from ..conftest import PROFIT_SQL, load_erp, make_erp_db
 
@@ -43,7 +43,6 @@ class TestTraceStructure:
         for span in evaluated:
             assert "combo" in span.attrs
             assert "rows_scanned" in span.attrs
-            assert "worker" in span.attrs
 
     def test_spans_sum_to_total_within_overhead(self, erp_db):
         """Acceptance: the per-stage spans of a 3-table query sum (within
@@ -90,44 +89,6 @@ class TestTraceStructure:
         assert text.startswith("EXPLAIN ANALYZE")
         assert "compensation subjoins" in text
         assert "subjoin" in text
-
-
-class TestSerialParallelEquivalence:
-    def _loaded(self, **kwargs) -> Database:
-        db = make_erp_db(**kwargs)
-        load_erp(db, n_headers=8, merge=True)
-        load_erp(db, n_headers=3, start_hid=50, merge=False)
-        return db
-
-    def test_same_span_set_serial_vs_parallel(self):
-        """Serial and parallel runs produce equivalent subjoin span sets —
-        only timings and worker names may differ."""
-        serial = self._loaded()
-        parallel = self._loaded(
-            parallel=ParallelConfig(n_workers=4, min_combos=1, min_rows=1)
-        )
-        try:
-            trace_serial = serial.explain_analyze(PROFIT_SQL)
-            trace_parallel = parallel.explain_analyze(PROFIT_SQL)
-            assert trace_serial.identity() == trace_parallel.identity()
-            assert trace_serial.result == trace_parallel.result
-        finally:
-            parallel.close()
-
-    def test_parallel_spans_carry_worker_names(self):
-        db = self._loaded(
-            parallel=ParallelConfig(n_workers=4, min_combos=1, min_rows=1)
-        )
-        try:
-            trace = db.explain_analyze(PROFIT_SQL)
-            workers = {
-                s.attrs["worker"]
-                for s in trace.subjoin_spans()
-                if s.attrs["status"] != "pruned"
-            }
-            assert workers  # at least one evaluated subjoin went somewhere
-        finally:
-            db.close()
 
 
 class TestMetricsFromQueries:

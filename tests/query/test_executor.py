@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.errors import QueryError
+from repro.errors import QueryCancelled, QueryError
+from repro.governor import CancelToken
+from repro.query import executor as executor_module
 from repro.query import (
     AggFunc,
     AggregateQuery,
@@ -291,6 +293,192 @@ class TestBinding:
         grouped = QueryExecutor(catalog).execute(query, txn.latest_tid)
         result = QueryResult.from_grouped(query, grouped)
         assert [row[0] for row in result.rows] == ["A", "B"]
+
+
+@pytest.fixture
+def asymmetric_env():
+    """Header/Item catalog whose item table dwarfs the header table in every
+    main/delta pairing (48/6 item rows vs. 4/1 header rows), so build-side
+    selection matters."""
+    catalog = Catalog()
+    txn = TransactionManager()
+    header = catalog.create_table(
+        "header",
+        Schema(
+            [
+                ColumnDef("hid", SqlType.INT, nullable=False),
+                ColumnDef("year", SqlType.INT),
+            ],
+            primary_key="hid",
+        ),
+    )
+    item = catalog.create_table(
+        "item",
+        Schema(
+            [
+                ColumnDef("iid", SqlType.INT, nullable=False),
+                ColumnDef("hid", SqlType.INT),
+                ColumnDef("cat", SqlType.TEXT),
+                ColumnDef("price", SqlType.FLOAT),
+            ],
+            primary_key="iid",
+        ),
+    )
+    for hid in range(1, 5):
+        header.insert({"hid": hid, "year": 2013 + hid % 2}, txn.begin().tid)
+    iid = 0
+    for hid in range(1, 5):
+        for k in range(12):
+            iid += 1
+            item.insert(
+                {
+                    "iid": iid,
+                    "hid": hid,
+                    "cat": "ABC"[k % 3],
+                    "price": 1.5 * k + hid * 0.25,
+                },
+                txn.begin().tid,
+            )
+    merge_table(header, txn.latest_tid)
+    merge_table(item, txn.latest_tid)
+    header.insert({"hid": 5, "year": 2015}, txn.begin().tid)
+    for k in range(6):
+        iid += 1
+        item.insert(
+            {"iid": iid, "hid": 1 + k % 5, "cat": "AB"[k % 2], "price": 3.25 * k},
+            txn.begin().tid,
+        )
+    return catalog, txn
+
+
+def item_first_query():
+    # Item deliberately FIRST in the FROM list: the legacy planner seeded
+    # the probe side from FROM order, which only *happened* to be right.
+    query = profit_query()
+    return AggregateQuery(
+        tables=[TableRef("item", "i"), TableRef("header", "h")],
+        aggregates=query.aggregates,
+        group_by=query.group_by,
+        join_edges=query.join_edges,
+    )
+
+
+class TestBuildSideSelection:
+    def test_probe_side_is_largest_scan(self, asymmetric_env):
+        catalog, txn = asymmetric_env
+        stats, spans = ExecutionStats(), []
+        QueryExecutor(catalog).execute(
+            profit_query(), txn.latest_tid, stats=stats, span_sink=spans
+        )
+        # Regression: the legacy planner probed "h" (first in FROM), building
+        # every hash table on the far larger item side.  The item scan is
+        # larger in every subjoin here, so "i" must probe throughout —
+        # semi-join reduction thins the inputs but never re-plans the join.
+        assert stats.probe_sides == ["i"] * stats.combos_evaluated
+        by_label = dict(zip(stats.subjoins, spans))
+        for label, span in by_label.items():
+            scanned = span.attrs["rows_scanned"]
+            joined = span.attrs.get("rows_after_reduction", scanned)
+            # No hash table on a side larger than the probe side's scan.
+            assert joined["h"] <= scanned["h"] <= scanned["i"], label
+        # The lone delta header (hid 5) matches no main item: the item side
+        # reduces to nothing and the subjoin is empty before any hash table.
+        empty = by_label["(h:delta, i:main)"].attrs
+        assert empty["rows_scanned"] == {"h": 1, "i": 48}
+        assert empty["rows_after_reduction"] == {"h": 1, "i": 0}
+        assert empty["status"] == "empty"
+
+    def test_from_order_does_not_change_plan(self, asymmetric_env):
+        catalog, txn = asymmetric_env
+        s1, s2 = ExecutionStats(), ExecutionStats()
+        executor = QueryExecutor(catalog)
+        executor.execute(item_first_query(), txn.latest_tid, stats=s1)
+        executor.execute(profit_query(), txn.latest_tid, stats=s2)
+        assert s1.probe_sides == s2.probe_sides
+        # The combination order follows FROM; each subjoin's plan must not.
+        assert dict(zip(s1.subjoins, s1.probe_sides)) == dict(
+            zip(s2.subjoins, s2.probe_sides)
+        )
+
+    def test_results_unchanged_by_build_side(self, asymmetric_env):
+        catalog, txn = asymmetric_env
+        a = QueryExecutor(catalog).execute(item_first_query(), txn.latest_tid)
+        b = QueryExecutor(catalog).execute(profit_query(), txn.latest_tid)
+        assert dict(
+            (row[0], row[1:]) for row in a.finalize()
+        ) == dict((row[0], row[1:]) for row in b.finalize())
+
+    def test_missing_partition_errors(self, asymmetric_env):
+        catalog, txn = asymmetric_env
+        item = catalog.table("item")
+        bad = [
+            ComboSpec({"i": item.partition("main")}),  # "h" missing
+            ComboSpec({"i": item.partition("delta")}),
+        ]
+        with pytest.raises(QueryError, match="misses partitions"):
+            QueryExecutor(catalog).execute(profit_query(), txn.latest_tid, combos=bad)
+
+
+class TestMemos:
+    def test_each_partition_is_scanned_once_per_call(self, env, monkeypatch):
+        """The four subjoins of a two-table join share their four partition
+        scans; a second call scans afresh (memos live for one call)."""
+        catalog, txn = env
+        scanned = []
+        real_scan = executor_module.scan_partition
+
+        def counting_scan(alias, partition, *args):
+            scanned.append((alias, partition.name))
+            return real_scan(alias, partition, *args)
+
+        monkeypatch.setattr(executor_module, "scan_partition", counting_scan)
+        executor = QueryExecutor(catalog)
+        executor.execute(profit_query(), txn.latest_tid)
+        assert sorted(scanned) == [
+            ("h", "delta"), ("h", "main"), ("i", "delta"), ("i", "main")
+        ]
+        executor.execute(profit_query(), txn.latest_tid)
+        assert len(scanned) == 8
+
+
+class TestCancellation:
+    def test_cancel_is_checked_before_each_subjoin(self, env, monkeypatch):
+        """A cancel arriving after subjoin 0 was folded stops the query
+        before subjoin 1 is computed, and stats cover subjoin 0 only."""
+        catalog, txn = env
+        token = CancelToken()
+        aggregated = []
+        real_aggregate = executor_module.aggregate_into
+        real_merge = executor_module.GroupedAggregates.merge
+
+        def counting_aggregate(*args):
+            aggregated.append(args)
+            return real_aggregate(*args)
+
+        def merge_then_cancel(self, other, *args, **kwargs):
+            real_merge(self, other, *args, **kwargs)
+            token.cancel("after the first subjoin")
+
+        monkeypatch.setattr(executor_module, "aggregate_into", counting_aggregate)
+        monkeypatch.setattr(executor_module.GroupedAggregates, "merge", merge_then_cancel)
+        stats = ExecutionStats()
+        with pytest.raises(QueryCancelled):
+            QueryExecutor(catalog).execute(
+                profit_query(), txn.latest_tid, stats=stats, cancel=token
+            )
+        assert len(aggregated) == 1
+        assert stats.subjoins == ["(h:main, i:main)"]
+
+    def test_cancelled_token_computes_nothing(self, env):
+        catalog, txn = env
+        token = CancelToken()
+        token.cancel()
+        stats = ExecutionStats()
+        with pytest.raises(QueryCancelled):
+            QueryExecutor(catalog).execute(
+                profit_query(), txn.latest_tid, stats=stats, cancel=token
+            )
+        assert stats.combos_evaluated == 0
 
 
 class TestComboHelpers:

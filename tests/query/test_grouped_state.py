@@ -64,7 +64,7 @@ class TestAccumulateGroups:
 
 
 class TestMergeEdgeCases:
-    """The merge paths the parallel executor leans on: partial folding."""
+    """The merge paths the executor leans on: partial folding."""
 
     def test_avg_partials_combine_exactly(self):
         # AVG carries (sum, non-null count) partials; merging two partials

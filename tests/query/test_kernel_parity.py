@@ -4,7 +4,7 @@ The code-space join/aggregation kernels must be *bit-identical* to the
 row-at-a-time reference: same result rows, same row order, same Python value
 types.  This suite drives both kernels over seeded random databases covering
 NULL join keys, empty deltas, duplicate build keys, main/delta dictionary
-skew, and the serial / parallel / delta-memo execution modes.
+skew, and the delta-memo execution modes.
 
 Float prices are quantized to multiples of 0.25 so float64 sums are exact
 and order-independent — without that, comparing different summation orders
@@ -24,7 +24,6 @@ from repro.query import (
     AggregateSpec,
     Col,
     JoinEdge,
-    ParallelConfig,
     QueryExecutor,
     TableRef,
 )
@@ -34,7 +33,6 @@ from repro.query.operators import (
     KERNEL_VECTORIZED,
     kernel_override,
 )
-from repro.query.parallel import MEMO_PRIVATE, MEMO_SHARED
 from repro.storage import Catalog, ColumnDef, Schema, SqlType, merge_table
 from repro.txn import TransactionManager
 
@@ -146,26 +144,20 @@ def assert_bit_identical(a, b):
             assert type(va) is type(vb), (va, vb)
 
 
-MODES = [
-    ("serial", None),
-    ("parallel-shared", ParallelConfig(n_workers=4, min_combos=2, min_rows=0, memo=MEMO_SHARED)),
-    ("parallel-private", ParallelConfig(n_workers=4, min_combos=2, min_rows=0, memo=MEMO_PRIVATE)),
-]
+# The executor's one execution mode: subjoins run serially, in combination
+# order, on the calling thread.  The parity matrices name it in their case ids.
+MODES = ["serial"]
 
 
-@pytest.mark.parametrize("mode,parallel", MODES, ids=[m for m, _ in MODES])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("empty_delta", [False, True], ids=["delta", "empty-delta"])
 @pytest.mark.parametrize("seed", range(5))
-def test_join_and_aggregation_parity(seed, empty_delta, mode, parallel):
+def test_join_and_aggregation_parity(seed, empty_delta, mode):
     catalog, txn = build_catalog(seed, empty_delta=empty_delta)
     results = {}
     for kernel in (KERNEL_VECTORIZED, KERNEL_ROWLOOP):
-        executor = QueryExecutor(catalog, parallel=parallel)
-        try:
-            with kernel_override(kernel):
-                grouped = executor.execute(parity_query(), txn.latest_tid)
-        finally:
-            executor.close()
+        with kernel_override(kernel):
+            grouped = QueryExecutor(catalog).execute(parity_query(), txn.latest_tid)
         results[kernel] = grouped.finalize()
     assert_bit_identical(results[KERNEL_VECTORIZED], results[KERNEL_ROWLOOP])
     assert results[KERNEL_VECTORIZED]  # non-degenerate: something joined

@@ -127,28 +127,24 @@ def tuple_order_query() -> AggregateQuery:
     return chain_query(group_by=[Col("iid", "i"), Col("name", "r")])
 
 
-def run(catalog, query, snapshot, kernel, combos=None, parallel=None):
+def run(catalog, query, snapshot, kernel, combos=None):
     """One execution under the default rule (``kernel=DEFAULT``) or with a
     kernel forced; returns (grouped state, stats, subjoin spans)."""
     stats, spans = ExecutionStats(), []
-    executor = QueryExecutor(catalog, parallel=parallel)
-    try:
-        with nullcontext() if kernel == DEFAULT else kernel_override(kernel):
-            grouped = executor.execute(
-                query, snapshot, combos=combos, stats=stats, span_sink=spans
-            )
-    finally:
-        executor.close()
+    with nullcontext() if kernel == DEFAULT else kernel_override(kernel):
+        grouped = QueryExecutor(catalog).execute(
+            query, snapshot, combos=combos, stats=stats, span_sink=spans
+        )
     return grouped, stats, spans
 
 
-def check_default(catalog, query, snapshot, combos=None, parallel=None, forced=tuple(BOTH)):
+def check_default(catalog, query, snapshot, combos=None, forced=tuple(BOTH)):
     """The default rule against each forced kernel: everything but the
-    ``kernels`` / ``worker`` span attributes must be identical.  Returns the
-    default run's spans."""
-    default = run(catalog, query, snapshot, DEFAULT, combos and combos(), parallel)
+    ``kernels`` span attribute must be identical.  Returns the default
+    run's spans."""
+    default = run(catalog, query, snapshot, DEFAULT, combos and combos())
     for kernel in forced:
-        other = run(catalog, query, snapshot, kernel, combos and combos(), parallel)
+        other = run(catalog, query, snapshot, kernel, combos and combos())
         assert_same_execution(other, default)
         assert [counts(span) for span in other[2]] == [counts(span) for span in default[2]]
         assert set().union(*(kernels(span) for span in other[2])) <= {kernel}
@@ -156,7 +152,7 @@ def check_default(catalog, query, snapshot, combos=None, parallel=None, forced=t
 
 
 def counts(span):
-    return {key: value for key, value in span.attrs.items() if key not in ("kernels", "worker")}
+    return {key: value for key, value in span.attrs.items() if key != "kernels"}
 
 
 def kernels(span):
@@ -213,9 +209,9 @@ def test_hash_memo_is_keyed_on_the_kernel(monkeypatch):
 
 @pytest.mark.parametrize("quantum", [True, False], ids=["quantum", "non-quantum"])
 @pytest.mark.parametrize("query", [chain_query, tuple_order_query])
-@pytest.mark.parametrize("mode,parallel", MODES, ids=[m for m, _ in MODES])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("seed", range(4))
-def test_random_catalogs_mix_kernels(seed, mode, parallel, query, quantum):
+def test_random_catalogs_mix_kernels(seed, mode, query, quantum):
     """Every partition combination of a three-table chain over mains and
     deltas: in the all-main subjoin the 82 items probe the headers in code
     space and the few dozen joined tuples probe the regions in the row
@@ -225,7 +221,7 @@ def test_random_catalogs_mix_kernels(seed, mode, parallel, query, quantum):
     kernels are all that differs."""
     catalog, txn = build_catalog(seed, 60, 110, merge_after=45, quantum=quantum)
     spans = check_default(
-        catalog, query(), txn.latest_tid, parallel=parallel,
+        catalog, query(), txn.latest_tid,
         forced=tuple(BOTH) if quantum else (KERNEL_VECTORIZED,),
     )
     assert set().union(*map(kernels, spans)) == BOTH
@@ -233,8 +229,8 @@ def test_random_catalogs_mix_kernels(seed, mode, parallel, query, quantum):
 
 
 @pytest.mark.parametrize("query", [chain_query, tuple_order_query])
-@pytest.mark.parametrize("mode,parallel", MODES, ids=[m for m, _ in MODES])
-def test_fixed_rows_and_row_ranges(mode, parallel, query):
+@pytest.mark.parametrize("mode", MODES)
+def test_fixed_rows_and_row_ranges(mode, query):
     """Pinned index arrays and RowRange sides of N and N + 1 rows, as the
     compensation terms pin them."""
     catalog, txn = build_catalog(5, 120, 260, merge_after=100)
@@ -264,5 +260,5 @@ def test_fixed_rows_and_row_ranges(mode, parallel, query):
             ),
         ]
 
-    spans = check_default(catalog, query(), txn.latest_tid, combos, parallel)
+    spans = check_default(catalog, query(), txn.latest_tid, combos)
     assert set().union(*map(kernels, spans)) == BOTH

@@ -8,8 +8,7 @@ bit-identical whether the module thresholds say "always reduce" or "never
 reduce" — across the seeded random catalogs of the kernel-parity suite
 (NULL keys, dangling FKs, duplicate keys, main/delta dictionary skew), a
 cyclic join graph with a two-edge step, pinned ``fixed_rows`` arrays and
-``RowRange`` sides, serial and parallel execution with shared and private
-memos, and both join kernels.  The thresholds are patched here only; there
+``RowRange`` sides, and both join kernels.  The thresholds are patched here only; there
 is no runtime switch.
 """
 
@@ -52,19 +51,15 @@ NEVER = (float("inf"), float("inf"))
 KERNELS = [KERNEL_VECTORIZED, KERNEL_ROWLOOP]
 
 
-def run(monkeypatch, skews, catalog, query, snapshot, combos=None, parallel=None):
+def run(monkeypatch, skews, catalog, query, snapshot, combos=None):
     """One execution under the given (row skew, key skew) thresholds;
     returns (grouped state, stats, subjoin spans)."""
     monkeypatch.setattr(operators, "_SEMI_JOIN_ROW_SKEW", skews[0])
     monkeypatch.setattr(operators, "_SEMI_JOIN_KEY_SKEW", skews[1])
     stats, spans = ExecutionStats(), []
-    executor = QueryExecutor(catalog, parallel=parallel)
-    try:
-        grouped = executor.execute(
-            query, snapshot, combos=combos, stats=stats, span_sink=spans
-        )
-    finally:
-        executor.close()
+    grouped = QueryExecutor(catalog).execute(
+        query, snapshot, combos=combos, stats=stats, span_sink=spans
+    )
     return grouped, stats, spans
 
 
@@ -88,19 +83,13 @@ def reduced_spans(spans):
 # random header/item catalogs
 # ---------------------------------------------------------------------------
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("mode,parallel", MODES, ids=[m for m, _ in MODES])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("seed", range(5))
-def test_random_catalogs_always_equals_never(monkeypatch, seed, mode, parallel, kernel):
+def test_random_catalogs_always_equals_never(monkeypatch, seed, mode, kernel):
     catalog, txn = build_catalog(seed)
     with kernel_override(kernel):
-        always = run(
-            monkeypatch, ALWAYS, catalog, parity_query(), txn.latest_tid,
-            parallel=parallel,
-        )
-        never = run(
-            monkeypatch, NEVER, catalog, parity_query(), txn.latest_tid,
-            parallel=parallel,
-        )
+        always = run(monkeypatch, ALWAYS, catalog, parity_query(), txn.latest_tid)
+        never = run(monkeypatch, NEVER, catalog, parity_query(), txn.latest_tid)
     assert_same_execution(always, never)
     assert reduced_spans(always[2]) and not reduced_spans(never[2])
     for span in always[2]:
@@ -110,8 +99,8 @@ def test_random_catalogs_always_equals_never(monkeypatch, seed, mode, parallel, 
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("mode,parallel", MODES, ids=[m for m, _ in MODES])
-def test_fixed_rows_and_row_ranges(monkeypatch, mode, parallel, kernel):
+@pytest.mark.parametrize("mode", MODES)
+def test_fixed_rows_and_row_ranges(monkeypatch, mode, kernel):
     """Pinned index arrays and RowRange sides reduce (and are reduced) like
     plain scans; array-pinned sides bypass visibility on both paths."""
     catalog, txn = build_catalog(3)
@@ -139,11 +128,11 @@ def test_fixed_rows_and_row_ranges(monkeypatch, mode, parallel, kernel):
     with kernel_override(kernel):
         always = run(
             monkeypatch, ALWAYS, catalog, parity_query(), txn.latest_tid,
-            combos=combos(), parallel=parallel,
+            combos=combos(),
         )
         never = run(
             monkeypatch, NEVER, catalog, parity_query(), txn.latest_tid,
-            combos=combos(), parallel=parallel,
+            combos=combos(),
         )
     assert_same_execution(always, never)
     assert always[1].combos_evaluated == 5
@@ -241,16 +230,16 @@ def cycle_query() -> AggregateQuery:
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
-@pytest.mark.parametrize("mode,parallel", MODES, ids=[m for m, _ in MODES])
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("seed", range(3))
-def test_multi_edge_cycle_always_equals_never(monkeypatch, seed, mode, parallel, kernel):
+def test_multi_edge_cycle_always_equals_never(monkeypatch, seed, mode, kernel):
     catalog, txn = build_cycle_catalog(seed)
     query = cycle_query()
     _first, steps = choose_join_order(query, {"c": 5, "o": 50, "su": 6})
     assert max(len(step.edges) for step in steps) == 2  # the cycle closes in one step
     with kernel_override(kernel):
-        always = run(monkeypatch, ALWAYS, catalog, query, txn.latest_tid, parallel=parallel)
-        never = run(monkeypatch, NEVER, catalog, query, txn.latest_tid, parallel=parallel)
+        always = run(monkeypatch, ALWAYS, catalog, query, txn.latest_tid)
+        never = run(monkeypatch, NEVER, catalog, query, txn.latest_tid)
     assert_same_execution(always, never)
     assert always[1].combos_evaluated == 8
     assert always[0].group_count() > 0
@@ -312,8 +301,8 @@ def chain_query() -> AggregateQuery:
     )
 
 
-@pytest.mark.parametrize("mode,parallel", MODES, ids=[m for m, _ in MODES])
-def test_reduced_hash_table_never_enters_shared_memo(monkeypatch, mode, parallel):
+@pytest.mark.parametrize("mode", MODES)
+def test_reduced_hash_table_never_enters_shared_memo(monkeypatch, mode):
     """Two subjoins of one ``execute`` call share the ``store`` partition
     under one hash-memo key; the first hashes it semi-join-reduced to one
     region's stores, the second needs all forty.  A reduced table stored
@@ -336,11 +325,11 @@ def test_reduced_hash_table_never_enters_shared_memo(monkeypatch, mode, parallel
     stock = (operators._SEMI_JOIN_ROW_SKEW, operators._SEMI_JOIN_KEY_SKEW)
     default = run(
         monkeypatch, stock, catalog, chain_query(), txn.latest_tid,
-        combos=combos(), parallel=parallel,
+        combos=combos(),
     )
     never = run(
         monkeypatch, NEVER, catalog, chain_query(), txn.latest_tid,
-        combos=combos(), parallel=parallel,
+        combos=combos(),
     )
     assert_same_execution(default, never)
     pinned, full = default[2]

@@ -5,7 +5,7 @@ The tier contract under test:
 * demotion swaps a cold main's backing onto disk files **in place** — same
   partition/fragment objects, no version bump, so plans and memos survive;
 * query results are bit-identical across all-resident and tiered layouts
-  under every execution mode (serial, parallel, delta-memo incremental);
+  under every execution mode (full scan, cached, delta-memo incremental);
 * the partition synopsis answers prune-relevant facts (min/max/nulls)
   without touching disk;
 * released handles reopen transparently; byte accounting splits
@@ -281,9 +281,9 @@ class TestSynopsis:
 # bit-identity across layouts and execution modes
 # ----------------------------------------------------------------------
 class TestBitIdentity:
-    def _pair(self, tmp_path, **kwargs):
-        resident = make_aged_db(**kwargs)
-        tiered = make_aged_db(cold_path=tmp_path / "cold", **kwargs)
+    def _pair(self, tmp_path):
+        resident = make_aged_db()
+        tiered = make_aged_db(cold_path=tmp_path / "cold")
         for db in (resident, tiered):
             load_aged(db, n_headers=8, merge=True)
             load_aged(db, n_headers=2, start=100, merge=False)
@@ -303,17 +303,6 @@ class TestBitIdentity:
                 resident.query(SPAN_SQL, strategy=strategy),
                 tiered.query(SPAN_SQL, strategy=strategy),
             )
-
-    def test_parallel(self, tmp_path):
-        resident, tiered = self._pair(tmp_path, n_workers=2)
-        try:
-            self._assert_identical(
-                resident.query(SPAN_SQL, strategy=FULL),
-                tiered.query(SPAN_SQL, strategy=FULL),
-            )
-        finally:
-            resident.close()
-            tiered.close()
 
     def test_delta_memo_incremental(self, tmp_path):
         # The delta memo only engages on single-entry plans, which aged

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.concurrency import DictMemo, ReadWriteLock, StripedMemo
+from repro.concurrency import ReadWriteLock
 
 
 class TestReadWriteLock:
@@ -123,42 +123,3 @@ class TestReadWriteLock:
         with pytest.raises(RuntimeError):
             lock.release_write()
 
-
-class TestMemos:
-    @pytest.mark.parametrize("memo_cls", [StripedMemo, DictMemo])
-    def test_compute_once(self, memo_cls):
-        memo = memo_cls()
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return "value"
-
-        assert memo.get_or_compute("k", factory) == "value"
-        assert memo.get_or_compute("k", factory) == "value"
-        assert len(calls) == 1
-        assert len(memo) == 1
-
-    def test_striped_memo_no_duplicate_compute_under_contention(self):
-        memo = StripedMemo(n_stripes=4)
-        calls = []
-        start = threading.Barrier(8, timeout=5)
-
-        def worker(i):
-            start.wait()
-            for key in range(10):
-                memo.get_or_compute(key, lambda k=key: calls.append(k) or k * 2)
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        # Each of the 10 keys computed exactly once across 8 threads —
-        # the stripe lock held across the factory is what guarantees it.
-        assert sorted(calls) == list(range(10))
-        assert len(memo) == 10
-
-    def test_striped_memo_validates_stripes(self):
-        with pytest.raises(ValueError):
-            StripedMemo(n_stripes=0)

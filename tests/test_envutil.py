@@ -84,6 +84,14 @@ class TestEnvFloat:
         with pytest.raises(ValueError, match="must be >="):
             env_float("REPRO_TEST_KNOB", None, minimum=1.0)
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_warns_and_falls_back(self, monkeypatch, raw):
+        # NaN compares false against every minimum, so it used to slip
+        # past the range check; infinities are no budget or deadline.
+        monkeypatch.setenv("REPRO_TEST_KNOB", raw)
+        with pytest.warns(RuntimeWarning, match="REPRO_TEST_KNOB"):
+            assert env_float("REPRO_TEST_KNOB", 1.5, minimum=1.0) == 1.5
+
 
 class TestGovernorConfigFromEnv:
     def test_defaults_with_nothing_set(self, monkeypatch):
@@ -123,3 +131,15 @@ class TestGovernorConfigFromEnv:
         with pytest.warns(RuntimeWarning):
             config = GovernorConfig.from_env()
         assert config.query_timeout_ms is None
+
+    def test_nan_knobs_fall_back_to_defaults(self, monkeypatch):
+        from repro import Database
+
+        monkeypatch.setenv("REPRO_QUERY_TIMEOUT_MS", "nan")
+        monkeypatch.setenv("REPRO_MEMORY_BUDGET_MB", "nan")
+        with pytest.warns(RuntimeWarning):
+            db = Database()
+        config = db.governor.config
+        assert config.query_timeout_ms is None
+        assert config.memory_budget_mb is None
+        db.close()
