@@ -7,7 +7,7 @@ from .delta_compensation import compensation_assignments
 from .enforcement import EnforcementStats, MDEnforcer
 from .eviction import EvictionPolicy, LruEviction, ProfitEviction
 from .explain import QueryPlan, SubjoinPlan, explain_query
-from .main_compensation import StaleEntryError, apply_main_compensation
+from .main_compensation import StaleEntryError
 from .manager import AggregateCacheManager, CacheQueryReport
 from .matching_dependency import MatchingDependency, validate_md
 from .merge_advisor import MergeAdvisor, MergeRecommendation
@@ -42,7 +42,6 @@ __all__ = [
     "QueryPlan",
     "SubjoinPlan",
     "StaleEntryError",
-    "apply_main_compensation",
     "cache_key_for",
     "compensation_assignments",
     "explain_query",

@@ -6,9 +6,10 @@ An entry binds a :class:`CacheKey` to
   combination only* (never the deltas — that is the whole point of the
   design: inserts go to the delta and cannot invalidate the entry);
 * the **visibility snapshot**: one bit vector per referenced main partition,
-  captured at creation time through the consistent view manager, which main
-  compensation diffs against the current visibility to find invalidated
-  records (Section 2.2);
+  captured at creation time through the consistent view manager — the
+  mains' state in the memo the entry is born with
+  (:func:`repro.core.delta_memo.birth_memo`), whose step subtracts the
+  stored rows a reader no longer sees (main compensation, Section 2.2);
 * the **metrics** used for admission/eviction/maintenance decisions.
 """
 
@@ -31,8 +32,8 @@ from .metrics import CacheMetrics, EntryStatus
 class ResultOrder:
     """The remembered output order of a *pure hit* (architecture §4).
 
-    When a read was answered by one clean entry and delta compensation
-    contributed nothing, its finished rows are ``finalize(entry.value)``
+    When a read was answered by one entry whose compensation memo holds
+    nothing after the read's step, its finished rows are ``finalize(entry.value)``
     filtered by HAVING, sorted by ORDER BY and cut by LIMIT.  This records
     only that order — the slots of ``value``'s groups, not the rows — plus
     everything needed to tell that a later read would derive the same
@@ -47,7 +48,8 @@ class ResultOrder:
     #: shared by statements differing only in HAVING / ORDER BY / LIMIT).
     presentation: Tuple
     #: The ``entry.value`` and ``entry.delta_memo`` objects the order was
-    #: derived beside; reuse requires the entry to still hold both.
+    #: derived beside; reuse requires the entry to still hold both (the
+    #: memo's empty ``folded`` is what makes the value the whole answer).
     value: GroupedAggregates
     memo: "object"
     #: The plan signature at the time: equal signatures mean no DML, merge,
@@ -80,11 +82,14 @@ class AggregateCacheEntry:
     # alias -> visibility of that main partition at creation/maintenance time
     visibility: Dict[str, BitVector]
     snapshot: int  # transaction id the visibility was captured at
-    # alias -> partition.invalidation_epoch at snapshot time (O(1) clean check)
+    # alias -> partition.invalidation_epoch at snapshot time, or -1 while the
+    # stored visibility keeps rows the stamps hide (merge maintenance): an
+    # alias whose main's epoch still equals it is as stored, in O(1)
     invalidation_epochs: Dict[str, int] = field(default_factory=dict)
     metrics: CacheMetrics = field(default_factory=CacheMetrics)
-    # The entry's delta-compensation memo (repro.core.delta_memo.DeltaMemo),
-    # or None.  Memo objects are immutable; the manager swaps them
+    # The entry's compensation memo (repro.core.delta_memo.DeltaMemo), or
+    # None: reads then step from the entry's birth memo and install the
+    # result.  Memo objects are immutable; the manager swaps them
     # compare-and-set style under its lock, and any lifecycle event that
     # re-anchors the entry (merge maintenance via rebase) resets it.
     delta_memo: "object" = None
@@ -108,19 +113,6 @@ class AggregateCacheEntry:
                     f"{len(self.visibility[alias])} != {partition.row_count}"
                 )
             self.invalidation_epochs.setdefault(alias, partition.invalidation_epoch)
-
-    def is_clean_for(self, snapshot: int) -> bool:
-        """O(1) check that main compensation would be a no-op: nothing was
-        invalidated in any referenced main since the entry's snapshot, and
-        the reader is not older than the entry (an older reader must not see
-        rows that were folded in by a later merge)."""
-        if snapshot < self.snapshot:
-            return False
-        epochs = self.invalidation_epochs
-        for alias, partition in self.main_partitions.items():
-            if partition.invalidation_epoch != epochs[alias]:
-                return False
-        return True
 
     # ------------------------------------------------------------------
     @property
@@ -169,7 +161,6 @@ class AggregateCacheEntry:
         self.snapshot = snapshot
         self.metrics.size_bytes = new_value.approximate_nbytes()
         self.metrics.aggregated_records_main = new_value.total_rows_aggregated()
-        self.metrics.dirty_counter = 0
         # The merge rebuilt at least one referenced partition, so the memo's
         # watermarks and identity set no longer describe the live layout.
         self.delta_memo = None

@@ -18,11 +18,12 @@ full enumeration for that table, so the delta suffix is always scanned
 and degenerate cases (k = 0, single-table joins) stay correct: the
 reduced product still contains every combination that could hold rows.
 
-Repeated hits do not necessarily re-evaluate the surviving set from
-scratch: the cache manager keeps a per-entry :class:`~repro.core.
-delta_memo.DeltaMemo` of the folded compensation value and, while the
-delta partitions have only grown (append-only suffix, no invalidations),
-restricts the rescans to the rows past the memo's watermarks.
+Repeated hits do not re-evaluate the surviving set from scratch: the
+cache manager keeps a per-entry :class:`~repro.core.delta_memo.DeltaMemo`
+of the folded compensation value and steps it over the rows whose
+visibility changed since its anchor — appended, updated or deleted alike.
+A read without a usable memo steps from the entry's birth memo, which
+evaluates each surviving subjoin once, as the paper does.
 """
 
 from __future__ import annotations

@@ -40,7 +40,6 @@ class CacheMetrics:
     maintenance_time: float = 0.0  # cumulative merge-maintenance time
     reference_count: int = 0
     last_access_clock: int = 0
-    dirty_counter: int = 0  # main-partition invalidations seen since creation
 
     # ------------------------------------------------------------------
     def record_use(self, clock: int) -> None:

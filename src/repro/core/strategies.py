@@ -73,11 +73,6 @@ class CacheConfig:
     # Physical plans cached per (statement, strategy); 0 disables the plan
     # cache (every query re-binds and re-plans).
     plan_cache_size: int = 128
-    # Keep a per-entry delta-compensation memo and advance it incrementally
-    # over the append-only delta suffix on repeated hits (see
-    # repro.core.delta_memo).  Off = recompute the full compensation union
-    # on every hit, as the paper describes it.
-    delta_memo: bool = True
     # Star-join-aware variant reduction (see repro.plan.star_join): under
     # the pruning strategies, exclude tables whose delta partitions are
     # provably empty from compensation-variant generation and re-attach
@@ -92,5 +87,7 @@ class CacheConfig:
     star_join_tables: Optional[Union[str, Iterable[str]]] = None
     # Cardinality-based refresh routing: an entry whose estimated affected
     # rows exceed this fraction of the rows its memo already covers is
-    # refreshed by full rebuild instead of incremental memo advance.
+    # refreshed by a step from its birth memo (a recompute) instead of a
+    # step from its memo.  Reads always step the entry's memo when it can
+    # (repro.core.delta_memo).
     refresh_rebuild_ratio: float = 0.5

@@ -74,10 +74,11 @@ class CacheStats:
     total_maintenance_runs: int
     #: Hits answered from an entry's remembered output order (pure hits).
     result_reuses: int = 0
-    # Delta-compensation memo routing (see repro.core.delta_memo).
-    memo_hits: int = 0  # incremental reuses
-    memo_misses: int = 0  # full rebuilds
-    memo_bypass: int = 0
+    # Compensation routing (see repro.core.delta_memo): which memo a
+    # single-entry read stepped.
+    memo_hits: int = 0  # incremental: the entry's memo
+    memo_misses: int = 0  # full: the entry's birth memo (a recompute)
+    memo_bypass: int = 0  # no single entry: hot/cold plans, direct scans
     #: Total bytes the memory budget tracks (entries + memos + orders +
     #: plan/parse estimates + cold overhead), from the same locked snapshot
     #: as the counters above.
@@ -188,7 +189,7 @@ class DatabaseStats:
             f"evictions={cache.total_evictions} "
             f"maintenance-runs={cache.total_maintenance_runs}",
             f"  delta-memo: incremental={cache.memo_hits} "
-            f"full={cache.memo_misses} bypass={cache.memo_bypass} "
+            f"full={cache.memo_misses} (from birth) bypass={cache.memo_bypass} "
             f"incremental-rate={cache.memo_hit_rate:.1%}",
             f"  refresh: advances={cache.refresh_advances} "
             f"rebuilds={cache.refresh_rebuilds}",

@@ -44,6 +44,14 @@ def make_erp_db(separate_update_delta: bool = False, **db_kwargs) -> Database:
     return db
 
 
+def forget_memos(db: Database) -> None:
+    """Drop every entry's compensation memo (and the remembered order tied
+    to it): the next read of each entry steps from its birth, which is what
+    a recompute of the whole compensation is."""
+    for entry in db.cache.entries():
+        entry.delta_memo = entry.result_order = None
+
+
 def load_erp(
     db: Database,
     n_headers: int = 6,

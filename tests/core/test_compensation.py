@@ -1,10 +1,15 @@
-"""Tests for main compensation (Section 2.2) including join entries."""
+"""Tests for main compensation (Section 2.2) including join entries.
+
+Main compensation is the all-main terms of the visibility step from an
+entry's birth memo (``repro.core.delta_memo.birth_memo``); :func:`amc`
+takes them directly, the way a read without a memo does."""
 
 import pytest
 
 from repro import Database, ExecutionStrategy
-from repro.core import StaleEntryError, apply_main_compensation
-from repro.core.main_compensation import apply_main_compensation as amc
+from repro.core import StaleEntryError
+from repro.core.delta_memo import birth_memo, visibility_step
+from repro.core.effective_rows import execute_effective
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, make_erp_db, load_erp
 
@@ -16,6 +21,30 @@ def entry_for(db, sql):
     entries = db.cache.entries_for(db.parse(sql))
     assert len(entries) == 1
     return entries[0]
+
+
+def amc(entry, executor, snapshot, into, stats=None):
+    """Fold the all-main terms of ``entry``'s step from birth to
+    ``snapshot`` into ``into``; returns the main rows that left."""
+    step = visibility_step(birth_memo(entry), entry, snapshot)
+    specs = step.specs(entry.main_partitions)
+    if specs:
+        execute_effective(
+            executor, entry.query, snapshot, specs, step.effective, into, stats=stats
+        )
+    mains = {id(partition) for partition in entry.main_partitions.values()}
+    return sum(
+        shift.rows_left() for pid, shift in step.shifts.items() if pid in mains
+    )
+
+
+def as_stored(entry):
+    """No alias of ``entry`` saw an invalidation since its snapshot: its
+    step from birth has no main-side term."""
+    return all(
+        partition.invalidation_epoch == entry.invalidation_epochs[alias]
+        for alias, partition in entry.main_partitions.items()
+    )
 
 
 class TestSingleTableCompensation:
@@ -133,9 +162,8 @@ class TestStaleEntries:
 
         load_erp(db, n_headers=1, start_hid=300, merge=False)
         merge_table(db.table("item"), db.transactions.global_snapshot())
-        grouped = entry.value.copy()
         with pytest.raises(StaleEntryError):
-            amc(entry, db.executor, db.transactions.global_snapshot(), grouped)
+            birth_memo(entry)
 
     def test_manager_recovers_from_stale_entry(self):
         db = make_erp_db()
@@ -290,32 +318,12 @@ class TestTelescopedCompensation:
         assert {s.attrs["status"] for s in subjoins} <= {"cancelled", "pruned"}
         assert sum(s.attrs["status"] == "cancelled" for s in subjoins) == report.prune.evaluated
         assert trace.result == db.query(self.SQL, strategy=UNCACHED)
-        assert not entry.is_clean_for(snapshot)
+        assert not as_stored(entry)
         db.merge()  # both pairs leave with the old partitions
         assert db.query(self.SQL, strategy=FULL) == db.query(self.SQL, strategy=UNCACHED)
         assert db.last_report.result_reused is False
         assert db.last_report.silent_rows_cancelled == 0
-        assert entry_for(db, self.SQL).is_clean_for(db.transactions.global_snapshot())
-
-    def test_reader_older_than_entry_snapshot(self):
-        """Rows merged into the mains after the reader's snapshot are in the
-        stored vectors but invisible to it: compensation subtracts them, in
-        three aliases at once, down to the reader's own all-main answer."""
-        from repro.query import ExecutionStats
-
-        db = self.make()
-        reader = db.transactions.global_snapshot()
-        self.load(db, range(4, 5), range(12, 16))
-        db.merge()
-        db.query(self.SQL, strategy=FULL)
-        entry = entry_for(db, self.SQL)
-        assert reader < entry.snapshot
-        db.delete("line", 10)  # after the entry: still visible to the old reader
-        corrected, stats = entry.value.copy(), ExecutionStats()
-        amc(entry, db.executor, reader, corrected, stats=stats)
-        assert stats.combos_evaluated == 4  # cust, ord, nord and line all grew
-        assert self.rows(corrected) == self.rows(self.naive(db, entry, reader))
-        assert self.rows(corrected) != self.rows(entry.value)
+        assert as_stored(entry_for(db, self.SQL))
 
     def test_merge_time_maintenance_retires_the_debt(self):
         db = self.make()
@@ -323,7 +331,7 @@ class TestTelescopedCompensation:
         for _table, dirty in self.DIRTY:
             dirty(db)
         self.load(db, range(4, 6), range(12, 15))
-        db.merge()  # plan_entry_maintenance -> apply_main_compensation
+        db.merge()  # plan_entry_maintenance: the step from birth
         cached = db.query(self.SQL, strategy=FULL)
         assert db.last_report.cache_hits == 1
         assert db.last_report.entries_recomputed == 0

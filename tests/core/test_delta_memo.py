@@ -1,11 +1,13 @@
-"""Compensation memo lifecycle: the visibility step, bypasses, parity.
+"""Compensation memo lifecycle: the visibility step, steps from birth, parity.
 
 The memo (repro.core.delta_memo) keeps an entry's whole compensation at
 its anchor and steps it to a later reader over just the rows whose
 visibility differs between the two snapshots.  These tests pin down that
 DML on each referenced table and stamps below the watermark advance it,
-that merges rebuild it and older readers bypass it, and that memo-on and
-memo-off runs agree bit for bit.
+that after a merge, a stale memo or for an older reader the read steps
+from the entry's birth instead (installing nothing for the older reader),
+and that runs keeping the memos and runs dropping them before every read
+agree bit for bit.
 """
 
 import random
@@ -15,7 +17,7 @@ import pytest
 from repro import CacheConfig, Database, ExecutionStrategy
 from repro.core.delta_memo import subjoin_step_specs, visibility_step
 
-from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
+from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, forget_memos, load_erp, make_erp_db
 
 FULL = ExecutionStrategy.CACHED_FULL_PRUNING
 UNCACHED = ExecutionStrategy.UNCACHED
@@ -170,6 +172,24 @@ class TestTelescopedIncrement:
         assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
 
 
+    def test_terms_pinning_no_rows_never_reach_the_executor(self):
+        """A memo taken with both deltas empty, then both grow: the
+        (h:delta, i:delta) subjoin's term pinning h's new rows would read
+        i's earlier state — no rows at all — so only its other term runs.
+        Three executor calls; the two joining the new header to old items
+        and the new items to old headers are empty."""
+        db = make_erp_db()
+        load_erp(db, n_headers=4, merge=True)
+        no_pruning = ExecutionStrategy.CACHED_NO_PRUNING
+        db.query(HEADER_ITEM_SQL, strategy=no_pruning)
+        load_erp(db, n_headers=1, start_hid=300, merge=False)
+        result = db.query(HEADER_ITEM_SQL, strategy=no_pruning)
+        stats = result.report.executor_stats
+        assert result.report.delta_memo_mode == "incremental"
+        assert (stats.combos_evaluated, stats.combos_empty) == (3, 2)
+        assert result.rows == _uncached_rows(db, HEADER_ITEM_SQL)
+
+
 class TestInvalidationMatrix:
     @pytest.mark.parametrize("table,pk", [("header", 0), ("item", 1), ("category", 0)])
     def test_update_on_each_referenced_table_advances(self, erp_db, table, pk):
@@ -277,8 +297,8 @@ class TestInvalidationMatrix:
 
     def test_stamp_below_the_anchor_after_the_memo_rebuilds(self, erp_db):
         """An open transaction older than the memo's reader deletes a row
-        the memo counted: the anchor's own state changed, which no step can
-        express, so the memo is rebuilt."""
+        the memo counted: the anchor's own state changed, which no step from
+        it can express, so the read steps from the entry's birth."""
         erp_db.query(PROFIT_SQL, strategy=FULL)
         writer = erp_db.begin()  # older than the next read's anchor
         _grow_item(erp_db)
@@ -296,19 +316,6 @@ class TestInvalidationMatrix:
 
 
 class TestBypasses:
-    def test_disabled_by_config(self):
-        db = make_erp_db(cache_config=CacheConfig(delta_memo=False))
-        load_erp(db, n_headers=4, merge=True)
-        load_erp(db, n_headers=2, start_hid=100, merge=False)
-        db.query(PROFIT_SQL, strategy=FULL)
-        result = db.query(PROFIT_SQL, strategy=FULL)
-        report = db.last_report
-        assert report.delta_memo_mode == "bypass"
-        assert report.delta_memo_reason == "disabled"
-        assert result.rows == _uncached_rows(db, PROFIT_SQL)
-        (entry,) = db.cache.entries()
-        assert entry.delta_memo is None
-
     def test_older_reader_bypasses_and_keeps_the_memo(self, erp_db):
         erp_db.query(PROFIT_SQL, strategy=FULL)  # entry at snapshot S0
         txn = erp_db.begin()  # reader R >= S0
@@ -319,8 +326,9 @@ class TestBypasses:
         assert memo is not None and memo.anchor > txn.snapshot
         result = erp_db.query(PROFIT_SQL, strategy=FULL, txn=txn)
         report = erp_db.last_report
-        assert report.delta_memo_mode == "bypass"
+        assert report.delta_memo_mode == "full"  # stepped from birth
         assert report.delta_memo_reason == "older_reader"
+        assert report.delta_memo_rows_saved == 0
         assert result.rows == _uncached_rows(erp_db, PROFIT_SQL, txn=txn)
         assert entry.delta_memo is memo  # kept for newer readers
         txn.commit()
@@ -329,8 +337,8 @@ class TestBypasses:
 
     def test_older_reader_never_installs_a_memo(self, erp_db):
         """Not even under a plan whose exclusions differ from the memo's
-        (which a newer reader would rebuild): the older reader compensates
-        from scratch and the newer memo stays."""
+        (for which a newer reader would install a step from birth): the
+        older reader steps from birth and the newer memo stays."""
         erp_db.query(PROFIT_SQL, strategy=FULL)
         txn = erp_db.begin()
         erp_db.delete("item", 1)
@@ -341,7 +349,7 @@ class TestBypasses:
         no_pruning = ExecutionStrategy.CACHED_NO_PRUNING  # no star-join exclusion
         result = erp_db.query(PROFIT_SQL, strategy=no_pruning, txn=txn)
         report = erp_db.last_report
-        assert (report.delta_memo_mode, report.delta_memo_reason) == ("bypass", "older_reader")
+        assert (report.delta_memo_mode, report.delta_memo_reason) == ("full", "older_reader")
         assert result.rows == _uncached_rows(erp_db, PROFIT_SQL, txn=txn)
         assert entry.delta_memo is memo
         txn.commit()
@@ -369,8 +377,9 @@ class TestBypasses:
         assert result.rows == _uncached_rows(db, PROFIT_SQL)
 
 
-def _randomized_run(db, rng_seed: int, queries=(PROFIT_SQL, HEADER_ITEM_SQL)):
-    """One deterministic interleaving of DML, merges, and cached queries.
+def _randomized_run(db, rng_seed: int, queries=(PROFIT_SQL, HEADER_ITEM_SQL), forget=False):
+    """One deterministic interleaving of DML, merges, and cached queries;
+    ``forget`` drops the entries' memos before every query.
 
     Prices are multiples of 0.25 — exactly representable — so any result
     divergence between configurations is a logic bug, not float noise.
@@ -408,6 +417,8 @@ def _randomized_run(db, rng_seed: int, queries=(PROFIT_SQL, HEADER_ITEM_SQL)):
         elif action < 0.6:
             db.merge()
         sql = queries[rng.randrange(len(queries))]
+        if forget:
+            forget_memos(db)
         outputs.append((step, sql, db.query(sql, strategy=FULL).rows))
         if rng.random() < 0.2:
             # Cross-check against the uncached truth mid-stream.
@@ -419,18 +430,19 @@ class TestParity:
     @pytest.mark.parametrize("seed", [7, 21])
     def test_memo_on_off_serial_parallel_identical(self, seed):
         """The same randomized history must produce bit-identical rows with
-        the memo on and off; subjoins run serially in both."""
+        the memos kept (reads step them) and dropped before every read
+        (reads step from birth)."""
         reference = None
-        for delta_memo in (True, False):
-            db = make_erp_db(cache_config=CacheConfig(delta_memo=delta_memo))
+        for forget in (False, True):
+            db = make_erp_db()
             load_erp(db, n_headers=5, merge=True)
-            outputs = _randomized_run(db, seed)
+            outputs = _randomized_run(db, seed, forget=forget)
             if reference is None:
                 reference = outputs
                 # The memo actually engaged in the reference run.
                 assert db.cache.counters_snapshot()["memo_hits"] > 0
             else:
-                assert outputs == reference, "memo off diverged"
+                assert outputs == reference, "steps from birth diverged"
 
     def test_concurrent_writer_snapshots(self, erp_db):
         """Readers pinned across writer commits never see memo'd rows from

@@ -151,13 +151,17 @@ def test_merge_of_another_table_keeps_revived_rows_stored():
     db.merge("ord")
     entry = entry_of(db, ORDERS_SQL)
     snapshot = db.transactions.global_snapshot()
-    assert not entry.is_clean_for(snapshot)
-    assert entry.visibility["c"].to_numpy().sum() == 3  # the old version stays stored
+    # The old version stays stored, and the alias is marked as not as
+    # stored until cust merges.
+    assert entry.invalidation_epochs["c"] == -1
+    assert entry.visibility["c"].to_numpy().sum() == 3
+    assert entry.main_partitions["c"].visible_count(snapshot) == 2
     report = checked(db, ORDERS_SQL)
     assert (report.silent_rows_cancelled, report.invalidated_rows_compensated) == (1, 0)
     assert report.entries_recomputed == 0
     db.merge("cust")
-    assert entry_of(db, ORDERS_SQL).is_clean_for(db.transactions.global_snapshot())
+    entry = entry_of(db, ORDERS_SQL)
+    assert entry.invalidation_epochs["c"] == entry.main_partitions["c"].invalidation_epoch
     assert checked(db, ORDERS_SQL).silent_rows_cancelled == 0
 
 

@@ -1,5 +1,5 @@
-"""The pure hit: a read answered by one clean entry with nothing to
-compensate emits its rows from the entry itself, in a remembered order."""
+"""The pure hit: a read answered by one entry with nothing to compensate
+emits its rows from the entry itself, in a remembered order."""
 
 import sys
 import threading
@@ -10,12 +10,12 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro import CacheConfig, Database, ExecutionStrategy
+from repro import Database, ExecutionStrategy
 from repro.core.cache_entry import ResultOrder
 from repro.query.aggregates import GroupedAggregates
 from repro.query.result import QueryResult
 
-from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
+from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, forget_memos, load_erp, make_erp_db
 
 UNCACHED = ExecutionStrategy.UNCACHED
 
@@ -122,22 +122,23 @@ class TestThePathItself:
         assert entry_of(db, PROFIT_SQL).delta_memo is memo
 
     def test_without_the_memo_layer(self):
-        db = make_erp_db(cache_config=CacheConfig(delta_memo=False))
+        """An entry whose memo was dropped steps from its birth, installs
+        the step, and the read after is a pure hit again — under
+        CACHED_NO_PRUNING too, whose subjoins over the empty deltas never
+        reach the executor."""
+        db = make_erp_db()
         load_erp(db, n_headers=6, merge=True)
         db.query(PROFIT_SQL)
+        forget_memos(db)
         report = db.query(PROFIT_SQL).report
-        assert report.result_reused
-        assert (report.delta_memo_mode, report.delta_memo_reason) == (
-            "bypass",
-            "disabled",
-        )
-        # With subjoins left to evaluate (none pruned as empty), a memo-less
-        # read runs the executor every time and is never a pure hit.
+        assert not report.result_reused
+        assert (report.delta_memo_mode, report.delta_memo_reason) == ("full", "")
+        assert db.query(PROFIT_SQL).report.result_reused
         none = ExecutionStrategy.CACHED_NO_PRUNING
         db.query(PROFIT_SQL, strategy=none, star_join_tables=())
         report = db.query(PROFIT_SQL, strategy=none, star_join_tables=()).report
-        assert not report.result_reused
-        assert report.executor_stats.combos_evaluated == 7
+        assert report.result_reused
+        assert report.executor_stats.combos_evaluated == 0
 
     @pytest.mark.parametrize(
         "strategy", [s for s in ExecutionStrategy if s.uses_cache]
@@ -355,7 +356,8 @@ class TestLifecycle:
         entry = entry_of(db, PROFIT_SQL)
         plan = db.cache.plan_for(PROFIT_SQL)
         snapshot = db.transactions.global_snapshot()
-        assert db.cache._refresh_rebuild(entry, plan, snapshot)
+        # A refresh that steps from the entry's birth installs a new memo.
+        assert db.cache._refresh_entry(entry, plan, snapshot, from_birth=True) == "rebuild"
         assert entry.result_order.memo is not entry.delta_memo
         result = db.query(PROFIT_SQL)
         assert not result.report.result_reused

@@ -25,8 +25,12 @@ over every write.  Each machine must see a step over a main row that left
 (an update or delete of a merged row), over a delta row that left, and over
 a delta row below the memo's watermark that entered — one a newer
 transaction had appended before an older reader advanced the memo past it.
-A memo's anchor never moves back: an older reader bypasses the memo rather
-than installing its own.
+A read the entry's memo cannot serve steps from the entry's birth instead,
+and each machine must see that for every reason: no memo (a new entry, or
+one whose memo a shed or merge dropped), a ``stale`` memo (an older open
+transaction stamped a row the memo counted), and an ``older_reader``.  A
+memo's anchor never moves back: an older reader's step from birth leaves
+the entry's memo as it was.
 """
 
 import os
@@ -258,6 +262,7 @@ class PureHitMachine(RuleBasedStateMachine):
     cancelled = 0
     rederived = 0
     flips = 0
+    births = Counter()  # steps from birth, by delta_memo_reason
 
     def __init__(self):
         super().__init__()
@@ -393,6 +398,32 @@ class PureHitMachine(RuleBasedStateMachine):
         self._read(self.shape.statements[self.last], None, {})
         self.shape.delete(k, None, newest=True)
 
+    @rule(k=st.integers(0, 10_000), which=st.integers(0, 50))
+    def stamp_below_the_anchor(self, k, which):
+        """An open transaction deletes a row after a newer read stepped the
+        memo past its snapshot: the anchor's own state changed, so the next
+        read of that statement steps from birth (``stale``)."""
+        self.last = which % len(self.shape.statements)
+        writer = self.db.begin()
+        self.shape.insert(k, None)
+        self._read(self.shape.statements[self.last], None, {})
+        self.shape.delete(k, writer)
+        writer.commit()
+
+    @rule(k=st.integers(0, 10_000), which=st.integers(0, 50))
+    def read_older_than_the_memo(self, k, which):
+        """A transaction begun after the entry existed reads once a newer
+        read stepped the memo past it: it steps from birth
+        (``older_reader``) and installs nothing."""
+        self.last = which % len(self.shape.statements)
+        sql = self.shape.statements[self.last]
+        self._read(sql, None, {})
+        txn = self.db.begin()
+        self.shape.insert(k, None)
+        self._read(sql, None, {})
+        self._read(sql, None, {"txn": txn})
+        txn.commit()
+
     @rule(k=st.integers(0, 10_000), strategy=st.sampled_from(CACHED))
     def read_behind_a_newer_writer(self, k, strategy):
         """A transaction reads the last statement after a newer one wrote:
@@ -411,9 +442,17 @@ class PureHitMachine(RuleBasedStateMachine):
 
     def _read(self, sql, strategy, kwargs):
         truth = self.db.query(sql, strategy=UNCACHED, **kwargs).rows
+        entries = self.db.cache.entries_for(self.db.parse(sql))
+        memos = [(entry, entry.delta_memo) for entry in entries]
         result = self.db.query(sql, strategy=strategy, **kwargs)
         assert Counter(result.rows) == Counter(truth), (sql, kwargs, strategy)
-        type(self).cancelled += result.report.silent_rows_cancelled
+        report = result.report
+        type(self).cancelled += report.silent_rows_cancelled
+        if report.delta_memo_mode == "full":
+            type(self).births[report.delta_memo_reason] += 1
+            if report.delta_memo_reason == "older_reader":
+                for entry, memo in memos:
+                    assert entry.delta_memo is memo, (sql, kwargs)
         self._check_sequence(sql, result)
         self._check_anchor(sql)
 
@@ -480,6 +519,7 @@ def counted_steps(monkeypatch):
 def _run(machine, steps):
     machine.reuses = machine.cancelled = 0
     machine.rederived = machine.flips = 0
+    machine.births = Counter()
     run_state_machine_as_test(machine, settings=SETTINGS)
     assert machine.reuses > 0
     assert machine.cancelled > 0
@@ -487,6 +527,8 @@ def _run(machine, steps):
     assert machine.flips > 0
     for moved in ("main_left", "delta_left", "entered_below"):
         assert steps[moved] > 0, moved
+    for reason in ("", "stale", "older_reader"):
+        assert machine.births[reason] > 0, (reason, machine.births)
 
 
 def test_erp_histories_equal_uncached_and_do_reuse(counted_steps):

@@ -76,17 +76,6 @@ class TestRouting:
         assert decisions
         assert all(d.action == "rebuild" for d in decisions)
 
-    def test_memo_disabled_skips(self):
-        db = make_erp_db(cache_config=CacheConfig(delta_memo=False))
-        load_erp(db, n_headers=6, merge=True)
-        db.query(PROFIT_SQL, strategy=FULL)
-        decisions = list(_routed(db).values())
-        assert decisions
-        assert all(
-            (d.action, d.reason) == ("skip", "memo_disabled")
-            for d in decisions
-        )
-
 
 class TestSynopsisDiscount:
     def test_refutes_out_of_range_equality(self):

@@ -4,13 +4,14 @@ Satellite guarantees pinned here:
 
 * the excluded-table decision is part of the memo's identity — toggling
   the override, the config flag, or the emptiness of a dimension delta
-  must route ``classify_memo`` to a rebuild, never replay a memo folded
-  over a different combo set;
+  must route ``classify_memo`` to a step from birth, never replay a memo
+  folded over a different combo set;
 * degenerate cases (k = 0, single-table statements) still scan the delta
   suffix — an all-excluded join must not silently return an empty combo
   list when a delta later grows rows;
 * reduction on/off is bit-identical (values, types, order) across
-  memo x plan-cache configurations, including
+  memo (kept, or dropped before every read) x plan-cache configurations,
+  including
   concurrent-writer histories that grow a previously-empty dimension
   delta mid-run.
 """
@@ -23,7 +24,7 @@ from repro import CacheConfig, Database, ExecutionStrategy
 from repro.core.delta_compensation import sound_exclusions
 from repro.plan.star_join import ExcludedTable
 
-from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
+from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, forget_memos, load_erp, make_erp_db
 
 FULL = ExecutionStrategy.CACHED_FULL_PRUNING
 UNCACHED = ExecutionStrategy.UNCACHED
@@ -136,9 +137,11 @@ class TestReductionParity:
     """Reduction on vs off must agree bit for bit — values, types, and
     row order — whatever the execution configuration."""
 
+    #: ``no_memo`` drops every memo before each read: every read steps
+    #: from its entry's birth.
     CONFIGS = {
         "serial": {},
-        "no_memo": {"cache_config": CacheConfig(delta_memo=False)},
+        "no_memo": {},
         "no_plan_cache": {"cache_config": CacheConfig(plan_cache_size=0)},
     }
 
@@ -169,7 +172,11 @@ class TestReductionParity:
                 for sql in (PROFIT_SQL, HEADER_ITEM_SQL):
                     # Warm both plans so later rounds exercise the
                     # plan-cache-hit path (except under plan_cache_size=0).
+                    if config_name == "no_memo":
+                        forget_memos(db)
                     reduced = db.query(sql, strategy=FULL)
+                    if config_name == "no_memo":
+                        forget_memos(db)
                     exhaustive = db.query(
                         sql, strategy=FULL, star_join_tables=()
                     )

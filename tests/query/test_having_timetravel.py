@@ -132,7 +132,7 @@ class TestTimeTravel:
 
     def test_old_reader_after_merge_compensates(self):
         """A reader older than a cache entry must not see rows merged after
-        its snapshot (the is_clean_for guard)."""
+        its snapshot (answered by a direct scan, not the entry)."""
         db = make_sales_db()
         db.query("SELECT COUNT(*) AS n FROM sales", strategy=FULL)
         old = db.transactions.global_snapshot()

@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro import Database, ExecutionStrategy
-from repro.core.strategies import CacheConfig
 from repro.query import (
     AggFunc,
     AggregateQuery,
@@ -35,6 +34,8 @@ from repro.query.operators import (
 )
 from repro.storage import Catalog, ColumnDef, Schema, SqlType, merge_table
 from repro.txn import TransactionManager
+
+from ..conftest import forget_memos
 
 TAGS = ["alpha", "beta", "gamma", "delta", "epsilon"]
 
@@ -223,14 +224,15 @@ def _load_db(db: Database, seed: int, hid_base: int, merge: bool) -> None:
         db.merge()
 
 
-@pytest.mark.parametrize("delta_memo", [True, False], ids=["memo", "no-memo"])
-def test_database_cached_strategies_parity(delta_memo):
+@pytest.mark.parametrize("keep_memos", [True, False], ids=["memo", "no-memo"])
+def test_database_cached_strategies_parity(keep_memos):
     """End to end through the aggregate cache: cached compensation scans
-    (including the incremental delta memo's RowRange scans) must agree
-    between kernels and with the uncached oracle."""
+    (including the memo steps' RowRange scans) must agree between kernels
+    and with the uncached oracle — stepping each entry's memo, or (memos
+    dropped before every read) stepping from its birth."""
     results = {}
     for kernel in (KERNEL_VECTORIZED, KERNEL_ROWLOOP):
-        db = Database(cache_config=CacheConfig(delta_memo=delta_memo))
+        db = Database()
         db.create_table(
             "header",
             [("hid", "INT"), ("year", "INT"), ("tag", "TEXT")],
@@ -254,8 +256,12 @@ def test_database_cached_strategies_parity(delta_memo):
             # steps so the second cached hit exercises memo advancement.
             first = db.query(DB_SQL, strategy=ExecutionStrategy.CACHED_FULL_PRUNING)
             _load_db(db, seed=8, hid_base=50, merge=False)
+            if not keep_memos:
+                forget_memos(db)
             second = db.query(DB_SQL, strategy=ExecutionStrategy.CACHED_FULL_PRUNING)
             _load_db(db, seed=9, hid_base=90, merge=False)
+            if not keep_memos:
+                forget_memos(db)
             cached = db.query(DB_SQL, strategy=ExecutionStrategy.CACHED_FULL_PRUNING)
             oracle = db.query(DB_SQL, strategy=ExecutionStrategy.UNCACHED)
         assert cached.rows == oracle.rows
