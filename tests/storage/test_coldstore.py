@@ -361,6 +361,21 @@ class TestBitIdentity:
         assert tiered.last_report.delta_memo_mode == "incremental"
         self._assert_identical(result_resident, result_tiered)
 
+    def test_warm_hit_leaves_cold_stamps_unmapped(self, tiered_db):
+        tiered_db.age_out()
+        expected = tiered_db.query(SPAN_SQL, strategy=UNCACHED)
+        tiered_db.query(SPAN_SQL, strategy=FULL)  # builds the entries
+        for name in ("header", "item"):
+            release_table(tiered_db.table(name))
+        again = tiered_db.query(SPAN_SQL, strategy=FULL)
+        assert tiered_db.last_report.cache_hits >= 2
+        assert again.rows == expected.rows
+        # No cold main was invalidated: its step from birth is empty, known
+        # without opening its stamp file.
+        for name in ("header", "item"):
+            dts = tiered_db.table(name).group("cold").main._dts
+            assert dts.is_mapped_store and not dts.is_loaded
+
     def test_cache_entry_survives_demotion(self, tmp_path):
         db = make_aged_db(cold_path=tmp_path / "cold")
         load_aged(db, n_headers=8)
