@@ -103,10 +103,11 @@ class CacheQueryReport:
     #: How compensation ran: "incremental" (stepped the entry's memo over
     #: the rows that changed since its anchor), "full" (stepped from the
     #: entry's birth memo, i.e. recomputed everything; delta_memo_reason ""
-    #: = no memo, "stale", or "older_reader", which installs nothing),
+    #: = no memo, "stale", or one that installs nothing: "older_reader", or
+    #: "not_cached" for a miss whose fresh entry the cache did not keep),
     #: "bypass" (no single entry owns the compensation: "multi_entry" for
-    #: hot/cold plans, "no_entry" for direct scans), or "" for queries that
-    #: never reach delta compensation.
+    #: hot/cold plans, "no_entry" for a direct scan — an entry newer than
+    #: the reader), or "" for queries that never reach delta compensation.
     delta_memo_mode: str = ""
     delta_memo_reason: str = ""
     #: Covered prefix rows an incremental run did not rescan (0 otherwise).
@@ -842,10 +843,13 @@ class AggregateCacheManager:
         value into ``result`` and its main compensation into ``comp``.
 
         ``key`` was computed by the planner — on a plan-cache hit the key
-        derivation is skipped entirely.  Returns the entry whose cached
-        value answered this combination, or None when the combination was
-        answered by a direct scan (admission rejected / entry too new); and
-        the visibility step the read takes for the entry (None without an
+        derivation is skipped entirely.  A miss answers from the entry it
+        just built, whether or not the cache kept it (a transient entry
+        steps from its birth memo and installs nothing), so the all-main
+        join runs once per miss.  Returns the entry whose value answered
+        this combination, or None when the combination was answered by a
+        direct scan (the entry is newer than the reader); and the
+        visibility step the read takes for the entry (None without an
         entry, or when several entries answer the plan), whose main-side
         terms — the rows that entered or left the mains since the stepped
         memo's anchor — run here.
@@ -878,32 +882,23 @@ class AggregateCacheManager:
         self.obs.cache_lookups.labels(outcome).inc()
         if span is not None:
             span.attrs["outcome"] = outcome
+        resident = True
         if entry is None:
             build_span = span.child("build_entry") if span is not None else None
-            entry = self._create_entry(bound, combo, key, report, cancel)
+            entry, resident = self._create_entry(
+                bound, combo, key, report, build_span, cancel
+            )
             if build_span is not None:
                 build_span.finish()
-                build_span.attrs["admitted"] = entry is not None
         report.time_cache_lookup_or_build += time.perf_counter() - lookup_started
         try:
-            if entry is None:
-                # Admission rejected: compute this query's main contribution
-                # directly at the transaction snapshot, uncached.
-                self._direct_main_scan(
-                    bound, combo, txn, result, report, span,
-                    "admission_rejected", cancel,
-                )
-                return None, None
             if txn.snapshot < entry.snapshot:
                 # The entry is anchored at a newer snapshot than this reader
                 # (time travel, or a transaction begun before the last merge).
                 # Main compensation can only *subtract*; rows the old reader
                 # should see that the entry no longer carries cannot be added
                 # back, so answer this combination directly from the base data.
-                self._direct_main_scan(
-                    bound, combo, txn, result, report, span,
-                    "entry_too_new", cancel,
-                )
+                self._direct_main_scan(bound, combo, txn, result, report, span, cancel)
                 return None, None
             with self._lock:
                 entry.metrics.record_use(self._clock)
@@ -911,7 +906,7 @@ class AggregateCacheManager:
             comp_span = Span.begin("main_compensation") if span is not None else None
             comp_started = time.perf_counter()
             if len(plan.cache_keys) == 1:
-                route = self._route_memo(plan, txn.snapshot, entry)
+                route = self._route_memo(plan, txn.snapshot, entry, resident=resident)
                 base, step = route.base, route.step
             else:
                 # Hot/cold plans answer through several entries whose
@@ -966,10 +961,12 @@ class AggregateCacheManager:
         snapshot: int,
         entry: AggregateCacheEntry,
         from_birth: bool = False,
+        resident: bool = True,
     ) -> _MemoRoute:
         """The visibility step to ``snapshot`` for a single-entry ``plan``:
         from the entry's memo when it can take it, else from the entry's
-        birth memo (always with ``from_birth``).  Raises
+        birth memo (always with ``from_birth``, and for an entry not kept
+        in the cache: ``resident`` false).  Raises
         :class:`StaleEntryError` when the entry's mains were rebuilt."""
         with self._lock:
             memo = entry.delta_memo
@@ -979,8 +976,12 @@ class AggregateCacheManager:
             if step is not None:
                 return _MemoRoute("incremental", "", entry, memo, memo, step)
         # An older reader predates the memo's anchor; the memo stays put
-        # for newer readers (see :meth:`_install`).
-        reason = verdict if verdict == "older_reader" else "" if memo is None else "stale"
+        # for newer readers.  An entry the cache did not keep holds nothing
+        # past this read.  Neither installs (see :meth:`_install`).
+        if not resident:
+            reason = "not_cached"
+        else:
+            reason = verdict if verdict == "older_reader" else "" if memo is None else "stale"
         base = birth_memo(entry, plan)
         step = visibility_step(base, entry, snapshot)
         return _MemoRoute("full", reason, entry, memo, base, step)
@@ -993,12 +994,12 @@ class AggregateCacheManager:
         result: GroupedAggregates,
         report: CacheQueryReport,
         parent_span: Optional[Span],
-        why: str,
         cancel=None,
     ) -> None:
-        """Answer one all-main combination straight from the base data."""
+        """Answer one all-main combination straight from the base data: the
+        reader is older than the entry (see :meth:`_apply_main_entry`)."""
         scan_span = (
-            parent_span.child("direct_scan", reason=why)
+            parent_span.child("direct_scan", reason="entry_too_new")
             if parent_span is not None
             else None
         )
@@ -1019,14 +1020,21 @@ class AggregateCacheManager:
         combo: Dict,
         key: CacheKey,
         report: CacheQueryReport,
+        span: Optional[Span] = None,
         cancel=None,
-    ) -> Optional[AggregateCacheEntry]:
+    ) -> Tuple[AggregateCacheEntry, bool]:
         """Compute the main aggregate with global visibility; admit or not.
+        Returns the entry that answers the combination and whether the
+        cache holds it.
 
-        The (expensive) aggregate build runs without the manager lock held;
-        only the admission decision and the entry-map insert are serialized.
-        If another thread admitted an equivalent entry while this one was
-        computing, the first entry wins and this build is discarded.
+        The entry built here answers whatever the cache does with it: one
+        the admission policy rejects, or the eviction it triggers removes
+        at once, is *transient* — never in the entry map, read once from
+        its birth memo and dropped.  The (expensive) aggregate build runs
+        without the manager lock held; only the admission decision and the
+        entry-map insert are serialized.  If another thread admitted an
+        equivalent entry while this one was computing, the first entry wins
+        and this build is discarded; the read stays the miss it was.
         """
         global_snapshot = self._views.txn_manager.global_snapshot()
         build_started = time.perf_counter()
@@ -1037,45 +1045,44 @@ class AggregateCacheManager:
         self.obs.cache_build_seconds.observe(creation_time)
         records = value.total_rows_aggregated()
         request = AdmissionRequest(bound, value, creation_time, records)
-        visibility = {
-            alias: partition.visibility(global_snapshot)
-            for alias, partition in combo.items()
-        }
-        tables = {
-            ref.alias: self._catalog.table(ref.table) for ref in bound.tables
-        }
+        entry = AggregateCacheEntry(
+            key=key,
+            query=bound,
+            value=value,
+            tables={ref.alias: self._catalog.table(ref.table) for ref in bound.tables},
+            main_partitions=dict(combo),
+            visibility={
+                alias: partition.visibility(global_snapshot)
+                for alias, partition in combo.items()
+            },
+            snapshot=global_snapshot,
+            metrics=CacheMetrics(
+                size_bytes=value.approximate_nbytes(),
+                aggregated_records_main=records,
+                creation_time_main=creation_time,
+            ),
+        )
         with self._lock:
             existing = self._entries.get(key)
             if existing is not None and existing.is_active and (
                 existing.matches_current_partitions()
             ):
-                report.cache_hits += 1
-                self.total_hits += 1
-                return existing
-            if not self._admission.admit(request):
+                if span is not None:
+                    span.attrs["resident"] = True
+                return existing, True
+            admitted = self._admission.admit(request)
+            entry.metrics.last_access_clock = self._clock
+            if admitted:
+                self._entries[key] = entry
+                report.entries_created += 1
+                self._run_eviction()
+            else:
                 report.admission_rejected += 1
-                return None
-            metrics = CacheMetrics(
-                size_bytes=value.approximate_nbytes(),
-                aggregated_records_main=records,
-                creation_time_main=creation_time,
-                last_access_clock=self._clock,
-            )
-            entry = AggregateCacheEntry(
-                key=key,
-                query=bound,
-                value=value,
-                tables=tables,
-                main_partitions=dict(combo),
-                visibility=visibility,
-                snapshot=global_snapshot,
-                metrics=metrics,
-            )
-            self._entries[key] = entry
-            report.entries_created += 1
-            self._run_eviction()
             # The freshly inserted entry may itself have been evicted.
-            return self._entries.get(key)
+            resident = self._entries.get(key) is entry
+        if span is not None:
+            span.attrs.update(admitted=admitted, resident=resident)
+        return entry, resident
 
     def _run_eviction(self) -> None:
         with self._lock:
@@ -1449,9 +1456,10 @@ class AggregateCacheManager:
 
     def _install(self, route: _MemoRoute, memo: DeltaMemo) -> Optional[DeltaMemo]:
         """Compare-and-swap ``memo`` onto the route's entry; returns it when
-        it went in.  A reader older than the entry's memo never installs:
-        the memo's anchor only moves forward."""
-        if route.reason == "older_reader":
+        it went in.  A reader older than the entry's memo never installs
+        (the memo's anchor only moves forward), nor does a read of an entry
+        the cache did not keep."""
+        if route.reason in ("older_reader", "not_cached"):
             return None
         entry = route.entry
         with self._lock:

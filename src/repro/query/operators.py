@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import QueryError
-from ..storage.dictionary import NULL_CODE
+from ..storage.dictionary import NULL_CODE, MainDictionary
 from ..storage.partition import Partition
 from ..storage.schema import SqlType
 from .aggregates import AggregateSpec, GroupedAggregates
@@ -44,8 +44,8 @@ KERNEL_ROWLOOP = "rowloop"
 
 #: Inputs this small take the row-at-a-time paths: a hash step whose build
 #: and probe sides both have at most this many rows, an aggregation over
-#: fewer.  Below it the code-space kernels' fixed NumPy setup costs more
-#: than the rows do.
+#: fewer, a dictionary bridge translating at most this many values.  Below
+#: it the code-space kernels' fixed NumPy setup costs more than the rows do.
 _SMALL_INPUT_ROWS = 48
 
 _KERNEL_OVERRIDE: Optional[str] = None
@@ -314,15 +314,46 @@ class _CodeKeySpace:
 
 
 def _dict_lookup_many(build_dict, values: np.ndarray) -> np.ndarray:
-    """Build-side codes for an array of values (``_NO_MATCH`` where absent).
-
-    One hash lookup per value: cheaper at every size than a sorted search
-    over primitive copies of both dictionaries, whose materialization costs
-    more than the probes it saves.
-    """
+    """Build-side codes for an array of values (``_NO_MATCH`` where absent),
+    one hash lookup per value."""
     return np.array(
         build_dict.lookup_many(values.tolist(), _NO_MATCH), dtype=np.int64
     )
+
+
+def _int_pair(probe_dict, build_dict) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Both dictionaries' sorted int64 values when both are resident integer
+    main dictionaries, else None: delta dictionaries, non-integer values and
+    cold (lazy) dictionaries, which must not be loaded to find out, take the
+    hash path."""
+    if type(probe_dict) is not MainDictionary or type(build_dict) is not MainDictionary:
+        return None
+    probe_ints = probe_dict.int_values()
+    build_ints = build_dict.int_values() if probe_ints is not None else None
+    return None if build_ints is None else (probe_ints, build_ints)
+
+
+def _translate_codes(probe_dict, codes, build_dict) -> np.ndarray:
+    """Build-dictionary codes of the probe dictionary's ``codes`` (an array
+    of non-NULL codes, or ``slice(m)`` for all ``m``), ``_NO_MATCH`` where
+    the value is absent.
+
+    More than ``_SMALL_INPUT_ROWS`` values between two integer main
+    dictionaries translate with one ``searchsorted`` over their int64
+    arrays plus an equality check; every other case looks each value up in
+    the build dictionary's hash map.
+    """
+    count = len(probe_dict) if isinstance(codes, slice) else len(codes)
+    ints = _int_pair(probe_dict, build_dict) if count > _SMALL_INPUT_ROWS else None
+    if ints is None:
+        return _dict_lookup_many(build_dict, probe_dict.decode_table()[codes])
+    probe_ints, build_ints = ints
+    values = probe_ints[codes]
+    if not len(build_ints):
+        return np.full(len(values), _NO_MATCH, dtype=np.int64)
+    pos = np.searchsorted(build_ints, values)
+    np.minimum(pos, len(build_ints) - 1, out=pos)
+    return np.where(build_ints[pos] == values, pos, _NO_MATCH)
 
 
 #: ``_bridge_codes`` translates only the codes present among the probe rows
@@ -337,25 +368,27 @@ def _bridge_codes(probe_fragment, probe_codes: np.ndarray, build_fragment) -> np
 
     When both sides share one dictionary object the codes pass through
     unchanged (NULL stays ``-1`` and never matches).  Otherwise only the
-    probe *dictionary* is materialized — one translation per distinct value,
-    never per row — which is where main/delta dictionary skew is bridged.
-    A probe with few rows against a large dictionary (a compensation
-    subjoin probing from a handful of changed rows) translates just the
-    distinct codes it carries instead of the whole dictionary.
+    probe *dictionary* is translated (:func:`_translate_codes`) — once per
+    distinct value, never per row — which is where main/delta dictionary
+    skew is bridged.  A probe with few rows against a large dictionary (a
+    compensation subjoin probing from a handful of changed rows) translates
+    just the distinct codes it carries instead of the whole dictionary.
     NULL and values absent from the build dictionary map to ``_NO_MATCH``.
     """
     build_dict = build_fragment.dictionary
     probe_dict = probe_fragment.dictionary
     if probe_dict is build_dict:
         return probe_codes
-    probe_table = probe_dict.decode_table()
-    m = len(probe_table) - 1
+    m = len(probe_dict)
     if _SPARSE_BRIDGE_FACTOR * len(probe_codes) < m:
-        # NULL_CODE decodes to None, which no dictionary contains.
         present, inverse = np.unique(probe_codes, return_inverse=True)
-        return _dict_lookup_many(build_dict, probe_table[present])[inverse]
+        # NULL_CODE, if present, sorts first.
+        start = int(len(present) > 0 and present[0] == NULL_CODE)
+        lut = np.full(len(present), _NO_MATCH, dtype=np.int64)
+        lut[start:] = _translate_codes(probe_dict, present[start:], build_dict)
+        return lut[inverse]
     lut = np.full(m + 1, _NO_MATCH, dtype=np.int64)
-    lut[:m] = _dict_lookup_many(build_dict, probe_table[:m])
+    lut[:m] = _translate_codes(probe_dict, slice(m), build_dict)
     return lut[probe_codes]
 
 
@@ -403,9 +436,7 @@ def semi_join_reduce(
     if not len(keys) * _SEMI_JOIN_KEY_SKEW <= n_values:
         return rows
     if key_fragment.dictionary is not fragment.dictionary:
-        keys = _dict_lookup_many(
-            fragment.dictionary, key_fragment.dictionary.decode_table()[keys]
-        )
+        keys = _translate_codes(key_fragment.dictionary, keys, fragment.dictionary)
         keys = keys[keys != _NO_MATCH]
     member = np.zeros(n_values + 1, dtype=bool)  # trailing slot: NULL_CODE
     member[keys] = True

@@ -23,6 +23,11 @@ import numpy as np
 
 NULL_CODE = -1
 
+_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
+
+#: ``MainDictionary._int_values`` before its first computation.
+_UNSET = object()
+
 
 def _build_decode_table(values: Sequence[object]) -> np.ndarray:
     """Dense decode LUT: ``table[code]`` is the value, ``table[-1]`` is None.
@@ -126,13 +131,14 @@ class MainDictionary:
     from the distinct values present at merge time.
     """
 
-    __slots__ = ("_values", "_codes", "_decode_table")
+    __slots__ = ("_values", "_codes", "_decode_table", "_int_values")
 
     def __init__(self, values: Iterable[object] = ()):
         distinct = set(v for v in values if v is not None)
         self._values: List[object] = sorted(distinct)
         self._codes: Dict[object, int] = {v: i for i, v in enumerate(self._values)}
         self._decode_table: Optional[np.ndarray] = None
+        self._int_values = _UNSET
 
     @classmethod
     def from_sorted(cls, sorted_values: Sequence[object]) -> "MainDictionary":
@@ -140,7 +146,6 @@ class MainDictionary:
         out = cls()
         out._values = list(sorted_values)
         out._codes = {v: i for i, v in enumerate(out._values)}
-        out._decode_table = None
         return out
 
     def lookup(self, value) -> Optional[int]:
@@ -186,6 +191,26 @@ class MainDictionary:
             table = _build_decode_table(self._values)
             self._decode_table = table
         return table
+
+    def int_values(self) -> Optional[np.ndarray]:
+        """Cached sorted ``int64`` array of the values (``array[code]`` is
+        the value), or None unless every value is a plain ``int`` — not a
+        ``bool`` — inside int64 range.
+
+        It lets two integer dictionaries translate codes with one
+        ``searchsorted`` instead of a hash lookup per value.  Built once,
+        like :meth:`decode_table`; callers must treat it as read-only.
+        """
+        ints = self._int_values
+        if ints is _UNSET:
+            values = self._values
+            ints = None
+            if all(type(v) is int for v in values) and (
+                not values or (_INT64_MIN <= values[0] and values[-1] <= _INT64_MAX)
+            ):
+                ints = np.array(values, dtype=np.int64)
+            self._int_values = ints
+        return ints
 
     def min_value(self):
         """Smallest stored value (O(1) — first element), or ``None`` if empty."""

@@ -173,13 +173,141 @@ class TestPruningCounters:
         assert report.prune.evaluated == 1
 
 
+def _count_main_joins(db, monkeypatch):
+    """Record every all-main subjoin the cache's executor evaluates (a
+    whole-main join: every partition a main, no pinned rows)."""
+    executor = db.cache._executor
+    real = executor.execute
+    joins = []
+
+    def counting(query, snapshot, combos=None, **kwargs):
+        for spec in combos or ():
+            if not spec.fixed_rows and all(
+                p.kind == "main" for p in spec.partitions.values()
+            ):
+                joins.append(spec.describe())
+        return real(query, snapshot, combos=combos, **kwargs)
+
+    monkeypatch.setattr(executor, "execute", counting)
+    return joins
+
+
+class _EvictNewest:
+    """Evicts the most recently admitted entries beyond ``max_entries``: an
+    admission into a full cache evicts the entry it just admitted."""
+
+    def __init__(self):
+        self.victims = []
+
+    def select_victims(self, entries, max_entries, max_bytes):
+        keys = list(entries)[max_entries:]
+        self.victims.extend(entries[key] for key in keys)
+        return keys
+
+
+class TestOneBuildPerMiss:
+    """A miss answers from the entry it built, kept by the cache or not."""
+
+    def _db(self, deltas: bool):
+        eviction = _EvictNewest()
+        db = make_erp_db(cache_config=CacheConfig(max_entries=1), eviction=eviction)
+        load_erp(db, n_headers=6, merge=True)
+        if deltas:
+            load_erp(db, n_headers=2, start_hid=100, merge=False)
+            db.update("item", 0, {"price": 50.0})
+            db.delete("item", 4)
+        db.query(PROFIT_SQL, strategy=FULL)  # the one resident entry
+        return db, eviction
+
+    def test_evicted_build_answers_its_read(self, monkeypatch):
+        db, eviction = self._db(deltas=False)
+        db.query(HEADER_ITEM_SQL, strategy=FULL)  # plans and parses it once
+        tracked = db.cache.tracked_bytes()
+        joins = _count_main_joins(db, monkeypatch)
+        result = db.query(HEADER_ITEM_SQL, strategy=FULL)
+        report = result.report
+        assert report.entries_created == 1
+        assert len(eviction.victims) == 2
+        evicted = eviction.victims[-1]
+        assert evicted.key not in {e.key for e in db.cache.entries()}
+        # One all-main join (the build); no direct scan aggregated a row.
+        assert joins == ["(h:main, i:main)"]
+        assert report.executor_stats.rows_aggregated == 0
+        assert (report.delta_memo_mode, report.delta_memo_reason) == (
+            "full",
+            "not_cached",
+        )
+        assert evicted.delta_memo is None and evicted.result_order is None
+        assert db.cache.tracked_bytes() == tracked
+        assert result == db.query(HEADER_ITEM_SQL, strategy=UNCACHED)
+
+    def test_evicted_build_compensates_like_a_resident_entry(self, monkeypatch):
+        db, eviction = self._db(deltas=True)
+        joins = _count_main_joins(db, monkeypatch)
+        result = db.query(HEADER_ITEM_SQL, strategy=FULL)
+        report = result.report
+        assert joins == ["(h:main, i:main)"]
+        assert report.delta_memo_reason == "not_cached"
+        # Built after the update and delete, the entry never counted the
+        # rows they invalidated; the delta subjoins add their successors.
+        assert report.invalidated_rows_compensated == 0
+        assert report.executor_stats.rows_aggregated > 0
+        evicted = eviction.victims[-1]
+        assert evicted.delta_memo is None and evicted.result_order is None
+        assert result == db.query(HEADER_ITEM_SQL, strategy=UNCACHED)
+
+    def test_trace_separates_admitted_from_resident(self):
+        db, _ = self._db(deltas=False)
+        text = db.explain_analyze(HEADER_ITEM_SQL, strategy=FULL).render()
+        line = next(line for line in text.splitlines() if "build_entry" in line)
+        assert "admitted=True" in line and "resident=False" in line
+        assert "direct_scan" not in text
+
+    def test_lost_build_race_counts_one_miss(self, monkeypatch):
+        db = make_erp_db()
+        load_erp(db, n_headers=4, merge=True)
+        manager = db.cache
+        executor = manager._executor
+        real = executor.execute
+        others = []
+
+        def racing(query, snapshot, **kwargs):
+            # Another reader admits the equivalent entry mid-build.
+            monkeypatch.setattr(executor, "execute", real)
+            others.append(db.query(HEADER_ITEM_SQL, strategy=FULL).report)
+            return real(query, snapshot, **kwargs)
+
+        monkeypatch.setattr(executor, "execute", racing)
+        hits, misses = manager.total_hits, manager.total_misses
+        result = db.query(HEADER_ITEM_SQL, strategy=FULL)
+        (other,) = others
+        assert other.entries_created == 1
+        report = result.report
+        assert report.entries_created == 0
+        assert report.cache_hits == 0
+        assert (manager.total_hits, manager.total_misses) == (hits, misses + 2)
+        assert result == db.query(HEADER_ITEM_SQL, strategy=UNCACHED)
+
+
 class TestAdmission:
-    def test_profit_admission_rejects_cheap_queries(self):
+    def test_profit_admission_rejects_cheap_queries(self, monkeypatch):
         db = make_erp_db(admission=ProfitAdmission(min_creation_time=999.0))
         load_erp(db, n_headers=4, merge=True)
+        db.query(HEADER_ITEM_SQL, strategy=FULL)
+        tracked = db.cache.tracked_bytes()
+        joins = _count_main_joins(db, monkeypatch)
         result = db.query(HEADER_ITEM_SQL, strategy=FULL)
-        assert db.last_report.admission_rejected == 1
+        report = result.report
+        assert report.admission_rejected == 1
         assert db.cache.entry_count() == 0
+        # The rejected build answers the read: no second all-main join.
+        assert joins == ["(h:main, i:main)"]
+        assert report.executor_stats.rows_aggregated == 0
+        assert (report.delta_memo_mode, report.delta_memo_reason) == (
+            "full",
+            "not_cached",
+        )
+        assert db.cache.tracked_bytes() == tracked
         # Result must still be correct without an entry.
         assert result == db.query(HEADER_ITEM_SQL, strategy=UNCACHED)
 

@@ -28,9 +28,11 @@ transaction had appended before an older reader advanced the memo past it.
 A read the entry's memo cannot serve steps from the entry's birth instead,
 and each machine must see that for every reason: no memo (a new entry, or
 one whose memo a shed or merge dropped), a ``stale`` memo (an older open
-transaction stamped a row the memo counted), and an ``older_reader``.  A
-memo's anchor never moves back: an older reader's step from birth leaves
-the entry's memo as it was.
+transaction stamped a row the memo counted), an ``older_reader``, and
+``not_cached``: ``cap`` shrinks the cache to one entry or none, so a miss
+can build an entry that eviction drops at once and that answers its read
+all the same.  A memo's anchor never moves back: an older reader's step from birth
+leaves the entry's memo as it was.
 """
 
 import os
@@ -351,6 +353,12 @@ class PureHitMachine(RuleBasedStateMachine):
     def shed_everything(self):
         self.db.cache.shed_to_budget(0)
 
+    @rule(cap=st.sampled_from([None, 1, 0]))
+    def cap(self, cap):
+        """No bound, one entry at most, or none: under a cap an admission
+        evicts an entry — at 1 often, at 0 always, the one just built."""
+        self.db.cache.config.max_entries = cap
+
     @rule()
     def clear_plan_cache(self):
         self.db.plan_cache.clear()
@@ -527,7 +535,7 @@ def _run(machine, steps):
     assert machine.flips > 0
     for moved in ("main_left", "delta_left", "entered_below"):
         assert steps[moved] > 0, moved
-    for reason in ("", "stale", "older_reader"):
+    for reason in ("", "stale", "older_reader", "not_cached"):
         assert machine.births[reason] > 0, (reason, machine.births)
 
 

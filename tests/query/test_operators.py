@@ -1,5 +1,7 @@
 """Unit tests for physical operators: providers, hash joins, aggregation."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,9 @@ from repro.query.operators import (
     probe_hash_join,
 )
 from repro.storage import ColumnDef, Partition, Schema, SqlType
+from repro.storage.coldstore import LazyMainDictionary
+from repro.storage import dictionary as dictionary_module
+from repro.storage.dictionary import MainDictionary
 
 BOTH_KERNELS = pytest.mark.parametrize("kernel", [KERNEL_VECTORIZED, KERNEL_ROWLOOP])
 
@@ -314,3 +319,189 @@ def test_property_vectorized_equals_row_loop(rows):
                 assert a is None and b is None
             else:
                 assert a == pytest.approx(b)
+
+
+# ---------------------------------------------------------------------------
+# main <-> main bridge: the int64 searchsorted path against the hash path
+# ---------------------------------------------------------------------------
+
+_INT64_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+
+_int_value = st.one_of(
+    st.integers(-40, 40),
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from(_INT64_EDGES),
+)
+
+
+class _Fragment:
+    """The two things the bridge reads of a column fragment."""
+
+    def __init__(self, dictionary, codes=()):
+        self.dictionary = dictionary
+        self.codes = np.asarray(codes, dtype=np.int64)
+
+    def codes_for(self, rows):
+        return self.codes[rows]
+
+
+class _Partition:
+    def __init__(self, fragment):
+        self.fragment = fragment
+
+    def column(self, name):
+        return self.fragment
+
+
+def _hash_path():
+    """Force every dictionary pair onto the per-value hash lookups."""
+    return mock.patch.object(operators, "_int_pair", lambda probe, build: None)
+
+
+def _search_path():
+    """Let integer main dictionaries take ``searchsorted`` at every size."""
+    return mock.patch.object(operators, "_SMALL_INPUT_ROWS", 0)
+
+
+def _always_reduce():
+    return mock.patch.multiple(
+        operators, _SEMI_JOIN_ROW_SKEW=0, _SEMI_JOIN_KEY_SKEW=0
+    )
+
+
+@st.composite
+def _int_dictionary_pair(draw):
+    """Two sorted int main dictionaries drawn from one pool (so they
+    overlap, or not: the pool may be split in two), possibly empty."""
+    pool = draw(st.lists(_int_value, unique=True, max_size=40))
+    probe = draw(st.lists(st.sampled_from(pool), unique=True) if pool else st.just([]))
+    build = draw(st.lists(st.sampled_from(pool), unique=True) if pool else st.just([]))
+    if draw(st.booleans()):  # disjoint
+        build = [value for value in build if value not in set(probe)]
+    return MainDictionary(probe), MainDictionary(build)
+
+
+@st.composite
+def _codes(draw, size):
+    """Probe codes over a dictionary of ``size`` values (NULL included):
+    dense (many rows per value) or sparse (few)."""
+    length = draw(st.integers(0, 3 * size + 3))
+    return np.array(
+        draw(st.lists(st.integers(-1, size - 1), min_size=length, max_size=length)),
+        dtype=np.int64,
+    )
+
+
+def _bridge(probe_dict, codes, build_dict):
+    return operators._bridge_codes(
+        _Fragment(probe_dict), codes, _Fragment(build_dict)
+    )
+
+
+def _reduce(key_dict, key_codes, dictionary, codes):
+    key_part = _Partition(_Fragment(key_dict, key_codes))
+    part = _Partition(_Fragment(dictionary, codes))
+    rows = np.arange(len(codes), dtype=np.int64)
+    with _always_reduce():
+        return operators.semi_join_reduce(
+            key_part, np.arange(len(key_codes), dtype=np.int64), "k", part, rows, "k"
+        )
+
+
+class TestMainBridgeParity:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_int_bridge_equals_hash_path(self, data):
+        probe, build = data.draw(_int_dictionary_pair())
+        assert probe.int_values() is not None and build.int_values() is not None
+        codes = data.draw(_codes(len(probe)))
+        with _search_path():
+            searched = _bridge(probe, codes, build)
+        with _hash_path():
+            hashed = _bridge(probe, codes, build)
+        assert searched.dtype == hashed.dtype == np.int64
+        np.testing.assert_array_equal(searched, hashed)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_int_semi_join_equals_hash_path(self, data):
+        keys, values = data.draw(_int_dictionary_pair())
+        key_codes = data.draw(_codes(len(keys)))
+        codes = data.draw(_codes(len(values)))
+        with _search_path():
+            searched = _reduce(keys, key_codes, values, codes)
+        with _hash_path():
+            hashed = _reduce(keys, key_codes, values, codes)
+        np.testing.assert_array_equal(searched, hashed)
+
+    @pytest.mark.parametrize("codes", [[-1], [-1, 9], [9, -1, -1]])
+    def test_sparse_null_probe_never_matches(self, codes):
+        """A sparse probe translates only the codes it carries; NULL is
+        not one of them (its -1 would index the last value)."""
+        probe, build = MainDictionary(range(10)), MainDictionary([9])
+        codes = np.array(codes, dtype=np.int64)
+        expected = [0 if code == 9 else -2 for code in codes.tolist()]
+        with _search_path():
+            assert _bridge(probe, codes, build).tolist() == expected
+        with _hash_path():
+            assert _bridge(probe, codes, build).tolist() == expected
+
+    @pytest.mark.parametrize(
+        "probe_values, build_values",
+        [
+            ([1, 2**63, 5], [1, 5, 7]),  # beyond int64
+            ([1, 5, 7], [-(2**63) - 1, 1, 7]),
+            ([False, True], [0, 1, 2]),  # bool against int
+            ([0, 1, 2], [False, True]),
+            ([1, 2, 3], [1.0, 2.5, 3.0]),  # int against float
+            ([1.0, 2.0], [1, 2, 3]),
+        ],
+    )
+    def test_fallbacks_take_the_hash_path(self, probe_values, build_values):
+        probe, build = MainDictionary(probe_values), MainDictionary(build_values)
+        assert operators._int_pair(probe, build) is None
+        codes = np.array([-1, *range(len(probe)), *range(len(probe))], dtype=np.int64)
+        expected = [
+            -2 if code < 0 else build.lookup(probe.decode(code))
+            for code in codes.tolist()
+        ]
+        expected = [-2 if code is None else code for code in expected]
+        key_codes = np.arange(len(probe), dtype=np.int64)
+        build_codes = np.arange(-1, len(build), dtype=np.int64)
+        with _search_path():
+            assert _bridge(probe, codes, build).tolist() == expected
+            kept = _reduce(probe, key_codes, build, build_codes)
+        matched = {code for code in expected if code >= 0}
+        assert kept.tolist() == [
+            row for row, code in enumerate(build_codes.tolist()) if code in matched
+        ]
+
+    def test_few_values_take_the_hash_path(self):
+        """At most ``_SMALL_INPUT_ROWS`` values to translate: the hash path,
+        and no int64 array is built for them."""
+        probe, build = MainDictionary(range(1000)), MainDictionary(range(0, 2000, 2))
+        few = np.arange(0, 2 * operators._SMALL_INPUT_ROWS, 2, dtype=np.int64)
+        assert _bridge(probe, few, build).tolist() == (few // 2).tolist()
+        assert probe._int_values is dictionary_module._UNSET
+        many = np.arange(0, 1000, 2, dtype=np.int64)
+        assert _bridge(probe, many, build).tolist() == (many // 2).tolist()
+        assert probe._int_values is not dictionary_module._UNSET
+
+    def test_int_values_are_cached_and_typed(self):
+        dictionary = MainDictionary([3, -(2**63), 2**63 - 1])
+        ints = dictionary.int_values()
+        assert ints.dtype == np.int64
+        assert ints.tolist() == [-(2**63), 3, 2**63 - 1]
+        assert dictionary.int_values() is ints
+        assert MainDictionary(["a"]).int_values() is None
+        assert MainDictionary().int_values().tolist() == []
+
+    def test_cold_dictionary_is_not_loaded_to_bridge(self, tmp_path):
+        path = tmp_path / "dict.json"
+        path.write_text("[1, 2, 3]")
+        cold = LazyMainDictionary(path, 3, 1, 3)
+        assert operators._int_pair(cold, MainDictionary([2, 3])) is None
+        assert operators._int_pair(MainDictionary([2, 3]), cold) is None
+        assert not cold.is_loaded
+        bridged = _bridge(cold, np.array([0, 2, -1]), MainDictionary([2, 3]))
+        assert bridged.tolist() == [-2, 1, -2]
