@@ -4,13 +4,13 @@ The manager calls the eviction policy after every admission; the policy
 returns the keys to drop so the cache fits its configured budget
 (``max_entries`` and/or ``max_bytes``).  Two classic policies are provided:
 least-recently-used and lowest-profit-first (the dynamic decision metric of
-Section 2.1 / [20]).
+Section 2.1 / [20], measured in rows saved).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Protocol
+from typing import Callable, Dict, List, Optional, Protocol
 
 from .cache_entry import AggregateCacheEntry
 from .cache_key import CacheKey
@@ -29,20 +29,6 @@ class EvictionPolicy(Protocol):
         ...
 
 
-def _over_budget(
-    entries: Dict[CacheKey, AggregateCacheEntry],
-    max_entries: Optional[int],
-    max_bytes: Optional[int],
-) -> bool:
-    if max_entries is not None and len(entries) > max_entries:
-        return True
-    if max_bytes is not None:
-        total = sum(e.metrics.size_bytes for e in entries.values())
-        if total > max_bytes:
-            return True
-    return False
-
-
 @dataclass
 class LruEviction:
     """Evict the least recently used entries first."""
@@ -58,13 +44,21 @@ class LruEviction:
             entries,
             max_entries,
             max_bytes,
-            key_fn=lambda e: e.metrics.last_access_clock,
+            rank=lambda e, per_byte: e.metrics.last_access_clock,
         )
 
 
 @dataclass
 class ProfitEviction:
-    """Evict the lowest-profit entries first (ties broken by recency)."""
+    """Evict the entries that save the fewest rows first.
+
+    An entry's rank is its :meth:`~repro.core.metrics.CacheMetrics.profit`
+    (its key's uses × the rows its build folded) per unit of the budget
+    that is over: per slot when only ``max_entries`` is, per byte when
+    ``max_bytes`` is (the governor's shed passes a byte budget).  Ties go
+    to the least recently used.  Nothing in the rank is a measured time,
+    so one replay evicts the same entries every run.
+    """
 
     def select_victims(
         self,
@@ -72,29 +66,43 @@ class ProfitEviction:
         max_entries: Optional[int],
         max_bytes: Optional[int],
     ) -> List[CacheKey]:
-        """Lowest-profit-first victims until within budget."""
-        return _evict_in_order(
-            entries,
-            max_entries,
-            max_bytes,
-            key_fn=lambda e: (e.metrics.profit(), e.metrics.last_access_clock),
-        )
+        """Lowest-rank-first victims until within budget."""
+        return _evict_in_order(entries, max_entries, max_bytes, rank=_profit_rank)
+
+
+def _profit_rank(entry: AggregateCacheEntry, per_byte: bool):
+    metrics = entry.metrics
+    profit = metrics.profit()
+    if per_byte:
+        profit /= max(1, metrics.size_bytes)
+    return profit, metrics.last_access_clock
 
 
 def _evict_in_order(
     entries: Dict[CacheKey, AggregateCacheEntry],
     max_entries: Optional[int],
     max_bytes: Optional[int],
-    key_fn,
+    rank: Callable[[AggregateCacheEntry, bool], object],
 ) -> List[CacheKey]:
-    if not _over_budget(entries, max_entries, max_bytes):
+    """Drop entries in ``rank`` order (lowest first) until both budgets
+    hold.  ``rank`` is told whether the byte budget is the one over."""
+    count = len(entries)
+    nbytes = sum(e.metrics.size_bytes for e in entries.values())
+
+    def over() -> bool:
+        return (max_entries is not None and count > max_entries) or (
+            max_bytes is not None and nbytes > max_bytes
+        )
+
+    if not over():
         return []
-    ordered = sorted(entries.items(), key=lambda kv: key_fn(kv[1]))
-    remaining = dict(entries)
+    per_byte = max_bytes is not None and nbytes > max_bytes
+    ordered = sorted(entries.items(), key=lambda kv: rank(kv[1], per_byte))
     victims: List[CacheKey] = []
-    for key, _entry in ordered:
-        if not _over_budget(remaining, max_entries, max_bytes):
+    for key, entry in ordered:
+        if not over():
             break
-        del remaining[key]
         victims.append(key)
+        count -= 1
+        nbytes -= entry.metrics.size_bytes
     return victims

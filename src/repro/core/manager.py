@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -233,6 +234,10 @@ class AggregateCacheManager:
         self.plan_cache = PlanCache(self.config.plan_cache_size)
         self._lock = threading.RLock()
         self._entries: Dict[CacheKey, AggregateCacheEntry] = {}
+        # Uses of keys whose entries left the map, least recently touched
+        # first: a rebuilt entry is born with its key's count (ARC's ghost
+        # lists).  Bounded to ``max_entries`` keys, else the entry count.
+        self._ghosts: "OrderedDict[CacheKey, int]" = OrderedDict()
         self._mds: List[MatchingDependency] = []
         self._agings: List[ConsistentAging] = []
         self._clock = 0
@@ -313,9 +318,10 @@ class AggregateCacheManager:
             return [e for e in self._entries.values() if e.key.query_text == text]
 
     def clear(self) -> None:
-        """Drop every cache entry."""
+        """Drop every cache entry and every remembered use count."""
         with self._lock:
             self._entries.clear()
+            self._ghosts.clear()
 
     def counters_snapshot(self) -> Dict[str, int]:
         """A consistent view of the lifetime counters (for the monitor).
@@ -358,11 +364,10 @@ class AggregateCacheManager:
         with self._lock:
             entries = list(self._entries.values())
             self.obs.cache_entries.set(len(entries))
-            self.obs.cache_value_bytes.set(
-                sum(e.metrics.size_bytes for e in entries)
-            )
+            value_bytes = sum(e.metrics.size_bytes for e in entries)
+            self.obs.cache_value_bytes.set(value_bytes)
             self.obs.cache_profit_per_byte.set(
-                sum(e.metrics.profit() for e in entries)
+                sum(e.metrics.profit() for e in entries) / max(1, value_bytes)
             )
             self.obs.governor_tracked_bytes.set(self._tracked_bytes_locked())
         self.obs.plan_cache_entries.set(len(self.plan_cache))
@@ -374,21 +379,24 @@ class AggregateCacheManager:
             self.obs.storage_tier_bytes.labels(tier).set(value)
 
     def evict_for_table(self, table_name: str) -> int:
-        """Drop only the entries whose key references ``table_name``.
+        """Drop only the entries whose key references ``table_name``, and
+        the use counts remembered for such keys.
 
         Used by ``Database.drop_table``: entries over unrelated tables are
         unaffected by the drop and keep serving hits.  Returns the number of
         evicted entries.
         """
+
+        def references(key: CacheKey) -> bool:
+            return any(name == table_name for name, _ in key.table_ids)
+
         with self._lock:
-            victims = [
-                key
-                for key in self._entries
-                if any(name == table_name for name, _ in key.table_ids)
-            ]
+            victims = [key for key in self._entries if references(key)]
             for key in victims:
                 del self._entries[key]
                 self.total_evictions += 1
+            for key in [key for key in self._ghosts if references(key)]:
+                del self._ghosts[key]
             if victims:
                 self.obs.cache_evictions.inc(len(victims))
         dropped_plans = self.plan_cache.evict_for_table(table_name)
@@ -869,13 +877,15 @@ class AggregateCacheManager:
                 not entry.is_active or not entry.matches_current_partitions()
             )
             if recomputed:
-                self._entries.pop(key, None)
+                self._drop_entry_locked(key)
                 report.entries_recomputed += 1
                 entry = None
             if entry is None:
                 self.total_misses += 1
                 outcome = "recomputed" if recomputed else "miss"
             else:
+                # A miss counts its use when the entry is born.
+                entry.metrics.record_use(self._clock)
                 report.cache_hits += 1
                 self.total_hits += 1
                 outcome = "hit"
@@ -900,8 +910,6 @@ class AggregateCacheManager:
                 # back, so answer this combination directly from the base data.
                 self._direct_main_scan(bound, combo, txn, result, report, span, cancel)
                 return None, None
-            with self._lock:
-                entry.metrics.record_use(self._clock)
             result.merge(entry.value)
             comp_span = Span.begin("main_compensation") if span is not None else None
             comp_started = time.perf_counter()
@@ -1030,7 +1038,9 @@ class AggregateCacheManager:
         The entry built here answers whatever the cache does with it: one
         the admission policy rejects, or the eviction it triggers removes
         at once, is *transient* — never in the entry map, read once from
-        its birth memo and dropped.  The (expensive) aggregate build runs
+        its birth memo and dropped.  The entry is born with its key's
+        remembered uses plus this read's, so eviction ranks it by its
+        statement's history.  The (expensive) aggregate build runs
         without the manager lock held; only the admission decision and the
         entry-map insert are serialized.  If another thread admitted an
         equivalent entry while this one was computing, the first entry wins
@@ -1067,16 +1077,19 @@ class AggregateCacheManager:
             if existing is not None and existing.is_active and (
                 existing.matches_current_partitions()
             ):
+                existing.metrics.record_use(self._clock)
                 if span is not None:
                     span.attrs["resident"] = True
                 return existing, True
+            entry.metrics.reference_count = self._ghosts.pop(key, 0)
+            entry.metrics.record_use(self._clock)
             admitted = self._admission.admit(request)
-            entry.metrics.last_access_clock = self._clock
             if admitted:
                 self._entries[key] = entry
                 report.entries_created += 1
                 self._run_eviction()
             else:
+                self._remember_uses_locked(key, entry)
                 report.admission_rejected += 1
             # The freshly inserted entry may itself have been evicted.
             resident = self._entries.get(key) is entry
@@ -1090,10 +1103,30 @@ class AggregateCacheManager:
                 self._entries, self.config.max_entries, self.config.max_bytes
             )
             for key in victims:
-                del self._entries[key]
+                self._drop_entry_locked(key)
                 self.total_evictions += 1
             if victims:
                 self.obs.cache_evictions.inc(len(victims))
+
+    def _drop_entry_locked(self, key: CacheKey) -> None:
+        """Take ``key``'s entry out of the map, remembering its uses."""
+        entry = self._entries.pop(key, None)
+        if entry is not None:
+            self._remember_uses_locked(key, entry)
+
+    def _remember_uses_locked(
+        self, key: CacheKey, entry: AggregateCacheEntry
+    ) -> None:
+        """Put the entry's use count in the ghost history, trimmed to
+        ``max_entries`` keys (to the entry count when no count budget is
+        set), least recently touched out first."""
+        self._ghosts[key] = entry.metrics.reference_count
+        self._ghosts.move_to_end(key)
+        bound = self.config.max_entries
+        if bound is None:
+            bound = len(self._entries)
+        while len(self._ghosts) > bound:
+            self._ghosts.popitem(last=False)
 
     # ------------------------------------------------------------------
     # memory budget (governor-driven shedding)
@@ -1152,7 +1185,7 @@ class AggregateCacheManager:
     def shed_to_budget(self, budget_bytes: int) -> Dict[str, int]:
         """Shed cache state until ``tracked_bytes() <= budget_bytes``.
 
-        Shedding follows profit order — cheapest-to-rebuild state first:
+        Shedding goes cheapest-to-rebuild state first:
 
         1. **mapped cold columns** (released lazy dictionaries / memmap
            handles re-fault in from the cold files on next access — no
@@ -1161,8 +1194,10 @@ class AggregateCacheManager:
            (they only accelerate a hit; the entry keeps serving without
            them), least-recently-used entries' first — an order is tied to
            its memo object, so the two go together;
-        3. **cold entries before hot** via the existing eviction
-           machinery (:class:`ProfitEviction` — lowest profit first);
+        3. **entries**, fewest rows saved per byte first (the eviction
+           policy under a byte budget — :class:`ProfitEviction` ranks by
+           the key's uses × the rows its build folded ÷ ``size_bytes``);
+           their use counts stay in the ghost history;
         4. the **plan and parse caches** last (pure recompute caches).
 
         Returns the per-kind shed counts (keys ``cold``, ``memo``,
@@ -1219,7 +1254,7 @@ class AggregateCacheManager:
                 )
                 for key in victims:
                     nbytes = self._entries[key].metrics.size_bytes
-                    del self._entries[key]
+                    self._drop_entry_locked(key)
                     self.total_evictions += 1
                     tracked -= nbytes
                     freed["entry"] += nbytes
@@ -1682,7 +1717,7 @@ class AggregateCacheManager:
                 self.total_maintenance_runs += 1
                 self.obs.cache_maintenance_runs.inc()
             for key in self._pending_drops:
-                self._entries.pop(key, None)
+                self._drop_entry_locked(key)
             self._pending_drops = set()
 
     def cancel_merge(self, event: Optional[MergeEvent] = None) -> None:

@@ -3,8 +3,8 @@
 The metrics mirror the fields the paper lists — the aggregate's size, the
 number of aggregated records in main and delta, execution times for main and
 delta compensation, maintenance times, and usage information — and feed the
-profit estimate used for admission, eviction, and maintenance decisions
-(Mueller et al. [20], cited in Section 2.1).
+profit estimate used for eviction (Mueller et al. [20], cited in Section
+2.1).
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ class CacheMetrics:
     compensation_time_delta: float = 0.0  # cumulative delta-compensation time
     compensation_time_main: float = 0.0  # cumulative main-compensation time
     maintenance_time: float = 0.0  # cumulative merge-maintenance time
-    reference_count: int = 0
+    reference_count: int = 0  # uses of the key, earlier residencies included
     last_access_clock: int = 0
 
     # ------------------------------------------------------------------
@@ -53,21 +53,17 @@ class CacheMetrics:
             return 0.0
         return self.compensation_time_delta / self.reference_count
 
-    def profit(self) -> float:
-        """Estimated benefit of keeping this entry.
+    def profit(self) -> int:
+        """Rows the entry saves: uses × ``aggregated_records_main``.
 
-        The entry saves roughly ``creation_time_main`` per use (that is what
-        on-the-fly aggregation of the main would cost) and costs the average
-        delta/main compensation per use plus its share of maintenance.  The
-        estimate is normalized per byte so eviction favours small, hot,
-        expensive-to-rebuild aggregates — the shape of the profit metric in
-        [20].
+        Each use of the entry spares the all-main aggregate its build
+        folded — the Dursun et al. benefit metric (hits × rebuild cost,
+        PAPERS.md), with the rebuild cost in rows, not seconds, so the rank
+        repeats exactly from run to run.  ``reference_count`` counts the
+        key's uses, remembered across evictions (the manager's ghost
+        history), so a rebuilt entry ranks by its statement's whole
+        history.  Compensation and maintenance times stay out: an entry
+        kept and one rebuilt pay the same compensation.  Eviction divides
+        by the budget it is over (:class:`~repro.core.eviction.ProfitEviction`).
         """
-        uses = max(1, self.reference_count)
-        saved = self.creation_time_main * uses
-        cost = (
-            self.compensation_time_delta
-            + self.compensation_time_main
-            + self.maintenance_time
-        )
-        return (saved - cost) / max(1, self.size_bytes)
+        return self.reference_count * self.aggregated_records_main

@@ -50,7 +50,7 @@ class EngineMetrics:
         )
         self.cache_profit_per_byte = r.gauge(
             names.CACHE_PROFIT_PER_BYTE,
-            "Summed per-entry profit estimate (seconds saved per byte).",
+            "Rows cached entries save per cached byte (uses x rows folded).",
         )
         self.cache_build_seconds = r.histogram(
             names.CACHE_BUILD_SECONDS,

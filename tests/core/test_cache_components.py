@@ -1,5 +1,7 @@
 """Unit tests for cache keys, entries, metrics, admission, and eviction."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro import Database, ExecutionStrategy
@@ -91,23 +93,65 @@ class TestEntryInvariants:
         assert entry.metrics.status is EntryStatus.INVALIDATED
 
 
+def stub_entries(*shapes):
+    """``{name: entry}`` for eviction-policy tests: one stand-in per
+    ``(uses, aggregated_records_main, size_bytes)``, accessed in order."""
+    entries = {}
+    for clock, (uses, records, size) in enumerate(shapes, start=1):
+        metrics = CacheMetrics(size_bytes=size, aggregated_records_main=records)
+        for _ in range(uses):
+            metrics.record_use(clock)
+        entries[f"e{clock}"] = SimpleNamespace(metrics=metrics)
+    return entries
+
+
+def victims_one_by_one(policy_rank, entries, max_entries, max_bytes):
+    """The reference victim selection: re-check both budgets over what
+    remains after every victim (the quadratic loop the policies replaced)."""
+
+    def over(remaining):
+        return (max_entries is not None and len(remaining) > max_entries) or (
+            max_bytes is not None
+            and sum(e.metrics.size_bytes for e in remaining.values()) > max_bytes
+        )
+
+    if not over(entries):
+        return []
+    remaining = dict(entries)
+    victims = []
+    for key, _ in sorted(entries.items(), key=lambda kv: policy_rank(kv[1])):
+        if not over(remaining):
+            break
+        del remaining[key]
+        victims.append(key)
+    return victims
+
+
 class TestMetrics:
     def test_profit_increases_with_reuse(self):
-        cheap = CacheMetrics(size_bytes=100, creation_time_main=1.0)
+        cheap = CacheMetrics(size_bytes=100, aggregated_records_main=1000)
         cheap.record_use(1)
-        reused = CacheMetrics(size_bytes=100, creation_time_main=1.0)
+        reused = CacheMetrics(size_bytes=100, aggregated_records_main=1000)
         for clock in range(1, 11):
             reused.record_use(clock)
         assert reused.profit() > cheap.profit()
 
-    def test_profit_decreases_with_compensation_cost(self):
-        light = CacheMetrics(size_bytes=100, creation_time_main=1.0)
-        light.record_use(1)
-        heavy = CacheMetrics(
-            size_bytes=100, creation_time_main=1.0, compensation_time_delta=5.0
-        )
-        heavy.record_use(1)
-        assert light.profit() > heavy.profit()
+    def test_rank_reads_no_wall_clock(self):
+        entries = stub_entries((1, 50, 10), (3, 40, 200), (2, 90, 30), (1, 10, 5))
+        budgets = [(2, None), (None, 100), (1, 60)]
+        before = [
+            ProfitEviction().select_victims(entries, *budget) for budget in budgets
+        ]
+        for extreme, entry in zip((1e9, 0.0, -1e9, 1e-9), entries.values()):
+            entry.metrics.creation_time_main = extreme
+            entry.metrics.compensation_time_main = -extreme
+            entry.metrics.compensation_time_delta = extreme
+            entry.metrics.maintenance_time = extreme
+        after = [
+            ProfitEviction().select_victims(entries, *budget) for budget in budgets
+        ]
+        assert after == before
+        assert before[0] == ["e4", "e1"]
 
     def test_average_delta_compensation(self):
         metrics = CacheMetrics()
@@ -179,7 +223,47 @@ class TestEvictionPolicies:
     def test_profit_eviction_prefers_low_profit(self):
         entries = self.make_entries(2)
         entry_list = list(entries.values())
-        entry_list[0].metrics.creation_time_main = 100.0  # very profitable
-        entry_list[1].metrics.creation_time_main = 0.0
+        entry_list[0].metrics.aggregated_records_main = 10_000  # saves many rows
+        entry_list[1].metrics.aggregated_records_main = 1
         victims = ProfitEviction().select_victims(entries, max_entries=1, max_bytes=None)
         assert victims == [entry_list[1].key]
+
+    def test_the_budget_over_picks_the_denominator(self):
+        # "big" saves the most rows, "small" the most rows per byte.
+        entries = stub_entries((2, 1000, 1000), (2, 100, 10))
+        big, small = entries
+        policy = ProfitEviction()
+        assert policy.select_victims(entries, max_entries=1, max_bytes=None) == [small]
+        assert policy.select_victims(entries, max_entries=None, max_bytes=1000) == [big]
+        # Both budgets set, only the count is over: per slot.
+        assert policy.select_victims(entries, max_entries=1, max_bytes=10**6) == [small]
+
+    def test_ties_go_to_the_least_recently_used(self):
+        entries = stub_entries((1, 10, 8), (1, 10, 8), (1, 10, 8))
+        assert ProfitEviction().select_victims(entries, 1, None) == ["e1", "e2"]
+
+    @pytest.mark.parametrize(
+        "max_entries, max_bytes", [(3, 250), (5, 100), (2, 10_000), (4, 0)]
+    )
+    def test_count_and_byte_budgets_together(self, max_entries, max_bytes):
+        entries = stub_entries(
+            (1, 50, 10), (3, 40, 200), (2, 90, 30), (1, 10, 5), (4, 20, 80), (2, 5, 40)
+        )
+        nbytes = sum(e.metrics.size_bytes for e in entries.values())
+        for policy, rank in (
+            (LruEviction(), lambda e: e.metrics.last_access_clock),
+            (
+                ProfitEviction(),
+                lambda e: (
+                    e.metrics.profit() / e.metrics.size_bytes
+                    if nbytes > max_bytes
+                    else e.metrics.profit(),
+                    e.metrics.last_access_clock,
+                ),
+            ),
+        ):
+            victims = policy.select_victims(entries, max_entries, max_bytes)
+            assert victims == victims_one_by_one(rank, entries, max_entries, max_bytes)
+            remaining = [e for k, e in entries.items() if k not in victims]
+            assert len(remaining) <= max_entries
+            assert sum(e.metrics.size_bytes for e in remaining) <= max_bytes

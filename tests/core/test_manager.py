@@ -1,5 +1,8 @@
 """Tests for the aggregate cache manager's query path (Fig. 3)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro import (
@@ -8,6 +11,7 @@ from repro import (
     Database,
     ExecutionStrategy,
     LruEviction,
+    MaintenanceMode,
     ProfitAdmission,
 )
 from repro.core import EntryStatus
@@ -353,6 +357,123 @@ class TestEviction:
         )
 
 
+#: Seven item rows: three reads fold more rows than one of HEADER_ITEM_SQL's
+#: eighteen, two do not.
+FEW_ROWS_SQL = "SELECT cid, COUNT(*) AS n FROM item WHERE price > 4 OR iid = 0 GROUP BY cid"
+CATEGORY_SQL = "SELECT lang, COUNT(*) AS n FROM category GROUP BY lang"
+HEADER_SQL = "SELECT year, COUNT(*) AS n FROM header GROUP BY year"
+
+
+class TestUsesAcrossEvictions:
+    """Eviction ranks a key by all its uses × the rows its build folds,
+    and a key's uses outlive its entry in a bounded ghost history."""
+
+    def _db(self, **config):
+        eviction = config.pop("eviction", None)
+        db = make_erp_db(cache_config=CacheConfig(**config), eviction=eviction)
+        load_erp(db, n_headers=6, merge=True)
+        return db
+
+    def _key_of(self, db, sql):
+        return db.cache.plan_for(db.parse(sql)).cache_keys[0]
+
+    def test_a_statement_read_often_displaces_one_read_once(self):
+        db = self._db(max_entries=1)
+        db.query(HEADER_ITEM_SQL, strategy=FULL)
+        (a,) = db.cache.entries()
+        assert a.metrics.aggregated_records_main == 18
+        for _ in range(2):
+            db.query(FEW_ROWS_SQL, strategy=FULL)
+            assert db.cache.entries() == [a]  # 7, then 14 rows < 18
+        result = db.query(FEW_ROWS_SQL, strategy=FULL)
+        (b,) = db.cache.entries()
+        assert b is not a
+        assert (b.metrics.reference_count, b.metrics.aggregated_records_main) == (3, 7)
+        assert result.report.entries_created == 1
+        assert result == db.query(FEW_ROWS_SQL, strategy=UNCACHED)
+        # A's one use is remembered: reborn with two, 36 rows beat 21.
+        db.query(HEADER_ITEM_SQL, strategy=FULL)
+        (reborn,) = db.cache.entries()
+        assert reborn.key == a.key and reborn.metrics.reference_count == 2
+        assert dict(db.cache._ghosts) == {b.key: 3}
+
+    def test_ghost_history_keeps_the_most_recently_touched_keys(self):
+        db = self._db(max_entries=2, eviction=LruEviction())
+        statements = [
+            f"SELECT cid, COUNT(*) AS n FROM item WHERE price > {p} GROUP BY cid"
+            for p in range(5)
+        ]
+        for sql in statements:
+            db.query(sql, strategy=FULL)
+        keys = [self._key_of(db, sql) for sql in statements]
+        # Three left the map; the history holds the last two of them.
+        assert list(db.cache._ghosts.items()) == [(keys[1], 1), (keys[2], 1)]
+        db.query(statements[1], strategy=FULL)  # reborn, evicts statement 3
+        (reborn,) = [e for e in db.cache.entries() if e.key == keys[1]]
+        assert reborn.metrics.reference_count == 2
+        assert list(db.cache._ghosts.items()) == [(keys[2], 1), (keys[3], 1)]
+
+    def test_a_drop_mode_merge_hands_the_count_over(self):
+        db = self._db(maintenance_mode=MaintenanceMode.DROP)
+        for _ in range(3):
+            db.query(HEADER_ITEM_SQL, strategy=FULL)
+        db.query(CATEGORY_SQL, strategy=FULL)
+        key = self._key_of(db, HEADER_ITEM_SQL)
+        load_erp(db, n_headers=1, start_hid=50, merge=False)
+        db.merge("item")
+        assert db.cache.entry_count() == 1
+        assert dict(db.cache._ghosts) == {key: 3}
+        result = db.query(HEADER_ITEM_SQL, strategy=FULL)
+        assert result.report.entries_created == 1
+        (entry,) = db.cache.entries_for(db.parse(HEADER_ITEM_SQL))
+        assert entry.metrics.reference_count == 4
+        assert dict(db.cache._ghosts) == {}
+
+    def test_dropping_a_table_forgets_its_keys(self):
+        db = self._db(max_entries=2, eviction=LruEviction())
+        for sql in (HEADER_ITEM_SQL, CATEGORY_SQL, HEADER_SQL, FEW_ROWS_SQL):
+            db.query(sql, strategy=FULL)
+        category = self._key_of(db, CATEGORY_SQL)
+        assert set(db.cache._ghosts) == {self._key_of(db, HEADER_ITEM_SQL), category}
+        db.drop_table("item")
+        assert dict(db.cache._ghosts) == {category: 1}
+        assert [e.query.canonical_key() for e in db.cache.entries()] == [
+            db.executor.bind(db.parse(HEADER_SQL)).canonical_key()
+        ]
+        db.cache.clear()
+        assert dict(db.cache._ghosts) == {}
+
+    def test_concurrent_reads_lose_no_use(self):
+        # Four statements, two slots: at most two keys are out of the map,
+        # so the two-key history never trims and every read stays counted.
+        db = self._db(max_entries=2)
+        statements = [HEADER_ITEM_SQL, FEW_ROWS_SQL, CATEGORY_SQL, HEADER_SQL]
+        reads_per_thread, errors = 24, []
+
+        def reader(offset):
+            try:
+                for i in range(reads_per_thread):
+                    db.query(statements[(offset + i) % len(statements)], strategy=FULL)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        uses = sum(e.metrics.reference_count for e in db.cache.entries())
+        assert uses + sum(db.cache._ghosts.values()) == 6 * reads_per_thread
+        assert db.cache.entry_count() == 2 and len(db.cache._ghosts) == 2
+
+
 class TestMetrics:
     def test_usage_metrics_updated(self, erp_db):
         erp_db.query(HEADER_ITEM_SQL, strategy=FULL)
@@ -362,6 +483,22 @@ class TestMetrics:
         assert entry.metrics.status is EntryStatus.ACTIVE
         assert entry.metrics.size_bytes > 0
         assert entry.metrics.creation_time_main > 0
+
+    def test_profit_gauge_is_rows_saved_per_cached_byte(self, erp_db):
+        erp_db.query(HEADER_ITEM_SQL, strategy=FULL)
+        erp_db.query(HEADER_ITEM_SQL, strategy=FULL)
+        erp_db.query(CATEGORY_SQL, strategy=FULL)
+        small, large = sorted(
+            (e.metrics for e in erp_db.cache.entries()), key=lambda m: m.size_bytes
+        )
+        assert small.size_bytes < large.size_bytes
+        gauge = erp_db.metrics_snapshot()["repro_cache_profit_per_byte"]
+        assert gauge == pytest.approx(
+            (small.profit() + large.profit()) / (small.size_bytes + large.size_bytes)
+        )
+        assert gauge != pytest.approx(
+            small.profit() / small.size_bytes + large.profit() / large.size_bytes
+        )
 
     def test_report_timings_populated(self, erp_db):
         erp_db.query(PROFIT_SQL, strategy=NO_PRUNE)
