@@ -62,7 +62,7 @@ def build(main_rows: int, matching_rows: int):
     "main_rows,matching", CELLS, ids=[f"main{m}-match{k}" for m, k in CELLS]
 )
 def test_fig10_predicate_pushdown(
-    benchmark, figures, main_rows, matching, use_pushdown
+    fastest_round, figures, main_rows, matching, use_pushdown
 ):
     key = (main_rows, matching)
     cache = test_fig10_predicate_pushdown.__dict__.setdefault("_envs", {})
@@ -72,12 +72,9 @@ def test_fig10_predicate_pushdown(
     combo = ComboSpec(dict(assignment), extra_filters=pushdown if use_pushdown else {})
     snapshot = db.transactions.global_snapshot()
 
-    benchmark.pedantic(
-        lambda: db.executor.execute(query, snapshot, combos=[combo]),
-        rounds=3,
-        iterations=1,
+    elapsed = fastest_round(
+        lambda: db.executor.execute(query, snapshot, combos=[combo])
     )
-    elapsed = benchmark.stats.stats.min
     report = figures.report(
         "Fig. 10",
         "Header_delta x Item_main subjoin: regular vs predicate pushdown",

@@ -83,14 +83,11 @@ CELLS = [
         f"{'hotcold' if p else 'plain'}-amount{k}-{s.value}" for p, k, s in CELLS
     ],
 )
-def test_fig11_hot_cold(benchmark, figures, partitioned, max_amount, strategy):
+def test_fig11_hot_cold(fastest_round, figures, partitioned, max_amount, strategy):
     db = get_db(partitioned)
     query = db.parse(query_sql(max_amount))
     db.query(query, strategy=strategy)  # warm entries
-    benchmark.pedantic(
-        lambda: db.query(query, strategy=strategy), rounds=3, iterations=1
-    )
-    elapsed = benchmark.stats.stats.min
+    elapsed = fastest_round(lambda: db.query(query, strategy=strategy))
     aggregated = sum(
         db.query(query, strategy=ExecutionStrategy.UNCACHED).column_values("N")
     )

@@ -93,7 +93,7 @@ def run_workload(system, ratio: float) -> None:
 
 @pytest.mark.parametrize("ratio", INSERT_RATIOS, ids=lambda r: f"ins{int(r * 100):03d}")
 @pytest.mark.parametrize("system", SYSTEMS)
-def test_fig6_mixed_workload(benchmark, figures, system, ratio):
+def test_fig6_mixed_workload(fastest_round, figures, system, ratio):
     def setup():
         db = make_database()
         # The cache/view is warmed before the measured run, matching the
@@ -102,7 +102,7 @@ def test_fig6_mixed_workload(benchmark, figures, system, ratio):
         prepared.read()
         return (prepared, ratio), {}
 
-    benchmark.pedantic(run_workload, setup=setup, rounds=3, iterations=1)
+    elapsed = fastest_round(run_workload, setup=setup)
     report = figures.report(
         "Fig. 6",
         "mixed workload: view maintenance vs aggregate cache",
@@ -110,4 +110,4 @@ def test_fig6_mixed_workload(benchmark, figures, system, ratio):
         "superior above ~15% inserts",
         ["system", "insert_ratio", "seconds"],
     )
-    report.add_row(system, ratio, benchmark.stats.stats.min)
+    report.add_row(system, ratio, elapsed)

@@ -60,14 +60,11 @@ CELLS = [
     CELLS,
     ids=[f"delta{size}-{s.value}" for size, s in CELLS],
 )
-def test_fig7_join_strategies(benchmark, figures, delta_size, strategy):
+def test_fig7_join_strategies(fastest_round, figures, delta_size, strategy):
     db, workload, query = get_environment()
     ensure_delta_items(db, workload, delta_size)
     db.query(query, strategy=strategy)  # warm the cache entry
-    benchmark.pedantic(
-        lambda: db.query(query, strategy=strategy), rounds=3, iterations=1
-    )
-    elapsed = benchmark.stats.stats.min
+    elapsed = fastest_round(lambda: db.query(query, strategy=strategy))
     report = figures.report(
         "Fig. 7",
         "3-way join vs Item-delta size, four strategies",

@@ -56,14 +56,11 @@ CELLS = [(name, strategy) for name in CH_QUERIES for strategy in STRATEGIES]
     CELLS,
     ids=[f"{name}-{s.value}" for name, s in CELLS],
 )
-def test_fig9_chbench_queries(benchmark, figures, query_name, strategy):
+def test_fig9_chbench_queries(fastest_round, figures, query_name, strategy):
     db = get_ch_database()
     query = _STATE["queries"][query_name]
     db.query(query, strategy=strategy)  # warm cache entries
-    benchmark.pedantic(
-        lambda: db.query(query, strategy=strategy), rounds=3, iterations=1
-    )
-    elapsed = benchmark.stats.stats.min
+    elapsed = fastest_round(lambda: db.query(query, strategy=strategy))
     report = figures.report(
         "Fig. 9",
         "CH-benCHmark Q3/Q5/Q9/Q10 under the four strategies",

@@ -7,6 +7,7 @@ lands in ``bench_output.txt``).
 """
 
 import os
+import time
 
 import pytest
 
@@ -18,6 +19,29 @@ _collector = FigureCollector()
 @pytest.fixture(scope="session")
 def figures() -> FigureCollector:
     return _collector
+
+
+@pytest.fixture
+def fastest_round(benchmark):
+    """``fastest_round(target, setup=None, rounds=3)``: the fastest of
+    ``rounds`` one-iteration rounds of ``target``, in seconds.
+
+    Runs through ``benchmark.pedantic`` and reads ``benchmark.stats``.
+    Under ``--benchmark-disable`` the plugin keeps no stats and the run
+    only has to execute the code: one round, timed here.  ``setup``
+    returns ``(args, kwargs)`` for each round, as ``pedantic``'s does.
+    """
+
+    def run(target, setup=None, rounds=3):
+        if not benchmark.disabled:
+            benchmark.pedantic(target, setup=setup, rounds=rounds, iterations=1)
+            return benchmark.stats.stats.min
+        args, kwargs = setup() if setup is not None else ((), {})
+        start = time.perf_counter()
+        target(*args, **kwargs)
+        return time.perf_counter() - start
+
+    return run
 
 
 def pytest_terminal_summary(terminalreporter):

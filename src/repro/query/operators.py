@@ -7,10 +7,13 @@ dictionaries only where an expression needs them.
 
 Main-sized joins and aggregations run in **dictionary-code space** (the
 Krueger-et-al. "fast updates on read-optimized databases" template): the
-build side of a hash join is grouped by ``np.unique`` over its stacked key
-code matrix, the probe side is *bridged* into the build side's code space by
-translating dictionaries (one lookup per distinct value, never per row), and
-match multiplicities are expanded with ``np.repeat`` + prefix sums.  That
+build side of a hash join is grouped by its folded key codes, the probe
+side is *bridged* into the build side's code space by translating
+dictionaries (one lookup per distinct value, never per row), and match
+multiplicities are expanded with ``np.repeat`` + prefix sums.  Where a
+code range is within ``_DENSE_ROWS_FACTOR`` of the rows, ranking, grouping
+and lookup go through arrays indexed by code (linear in rows plus range);
+only sparse ranges pay the ``np.unique`` / ``searchsorted`` sorts.  That
 setup is a fixed cost of a dozen NumPy calls, which delta-sized inputs never
 pay back: a hash step whose build rows and probe tuples both number at most
 ``_SMALL_INPUT_ROWS`` runs a plain dictionary loop instead
@@ -236,9 +239,36 @@ _NO_MATCH = -2
 #: key domain would exceed this bound (safely inside int64).
 _MAX_KEY_DOMAIN = 1 << 62
 
-#: Below this key-domain size the probe lookup uses a dense int array map
-#: (O(1) per row) instead of ``searchsorted`` on the unique key set.
+#: No array indexed by code ever has more slots than this, whatever the rows.
 _DENSE_MAP_LIMIT = 1 << 20
+
+#: A code range — a dictionary's size, a folded key domain — is *dense*
+#: when it has at most this many slots per input row: the kernels then rank,
+#: group and look keys up through arrays indexed by code, linear in rows plus
+#: range.  A sparser range (a 50-row compensation term over a dictionary of
+#: thousands) takes the sort path, ``np.unique`` / ``searchsorted``, which
+#: costs rows × log rows and nothing per slot.  8 is the largest factor at
+#: which the dense paths beat the sort paths in every kernel at 50 to
+#: 30,000 rows; at 16 the group-by fold loses on large inputs.
+_DENSE_ROWS_FACTOR = 8
+
+
+def _dense_range(size: int, rows: int) -> bool:
+    """Whether a code range of ``size`` slots over ``rows`` inputs is dense."""
+    return size <= _DENSE_ROWS_FACTOR * rows and size <= _DENSE_MAP_LIMIT
+
+
+def _rank_lut(codes: np.ndarray, size: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(ucodes, lut)``: the distinct ``codes`` (all in ``[0, size)``) in
+    ascending order, and a LUT mapping ``ucodes[i]`` to ``i`` and every
+    other code to -1 — without a sort.  Two trailing slots also read -1, so
+    a probe's NULL_CODE (-1) and _NO_MATCH (-2) index them from the end."""
+    present = np.zeros(size, dtype=bool)
+    present[codes] = True
+    ucodes = np.flatnonzero(present)
+    lut = np.full(size + 2, -1, dtype=np.int64)
+    lut[ucodes] = np.arange(len(ucodes), dtype=np.int64)
+    return ucodes, lut
 
 
 class _CodeKeySpace:
@@ -246,28 +276,38 @@ class _CodeKeySpace:
 
     Each key column is compacted to ranks within the distinct codes actually
     present on the build side, then the columns are folded into one int64
-    key per row with mixed-radix packing.  Whenever the running key domain
-    would no longer fit int64, the running keys are re-compacted through
-    ``np.unique`` first (their distinct count is bounded by the row count),
-    so wide composite keys over large dictionaries can never silently wrap.
-    Every compaction step is recorded so :meth:`probe` can replay the
-    identical fold over bridged probe codes with ``searchsorted`` lookups.
+    key per row with mixed-radix packing.  A column whose dictionary is
+    dense (:func:`_dense_range`) is ranked by scattering its codes into a
+    boolean array over the dictionary and gathering through a rank LUT; a
+    sparse one by sort, adjacent dedup and ``searchsorted``.  Both yield the
+    same ranks.  Whenever the running key domain would no longer fit int64,
+    the running keys are re-compacted through ``np.unique`` first (their
+    distinct count is bounded by the row count), so wide composite keys over
+    large dictionaries can never silently wrap.  Every compaction step is
+    recorded so :meth:`probe` can replay the identical fold over bridged
+    probe codes: one LUT gather per dense column, ``searchsorted`` lookups
+    otherwise.
     """
 
     __slots__ = ("steps", "domain", "combined")
 
-    def __init__(self, code_cols: Sequence[np.ndarray]):
-        steps: List[Tuple[np.ndarray, Optional[np.ndarray]]] = []
+    def __init__(self, code_cols: Sequence[np.ndarray], sizes: Sequence[int]):
+        steps: List[Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]] = []
         combined: Optional[np.ndarray] = None
         domain = 1
-        for codes in code_cols:
-            # Sort + adjacent dedup: np.unique without an inverse does the
-            # same through a several times slower path on NumPy 2.x.
-            ucodes = np.sort(codes)
-            distinct = np.ones(len(ucodes), dtype=bool)
-            np.not_equal(ucodes[1:], ucodes[:-1], out=distinct[1:])
-            ucodes = ucodes[distinct]
-            ranks = np.searchsorted(ucodes, codes)
+        for codes, size in zip(code_cols, sizes):
+            lut: Optional[np.ndarray] = None
+            if _dense_range(size, len(codes)):
+                ucodes, lut = _rank_lut(codes, size)
+                ranks = lut[codes]
+            else:
+                # Sort + adjacent dedup: np.unique without an inverse does
+                # the same through a several times slower path on NumPy 2.x.
+                ucodes = np.sort(codes)
+                distinct = np.ones(len(ucodes), dtype=bool)
+                np.not_equal(ucodes[1:], ucodes[:-1], out=distinct[1:])
+                ucodes = ucodes[distinct]
+                ranks = np.searchsorted(ucodes, codes)
             radix = int(len(ucodes))
             compact: Optional[np.ndarray] = None
             if combined is None:
@@ -279,7 +319,7 @@ class _CodeKeySpace:
                     domain = len(compact)
                 combined = combined * radix + ranks
                 domain *= radix
-            steps.append((ucodes, compact))
+            steps.append((ucodes, lut, compact))
         self.steps = steps
         self.domain = domain
         #: Per-row folded build keys; transient (dropped after grouping).
@@ -290,16 +330,20 @@ class _CodeKeySpace:
 
         Returns ``(combined, valid)``: the folded probe keys plus the mask
         of rows whose codes exist column-wise in the build key space.
-        Invalid rows carry clipped (in-domain, but meaningless) keys, so
+        Invalid rows carry meaningless keys (clipped or negative), so
         callers must apply ``valid``.  NULL (-1) and absent (-2) bridged
         codes fail the membership check, never matching anything.
         """
         combined: Optional[np.ndarray] = None
         valid: Optional[np.ndarray] = None
-        for (ucodes, compact), codes in zip(self.steps, bridged_cols):
-            pos = np.searchsorted(ucodes, codes)
-            pos = np.minimum(pos, len(ucodes) - 1)
-            ok = ucodes[pos] == codes
+        for (ucodes, lut, compact), codes in zip(self.steps, bridged_cols):
+            if lut is not None:
+                pos = lut[codes]
+                ok = pos >= 0
+            else:
+                pos = np.searchsorted(ucodes, codes)
+                pos = np.minimum(pos, len(ucodes) - 1)
+                ok = ucodes[pos] == codes
             valid = ok if valid is None else (valid & ok)
             if combined is None:
                 combined = pos.astype(np.int64, copy=False)
@@ -444,14 +488,54 @@ def semi_join_reduce(
     return rows if keep.all() else rows[keep]
 
 
+def _csr_layout(
+    rows: np.ndarray, group_idx: np.ndarray, n_groups: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(group_rows, starts, counts)``: ``rows`` ordered by group id, build
+    order within a group, addressed by prefix-sum ``starts``/``counts``."""
+    group_rows = rows[np.argsort(group_idx, kind="stable")]
+    counts = np.bincount(group_idx, minlength=n_groups).astype(np.int64, copy=False)
+    starts = np.concatenate(([0], np.cumsum(counts[:-1])))
+    return group_rows, starts, counts
+
+
+def _expand_matches(
+    groups: np.ndarray, group_rows: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(probe positions, build rows)`` for probe rows whose group ids are
+    ``groups`` (-1 = no match): each hit repeated once per row of its group,
+    in ascending probe position and build order within a group."""
+    hit = groups >= 0
+    safe = np.where(hit, groups, 0)
+    reps = np.where(hit, counts[safe], 0)
+    total = int(reps.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    positions = np.repeat(np.arange(len(groups), dtype=np.int64), reps)
+    offsets = np.concatenate(([0], np.cumsum(reps)[:-1]))
+    intra = np.arange(total, dtype=np.int64) - np.repeat(offsets, reps)
+    matched = group_rows[np.repeat(starts[safe], reps) + intra]
+    return positions, matched
+
+
 class _CodeSpaceHashTable:
     """Build side of an equi-join, grouped in dictionary-code space.
 
-    Rows are grouped by composite key via ``np.unique`` over the folded key
-    codes; per-group row lists live in one stable-sorted array addressed by
-    prefix-sum ``starts``/``counts``, preserving build-row order within each
-    key (what makes the expansion bit-identical to the row loop).  Rows with
-    a NULL in any key column are masked out wholesale up front.
+    Rows are grouped by their folded key codes (:class:`_CodeKeySpace`).
+    A one-column key's ranks already are its group ids, at build and probe.
+    A wider key is grouped over a dense domain (:func:`_dense_range`)
+    through a dense map from folded key to group id (:func:`_rank_lut`),
+    which the probe then reads; over a sparse one by ``np.unique``, the
+    probe searching ``unique_keys`` — unless the probe's rows make the
+    domain dense for build plus probe rows, when the probe makes the map.
+    Group ids are ascending keys in every case.  Per-group row lists live in
+    one array addressed by prefix-sum ``starts``/``counts``, in build-row
+    order within each key (what makes the expansion bit-identical to the
+    row loop): a stable sort by group id, or — when every key is unique, as
+    on any primary-key side — one scatter, and the probe then gathers one
+    row per hit instead of expanding multiplicities.  Rows with a NULL in
+    any key column are masked out wholesale up front.
     """
 
     kernel = KERNEL_VECTORIZED
@@ -474,30 +558,39 @@ class _CodeSpaceHashTable:
             if not valid.all():
                 rows = rows[valid]
                 code_cols = [codes[valid] for codes in code_cols]
+        self.dense = None
         if rows.size == 0:
             self.key_space = None
             self.unique_keys = np.empty(0, dtype=np.int64)
             self.group_rows = np.empty(0, dtype=np.int64)
             self.starts = np.empty(0, dtype=np.int64)
             self.counts = np.empty(0, dtype=np.int64)
-            self.dense = None
             return
-        space = _CodeKeySpace(code_cols)
-        unique_keys, group_idx = np.unique(space.combined, return_inverse=True)
+        n = len(rows)
+        space = _CodeKeySpace(code_cols, [len(frag.dictionary) for frag in self.fragments])
+        combined = space.combined
         space.combined = None  # free the per-row fold; only the plan is kept
-        order = np.argsort(group_idx, kind="stable")
-        counts = np.bincount(group_idx, minlength=len(unique_keys))
         self.key_space = space
-        self.unique_keys = unique_keys
-        self.group_rows = rows[order]
-        self.counts = counts.astype(np.int64, copy=False)
-        self.starts = np.concatenate(([0], np.cumsum(self.counts[:-1])))
-        if space.domain <= _DENSE_MAP_LIMIT:
-            dense = np.full(space.domain, -1, dtype=np.int64)
-            dense[unique_keys] = np.arange(len(unique_keys), dtype=np.int64)
-            self.dense = dense
+        if len(code_cols) == 1:
+            # One column's ranks already number its distinct codes 0..k-1:
+            # they are the group ids, and the probe's ranks need no map.
+            unique_keys, group_idx = np.arange(space.domain, dtype=np.int64), combined
+        elif _dense_range(space.domain, n):
+            unique_keys, self.dense = _rank_lut(combined, space.domain)
+            group_idx = self.dense[combined]
         else:
-            self.dense = None
+            unique_keys, group_idx = np.unique(combined, return_inverse=True)
+        self.unique_keys = unique_keys
+        if len(unique_keys) == n:  # key-unique: group id g holds one row
+            group_rows = np.empty(n, dtype=np.int64)
+            group_rows[group_idx] = rows
+            self.group_rows = group_rows
+            self.counts = np.ones(n, dtype=np.int64)
+            self.starts = np.arange(n, dtype=np.int64)
+            return
+        self.group_rows, self.starts, self.counts = _csr_layout(
+            rows, group_idx, len(unique_keys)
+        )
 
     def __len__(self) -> int:
         return len(self.unique_keys)
@@ -507,6 +600,13 @@ class _CodeSpaceHashTable:
 
     def _lookup_groups(self, combined: np.ndarray, valid: np.ndarray) -> np.ndarray:
         """Group id per probe row, ``-1`` for misses."""
+        if len(self.key_columns) == 1:
+            return np.where(valid, combined, -1)
+        domain = self.key_space.domain
+        if self.dense is None and _dense_range(domain, len(self.group_rows) + len(combined)):
+            # A build too small for a map of its own, probed by enough rows
+            # that one gather each beats searching ``unique_keys``.
+            self.dense = _rank_lut(self.unique_keys, domain)[1]
         if self.dense is not None:
             found = self.dense[np.where(valid, combined, 0)]
             return np.where(valid, found, -1)
@@ -533,18 +633,10 @@ class _CodeSpaceHashTable:
             bridged.append(_bridge_codes(probe_frag, codes, build_frag))
         combined, valid = self.key_space.probe(bridged)
         groups = self._lookup_groups(combined, valid)
-        hit = groups >= 0
-        safe = np.where(hit, groups, 0)
-        reps = np.where(hit, self.counts[safe], 0)
-        total = int(reps.sum())
-        if total == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        positions = np.repeat(np.arange(n, dtype=np.int64), reps)
-        offsets = np.concatenate(([0], np.cumsum(reps)[:-1]))
-        intra = np.arange(total, dtype=np.int64) - np.repeat(offsets, reps)
-        matched = self.group_rows[np.repeat(self.starts[safe], reps) + intra]
-        return positions, matched
+        if len(self.group_rows) == len(self.unique_keys):  # key-unique build
+            positions = np.flatnonzero(groups >= 0)
+            return positions, self.group_rows[groups[positions]]
+        return _expand_matches(groups, self.group_rows, self.starts, self.counts)
 
     def as_dict(self) -> Dict[Tuple, List[int]]:
         """Decoded-key rendering for diagnostics/tests: key tuple -> rows."""
@@ -720,7 +812,10 @@ def _fold_group_codes(
     path; whenever the running key domain would exceed int64 the running
     keys are re-compacted through ``np.unique`` first (their distinct count
     is bounded by the row count), so wide group-bys over large dictionaries
-    can never wrap and silently merge unrelated groups.
+    can never wrap and silently merge unrelated groups.  Group ids number
+    the distinct folded keys in ascending order: over a dense domain
+    (:func:`_dense_range`) through a rank LUT (:func:`_rank_lut`), over a
+    sparse one by ``np.unique``.
     """
     combined = code_cols[0].astype(np.int64, copy=False)
     domain = radices[0]
@@ -730,6 +825,9 @@ def _fold_group_codes(
             domain = len(uniques)
         combined = combined * radix + codes
         domain *= radix
+    if _dense_range(domain, len(combined)):
+        uniques, lut = _rank_lut(combined, domain)
+        return lut[combined], len(uniques)
     uniques, group_idx = np.unique(combined, return_inverse=True)
     return group_idx, len(uniques)
 
@@ -762,23 +860,18 @@ def _exact_int_group_sums(
 ) -> np.ndarray:
     """Per-group sums of integer values, exact at any magnitude.
 
-    Non-null values are grouped with a stable sort and reduced per segment.
-    The int64 ``reduceat`` fast path is guarded by a worst-case magnitude
-    bound (``n * max|v|`` must fit int64); anything bigger reduces in
-    object dtype, i.e. Python's arbitrary-precision ints.  Returns int64
-    sums, or an object array of Python ints when they might not fit.
+    Under a worst-case magnitude bound (``n * max|v|`` must fit int64) the
+    non-null values are scatter-added in int64 (``np.add.at``: no partial
+    sum can wrap, so the order of the adds cannot matter).  Anything bigger
+    is grouped with a stable sort and reduced per segment in object dtype,
+    i.e. Python's arbitrary-precision ints.  Returns int64 sums, or an
+    object array of Python ints when they might not fit.
     """
     mask = ~nulls
     gi = group_idx[mask] if nulls.any() else group_idx
     if gi.size == 0:
         return np.zeros(n_groups, dtype=np.int64)
     vals = values[mask] if nulls.any() else values
-    order = np.argsort(gi, kind="stable")
-    counts = np.bincount(gi, minlength=n_groups)
-    present = counts > 0
-    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    boundaries = starts[present]
-    segments: Optional[np.ndarray] = None
     try:
         v64 = vals.astype(np.int64)
     except (OverflowError, TypeError, ValueError):
@@ -786,9 +879,14 @@ def _exact_int_group_sums(
     if v64 is not None:
         peak = int(np.abs(v64).max()) if v64.size else 0
         if 0 <= peak <= 1 or (peak > 1 and gi.size <= _MAX_KEY_DOMAIN // peak):
-            segments = np.add.reduceat(v64[order], boundaries)
-    if segments is None:
-        segments = np.add.reduceat(vals[order], boundaries)
+            sums = np.zeros(n_groups, dtype=np.int64)
+            np.add.at(sums, gi, v64)
+            return sums
+    order = np.argsort(gi, kind="stable")
+    counts = np.bincount(gi, minlength=n_groups)
+    present = counts > 0
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    segments = np.add.reduceat(vals[order], starts[present])
     sums = np.zeros(n_groups, dtype=segments.dtype)
     sums[present] = segments
     return sums
@@ -815,19 +913,20 @@ def _aggregate_vectorized(
             fragments.append(fragment)
             radices.append(len(fragment.dictionary) + 1)
         group_idx, n_groups = _fold_group_codes(code_cols, radices)
-        # Decode keys from one representative row per group (first
-        # occurrence), one LUT gather per column.
-        order = np.argsort(group_idx, kind="stable")
-        counts = np.bincount(group_idx, minlength=n_groups)
-        first_rows = order[np.concatenate(([0], np.cumsum(counts)[:-1]))]
-        # The row loop inserts groups in first-appearance scan order and
-        # finalize() preserves insertion order, so renumber the fold-order
-        # group ids to match — bit-identity covers row order too.
-        appearance = np.argsort(first_rows, kind="stable")
+        # Decode keys from one representative row per group (its first
+        # row), one LUT gather per column.  The row loop inserts groups in
+        # first-appearance scan order and finalize() preserves insertion
+        # order, so renumber the fold-order group ids to match — bit-identity
+        # covers row order too.  Marking each group's first row and reading
+        # the marks in row order yields that order without a sort.
+        first = np.full(n_groups, n, dtype=np.int64)
+        np.minimum.at(first, group_idx, np.arange(n, dtype=np.int64))
+        marked = np.zeros(n, dtype=bool)
+        marked[first] = True
+        first_rows = np.flatnonzero(marked)
         remap = np.empty(n_groups, dtype=np.int64)
-        remap[appearance] = np.arange(n_groups)
+        remap[group_idx[first_rows]] = np.arange(n_groups, dtype=np.int64)
         group_idx = remap[group_idx]
-        first_rows = first_rows[appearance]
         key_cols = [
             fragment.decode_codes(codes[first_rows] - 1)
             for fragment, codes in zip(fragments, code_cols)

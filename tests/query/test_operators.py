@@ -1,5 +1,7 @@
 """Unit tests for physical operators: providers, hash joins, aggregation."""
 
+import contextlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -505,3 +507,195 @@ class TestMainBridgeParity:
         assert not cold.is_loaded
         bridged = _bridge(cold, np.array([0, 2, -1]), MainDictionary([2, 3]))
         assert bridged.tolist() == [-2, 1, -2]
+
+
+# ---------------------------------------------------------------------------
+# code-space kernels: the dense-array paths against the sort paths
+# ---------------------------------------------------------------------------
+
+
+class _Columns:
+    """A partition of named fragments: ``name -> (dictionary size, codes)``."""
+
+    def __init__(self, columns):
+        self.fragments = {
+            name: _Fragment(range(size), codes) for name, (size, codes) in columns.items()
+        }
+
+    def column(self, name):
+        return self.fragments[name]
+
+
+def _dense_paths():
+    """Every code range dense (up to ``_DENSE_MAP_LIMIT``)."""
+    return mock.patch.object(operators, "_DENSE_ROWS_FACTOR", 1 << 40)
+
+
+def _sort_paths():
+    """Every code range sparse."""
+    return mock.patch.object(operators, "_DENSE_ROWS_FACTOR", 0)
+
+
+#: Each kernel path, plus the size rule picking per column and per domain.
+_PATHS = {"dense": _dense_paths, "sort": _sort_paths, "rule": contextlib.nullcontext}
+
+
+def _compacting(on):
+    """A tiny ``_MAX_KEY_DOMAIN``: every fold after the first re-compacts."""
+    return mock.patch.object(operators, "_MAX_KEY_DOMAIN", 4) if on else contextlib.nullcontext()
+
+
+@st.composite
+def _join_case(draw, unique=None):
+    """Build and probe code columns over one to three key columns whose
+    dictionaries lie on both sides of the dense bound, with unique or
+    duplicate build keys (``unique`` forces key-unique builds), NULL build
+    keys and NULL / absent probe codes."""
+    n_cols = draw(st.integers(1, 3))
+    n_build = draw(st.integers(1, 60))
+    sizes = [
+        draw(st.one_of(st.integers(1, 4), st.integers(1, 12 * n_build)))
+        for _ in range(n_cols)
+    ]
+    build = [
+        draw(st.lists(st.integers(-1, size - 1), min_size=n_build, max_size=n_build))
+        for size in sizes
+    ]
+    if unique or (unique is None and draw(st.booleans())):
+        # key-unique: keep the first row of each key
+        seen = set()
+        keep = [
+            i for i, key in enumerate(zip(*build))
+            if not (key in seen or seen.add(key))
+        ]
+        build = [[col[i] for i in keep] for col in build]
+    n_probe = draw(st.integers(0, 80))
+    probe = [
+        draw(
+            st.lists(
+                st.one_of(st.sampled_from(col) if col else st.just(-1), st.integers(-2, size - 1)),
+                min_size=n_probe,
+                max_size=n_probe,
+            )
+        )
+        for col, size in zip(build, sizes)
+    ]
+    return sizes, build, probe
+
+
+def _join(sizes, build, probe):
+    """The build's grouped arrays and the probe's ``(positions, matched)``,
+    probe codes reaching the key space as drawn (no bridge)."""
+    names = [f"k{i}" for i in range(len(sizes))]
+    build_part = _Columns({n: (s, c) for n, s, c in zip(names, sizes, build)})
+    probe_part = _Columns({n: (s, c) for n, s, c in zip(names, sizes, probe)})
+    table = operators._CodeSpaceHashTable(
+        build_part, np.arange(len(build[0]), dtype=np.int64), names
+    )
+    current = JoinedProvider({"p": probe_part}, {"p": np.arange(len(probe[0]), dtype=np.int64)})
+    with mock.patch.object(operators, "_bridge_codes", lambda probe, codes, build: codes):
+        positions, matched = table.probe(current, [("p", n) for n in names])
+    grouped = [table.unique_keys, table.group_rows, table.starts, table.counts]
+    return [a.tolist() for a in grouped], positions.tolist(), matched.tolist()
+
+
+class TestDenseKernelParity:
+    @settings(max_examples=300, deadline=None)
+    @given(_join_case(), st.booleans())
+    def test_hash_table_paths_agree(self, case, compact):
+        results = {}
+        for name, path in _PATHS.items():
+            with path(), _compacting(compact):
+                results[name] = _join(*case)
+        assert results["dense"] == results["sort"] == results["rule"]
+        # The probe against a reference: every (probe, build) pair of equal,
+        # NULL-free keys, ascending probe position, build order within a key.
+        sizes, build, probe = case
+        build_keys = list(zip(*build))
+        expected = [
+            (p, b)
+            for p, key in enumerate(zip(*probe))
+            for b, other in enumerate(build_keys)
+            if key == other and min(key) >= 0
+        ]
+        _, positions, matched = results["rule"]
+        assert list(zip(positions, matched)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(_join_case(unique=True), st.booleans(), st.sampled_from(sorted(_PATHS)))
+    def test_key_unique_shortcuts_match_the_general_path(self, case, compact, path):
+        """A key-unique build's scatter layout and one-gather probe equal
+        the stable-sort layout and the repeat expansion on the same input."""
+        sizes, build, probe = case
+        names = [f"k{i}" for i in range(len(sizes))]
+        with _PATHS[path](), _compacting(compact):
+            table = operators._CodeSpaceHashTable(
+                _Columns({n: (s, c) for n, s, c in zip(names, sizes, build)}),
+                np.arange(len(build[0]), dtype=np.int64),
+                names,
+            )
+            if not table:
+                return
+            assert len(table.group_rows) == len(table)
+            # Each NULL-free build row's group id, read back through the table.
+            rows = np.flatnonzero(np.min(np.array(build), axis=0) >= 0)
+            own = [np.array(col)[rows] for col in build]
+            group_idx = table._lookup_groups(*table.key_space.probe(own))
+            layout = operators._csr_layout(rows, group_idx, len(table))
+            assert [a.tolist() for a in layout] == [
+                table.group_rows.tolist(), table.starts.tolist(), table.counts.tolist()
+            ]
+            probed = [np.array(col, dtype=np.int64) for col in probe]
+            groups = table._lookup_groups(*table.key_space.probe(probed))
+            general = operators._expand_matches(
+                groups, table.group_rows, table.starts, table.counts
+            )
+            _, positions, matched = _join(sizes, build, probe)
+        assert (positions, matched) == tuple(a.tolist() for a in general)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_fold_group_codes_paths_agree(self, data, compact):
+        n = data.draw(st.integers(1, 120))
+        radices = data.draw(
+            st.lists(st.one_of(st.integers(1, 4), st.integers(1, 8 * n)), min_size=1, max_size=3)
+        )
+        code_cols = [
+            np.array(
+                data.draw(st.lists(st.integers(0, radix - 1), min_size=n, max_size=n)),
+                dtype=np.int64,
+            )
+            for radix in radices
+        ]
+        results = {}
+        for name, path in _PATHS.items():
+            with path(), _compacting(compact):
+                group_idx, n_groups = operators._fold_group_codes(code_cols, radices)
+                results[name] = (group_idx.tolist(), n_groups)
+        assert results["dense"] == results["sort"] == results["rule"]
+        keys = list(zip(*(col.tolist() for col in code_cols)))
+        ordered = sorted(set(keys))
+        assert results["rule"] == ([ordered.index(key) for key in keys], len(ordered))
+
+    def test_dense_map_is_bounded_by_the_build(self):
+        """64 unique build rows over three 64-value key columns fold into a
+        262,144-key domain: no array over that domain may be allocated."""
+        rng = np.random.default_rng(7)
+        names = ["a", "b", "c"]
+        build = _Columns({n: (64, rng.permutation(64)) for n in names})
+        rows = np.arange(64, dtype=np.int64)
+        tracemalloc.start()
+        try:
+            table = operators._CodeSpaceHashTable(build, rows, names)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 ** 3  # an eighth of one int64 map over the domain
+        assert table.key_space.domain == 64 ** 3
+        bound = operators._DENSE_ROWS_FACTOR * 64
+        assert table.dense is None or len(table.dense) <= bound
+        current = JoinedProvider({"p": build}, {"p": rows[::-1].copy()})
+        positions, matched = table.probe(current, [("p", n) for n in names])
+        assert positions.tolist() == list(range(64))
+        assert matched.tolist() == list(range(63, -1, -1))
+        assert table.dense is None  # 128 build and probe rows: still sparse
