@@ -250,8 +250,8 @@ def birth_memo(entry: AggregateCacheEntry, plan=None) -> DeltaMemo:
 def mains_as_stored(entry: AggregateCacheEntry) -> bool:
     """True when no main ``entry`` stored saw an invalidation since its
     snapshot: the mains' step from birth is then empty for any reader at or
-    after that snapshot, known without a look at their stamps — a demoted
-    cold main stays unmapped.  Says nothing about staleness
+    after that snapshot, known without a look at their stamps — so the
+    read skips the birth memo's stamp count.  Says nothing about staleness
     (:meth:`~repro.core.cache_entry.AggregateCacheEntry.matches_current_partitions`)."""
     epochs = entry.invalidation_epochs
     return all(

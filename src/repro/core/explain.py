@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..plan.cost import choose_join_order, estimate_scan_rows, tier_weighted_costs
+from ..plan.cost import choose_join_order, estimate_scan_rows
 from ..query.query import AggregateQuery
 from .strategies import ExecutionStrategy
 
@@ -160,7 +160,7 @@ def explain_query(
 def display_join_order(query: AggregateQuery, sub) -> Tuple[str, List[str]]:
     """Probe side and left-deep order (probe first) of one evaluated
     subjoin, seeded from estimated scan sizes: partition rows halved per
-    local or pushdown filter, weighted by storage tier."""
+    local or pushdown filter."""
     estimates = {
         alias: estimate_scan_rows(
             partition.row_count,
@@ -168,7 +168,5 @@ def display_join_order(query: AggregateQuery, sub) -> Tuple[str, List[str]]:
         )
         for alias, partition in sub.partitions.items()
     }
-    probe, steps = choose_join_order(
-        query, tier_weighted_costs(estimates, sub.partitions)
-    )
+    probe, steps = choose_join_order(query, estimates)
     return probe, [probe] + [step.alias for step in steps]

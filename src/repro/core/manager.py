@@ -167,36 +167,16 @@ def _memo_nbytes(memo: DeltaMemo) -> int:
     return nbytes
 
 
-def _subjoin_touches_mapped(sub) -> bool:
-    """True when the subjoin involves a memory-mapped cold partition *now*
-    (checked live: demotion keeps cached plans valid, so the plan-time
-    flag can be stale)."""
-    return any(
-        getattr(p, "storage_tier", "resident") == "mapped"
-        for p in sub.partitions.values()
-    )
-
-
-def _count_synopsis_skips(plan) -> int:
-    """Pruned subjoins whose verdict spared a cold disk scan, per the
-    partitions' current storage tier."""
-    return sum(
-        1
-        for sub in plan.subjoins
-        if sub.action == "pruned" and _subjoin_touches_mapped(sub)
-    )
-
-
 def _pruned_span(sub) -> Span:
     """The zero-cost trace span of one pruned compensation subjoin."""
-    attrs = {
-        "combo": describe_partitions(sub.partitions),
-        "status": "pruned",
-        "prune_reason": sub.reason,
-    }
-    if _subjoin_touches_mapped(sub):
-        attrs["synopsis_pruned"] = True
-    return Span(name="subjoin", attrs=attrs)
+    return Span(
+        name="subjoin",
+        attrs={
+            "combo": describe_partitions(sub.partitions),
+            "status": "pruned",
+            "prune_reason": sub.reason,
+        },
+    )
 
 
 class AggregateCacheManager:
@@ -371,12 +351,6 @@ class AggregateCacheManager:
             )
             self.obs.governor_tracked_bytes.set(self._tracked_bytes_locked())
         self.obs.plan_cache_entries.set(len(self.plan_cache))
-        tiers = {"hot": 0, "cold_resident": 0, "cold_mapped": 0}
-        for name in self._catalog.table_names():
-            for tier, value in self._catalog.table(name).tier_bytes().items():
-                tiers[tier] += value
-        for tier, value in tiers.items():
-            self.obs.storage_tier_bytes.labels(tier).set(value)
 
     def evict_for_table(self, table_name: str) -> int:
         """Drop only the entries whose key references ``table_name``, and
@@ -1152,28 +1126,7 @@ class AggregateCacheManager:
         total += (
             parse_cache_stats()["entries"] * _PARSE_CACHE_BYTES_PER_ENTRY
         )
-        total += self._cold_overhead_bytes()
         return total
-
-    def _cold_overhead_bytes(self) -> int:
-        """Resident bytes held *on behalf of* mapped cold partitions —
-        loaded lazy dictionaries.  Counted against the budget (they are
-        pure re-read caches) and shed first."""
-        total = 0
-        for name in self._catalog.table_names():
-            for partition in self._catalog.table(name).partitions():
-                if partition.storage_tier == "mapped":
-                    total += partition.nbytes_resident()
-        return total
-
-    def _shed_cold_locked(self) -> int:
-        """Release every loaded cold handle; returns bytes freed."""
-        freed = 0
-        for name in self._catalog.table_names():
-            for partition in self._catalog.table(name).partitions():
-                if partition.storage_tier == "mapped":
-                    freed += partition.release_cold()
-        return freed
 
     def _maybe_shed(self) -> None:
         """Post-query hook: shed down to the governor's budget, if any."""
@@ -1187,25 +1140,22 @@ class AggregateCacheManager:
 
         Shedding goes cheapest-to-rebuild state first:
 
-        1. **mapped cold columns** (released lazy dictionaries / memmap
-           handles re-fault in from the cold files on next access — no
-           recompute at all);
-        2. **delta memos and remembered output orders** before entries
+        1. **delta memos and remembered output orders** before entries
            (they only accelerate a hit; the entry keeps serving without
            them), least-recently-used entries' first — an order is tied to
            its memo object, so the two go together;
-        3. **entries**, fewest rows saved per byte first (the eviction
+        2. **entries**, fewest rows saved per byte first (the eviction
            policy under a byte budget — :class:`ProfitEviction` ranks by
            the key's uses × the rows its build folded ÷ ``size_bytes``);
            their use counts stay in the ghost history;
-        4. the **plan and parse caches** last (pure recompute caches).
+        3. the **plan and parse caches** last (pure recompute caches).
 
-        Returns the per-kind shed counts (keys ``cold``, ``memo``,
-        ``entry``, ``plan``); totals are recorded on the governor
+        Returns the per-kind shed counts (keys ``memo``, ``entry``,
+        ``plan``); totals are recorded on the governor
         (``repro_governor_sheds_total``).
         """
-        shed = {"cold": 0, "memo": 0, "entry": 0, "plan": 0}
-        freed = {"cold": 0, "memo": 0, "entry": 0, "plan": 0}
+        shed = {"memo": 0, "entry": 0, "plan": 0}
+        freed = {"memo": 0, "entry": 0, "plan": 0}
         evicted = 0
         plan_dropped = 0
         with self._lock:
@@ -1214,16 +1164,6 @@ class AggregateCacheManager:
                 if self.governor is not None:
                     self.governor.set_tracked_bytes(tracked)
                 return shed
-            cold_freed = self._shed_cold_locked()
-            if cold_freed:
-                tracked -= cold_freed
-                freed["cold"] = cold_freed
-                shed["cold"] = 1
-                if tracked <= budget_bytes:
-                    if self.governor is not None:
-                        self.governor.record_shed("cold", 1, cold_freed)
-                        self.governor.set_tracked_bytes(tracked)
-                    return shed
             by_lru = sorted(
                 self._entries.values(),
                 key=lambda e: e.metrics.last_access_clock,
@@ -1365,12 +1305,6 @@ class AggregateCacheManager:
         mode was decided: the prune report, the per-mode counters, and the
         ``delta_compensation`` span's summary attributes."""
         report.prune = PruneReport(**vars(plan.prune))  # the report's own copy
-        # Synopsis skips are a property of the *current* storage tier, not
-        # of plan time: demotion deliberately leaves cached plans valid, so
-        # a plan built pre-demotion undercounts and must be re-derived from
-        # the live partitions (promotion back only happens via merge, which
-        # invalidates the plan anyway).
-        report.prune.synopsis_skips = _count_synopsis_skips(plan)
         self._record_prune_obs(report.prune)
         mode = report.delta_memo_mode
         outcome = {"incremental": "hit", "full": "miss", "bypass": "bypass"}[mode]
@@ -1574,8 +1508,6 @@ class AggregateCacheManager:
                 obs.subjoins_pruned.labels(reason).inc(count)
         if prune.pushdown_filters:
             obs.pushdown_filters.inc(prune.pushdown_filters)
-        if prune.synopsis_skips:
-            obs.pruning_synopsis_skips.inc(prune.synopsis_skips)
 
     # ------------------------------------------------------------------
     # proactive refresh (idle-time maintenance)

@@ -64,9 +64,6 @@ class PruneReport:
     evaluated: int = 0
     excluded_tables: int = 0
     combos_excluded: int = 0
-    #: Pruned subjoins that involved at least one memory-mapped cold
-    #: partition — cold disk scans avoided purely from the RAM synopsis.
-    synopsis_skips: int = 0
 
     @property
     def pruned_total(self) -> int:
@@ -179,8 +176,7 @@ class JoinPruner:
             # filter derived from that side's range unsound on the *other*
             # side (the NULL partner's tid is not in the range).
             # All three synopsis facts (null flags, ranges) come from the
-            # partition's resident synopsis — for memory-mapped cold
-            # partitions the verdict is reached without touching disk.
+            # partition's resident synopsis.
             left_nulls = not self._assume_md_integrity and left.has_nulls(tid)
             right_nulls = not self._assume_md_integrity and right.has_nulls(tid)
             nullable_tids = left_nulls or right_nulls

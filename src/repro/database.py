@@ -61,11 +61,6 @@ from .reliability.recovery import RecoveryStats, recover_database
 from .reliability.wal import WriteAheadLog
 from .storage.aging import ConsistentAging, aging_rule_spec
 from .storage.catalog import Catalog
-from .storage.coldstore import (
-    demote_partition,
-    discard_cold_files,
-    reattach_database,
-)
 from .storage.merge import MergeStats, merge_table
 from .storage.schema import ColumnDef, Schema, SqlType, tid_column
 from .storage.table import AgingRule, Table
@@ -112,7 +107,6 @@ class Database:
         admission: Optional[AdmissionPolicy] = None,
         eviction: Optional[EvictionPolicy] = None,
         path=None,
-        cold_path=None,
         fault_injector: Optional[FaultInjector] = None,
         observability: bool = True,
         governor: Optional[Union[ResourceGovernor, GovernorConfig]] = None,
@@ -164,9 +158,6 @@ class Database:
         # are redelivered FIFO before the next record, so recovery never
         # silently loses a transaction the live database already served.
         self._wal_backlog: List[Tuple[int, List[Dict], str]] = []
-        # Cold-tier root: explicit ``cold_path`` wins (usable by in-memory
-        # databases too); durable databases default to ``<path>/cold``.
-        self._cold_path = Path(cold_path) if cold_path is not None else None
         if path is not None:
             self._open_durable(path)
 
@@ -216,24 +207,10 @@ class Database:
                 )
             finally:
                 self._replaying = False
-            # Re-attach any cold files the previous incarnation demoted:
-            # partitions whose files CRC-match the recovered state come back
-            # memory-mapped, torn or stale directories are discarded (the
-            # resident main is authoritative either way).
-            reattach_database(self)
             self.transactions.finish_hooks.append(self._on_txn_finish)
 
     def _checkpoint_dir(self) -> Path:
         return self.path / "checkpoints"
-
-    @property
-    def cold_dir(self) -> Optional[Path]:
-        """Root directory of the memory-mapped cold tier (None = no tiering)."""
-        if self._cold_path is not None:
-            return self._cold_path
-        if self.path is not None:
-            return self.path / "cold"
-        return None
 
     def _ensure_writable(self) -> None:
         """Reject mutations while WAL-degraded (durability breaker open).
@@ -474,8 +451,6 @@ class Database:
         with self.lock.write():
             self.catalog.drop_table(name)
             self.cache.evict_for_table(name)
-            if self.cold_dir is not None:
-                discard_cold_files(self.cold_dir, name)
             self._log_ddl("drop_table", {"name": name})
 
     def add_matching_dependency(
@@ -773,47 +748,6 @@ class Database:
             if self._wal is not None and not self._replaying:
                 self.checkpoint()
             return stats
-
-    def age_out(self, table_name: Optional[str] = None) -> List[Tuple[str, str]]:
-        """Demote cold-group mains to the memory-mapped cold tier.
-
-        For every aged table (or just ``table_name``), the cold group's
-        main partition is written to ``cold_dir`` — code vectors and MVCC
-        stamps as flat memmap files, dictionaries as lazily loaded JSON —
-        and its in-memory backing swapped onto the files.  Partition and
-        fragment object identity is preserved and no version is bumped:
-        demotion changes the physical layout, never the data, so cached
-        plans and delta memos stay valid.  The resident synopsis keeps
-        answering prune checks without disk I/O.
-
-        Typically called after :meth:`merge` (a merge rebuilds mains
-        resident, undoing any previous demotion).  Idempotent; returns the
-        ``(table, partition)`` pairs demoted by this call.
-        """
-        cold_dir = self.cold_dir
-        if cold_dir is None:
-            raise DurabilityError(
-                "age_out() needs a cold directory: open the database with "
-                "path=... or pass cold_path=..."
-            )
-        self._ensure_writable()
-        demoted: List[Tuple[str, str]] = []
-        with self.lock.write():  # backing swap excludes all readers
-            tables = (
-                [self.catalog.table(table_name)]
-                if table_name is not None
-                else self.catalog.tables()
-            )
-            for table in tables:
-                if not table.is_aged():
-                    continue
-                partition = table.group("cold").main
-                if partition.row_count == 0 or partition.storage_tier == "mapped":
-                    continue
-                demote_partition(table.name, partition, cold_dir, faults=self.faults)
-                self.obs.storage_demotions.inc()
-                demoted.append((table.name, partition.name))
-        return demoted
 
     def auto_merge(self, advisor=None) -> List[MergeStats]:
         """Consult a merge advisor and merge the recommended tables.

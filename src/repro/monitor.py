@@ -27,11 +27,6 @@ class PartitionStats:
     visible_rows: int
     bytes: int
     invalidation_epoch: int
-    #: "resident" or "mapped" (memory-mapped cold tier); the byte split
-    #: satisfies ``resident_bytes + mapped_bytes == bytes``.
-    tier: str = "resident"
-    resident_bytes: int = 0
-    mapped_bytes: int = 0
 
 
 @dataclass
@@ -80,7 +75,7 @@ class CacheStats:
     memo_misses: int = 0  # full: the entry's birth memo (a recompute)
     memo_bypass: int = 0  # no single entry: hot/cold plans, direct scans
     #: Total bytes the memory budget tracks (entries + memos + orders +
-    #: plan/parse estimates + cold overhead), from the same locked snapshot
+    #: plan/parse estimates), from the same locked snapshot
     #: as the counters above.
     tracked_bytes: int = 0
     # Proactive cardinality-based refreshes (see repro.core.maintenance).
@@ -168,15 +163,10 @@ class DatabaseStats:
                 f"delta fill {table.delta_fill:.1%}"
             )
             for part in table.partitions:
-                tier = (
-                    f" tier=mapped (~{part.mapped_bytes}B on disk)"
-                    if part.tier == "mapped"
-                    else ""
-                )
                 lines.append(
                     f"    {part.name:<12} {part.kind:<5} rows={part.rows} "
                     f"visible={part.visible_rows} ~{part.bytes}B "
-                    f"invalidations={part.invalidation_epoch}{tier}"
+                    f"invalidations={part.invalidation_epoch}"
                 )
         cache = self.cache
         lines += [
@@ -253,9 +243,6 @@ def collect_statistics(db: Database) -> DatabaseStats:
                     visible_rows=partition.visible_count(snapshot),
                     bytes=partition.nbytes(),
                     invalidation_epoch=partition.invalidation_epoch,
-                    tier=partition.storage_tier,
-                    resident_bytes=partition.nbytes_resident(),
-                    mapped_bytes=partition.nbytes_mapped(),
                 )
             )
         tables.append(stats)

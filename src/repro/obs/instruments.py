@@ -144,21 +144,6 @@ class EngineMetrics:
             names.ROWS_AGGREGATED_TOTAL, "Rows folded into grouped aggregates."
         )
         # --- storage / durability -----------------------------------------
-        self.storage_tier_bytes = r.gauge(
-            names.STORAGE_TIER_BYTES,
-            "Approximate table bytes by storage tier "
-            "(hot/cold_resident/cold_mapped).",
-            labels=("tier",),
-        )
-        self.storage_demotions = r.counter(
-            names.STORAGE_DEMOTIONS_TOTAL,
-            "Main partitions demoted to the memory-mapped cold tier.",
-        )
-        self.pruning_synopsis_skips = r.counter(
-            names.PRUNING_SYNOPSIS_SKIPS_TOTAL,
-            "Pruned subjoins involving a mapped cold partition — cold "
-            "scans avoided purely from the resident synopsis.",
-        )
         self.merge_seconds = r.histogram(
             names.MERGE_SECONDS, "Delta-merge duration per table.", LATENCY_BUCKETS
         )
@@ -191,7 +176,7 @@ class EngineMetrics:
         self.governor_sheds = r.counter(
             names.GOVERNOR_SHEDS_TOTAL,
             "Cache state shed under memory pressure, by kind "
-            "(cold/memo/entry/plan).",
+            "(memo/entry/plan).",
             labels=("kind",),
         )
         self.governor_shed_bytes = r.counter(

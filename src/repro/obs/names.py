@@ -50,9 +50,6 @@ PUSHDOWN_FILTERS_TOTAL = "repro_pushdown_filters_total"
 ROWS_AGGREGATED_TOTAL = "repro_rows_aggregated_total"
 
 # --- storage / durability --------------------------------------------------
-STORAGE_TIER_BYTES = "repro_storage_tier_bytes"
-STORAGE_DEMOTIONS_TOTAL = "repro_storage_demotions_total"
-PRUNING_SYNOPSIS_SKIPS_TOTAL = "repro_pruning_synopsis_skips_total"
 MERGE_SECONDS = "repro_merge_seconds"
 MERGE_ROWS_MOVED_TOTAL = "repro_merge_rows_moved_total"
 MERGE_ROWS_DROPPED_TOTAL = "repro_merge_rows_dropped_total"

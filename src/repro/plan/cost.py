@@ -22,35 +22,6 @@ from ..query.query import AggregateQuery, JoinEdge
 #: only seeds the displayed join order, never execution or correctness.
 FILTER_SELECTIVITY = 0.5
 
-#: Cost multiplier for scanning a memory-mapped cold partition relative to
-#: a resident one: cold pages fault in from disk, so the ordering should
-#: prefer building hash tables on (and probing from) hot inputs when row
-#: counts are comparable.  The exact value only biases ordering — any
-#: multiplier > 1 expresses "disk is slower than RAM".
-COLD_SCAN_PENALTY = 4.0
-
-
-def tier_cost_multiplier(partition) -> float:
-    """Scan-cost weight of one partition: 1.0 resident, penalized mapped."""
-    if getattr(partition, "storage_tier", "resident") == "mapped":
-        return COLD_SCAN_PENALTY
-    return 1.0
-
-
-def tier_weighted_costs(
-    row_counts: Dict[str, int], partitions: Dict[str, object]
-) -> Dict[str, float]:
-    """Per-alias scan costs: rows × tier multiplier.
-
-    Feeding these (instead of raw rows) to :func:`choose_join_order`
-    realizes the tier-aware ordering; when nothing is demoted every
-    multiplier is 1.0 and the result is identical to using raw counts.
-    """
-    return {
-        alias: row_counts[alias] * tier_cost_multiplier(partitions.get(alias))
-        for alias in row_counts
-    }
-
 
 class JoinStep:
     """One step of the left-deep join plan: the alias to add and its edges."""

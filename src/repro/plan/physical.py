@@ -52,10 +52,6 @@ class PlannedSubjoin:
     action: str  # "evaluate" | "pruned"
     reason: str = ""  # "", "empty", "logical", "dynamic"
     pushdown: Dict[str, List[Expr]] = field(default_factory=dict)
-    #: True on pruned subjoins that involved a memory-mapped cold
-    #: partition: the verdict came from the RAM synopsis, a cold disk
-    #: scan was skipped without faulting anything in.
-    synopsis_pruned: bool = False
 
     def partition_names(self) -> Dict[str, str]:
         """alias → partition name (the rendering-friendly view)."""
@@ -313,12 +309,7 @@ class Planner:
                 prune.pruned_logical += 1
             else:
                 prune.pruned_dynamic += 1
-            synopsis = any(p.storage_tier == "mapped" for p in assignment.values())
-            if synopsis:
-                prune.synopsis_skips += 1
-            subjoins.append(
-                PlannedSubjoin(assignment, "pruned", reason, synopsis_pruned=synopsis)
-            )
+            subjoins.append(PlannedSubjoin(assignment, "pruned", reason))
         return replace(
             skeleton, structure=structure, signature=signature,
             subjoins=subjoins, prune=prune,

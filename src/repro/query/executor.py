@@ -33,7 +33,7 @@ import numpy as np
 
 from ..errors import QueryError
 from ..obs.trace import Span
-from ..plan.cost import choose_join_order, tier_weighted_costs
+from ..plan.cost import choose_join_order
 from ..plan.logical import Binder
 from ..storage.catalog import Catalog
 from ..storage.partition import Partition
@@ -371,16 +371,11 @@ class QueryExecutor:
         row_counts = {alias: len(rows) for alias, rows in scans.items()}
         reduced = _reduce_scans(query, combo, scans)
         reduced_counts = {alias: len(rows) for alias, rows in reduced.items()}
-        # Runtime ordering ranks tier-weighted costs: identical to raw
-        # counts while every partition is resident, biased toward probing
-        # the memory-mapped side (hash tables built on hot inputs) once
-        # cold mains participate.  It ranks the *scanned* counts, so the
-        # semi-join reduction above never changes the plan — the joined
-        # tuples come out in the same sequence with or without it, which
-        # keeps group order and float summation order bit-identical.
-        first, steps = choose_join_order(
-            query, tier_weighted_costs(row_counts, combo.partitions)
-        )
+        # Runtime ordering ranks the *scanned* counts, so the semi-join
+        # reduction above never changes the plan — the joined tuples come
+        # out in the same sequence with or without it, which keeps group
+        # order and float summation order bit-identical.
+        first, steps = choose_join_order(query, row_counts)
         if stats is not None:
             stats.probe_sides.append(first)
         if attrs is not None:
@@ -388,13 +383,6 @@ class QueryExecutor:
             if reduced_counts != row_counts:
                 attrs["rows_after_reduction"] = dict(sorted(reduced_counts.items()))
             attrs["probe_side"] = first
-            mapped = sorted(
-                alias
-                for alias, partition in combo.partitions.items()
-                if getattr(partition, "storage_tier", "resident") == "mapped"
-            )
-            if mapped:
-                attrs["tier"] = {alias: "mapped" for alias in mapped}
         if not all(reduced_counts.values()):
             return empty()
         provider = JoinedProvider(

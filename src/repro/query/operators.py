@@ -366,10 +366,9 @@ def _dict_lookup_many(build_dict, values: np.ndarray) -> np.ndarray:
 
 
 def _int_pair(probe_dict, build_dict) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Both dictionaries' sorted int64 values when both are resident integer
-    main dictionaries, else None: delta dictionaries, non-integer values and
-    cold (lazy) dictionaries, which must not be loaded to find out, take the
-    hash path."""
+    """Both dictionaries' sorted int64 values when both are integer main
+    dictionaries, else None: delta dictionaries and non-integer values take
+    the hash path."""
     if type(probe_dict) is not MainDictionary or type(build_dict) is not MainDictionary:
         return None
     probe_ints = probe_dict.int_values()

@@ -167,11 +167,7 @@ class Shell:
         for name in names:
             table = self.db.table(name)
             parts = ", ".join(
-                # Mapped cold partitions get a tier marker; resident ones
-                # print exactly as before.
-                f"{p.name}={p.row_count}"
-                + (":mapped" if p.storage_tier == "mapped" else "")
-                for p in table.partitions()
+                f"{p.name}={p.row_count}" for p in table.partitions()
             )
             self._print(f"{name}  [{parts}]")
 

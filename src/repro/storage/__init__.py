@@ -18,16 +18,6 @@ from .aging import (
 )
 from .bitvector import BitVector
 from .catalog import Catalog
-from .coldstore import (
-    LazyMainDictionary,
-    MappedIntVector,
-    demote_partition,
-    discard_cold_files,
-    reattach_database,
-    reattach_partition,
-    read_manifest,
-    release_table,
-)
 from .column import ColumnFragment
 from .dictionary import NULL_CODE, DeltaDictionary, MainDictionary
 from .merge import MergeEvent, MergeListener, MergeStats, merge_table
@@ -50,9 +40,7 @@ __all__ = [
     "HOT",
     "IntVector",
     "LIVE",
-    "LazyMainDictionary",
     "MainDictionary",
-    "MappedIntVector",
     "MergeEvent",
     "MergeListener",
     "MergeStats",
@@ -67,16 +55,10 @@ __all__ = [
     "ThresholdAging",
     "aging_rule_from_spec",
     "aging_rule_spec",
-    "demote_partition",
-    "discard_cold_files",
     "export_csv",
     "import_csv",
     "load_database",
     "merge_table",
-    "reattach_database",
-    "reattach_partition",
-    "read_manifest",
-    "release_table",
     "save_database",
     "ratio_aging",
     "threshold_aging",

@@ -24,13 +24,7 @@ Dictionary = Union[DeltaDictionary, MainDictionary]
 
 
 class ColumnFragment:
-    """One column of one partition: dictionary + code vector.
-
-    The code vector is either a resident :class:`IntVector` or — after the
-    partition is demoted to the cold tier — a memory-mapped vector from
-    :mod:`repro.storage.coldstore`.  The fragment object itself never
-    changes identity across that swap.
-    """
+    """One column of one partition: dictionary + code vector."""
 
     __slots__ = ("name", "dictionary", "_codes", "_null_state")
 
@@ -136,8 +130,7 @@ class ColumnFragment:
         the pruner must know whether NULL rows exist when referential
         integrity is not enforced (a NULL-tid row may still join).  The
         verdict is cached per code-vector length (codes are append-only),
-        so repeated prune checks — and mapped cold fragments, whose flag is
-        seeded from the cold manifest — answer without scanning.
+        so repeated prune checks answer without scanning.
         """
         n_rows = len(self._codes)
         if self._null_state is not None and self._null_state[0] == n_rows:
@@ -154,76 +147,18 @@ class ColumnFragment:
         """Dictionary maximum (the pruning prefilter input), None if empty."""
         return self.dictionary.max_value()
 
-    # ------------------------------------------------------------------
-    # storage tiers
-    # ------------------------------------------------------------------
-    @property
-    def is_mapped(self) -> bool:
-        """True when the code vector lives in the memory-mapped cold tier."""
-        return bool(getattr(self._codes, "is_mapped_store", False))
-
-    def attach_mapped_codes(self, vector, has_nulls: bool) -> None:
-        """Swap the code backing onto a mapped vector (demotion/reattach).
-
-        ``has_nulls`` seeds the null-state cache from the cold manifest so
-        the synopsis never has to fault the mapping in.
-        """
-        if len(vector) != len(self._codes):
-            raise ValueError(
-                f"mapped codes for {self.name!r} have {len(vector)} rows, "
-                f"fragment has {len(self._codes)}"
-            )
-        self._codes = vector
-        self._null_state = (len(vector), bool(has_nulls))
-
-    def release(self) -> int:
-        """Drop loaded cold handles (memmap + lazy dictionary payload).
-
-        No-op on resident fragments.  Returns the resident bytes freed.
-        """
-        freed = 0
-        release_codes = getattr(self._codes, "release", None)
-        if self.is_mapped and release_codes is not None:
-            release_codes()
-        release_dict = getattr(self.dictionary, "release", None)
-        if release_dict is not None:
-            freed += release_dict()
-        return freed
-
     def nbytes(self) -> int:
         """Approximate bytes: packed code vector + dictionary payload.
 
         Codes are counted at the bit-packed width a column store would use
         (``ceil(log2(|dict|+1))`` bits per row), which is what makes the main
         store's better compression visible in the Section 6.2 experiment.
-        Mapped fragments are counted at their on-disk footprint instead —
-        use :meth:`nbytes_resident`/:meth:`nbytes_mapped` where the tier
-        split matters (eviction profit, budgets).
         """
-        return self.nbytes_resident() + self.nbytes_mapped()
-
-    def nbytes_resident(self) -> int:
-        """Bytes held in RAM.  For a mapped fragment this is only the
-        lazily loaded dictionary payload (0 when released); the mapped
-        pages themselves are the OS page cache's problem, not the budget's.
-        """
-        if self.is_mapped:
-            loaded = getattr(self.dictionary, "loaded_nbytes", None)
-            return loaded() if loaded is not None else 0
         n_rows = len(self._codes)
         n_distinct = len(self.dictionary)
         bits = max(1, int(np.ceil(np.log2(n_distinct + 2))))
         return (n_rows * bits + 7) // 8 + self.dictionary.nbytes()
 
-    def nbytes_mapped(self) -> int:
-        """Bytes backed by cold files (0 for resident fragments)."""
-        if not self.is_mapped:
-            return 0
-        mapped = self._codes.nbytes()
-        loaded = getattr(self.dictionary, "loaded_nbytes", lambda: 0)()
-        return mapped + max(0, self.dictionary.nbytes() - loaded)
-
     def __repr__(self) -> str:
         kind = "main" if isinstance(self.dictionary, MainDictionary) else "delta"
-        tier = ", mapped" if self.is_mapped else ""
-        return f"ColumnFragment({self.name!r}, kind={kind}, rows={len(self._codes)}{tier})"
+        return f"ColumnFragment({self.name!r}, kind={kind}, rows={len(self._codes)})"

@@ -269,8 +269,8 @@ def _build_group(
         group.main.name,
         table.schema,
         fragments,
-        _concatenate(p.cts_array()[keep] for p, keep in zip(sources, keeps)),
-        _concatenate(p.dts_array()[keep] for p, keep in zip(sources, keeps)),
+        np.concatenate([p.cts_array()[keep] for p, keep in zip(sources, keeps)]),
+        np.concatenate([p.dts_array()[keep] for p, keep in zip(sources, keeps)]),
     )
     new_delta = Partition(group.delta.name, "delta", table.schema)
     return new_main, new_delta, moved, dropped
@@ -313,9 +313,4 @@ def _merge_column(
         remap = np.full(len(fragment.dictionary) + 1, NULL_CODE, dtype=np.int64)
         remap[present] = dictionary.lookup_many(values, NULL_CODE)
         remapped.append(remap[codes])
-    return ColumnFragment.from_codes(name, dictionary, _concatenate(remapped))
-
-
-def _concatenate(parts) -> np.ndarray:
-    """One native ``int64`` array (mapped sources are little-endian on disk)."""
-    return np.concatenate(list(parts), dtype=np.int64)
+    return ColumnFragment.from_codes(name, dictionary, np.concatenate(remapped))

@@ -132,15 +132,10 @@ class Partition:
         # The resident synopsis below is keyed on it.
         self.version = 0
         # Resident synopsis: per-column (min, max, has_nulls), rebuilt
-        # lazily whenever the version moves.  This is what lets the pruner
-        # give verdicts on memory-mapped cold partitions without disk I/O —
-        # and spares resident partitions the repeated O(dict) min/max walk.
+        # lazily whenever the version moves.  This spares every prune
+        # verdict the repeated O(dict) min/max walk.
         self._synopsis: Dict[str, ColumnStats] = {}
         self._synopsis_version = -1
-        #: ``"mapped"`` once demotion or reattach moved the backing into the
-        #: cold store (:meth:`attach_mapped_stamps`), else ``"resident"``.
-        #: A merge builds a fresh, resident partition.
-        self.storage_tier = "resident"
 
     # ------------------------------------------------------------------
     # construction
@@ -225,11 +220,6 @@ class Partition:
             raise StorageError(
                 f"row {row} in partition {self.name!r} is already invalidated"
             )
-        if getattr(self._dts, "is_mapped_store", False):
-            # Cold files are immutable: promote dts to a resident copy so
-            # the stamp can land.  cts stays mapped — creation stamps never
-            # change after the merge that built this main.
-            self._promote_dts()
         self._dts[row] = dts
         self.invalidation_epoch += 1
         self.version += 1
@@ -347,10 +337,7 @@ class Partition:
         """The synopsis entry of one column: (min, max, has_nulls).
 
         Cached per partition version — appends and invalidations bump the
-        version, which lazily invalidates the whole synopsis.  For mapped
-        cold fragments every fact is answered from metadata (lazy
-        dictionary min/max, manifest-seeded null flag), so prune checks
-        never fault the cold files in.
+        version, which lazily invalidates the whole synopsis.
         """
         if self._synopsis_version != self.version:
             self._synopsis = {}
@@ -383,69 +370,13 @@ class Partition:
         """Whether any row of ``column`` is NULL (synopsis-cached)."""
         return self.column_stats(column).has_nulls
 
-    # ------------------------------------------------------------------
-    # storage tiers
-    # ------------------------------------------------------------------
-    def attach_mapped_stamps(self, cts, dts) -> None:
-        """Swap the MVCC stamp vectors onto mapped backing — the last step
-        of demotion and reattach, after every fragment was mapped, so it
-        also marks the partition ``mapped``.
-
-        ``dts`` may be None to keep the resident vector — recovery uses
-        that when WAL replay stamped invalidations after the demotion, so
-        the cold ``dts.bin`` is stale.
-        """
-        if len(cts) != len(self._cts):
-            raise StorageError(
-                f"mapped stamps for {self.name!r} have {len(cts)} rows, "
-                f"partition has {len(self._cts)}"
-            )
-        self._cts = cts
-        if dts is not None:
-            self._dts = dts
-        self.storage_tier = "mapped"
-
-    def _promote_dts(self) -> None:
-        """Copy a mapped ``dts`` vector back to a resident one (copy-on-write
-        before an invalidation stamp lands on a cold partition)."""
-        resident = IntVector()
-        resident.extend(self._dts.view())
-        self._dts = resident
-
-    def release_cold(self) -> int:
-        """Drop every loaded cold handle (memmaps, lazy dictionaries).
-
-        Returns the resident bytes freed.  Mapped data re-faults in
-        transparently on next access; resident partitions are untouched.
-        """
-        freed = sum(frag.release() for frag in self._columns.values())
-        for stamps in (self._cts, self._dts):
-            release = getattr(stamps, "release", None)
-            if release is not None:
-                release()
-        return freed
-
     def nbytes(self) -> int:
         """Approximate bytes: all column fragments + MVCC stamp vectors
         (+ the lineage log of a delta)."""
-        return self.nbytes_resident() + self.nbytes_mapped()
-
-    def nbytes_resident(self) -> int:
-        """Bytes held in RAM (mapped cold pages excluded)."""
-        total = sum(frag.nbytes_resident() for frag in self._columns.values())
-        for stamps in (self._cts, self._dts):
-            if not getattr(stamps, "is_mapped_store", False):
-                total += stamps.nbytes()
+        total = sum(frag.nbytes() for frag in self._columns.values())
+        total += self._cts.nbytes() + self._dts.nbytes()
         if self.lineage is not None:
             total += self.lineage.nbytes()
-        return total
-
-    def nbytes_mapped(self) -> int:
-        """Bytes backed by cold-tier files (0 while fully resident)."""
-        total = sum(frag.nbytes_mapped() for frag in self._columns.values())
-        for stamps in (self._cts, self._dts):
-            if getattr(stamps, "is_mapped_store", False):
-                total += stamps.nbytes()
         return total
 
     def nbytes_columns(self, names: Iterable[str]) -> int:
@@ -453,7 +384,4 @@ class Partition:
         return sum(self._columns[name].nbytes() for name in names)
 
     def __repr__(self) -> str:
-        tier = ", mapped" if self.storage_tier == "mapped" else ""
-        return (
-            f"Partition({self.name!r}, kind={self.kind}, rows={self.row_count}{tier})"
-        )
+        return f"Partition({self.name!r}, kind={self.kind}, rows={self.row_count})"

@@ -314,33 +314,6 @@ class Table:
         """Approximate bytes across all partitions."""
         return sum(p.nbytes() for p in self.partitions())
 
-    def nbytes_resident(self) -> int:
-        """Approximate RAM bytes across all partitions (mapped excluded)."""
-        return sum(p.nbytes_resident() for p in self.partitions())
-
-    def nbytes_mapped(self) -> int:
-        """Approximate cold-tier (memory-mapped) bytes across all partitions."""
-        return sum(p.nbytes_mapped() for p in self.partitions())
-
-    def tier_bytes(self) -> Dict[str, int]:
-        """Byte totals by storage tier, the ``repro_storage_tier_bytes``
-        breakdown: ``hot`` (resident bytes of hot/default groups),
-        ``cold_resident`` (cold-group bytes still in RAM — cold deltas,
-        un-demoted cold mains, loaded lazy dictionaries), and
-        ``cold_mapped`` (bytes backed by cold-store files)."""
-        out = {"hot": 0, "cold_resident": 0, "cold_mapped": 0}
-        for grp in self._groups.values():
-            for partition in grp.partitions():
-                if grp.name == "cold":
-                    out["cold_resident"] += partition.nbytes_resident()
-                    out["cold_mapped"] += partition.nbytes_mapped()
-                else:
-                    out["hot"] += partition.nbytes_resident()
-                    # A mapped non-cold main is unusual but representable
-                    # (manual demotion of a default-group main).
-                    out["cold_mapped"] += partition.nbytes_mapped()
-        return out
-
     # ------------------------------------------------------------------
     # schema evolution
     # ------------------------------------------------------------------

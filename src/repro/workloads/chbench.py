@@ -67,8 +67,7 @@ class ChConfig:
     # aging rules: orders with ``o_year >= hot_year`` are hot, and
     # orderlines with ``ol_delivery_d >= "<hot_year>-01-01"`` are hot.
     # Both rules classify by the order's business year, so the pair is
-    # declared consistently aged (paper §5.4) and cold mains become
-    # eligible for ``Database.age_out()`` demotion to the cold store.
+    # declared consistently aged (paper §5.4).
     hot_year: Optional[int] = None
     # When set, prices/amounts are multiples of this quantum instead of
     # cent-rounded uniforms.  A power-of-two fraction (0.25, 0.5) makes

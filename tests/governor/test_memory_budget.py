@@ -33,7 +33,7 @@ WORKLOAD_SQL = [
 ]
 
 
-SHED_KINDS = {"cold", "memo", "entry", "plan"}
+SHED_KINDS = {"memo", "entry", "plan"}
 
 
 def _derived_bytes(entry) -> int:
@@ -75,7 +75,7 @@ class TestTrackedBytes:
 
 
 class TestSheddingOrder:
-    def test_shed_reports_exactly_cold_memo_entry_plan(self):
+    def test_shed_reports_exactly_memo_entry_plan(self):
         db = _populated_db()
         _run_workload(db)
         assert set(db.cache.shed_to_budget(db.cache.tracked_bytes())) == SHED_KINDS
@@ -90,10 +90,10 @@ class TestSheddingOrder:
         derived = [e for e in by_lru if _derived_bytes(e)]
         assert derived, "workload should have built delta memos"
         entries_before = db.cache.entry_count()
-        # A budget just below the full footprint (no cold tier here): the
-        # least recently used entry's memo and order cover it alone.
+        # A budget just below the full footprint: the least recently used
+        # entry's memo and order cover it alone.
         shed = db.cache.shed_to_budget(db.cache.tracked_bytes() - 1)
-        assert shed == {"cold": 0, "memo": 1, "entry": 0, "plan": 0}
+        assert shed == {"memo": 1, "entry": 0, "plan": 0}
         assert db.cache.entry_count() == entries_before
         assert _derived_bytes(derived[0]) == 0
         assert all(_derived_bytes(e) for e in derived[1:])
@@ -107,7 +107,6 @@ class TestSheddingOrder:
         # go, no entry and no plan does.
         shed = db.cache.shed_to_budget(db.cache.tracked_bytes() - sum(held))
         assert shed == {
-            "cold": 0,
             "memo": sum(1 for nbytes in held if nbytes),
             "entry": 0,
             "plan": 0,

@@ -24,7 +24,6 @@ from repro.query.operators import (
     probe_hash_join,
 )
 from repro.storage import ColumnDef, Partition, Schema, SqlType
-from repro.storage.coldstore import LazyMainDictionary
 from repro.storage import dictionary as dictionary_module
 from repro.storage.dictionary import MainDictionary
 
@@ -497,16 +496,6 @@ class TestMainBridgeParity:
         assert dictionary.int_values() is ints
         assert MainDictionary(["a"]).int_values() is None
         assert MainDictionary().int_values().tolist() == []
-
-    def test_cold_dictionary_is_not_loaded_to_bridge(self, tmp_path):
-        path = tmp_path / "dict.json"
-        path.write_text("[1, 2, 3]")
-        cold = LazyMainDictionary(path, 3, 1, 3)
-        assert operators._int_pair(cold, MainDictionary([2, 3])) is None
-        assert operators._int_pair(MainDictionary([2, 3]), cold) is None
-        assert not cold.is_loaded
-        bridged = _bridge(cold, np.array([0, 2, -1]), MainDictionary([2, 3]))
-        assert bridged.tolist() == [-2, 1, -2]
 
 
 # ---------------------------------------------------------------------------

@@ -78,13 +78,7 @@ def run_until_crash(db) -> int:
 
 
 def crashable_points():
-    # The coldstore points need an aged table plus an age_out() call and
-    # get their own kill-point sweep in test_cold_demotion.py.
-    return sorted(
-        p
-        for p in KNOWN_FAULT_POINTS
-        if not p.startswith("test.") and not p.startswith("coldstore.")
-    )
+    return sorted(p for p in KNOWN_FAULT_POINTS if not p.startswith("test."))
 
 
 @pytest.mark.parametrize("point", crashable_points())

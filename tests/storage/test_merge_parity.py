@@ -10,7 +10,6 @@ The guard test pins the reason the merge was rewritten: on a table of any
 size it makes no per-row call into the storage classes.
 """
 
-import tempfile
 from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
@@ -25,7 +24,6 @@ from repro.storage import (
     Schema,
     SqlType,
     Table,
-    demote_partition,
     merge_table,
     threshold_aging,
 )
@@ -81,8 +79,6 @@ def merge_and_compare(table: Table, snapshot: int, keep_history: bool, group_nam
         assert all(p.row_count == 0 for p in group.delta_partitions())
         if group.name in idle:
             assert group.main is idle[group.name]
-            if group.main.storage_tier == "mapped":
-                continue  # stays demoted; a rebuild would be resident
         assert_same_partition(group.main, want_main)
     assert stats.groups_merged == len(groups) - len(idle)
     assert (table.version == version) == (len(idle) == len(groups))
@@ -139,7 +135,6 @@ def histories(draw):
         st.tuples(st.just("update"), st.integers(0, 1 << 16), changes),
         st.tuples(st.just("delete"), st.integers(0, 1 << 16)),
         st.tuples(st.just("merge"), group, st.booleans()),
-        st.just(("demote",)),
     )
     return {
         "kinds": kinds,
@@ -178,7 +173,7 @@ def test_every_merge_of_a_random_history_matches_the_oracle(history):
     live = []  # keys with a live version, in insertion order
     next_id = 0
     tid = 0
-    with tempfile.TemporaryDirectory() as cold_dir, untyped_columns():
+    with untyped_columns():
         for op in history["ops"]:
             tid += 1
             if op[0] == "insert":
@@ -193,10 +188,6 @@ def test_every_merge_of_a_random_history_matches_the_oracle(history):
                 table.delete(live.pop(op[1] % len(live)), tid)
             elif op[0] == "merge":
                 merge_and_compare(table, tid, keep_history=op[2], group_name=op[1])
-            elif op[0] == "demote":
-                for main in table.main_partitions():
-                    if main.row_count:
-                        demote_partition(table.name, main, cold_dir)
         merge_and_compare(
             table,
             tid,
@@ -231,26 +222,6 @@ def test_equal_values_of_different_type_keep_the_earliest_source():
         merge_and_compare(table, 8, keep_history=False)
         values = table.partition("main").column("c0").dictionary.values()
         assert [(v, type(v)) for v in values] == [(0.0, float), (True, bool)]
-
-
-def test_a_merge_out_of_a_mapped_main_matches_the_oracle(tmp_path):
-    """The deterministic twin of the ``demote`` op above: rows invalidated in
-    a cold main (copy-on-write ``dts``) and merged out of the mapped files."""
-    table = make_table({"kinds": ["str", "int"], "aged": True, "separate_update_delta": False})
-    for key in range(40):
-        table.insert(
-            {"id": key, "year": 2012 + key % 4, "c0": "ab"[key % 2], "c1": key % 7}, tid=1
-        )
-    merge_and_compare(table, 1, keep_history=False)
-    cold_main = table.partition("cold_main")
-    demote_partition(table.name, cold_main, tmp_path)
-    assert cold_main.storage_tier == "mapped"
-    table.update(0, {"c0": None}, tid=2)  # a cold row: dts promoted, new version in cold delta
-    table.delete(4, tid=3)
-    table.insert({"id": 99, "year": 2012, "c0": "zz", "c1": None}, tid=4)
-    stats = merge_and_compare(table, 4, keep_history=False, group_name="cold")
-    assert (stats.rows_moved, stats.rows_dropped) == (2, 2)
-    assert table.partition("cold_main").storage_tier == "resident"
 
 
 # ----------------------------------------------------------------------
