@@ -1,10 +1,12 @@
-"""Operating the engine: CSV loading, merge advisor, traces, snapshots.
+"""Operating the engine: CSV loading, merge, idle refresh, traces, snapshots.
 
 A day-2-operations tour of the toolkit around the core engine:
 
 * bulk-load a table from CSV (matching dependencies enforced per row),
-* let the merge advisor decide when to run the delta merge — and watch it
-  pull MD-related tables in together (merge synchronization, Section 5.2),
+* merge all tables in one call, so MD-related deltas empty together
+  (merge synchronization, Section 5.2),
+* refresh the cache while idle: each entry takes now the step its next
+  read would take,
 * record the workload as a trace and replay it into a fresh database,
 * persist a snapshot to disk and reload it.
 
@@ -15,7 +17,6 @@ import tempfile
 from pathlib import Path
 
 from repro import Database, ExecutionStrategy
-from repro.core import MergeAdvisor
 from repro.storage import load_database, save_database
 from repro.workloads import TraceRecorder, TraceReplayer
 
@@ -62,10 +63,8 @@ def main() -> None:
     with TraceRecorder(db, trace_path) as recorder:
         print(f"imported {db.import_csv('invoice', invoices)} invoices")
         print(f"imported {db.import_csv('invoice_line', lines)} invoice lines")
-        advisor = MergeAdvisor(delta_fill_threshold=0.3, min_delta_rows=50)
-        recommendation = advisor.recommend(db)
-        print(f"\nadvisor: {recommendation.describe()}")
-        db.auto_merge(advisor)
+        merged = db.merge()  # all tables at once: a synchronized merge
+        print(f"\nmerged {sum(s.rows_moved for s in merged)} delta rows")
         db.query(SQL, strategy=ExecutionStrategy.CACHED_FULL_PRUNING)
         # some fresh business after the merge
         for inv_id in range(200, 210):
@@ -84,6 +83,9 @@ def main() -> None:
                 ],
             )
         print(f"recorded {recorder.operations} operations into {trace_path.name}")
+
+    refreshed = db.refresh_cache()
+    print(f"idle refresh installed memos: {refreshed}")
 
     result = db.query(SQL, strategy=ExecutionStrategy.CACHED_FULL_PRUNING)
     print("\nrevenue per region:")

@@ -3,9 +3,9 @@
 :class:`ReadWriteLock` is the database-level lock.  Queries take the
 *shared* side so they proceed in parallel; DML, delta merges, DDL, and
 recovery take the *exclusive* side.  The lock is reentrant in both
-directions for the owning thread (``merge`` calls ``checkpoint``,
-``auto_merge`` calls ``merge``, write listeners may issue reads), and
-writer-preferring so a steady query stream cannot starve writers.
+directions for the owning thread (``merge`` calls ``checkpoint``, write
+listeners may issue reads), and writer-preferring so a steady query
+stream cannot starve writers.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ from .explain import QueryPlan, SubjoinPlan, explain_query
 from .main_compensation import StaleEntryError
 from .manager import AggregateCacheManager, CacheQueryReport
 from .matching_dependency import MatchingDependency, validate_md
-from .merge_advisor import MergeAdvisor, MergeRecommendation
 from .metrics import CacheMetrics, EntryStatus
 from .pruning import JoinPruner, PruneReport, partition_temperature
 from .strategies import CacheConfig, ExecutionStrategy, MaintenanceMode
@@ -34,8 +33,6 @@ __all__ = [
     "MDEnforcer",
     "MaintenanceMode",
     "MatchingDependency",
-    "MergeAdvisor",
-    "MergeRecommendation",
     "ProfitAdmission",
     "ProfitEviction",
     "PruneReport",

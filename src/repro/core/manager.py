@@ -66,10 +66,8 @@ from .delta_memo import (
 from .eviction import EvictionPolicy, ProfitEviction
 from .main_compensation import StaleEntryError
 from .maintenance import (
-    RefreshDecision,
     _PendingMaintenance,
     finish_entry_maintenance,
-    plan_cache_refresh,
     plan_entry_maintenance,
 )
 from .matching_dependency import MatchingDependency
@@ -238,7 +236,7 @@ class AggregateCacheManager:
         self.total_memo_hits = 0  # incremental delta-compensation reuses
         self.total_memo_misses = 0  # full recomputes that (re)built a memo
         self.total_memo_bypass = 0  # queries the memo layer stepped aside for
-        # Proactive refreshes by action: "advance" stepped the entry's
+        # Memos idle refreshes installed: "advance" stepped the entry's
         # memo, "rebuild" stepped from its birth.
         self.total_refreshes = {"advance": 0, "rebuild": 0}
         self.total_result_reuses = 0  # pure hits served from a remembered order
@@ -928,7 +926,6 @@ class AggregateCacheManager:
                     comp_span.attrs["suppressed_rows"] = sum(
                         map(len, step.effective.suppressed.values())
                     )
-            entry.metrics.compensation_time_main += elapsed
             report.time_main_compensation += elapsed
             report.invalidated_rows_compensated += rows
             report.silent_rows_cancelled += step.effective.cancelled
@@ -942,17 +939,16 @@ class AggregateCacheManager:
         plan: PhysicalPlan,
         snapshot: int,
         entry: AggregateCacheEntry,
-        from_birth: bool = False,
         resident: bool = True,
     ) -> _MemoRoute:
         """The visibility step to ``snapshot`` for a single-entry ``plan``:
         from the entry's memo when it can take it, else from the entry's
-        birth memo (always with ``from_birth``, and for an entry not kept
-        in the cache: ``resident`` false).  Raises
+        birth memo (always for an entry not kept in the cache: ``resident``
+        false).  Reads and idle refreshes alike route here.  Raises
         :class:`StaleEntryError` when the entry's mains were rebuilt."""
         with self._lock:
             memo = entry.delta_memo
-        verdict = "birth" if from_birth else classify_memo(memo, snapshot, plan)
+        verdict = classify_memo(memo, snapshot, plan)
         if verdict == "incremental":
             step = visibility_step(memo, entry, snapshot)
             if step is not None:
@@ -1043,7 +1039,6 @@ class AggregateCacheManager:
             metrics=CacheMetrics(
                 size_bytes=value.approximate_nbytes(),
                 aggregated_records_main=records,
-                creation_time_main=creation_time,
             ),
         )
         with self._lock:
@@ -1263,7 +1258,6 @@ class AggregateCacheManager:
         # from the planned subjoin list (a step).  One sink, every subjoin
         # exactly once — EXPLAIN ANALYZE parity depends on it.
         span_sink = span.children if span is not None else None
-        entries = [entry for entry, _route in answered]
         route = answered[0][1] if len(answered) == 1 else None
         comp_started = time.perf_counter()
         pure = None
@@ -1283,18 +1277,6 @@ class AggregateCacheManager:
                 pure = (route.entry, memo)
         elapsed = time.perf_counter() - comp_started
         report.time_delta_compensation += elapsed
-        # Compensation-pressure accounting: attribute this query's delta-
-        # compensation time to the entries it compensated for, so the merge
-        # advisor's pressure signal reflects real work.  The counter is
-        # cumulative until the entry's *successful* maintenance resets it
-        # (see finish_entry_maintenance) — a cancelled two-phase merge
-        # must neither reset nor double-count it.
-        owners = [e for e in entries if e is not None]
-        if owners:
-            share = elapsed / len(owners)
-            with self._lock:
-                for owner in owners:
-                    owner.metrics.compensation_time_delta += share
         self._close_compensation(plan, report, span)
         return pure
 
@@ -1510,76 +1492,46 @@ class AggregateCacheManager:
             obs.pushdown_filters.inc(prune.pushdown_filters)
 
     # ------------------------------------------------------------------
-    # proactive refresh (idle-time maintenance)
+    # idle refresh
     # ------------------------------------------------------------------
-    def refresh_entries(
-        self,
-        snapshot: int,
-        decisions: Optional[List[RefreshDecision]] = None,
-        max_entries: Optional[int] = None,
-    ) -> List[RefreshDecision]:
-        """Apply cardinality-routed refreshes (see
-        :func:`repro.core.maintenance.plan_cache_refresh`): take each routed
-        entry's visibility step *now*, off the query path, from its memo
-        (``advance``) or from its birth memo (``rebuild``), so the next hit
-        replays an already-advanced memo.
+    def refresh_entries(self, snapshot: int) -> Dict[str, int]:
+        """Take now, off the query path, the visibility step each entry's
+        next read at ``snapshot`` would take, and install the stepped memo.
 
-        ``decisions`` defaults to a fresh plan; ``max_entries`` bounds the
-        work per idle tick (remaining decisions are returned untouched).
-        Returns the decision list with each applied action recorded.
+        Only an active entry that alone answers its statement's plan has a
+        memo to step; the route is the read's own (:meth:`_route_memo`).
+        Returns the memos installed by route: ``advance`` (stepped the
+        entry's memo) and ``rebuild`` (stepped from its birth memo).  A
+        clean entry, a stale one and a lost install race count nothing.
         """
-        if decisions is None:
-            decisions = plan_cache_refresh(
-                self, snapshot, self.config.refresh_rebuild_ratio
-            )
-        applied = 0
-        for decision in decisions:
-            if decision.action == "skip":
-                if self.obs.enabled:
-                    self.obs.cache_refresh.labels("skip").inc()
+        installed = {"advance": 0, "rebuild": 0}
+        for entry in self.entries():
+            if not entry.is_active:
                 continue
-            if max_entries is not None and applied >= max_entries:
-                break
-            with self._lock:
-                entry = self._entries.get(decision.key)
-            if entry is None or not entry.is_active:
-                decision.action, decision.reason = "skip", "entry_gone"
-                continue
-            try:
-                plan = self.plan_for(entry.query)
-            except Exception:
-                decision.action, decision.reason = "skip", "unplannable"
-                continue
-            if len(plan.cache_keys) != 1:
-                decision.action, decision.reason = "skip", "multi_entry"
-                continue
-            action = self._refresh_entry(
-                entry, plan, snapshot, decision.action == "rebuild"
-            )
-            if not action:
-                decision.action, decision.reason = "skip", "raced"
-                continue
-            if action != decision.action:
-                decision.action, decision.reason = action, "advance_raced"
-            applied += 1
-            with self._lock:
-                self.total_refreshes[action] += 1
-            if self.obs.enabled:
-                self.obs.cache_refresh.labels(action).inc()
-        return decisions
+            plan = self.plan_for(entry.query)
+            if plan.cache_keys != [entry.key]:
+                continue  # several entries answer it, or another entry does
+            action = self._refresh_entry(entry, plan, snapshot)
+            if action:
+                installed[action] += 1
+        with self._lock:
+            for action, count in installed.items():
+                self.total_refreshes[action] += count
+        if self.obs.enabled:
+            for action, count in installed.items():
+                if count:
+                    self.obs.cache_refresh.labels(action).inc(count)
+        return installed
 
-    def _refresh_entry(
-        self, entry, plan: PhysicalPlan, snapshot: int, from_birth: bool
-    ) -> str:
+    def _refresh_entry(self, entry, plan: PhysicalPlan, snapshot: int) -> str:
         """Take the entry's visibility step to ``snapshot`` — main side and
-        delta subjoins alike — and CAS-install the advanced memo.  Steps
-        from the entry's memo unless ``from_birth`` or the memo cannot step
-        (raced away / partitions swapped / a stamp landed at or below its
-        anchor).  Returns ``"advance"`` (stepped the memo), ``"rebuild"``
-        (stepped from birth), or ``""`` when the entry went stale or the
-        install lost a race."""
+        delta subjoins alike — and CAS-install the stepped memo.  Returns
+        ``"advance"`` (stepped the entry's memo), ``"rebuild"`` (stepped
+        from its birth memo), or ``""`` when nothing was installed: the
+        memo already stands at ``snapshot``'s rows, the entry went stale,
+        or the install lost a race."""
         try:
-            route = self._route_memo(plan, snapshot, entry, from_birth)
+            route = self._route_memo(plan, snapshot, entry)
         except StaleEntryError:
             return ""  # the next read recomputes the entry itself
         step = route.step
@@ -1591,7 +1543,7 @@ class AggregateCacheManager:
                 self._executor, plan.query, snapshot, specs, step.effective, inc
             )
         advanced = self._advance(route, snapshot, inc, plan.signature)
-        if advanced is not route.memo and self._install(route, advanced) is None:
+        if advanced is route.memo or self._install(route, advanced) is None:
             return ""
         return "advance" if route.mode == "incremental" else "rebuild"
 

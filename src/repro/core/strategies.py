@@ -85,9 +85,3 @@ class CacheConfig:
     # exclusion candidates to exactly those names (() = exclude nothing).
     # A per-query star_join_tables=... takes precedence when given.
     star_join_tables: Optional[Union[str, Iterable[str]]] = None
-    # Cardinality-based refresh routing: an entry whose estimated affected
-    # rows exceed this fraction of the rows its memo already covers is
-    # refreshed by a step from its birth memo (a recompute) instead of a
-    # step from its memo.  Reads always step the entry's memo when it can
-    # (repro.core.delta_memo).
-    refresh_rebuild_ratio: float = 0.5

@@ -749,46 +749,20 @@ class Database:
                 self.checkpoint()
             return stats
 
-    def auto_merge(self, advisor=None) -> List[MergeStats]:
-        """Consult a merge advisor and merge the recommended tables.
+    def refresh_cache(self) -> Dict[str, int]:
+        """Idle hook: take, for every cache entry that alone answers its
+        statement, the visibility step the entry's next read would take,
+        and install the stepped memo — so that read finds nothing left to
+        fold (see :meth:`AggregateCacheManager.refresh_entries`).
 
-        Tables connected by matching dependencies merge together, so the
-        merges are synchronized (Section 5.2).  Returns the merge stats
-        (empty list = nothing recommended).
+        Runs under the shared read lock — a refresh is a snapshot read plus
+        compare-and-swap memo installs, exactly like a read's compensation,
+        so it coexists with concurrent readers and yields to writers.
+        Returns the memos installed, ``{"advance": n, "rebuild": m}``.
         """
-        from .core.merge_advisor import MergeAdvisor
-
-        advisor = advisor if advisor is not None else MergeAdvisor()
-        with self.lock.write():  # advise + merge atomically vs. writers
-            recommendation = advisor.recommend(self)
-            stats: List[MergeStats] = []
-            for name in recommendation.tables:
-                stats.extend(self.merge(name))
-            return stats
-
-    def refresh_cache(self, advisor=None, max_entries=None):
-        """Idle hook: proactively advance or rebuild cache-entry delta
-        memos per the cardinality-based refresh policy (see
-        :func:`repro.core.maintenance.plan_cache_refresh`), so steady-state
-        queries hit already-advanced memos instead of compensating on the
-        critical path.
-
-        Runs under the shared read lock — refreshes are snapshot reads
-        plus compare-and-swap memo installs, exactly like query-time
-        compensation, so they coexist with concurrent readers and yield
-        to writers.  Returns the routed decision list.
-        """
-        from .core.merge_advisor import MergeAdvisor
-
-        advisor = advisor if advisor is not None else MergeAdvisor()
         with self.lock.read():
             snapshot = self.transactions.global_snapshot()
-            recommendation = advisor.recommend_refresh(self, snapshot)
-            return self.cache.refresh_entries(
-                snapshot,
-                decisions=recommendation.decisions,
-                max_entries=max_entries,
-            )
+            return self.cache.refresh_entries(snapshot)
 
     # ------------------------------------------------------------------
     # queries

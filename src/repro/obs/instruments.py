@@ -95,8 +95,9 @@ class EngineMetrics:
         )
         self.cache_refresh = r.counter(
             names.CACHE_REFRESH_TOTAL,
-            "Proactive cache-entry refreshes, by routed action "
-            "(advance / rebuild / skip).",
+            "Delta memos idle refreshes installed, by route "
+            "(advance = stepped the entry's memo, rebuild = stepped from "
+            "its birth memo).",
             labels=("action",),
         )
         self.cache_result_reuse = r.counter(

@@ -21,12 +21,7 @@ from .checkpoint import (
     restore_checkpoint,
     write_checkpoint,
 )
-from .faults import (
-    KNOWN_FAULT_POINTS,
-    FaultInjector,
-    SimulatedCrash,
-    register_fault_point,
-)
+from .faults import KNOWN_FAULT_POINTS, FaultInjector, SimulatedCrash
 from .recovery import RecoveryStats, recover_database
 from .wal import WalRecord, WalScan, WalStats, WriteAheadLog
 
@@ -43,7 +38,6 @@ __all__ = [
     "list_checkpoints",
     "read_checkpoint",
     "recover_database",
-    "register_fault_point",
     "restore_checkpoint",
     "write_checkpoint",
 ]

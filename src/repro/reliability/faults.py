@@ -74,11 +74,6 @@ KNOWN_FAULT_POINTS = {
 _MODES = ("raise", "crash", "delay", "io_error")
 
 
-def register_fault_point(name: str, description: str = "") -> None:
-    """Declare an additional fault point (extensions / tests)."""
-    KNOWN_FAULT_POINTS.setdefault(name, description)
-
-
 @dataclass
 class _ArmedFault:
     mode: str  # "raise" | "crash" | "delay" | "io_error"

@@ -482,7 +482,6 @@ class TestMetrics:
         assert entry.metrics.reference_count == 2
         assert entry.metrics.status is EntryStatus.ACTIVE
         assert entry.metrics.size_bytes > 0
-        assert entry.metrics.creation_time_main > 0
 
     def test_profit_gauge_is_rows_saved_per_cached_byte(self, erp_db):
         erp_db.query(HEADER_ITEM_SQL, strategy=FULL)

@@ -1,23 +1,12 @@
-"""Cardinality-based cache refresh: routing, synopsis discounts, application.
-
-``plan_cache_refresh`` routes every live entry to skip / advance / rebuild
-from the estimated *affected rows* — physical delta growth past the memo's
-watermarks, discounted by synopsis-based selectivity of the entry's local
-filters.  ``Database.refresh_cache`` applies the routed actions off the
-query path, so the next query replays an already-advanced memo.
+"""Idle refresh: ``Database.refresh_cache`` takes, for every entry that
+alone answers its statement, the visibility step the entry's next read
+would take — routed by the read's own ``_route_memo`` — and installs the
+stepped memo, so that read finds nothing left to fold.  It counts an
+``advance`` (stepped the entry's memo) or a ``rebuild`` (stepped from the
+entry's birth memo) only for a memo it installed.
 """
 
-import pytest
-
-from repro import CacheConfig, Database, ExecutionStrategy
-from repro.core import MergeAdvisor
-from repro.core.maintenance import (
-    RefreshDecision,
-    _suffix_selectivity,
-    _synopsis_refutes,
-    plan_cache_refresh,
-)
-from repro.query.sql import parse_sql
+from repro import ExecutionStrategy
 
 from ..conftest import PROFIT_SQL, load_erp, make_erp_db
 
@@ -29,162 +18,90 @@ def _typed(rows):
     return [tuple((type(v).__name__, v) for v in row) for row in rows]
 
 
-def _routed(db):
-    snapshot = db.transactions.global_snapshot()
-    return {
-        d.key: d
-        for d in plan_cache_refresh(
-            db.cache, snapshot, db.cache.config.refresh_rebuild_ratio
-        )
-    }
+def _refreshes(db):
+    counters = db.cache.counters_snapshot()
+    return counters["refresh_advances"], counters["refresh_rebuilds"]
+
+
+def _grown_db(growth_headers):
+    """A cached statement whose memo covers 66 rows (12 merged business
+    objects, 4 in the deltas, 2 categories), then ``growth_headers`` more
+    business objects (4 rows each) in the deltas."""
+    db = make_erp_db()
+    load_erp(db, n_headers=12, merge=True)
+    load_erp(db, n_headers=4, start_hid=100, merge=False)
+    db.query(PROFIT_SQL, strategy=FULL)  # installs the memo
+    load_erp(db, n_headers=growth_headers, start_hid=300, merge=False)
+    return db
+
+
+def _assert_next_read_folds_nothing(db):
+    truth = db.query(PROFIT_SQL, strategy=UNCACHED)
+    result = db.query(PROFIT_SQL, strategy=FULL)
+    report = db.last_report
+    assert report.delta_memo_mode == "incremental"
+    assert report.executor_stats.combos_evaluated == 0
+    assert _typed(result.rows) == _typed(truth.rows)
 
 
 class TestRouting:
     def test_clean_entry_skips(self):
         db = make_erp_db()
         load_erp(db, n_headers=6, merge=True)
-        db.query(PROFIT_SQL, strategy=FULL)
-        decisions = list(_routed(db).values())
-        assert decisions
-        assert all(d.action == "skip" for d in decisions)
-        assert any(d.reason == "clean" for d in decisions)
-
-    def test_modest_growth_routes_to_advance(self):
-        db = make_erp_db()
-        load_erp(db, n_headers=12, merge=True)
-        load_erp(db, n_headers=6, start_hid=100, merge=False)
-        db.query(PROFIT_SQL, strategy=FULL)  # builds the memo
-        load_erp(db, n_headers=1, start_hid=300, merge=False)  # small growth
-        decisions = [
-            d for d in _routed(db).values() if d.action != "skip"
-        ]
-        assert decisions
-        advance = [d for d in decisions if d.action == "advance"]
-        assert advance
-        assert all(d.reason == "delta_growth" for d in advance)
-        assert all(d.affected_rows > 0 for d in advance)
-
-    def test_dominant_growth_routes_to_rebuild(self):
-        db = make_erp_db(
-            cache_config=CacheConfig(refresh_rebuild_ratio=0.01)
-        )
-        load_erp(db, n_headers=6, merge=True)
         load_erp(db, n_headers=2, start_hid=100, merge=False)
         db.query(PROFIT_SQL, strategy=FULL)
-        load_erp(db, n_headers=6, start_hid=300, merge=False)  # big growth
-        decisions = [d for d in _routed(db).values() if d.action != "skip"]
-        assert decisions
-        assert all(d.action == "rebuild" for d in decisions)
-
-
-class TestSynopsisDiscount:
-    def test_refutes_out_of_range_equality(self):
-        db = make_erp_db()
-        load_erp(db, n_headers=6, merge=False)
-        delta = db.table("header").partition("delta")
-        in_range = parse_sql(
-            "SELECT COUNT(*) AS n FROM header h WHERE h.year = 2013 GROUP BY h.year"
-        ).filters[0]
-        out_of_range = parse_sql(
-            "SELECT COUNT(*) AS n FROM header h WHERE h.year = 1999 GROUP BY h.year"
-        ).filters[0]
-        assert not _synopsis_refutes(delta, in_range)
-        assert _synopsis_refutes(delta, out_of_range)
-        assert _suffix_selectivity(delta, [out_of_range]) == 0.0
-        assert 0.0 < _suffix_selectivity(delta, [in_range]) < 1.0
-
-    def test_refuted_filter_zeroes_affected_rows(self):
-        filtered_sql = (
-            "SELECT d.name AS category, COUNT(*) AS n "
-            "FROM header h, item i, category d "
-            "WHERE h.hid = i.hid AND i.cid = d.cid AND h.year = 1999 "
-            "GROUP BY d.name"
+        memos = {entry.key: entry.delta_memo for entry in db.cache.entries()}
+        assert memos and all(memo is not None for memo in memos.values())
+        assert db.refresh_cache() == {"advance": 0, "rebuild": 0}
+        assert all(
+            entry.delta_memo is memos[entry.key] for entry in db.cache.entries()
         )
-        db = make_erp_db()
-        load_erp(db, n_headers=6, merge=True)
-        db.query(filtered_sql, strategy=FULL)
-        # Growth only in header rows, all of them 2013/2014: the synopsis
-        # proves year=1999 matches none of them.
-        for hid in range(300, 310):
-            db.insert("header", {"hid": hid, "year": 2013 + hid % 2})
-        decisions = list(_routed(db).values())
-        assert decisions
-        assert all(d.affected_rows == 0 for d in decisions)
+        assert _refreshes(db) == (0, 0)
+
+    def test_modest_growth_routes_to_advance(self):
+        db = _grown_db(growth_headers=1)
+        assert db.refresh_cache() == {"advance": 1, "rebuild": 0}
+        assert _refreshes(db) == (1, 0)
+        _assert_next_read_folds_nothing(db)
+
+    def test_dominant_growth_advances(self):
+        # 48 new rows against 66 covered: past half the covered prefix,
+        # and still the read's step — from the memo, which reads only the
+        # new rows.
+        db = _grown_db(growth_headers=12)
+        assert db.refresh_cache() == {"advance": 1, "rebuild": 0}
+        assert _refreshes(db) == (1, 0)
+        _assert_next_read_folds_nothing(db)
 
 
 class TestApplication:
-    def _grown_db(self):
-        db = make_erp_db()
-        load_erp(db, n_headers=12, merge=True)
-        load_erp(db, n_headers=4, start_hid=100, merge=False)
-        db.query(PROFIT_SQL, strategy=FULL)
-        load_erp(db, n_headers=2, start_hid=300, merge=False)
-        return db
-
     def test_refresh_cache_advances_memos_off_the_query_path(self):
-        db = self._grown_db()
-        truth = db.query(PROFIT_SQL, strategy=UNCACHED)
-        decisions = db.refresh_cache()
-        applied = [d for d in decisions if d.action != "skip"]
-        assert applied
-        counters = db.cache.counters_snapshot()
-        assert (
-            counters["refresh_advances"] + counters["refresh_rebuilds"]
-            >= len(applied)
-        )
-        # The next query replays the advanced memo: incremental mode with
-        # nothing left to scan past the watermarks, same rows as uncached.
-        result = db.query(PROFIT_SQL, strategy=FULL)
-        assert _typed(result.rows) == _typed(truth.rows)
-        report = db.last_report
-        assert report.delta_memo_mode == "incremental"
+        db = _grown_db(growth_headers=2)
+        entry = db.cache.entries()[0]
+        before = entry.delta_memo
+        db.refresh_cache()
+        assert entry.delta_memo is not before
+        assert entry.delta_memo.anchor == db.transactions.global_snapshot()
+        _assert_next_read_folds_nothing(db)
 
     def test_refresh_is_idempotent(self):
-        db = self._grown_db()
-        db.refresh_cache()
-        again = db.refresh_cache()
-        assert all(d.action == "skip" for d in again)
-
-    def test_advisor_recommendation_matches_planner(self):
-        db = self._grown_db()
-        recommendation = MergeAdvisor().recommend_refresh(db)
-        assert recommendation.should_refresh
-        assert "refresh recommended" in recommendation.describe()
-        db.refresh_cache(max_entries=None)
-        after = MergeAdvisor().recommend_refresh(db)
-        assert not after.should_refresh
-        assert after.describe() == "no refresh recommended"
-
-    def test_max_entries_bounds_the_tick(self):
-        db = make_erp_db()
-        load_erp(db, n_headers=12, merge=True)
-        load_erp(db, n_headers=4, start_hid=100, merge=False)
-        header_item = (
-            "SELECT i.cid AS cid, SUM(i.price) AS profit "
-            "FROM header h, item i WHERE h.hid = i.hid GROUP BY i.cid"
-        )
-        db.query(PROFIT_SQL, strategy=FULL)
-        db.query(header_item, strategy=FULL)
-        load_erp(db, n_headers=2, start_hid=300, merge=False)
-        planned = [
-            d for d in db.refresh_cache(max_entries=1) if d.action != "skip"
-        ]
-        assert len(planned) >= 2  # more work was routed than the tick allows
-        counters = db.cache.counters_snapshot()
-        assert counters["refresh_advances"] + counters["refresh_rebuilds"] == 1
+        db = _grown_db(growth_headers=2)
+        assert db.refresh_cache() == {"advance": 1, "rebuild": 0}
+        memo = db.cache.entries()[0].delta_memo
+        assert db.refresh_cache() == {"advance": 0, "rebuild": 0}
+        assert db.cache.entries()[0].delta_memo is memo
+        assert _refreshes(db) == (1, 0)
 
     def test_rebuild_route_applies_correctly(self):
-        db = make_erp_db(
-            cache_config=CacheConfig(refresh_rebuild_ratio=0.01)
-        )
-        load_erp(db, n_headers=6, merge=True)
-        load_erp(db, n_headers=2, start_hid=100, merge=False)
-        db.query(PROFIT_SQL, strategy=FULL)
-        load_erp(db, n_headers=6, start_hid=300, merge=False)
-        truth = db.query(PROFIT_SQL, strategy=UNCACHED)
-        decisions = db.refresh_cache()
-        assert any(d.action == "rebuild" for d in decisions)
-        assert db.cache.counters_snapshot()["refresh_rebuilds"] > 0
-        result = db.query(PROFIT_SQL, strategy=FULL)
-        assert _typed(result.rows) == _typed(truth.rows)
-        assert db.last_report.delta_memo_mode == "incremental"
+        # The merge maintains the entry onto the rebuilt mains and leaves
+        # it no memo (the one it held covered the pre-merge partitions):
+        # the read's step, and so the refresh's, starts from its birth.
+        db = _grown_db(growth_headers=2)
+        (entry,) = db.cache.entries()
+        db.merge()
+        assert entry.delta_memo is None
+        load_erp(db, n_headers=3, start_hid=500, merge=False)
+        assert db.refresh_cache() == {"advance": 0, "rebuild": 1}
+        assert _refreshes(db) == (0, 1)
+        assert entry.delta_memo is not None
+        _assert_next_read_folds_nothing(db)

@@ -5,13 +5,7 @@ import time
 import pytest
 
 from repro.errors import DurabilityError, FaultError
-from repro.reliability.faults import (
-    KNOWN_FAULT_POINTS,
-    FaultInjector,
-    SimulatedCrash,
-    TransientIOError,
-    register_fault_point,
-)
+from repro.reliability.faults import FaultInjector, SimulatedCrash, TransientIOError
 
 
 class TestArming:
@@ -32,14 +26,6 @@ class TestArming:
         assert injector.armed_points() == ["merge.before_swap"]
         injector.disarm()
         assert injector.armed_points() == []
-
-    def test_register_custom_point(self):
-        register_fault_point("test.custom", "only used by this test")
-        assert "test.custom" in KNOWN_FAULT_POINTS
-        injector = FaultInjector()
-        injector.arm("test.custom")
-        with pytest.raises(FaultError):
-            injector.fire("test.custom")
 
 
 class TestFiring:

@@ -78,7 +78,7 @@ def run_until_crash(db) -> int:
 
 
 def crashable_points():
-    return sorted(p for p in KNOWN_FAULT_POINTS if not p.startswith("test."))
+    return sorted(KNOWN_FAULT_POINTS)
 
 
 @pytest.mark.parametrize("point", crashable_points())
