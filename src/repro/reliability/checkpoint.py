@@ -119,9 +119,7 @@ def write_checkpoint(
                     {
                         "name": partition.name,
                         "kind": partition.kind,
-                        "rows": [
-                            partition.get_row(i) for i in range(partition.row_count)
-                        ],
+                        "rows": _decoded_rows(partition),
                         "cts": [int(v) for v in partition.cts_array()],
                         "dts": [int(v) for v in partition.dts_array()],
                     }
@@ -151,6 +149,16 @@ def write_checkpoint(
     if retry is None:
         return attempt()
     return retry.call(attempt, retry_on=(OSError,), on_retry=on_retry)
+
+
+def _decoded_rows(partition: Partition) -> List[Dict[str, object]]:
+    """Every row of ``partition`` as a dict, decoded one column at a time."""
+    names = partition.column_names()
+    columns = []
+    for name in names:
+        fragment = partition.column(name)
+        columns.append(fragment.decode_codes(fragment.codes()).tolist())
+    return [dict(zip(names, values)) for values in zip(*columns)]
 
 
 def list_checkpoints(directory) -> List[Tuple[int, Path]]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import bisect
 from itertools import chain
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -158,6 +158,11 @@ class MainDictionary:
         """Codes for a batch of values, ``default`` where absent or NULL."""
         get = self._codes.get
         return [get(value, default) for value in values]
+
+    def code_map(self) -> Mapping[object, int]:
+        """The value -> code map itself, without NULL (read-only: callers
+        that probe it per key skip :meth:`lookup`'s call)."""
+        return self._codes
 
     def decode(self, code: int):
         """Return the value for ``code`` (``NULL_CODE`` -> None)."""

@@ -18,14 +18,21 @@ All writes follow the insert-only MVCC discipline of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable, Dict, List, NamedTuple, Optional
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from ..errors import IntegrityError, SchemaError, StorageError
 from .partition import LIVE, Partition
 from .schema import Schema
+
+#: ``Table._pk_written.get`` default: the key was not written since the
+#: last rebuild (``None`` there means "deleted").
+_UNWRITTEN = object()
+
+#: Builds a :class:`RowLocator` without entering its Python-level
+#: ``__new__``: about half the cost of calling the class.
+_new_locator = tuple.__new__
 
 
 class RowLocator(NamedTuple):
@@ -117,8 +124,12 @@ class Table:
             for grp in self._groups.values()
             for partition in grp.partitions()
         }
-        # Primary-key index: current (latest) version of each live key.
-        self._pk_index: Dict[object, RowLocator] = {}
+        # Primary-key index, in two parts (see ``rebuild_pk_index``): the
+        # keys written since the last rebuild — locator of the live version,
+        # or None once deleted — and per main, (name, its pk dictionary's
+        # value -> code probe, code -> live row or -1).
+        self._pk_written: Dict[object, Optional[RowLocator]] = {}
+        self._pk_mains: List[Tuple[str, Callable, memoryview]] = []
         # Two monotonic change counters.  ``epoch`` moves on structural
         # changes only — a merge's partition swap, schema evolution, and
         # MD / consistent-aging registration — which change what a cached
@@ -214,7 +225,7 @@ class Table:
                 raise IntegrityError(
                     f"NULL primary key on insert into {self.name!r}"
                 )
-            if pk_value in self._pk_index:
+            if self.pk_lookup(pk_value) is not None:
                 raise IntegrityError(
                     f"duplicate primary key {pk_value!r} in table {self.name!r}"
                 )
@@ -222,7 +233,7 @@ class Table:
         row_idx = group.delta.append_row(row, tid)
         locator = RowLocator(group.delta.name, row_idx)
         if pk_col is not None:
-            self._pk_index[row[pk_col]] = locator
+            self._pk_written[row[pk_col]] = locator
         self.bump_version()
         return locator
 
@@ -261,7 +272,7 @@ class Table:
                     changed |= self.schema.change_bit(key)
             target.lineage.record(row_idx, ancestor, changed)
         locator = RowLocator(target.name, row_idx)
-        self._pk_index[pk_value] = locator
+        self._pk_written[pk_value] = locator
         self.bump_version()
         return locator
 
@@ -269,13 +280,13 @@ class Table:
         """Invalidate the current version of ``pk_value``."""
         locator = self._require_pk(pk_value)
         self.partition(locator.partition).invalidate(locator.row, tid)
-        del self._pk_index[pk_value]
+        self._pk_written[pk_value] = None
         self.bump_version()
 
     def _require_pk(self, pk_value) -> RowLocator:
         if self.schema.primary_key is None:
             raise IntegrityError(f"table {self.name!r} has no primary key")
-        locator = self._pk_index.get(pk_value)
+        locator = self.pk_lookup(pk_value)
         if locator is None:
             raise IntegrityError(
                 f"no live row with primary key {pk_value!r} in table {self.name!r}"
@@ -292,12 +303,25 @@ class Table:
     # reads
     # ------------------------------------------------------------------
     def pk_lookup(self, pk_value) -> Optional[RowLocator]:
-        """Locator of the live version of ``pk_value`` or ``None``."""
-        return self._pk_index.get(pk_value)
+        """Locator of the live version of ``pk_value`` or ``None``.
+
+        A key written since the last rebuild answers from the overlay;
+        any other key is one dictionary probe and one array read per main.
+        """
+        locator = self._pk_written.get(pk_value, _UNWRITTEN)
+        if locator is not _UNWRITTEN:
+            return locator
+        for name, code_of, rows in self._pk_mains:
+            code = code_of(pk_value)
+            if code is not None:
+                row = rows[code]
+                if row >= 0:
+                    return _new_locator(RowLocator, (name, row))
+        return None
 
     def get_row(self, pk_value) -> Optional[Dict[str, object]]:
         """Decoded current version of the row with the given key, or None."""
-        locator = self._pk_index.get(pk_value)
+        locator = self.pk_lookup(pk_value)
         if locator is None:
             return None
         return self.partition(locator.partition).get_row(locator.row)
@@ -340,6 +364,7 @@ class Table:
                 group.update_delta = Partition(
                     group.update_delta.name, "delta", self.schema
                 )
+        self.rebuild_pk_index()
         self.bump_epoch()
 
     # ------------------------------------------------------------------
@@ -367,26 +392,33 @@ class Table:
     def rebuild_pk_index(self) -> None:
         """Recompute the primary-key index after partitions were rebuilt.
 
-        One bulk pass per partition: the live rows' keys are decoded in one
-        gather and entered with ``dict.update``.  Partitions are visited
-        mains-first, so where a key is live in two partitions the later one
-        wins, as with row-at-a-time assignment.
+        A main's sorted pk dictionary already maps each key to a code, so
+        its part of the index is one ``int64`` array from code to live row
+        (-1 for none), filled by one scatter; no per-key object is built.
+        The live rows of the deltas — non-empty only after a restore or a
+        merge of another group — go to the overlay of written keys, later
+        partitions winning, as with row-at-a-time assignment.
         """
+        self._pk_written = {}
+        self._pk_mains = []
         pk_col = self.schema.primary_key
         if pk_col is None:
             return
-        self._pk_index.clear()
-        for partition in self.partitions():
-            live = np.flatnonzero(partition.dts_array() == LIVE)
-            keys = partition.column(pk_col).decode_rows(live).tolist()
-            # tuple.__new__ builds the named tuple without entering its
-            # Python-level __new__, which is what a per-row call costs.
-            locators = map(
-                tuple.__new__,
-                repeat(RowLocator),
-                zip(repeat(partition.name), live.tolist()),
+        for group in self._groups.values():
+            fragment = group.main.column(pk_col)
+            live = np.flatnonzero(group.main.dts_array() == LIVE)
+            rows = np.full(len(fragment.dictionary), -1, dtype=np.int64)
+            rows[fragment.codes()[live]] = live
+            # A memoryview reads one slot as a Python int, no numpy scalar.
+            self._pk_mains.append(
+                (group.main.name, fragment.dictionary.code_map().get, memoryview(rows))
             )
-            self._pk_index.update(zip(keys, locators))
+            for delta in group.delta_partitions():
+                live = np.flatnonzero(delta.dts_array() == LIVE).tolist()
+                keys = delta.column(pk_col).decode_rows(live).tolist()
+                name = delta.name
+                locators = (_new_locator(RowLocator, (name, row)) for row in live)
+                self._pk_written.update(zip(keys, locators))
 
     def __repr__(self) -> str:
         parts = ", ".join(f"{p.name}={p.row_count}" for p in self.partitions())

@@ -84,6 +84,35 @@ def load_erp(
         db.merge()
 
 
+def scatter_erp_writes(db: Database) -> dict:
+    """A merged ERP load, then writes that leave every kind of key behind:
+    main keys, main keys updated (new version in a delta), main and delta
+    keys deleted, a deleted main key written again, delta-only keys.
+    Returns every key ever written, per table."""
+    load_erp(db, n_headers=4, merge=True)  # hid 0..3, iid 0..11
+    load_erp(db, n_headers=2, start_hid=50, merge=False)  # iid 5000..5005
+    db.update("item", 0, {"price": 9.0})
+    db.update("item", 5000, {"price": 8.0})
+    db.update("header", 1, {"year": 2020})
+    for iid in (1, 2, 5001):
+        db.delete("item", iid)
+    db.insert("item", {"iid": 2, "hid": 51, "cid": 0, "price": 7.0})
+    return {
+        "category": [0, 1],
+        "header": [0, 1, 2, 3, 50, 51],
+        "item": list(range(12)) + list(range(5000, 5006)),
+    }
+
+
+def assert_same_pk_lookups(actual: Database, expected: Database, keys: dict) -> None:
+    """Every key of ``keys`` resolves to the same locator and row in both."""
+    for name, table_keys in keys.items():
+        for key in table_keys:
+            got, want = actual.table(name), expected.table(name)
+            assert got.pk_lookup(key) == want.pk_lookup(key), (name, key)
+            assert got.get_row(key) == want.get_row(key), (name, key)
+
+
 @pytest.fixture
 def erp_db() -> Database:
     """ERP db with 6 objects in the mains and 2 fresh objects in the deltas."""

@@ -146,6 +146,30 @@ class TestEnforcement:
         db.insert("item", {"iid": 1, "hid": 1, "cid": None, "price": 1.0})
         assert db.table("item").get_row(1)["tid_header"] == txn.tid
 
+    def test_stamp_decodes_only_the_tid_column(self, monkeypatch):
+        """The child's stamp is one primary-key probe and one decoded
+        column (§6.3), for a parent in the main and one in the delta."""
+        from repro.storage import Partition
+
+        db = make_erp_db()
+        db.insert("header", {"hid": 1, "year": 2013})
+        db.merge("header")
+        db.insert("header", {"hid": 2, "year": 2014})
+        want = {hid: db.table("header").get_row(hid)["tid_header"] for hid in (1, 2)}
+
+        def whole_row(*args, **kwargs):
+            raise AssertionError("a parent row was decoded whole")
+
+        monkeypatch.setattr(Partition, "get_row", whole_row)
+        db.insert("item", {"iid": 1, "hid": 1, "cid": None, "price": 1.0})
+        db.insert("item", {"iid": 2, "hid": 2, "cid": None, "price": 1.0})
+        with pytest.raises(IntegrityError):
+            db.insert("item", {"iid": 3, "hid": 999, "cid": None, "price": 1.0})
+        monkeypatch.undo()
+        assert db.enforcer.stats.lookups_failed == 1
+        for iid, hid in ((1, 1), (2, 2)):
+            assert db.table("item").get_row(iid)["tid_header"] == want[hid]
+
     def test_dependencies_listing(self):
         db = make_erp_db()
         deps = db.enforcer.dependencies()

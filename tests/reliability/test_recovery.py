@@ -8,10 +8,18 @@ from repro import (
     DurabilityError,
     ExecutionStrategy,
 )
-from repro.reliability.checkpoint import list_checkpoints
+from repro import IntegrityError
+from repro.reliability import checkpoint
+from repro.reliability.checkpoint import list_checkpoints, write_checkpoint
 from repro.storage import threshold_aging
 
-from ..conftest import PROFIT_SQL, load_erp, make_erp_db
+from ..conftest import (
+    PROFIT_SQL,
+    assert_same_pk_lookups,
+    load_erp,
+    make_erp_db,
+    scatter_erp_writes,
+)
 
 
 def reopen(db: Database) -> Database:
@@ -58,6 +66,46 @@ class TestRoundtrip:
         assert sum(r.type == "merge" for r in db.wal.scan().records) == logged + len(stats)
         expected = db.query(PROFIT_SQL)
         assert reopen(db).query(PROFIT_SQL) == expected
+
+    def test_checkpoint_with_filled_deltas_restores_every_key(self, tmp_path):
+        """Recovery from a checkpoint alone: the restored mains' code arrays
+        and the deltas' written keys answer every key as before."""
+        db = make_erp_db(path=tmp_path / "db", separate_update_delta=True)
+        keys = scatter_erp_writes(db)
+        db.checkpoint()
+        deltas = {
+            locator.partition
+            for name, table_keys in keys.items()
+            for locator in map(db.table(name).pk_lookup, table_keys)
+            if locator is not None
+        }
+        assert {"delta", "udelta"} <= deltas
+        recovered = reopen(db)
+        assert recovered.recovery_stats.operations_replayed == 0
+        assert_same_pk_lookups(recovered, db, keys)
+        assert recovered.table("item").pk_lookup(1) is None
+        with pytest.raises(IntegrityError):
+            recovered.insert("item", {"iid": 5002, "hid": 50, "cid": 0, "price": 1.0})
+        recovered.insert("item", {"iid": 1, "hid": 50, "cid": 0, "price": 1.0})
+        assert (
+            recovered.table("item").get_row(1)["tid_header"]
+            == recovered.table("header").get_row(50)["tid_header"]
+        )
+
+    def test_checkpoint_rows_render_as_row_at_a_time(self, tmp_path, monkeypatch):
+        """Rows decoded a column at a time serialize to the same bytes as
+        one ``get_row`` per row, so the checkpoint format is unchanged."""
+        db = make_erp_db(separate_update_delta=True)
+        scatter_erp_writes(db)
+        db.insert("category", {"cid": 9, "name": None, "lang": "é"})
+        columnwise = write_checkpoint(db, tmp_path / "columns", 7).read_bytes()
+
+        def row_at_a_time(partition):
+            return [partition.get_row(i) for i in range(partition.row_count)]
+
+        monkeypatch.setattr(checkpoint, "_decoded_rows", row_at_a_time)
+        rowwise = write_checkpoint(db, tmp_path / "rows", 7).read_bytes()
+        assert columnwise == rowwise
 
     def test_update_and_delete_replay(self, tmp_path):
         db = make_erp_db(path=tmp_path / "db")

@@ -4,12 +4,12 @@ This is the merge as it ran before it moved into code space — every
 surviving row decoded into a Python dict, the main rebuilt from those dicts
 one value at a time, the primary-key index entered one row at a time.  It
 is slow and obviously right, and it lives here so that
-``repro.storage.merge._build_group`` and ``Table.rebuild_pk_index`` can be
+``repro.storage.merge._build_group`` and ``Table.pk_lookup`` can be
 compared against it on random histories (``test_merge_parity.py``).
 Nothing under ``src/`` may import it.
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
@@ -78,3 +78,17 @@ def pk_index_by_rows(table: Table) -> Dict[object, RowLocator]:
             if dts[row] == LIVE:
                 index[fragment.value_at(row)] = RowLocator(partition.name, row)
     return index
+
+
+def assert_pk_lookups(table: Table, keys: Iterable[object]) -> None:
+    """``table.pk_lookup`` of every key in ``keys`` — every key ever
+    written — answers as :func:`pk_index_by_rows`: the live version's
+    locator, or None for a dead key."""
+    want = pk_index_by_rows(table)
+    keys = list(keys)
+    assert set(want) <= set(keys)
+    for key in keys:
+        got = table.pk_lookup(key)
+        assert got == want.get(key), key
+        if got is not None:
+            assert type(got) is RowLocator and type(got.row) is int, key

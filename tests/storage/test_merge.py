@@ -6,6 +6,7 @@ from repro.errors import StorageError
 from repro.storage import (
     ColumnDef,
     MergeEvent,
+    RowLocator,
     Schema,
     SqlType,
     Table,
@@ -127,13 +128,14 @@ class TestNothingToMerge:
         table = Table("t", schema())
         table.insert({"id": 1}, tid=1)
         merge_table(table, snapshot=1)
-        main, version, index = table.partition("main"), table.version, dict(table._pk_index)
+        main, version = table.partition("main"), table.version
         listener = RecordingListener()
         stats = merge_table(table, snapshot=1, listeners=[listener])
         assert (stats.table, stats.groups_merged, stats.rows_moved) == ("t", 0, 0)
         assert listener.before == listener.after == []
         assert table.partition("main") is main
-        assert (table.version, table._pk_index) == (version, index)
+        assert table.version == version
+        assert (table.pk_lookup(1), table.pk_lookup(2)) == (RowLocator("main", 0), None)
 
     def test_a_stamped_main_row_is_something_to_merge(self):
         table = Table("t", schema())
@@ -280,7 +282,8 @@ class TestAtomicity:
             }
 
         before = state()
-        index_before = dict(table._pk_index)
+        keys = range(10)
+        lookups_before = [table.pk_lookup(key) for key in keys]
         version_before = table.version
         listener = CancellableListener()
         with pytest.raises(StorageError, match="future transaction 99"):
@@ -289,7 +292,7 @@ class TestAtomicity:
         assert listener.cancelled == ["hot", "cold"]
         assert listener.after == []
         assert state() == before
-        assert table._pk_index == index_before
+        assert [table.pk_lookup(key) for key in keys] == lookups_before
         assert table.version == version_before
         assert table.pk_lookup(0).partition == "hot_delta"
 

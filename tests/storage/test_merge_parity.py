@@ -4,7 +4,8 @@
 surviving row.  Every merge of every random history below is run both ways
 and must agree on everything observable — dictionary values *and their
 types* (``1`` / ``1.0`` / ``True`` collide under ``==``), code vectors,
-stamps, byte accounting, ``MergeStats`` and the primary-key index.
+stamps, byte accounting, ``MergeStats`` and the primary-key lookup of
+every key ever written.
 
 The guard test pins the reason the merge was rewritten: on a table of any
 size it makes no per-row call into the storage classes.
@@ -28,7 +29,7 @@ from repro.storage import (
     threshold_aging,
 )
 
-from .merge_oracle import build_group_by_rows, pk_index_by_rows
+from .merge_oracle import assert_pk_lookups, build_group_by_rows
 
 # ----------------------------------------------------------------------
 # comparison
@@ -56,8 +57,11 @@ def assert_same_partition(actual: Partition, expected: Partition) -> None:
     assert actual.nbytes() == expected.nbytes()
 
 
-def merge_and_compare(table: Table, snapshot: int, keep_history: bool, group_name=None):
-    """One ``merge_table`` call checked against the oracle's staging."""
+def merge_and_compare(
+    table: Table, snapshot: int, keep_history: bool, keys, group_name=None
+):
+    """One ``merge_table`` call checked against the oracle's staging;
+    ``keys`` are every primary key ever written to ``table``."""
     groups = [table.group(group_name)] if group_name else table.groups()
     expected = [
         build_group_by_rows(table, group, snapshot, keep_history) for group in groups
@@ -84,10 +88,7 @@ def merge_and_compare(table: Table, snapshot: int, keep_history: bool, group_nam
     assert (table.version == version) == (len(idle) == len(groups))
     assert stats.rows_moved == sum(moved for _main, moved, _dropped in expected)
     assert stats.rows_dropped == sum(dropped for _main, _moved, dropped in expected)
-    want_index = pk_index_by_rows(table)
-    assert table._pk_index == want_index
-    # == on a dict ignores which of two equal keys (1 / 1.0) it holds.
-    assert [type(k) for k in table._pk_index] == [type(k) for k in want_index]
+    assert_pk_lookups(table, keys)
     return stats
 
 
@@ -134,6 +135,9 @@ def histories(draw):
         st.tuples(st.just("update"), st.integers(0, 1 << 16), changes),
         st.tuples(st.just("update"), st.integers(0, 1 << 16), changes),
         st.tuples(st.just("delete"), st.integers(0, 1 << 16)),
+        # A deleted key written again; its year may route it to the other
+        # hot/cold group than its dead versions.
+        st.tuples(st.just("reinsert"), st.integers(0, 1 << 16), row),
         st.tuples(st.just("merge"), group, st.booleans()),
     )
     return {
@@ -171,6 +175,7 @@ def make_table(history) -> Table:
 def test_every_merge_of_a_random_history_matches_the_oracle(history):
     table = make_table(history)
     live = []  # keys with a live version, in insertion order
+    dead = []  # deleted keys
     next_id = 0
     tid = 0
     with untyped_columns():
@@ -185,16 +190,30 @@ def test_every_merge_of_a_random_history_matches_the_oracle(history):
                 # invalidates the version the previous one wrote.
                 table.update(live[op[1] % len(live)], op[2], tid)
             elif op[0] == "delete" and live:
-                table.delete(live.pop(op[1] % len(live)), tid)
+                key = live.pop(op[1] % len(live))
+                table.delete(key, tid)
+                dead.append(key)
+            elif op[0] == "reinsert" and dead:
+                key = dead.pop(op[1] % len(dead))
+                table.insert({"id": key, **op[2]}, tid)
+                live.append(key)
             elif op[0] == "merge":
-                merge_and_compare(table, tid, keep_history=op[2], group_name=op[1])
+                merge_and_compare(
+                    table, tid, op[2], range(next_id), group_name=op[1]
+                )
+            # Between merges the lookups answer from the written keys'
+            # overlay and the mains' code arrays together.
+            assert_pk_lookups(table, range(next_id))
         merge_and_compare(
             table,
             tid,
-            keep_history=history["final_keep_history"],
+            history["final_keep_history"],
+            range(next_id),
             group_name=history["final_group"],
         )
-    assert sorted(table._pk_index) == sorted(live)
+    alive = set(live)
+    for key in range(next_id):
+        assert (table.pk_lookup(key) is not None) == (key in alive), key
 
 
 def test_equal_values_of_different_type_keep_the_earliest_source():
@@ -204,12 +223,12 @@ def test_equal_values_of_different_type_keep_the_earliest_source():
     table = make_table(history)
     with untyped_columns():
         table.insert({"id": 0, "year": 2014, "c0": 1}, tid=1)
-        merge_and_compare(table, 1, keep_history=False)
+        merge_and_compare(table, 1, False, range(1))
         table.insert({"id": 1, "year": 2014, "c0": 1.0}, tid=2)
         table.insert({"id": 2, "year": 2014, "c0": 0.0}, tid=3)
         table.update(1, {"c0": False}, tid=4)  # lands in the update delta
         table.insert({"id": 3, "year": 2014, "c0": True}, tid=5)
-        merge_and_compare(table, 5, keep_history=False)
+        merge_and_compare(table, 5, False, range(4))
         # 1 from the main beats True from the delta; 0.0 from the delta
         # beats False from the update delta; 1.0's only row was invalidated.
         values = table.partition("main").column("c0").dictionary.values()
@@ -219,7 +238,7 @@ def test_equal_values_of_different_type_keep_the_earliest_source():
         table.delete(0, tid=6)
         table.delete(3, tid=7)
         table.insert({"id": 4, "year": 2014, "c0": True}, tid=8)
-        merge_and_compare(table, 8, keep_history=False)
+        merge_and_compare(table, 8, False, range(5))
         values = table.partition("main").column("c0").dictionary.values()
         assert [(v, type(v)) for v in values] == [(0.0, float), (True, bool)]
 
@@ -264,6 +283,6 @@ def test_merge_makes_no_per_row_call(monkeypatch):
     assert (stats.rows_moved, stats.rows_dropped) == (300, 200)
     assert table.partition("main").row_count == 1200 - 100
     assert table.partition("delta").row_count == 0
-    assert table._pk_index == pk_index_by_rows(table)
+    assert_pk_lookups(table, range(1200))
     assert table.get_row(0)["status"] == "void"
     assert table.get_row(1) is None

@@ -6,7 +6,14 @@ from repro import Database, ExecutionStrategy
 from repro.errors import StorageError
 from repro.storage import load_database, save_database, threshold_aging
 
-from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
+from ..conftest import (
+    HEADER_ITEM_SQL,
+    PROFIT_SQL,
+    assert_same_pk_lookups,
+    load_erp,
+    make_erp_db,
+    scatter_erp_writes,
+)
 
 FULL = ExecutionStrategy.CACHED_FULL_PRUNING
 UNCACHED = ExecutionStrategy.UNCACHED
@@ -30,6 +37,16 @@ class TestRoundTrip:
         restored = load_database(tmp_path / "snap")
         assert restored.query(PROFIT_SQL, strategy=UNCACHED) == expected_profit
         assert restored.query(HEADER_ITEM_SQL, strategy=FULL) == expected_join
+
+    def test_filled_deltas_restore_every_key(self, tmp_path):
+        db = make_erp_db(separate_update_delta=True)
+        keys = scatter_erp_writes(db)
+        save_database(db, tmp_path / "snap")
+        restored = load_database(tmp_path / "snap")
+        assert_same_pk_lookups(restored, db, keys)
+        assert restored.table("item").pk_lookup(2).partition == "delta"
+        assert restored.table("item").pk_lookup(0).partition == "udelta"
+        assert restored.table("item").pk_lookup(5001) is None
 
     def test_partition_layout_preserved(self, tmp_path):
         db = populated_db()
