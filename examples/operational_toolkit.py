@@ -1,4 +1,4 @@
-"""Operating the engine: CSV loading, merge, idle refresh, traces, snapshots.
+"""Operating the engine: CSV loading, merge, idle refresh, traces, saves.
 
 A day-2-operations tour of the toolkit around the core engine:
 
@@ -8,7 +8,8 @@ A day-2-operations tour of the toolkit around the core engine:
 * refresh the cache while idle: each entry takes now the step its next
   read would take,
 * record the workload as a trace and replay it into a fresh database,
-* persist a snapshot to disk and reload it.
+* save the database to disk — one checkpoint file, the format recovery
+  reads — and reload it.
 
 Run with:  python examples/operational_toolkit.py
 """
@@ -98,11 +99,11 @@ def main() -> None:
     print(f"\nreplayed into a fresh database: {counts}")
     assert replica.query(SQL) == result
 
-    # --------------------------------------------------------- snapshot
-    snapshot_dir = save_database(db, workdir / "snapshot")
-    restored = load_database(snapshot_dir)
+    # ------------------------------------------------------------- save
+    saved_dir = save_database(db, workdir / "saved")
+    restored = load_database(saved_dir)
     assert restored.query(SQL) == result
-    print(f"snapshot round-trip verified at {snapshot_dir}")
+    print(f"save/load round-trip verified at {saved_dir} (one checkpoint file)")
     print("\ndone.")
 
 

@@ -56,10 +56,11 @@ from .query.executor import QueryExecutor
 from .query.query import AggregateQuery
 from .query.result import QueryResult
 from .query.sql import parse_sql
+from .reliability.checkpoint import encode_consistent_aging, encode_md, encode_table
 from .reliability.faults import FaultInjector
 from .reliability.recovery import RecoveryStats, recover_database
 from .reliability.wal import WriteAheadLog
-from .storage.aging import ConsistentAging, aging_rule_spec
+from .storage.aging import ConsistentAging
 from .storage.catalog import Catalog
 from .storage.merge import MergeStats, merge_table
 from .storage.schema import ColumnDef, Schema, SqlType, tid_column
@@ -401,16 +402,6 @@ class Database:
         """
         self._ensure_writable()
         schema = _as_schema(columns, primary_key)
-        if (
-            aging_rule is not None
-            and self._wal is not None
-            and aging_rule_spec(aging_rule) is None
-        ):
-            raise DurabilityError(
-                f"table {name!r}: the aging rule is an arbitrary Python "
-                "callable and cannot be persisted; durable hot/cold tables "
-                "need a serializable rule (threshold_aging / ratio_aging)"
-            )
         with self.lock.write():
             return self._create_table_locked(
                 name, schema, aging_rule, separate_update_delta
@@ -419,30 +410,20 @@ class Database:
     def _create_table_locked(
         self, name, schema, aging_rule, separate_update_delta
     ) -> Table:
+        # Encoded first: a durable database refuses a rule it cannot persist
+        # before the table exists.
+        record = (
+            encode_table(name, schema, aging_rule, separate_update_delta)
+            if self._wal is not None
+            else None
+        )
         table = self.catalog.create_table(
             name,
             schema,
             aging_rule=aging_rule,
             separate_update_delta=separate_update_delta,
         )
-        self._log_ddl(
-            "create_table",
-            {
-                "name": name,
-                "primary_key": schema.primary_key,
-                "aging": aging_rule_spec(aging_rule) if aging_rule else None,
-                "separate_update_delta": separate_update_delta,
-                "columns": [
-                    {
-                        "name": column.name,
-                        "type": column.sql_type.value,
-                        "nullable": column.nullable,
-                        "is_tid": column.is_tid,
-                    }
-                    for column in schema
-                ],
-            },
-        )
+        self._log_ddl("create_table", record)
         return table
 
     def drop_table(self, name: str) -> None:
@@ -475,25 +456,13 @@ class Database:
             return self._add_md_locked(md)
 
     def _add_md_locked(self, md: MatchingDependency) -> MatchingDependency:
-        parent_table, child_table = md.parent_table, md.child_table
-        parent_key, child_fk = md.parent_key, md.child_fk
-        name = md.tid_column
-        for table_name in (parent_table, child_table):
+        for table_name in (md.parent_table, md.child_table):
             table = self.catalog.table(table_name)
-            if not table.schema.has_column(name):
-                table.extend_schema([tid_column(name)])
+            if not table.schema.has_column(md.tid_column):
+                table.extend_schema([tid_column(md.tid_column)])
         self.enforcer.register(md)
         self.cache.register_matching_dependency(md)
-        self._log_ddl(
-            "add_md",
-            {
-                "parent_table": parent_table,
-                "parent_key": parent_key,
-                "child_table": child_table,
-                "child_fk": child_fk,
-                "tid_column": name,
-            },
-        )
+        self._log_ddl("add_md", encode_md(md))
         return md
 
     def declare_consistent_aging(self, left_table: str, right_table: str) -> ConsistentAging:
@@ -506,9 +475,7 @@ class Database:
                 self.catalog.table(name)  # existence check
             declaration = ConsistentAging(left_table, right_table)
             self.cache.register_consistent_aging(declaration)
-            self._log_ddl(
-                "consistent_aging", {"left": left_table, "right": right_table}
-            )
+            self._log_ddl("consistent_aging", encode_consistent_aging(declaration))
             return declaration
 
     # ------------------------------------------------------------------

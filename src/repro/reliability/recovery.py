@@ -6,9 +6,10 @@ constructed (empty) :class:`~repro.database.Database`:
 1. load the newest valid checkpoint, if any (full table state, matching
    dependencies, tid high-water mark);
 2. replay every WAL record with ``lsn > checkpoint.last_lsn`` in order —
-   DDL through the normal ``Database`` methods (with WAL logging
-   suspended), DML at the table level (logged rows are already
-   matching-dependency-stamped, so re-running enforcement would be wrong),
+   DDL through the ``Database`` methods, each record read by the spec
+   decoder of :mod:`checkpoint` (with WAL logging suspended), DML at the
+   table level (logged rows are already matching-dependency-stamped, so
+   re-running enforcement would be wrong),
    merges by re-running ``merge_table`` at the logged snapshot, which is
    deterministic given the replayed data;
 3. tolerate exactly one torn tail record (truncated before new appends);
@@ -28,7 +29,13 @@ from typing import Dict, Optional
 
 from ..errors import DurabilityError
 from ..storage.merge import merge_table
-from .checkpoint import latest_valid_checkpoint, restore_checkpoint
+from .checkpoint import (
+    decode_consistent_aging,
+    decode_md,
+    decode_table,
+    latest_valid_checkpoint,
+    restore_checkpoint,
+)
 from .wal import WalScan, WriteAheadLog
 
 
@@ -93,28 +100,7 @@ def _replay_record(db, record, stats: RecoveryStats) -> int:
         return int(data["snapshot"])
     if record.type == "create_table":
         stats.ddl_replayed += 1
-        from ..storage.schema import ColumnDef, Schema, SqlType
-
-        schema = Schema(
-            [
-                ColumnDef(
-                    column["name"],
-                    SqlType(column["type"]),
-                    nullable=column["nullable"],
-                    is_tid=column["is_tid"],
-                )
-                for column in data["columns"]
-            ],
-            primary_key=data["primary_key"],
-        )
-        from ..storage.aging import aging_rule_from_spec
-
-        db.create_table(
-            data["name"],
-            schema,
-            aging_rule=aging_rule_from_spec(data.get("aging")),
-            separate_update_delta=data["separate_update_delta"],
-        )
+        db._create_table_locked(*decode_table(data))
         return 0
     if record.type == "drop_table":
         stats.ddl_replayed += 1
@@ -122,17 +108,11 @@ def _replay_record(db, record, stats: RecoveryStats) -> int:
         return 0
     if record.type == "add_md":
         stats.ddl_replayed += 1
-        db.add_matching_dependency(
-            data["parent_table"],
-            data["parent_key"],
-            data["child_table"],
-            data["child_fk"],
-            tid_column_name=data["tid_column"],
-        )
+        db._add_md_locked(decode_md(data))
         return 0
     if record.type == "consistent_aging":
         stats.ddl_replayed += 1
-        db.declare_consistent_aging(data["left"], data["right"])
+        db.declare_consistent_aging(*decode_consistent_aging(data).tables())
         return 0
     raise DurabilityError(
         f"unknown WAL record type {record.type!r} at lsn {record.lsn}"

@@ -19,8 +19,8 @@ the engine:
 ``\\stats``         storage / cache / enforcement statistics
 ``\\health``        governor health: breaker states and degraded modes
 ``\\metrics``       the metrics registry in Prometheus text format
-``\\save DIR``      write a snapshot of the database to a directory
-``\\open DIR``      replace the session database with a saved snapshot
+``\\save DIR``      write the database as one checkpoint file into DIR
+``\\open DIR``      replace the session database with the one saved in DIR
 ``\\report``        the report of the last executed query
 ``\\quit``          leave
 =================  =====================================================
@@ -294,7 +294,7 @@ class Shell:
         if not argument:
             self._print("usage: \\save <directory>")
             return
-        from .storage.snapshot import save_database
+        from .storage import save_database
 
         path = save_database(self.db, argument)
         self._print(f"snapshot written to {path}")
@@ -303,7 +303,7 @@ class Shell:
         if not argument:
             self._print("usage: \\open <directory>")
             return
-        from .storage.snapshot import load_database
+        from .storage import load_database
 
         replaced = self.db
         self.db = load_database(argument)

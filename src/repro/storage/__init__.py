@@ -24,9 +24,12 @@ from .merge import MergeEvent, MergeListener, MergeStats, merge_table
 from .partition import LIVE, ColumnStats, Partition
 from .schema import ColumnDef, Schema, SqlType, tid_column
 from .csvio import export_csv, import_csv
-from .snapshot import load_database, save_database
 from .table import PartitionGroup, RowLocator, Table
 from .vector import IntVector, ObjectVector
+
+# A saved database is one checkpoint file: the reliability package owns the
+# on-disk state format.
+from ..reliability.checkpoint import load_database, save_database
 
 __all__ = [
     "BitVector",

@@ -1,10 +1,16 @@
-"""Tests for database snapshot save/load."""
+"""Tests for save_database / load_database: one checkpoint file."""
+
+import json
+import threading
+import time
+import zlib
 
 import pytest
 
 from repro import Database, ExecutionStrategy
-from repro.errors import StorageError
-from repro.storage import load_database, save_database, threshold_aging
+from repro.errors import DurabilityError, StorageError
+from repro.reliability.checkpoint import list_checkpoints
+from repro.storage import Partition, load_database, save_database, threshold_aging
 
 from ..conftest import (
     HEADER_ITEM_SQL,
@@ -114,20 +120,16 @@ class TestRoundTrip:
 
 
 class TestAgedAndUpdateDelta:
-    def test_callable_aged_requires_rule(self, tmp_path):
+    def test_save_refuses_callable_rule_and_writes_nothing(self, tmp_path):
         db = Database()
         rule = lambda row: "hot" if (row["year"] or 0) >= 2014 else "cold"
         db.create_table(
             "t", [("k", "INT"), ("year", "INT")], primary_key="k", aging_rule=rule
         )
         db.insert("t", {"k": 1, "year": 2015})
-        db.insert("t", {"k": 2, "year": 2010})
-        save_database(db, tmp_path / "snap")
-        with pytest.raises(StorageError):
-            load_database(tmp_path / "snap")
-        restored = load_database(tmp_path / "snap", aging_rules={"t": rule})
-        assert restored.table("t").partition("hot_delta").row_count == 1
-        assert restored.table("t").partition("cold_delta").row_count == 1
+        with pytest.raises(DurabilityError):
+            save_database(db, tmp_path / "snap")
+        assert not (tmp_path / "snap").exists()
 
     def test_threshold_aging_round_trips(self, tmp_path):
         db = Database()
@@ -166,20 +168,87 @@ class TestErrors:
         with pytest.raises(StorageError):
             load_database(tmp_path / "nothing")
 
-    def test_missing_partition_file(self, tmp_path):
-        db = populated_db()
-        root = save_database(db, tmp_path / "snap")
-        (root / "item.delta.jsonl").unlink()
+    def test_torn_checkpoint_file(self, tmp_path):
+        root = save_database(populated_db(), tmp_path / "snap")
+        [(_, path)] = list_checkpoints(root)
+        path.write_bytes(path.read_bytes()[:-40])
+        with pytest.raises(StorageError):
+            load_database(root)
+
+    def test_crc_mismatch(self, tmp_path):
+        root = save_database(populated_db(), tmp_path / "snap")
+        [(_, path)] = list_checkpoints(root)
+        document = json.loads(path.read_text())
+        document["state"]["latest_tid"] += 1
+        path.write_text(json.dumps(document))
         with pytest.raises(StorageError):
             load_database(root)
 
     def test_bad_format_version(self, tmp_path):
-        import json
-
-        db = populated_db()
-        root = save_database(db, tmp_path / "snap")
-        catalog = json.loads((root / "catalog.json").read_text())
-        catalog["format_version"] = 999
-        (root / "catalog.json").write_text(json.dumps(catalog))
+        root = save_database(populated_db(), tmp_path / "snap")
+        [(_, path)] = list_checkpoints(root)
+        state = json.loads(path.read_text())["state"]
+        state["format_version"] = 999
+        payload = json.dumps(state, sort_keys=True, separators=(",", ":"))
+        path.write_text(
+            json.dumps({"crc": zlib.crc32(payload.encode("utf-8")), "state": state})
+        )
         with pytest.raises(StorageError):
             load_database(root)
+
+
+class TestConcurrentSave:
+    def test_saves_during_writes_restore_one_state(self, tmp_path, monkeypatch):
+        """A save takes the database lock: each image holds exactly the
+        writes made before it, however the writer interleaves."""
+        db = Database()
+        db.create_table("t", [("k", "INT"), ("v", "FLOAT")], primary_key="k")
+        for k in range(300):
+            db.insert("t", {"k": k, "v": 0.0})
+        inserted = [300]
+        errors = []
+        stop = threading.Event()
+
+        def writer():
+            k = 300
+            try:
+                while not stop.is_set():
+                    db.insert("t", {"k": k, "v": 0.0})
+                    inserted[0] = k = k + 1
+                    # A new version of an older key: an image that takes its
+                    # invalidation without the version loses the key.
+                    db.update("t", k // 2, {"v": float(k)})
+                    time.sleep(0.0002)  # bounds the table, and the test's time
+            except Exception as err:  # surfaced by the assert below
+                errors.append(err)
+
+        # Yield to the writer between reading a partition's stamps and the
+        # rest of it, where an unlocked save interleaves with writes.
+        cts_array = Partition.cts_array
+
+        def yielding_cts_array(partition):
+            stamps = cts_array(partition)
+            time.sleep(0.001)
+            return stamps
+
+        monkeypatch.setattr(Partition, "cts_array", yielding_cts_array)
+        thread = threading.Thread(target=writer, daemon=True)
+        thread.start()
+        try:
+            deadline = time.monotonic() + 1.5
+            for attempt in range(20):
+                before = inserted[0]
+                root = save_database(db, tmp_path / f"snap{attempt}")
+                after = inserted[0]
+                n, total = load_database(root).query(
+                    "SELECT COUNT(*) AS n, SUM(k) AS s FROM t"
+                ).rows[0]
+                assert before <= n <= after + 1
+                assert total == n * (n - 1) // 2  # keys 0..n-1, none lost
+                if time.monotonic() > deadline:
+                    break
+        finally:
+            stop.set()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert errors == [] and inserted[0] > 300
