@@ -120,10 +120,8 @@ class CacheQueryReport:
     #: ``counters_snapshot()["recycler_bytes"]``.
     recycler_hits: int = 0
     recycler_misses: int = 0
-    #: Why the query bypassed the cache while degraded: "breaker_open"
-    #: (cache breaker open, cached path skipped upfront) or "fallback"
-    #: (the cached path failed mid-query and the answer was recomputed
-    #: from the base tables).  Empty for healthy execution.
+    #: "fallback" when the cached path failed mid-query and the answer
+    #: was recomputed from the base tables; empty otherwise.
     degraded_reason: str = ""
     #: The physical plan the query ran (carries the bound statement).
     plan: Optional[PhysicalPlan] = None
@@ -224,9 +222,9 @@ class AggregateCacheManager:
         # Optional FaultInjector; the owning Database wires its own in so
         # the ``cache.maintenance`` fault point covers merge maintenance.
         self.fault_injector = None
-        # Optional ResourceGovernor: its cache breaker gates the cached
-        # path (degraded mode answers from the base tables) and its
-        # memory budget drives shedding after each query.
+        # Optional ResourceGovernor: with one attached, a failed cached
+        # path falls back to the base tables, and its memory budget drives
+        # shedding after each query.
         self.governor = governor
         # Lifetime counters (the monitor's system view).
         self.total_hits = 0
@@ -531,11 +529,8 @@ class AggregateCacheManager:
         memos install only after a fully successful run, and statistics
         are recorded only for completed queries.
 
-        With a governor attached, the cached path is additionally guarded
-        by the cache circuit breaker: while it is open the query bypasses
-        the cache entirely (``degraded_reason="breaker_open"``), and a
-        failure *inside* cached execution feeds the breaker and falls
-        back to a clean from-scratch run over the base tables
+        With a governor attached, a failure *inside* cached execution
+        falls back to a clean from-scratch run over the base tables
         (``degraded_reason="fallback"``) instead of failing the query.
         """
         strategy = strategy if strategy is not None else self.config.default_strategy
@@ -546,20 +541,9 @@ class AggregateCacheManager:
         bound = plan.query
         if cancel is not None:
             cancel.check()
-        governor = self.governor
-        degraded = ""
-        if (
-            strategy.uses_cache
-            and plan.cacheable
-            and governor is not None
-            and not governor.cache_path_allowed()
-        ):
-            degraded = "breaker_open"
-            governor.record_degraded_query(degraded)
-        if not strategy.uses_cache or not plan.cacheable or degraded:
+        if not strategy.uses_cache or not plan.cacheable:
             if strategy.uses_cache:
                 report.fallback_uncached = True
-            report.degraded_reason = degraded
             scan_span = (
                 trace.child("uncached_scan", fallback=report.fallback_uncached)
                 if trace is not None
@@ -568,10 +552,7 @@ class AggregateCacheManager:
             grouped = self._executor.execute(
                 bound,
                 txn.snapshot,
-                # A degraded query carries a *cached* plan whose subjoins
-                # are compensation-only; the full partition product
-                # (combos=None) is the correct uncached evaluation.
-                combos=None if degraded else plan.evaluated_specs(),
+                combos=plan.evaluated_specs(),
                 stats=report.executor_stats,
                 cancel=cancel,
             )
@@ -602,16 +583,13 @@ class AggregateCacheManager:
                 )
         except QueryAborted:
             raise  # a deadline/cancel abort is not a cache failure
-        except Exception as exc:
-            if governor is None:
+        except Exception:
+            if self.governor is None:
                 raise
-            governor.record_cache_failure(exc)
-            governor.record_degraded_query("fallback")
+            self.governor.record_degraded_query("fallback")
             return self._fallback_uncached(
                 bound, txn, strategy, plan, trace, cancel, started
             )
-        if governor is not None:
-            governor.record_cache_success()
         if finished is None:
             finished = QueryResult.from_grouped(bound, result)
             if pure is not None:

@@ -43,6 +43,7 @@ from .errors import (
     QueryCancelled,
     QueryError,
     QueryTimeout,
+    WriteRejectedError,
 )
 from .governor import (
     CancelToken,
@@ -50,6 +51,7 @@ from .governor import (
     HealthReport,
     ResourceGovernor,
 )
+from .governor.retry import WRITE_RETRY
 from .obs import EngineMetrics
 from .obs.trace import QueryTrace
 from .query.executor import QueryExecutor
@@ -123,7 +125,7 @@ class Database:
         # hook stays wired but each increment/observe is an empty call.
         self.obs = EngineMetrics() if observability else EngineMetrics.disabled()
         # The resource governor: pass a ResourceGovernor or a GovernorConfig
-        # to override the REPRO_* environment defaults.
+        # to override the environment defaults.
         if isinstance(governor, ResourceGovernor):
             self.governor = governor
         else:
@@ -154,11 +156,13 @@ class Database:
         self._wal: Optional[WriteAheadLog] = None
         self._replaying = False
         self._txn_ops: Dict[int, List[Dict]] = {}
-        # Transactions whose in-memory effects are visible but whose WAL
-        # record could not be written (append failed after retries).  They
-        # are redelivered FIFO before the next record, so recovery never
-        # silently loses a transaction the live database already served.
-        self._wal_backlog: List[Tuple[int, List[Dict], str]] = []
+        # The one way a record reaches the WAL: every record (transaction,
+        # DDL, merge) is queued here and the queue is drained in order
+        # under the write lock.  A record the log refused stays queued —
+        # its effects are already live — and while the queue is non-empty
+        # the database is WAL-degraded (see _ensure_writable).  At most
+        # one record per open transaction can join a non-empty queue.
+        self._wal_backlog: List[Tuple[str, Dict]] = []
         if path is not None:
             self._open_durable(path)
 
@@ -190,16 +194,8 @@ class Database:
             self.path = Path(path)
             self.path.mkdir(parents=True, exist_ok=True)
             self._wal = WriteAheadLog(
-                self.path / "wal.jsonl",
-                faults=self.faults,
-                obs=self.obs,
-                retry=self.governor.retry,
+                self.path / "wal.jsonl", faults=self.faults, obs=self.obs
             )
-            # Exhausted retries open the durability breaker (WAL-degraded:
-            # writes rejected, reads served); durable appends feed its
-            # success side so a half-open probe can close it again.
-            self._wal.on_append_failure = self.governor.record_wal_failure
-            self._wal.on_append_success = self.governor.record_wal_success
             self._wal.on_append_retry = self.governor.record_io_retry
             self._replaying = True
             try:
@@ -214,74 +210,93 @@ class Database:
         return self.path / "checkpoints"
 
     def _ensure_writable(self) -> None:
-        """Reject mutations while WAL-degraded (durability breaker open).
+        """Drain the WAL backlog before a mutation; reject it if that fails.
 
-        Recovery replay is exempt: it re-applies already-durable work and
-        must never be blocked by a breaker left over from the previous
-        incarnation.  Raises
-        :class:`~repro.errors.WriteRejectedError` when degraded; a
-        half-open breaker admits the mutation as its probe.
+        Called first inside every mutating entry point's write-lock span.
+        An empty backlog costs one check.  A non-empty one is the
+        WAL-degraded state: the drain is the probe, so the first write
+        after the log heals goes through with no cooldown, and a write
+        the drain cannot clear raises
+        :class:`~repro.errors.WriteRejectedError` before anything is
+        applied.  Recovery replay is exempt: it re-applies durable work.
         """
-        if self._replaying:
+        if not self._wal_backlog or self._replaying:
             return
-        self.governor.ensure_writes_allowed()
+        try:
+            self._drain_wal_backlog()
+        except DurabilityError as err:
+            self.governor.record_write_rejected()
+            raise WriteRejectedError(
+                f"database is WAL-degraded ({len(self._wal_backlog)} "
+                f"record(s) not yet logged): writes are rejected until the "
+                f"log accepts them; reads are still served ({err})"
+            ) from err
 
-    def _log_ddl(self, record_type: str, data: Dict) -> None:
+    @property
+    def wal_degraded(self) -> bool:
+        """True while a record the log refused waits in the backlog."""
+        return bool(self._wal_backlog)
+
+    def _log(self, record_type: str, data: Dict) -> None:
+        """Queue one WAL record and drain the backlog (caller holds the
+        write lock).  Raises the :class:`~repro.errors.DurabilityError` of
+        the first record that still cannot be written; it and everything
+        after it stay queued."""
         if self._wal is not None and not self._replaying:
-            self._wal.append(record_type, data)
+            self._wal_backlog.append((record_type, data))
+            self._drain_wal_backlog()
 
     def _log_op(self, tid: int, op: Dict) -> None:
         if self._wal is not None and not self._replaying:
             self._txn_ops.setdefault(tid, []).append(op)
 
     def _on_txn_finish(self, txn: Transaction) -> None:
-        """Flush a finished transaction's buffered operations to the WAL.
+        """Log a finished transaction's buffered operations.
 
-        Aborted transactions flush too: the engine has no undo, so whatever
+        Aborted transactions log too: the engine has no undo, so whatever
         the transaction applied before aborting is part of the in-memory
-        state and must survive recovery identically (the record's ``status``
-        field preserves the distinction for forensics).
+        state and must survive recovery identically (the record's
+        ``status`` field preserves the distinction for forensics).
 
-        Row visibility is stamp-based and does not consult the WAL, so by
-        the time this hook runs the transaction's rows are already live.
-        A failed append therefore must not drop the record on the floor —
-        the live database would serve rows recovery cannot reproduce.
-        Failed records queue in ``_wal_backlog`` and are redelivered FIFO
-        ahead of the next transaction (or at close); a successful
-        checkpoint clears the queue instead, because the checkpoint
-        already captured their effects and a late append would make
-        replay apply them twice.
+        Explicit commits arrive here without the database lock, so the
+        record is queued under the write lock like every other.  A
+        read-only transaction has no record and takes no lock: reads must
+        stay servable while WAL-degraded.
         """
         ops = self._txn_ops.pop(txn.tid, None)
-        if not ops or self._wal is None or self._replaying:
-            # Read-only transactions never drain the backlog: reads must
-            # stay servable while WAL-degraded, so redelivery only rides
-            # transactions that would append a record anyway.
+        if not ops:
             return
-        self._wal_backlog.append((txn.tid, ops, txn.state))
-        self._drain_wal_backlog()
+        with self.lock.write():
+            self._wal_backlog.append(
+                ("txn", {"tid": txn.tid, "status": txn.state, "ops": ops})
+            )
+            self.faults.fire("txn.commit")
+            self._drain_wal_backlog()
 
     def _drain_wal_backlog(self) -> None:
-        """Append queued transaction records in order; stop on failure.
+        """Append queued records in order; stop at the first failure.
 
-        Raises the :class:`~repro.errors.DurabilityError` of the first
-        record that still cannot be written — everything from that record
-        on stays queued for the next attempt.
+        The only caller of ``WriteAheadLog.append``; every caller holds
+        the database write lock, so appends never race.
         """
         while self._wal_backlog:
-            tid, ops, state = self._wal_backlog[0]
-            self._wal.append_transaction(tid, ops, state)
+            self._wal.append(*self._wal_backlog[0])
             self._wal_backlog.pop(0)
 
     def checkpoint(self) -> Optional[Path]:
         """Write an atomic full-state checkpoint (durable databases only).
 
         Returns the checkpoint path, or None for in-memory databases.
-        Called automatically after every :meth:`merge`.
+        Called automatically after every :meth:`merge`.  A checkpoint
+        changes no state and is not gated on the backlog: it captures the
+        effects of every queued record, so success clears the backlog
+        (appending those records later would make replay apply them
+        twice).  A failed checkpoint raises
+        :class:`~repro.errors.DurabilityError` and degrades nothing — the
+        WAL still holds every logged record.
         """
         if self._wal is None:
             return None
-        self._ensure_writable()
         from .reliability.checkpoint import write_checkpoint
 
         def on_retry(attempt, err):
@@ -294,21 +309,14 @@ class Database:
                     self._checkpoint_dir(),
                     self._wal.stats.last_lsn,
                     faults=self.faults,
-                    retry=self.governor.retry,
                     on_retry=on_retry,
                 )
             except OSError as err:
-                self.governor.record_wal_failure(err)
                 raise DurabilityError(
                     f"checkpoint write failed after "
-                    f"{self.governor.retry.attempts} attempt(s): {err}"
+                    f"{WRITE_RETRY.attempts} attempt(s): {err}"
                 ) from err
-            self.governor.record_wal_success()
             self._wal.stats.checkpoints_written += 1
-            # Any transaction still awaiting its WAL record is durable now:
-            # the checkpoint captured its in-memory effects, and replay
-            # starts past this LSN.  Appending the record later would
-            # re-apply those operations on top of the checkpoint image.
             self._wal_backlog.clear()
             return path
 
@@ -328,9 +336,9 @@ class Database:
         with self.lock.write():  # drain in-flight readers before teardown
             if self._wal is not None:
                 try:
-                    # Last chance for transactions whose WAL append failed
-                    # earlier: a clean close must not forget work the live
-                    # database already served.
+                    # Last chance for records the log refused earlier: a
+                    # clean close must not forget work the live database
+                    # already served.
                     self._drain_wal_backlog()
                 except DurabilityError:
                     pass  # still failing; closing must not raise
@@ -400,9 +408,9 @@ class Database:
         keeping main x insert-delta subjoins dynamically prunable under
         update traffic.
         """
-        self._ensure_writable()
         schema = _as_schema(columns, primary_key)
         with self.lock.write():
+            self._ensure_writable()
             return self._create_table_locked(
                 name, schema, aging_rule, separate_update_delta
             )
@@ -423,16 +431,16 @@ class Database:
             aging_rule=aging_rule,
             separate_update_delta=separate_update_delta,
         )
-        self._log_ddl("create_table", record)
+        self._log("create_table", record)
         return table
 
     def drop_table(self, name: str) -> None:
         """Drop a table, evicting only the cache entries that reference it."""
-        self._ensure_writable()
         with self.lock.write():
+            self._ensure_writable()
             self.catalog.drop_table(name)
             self.cache.evict_for_table(name)
-            self._log_ddl("drop_table", {"name": name})
+            self._log("drop_table", {"name": name})
 
     def add_matching_dependency(
         self,
@@ -449,10 +457,10 @@ class Database:
         empty.  From this call on every insert is stamped, so the MD holds
         for all data, which is what keeps pruning sound.
         """
-        self._ensure_writable()
         name = tid_column_name or f"tid_{parent_table}"
         md = MatchingDependency(parent_table, parent_key, child_table, child_fk, name)
         with self.lock.write():
+            self._ensure_writable()
             return self._add_md_locked(md)
 
     def _add_md_locked(self, md: MatchingDependency) -> MatchingDependency:
@@ -462,20 +470,20 @@ class Database:
                 table.extend_schema([tid_column(md.tid_column)])
         self.enforcer.register(md)
         self.cache.register_matching_dependency(md)
-        self._log_ddl("add_md", encode_md(md))
+        self._log("add_md", encode_md(md))
         return md
 
     def declare_consistent_aging(self, left_table: str, right_table: str) -> ConsistentAging:
         """Promise that matching tuples of the two tables age together
         (Section 5.4), enabling logical pruning of cross-temperature
         subjoins."""
-        self._ensure_writable()
         with self.lock.write():
+            self._ensure_writable()
             for name in (left_table, right_table):
                 self.catalog.table(name)  # existence check
             declaration = ConsistentAging(left_table, right_table)
             self.cache.register_consistent_aging(declaration)
-            self._log_ddl("consistent_aging", encode_consistent_aging(declaration))
+            self._log("consistent_aging", encode_consistent_aging(declaration))
             return declaration
 
     # ------------------------------------------------------------------
@@ -511,9 +519,9 @@ class Database:
         txn: Optional[Transaction] = None,
     ):
         """Insert one row; stamps MD tid columns through the enforcer."""
-        self._ensure_writable()
-        transaction, own = self._txn_or_begin(txn)
         with self.lock.write():
+            self._ensure_writable()
+            transaction, own = self._txn_or_begin(txn)
             try:
                 table = self.catalog.table(table_name)
                 stamped = self.enforcer.stamp(table_name, row, transaction.tid)
@@ -548,9 +556,9 @@ class Database:
         txn: Optional[Transaction] = None,
     ) -> int:
         """Insert several rows in one transaction; returns the count."""
-        self._ensure_writable()
-        transaction, own = self._txn_or_begin(txn)
         with self.lock.write():  # one exclusive span for the whole batch
+            self._ensure_writable()
+            transaction, own = self._txn_or_begin(txn)
             try:
                 count = 0
                 for row in rows:
@@ -574,9 +582,9 @@ class Database:
         """Persist a header and its items in a single transaction — the
         enterprise-application insert pattern of Section 3.2.  Returns the
         number of item rows inserted."""
-        self._ensure_writable()
-        transaction, own = self._txn_or_begin(txn)
         with self.lock.write():  # header + items swap in as one unit
+            self._ensure_writable()
+            transaction, own = self._txn_or_begin(txn)
             try:
                 self.insert(header_table, header_row, txn=transaction)
                 count = 0
@@ -598,9 +606,9 @@ class Database:
         txn: Optional[Transaction] = None,
     ) -> None:
         """Update one row by primary key (new version goes to the delta)."""
-        self._ensure_writable()
-        transaction, own = self._txn_or_begin(txn)
         with self.lock.write():
+            self._ensure_writable()
+            transaction, own = self._txn_or_begin(txn)
             self._update_locked(table_name, pk_value, changes, transaction, own)
 
     def _update_locked(self, table_name, pk_value, changes, transaction, own) -> None:
@@ -636,9 +644,9 @@ class Database:
         txn: Optional[Transaction] = None,
     ) -> None:
         """Delete one row by primary key (invalidation only)."""
-        self._ensure_writable()
-        transaction, own = self._txn_or_begin(txn)
         with self.lock.write():
+            self._ensure_writable()
+            transaction, own = self._txn_or_begin(txn)
             self._delete_locked(table_name, pk_value, transaction, own)
 
     def _delete_locked(self, table_name, pk_value, transaction, own) -> None:
@@ -687,8 +695,8 @@ class Database:
         not yet logged are simply re-run from the pre-merge state — they
         change the physical layout, never query results.
         """
-        self._ensure_writable()
         with self.lock.write():  # partition swap excludes all readers
+            self._ensure_writable()
             tables = (
                 [self.catalog.table(table_name)]
                 if table_name is not None
@@ -708,10 +716,15 @@ class Database:
                         obs=self.obs,
                     )
                 )
-                if self._wal is not None and not self._replaying:
-                    self._wal.append_merge(
-                        table.name, group_name, snapshot, keep_history
-                    )
+                self._log(
+                    "merge",
+                    {
+                        "table": table.name,
+                        "group": group_name,
+                        "snapshot": snapshot,
+                        "keep_history": keep_history,
+                    },
+                )
             if self._wal is not None and not self._replaying:
                 self.checkpoint()
             return stats
@@ -921,11 +934,15 @@ class Database:
             return collect_statistics(self)
 
     def health(self) -> HealthReport:
-        """The governor's health snapshot: overall state, active degraded
-        modes (``wal_degraded`` / ``cache_degraded``), breaker details,
-        abort/retry/shed counters, and memory-budget occupancy.  Served
-        without the database lock so it works even while writers stall."""
-        return self.governor.health(tracked_bytes=self.cache.tracked_bytes())
+        """The governor's health snapshot: overall state, the degraded
+        mode (``wal_degraded`` exactly while the WAL backlog is
+        non-empty), abort/retry/rejection/shed counters, and memory-budget
+        occupancy.  Served without the database lock so it works even
+        while writers stall."""
+        return self.governor.health(
+            tracked_bytes=self.cache.tracked_bytes(),
+            wal_degraded=self.wal_degraded,
+        )
 
     def export_metrics(self) -> str:
         """The metrics registry in Prometheus text exposition format.

@@ -1,4 +1,5 @@
-"""Shared parsing for ``REPRO_*`` environment knobs.
+"""Shared parsing for the environment knobs (``REPRO_QUERY_TIMEOUT_MS``,
+``REPRO_MEMORY_BUDGET_MB``).
 
 Every knob follows the same contract:
 

@@ -89,9 +89,10 @@ class QueryCancelled(QueryAborted):
 class WriteRejectedError(ReproError):
     """The database is WAL-degraded: writes are rejected, reads served.
 
-    Raised by every mutating entry point while the durability circuit
-    breaker is open.  Clients should back off and retry; the breaker
-    half-opens after its cooldown and lets a probe write through.
+    Raised by a mutating entry point when a record the write-ahead log
+    refused earlier still cannot be appended.  Nothing of the rejected
+    write is applied.  Every write retries the backlog first, so the
+    first write after the log heals goes through.
     """
 
 

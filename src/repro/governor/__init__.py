@@ -4,15 +4,12 @@ See :mod:`repro.governor.governor` for the overview; the pieces are
 
 * :class:`Deadline` / :class:`CancelToken` — cooperative query cancellation;
 * :class:`RetryPolicy` — bounded exponential backoff for transient I/O;
-* :class:`CircuitBreaker` — closed → open → half-open failure isolation;
 * :class:`ResourceGovernor` / :class:`GovernorConfig` / :class:`HealthReport`
-  — the facade-level state machine tying them together.
+  — the facade-level accounting tying them together.
 """
 
-from .breaker import BreakerSnapshot, CircuitBreaker
 from .deadline import CancelToken, Deadline
 from .governor import (
-    CACHE_DEGRADED,
     HEALTHY,
     WAL_DEGRADED,
     GovernorConfig,
@@ -22,8 +19,6 @@ from .governor import (
 from .retry import RetryPolicy
 
 __all__ = [
-    "BreakerSnapshot",
-    "CircuitBreaker",
     "CancelToken",
     "Deadline",
     "GovernorConfig",
@@ -32,5 +27,4 @@ __all__ = [
     "RetryPolicy",
     "HEALTHY",
     "WAL_DEGRADED",
-    "CACHE_DEGRADED",
 ]

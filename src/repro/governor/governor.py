@@ -1,7 +1,7 @@
-"""The resource governor: one object owning every degradation decision.
+"""The resource governor: one object accounting for every degradation.
 
 :class:`ResourceGovernor` sits on the :class:`~repro.database.Database`
-facade and cooperates with four mechanisms:
+facade and cooperates with three mechanisms:
 
 * **query deadlines** — :meth:`query_token` mints the per-query
   :class:`~repro.governor.deadline.CancelToken` (default budget from
@@ -10,15 +10,16 @@ facade and cooperates with four mechanisms:
 * **memory budgets** — ``memory_budget_bytes`` is the ceiling the cache
   manager sheds down to (``REPRO_MEMORY_BUDGET_MB``), with every shed
   recorded here;
-* **durability breaker** — WAL appends and checkpoint writes retry
-  transient ``OSError``s through :attr:`retry`; exhausted retries feed
-  :attr:`wal_breaker`, and while it is open the database is
-  *WAL-degraded*: :meth:`ensure_writes_allowed` rejects mutations with
-  :class:`~repro.errors.WriteRejectedError` while reads keep serving;
-* **cache breaker** — failures inside cached execution feed
-  :attr:`cache_breaker`; while it is open the database is
-  *cache-degraded*: queries bypass the aggregate cache and answer from
-  the base tables.
+* **durability** — WAL appends and checkpoint writes retry transient
+  ``OSError``s in place (:data:`~repro.governor.retry.WRITE_RETRY`, no
+  setting); a record the log still refuses waits in the database's WAL
+  backlog, and while that backlog is non-empty the database is
+  *WAL-degraded*: the next write drains it first and is rejected with
+  :class:`~repro.errors.WriteRejectedError` when the drain fails, while
+  reads keep serving.  The governor counts rejections and retries.
+
+A cached query that fails mid-run is answered from the base tables
+(``degraded_reason="fallback"``); the governor counts those too.
 
 :meth:`health` condenses all of it into a :class:`HealthReport` for
 ``db.health()``, the monitor, and the shell's ``\\health`` command; the
@@ -28,32 +29,24 @@ same numbers feed the ``repro_governor_*`` metrics.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..envutil import env_float, env_int
-from ..errors import WriteRejectedError
-from .breaker import CLOSED, OPEN, STATE_CODES, BreakerSnapshot, CircuitBreaker
+from ..envutil import env_float
 from .deadline import CancelToken, Deadline
-from .retry import RetryPolicy
 
 #: Environment knobs (all parsed through :mod:`repro.envutil`).
 QUERY_TIMEOUT_ENV = "REPRO_QUERY_TIMEOUT_MS"
 MEMORY_BUDGET_ENV = "REPRO_MEMORY_BUDGET_MB"
-WAL_RETRIES_ENV = "REPRO_WAL_RETRIES"
-RETRY_BACKOFF_ENV = "REPRO_RETRY_BACKOFF_MS"
-BREAKER_THRESHOLD_ENV = "REPRO_BREAKER_THRESHOLD"
-BREAKER_RESET_ENV = "REPRO_BREAKER_RESET_MS"
 
-#: Health states (the two degraded modes may hold simultaneously).
+#: Health states.
 HEALTHY = "healthy"
 WAL_DEGRADED = "wal_degraded"
-CACHE_DEGRADED = "cache_degraded"
 
 
 @dataclass(frozen=True)
 class GovernorConfig:
-    """Tunable limits; :meth:`from_env` reads the ``REPRO_*`` knobs.
+    """Tunable limits; :meth:`from_env` reads the two environment knobs.
 
     ``query_timeout_ms=None`` / ``memory_budget_mb=None`` disable the
     respective mechanism entirely (zero per-query overhead).
@@ -61,37 +54,21 @@ class GovernorConfig:
 
     query_timeout_ms: Optional[float] = None
     memory_budget_mb: Optional[float] = None
-    wal_retries: int = 3
-    retry_backoff_ms: float = 1.0
-    breaker_threshold: int = 5
-    breaker_reset_ms: float = 1000.0
 
     @classmethod
     def from_env(cls) -> "GovernorConfig":
-        defaults = cls()
         return cls(
             query_timeout_ms=env_float(QUERY_TIMEOUT_ENV, None, minimum=1.0),
             memory_budget_mb=env_float(MEMORY_BUDGET_ENV, None, minimum=0.001),
-            wal_retries=env_int(WAL_RETRIES_ENV, defaults.wal_retries, minimum=1),
-            retry_backoff_ms=env_float(
-                RETRY_BACKOFF_ENV, defaults.retry_backoff_ms, minimum=0.0
-            ),
-            breaker_threshold=env_int(
-                BREAKER_THRESHOLD_ENV, defaults.breaker_threshold, minimum=1
-            ),
-            breaker_reset_ms=env_float(
-                BREAKER_RESET_ENV, defaults.breaker_reset_ms, minimum=1.0
-            ),
         )
 
 
 @dataclass(frozen=True)
 class HealthReport:
-    """One coherent snapshot of the degradation state machine."""
+    """One coherent snapshot of the governor's accounting."""
 
     state: str  # "healthy" or "degraded"
-    modes: List[str]  # active degraded modes, e.g. ["wal_degraded"]
-    breakers: Dict[str, BreakerSnapshot]
+    modes: List[str]  # active degraded modes: [] or ["wal_degraded"]
     timeouts: int
     cancellations: int
     writes_rejected: int
@@ -107,17 +84,6 @@ class HealthReport:
         lines = [f"state: {self.state}"]
         if self.modes:
             lines.append(f"modes: {', '.join(self.modes)}")
-        for name in sorted(self.breakers):
-            b = self.breakers[name]
-            detail = (
-                f"breaker[{name}]: {b.state}"
-                f" (consecutive_failures={b.consecutive_failures},"
-                f" failures_total={b.failures_total},"
-                f" opened_total={b.opened_total})"
-            )
-            if b.last_error:
-                detail += f" last_error={b.last_error}"
-            lines.append(detail)
         lines.append(
             f"queries: timeouts={self.timeouts}"
             f" cancellations={self.cancellations}"
@@ -150,28 +116,11 @@ class HealthReport:
 
 
 class ResourceGovernor:
-    """Owns the breakers, retry policy, budgets, and their accounting."""
+    """Owns the budgets and the accounting of every degradation."""
 
     def __init__(self, config: Optional[GovernorConfig] = None, obs=None):
         self.config = config or GovernorConfig.from_env()
         self.obs = obs
-        self.retry = RetryPolicy(
-            attempts=self.config.wal_retries,
-            backoff_ms=self.config.retry_backoff_ms,
-        )
-        reset_s = self.config.breaker_reset_ms / 1000.0
-        self.wal_breaker = CircuitBreaker(
-            "wal",
-            threshold=self.config.breaker_threshold,
-            reset_after_s=reset_s,
-            on_transition=self._on_breaker_transition,
-        )
-        self.cache_breaker = CircuitBreaker(
-            "cache",
-            threshold=self.config.breaker_threshold,
-            reset_after_s=reset_s,
-            on_transition=self._on_breaker_transition,
-        )
         budget_mb = self.config.memory_budget_mb
         self.memory_budget_bytes: Optional[int] = (
             int(budget_mb * 1024 * 1024) if budget_mb is not None else None
@@ -222,29 +171,13 @@ class ResourceGovernor:
             self.obs.governor_cancellations.inc()
 
     # ------------------------------------------------------------------
-    # Durability (WAL / checkpoint) degradation
+    # Durability (WAL / checkpoint)
     # ------------------------------------------------------------------
-    def ensure_writes_allowed(self) -> None:
-        """Gate every mutating entry point while WAL-degraded.
-
-        Half-open admits writes freely: the *probe* is the next WAL
-        append's outcome, not the gate check itself, and one logical
-        mutation may pass the gate several times (``insert_many`` gates
-        once per batch and once per row).
-        """
-        if self.wal_breaker.allow():
-            return
-        if self.wal_breaker.state != OPEN:
-            return
+    def record_write_rejected(self) -> None:
         with self._lock:
             self._writes_rejected += 1
         if self.obs is not None:
             self.obs.governor_writes_rejected.inc()
-        raise WriteRejectedError(
-            "database is WAL-degraded (durability breaker open): writes "
-            "are rejected until a half-open probe succeeds; reads are "
-            "still served"
-        )
 
     def record_io_retry(self, point: str) -> None:
         with self._lock:
@@ -252,25 +185,9 @@ class ResourceGovernor:
         if self.obs is not None:
             self.obs.governor_retries.labels(point).inc()
 
-    def record_wal_failure(self, error: Optional[BaseException] = None) -> None:
-        self.wal_breaker.record_failure(error)
-
-    def record_wal_success(self) -> None:
-        self.wal_breaker.record_success()
-
     # ------------------------------------------------------------------
-    # Aggregate-cache degradation
+    # Aggregate-cache fallback
     # ------------------------------------------------------------------
-    def cache_path_allowed(self) -> bool:
-        """Whether cached execution may run (half-open admits one probe)."""
-        return self.cache_breaker.allow()
-
-    def record_cache_failure(self, error: Optional[BaseException] = None) -> None:
-        self.cache_breaker.record_failure(error)
-
-    def record_cache_success(self) -> None:
-        self.cache_breaker.record_success()
-
     def record_degraded_query(self, reason: str) -> None:
         with self._lock:
             self._degraded_queries += 1
@@ -298,27 +215,18 @@ class ResourceGovernor:
     # ------------------------------------------------------------------
     # Health
     # ------------------------------------------------------------------
-    def modes(self) -> List[str]:
-        """Active degraded modes (half-open still counts: probing)."""
-        active = []
-        if self.wal_breaker.state != CLOSED:
-            active.append(WAL_DEGRADED)
-        if self.cache_breaker.state != CLOSED:
-            active.append(CACHE_DEGRADED)
-        return active
-
-    def health(self, tracked_bytes: Optional[int] = None) -> HealthReport:
-        modes = self.modes()
+    def health(
+        self, tracked_bytes: Optional[int] = None, wal_degraded: bool = False
+    ) -> HealthReport:
+        """The report; ``wal_degraded`` is the database's "WAL backlog is
+        non-empty" — the governor keeps no degraded state of its own."""
+        modes = [WAL_DEGRADED] if wal_degraded else []
         if tracked_bytes is not None:
             self.set_tracked_bytes(tracked_bytes)
         with self._lock:
             return HealthReport(
                 state="degraded" if modes else HEALTHY,
                 modes=modes,
-                breakers={
-                    "wal": self.wal_breaker.snapshot(),
-                    "cache": self.cache_breaker.snapshot(),
-                },
                 timeouts=self._timeouts,
                 cancellations=self._cancellations,
                 writes_rejected=self._writes_rejected,
@@ -329,10 +237,3 @@ class ResourceGovernor:
                 tracked_bytes=tracked_bytes,
                 memory_budget_bytes=self.memory_budget_bytes,
             )
-
-    def _on_breaker_transition(self, name: str, to_state: str) -> None:
-        if self.obs is not None:
-            self.obs.governor_breaker_state.labels(name).set(
-                STATE_CODES[to_state]
-            )
-            self.obs.governor_breaker_transitions.labels(name, to_state).inc()

@@ -5,7 +5,8 @@ Durability writes (WAL appends, checkpoint materialization) can hit
 that succeed on retry.  :class:`RetryPolicy` retries the operation a
 bounded number of times with exponentially growing, jittered sleeps;
 anything still failing after the budget is exhausted escalates to the
-caller (and, through the governor, feeds the durability circuit breaker).
+caller.  :data:`WRITE_RETRY` is the one policy both durable writes use;
+it has no setting.
 
 Only the exception types in ``retry_on`` are retried: injected
 ``FaultError``/``SimulatedCrash`` and programming errors always
@@ -72,3 +73,7 @@ class RetryPolicy:
                     on_retry(attempt, exc)
                 sleep(self.delay_s(attempt))
         raise AssertionError("unreachable")  # pragma: no cover
+
+
+#: WAL appends and checkpoint writes: three tries, 1 ms then ~2 ms apart.
+WRITE_RETRY = RetryPolicy()

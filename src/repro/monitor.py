@@ -138,8 +138,8 @@ class DatabaseStats:
     cache: CacheStats
     enforcement: EnforcementSnapshot
     durability: Optional[DurabilityStats] = None
-    #: The resource governor's health snapshot (breaker states, degraded
-    #: modes, abort/retry/shed counters); see :mod:`repro.governor`.
+    #: The resource governor's health snapshot (degraded mode,
+    #: abort/retry/shed counters); see :mod:`repro.governor`.
     health: Optional[HealthReport] = None
     #: Flat ``{name{labels}: value}`` view of the metrics registry at
     #: snapshot time (empty when observability is disabled).
@@ -311,6 +311,8 @@ def collect_statistics(db: Database) -> DatabaseStats:
         # lock a second time, and a shed or insert between the two takes
         # would make the health view disagree with the cache stats (the
         # same torn-read class the single-snapshot counters fix closed).
-        health=db.governor.health(tracked_bytes=counters["tracked_bytes"]),
+        health=db.governor.health(
+            tracked_bytes=counters["tracked_bytes"], wal_degraded=db.wal_degraded
+        ),
         metrics=db.metrics_snapshot(),
     )

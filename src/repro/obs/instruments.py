@@ -195,19 +195,9 @@ class EngineMetrics:
         )
         self.governor_degraded_queries = r.counter(
             names.GOVERNOR_DEGRADED_QUERIES_TOTAL,
-            "Queries answered from base tables due to cache degradation, "
-            "by reason (breaker_open/fallback).",
+            "Cached queries answered from the base tables after the cached "
+            "path failed, by reason (fallback).",
             labels=("reason",),
-        )
-        self.governor_breaker_state = r.gauge(
-            names.GOVERNOR_BREAKER_STATE,
-            "Circuit breaker state (0=closed, 1=open, 2=half_open).",
-            labels=("breaker",),
-        )
-        self.governor_breaker_transitions = r.counter(
-            names.GOVERNOR_BREAKER_TRANSITIONS_TOTAL,
-            "Circuit breaker state transitions, by breaker and new state.",
-            labels=("breaker", "state"),
         )
         self.governor_tracked_bytes = r.gauge(
             names.GOVERNOR_TRACKED_BYTES,

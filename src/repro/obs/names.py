@@ -65,8 +65,6 @@ GOVERNOR_SHED_BYTES_TOTAL = "repro_governor_shed_bytes_total"
 GOVERNOR_RETRIES_TOTAL = "repro_governor_retries_total"
 GOVERNOR_WRITES_REJECTED_TOTAL = "repro_governor_writes_rejected_total"
 GOVERNOR_DEGRADED_QUERIES_TOTAL = "repro_governor_degraded_queries_total"
-GOVERNOR_BREAKER_STATE = "repro_governor_breaker_state"
-GOVERNOR_BREAKER_TRANSITIONS_TOTAL = "repro_governor_breaker_transitions_total"
 GOVERNOR_TRACKED_BYTES = "repro_governor_tracked_bytes"
 
 #: Every canonical metric name, for the uniqueness/coverage lint.

@@ -150,12 +150,7 @@ class Counter(_Instrument):
 
 
 class Gauge(_Instrument):
-    """A value that can go up and down; optionally backed by a callback.
-
-    With ``label_names`` declared, the gauge is a family like a labelled
-    :class:`Counter`: ``labels(value, ...)`` returns the child for one
-    label combination (e.g. one breaker-state gauge per breaker).
-    """
+    """A value that can go up and down; optionally backed by a callback."""
 
     kind = "gauge"
 
@@ -164,13 +159,10 @@ class Gauge(_Instrument):
         name: str,
         help: str = "",
         fn: Optional[Callable[[], float]] = None,
-        label_names: Sequence[str] = (),
     ):
         super().__init__(name, help)
-        self.label_names = tuple(label_names)
         self._value = 0.0
         self._fn = fn
-        self._children: Dict[Tuple[str, ...], "Gauge"] = {}
 
     def set(self, value: float) -> None:
         """Set the current value."""
@@ -182,21 +174,6 @@ class Gauge(_Instrument):
         with self._lock:
             self._value += amount
 
-    def labels(self, *values: str) -> "Gauge":
-        """The child gauge for one label-value combination."""
-        if len(values) != len(self.label_names):
-            raise ObservabilityError(
-                f"gauge {self.name} takes labels {self.label_names}, "
-                f"got {values!r}"
-            )
-        key = tuple(str(v) for v in values)
-        with self._lock:
-            child = self._children.get(key)
-            if child is None:
-                child = Gauge(self.name, self.help)
-                self._children[key] = child
-            return child
-
     @property
     def value(self) -> float:
         """Current value (calls the callback when one was given)."""
@@ -206,13 +183,7 @@ class Gauge(_Instrument):
             return self._value
 
     def samples(self) -> Iterator[_Sample]:
-        with self._lock:
-            children = sorted(self._children.items())
-        if self.label_names:
-            for key, child in children:
-                yield self.name, tuple(zip(self.label_names, key)), child.value
-        else:
-            yield self.name, (), self.value
+        yield self.name, (), self.value
 
 
 class Histogram(_Instrument):
@@ -312,10 +283,9 @@ class MetricsRegistry:
         name: str,
         help: str = "",
         fn: Optional[Callable[[], float]] = None,
-        labels: Sequence[str] = (),
     ) -> Gauge:
-        """Create and register a gauge (family, when ``labels`` given)."""
-        return self._register(Gauge(name, help, fn, labels))
+        """Create and register a gauge."""
+        return self._register(Gauge(name, help, fn))
 
     def histogram(self, name: str, help: str = "", buckets: Sequence[float] = LATENCY_BUCKETS) -> Histogram:
         """Create and register a fixed-bucket histogram."""
@@ -398,7 +368,7 @@ class NullRegistry:
     def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
-    def gauge(self, name: str, help: str = "", fn=None, labels: Sequence[str] = ()) -> _NullInstrument:
+    def gauge(self, name: str, help: str = "", fn=None) -> _NullInstrument:
         return _NULL_INSTRUMENT
 
     def histogram(self, name: str, help: str = "", buckets: Sequence[float] = ()) -> _NullInstrument:

@@ -49,6 +49,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.matching_dependency import MatchingDependency
 from ..errors import DurabilityError, StorageError
+from ..governor.retry import WRITE_RETRY
 from ..storage.aging import ConsistentAging, aging_rule_from_spec, aging_rule_spec
 from ..storage.partition import LIVE, Partition
 from ..storage.schema import ColumnDef, Schema, SqlType
@@ -150,17 +151,15 @@ def write_checkpoint(
     directory,
     last_lsn: int,
     faults: Optional[FaultInjector] = None,
-    retry=None,
     on_retry=None,
 ) -> Path:
     """Atomically write a checkpoint of ``db``; returns its path.
 
-    The caller holds ``db.lock``.  With a
-    :class:`~repro.governor.RetryPolicy` supplied, transient ``OSError``s
-    (including injected ``io_error`` faults) during the file write are
-    retried with backoff; the tmp-file + ``os.replace`` protocol makes every
-    retry start from a clean slate, so a transient failure can never leave a
-    half-visible checkpoint behind.
+    The caller holds ``db.lock``.  Transient ``OSError``s (including
+    injected ``io_error`` faults) during the file write are retried in
+    place by :data:`~repro.governor.retry.WRITE_RETRY`; the tmp-file +
+    ``os.replace`` protocol makes every retry start from a clean slate, so
+    a transient failure can never leave a half-visible checkpoint behind.
     """
     tables = []
     for name in db.catalog.table_names():
@@ -212,9 +211,7 @@ def write_checkpoint(
         os.replace(tmp, target)
         return target
 
-    if retry is None:
-        return attempt()
-    return retry.call(attempt, retry_on=(OSError,), on_retry=on_retry)
+    return WRITE_RETRY.call(attempt, on_retry=on_retry)
 
 
 def _decoded_rows(partition: Partition) -> List[Dict[str, object]]:
@@ -316,12 +313,15 @@ def save_database(db, directory) -> Path:
 
 
 def load_database(directory, **database_kwargs):
-    """A fresh in-memory :class:`~repro.database.Database` holding what
+    """A fresh :class:`~repro.database.Database` holding what
     :func:`save_database` wrote into ``directory``.
 
     Keyword arguments go to the ``Database`` constructor (cache config,
-    policies).  Raises :class:`~repro.errors.StorageError` when the
-    directory holds no checkpoint that parses and CRC-verifies.
+    policies).  With ``path=`` the restored database is durable: the rows
+    reach its directory as one checkpoint written right after the
+    restore, because they are restored below the write-ahead log.  Raises
+    :class:`~repro.errors.StorageError` when ``directory`` holds no
+    checkpoint that parses and CRC-verifies.
     """
     from ..database import Database
 
@@ -331,4 +331,5 @@ def load_database(directory, **database_kwargs):
     db = Database(**database_kwargs)
     with db.lock.write():
         restore_checkpoint(db, found[0])
+        db.checkpoint()
     return db

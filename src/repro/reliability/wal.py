@@ -35,10 +35,10 @@ import time
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional
 
 from ..errors import DurabilityError
-from ..governor.retry import RetryPolicy
+from ..governor.retry import WRITE_RETRY
 from .faults import FaultInjector, SimulatedCrash
 
 
@@ -107,7 +107,6 @@ class WriteAheadLog:
         path,
         faults: Optional[FaultInjector] = None,
         obs=None,
-        retry: Optional[RetryPolicy] = None,
     ):
         self.path = Path(path)
         self._faults = faults if faults is not None else FaultInjector()
@@ -117,13 +116,8 @@ class WriteAheadLog:
         # Optional EngineMetrics: append counters and the fsync latency
         # histogram, the dominant term in commit latency.
         self.obs = obs
-        # Transient-OSError absorption; None disables retrying entirely.
-        self.retry = retry if retry is not None else RetryPolicy()
-        # Governor hooks (set by the Database facade): exhausted-retry
-        # failures and durable successes feed the durability breaker,
-        # individual retries feed the repro_governor_retries_total counter.
-        self.on_append_failure: Optional[Callable[[BaseException], None]] = None
-        self.on_append_success: Optional[Callable[[], None]] = None
+        # Set by the Database facade: each retried attempt feeds the
+        # repro_governor_retries_total counter.
         self.on_append_retry: Optional[Callable[[str], None]] = None
 
     # ------------------------------------------------------------------
@@ -203,12 +197,11 @@ class WriteAheadLog:
         is exactly the torn tail recovery must cope with.
 
         Transient ``OSError``s (including injected ``io_error`` faults)
-        are retried through the attached :class:`RetryPolicy` with
-        backoff; a partially written record is truncated away before each
-        retry so the retried append starts from a clean tail.  Exhausted
-        retries escalate to :class:`~repro.errors.DurabilityError` and
-        report to ``on_append_failure`` (the governor's durability
-        breaker); every durable append reports to ``on_append_success``.
+        are retried in place by :data:`~repro.governor.retry.WRITE_RETRY`;
+        a partially written record is truncated away before each retry so
+        the retried append starts from a clean tail.  Exhausted retries
+        escalate to :class:`~repro.errors.DurabilityError` and the lsn is
+        not consumed.
         """
         if self._fh is None:
             raise DurabilityError("WAL is not open for appending")
@@ -220,23 +213,16 @@ class WriteAheadLog:
             self._write_durably(payload)
 
         try:
-            if self.retry is not None:
-                self.retry.call(
-                    attempt, retry_on=(OSError,), on_retry=self._on_retry
-                )
-            else:
-                attempt()
+            WRITE_RETRY.call(attempt, on_retry=self._on_retry)
         except SimulatedCrash:
             self._fh.write(payload[: max(1, len(payload) // 2)])
             self._fh.flush()
             os.fsync(self._fh.fileno())
             raise
         except OSError as err:
-            if self.on_append_failure is not None:
-                self.on_append_failure(err)
             raise DurabilityError(
                 f"WAL append of lsn {lsn} failed after "
-                f"{self.retry.attempts if self.retry else 1} attempt(s): {err}"
+                f"{WRITE_RETRY.attempts} attempt(s): {err}"
             ) from err
         if self.obs is not None:
             self.obs.wal_appends.inc()
@@ -245,8 +231,10 @@ class WriteAheadLog:
         self.stats.records_appended += 1
         self.stats.bytes_written += len(payload)
         self.stats.last_lsn = lsn
-        if self.on_append_success is not None:
-            self.on_append_success()
+        if record_type == "txn":
+            self.stats.transactions_logged += 1
+        elif record_type == "merge":
+            self.stats.merges_logged += 1
         return lsn
 
     def _write_durably(self, payload: bytes) -> None:
@@ -276,33 +264,3 @@ class WriteAheadLog:
     def _on_retry(self, attempt: int, err: BaseException) -> None:
         if self.on_append_retry is not None:
             self.on_append_retry("wal.append")
-
-    # ------------------------------------------------------------------
-    # typed appenders
-    # ------------------------------------------------------------------
-    def append_transaction(self, tid: int, ops: Sequence[Dict], status: str) -> int:
-        """Log a finished transaction and the operations it applied."""
-        self._faults.fire("txn.commit")
-        lsn = self.append("txn", {"tid": tid, "status": status, "ops": list(ops)})
-        self.stats.transactions_logged += 1
-        return lsn
-
-    def append_merge(
-        self,
-        table: str,
-        group_name: Optional[str],
-        snapshot: int,
-        keep_history: bool,
-    ) -> int:
-        """Log one completed (already swapped) table merge."""
-        lsn = self.append(
-            "merge",
-            {
-                "table": table,
-                "group": group_name,
-                "snapshot": snapshot,
-                "keep_history": keep_history,
-            },
-        )
-        self.stats.merges_logged += 1
-        return lsn

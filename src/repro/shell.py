@@ -17,7 +17,7 @@ the engine:
 ``\\entries``       aggregate cache entries and their metrics
 ``\\plans``         plan cache contents and hit/miss/invalidation counters
 ``\\stats``         storage / cache / enforcement statistics
-``\\health``        governor health: breaker states and degraded modes
+``\\health``        governor health: degraded mode and abort/retry counters
 ``\\metrics``       the metrics registry in Prometheus text format
 ``\\save DIR``      write the database as one checkpoint file into DIR
 ``\\open DIR``      replace the session database with the one saved in DIR

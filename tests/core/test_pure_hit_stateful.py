@@ -6,7 +6,9 @@ Invariant: every ``query()`` returns exactly the rows of the same call at
 strategies — ROADMAP's oracle item), and a read answered from a remembered
 output order returns the identical row *sequence* as the read that
 remembered it.  Each machine must also see ``result_reused`` at least once,
-so the test cannot pass by never taking the path under test.
+so the test cannot pass by never taking the path under test.  No checked
+read may report ``degraded_reason``: a cached path that raised is answered
+from the base tables and would otherwise pass as UNCACHED.
 
 The same machine guards the cancelling of silent updates
 (``repro.core.effective_rows``): ``touch`` gives one key several versions in
@@ -453,8 +455,11 @@ class PureHitMachine(RuleBasedStateMachine):
         entries = self.db.cache.entries_for(self.db.parse(sql))
         memos = [(entry, entry.delta_memo) for entry in entries]
         result = self.db.query(sql, strategy=strategy, **kwargs)
-        assert Counter(result.rows) == Counter(truth), (sql, kwargs, strategy)
         report = result.report
+        # A cached path that raised would be answered from the base tables
+        # and equal UNCACHED: the fallback must not hide it here.
+        assert report.degraded_reason == "", (sql, kwargs, strategy)
+        assert Counter(result.rows) == Counter(truth), (sql, kwargs, strategy)
         type(self).cancelled += report.silent_rows_cancelled
         if report.delta_memo_mode == "full":
             type(self).births[report.delta_memo_reason] += 1

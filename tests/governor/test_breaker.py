@@ -1,143 +1,10 @@
-"""Circuit breaker and retry policy units (fake clocks, seeded RNGs)."""
+"""Retry policy units (seeded RNGs)."""
 
 import random
 
 import pytest
 
-from repro.governor.breaker import (
-    CLOSED,
-    HALF_OPEN,
-    OPEN,
-    CircuitBreaker,
-    STATE_CODES,
-)
-from repro.governor.retry import RetryPolicy
-
-
-class FakeClock:
-    def __init__(self, now: float = 0.0):
-        self.now = now
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-def make_breaker(threshold=3, reset_after_s=10.0, transitions=None):
-    clock = FakeClock()
-    breaker = CircuitBreaker(
-        "test",
-        threshold=threshold,
-        reset_after_s=reset_after_s,
-        clock=clock,
-        on_transition=(
-            (lambda name, state: transitions.append((name, state)))
-            if transitions is not None
-            else None
-        ),
-    )
-    return breaker, clock
-
-
-class TestCircuitBreaker:
-    def test_starts_closed_and_allows(self):
-        breaker, _ = make_breaker()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-
-    def test_failures_below_threshold_stay_closed(self):
-        breaker, _ = make_breaker(threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-
-    def test_threshold_consecutive_failures_open(self):
-        breaker, _ = make_breaker(threshold=3)
-        for _ in range(3):
-            breaker.record_failure(OSError("disk full"))
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-        snap = breaker.snapshot()
-        assert snap.opened_total == 1
-        assert snap.last_error == "OSError: disk full"
-
-    def test_success_resets_the_consecutive_count(self):
-        breaker, _ = make_breaker(threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CLOSED
-
-    def test_cooldown_admits_a_single_probe(self):
-        breaker, clock = make_breaker(threshold=1, reset_after_s=10.0)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.advance(10.0)
-        assert breaker.allow()  # the probe
-        assert breaker.state == HALF_OPEN
-        assert not breaker.allow()  # probe outstanding: everyone else waits
-
-    def test_probe_success_closes(self):
-        breaker, clock = make_breaker(threshold=1, reset_after_s=10.0)
-        breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_success()
-        assert breaker.state == CLOSED
-        assert breaker.allow()
-
-    def test_probe_failure_reopens_and_restarts_cooldown(self):
-        breaker, clock = make_breaker(threshold=1, reset_after_s=10.0)
-        breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == OPEN
-        assert not breaker.allow()
-        clock.advance(9.9)
-        assert not breaker.allow()
-        clock.advance(0.2)
-        assert breaker.allow()
-        assert breaker.snapshot().opened_total == 2
-
-    def test_stale_probe_is_replaced_after_a_full_cooldown(self):
-        breaker, clock = make_breaker(threshold=1, reset_after_s=10.0)
-        breaker.record_failure()
-        clock.advance(10.0)
-        assert breaker.allow()  # probe claims the slot, then dies silently
-        clock.advance(9.0)
-        assert not breaker.allow()
-        clock.advance(1.5)
-        assert breaker.allow()  # replacement probe admitted
-
-    def test_transition_callback_sequence(self):
-        transitions = []
-        breaker, clock = make_breaker(
-            threshold=2, reset_after_s=5.0, transitions=transitions
-        )
-        breaker.record_failure()
-        breaker.record_failure()
-        clock.advance(5.0)
-        breaker.allow()
-        breaker.record_success()
-        assert transitions == [
-            ("test", OPEN),
-            ("test", HALF_OPEN),
-            ("test", CLOSED),
-        ]
-
-    def test_threshold_validation(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker("bad", threshold=0)
-
-    def test_state_codes_cover_all_states(self):
-        assert set(STATE_CODES) == {CLOSED, OPEN, HALF_OPEN}
-        assert sorted(STATE_CODES.values()) == [0, 1, 2]
+from repro.governor.retry import WRITE_RETRY, RetryPolicy
 
 
 class TestRetryPolicy:
@@ -226,3 +93,13 @@ class TestRetryPolicy:
             RetryPolicy(backoff_ms=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy(jitter=1.5)
+
+    def test_durable_write_policy_is_fixed_and_short(self):
+        # WAL appends and checkpoint writes share one policy with no
+        # setting: it retries, and a write-rejecting probe stays cheap.
+        assert WRITE_RETRY.attempts >= 2
+        worst_ms = sum(
+            WRITE_RETRY.backoff_ms * (2.0 ** n) * (1.0 + WRITE_RETRY.jitter)
+            for n in range(WRITE_RETRY.attempts - 1)
+        )
+        assert worst_ms <= 10.0

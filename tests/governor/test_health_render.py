@@ -14,7 +14,6 @@ def _report(tracked_bytes, memory_budget_bytes):
     return HealthReport(
         state="healthy",
         modes=[],
-        breakers={},
         timeouts=0,
         cancellations=0,
         writes_rejected=0,

@@ -11,14 +11,7 @@ import random
 
 import pytest
 
-from repro import (
-    Database,
-    DurabilityError,
-    FaultInjector,
-    GovernorConfig,
-)
-
-FAST_RETRY = GovernorConfig(wal_retries=3, retry_backoff_ms=0.01)
+from repro import Database, DurabilityError, FaultInjector
 
 
 def _commit_random_rows(db: Database, rng: random.Random, start: int, n: int):
@@ -32,9 +25,7 @@ def _commit_random_rows(db: Database, rng: random.Random, start: int, n: int):
 
 
 def _fresh_db(tmp_path, faults):
-    db = Database(
-        path=tmp_path / "db", fault_injector=faults, governor=FAST_RETRY
-    )
+    db = Database(path=tmp_path / "db", fault_injector=faults)
     db.create_table("t", [("k", "INT"), ("v", "INT")], primary_key="k")
     return db
 
@@ -86,9 +77,9 @@ def test_exhausted_wal_retries_lose_no_committed_data(tmp_path, seed):
     live = db.query("SELECT k AS k, SUM(v) AS v FROM t GROUP BY k").rows
     assert {k: int(v) for k, v in live} == committed
 
-    # Fault clears; the next successful commit redelivers the queued
-    # record first, so recovery reproduces exactly what the live
-    # database served — the unlogged-but-visible row is not lost.
+    # Fault clears; the next write drains the queued record first, so
+    # recovery reproduces exactly what the live database served — the
+    # unlogged-but-visible row is not lost.
     faults.disarm("wal.append")
     committed.update(_commit_random_rows(db, rng, start=600, n=2))
     db.close()

@@ -48,8 +48,8 @@ class TestAppendScan:
 
     def test_stats_counters(self, tmp_path):
         wal = open_wal(tmp_path)
-        wal.append_transaction(1, [{"op": "insert"}], "committed")
-        wal.append_merge("t", None, 1, False)
+        wal.append("txn", {"tid": 1, "status": "committed", "ops": []})
+        wal.append("merge", {"table": "t", "group": None, "snapshot": 1})
         assert wal.stats.records_appended == 2
         assert wal.stats.transactions_logged == 1
         assert wal.stats.merges_logged == 1

@@ -163,6 +163,31 @@ class TestAgedAndUpdateDelta:
         assert restored.table("t").get_row(1)["v"] == 2.0
 
 
+class TestDurableLoad:
+    def test_load_with_path_survives_reopen(self, tmp_path):
+        """The restored rows bypass the WAL; the checkpoint written right
+        after the restore is what makes them durable."""
+        db = Database()
+        db.create_table("t", [("k", "INT"), ("v", "INT")], primary_key="k")
+        for k in range(5):
+            db.insert("t", {"k": k, "v": 10 * k})
+        save_database(db, tmp_path / "snap")
+
+        loaded = load_database(tmp_path / "snap", path=tmp_path / "db")
+        served = loaded.query("SELECT k AS k, SUM(v) AS v FROM t GROUP BY k").rows
+        assert len(served) == 5
+        loaded.insert("t", {"k": 5, "v": 50})  # the WAL continues past it
+        loaded.close()
+
+        reopened = Database.open(tmp_path / "db")
+        try:
+            rows = reopened.query("SELECT k AS k, SUM(v) AS v FROM t GROUP BY k").rows
+            assert rows == served + [(5, 50)]
+            assert reopened.recovery_stats.checkpoint_lsn is not None
+        finally:
+            reopened.close()
+
+
 class TestErrors:
     def test_missing_snapshot(self, tmp_path):
         with pytest.raises(StorageError):

@@ -6,6 +6,7 @@ variable per process, then default; a well-formed value below the minimum
 clamped).
 """
 
+import dataclasses
 import warnings
 
 import pytest
@@ -97,14 +98,7 @@ class TestGovernorConfigFromEnv:
     def test_defaults_with_nothing_set(self, monkeypatch):
         from repro.governor import GovernorConfig
 
-        for var in (
-            "REPRO_QUERY_TIMEOUT_MS",
-            "REPRO_MEMORY_BUDGET_MB",
-            "REPRO_WAL_RETRIES",
-            "REPRO_RETRY_BACKOFF_MS",
-            "REPRO_BREAKER_THRESHOLD",
-            "REPRO_BREAKER_RESET_MS",
-        ):
+        for var in ("REPRO_QUERY_TIMEOUT_MS", "REPRO_MEMORY_BUDGET_MB"):
             monkeypatch.delenv(var, raising=False)
         config = GovernorConfig.from_env()
         assert config == GovernorConfig()
@@ -116,13 +110,15 @@ class TestGovernorConfigFromEnv:
 
         monkeypatch.setenv("REPRO_QUERY_TIMEOUT_MS", "250")
         monkeypatch.setenv("REPRO_MEMORY_BUDGET_MB", "64")
-        monkeypatch.setenv("REPRO_WAL_RETRIES", "5")
-        monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "2")
         config = GovernorConfig.from_env()
-        assert config.query_timeout_ms == 250.0
-        assert config.memory_budget_mb == 64.0
-        assert config.wal_retries == 5
-        assert config.breaker_threshold == 2
+        assert config == GovernorConfig(
+            query_timeout_ms=250.0, memory_budget_mb=64.0
+        )
+        # The two knobs are the whole configuration.
+        assert [f.name for f in dataclasses.fields(GovernorConfig)] == [
+            "query_timeout_ms",
+            "memory_budget_mb",
+        ]
 
     def test_malformed_timeout_falls_back_to_disabled(self, monkeypatch):
         from repro.governor import GovernorConfig
