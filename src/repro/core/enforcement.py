@@ -6,9 +6,11 @@ Every insert passes through the enforcer before it reaches the table:
   stamped with the inserting transaction's id (larger than any existing
   value, since tids are monotonic);
 * if it is the *child* of an MD and the foreign key is non-NULL, the parent
-  row is looked up through the primary-key index and its tid value copied
-  into the child row.  This is the per-insert lookup whose overhead Section
-  6.3 measures; it doubles as the referential-integrity check.
+  row's tid value is copied into the child row.  A business object's items
+  copy it from the header written in the same call; any other parent is
+  looked up through the primary-key index, once per distinct key in the
+  batch.  This is the insert-time lookup whose overhead Section 6.3
+  measures; it doubles as the referential-integrity check.
 
 The enforcer keeps counters so the insert-overhead benchmark can report the
 number of lookups separately from wall-clock time.
@@ -17,7 +19,7 @@ number of lookups separately from wall-clock time.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Sequence
 
 from ..errors import IntegrityError
 from ..storage.catalog import Catalog
@@ -62,27 +64,36 @@ class MDEnforcer:
         return list(self._as_child.get(table_name, []))
 
     # ------------------------------------------------------------------
-    def stamp(self, table_name: str, row: Dict[str, object], tid: int) -> Dict[str, object]:
-        """Return a copy of ``row`` with all MD tid columns filled.
+    def stamp_rows(self, table_name: str, rows: Sequence[Dict], tid: int, header=None):
+        """Copies of ``rows`` with all MD tid columns filled.
 
         Parent-side columns get the inserting transaction's id.  Child-side
-        columns get the matching parent tuple's tid; a missing parent raises
-        ``IntegrityError`` when referential-integrity enforcement is on,
-        otherwise the tid stays NULL (and the row can never join, since its
-        foreign key has no matching parent either).
+        columns get the matching parent tuple's tid: copied from
+        ``header`` — a ``(table, stamped row)`` written in the same call,
+        the business-object header of Section 3.2 — when the foreign key
+        names it, else looked up once per distinct key in the batch.  A
+        missing parent raises ``IntegrityError`` when referential-integrity
+        enforcement is on, otherwise the tid stays NULL (and the row can
+        never join, since its foreign key has no matching parent either).
         """
-        stamped = dict(row)
-        for md in self._as_parent.get(table_name, []):
-            stamped[md.tid_column] = tid
-            self.stats.parent_stamps += 1
-        for md in self._as_child.get(table_name, []):
-            fk_value = stamped.get(md.child_fk)
-            if fk_value is None:
-                stamped.setdefault(md.tid_column, None)
-                continue
-            parent_tid = self._lookup_parent_tid(md, fk_value)
-            stamped[md.tid_column] = parent_tid
-        return stamped
+        stamped_rows = list(map(dict, rows))
+        for md in self._as_parent.get(table_name, ()):
+            for stamped in stamped_rows:
+                stamped[md.tid_column] = tid
+            self.stats.parent_stamps += len(stamped_rows)
+        for md in self._as_child.get(table_name, ()):
+            parent_tids = {}
+            if header is not None and header[0] == md.parent_table:
+                parent_tids[header[1].get(md.parent_key)] = header[1][md.tid_column]
+            for stamped in stamped_rows:
+                fk_value = stamped.get(md.child_fk)
+                if fk_value is None:
+                    stamped.setdefault(md.tid_column, None)
+                    continue
+                if fk_value not in parent_tids:
+                    parent_tids[fk_value] = self._lookup_parent_tid(md, fk_value)
+                stamped[md.tid_column] = parent_tids[fk_value]
+        return stamped_rows
 
     def _lookup_parent_tid(self, md: MatchingDependency, fk_value) -> object:
         self.stats.child_lookups += 1

@@ -263,10 +263,12 @@ class Database:
         read-only transaction has no record and takes no lock: reads must
         stay servable while WAL-degraded.
         """
-        ops = self._txn_ops.pop(txn.tid, None)
-        if not ops:
+        if txn.tid not in self._txn_ops:
             return
         with self.lock.write():
+            # Popped under the lock, so no checkpoint runs between the pop
+            # and the queueing and captures the rows without the record.
+            ops = self._txn_ops.pop(txn.tid)
             self._wal_backlog.append(
                 ("txn", {"tid": txn.tid, "status": txn.state, "ops": ops})
             )
@@ -293,7 +295,10 @@ class Database:
         (appending those records later would make replay apply them
         twice).  A failed checkpoint raises
         :class:`~repro.errors.DurabilityError` and degrades nothing — the
-        WAL still holds every logged record.
+        WAL still holds every logged record.  While a transaction that
+        already wrote is open it writes nothing and returns None: that
+        transaction's WAL record, appended after the checkpoint's lsn,
+        would replay rows the image already holds.
         """
         if self._wal is None:
             return None
@@ -303,6 +308,8 @@ class Database:
             self.governor.record_io_retry("checkpoint.write")
 
         with self.lock.write():  # the snapshot must not race ongoing DML
+            if self._txn_ops:
+                return None
             try:
                 path = write_checkpoint(
                     self,
@@ -519,35 +526,7 @@ class Database:
         txn: Optional[Transaction] = None,
     ):
         """Insert one row; stamps MD tid columns through the enforcer."""
-        with self.lock.write():
-            self._ensure_writable()
-            transaction, own = self._txn_or_begin(txn)
-            try:
-                table = self.catalog.table(table_name)
-                stamped = self.enforcer.stamp(table_name, row, transaction.tid)
-                locator = table.insert(stamped, transaction.tid)
-                if self._wal is not None:
-                    self._log_op(
-                        transaction.tid,
-                        {
-                            "op": "insert",
-                            "table": table_name,
-                            # The *stamped* row: replay applies it at the table
-                            # level and must not re-run MD enforcement.
-                            "row": stamped,
-                            "tid": transaction.tid,
-                        },
-                    )
-                if self._write_listeners:
-                    inserted = table.partition(locator.partition).get_row(locator.row)
-                    for listener in self._write_listeners:
-                        listener.on_insert(table_name, inserted, transaction.tid)
-            except BaseException:
-                self._abort_own(transaction, own)
-                raise
-            if own:
-                transaction.commit()
-            return locator
+        return self._insert_rows([(table_name, [row])], txn)[0]
 
     def insert_many(
         self,
@@ -555,21 +534,9 @@ class Database:
         rows: Iterable[Dict[str, object]],
         txn: Optional[Transaction] = None,
     ) -> int:
-        """Insert several rows in one transaction; returns the count."""
-        with self.lock.write():  # one exclusive span for the whole batch
-            self._ensure_writable()
-            transaction, own = self._txn_or_begin(txn)
-            try:
-                count = 0
-                for row in rows:
-                    self.insert(table_name, row, txn=transaction)
-                    count += 1
-            except BaseException:
-                self._abort_own(transaction, own)
-                raise
-            if own:
-                transaction.commit()
-            return count
+        """Insert several rows as one batch in one transaction; returns the
+        count."""
+        return len(self._insert_rows([(table_name, list(rows))], txn))
 
     def insert_business_object(
         self,
@@ -580,23 +547,58 @@ class Database:
         txn: Optional[Transaction] = None,
     ) -> int:
         """Persist a header and its items in a single transaction — the
-        enterprise-application insert pattern of Section 3.2.  Returns the
-        number of item rows inserted."""
-        with self.lock.write():  # header + items swap in as one unit
+        enterprise-application insert pattern of Section 3.2.  Items whose
+        foreign key names the header copy its tid without a lookup.
+        Returns the number of item rows inserted."""
+        if header_table == item_table:
+            raise CatalogError("a business object's header and items need two tables")
+        items = list(item_rows)
+        self._insert_rows([(header_table, [header_row]), (item_table, items)], txn)
+        return len(items)
+
+    def _insert_rows(self, writes, txn) -> list:
+        """The one insert path: each ``(table, rows)`` write is one batch,
+        all in one transaction and write-lock span; the rows of a write may
+        copy tids from the first row of the write before it (a business
+        object's header).  Returns the last write's locators.
+
+        Every row is stamped and every batch checked before anything is
+        appended, so a refused call appends nothing.  The WAL then gets
+        one ``insert`` op and the write listeners one call per row, in row
+        order.
+        """
+        with self.lock.write():
             self._ensure_writable()
             transaction, own = self._txn_or_begin(txn)
+            tid = transaction.tid
             try:
-                self.insert(header_table, header_row, txn=transaction)
-                count = 0
-                for item_row in item_rows:
-                    self.insert(item_table, item_row, txn=transaction)
-                    count += 1
+                batches, header, locators = [], None, []
+                for name, rows in writes:
+                    if not rows:
+                        continue
+                    stamped = self.enforcer.stamp_rows(name, rows, tid, header)
+                    header = (name, stamped[0])
+                    table = self.catalog.table(name)
+                    batches.append((name, table, stamped, table.check_rows(stamped)))
+                for name, table, stamped, checked in batches:
+                    locators = table.append_rows(checked, tid)
+                    for row, locator in zip(stamped, locators):
+                        if self._wal is not None:
+                            # The *stamped* row: replay applies it at the
+                            # table level and must not re-run MD enforcement.
+                            op = {"op": "insert", "table": name, "row": row, "tid": tid}
+                            self._log_op(tid, op)
+                        if self._write_listeners:
+                            part = table.partition(locator.partition)
+                            inserted = part.get_row(locator.row)
+                            for listener in self._write_listeners:
+                                listener.on_insert(name, inserted, tid)
             except BaseException:
                 self._abort_own(transaction, own)
                 raise
             if own:
                 transaction.commit()
-            return count
+            return locators
 
     def update(
         self,

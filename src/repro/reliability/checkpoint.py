@@ -284,19 +284,21 @@ def restore_checkpoint(db, state: Dict) -> None:
 
 
 def _restore_partition(table, spec: Dict) -> None:
+    """Load one partition: its rows validated a column at a time, then a
+    main built in bulk, or a delta appended as one batch followed by its
+    invalidations."""
+    columns = table.schema.validate_columns(spec["rows"])
     target = table.partition(spec["name"])
-    rows = [table.schema.validate_row(row) for row in spec["rows"]]
     if target.kind == "main":
-        rebuilt = Partition.build_main(
-            spec["name"], table.schema, rows, spec["cts"], spec["dts"]
-        )
         group = table._group_of_partition(spec["name"])
-        group.main = rebuilt
+        group.main = Partition.build_main(
+            spec["name"], table.schema, columns, spec["cts"], spec["dts"]
+        )
     else:
-        for row, created, invalidated in zip(rows, spec["cts"], spec["dts"]):
-            row_idx = target.append_row(row, created)
+        first = target.append(columns, spec["cts"])
+        for row, invalidated in enumerate(spec["dts"], first):
             if invalidated != LIVE:
-                target.invalidate(row_idx, invalidated)
+                target.invalidate(row, invalidated)
 
 
 def save_database(db, directory) -> Path:

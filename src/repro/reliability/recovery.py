@@ -25,6 +25,8 @@ eagerly would recompute aggregates nobody may ever ask for again.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, Optional
 
 from ..errors import DurabilityError
@@ -84,9 +86,16 @@ def _replay_record(db, record, stats: RecoveryStats) -> int:
     data = record.data
     if record.type == "txn":
         stats.transactions_replayed += 1
-        for op in data["ops"]:
-            _replay_op(db, op)
-            stats.operations_replayed += 1
+        for (kind, name), run in groupby(data["ops"], key=itemgetter("op", "table")):
+            ops = list(run)
+            if kind == "insert":  # a run of inserts into one table: one batch
+                table = db.catalog.table(name)
+                rows = [op["row"] for op in ops]
+                table.append_rows(table.check_rows(rows), ops[0]["tid"])
+            else:
+                for op in ops:
+                    _replay_op(db, op)
+            stats.operations_replayed += len(ops)
         return int(data["tid"])
     if record.type == "merge":
         stats.merges_replayed += 1
@@ -122,9 +131,7 @@ def _replay_record(db, record, stats: RecoveryStats) -> int:
 def _replay_op(db, op: Dict) -> None:
     table = db.catalog.table(op["table"])
     kind = op["op"]
-    if kind == "insert":
-        table.insert(op["row"], op["tid"])
-    elif kind == "update":
+    if kind == "update":
         table.update(op["pk"], op["changes"], op["tid"])
     elif kind == "delete":
         table.delete(op["pk"], op["tid"])

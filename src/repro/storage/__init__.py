@@ -25,7 +25,7 @@ from .partition import LIVE, ColumnStats, Partition
 from .schema import ColumnDef, Schema, SqlType, tid_column
 from .csvio import export_csv, import_csv
 from .table import PartitionGroup, RowLocator, Table
-from .vector import IntVector, ObjectVector
+from .vector import IntVector
 
 # A saved database is one checkpoint file: the reliability package owns the
 # on-disk state format.
@@ -48,7 +48,6 @@ __all__ = [
     "MergeListener",
     "MergeStats",
     "NULL_CODE",
-    "ObjectVector",
     "Partition",
     "PartitionGroup",
     "RowLocator",

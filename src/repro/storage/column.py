@@ -40,14 +40,14 @@ class ColumnFragment:
     # ------------------------------------------------------------------
     # writes
     # ------------------------------------------------------------------
-    def append(self, value) -> None:
-        """Append one value (requires a writable :class:`DeltaDictionary`)."""
+    def extend(self, values: Sequence[object]) -> None:
+        """Append validated values (requires a writable :class:`DeltaDictionary`)."""
         if not isinstance(self.dictionary, DeltaDictionary):
             raise TypeError(
                 f"column {self.name!r} uses a read-only main dictionary; "
                 "appends are only valid on delta fragments"
             )
-        self._codes.append(self.dictionary.encode(value))
+        self._codes.extend(self.dictionary.encode_many(values))
 
     @classmethod
     def build_main(cls, name: str, values: Sequence[object]) -> "ColumnFragment":

@@ -47,9 +47,11 @@ def import_csv(db, table_name: str, path, batch_size: int = 1000) -> int:
     """Load rows from a CSV file (header row required); returns the count.
 
     Values are parsed by the schema's column types; the empty string is
-    NULL.  Rows are inserted in transactions of ``batch_size`` so a large
-    import does not create one transaction per row.  Unknown header columns
-    raise ``SchemaError`` before anything is inserted.
+    NULL.  Every ``batch_size`` rows are one :meth:`Database.insert_many`
+    batch and transaction, so a large import does not create one
+    transaction per row, and a refused batch inserts none of its rows.
+    Unknown header columns raise ``SchemaError`` before anything is
+    inserted.
     """
     table = db.table(table_name)
     schema = table.schema
@@ -64,23 +66,19 @@ def import_csv(db, table_name: str, path, batch_size: int = 1000) -> int:
             raise SchemaError(f"CSV header has unknown columns: {unknown}")
         parsers = [_parser_for(schema.column(name).sql_type) for name in header]
         count = 0
-        txn = db.begin()
+        chunk = []
         for record in reader:
             if len(record) != len(header):
                 raise SchemaError(
-                    f"CSV row {count + 2} has {len(record)} fields, "
+                    f"CSV row {count + len(chunk) + 2} has {len(record)} fields, "
                     f"expected {len(header)}"
                 )
-            row = {
-                name: parser(value)
-                for name, parser, value in zip(header, parsers, record)
-            }
-            db.insert(table_name, row, txn=txn)
-            count += 1
-            if count % batch_size == 0:
-                txn.commit()
-                txn = db.begin()
-        txn.commit()
+            fields = zip(header, parsers, record)
+            chunk.append({name: parser(value) for name, parser, value in fields})
+            if len(chunk) == batch_size:
+                count += db.insert_many(table_name, chunk)
+                chunk = []
+        count += db.insert_many(table_name, chunk)
     return count
 
 

@@ -62,6 +62,19 @@ class DeltaDictionary:
             self._codes[value] = code
         return code
 
+    def encode_many(self, values: Sequence[object]) -> List[int]:
+        """Codes for a batch of values, inserting the unseen ones in order
+        (NULL -> ``NULL_CODE``): one hash probe per value, and one
+        :meth:`encode` per value that missed."""
+        if len(values) == 1:  # a single row's value: skip the batch set-up
+            return [self.encode(values[0])]
+        codes = list(map(self._codes.get, values))
+        if None in codes:
+            for position, code in enumerate(codes):
+                if code is None:
+                    codes[position] = self.encode(values[position])
+        return codes
+
     def lookup(self, value) -> Optional[int]:
         """Return the code for ``value`` or ``None`` if absent (NULL -> None)."""
         if value is None:

@@ -145,20 +145,16 @@ class Partition:
         cls,
         name: str,
         schema: Schema,
-        rows: Sequence[Dict[str, object]],
+        columns: Sequence[Sequence[object]],
         cts: Sequence[int],
         dts: Sequence[int],
     ) -> "Partition":
-        """Bulk-build a read-optimized main partition from decoded rows
-        (checkpoint and snapshot restore; the delta merge stays in code
-        space and calls :meth:`from_fragments`)."""
-        if not (len(rows) == len(cts) == len(dts)):
-            raise StorageError("rows/cts/dts length mismatch in build_main")
+        """Bulk-build a read-optimized main partition from validated
+        columns in schema order (checkpoint restore; the delta merge stays
+        in code space and calls :meth:`from_fragments`)."""
         fragments = {
-            col.name: ColumnFragment.build_main(
-                col.name, [row[col.name] for row in rows]
-            )
-            for col in schema
+            col.name: ColumnFragment.build_main(col.name, values)
+            for col, values in zip(schema, columns)
         }
         return cls.from_fragments(
             name,
@@ -197,20 +193,22 @@ class Partition:
         partition._dts = IntVector.adopt(dts)
         return partition
 
-    def append_row(self, row: Dict[str, object], cts: int) -> int:
-        """Append a validated row created by transaction ``cts``; returns its index.
-
-        Only valid on delta partitions — the main is immutable between
-        merges except for ``dts`` invalidation stamps.
-        """
+    def append(self, columns: Sequence[Sequence[object]], cts: Sequence[int]) -> int:
+        """Append validated rows, one value sequence per schema column in
+        schema order, with one creation stamp each; returns the first new
+        row's index.  Only valid on delta partitions — the main is
+        immutable between merges except for ``dts`` invalidation stamps.
+        The version moves by one per row, as by one per invalidation: the
+        delta memo compares its growth with the row count's."""
         if self.kind != "delta":
             raise StorageError(f"cannot append to {self.kind} partition {self.name!r}")
-        for col in self.schema:
-            self._columns[col.name].append(row[col.name])
-        self._cts.append(cts)
-        self._dts.append(LIVE)
-        self.version += 1
-        return len(self._cts) - 1
+        first = len(self._cts)
+        for fragment, values in zip(self._columns.values(), columns):
+            fragment.extend(values)
+        self._cts.extend(cts)
+        self._dts.extend([LIVE] * len(cts))
+        self.version += len(cts)
+        return first
 
     def invalidate(self, row: int, dts: int) -> None:
         """Stamp row ``row`` as invalidated by transaction ``dts``."""

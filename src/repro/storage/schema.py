@@ -55,6 +55,13 @@ class SqlType(enum.Enum):
         return value
 
 
+#: The Python class every non-NULL value of a type has after coercion; a
+#: column whose values all have exactly it needs no per-value check.
+_EXACT_TYPES = {
+    SqlType.INT: int, SqlType.FLOAT: float, SqlType.TEXT: str, SqlType.DATE: str
+}
+
+
 @dataclass(frozen=True)
 class ColumnDef:
     """Definition of one table column.
@@ -72,6 +79,16 @@ class ColumnDef:
     def __post_init__(self):
         if not self.name or not self.name.replace("_", "").isalnum():
             raise SchemaError(f"invalid column name: {self.name!r}")
+
+    def checked(self, value):
+        """``value`` validated and coerced for this column (SchemaError for
+        a wrong type or a NULL in a NOT NULL column)."""
+        if value is None:
+            if not self.nullable:
+                raise SchemaError(f"column {self.name!r} is NOT NULL")
+            return None
+        self.sql_type.validate(value)
+        return self.sql_type.coerce(value)
 
 
 class Schema:
@@ -93,6 +110,8 @@ class Schema:
         if len(set(names)) != len(names):
             raise SchemaError(f"duplicate column names in schema: {names}")
         self._by_name: Dict[str, ColumnDef] = {c.name: c for c in self._columns}
+        self._names = names
+        self._exact = [(_EXACT_TYPES[c.sql_type], c) for c in self._columns]
         self._change_bits: Dict[str, int] = {
             name: 1 << min(position, _CHANGE_BITS)
             for position, name in enumerate(names)
@@ -100,6 +119,8 @@ class Schema:
         if primary_key is not None and primary_key not in self._by_name:
             raise SchemaError(f"primary key column {primary_key!r} not in schema")
         self.primary_key = primary_key
+        #: Position of the key among the columns (None without a key).
+        self.pk_position = None if primary_key is None else names.index(primary_key)
 
     # ------------------------------------------------------------------
     @property
@@ -155,26 +176,29 @@ class Schema:
         return iter(self._columns)
 
     # ------------------------------------------------------------------
-    def validate_row(self, values: Dict[str, object]) -> Dict[str, object]:
-        """Validate and normalize a row dict; missing columns become NULL.
+    def validate_columns(self, rows: Sequence[Dict[str, object]]) -> List[Sequence]:
+        """Validate and normalize a batch of row dicts, column by column.
 
-        Returns a new dict containing every schema column.  Unknown keys and
-        NOT NULL violations raise ``SchemaError``.
+        Returns one sequence of values per schema column, in schema order;
+        missing columns become NULL.  Unknown keys, NOT NULL violations
+        and wrong types raise ``SchemaError``.  Each column takes one
+        type-identity pass; only a column holding a NULL or a value whose
+        class is not exactly its type's is checked (and coerced) value by
+        value, with :meth:`ColumnDef.checked`.
         """
-        unknown = set(values) - set(self._by_name)
-        if unknown:
-            raise SchemaError(f"unknown columns in row: {sorted(unknown)}")
-        row: Dict[str, object] = {}
-        for col in self._columns:
-            value = values.get(col.name)
-            if value is None:
-                if not col.nullable:
-                    raise SchemaError(f"column {col.name!r} is NOT NULL")
-                row[col.name] = None
-                continue
-            col.sql_type.validate(value)
-            row[col.name] = col.sql_type.coerce(value)
-        return row
+        for values in rows:
+            if not values.keys() <= self._by_name.keys():
+                unknown = set(values) - set(self._by_name)
+                raise SchemaError(f"unknown columns in row: {sorted(unknown)}")
+        columns = list(zip(*[list(map(row.get, self._names)) for row in rows]))
+        if not columns:
+            return [[] for _ in self._names]
+        for position, (exact, col) in enumerate(self._exact):
+            for value in columns[position]:
+                if type(value) is not exact:
+                    columns[position] = [col.checked(v) for v in columns[position]]
+                    break
+        return columns
 
     def extended_with(self, extra: Sequence[ColumnDef]) -> "Schema":
         """Return a new schema with ``extra`` columns appended."""

@@ -18,7 +18,7 @@ All writes follow the insert-only MVCC discipline of the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -210,32 +210,60 @@ class Table:
         return self._groups[group_name]
 
     def insert(self, values: Dict[str, object], tid: int) -> RowLocator:
-        """Validate and insert a row created by transaction ``tid``.
+        """Insert one row created by transaction ``tid`` (a batch of one)."""
+        return self.append_rows(self.check_rows([values]), tid)[0]
 
-        Enforces primary-key uniqueness against the live index.  Matching-
-        dependency ``tid`` columns are expected to be present already (the
-        :class:`~repro.database.Database` enforcement hook fills them before
-        calling this method).
+    def check_rows(self, rows: Sequence[Dict[str, object]]) -> tuple:
+        """Validate a batch of rows and route it, changing nothing; returns
+        ``(columns, keys, routes)``: the validated columns in schema order,
+        the primary keys (None without a key), and per partition group the
+        batch positions it takes.
+
+        Raises ``SchemaError`` for a bad value, ``IntegrityError`` for a
+        primary key that is NULL, repeats inside the batch or is live in
+        the table, and ``StorageError`` when the aging rule names an
+        unknown group.  Matching-dependency ``tid`` columns are expected to
+        be filled already (the :class:`~repro.database.Database` stamps
+        them).
         """
-        row = self.schema.validate_row(values)
-        pk_col = self.schema.primary_key
-        if pk_col is not None:
-            pk_value = row[pk_col]
-            if pk_value is None:
+        columns = self.schema.validate_columns(rows)
+        position = self.schema.pk_position
+        keys = None if position is None else columns[position]
+        seen = set()
+        for key in keys or ():
+            if key is None:
+                raise IntegrityError(f"NULL primary key on insert into {self.name!r}")
+            if key in seen or self.pk_lookup(key) is not None:
                 raise IntegrityError(
-                    f"NULL primary key on insert into {self.name!r}"
+                    f"duplicate primary key {key!r} in table {self.name!r}"
                 )
-            if self.pk_lookup(pk_value) is not None:
-                raise IntegrityError(
-                    f"duplicate primary key {pk_value!r} in table {self.name!r}"
-                )
-        group = self._route(row)
-        row_idx = group.delta.append_row(row, tid)
-        locator = RowLocator(group.delta.name, row_idx)
-        if pk_col is not None:
-            self._pk_written[row[pk_col]] = locator
+            seen.add(key)
+        if self.aging_rule is None:
+            return columns, keys, [(self._groups["default"], range(len(rows)))]
+        routes: Dict[str, List[int]] = {}
+        names = self.schema.column_names
+        for index, values in enumerate(zip(*columns)):
+            group = self._route(dict(zip(names, values)))
+            routes.setdefault(group.name, []).append(index)
+        return columns, keys, [(self._groups[g], at) for g, at in routes.items()]
+
+    def append_rows(self, checked: tuple, tid: int) -> List[RowLocator]:
+        """Append a batch :meth:`check_rows` accepted, created by transaction
+        ``tid``: one append per partition group.  Returns the locators in
+        row order."""
+        columns, keys, routes = checked
+        locators: List[Optional[RowLocator]] = [None] * len(columns[0])
+        for group, positions in routes:
+            routed = columns
+            if len(positions) < len(locators):
+                routed = [[values[i] for i in positions] for values in columns]
+            first = group.delta.append(routed, [tid] * len(positions))
+            for row, position in enumerate(positions, first):
+                locators[position] = _new_locator(RowLocator, (group.delta.name, row))
+        if keys is not None:
+            self._pk_written.update(zip(keys, locators))
         self.bump_version()
-        return locator
+        return locators
 
     def update(self, pk_value, changes: Dict[str, object], tid: int) -> RowLocator:
         """Invalidate the current version of ``pk_value`` and insert the new one.
@@ -252,13 +280,15 @@ class Table:
             if not self.schema.has_column(key):
                 raise SchemaError(f"unknown column {key!r} in update")
             new_row[key] = value
-        new_row = self.schema.validate_row(new_row)
+        columns = self.schema.validate_columns([new_row])
+        names = self.schema.column_names
+        new_row = {name: values[0] for name, values in zip(names, columns)}
         pk_col = self.schema.primary_key
         if new_row[pk_col] != pk_value:
             raise IntegrityError("primary-key updates are not supported")
         old_partition.invalidate(old_locator.row, tid)
         target = group.update_delta if group.update_delta is not None else group.delta
-        row_idx = target.append_row(new_row, tid)
+        row_idx = target.append(columns, [tid])
         # Update lineage (see LineageLog): the new version's ancestor in the
         # group's main, and the columns that differ from it.
         if old_partition is group.main:

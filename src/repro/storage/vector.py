@@ -1,7 +1,7 @@
-"""Growable typed vectors backed by numpy arrays.
+"""A growable ``int64`` vector backed by a numpy array.
 
-Delta partitions grow one row at a time; main partitions are rebuilt in bulk
-during the delta merge.  :class:`IntVector` provides an append-friendly
+Delta partitions grow by batches of rows (often one); main partitions are
+rebuilt in bulk during the delta merge.  :class:`IntVector` provides an append-friendly
 ``int64`` array with amortized O(1) growth so both access patterns are cheap,
 and exposes the underlying numpy view for vectorized scans.
 """
@@ -27,15 +27,9 @@ class IntVector:
     __slots__ = ("_data", "_size")
 
     def __init__(self, values: Iterable[int] = ()):
-        initial = np.fromiter(values, dtype=np.int64)
-        if initial.size:
-            capacity = max(_INITIAL_CAPACITY, initial.size)
-            self._data = np.empty(capacity, dtype=np.int64)
-            self._data[: initial.size] = initial
-            self._size = int(initial.size)
-        else:
-            self._data = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
-            self._size = 0
+        self._data = np.empty(_INITIAL_CAPACITY, dtype=np.int64)
+        self._size = 0
+        self.extend(values)
 
     @classmethod
     def adopt(cls, array: np.ndarray) -> "IntVector":
@@ -71,16 +65,24 @@ class IntVector:
     def extend(self, values) -> None:
         """Append all ``values`` (any iterable or numpy array).
 
-        Non-sized iterables (generators, ``map`` objects) are materialized
-        first: ``np.asarray`` would otherwise wrap them in a 0-d object
-        array and raise instead of consuming them.
+        A sized sequence — a list of codes, a numpy array — is written with
+        one slice assignment (one element with one item store), without an
+        ``np.asarray``; anything else (generators, ``map`` objects) is
+        materialized first.
         """
-        if not isinstance(values, np.ndarray) and not hasattr(values, "__len__"):
+        try:
+            count = len(values)
+        except TypeError:
             values = list(values)
-        arr = np.asarray(values, dtype=np.int64)
-        self._ensure(arr.size)
-        self._data[self._size : self._size + arr.size] = arr
-        self._size += int(arr.size)
+            count = len(values)
+        size = self._size
+        if size + count > len(self._data):
+            self._ensure(count)
+        if count == 1:
+            self._data[size] = values[0]
+        else:
+            self._data[size : size + count] = values
+        self._size = size + count
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -129,53 +131,3 @@ class IntVector:
         suffix = ", ..." if self._size > 8 else ""
         return f"IntVector({head}{suffix}, size={self._size})"
 
-
-class ObjectVector:
-    """An append-only vector of arbitrary Python objects.
-
-    Used for dictionary value arrays where values may be strings, numbers,
-    or dates.  Backed by a plain list (numpy object arrays add overhead
-    without vectorization benefit for heterogeneous payloads).
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, values: Iterable = ()):
-        self._items = list(values)
-
-    def append(self, value) -> None:
-        """Append one value."""
-        self._items.append(value)
-
-    def extend(self, values) -> None:
-        """Append all values from an iterable."""
-        self._items.extend(values)
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index):
-        return self._items[index]
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def to_list(self) -> list:
-        """The values as a plain list (copy)."""
-        return list(self._items)
-
-    def to_numpy(self) -> np.ndarray:
-        """The values as a numpy object array (copy)."""
-        arr = np.empty(len(self._items), dtype=object)
-        for i, item in enumerate(self._items):
-            arr[i] = item
-        return arr
-
-    def copy(self) -> "ObjectVector":
-        """Independent copy."""
-        return ObjectVector(self._items)
-
-    def __repr__(self) -> str:
-        head = self._items[:8]
-        suffix = ", ..." if len(self._items) > 8 else ""
-        return f"ObjectVector({head}{suffix}, size={len(self._items)})"

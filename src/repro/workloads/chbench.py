@@ -358,12 +358,12 @@ class ChBenchmark:
                 no_key = self._next["neworder"]
                 self._next["neworder"] += 1
                 db.insert("neworder", {"no_key": no_key, "no_o_key": o_key}, txn=txn)
+            lines = []
             for _line in range(config.orderlines_per_order):
                 i_id = rng.choice(self._item_keys)
                 ol_key = self._next["orderline"]
                 self._next["orderline"] += 1
-                db.insert(
-                    "orderline",
+                lines.append(
                     {
                         "ol_key": ol_key,
                         "ol_o_key": o_key,
@@ -372,9 +372,9 @@ class ChBenchmark:
                         "ol_quantity": rng.randint(1, 10),
                         "ol_amount": self._money(10.0, 500.0),
                         "ol_delivery_d": iso_date(rng, year),
-                    },
-                    txn=txn,
+                    }
                 )
+            db.insert_many("orderline", lines, txn=txn)
             txn.commit()
 
     # ------------------------------------------------------------------

@@ -77,12 +77,12 @@ class ChTransactionDriver:
         no_key = bench._next["neworder"]
         bench._next["neworder"] += 1
         db.insert("neworder", {"no_key": no_key, "no_o_key": o_key}, txn=txn)
+        lines = []
         for _line in range(config.orderlines_per_order):
             i_id = rng.choice(bench._item_keys)
             ol_key = bench._next["orderline"]
             bench._next["orderline"] += 1
-            db.insert(
-                "orderline",
+            lines.append(
                 {
                     "ol_key": ol_key,
                     "ol_o_key": o_key,
@@ -91,9 +91,9 @@ class ChTransactionDriver:
                     "ol_quantity": rng.randint(1, 10),
                     "ol_amount": round(rng.uniform(10.0, 500.0), 2),
                     "ol_delivery_d": None,
-                },
-                txn=txn,
+                }
             )
+        db.insert_many("orderline", lines, txn=txn)
         txn.commit()
         self.counts.new_order += 1
         return o_key

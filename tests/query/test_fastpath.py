@@ -14,14 +14,16 @@ from repro.storage import ColumnDef, Partition, Schema, SqlType
 def make_delta(values):
     schema = Schema([ColumnDef("x", SqlType.INT), ColumnDef("y", SqlType.TEXT)])
     part = Partition("delta", "delta", schema)
-    for i, v in enumerate(values):
-        part.append_row(schema.validate_row({"x": v, "y": str(i)}), cts=1)
+    rows = [{"x": v, "y": str(i)} for i, v in enumerate(values)]
+    part.append(schema.validate_columns(rows), [1] * len(rows))
     return part
 
 def make_main(values):
     schema = Schema([ColumnDef("x", SqlType.INT), ColumnDef("y", SqlType.TEXT)])
     rows = [{"x": v, "y": str(i)} for i, v in enumerate(values)]
-    return Partition.build_main("main", schema, rows, [1] * len(rows), [0] * len(rows))
+    columns = schema.validate_columns(rows)
+    stamps = [1] * len(rows), [0] * len(rows)
+    return Partition.build_main("main", schema, columns, *stamps)
 
 
 VALUES = [5, None, 3, 5, 9, 1, None, 7]

@@ -33,8 +33,7 @@ BOTH_KERNELS = pytest.mark.parametrize("kernel", [KERNEL_VECTORIZED, KERNEL_ROWL
 def make_partition(name, columns, rows):
     schema = Schema([ColumnDef(n, t) for n, t in columns])
     part = Partition(name, "delta", schema)
-    for row in rows:
-        part.append_row(schema.validate_row(row), cts=1)
+    part.append(schema.validate_columns(rows), [1] * len(rows))
     return part
 
 
@@ -172,7 +171,8 @@ class TestHashJoin:
             {"hid": 2, "v": 20},
             {"hid": 1, "v": 11},
         ]
-        main = Partition.build_main("hmain", schema, rows, cts=[1] * 4, dts=[0] * 4)
+        columns = schema.validate_columns(rows)
+        main = Partition.build_main("hmain", schema, columns, cts=[1] * 4, dts=[0] * 4)
         current = JoinedProvider({"h": header_part}, {"h": np.array([0, 1, 2])})
         results = {}
         for kernel in (KERNEL_VECTORIZED, KERNEL_ROWLOOP):

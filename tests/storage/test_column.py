@@ -11,8 +11,7 @@ from repro.storage import ColumnFragment, MainDictionary
 class TestDeltaFragment:
     def test_append_and_read(self):
         frag = ColumnFragment("city")
-        for value in ["rome", "oslo", "rome", None]:
-            frag.append(value)
+        frag.extend(["rome", "oslo", "rome", None])
         assert len(frag) == 4
         assert frag.value_at(0) == "rome"
         assert frag.value_at(3) is None
@@ -20,27 +19,23 @@ class TestDeltaFragment:
 
     def test_decode_rows(self):
         frag = ColumnFragment("n")
-        for value in [10, 20, 30]:
-            frag.append(value)
+        frag.extend([10, 20, 30])
         out = frag.decode_rows(np.array([2, 0]))
         assert out.tolist() == [30, 10]
 
     def test_decode_rows_with_nulls(self):
         frag = ColumnFragment("n")
-        for value in [None, 5]:
-            frag.append(value)
+        frag.extend([None, 5])
         assert frag.decode_rows([0, 1]).tolist() == [None, 5]
 
     def test_decode_all(self):
         frag = ColumnFragment("n")
-        for value in [1, None, 1]:
-            frag.append(value)
+        frag.extend([1, None, 1])
         assert frag.decode_codes(frag.codes()).tolist() == [1, None, 1]
 
     def test_equality_mask(self):
         frag = ColumnFragment("k")
-        for value in ["a", "b", "a", None]:
-            frag.append(value)
+        frag.extend(["a", "b", "a", None])
         assert frag.equality_mask("a").tolist() == [True, False, True, False]
         assert frag.equality_mask("zzz").tolist() == [False] * 4
         assert frag.equality_mask(None).tolist() == [False] * 4
@@ -48,8 +43,7 @@ class TestDeltaFragment:
     def test_min_max_through_dictionary(self):
         frag = ColumnFragment("t")
         assert frag.min_value() is None
-        for value in [7, 3, 9]:
-            frag.append(value)
+        frag.extend([7, 3, 9])
         assert frag.min_value() == 3
         assert frag.max_value() == 9
 
@@ -65,7 +59,7 @@ class TestMainFragment:
     def test_main_is_append_immutable(self):
         frag = ColumnFragment.build_main("c", [1])
         with pytest.raises(TypeError):
-            frag.append(2)
+            frag.extend([2])
 
     def test_build_main_empty(self):
         frag = ColumnFragment.build_main("c", [])
@@ -92,20 +86,19 @@ class TestMainFragment:
 class TestMemory:
     def test_nbytes_packs_codes(self):
         frag = ColumnFragment("c")
-        for i in range(100):
-            frag.append(i % 2)  # 2 distinct values -> 2 bits per code
+        frag.extend([i % 2 for i in range(100)])  # 2 distinct values -> 2 bits per code
         small = frag.nbytes()
         frag2 = ColumnFragment("c")
-        for i in range(100):
-            frag2.append(i)  # 100 distinct -> 7 bits per code + larger dict
+        frag2.extend(list(range(100)))  # 100 distinct -> 7 bits per code + larger dict
         assert frag2.nbytes() > small
 
 
 @given(st.lists(st.one_of(st.none(), st.integers(-50, 50))))
 def test_property_roundtrip_delta(values):
     frag = ColumnFragment("v")
-    for value in values:
-        frag.append(value)
+    half = len(values) // 2
+    frag.extend(values[:half])  # two batches: the second meets known values
+    frag.extend(values[half:])
     assert frag.decode_codes(frag.codes()).tolist() == values
 
 

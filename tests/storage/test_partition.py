@@ -16,8 +16,9 @@ def schema():
 
 def make_delta(rows):
     part = Partition("delta", "delta", schema())
-    for row, cts in rows:
-        part.append_row(schema().validate_row(row), cts)
+    part.append(
+        schema().validate_columns([row for row, _ in rows]), [cts for _, cts in rows]
+    )
     return part
 
 
@@ -33,7 +34,7 @@ class TestAppendAndRead:
     def test_append_to_main_rejected(self):
         part = Partition("main", "main", schema())
         with pytest.raises(StorageError):
-            part.append_row({"k": 1, "v": "a"}, 1)
+            part.append([[1], ["a"]], [1])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(StorageError):
@@ -82,7 +83,8 @@ class TestVisibility:
 class TestBuildMain:
     def test_bulk_build_preserves_stamps(self):
         rows = [{"k": 2, "v": "b"}, {"k": 1, "v": "a"}]
-        part = Partition.build_main("main", schema(), rows, cts=[1, 2], dts=[0, 4])
+        columns = schema().validate_columns(rows)
+        part = Partition.build_main("main", schema(), columns, cts=[1, 2], dts=[0, 4])
         assert part.kind == "main"
         assert part.get_row(0) == {"k": 2, "v": "b"}
         assert part.visible_mask(3).tolist() == [True, True]
@@ -90,11 +92,13 @@ class TestBuildMain:
 
     def test_bulk_build_length_mismatch(self):
         with pytest.raises(StorageError):
-            Partition.build_main("main", schema(), [{"k": 1, "v": None}], [1], [0, 0])
+            Partition.build_main("main", schema(), [[1], [None]], [1], [0, 0])
 
     def test_main_dictionary_is_sorted(self):
         rows = [{"k": 3, "v": "z"}, {"k": 1, "v": "a"}]
-        part = Partition.build_main("main", schema(), rows, [1, 1], [0, 0])
+        part = Partition.build_main(
+            "main", schema(), schema().validate_columns(rows), [1, 1], [0, 0]
+        )
         assert part.column("k").codes().tolist() == [1, 0]
 
 

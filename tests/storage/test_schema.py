@@ -59,10 +59,16 @@ class TestSchemaDefinition:
         assert len(schema) == 1  # original untouched
 
 
+def validate_row(schema, values):
+    """One row through the batch validator, as a dict in schema order."""
+    columns = schema.validate_columns([values])
+    return {name: column[0] for name, column in zip(schema.column_names, columns)}
+
+
 class TestRowValidation:
     def test_valid_row_filled_and_coerced(self):
         schema = sample_schema()
-        row = schema.validate_row({"id": 1, "name": "x", "price": 2})
+        row = validate_row(schema, {"id": 1, "name": "x", "price": 2})
         assert row == {
             "id": 1,
             "name": "x",
@@ -74,33 +80,71 @@ class TestRowValidation:
 
     def test_unknown_column_rejected(self):
         with pytest.raises(SchemaError):
-            sample_schema().validate_row({"id": 1, "wat": 2})
+            validate_row(sample_schema(), {"id": 1, "wat": 2})
 
     def test_not_null_enforced(self):
         with pytest.raises(SchemaError):
-            sample_schema().validate_row({"name": "x"})
+            validate_row(sample_schema(), {"name": "x"})
 
     def test_type_mismatches(self):
         schema = sample_schema()
         with pytest.raises(SchemaError):
-            schema.validate_row({"id": "one"})
+            validate_row(schema, {"id": "one"})
         with pytest.raises(SchemaError):
-            schema.validate_row({"id": 1, "name": 5})
+            validate_row(schema, {"id": 1, "name": 5})
         with pytest.raises(SchemaError):
-            schema.validate_row({"id": 1, "price": "free"})
+            validate_row(schema, {"id": 1, "price": "free"})
         with pytest.raises(SchemaError):
-            schema.validate_row({"id": 1, "day": 20240101})
+            validate_row(schema, {"id": 1, "day": 20240101})
 
     def test_int_accepts_int_rejects_bool(self):
         schema = Schema([ColumnDef("n", SqlType.INT)])
-        assert schema.validate_row({"n": 5})["n"] == 5
+        assert validate_row(schema, {"n": 5})["n"] == 5
         with pytest.raises(SchemaError):
-            schema.validate_row({"n": True})
+            validate_row(schema, {"n": True})
 
     def test_float_accepts_int(self):
         schema = Schema([ColumnDef("x", SqlType.FLOAT)])
-        assert schema.validate_row({"x": 3})["x"] == 3.0
+        assert validate_row(schema, {"x": 3})["x"] == 3.0
 
     def test_date_iso_string(self):
         schema = Schema([ColumnDef("d", SqlType.DATE)])
-        assert schema.validate_row({"d": "2014-07-01"})["d"] == "2014-07-01"
+        assert validate_row(schema, {"d": "2014-07-01"})["d"] == "2014-07-01"
+
+
+class TestColumnValidation:
+    def test_batch_is_validated_and_coerced_per_column(self):
+        class Name(str):
+            pass
+
+        schema = sample_schema()
+        rows = [
+            {"id": 1, "name": "a", "price": 2.5},
+            {"id": 2, "name": Name("b"), "price": 3, "day": "2014-07-01"},
+        ]
+        columns = schema.validate_columns(rows)
+        assert [list(c) for c in columns] == [
+            [1, 2],
+            ["a", "b"],
+            [2.5, 3.0],
+            [None, "2014-07-01"],
+            [None, None],
+        ]
+        assert type(columns[2][1]) is float  # an int in a FLOAT column is coerced
+        assert type(columns[1][1]) is Name  # a str subclass is accepted as is
+
+    def test_batch_errors_are_the_per_value_errors(self):
+        schema = sample_schema()
+        good = {"id": 1, "name": "a"}
+        for bad, message in [
+            ({"id": 2, "price": "free"}, "expected FLOAT, got 'free'"),
+            ({"id": None}, "column 'id' is NOT NULL"),
+            ({"id": 2, "wat": 1}, r"unknown columns in row: \['wat'\]"),
+        ]:
+            with pytest.raises(SchemaError, match=message):
+                schema.validate_columns([good, bad])
+            with pytest.raises(SchemaError, match=message):
+                validate_row(schema, bad)
+
+    def test_empty_batch_gives_empty_columns(self):
+        assert sample_schema().validate_columns([]) == [[]] * 5

@@ -169,9 +169,9 @@ class TestRebuildPkIndex:
         """A key live in two partitions (only reachable by hand) resolves to
         the later one, as one assignment per row in partition order would."""
         table = Table("t", schema(), separate_update_delta=True)
-        row = table.schema.validate_row({"id": 1})
+        columns = table.schema.validate_columns([{"id": 1}])
         for name in ("delta", "udelta"):
-            table.partition(name).append_row(row, cts=1)
+            table.partition(name).append(columns, [1])
         table.rebuild_pk_index()
         assert table.pk_lookup(1) == RowLocator("udelta", 0)
 

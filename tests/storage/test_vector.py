@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.storage import IntVector, ObjectVector
+from repro.storage import IntVector
 
 
 class TestIntVector:
@@ -97,29 +97,6 @@ class TestIntVector:
         for value in values:
             v.append(value)
         assert list(v) == values
-
-
-class TestObjectVector:
-    def test_mixed_payloads(self):
-        v = ObjectVector()
-        v.append("a")
-        v.append(3)
-        v.append(None)
-        v.extend([1.5, "z"])
-        assert v.to_list() == ["a", 3, None, 1.5, "z"]
-        assert len(v) == 5
-        assert v[2] is None
-
-    def test_to_numpy_object_dtype(self):
-        arr = ObjectVector(["x", 1]).to_numpy()
-        assert arr.dtype == object
-        assert arr.tolist() == ["x", 1]
-
-    def test_copy_is_independent(self):
-        v = ObjectVector([1])
-        c = v.copy()
-        c.append(2)
-        assert len(v) == 1
 
 
 class TestExtendIterables:
