@@ -1,4 +1,4 @@
-"""Operating the engine: CSV loading, merge, idle refresh, traces, saves.
+"""Operating the engine: CSV loading, merge, idle refresh, recovery, saves.
 
 A day-2-operations tour of the toolkit around the core engine:
 
@@ -7,19 +7,21 @@ A day-2-operations tour of the toolkit around the core engine:
   (merge synchronization, Section 5.2),
 * refresh the cache while idle: each entry takes now the step its next
   read would take,
-* record the workload as a trace and replay it into a fresh database,
+* write through a durable database and open a copy of its directory
+  elsewhere: the checkpoint and the write-ahead log replay every insert
+  and merge into the same answer,
 * save the database to disk — one checkpoint file, the format recovery
   reads — and reload it.
 
 Run with:  python examples/operational_toolkit.py
 """
 
+import shutil
 import tempfile
 from pathlib import Path
 
 from repro import Database, ExecutionStrategy
 from repro.storage import load_database, save_database
-from repro.workloads import TraceRecorder, TraceReplayer
 
 SQL = (
     "SELECT i.region AS region, SUM(i.amount) AS revenue, COUNT(*) AS n "
@@ -42,7 +44,8 @@ def create_schema(db: Database) -> None:
 
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro_ops_"))
-    db = Database()
+    # Durable: every commit, DDL statement and merge reaches the WAL.
+    db = Database.open(workdir / "db")
     create_schema(db)
 
     # ------------------------------------------------------- CSV loading
@@ -59,31 +62,28 @@ def main() -> None:
         )
     )
 
-    # ---------------------------------------- trace everything from here
-    trace_path = workdir / "workload.trace"
-    with TraceRecorder(db, trace_path) as recorder:
-        print(f"imported {db.import_csv('invoice', invoices)} invoices")
-        print(f"imported {db.import_csv('invoice_line', lines)} invoice lines")
-        merged = db.merge()  # all tables at once: a synchronized merge
-        print(f"\nmerged {sum(s.rows_moved for s in merged)} delta rows")
-        db.query(SQL, strategy=ExecutionStrategy.CACHED_FULL_PRUNING)
-        # some fresh business after the merge
-        for inv_id in range(200, 210):
-            db.insert_business_object(
-                "invoice",
-                {"inv_id": inv_id, "day": "2014-02-01"},
-                "invoice_line",
-                [
-                    {
-                        "line_id": 10_000 + inv_id * 2 + k,
-                        "inv_id": inv_id,
-                        "region": "EU",
-                        "amount": 10.0,
-                    }
-                    for k in range(2)
-                ],
-            )
-        print(f"recorded {recorder.operations} operations into {trace_path.name}")
+    print(f"imported {db.import_csv('invoice', invoices)} invoices")
+    print(f"imported {db.import_csv('invoice_line', lines)} invoice lines")
+    merged = db.merge()  # all tables at once: a synchronized merge
+    print(f"\nmerged {sum(s.rows_moved for s in merged)} delta rows")
+    db.query(SQL, strategy=ExecutionStrategy.CACHED_FULL_PRUNING)
+    # some fresh business after the merge
+    for inv_id in range(200, 210):
+        db.insert_business_object(
+            "invoice",
+            {"inv_id": inv_id, "day": "2014-02-01"},
+            "invoice_line",
+            [
+                {
+                    "line_id": 10_000 + inv_id * 2 + k,
+                    "inv_id": inv_id,
+                    "region": "EU",
+                    "amount": 10.0,
+                }
+                for k in range(2)
+            ],
+        )
+    print(f"logged {db.wal.stats.records_appended} WAL records")
 
     refreshed = db.refresh_cache()
     print(f"idle refresh installed memos: {refreshed}")
@@ -92,18 +92,24 @@ def main() -> None:
     print("\nrevenue per region:")
     print(result.to_text())
 
-    # ------------------------------------------------------------ replay
-    replica = Database()
-    create_schema(replica)
-    counts = TraceReplayer(replica).replay(trace_path)
-    print(f"\nreplayed into a fresh database: {counts}")
+    # ------------------------------------------------ reopen a copy
+    copy_dir = shutil.copytree(workdir / "db", workdir / "copy")
+    replica = Database.open(copy_dir)
+    stats = replica.recovery_stats
+    print(
+        f"\nopened a copy: checkpoint lsn {stats.checkpoint_lsn}, "
+        f"{stats.records_replayed} WAL records replayed after it"
+    )
     assert replica.query(SQL) == result
+    replica.close()
 
     # ------------------------------------------------------------- save
     saved_dir = save_database(db, workdir / "saved")
     restored = load_database(saved_dir)
     assert restored.query(SQL) == result
-    print(f"save/load round-trip verified at {saved_dir} (one checkpoint file)")
+    print(f"save/load round-trip verified ({saved_dir.name}: one checkpoint file)")
+    db.close()
+    shutil.rmtree(workdir)
     print("\ndone.")
 
 

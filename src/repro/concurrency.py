@@ -4,15 +4,17 @@
 *shared* side so they proceed in parallel; DML, delta merges, DDL, and
 recovery take the *exclusive* side.  The lock is reentrant in both
 directions for the owning thread (``merge`` calls ``checkpoint``, write
-listeners may issue reads), and writer-preferring so a steady query
-stream cannot starve writers.
+listeners may issue reads), writer-preferring so a steady query stream
+cannot starve writers, and serves writers in arrival order so one writer
+looping on the lock cannot starve another.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import deque
 from contextlib import contextmanager
-from typing import Dict
+from typing import Deque, Dict
 
 
 class ReadWriteLock:
@@ -25,6 +27,9 @@ class ReadWriteLock:
     a thread already holding only the read side may re-acquire the read
     side.  Read→write upgrades are refused — they deadlock two upgrading
     readers against each other — and raise ``RuntimeError`` instead.
+
+    Writers queue in arrival order: a writer that releases the lock and
+    asks again lines up behind every writer already waiting.
     """
 
     def __init__(self):
@@ -32,7 +37,7 @@ class ReadWriteLock:
         self._readers: Dict[int, int] = {}  # thread ident -> hold depth
         self._writer: int = 0  # owning thread ident (0 = none)
         self._writer_depth = 0
-        self._writers_waiting = 0
+        self._write_queue: Deque[int] = deque()  # waiting writers, FIFO
 
     # ------------------------------------------------------------------
     def acquire_read(self) -> None:
@@ -43,7 +48,7 @@ class ReadWriteLock:
                 # Reentrant: already holding either side.
                 self._readers[me] = self._readers.get(me, 0) + 1
                 return
-            while self._writer or self._writers_waiting:
+            while self._writer or self._write_queue:
                 self._cond.wait()
             self._readers[me] = 1
 
@@ -73,12 +78,18 @@ class ReadWriteLock:
                     "read→write lock upgrade would deadlock; restructure the "
                     "caller to take the write lock first"
                 )
-            self._writers_waiting += 1
+            queue = self._write_queue
+            queue.append(me)
             try:
-                while self._writer or self._readers:
+                while self._writer or self._readers or queue[0] != me:
                     self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
+            except BaseException:
+                # Leaving the line: the writer behind, or the readers held
+                # back by this one, may go now.
+                queue.remove(me)
+                self._cond.notify_all()
+                raise
+            queue.popleft()
             self._writer = me
             self._writer_depth = 1
 

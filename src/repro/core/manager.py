@@ -201,7 +201,9 @@ class AggregateCacheManager:
         self._catalog = catalog
         self._executor = executor
         self._views = view_manager
-        self.obs = obs if obs is not None else EngineMetrics.disabled()
+        # The lifetime counters live in the registry alone; see
+        # counters_snapshot().
+        self.obs = obs if obs is not None else EngineMetrics()
         self.config = config if config is not None else CacheConfig()
         self._admission = admission if admission is not None else AlwaysAdmit()
         self._eviction = eviction if eviction is not None else ProfitEviction()
@@ -226,18 +228,6 @@ class AggregateCacheManager:
         # path falls back to the base tables, and its memory budget drives
         # shedding after each query.
         self.governor = governor
-        # Lifetime counters (the monitor's system view).
-        self.total_hits = 0
-        self.total_misses = 0
-        self.total_evictions = 0
-        self.total_maintenance_runs = 0
-        self.total_memo_hits = 0  # incremental delta-compensation reuses
-        self.total_memo_misses = 0  # full recomputes that (re)built a memo
-        self.total_memo_bypass = 0  # queries the memo layer stepped aside for
-        # Memos idle refreshes installed: "advance" stepped the entry's
-        # memo, "rebuild" stepped from its birth.
-        self.total_refreshes = {"advance": 0, "rebuild": 0}
-        self.total_result_reuses = 0  # pure hits served from a remembered order
 
     # ------------------------------------------------------------------
     # object-awareness registration
@@ -302,33 +292,41 @@ class AggregateCacheManager:
     def counters_snapshot(self) -> Dict[str, int]:
         """A consistent view of the lifetime counters (for the monitor).
 
-        ``value_bytes`` is folded in here, under the same lock acquisition
-        as the other counters: computing it separately from ``entries()``
-        would tear — entries created/evicted between the two lock takes
-        would make the byte total disagree with the entry count.
-        ``tracked_bytes`` is included for the same reason: the governor's
-        health view must describe the same instant as the entry count, not
-        a second lock take during which a shed or insert may have run.
+        The counts are the registry's (``repro_cache_*`` and
+        ``repro_delta_memo_lookups_total``): every increment a snapshot
+        reads happens under the manager lock, so reading them under it
+        sees no event half counted.  ``value_bytes`` is folded in under
+        the same lock acquisition: computing it separately from
+        ``entries()`` would tear — entries created/evicted between the two
+        lock takes would make the byte total disagree with the entry
+        count.  ``tracked_bytes`` is included for the same reason: the
+        governor's health view must describe the same instant as the entry
+        count, not a second lock take during which a shed or insert may
+        have run.
         """
+        obs = self.obs
+        lookups, memo = obs.cache_lookups, obs.delta_memo_lookups
         with self._lock:
-            return {
+            counts = {
                 "entries": len(self._entries),
                 "value_bytes": sum(
                     e.metrics.size_bytes for e in self._entries.values()
                 ),
                 "tracked_bytes": self._tracked_bytes_locked(),
-                "hits": self.total_hits,
-                "misses": self.total_misses,
-                "evictions": self.total_evictions,
-                "maintenance_runs": self.total_maintenance_runs,
-                "memo_hits": self.total_memo_hits,
-                "memo_misses": self.total_memo_misses,
-                "memo_bypass": self.total_memo_bypass,
+                "hits": lookups.child_value("hit"),
+                "misses": lookups.child_value("miss")
+                + lookups.child_value("recomputed"),
+                "evictions": obs.cache_evictions.value,
+                "maintenance_runs": obs.cache_maintenance_runs.value,
+                "memo_hits": memo.child_value("hit"),
+                "memo_misses": memo.child_value("miss"),
+                "memo_bypass": memo.child_value("bypass"),
                 "recycler_bytes": 0,  # see CacheQueryReport.recycler_hits
-                "refresh_advances": self.total_refreshes["advance"],
-                "refresh_rebuilds": self.total_refreshes["rebuild"],
-                "result_reuses": self.total_result_reuses,
+                "refresh_advances": obs.cache_refresh.child_value("advance"),
+                "refresh_rebuilds": obs.cache_refresh.child_value("rebuild"),
+                "result_reuses": obs.cache_result_reuse.value,
             }
+            return {name: int(value) for name, value in counts.items()}
 
     def refresh_obs_gauges(self) -> None:
         """Push the current entry-map state into the metrics gauges.
@@ -364,7 +362,6 @@ class AggregateCacheManager:
             victims = [key for key in self._entries if references(key)]
             for key in victims:
                 del self._entries[key]
-                self.total_evictions += 1
             for key in [key for key in self._ghosts if references(key)]:
                 del self._ghosts[key]
             if victims:
@@ -682,8 +679,8 @@ class AggregateCacheManager:
             ):
                 return None
             entry.metrics.record_use(self._clock)
-            self.total_hits += 1
-            self.total_result_reuses += 1
+            self.obs.cache_lookups.labels("hit").inc()
+            self.obs.cache_result_reuse.inc()
         if self.fault_injector is not None:
             self.fault_injector.fire("cache.compensation")
         finished = QueryResult.trusted(
@@ -694,8 +691,6 @@ class AggregateCacheManager:
         report.delta_memo_mode = "incremental"
         report.delta_memo_rows_saved = order.rows_saved
         report.time_cache_lookup_or_build = time.perf_counter() - started
-        self.obs.cache_lookups.labels("hit").inc()
-        self.obs.cache_result_reuse.inc()
         span = None
         if lookup is not None:
             lookup.attrs.update(
@@ -764,8 +759,6 @@ class AggregateCacheManager:
         :meth:`_record_prune_obs`), so nothing here double-counts.
         """
         obs = self.obs
-        if not obs.enabled:
-            return
         obs.queries.labels(report.strategy.name.lower()).inc()
         obs.query_seconds.observe(report.time_total)
         stats = report.executor_stats
@@ -831,15 +824,13 @@ class AggregateCacheManager:
                 report.entries_recomputed += 1
                 entry = None
             if entry is None:
-                self.total_misses += 1
                 outcome = "recomputed" if recomputed else "miss"
             else:
                 # A miss counts its use when the entry is born.
                 entry.metrics.record_use(self._clock)
                 report.cache_hits += 1
-                self.total_hits += 1
                 outcome = "hit"
-        self.obs.cache_lookups.labels(outcome).inc()
+            self.obs.cache_lookups.labels(outcome).inc()
         if span is not None:
             span.attrs["outcome"] = outcome
         resident = True
@@ -1051,7 +1042,6 @@ class AggregateCacheManager:
             )
             for key in victims:
                 self._drop_entry_locked(key)
-                self.total_evictions += 1
             if victims:
                 self.obs.cache_evictions.inc(len(victims))
 
@@ -1129,7 +1119,6 @@ class AggregateCacheManager:
         """
         shed = {"memo": 0, "entry": 0, "plan": 0}
         freed = {"memo": 0, "entry": 0, "plan": 0}
-        evicted = 0
         plan_dropped = 0
         with self._lock:
             tracked = self._tracked_bytes_locked()
@@ -1168,11 +1157,11 @@ class AggregateCacheManager:
                 for key in victims:
                     nbytes = self._entries[key].metrics.size_bytes
                     self._drop_entry_locked(key)
-                    self.total_evictions += 1
                     tracked -= nbytes
                     freed["entry"] += nbytes
                     shed["entry"] += 1
-                evicted = len(victims)
+                if victims:
+                    self.obs.cache_evictions.inc(len(victims))
             if tracked > budget_bytes:
                 plan_dropped = self.plan_cache.clear()
                 parse_entries = parse_cache_stats()["entries"]
@@ -1184,8 +1173,6 @@ class AggregateCacheManager:
                 )
                 tracked -= freed["plan"]
             final_tracked = tracked
-        if evicted:
-            self.obs.cache_evictions.inc(evicted)
         if plan_dropped:
             self.obs.plan_cache_evictions.inc(plan_dropped)
         governor = self.governor
@@ -1269,16 +1256,9 @@ class AggregateCacheManager:
         mode = report.delta_memo_mode
         outcome = {"incremental": "hit", "full": "miss", "bypass": "bypass"}[mode]
         with self._lock:
-            if mode == "incremental":
-                self.total_memo_hits += 1
-            elif mode == "full":
-                self.total_memo_misses += 1
-            else:
-                self.total_memo_bypass += 1
-        if self.obs.enabled:
             self.obs.delta_memo_lookups.labels(outcome).inc()
-            if report.delta_memo_rows_saved:
-                self.obs.delta_memo_rows_saved.inc(report.delta_memo_rows_saved)
+        if report.delta_memo_rows_saved:
+            self.obs.delta_memo_rows_saved.inc(report.delta_memo_rows_saved)
         if span is not None:
             span.finish()
             span.attrs["subjoins_total"] = report.prune.combos_total
@@ -1457,8 +1437,6 @@ class AggregateCacheManager:
         here, so plan-cache hits and misses count identically.
         """
         obs = self.obs
-        if not obs.enabled:
-            return
         for reason, count in (
             ("empty", prune.pruned_empty),
             ("logical", prune.pruned_logical),
@@ -1493,9 +1471,6 @@ class AggregateCacheManager:
             if action:
                 installed[action] += 1
         with self._lock:
-            for action, count in installed.items():
-                self.total_refreshes[action] += count
-        if self.obs.enabled:
             for action, count in installed.items():
                 if count:
                     self.obs.cache_refresh.labels(action).inc(count)
@@ -1576,7 +1551,6 @@ class AggregateCacheManager:
                 except Exception:
                     self._pending_drops.add(pending.entry.key)
                     continue
-                self.total_maintenance_runs += 1
                 self.obs.cache_maintenance_runs.inc()
             for key in self._pending_drops:
                 self._drop_entry_locked(key)

@@ -52,7 +52,6 @@ from .governor import (
     ResourceGovernor,
 )
 from .governor.retry import WRITE_RETRY
-from .obs import EngineMetrics
 from .obs.trace import QueryTrace
 from .query.executor import QueryExecutor
 from .query.query import AggregateQuery
@@ -111,7 +110,6 @@ class Database:
         eviction: Optional[EvictionPolicy] = None,
         path=None,
         fault_injector: Optional[FaultInjector] = None,
-        observability: bool = True,
         governor: Optional[Union[ResourceGovernor, GovernorConfig]] = None,
     ):
         self.lock = ReadWriteLock()
@@ -121,15 +119,13 @@ class Database:
         self.executor = QueryExecutor(self.catalog)
         config = cache_config if cache_config is not None else CacheConfig()
         self.faults = fault_injector if fault_injector is not None else FaultInjector()
-        # ``observability=False`` swaps in the shared no-op registry: every
-        # hook stays wired but each increment/observe is an empty call.
-        self.obs = EngineMetrics() if observability else EngineMetrics.disabled()
         # The resource governor: pass a ResourceGovernor or a GovernorConfig
-        # to override the environment defaults.
-        if isinstance(governor, ResourceGovernor):
-            self.governor = governor
-        else:
-            self.governor = ResourceGovernor(governor, obs=self.obs)
+        # to override the environment defaults.  A passed governor brings
+        # its registry, so the engine and the governor count into one.
+        if not isinstance(governor, ResourceGovernor):
+            governor = ResourceGovernor(governor)
+        self.governor = governor
+        self.obs = governor.obs
         self.cache = AggregateCacheManager(
             self.catalog,
             self.executor,
@@ -951,7 +947,7 @@ class Database:
 
         Refreshes the cache gauges (entry count, value bytes, profit) from
         the live entry map first, so a scrape always reflects the current
-        state.  Returns ``""`` when observability is disabled.
+        state.
         """
         self.cache.refresh_obs_gauges()
         return self.obs.registry.render_prometheus()

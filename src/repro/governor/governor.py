@@ -22,17 +22,18 @@ A cached query that fails mid-run is answered from the base tables
 (``degraded_reason="fallback"``); the governor counts those too.
 
 :meth:`health` condenses all of it into a :class:`HealthReport` for
-``db.health()``, the monitor, and the shell's ``\\health`` command; the
-same numbers feed the ``repro_governor_*`` metrics.
+``db.health()``, the monitor, and the shell's ``\\health`` command.  The
+governor keeps no counter of its own: each ``record_*`` increments a
+``repro_governor_*`` metric, and :meth:`health` reads them back.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..envutil import env_float
+from ..obs.instruments import EngineMetrics
 from .deadline import CancelToken, Deadline
 
 #: Environment knobs (all parsed through :mod:`repro.envutil`).
@@ -65,7 +66,7 @@ class GovernorConfig:
 
 @dataclass(frozen=True)
 class HealthReport:
-    """One coherent snapshot of the governor's accounting."""
+    """The governor's accounting, read from the metrics registry."""
 
     state: str  # "healthy" or "degraded"
     modes: List[str]  # active degraded modes: [] or ["wal_degraded"]
@@ -118,21 +119,18 @@ class HealthReport:
 class ResourceGovernor:
     """Owns the budgets and the accounting of every degradation."""
 
-    def __init__(self, config: Optional[GovernorConfig] = None, obs=None):
+    def __init__(
+        self,
+        config: Optional[GovernorConfig] = None,
+        obs: Optional[EngineMetrics] = None,
+    ):
         self.config = config or GovernorConfig.from_env()
-        self.obs = obs
+        # Every count lives in the registry; the governor keeps none.
+        self.obs = obs if obs is not None else EngineMetrics()
         budget_mb = self.config.memory_budget_mb
         self.memory_budget_bytes: Optional[int] = (
             int(budget_mb * 1024 * 1024) if budget_mb is not None else None
         )
-        self._lock = threading.Lock()
-        self._timeouts = 0
-        self._cancellations = 0
-        self._writes_rejected = 0
-        self._degraded_queries = 0
-        self._retries: Dict[str, int] = {}
-        self._sheds: Dict[str, int] = {}
-        self._shed_bytes = 0
 
     # ------------------------------------------------------------------
     # Query admission (deadlines / cancellation)
@@ -159,40 +157,25 @@ class ResourceGovernor:
         return CancelToken(Deadline.after_ms(timeout_ms))
 
     def record_timeout(self) -> None:
-        with self._lock:
-            self._timeouts += 1
-        if self.obs is not None:
-            self.obs.governor_timeouts.inc()
+        self.obs.governor_timeouts.inc()
 
     def record_cancellation(self) -> None:
-        with self._lock:
-            self._cancellations += 1
-        if self.obs is not None:
-            self.obs.governor_cancellations.inc()
+        self.obs.governor_cancellations.inc()
 
     # ------------------------------------------------------------------
     # Durability (WAL / checkpoint)
     # ------------------------------------------------------------------
     def record_write_rejected(self) -> None:
-        with self._lock:
-            self._writes_rejected += 1
-        if self.obs is not None:
-            self.obs.governor_writes_rejected.inc()
+        self.obs.governor_writes_rejected.inc()
 
     def record_io_retry(self, point: str) -> None:
-        with self._lock:
-            self._retries[point] = self._retries.get(point, 0) + 1
-        if self.obs is not None:
-            self.obs.governor_retries.labels(point).inc()
+        self.obs.governor_retries.labels(point).inc()
 
     # ------------------------------------------------------------------
     # Aggregate-cache fallback
     # ------------------------------------------------------------------
     def record_degraded_query(self, reason: str) -> None:
-        with self._lock:
-            self._degraded_queries += 1
-        if self.obs is not None:
-            self.obs.governor_degraded_queries.labels(reason).inc()
+        self.obs.governor_degraded_queries.labels(reason).inc()
 
     # ------------------------------------------------------------------
     # Memory budget
@@ -200,17 +183,12 @@ class ResourceGovernor:
     def record_shed(self, kind: str, count: int, bytes_freed: int = 0) -> None:
         if count <= 0:
             return
-        with self._lock:
-            self._sheds[kind] = self._sheds.get(kind, 0) + count
-            self._shed_bytes += bytes_freed
-        if self.obs is not None:
-            self.obs.governor_sheds.labels(kind).inc(count)
-            if bytes_freed:
-                self.obs.governor_shed_bytes.inc(bytes_freed)
+        self.obs.governor_sheds.labels(kind).inc(count)
+        if bytes_freed:
+            self.obs.governor_shed_bytes.inc(bytes_freed)
 
     def set_tracked_bytes(self, tracked: int) -> None:
-        if self.obs is not None:
-            self.obs.governor_tracked_bytes.set(tracked)
+        self.obs.governor_tracked_bytes.set(tracked)
 
     # ------------------------------------------------------------------
     # Health
@@ -223,17 +201,21 @@ class ResourceGovernor:
         modes = [WAL_DEGRADED] if wal_degraded else []
         if tracked_bytes is not None:
             self.set_tracked_bytes(tracked_bytes)
-        with self._lock:
-            return HealthReport(
-                state="degraded" if modes else HEALTHY,
-                modes=modes,
-                timeouts=self._timeouts,
-                cancellations=self._cancellations,
-                writes_rejected=self._writes_rejected,
-                degraded_queries=self._degraded_queries,
-                retries=dict(self._retries),
-                sheds=dict(self._sheds),
-                shed_bytes=self._shed_bytes,
-                tracked_bytes=tracked_bytes,
-                memory_budget_bytes=self.memory_budget_bytes,
-            )
+        obs = self.obs
+        return HealthReport(
+            state="degraded" if modes else HEALTHY,
+            modes=modes,
+            timeouts=int(obs.governor_timeouts.value),
+            cancellations=int(obs.governor_cancellations.value),
+            writes_rejected=int(obs.governor_writes_rejected.value),
+            degraded_queries=int(obs.governor_degraded_queries.value),
+            retries=_ints(obs.governor_retries.by_label()),
+            sheds=_ints(obs.governor_sheds.by_label()),
+            shed_bytes=int(obs.governor_shed_bytes.value),
+            tracked_bytes=tracked_bytes,
+            memory_budget_bytes=self.memory_budget_bytes,
+        )
+
+
+def _ints(values: Dict[str, float]) -> Dict[str, int]:
+    return {key: int(value) for key, value in values.items()}

@@ -59,14 +59,15 @@ class TableStats:
 
 @dataclass
 class CacheStats:
-    """Aggregate cache occupancy and lifetime counters."""
+    """Aggregate cache occupancy and lifetime counters (the registry's
+    ``repro_cache_*`` counts, read in one manager-locked snapshot)."""
 
     entries: int
     total_value_bytes: int
-    total_hits: int
-    total_misses: int
-    total_evictions: int
-    total_maintenance_runs: int
+    hits: int
+    misses: int
+    evictions: int
+    maintenance_runs: int
     #: Hits answered from an entry's remembered output order (pure hits).
     result_reuses: int = 0
     # Compensation routing (see repro.core.delta_memo): which memo a
@@ -85,8 +86,8 @@ class CacheStats:
     @property
     def hit_rate(self) -> float:
         """Lifetime hits / (hits + misses), 0.0 before any lookup."""
-        lookups = self.total_hits + self.total_misses
-        return self.total_hits / lookups if lookups else 0.0
+        lookups = self.hits + self.misses
+        return self.hits / lookups if lookups else 0.0
 
     @property
     def memo_hit_rate(self) -> float:
@@ -142,7 +143,7 @@ class DatabaseStats:
     #: abort/retry/shed counters); see :mod:`repro.governor`.
     health: Optional[HealthReport] = None
     #: Flat ``{name{labels}: value}`` view of the metrics registry at
-    #: snapshot time (empty when observability is disabled).
+    #: snapshot time — the registry the cache counters above are read from.
     metrics: Dict[str, float] = field(default_factory=dict)
 
     def table(self, name: str) -> TableStats:
@@ -173,11 +174,11 @@ class DatabaseStats:
             "",
             "aggregate cache:",
             f"  entries={cache.entries} value-bytes~{cache.total_value_bytes} "
-            f"hits={cache.total_hits} misses={cache.total_misses} "
+            f"hits={cache.hits} misses={cache.misses} "
             f"hit-rate={cache.hit_rate:.1%} "
             f"result-reuses={cache.result_reuses} "
-            f"evictions={cache.total_evictions} "
-            f"maintenance-runs={cache.total_maintenance_runs}",
+            f"evictions={cache.evictions} "
+            f"maintenance-runs={cache.maintenance_runs}",
             f"  delta-memo: incremental={cache.memo_hits} "
             f"full={cache.memo_misses} (from birth) bypass={cache.memo_bypass} "
             f"incremental-rate={cache.memo_hit_rate:.1%}",
@@ -258,10 +259,10 @@ def collect_statistics(db: Database) -> DatabaseStats:
     cache = CacheStats(
         entries=counters["entries"],
         total_value_bytes=counters["value_bytes"],
-        total_hits=counters["hits"],
-        total_misses=counters["misses"],
-        total_evictions=counters["evictions"],
-        total_maintenance_runs=counters["maintenance_runs"],
+        hits=counters["hits"],
+        misses=counters["misses"],
+        evictions=counters["evictions"],
+        maintenance_runs=counters["maintenance_runs"],
         result_reuses=counters["result_reuses"],
         memo_hits=counters["memo_hits"],
         memo_misses=counters["memo_misses"],

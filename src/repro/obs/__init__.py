@@ -4,7 +4,8 @@ The measurement substrate of the engine.  Three pieces:
 
 * :mod:`repro.obs.registry` — a thread-safe :class:`MetricsRegistry` of
   counters, gauges, and fixed-bucket latency histograms with a
-  Prometheus-text exporter (and parser), plus a zero-cost no-op mode;
+  Prometheus-text exporter (and parser) — the one place every lifetime
+  counter lives;
 * :mod:`repro.obs.instruments` — :class:`EngineMetrics`, the bundle that
   registers every canonical metric name (:mod:`repro.obs.names`) exactly
   once and is threaded through the executor, cache manager, pruner,
@@ -13,8 +14,9 @@ The measurement substrate of the engine.  Three pieces:
   structured per-query trace returned by
   :meth:`repro.database.Database.explain_analyze`.
 
-``Database(observability=False)`` swaps in ``NULL_REGISTRY``: the hooks
-stay in place but every increment/observe is an empty call.
+There is no off switch: the cache manager's ``counters_snapshot()``, the
+monitor's ``statistics()`` and the governor's ``health()`` are views of
+the same registry ``metrics_snapshot()`` and the Prometheus export read.
 """
 
 from . import names
@@ -26,8 +28,6 @@ from .registry import (
     Histogram,
     LATENCY_BUCKETS,
     MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
     parse_prometheus,
 )
 from .trace import QueryTrace, Span
@@ -40,8 +40,6 @@ __all__ = [
     "Histogram",
     "LATENCY_BUCKETS",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "QueryTrace",
     "Span",
     "names",

@@ -1,9 +1,8 @@
 """The engine's instrument bundle: every metric, registered exactly once.
 
 :class:`EngineMetrics` is the object the engine components hold; it owns a
-:class:`~repro.obs.registry.MetricsRegistry` (or the shared no-op
-``NULL_REGISTRY`` when observability is disabled) and creates one
-instrument attribute per canonical name in :mod:`repro.obs.names`.  All
+:class:`~repro.obs.registry.MetricsRegistry` and creates one instrument
+attribute per canonical name in :mod:`repro.obs.names`.  All
 registration happens here — a component never invents a metric name — so
 the registry's duplicate-name check plus the name lint test enforce the
 "registered exactly once" invariant structurally.
@@ -14,12 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from . import names
-from .registry import (
-    FSYNC_BUCKETS,
-    LATENCY_BUCKETS,
-    MetricsRegistry,
-    NULL_REGISTRY,
-)
+from .registry import FSYNC_BUCKETS, LATENCY_BUCKETS, MetricsRegistry
 
 
 class EngineMetrics:
@@ -203,14 +197,3 @@ class EngineMetrics:
             names.GOVERNOR_TRACKED_BYTES,
             "Bytes currently tracked against the memory budget.",
         )
-
-    # ------------------------------------------------------------------
-    @property
-    def enabled(self) -> bool:
-        """False when backed by the no-op registry."""
-        return self.registry.enabled
-
-    @classmethod
-    def disabled(cls) -> "EngineMetrics":
-        """The zero-cost bundle: every instrument is a shared no-op."""
-        return cls(NULL_REGISTRY)

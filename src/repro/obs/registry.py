@@ -13,10 +13,10 @@ increment freely.  :meth:`MetricsRegistry.render_prometheus` emits the
 standard text exposition format and :func:`parse_prometheus` parses it
 back (the round-trip is tested), so the output can be scraped or diffed.
 
-``NULL_REGISTRY`` is the zero-cost no-op mode: it hands out one shared
-inert instrument whose ``inc``/``set``/``observe`` bodies are a bare
-``pass``, so a database built with ``observability=False`` pays only an
-attribute lookup and an empty call per hook.
+The registry is the only place a lifetime count lives: the cache
+manager's ``counters_snapshot()`` and the governor's ``health()`` read
+their numbers from it rather than keeping counters of their own.  There
+is no off switch.
 """
 
 from __future__ import annotations
@@ -129,6 +129,20 @@ class Counter(_Instrument):
                 child = Counter(self.name, self.help)
                 self._children[key] = child
             return child
+
+    def child_value(self, *values: str) -> float:
+        """One label combination's value, 0 before its first increment.
+
+        Unlike :meth:`labels` the read creates no child, so it adds no
+        sample to the registry's output."""
+        child = self._children.get(values)
+        return child.value if child is not None else 0.0
+
+    def by_label(self) -> Dict[str, float]:
+        """``{label value: value}`` over a one-label family's children."""
+        with self._lock:
+            children = list(self._children.items())
+        return {key[0]: child.value for key, child in children}
 
     @property
     def value(self) -> float:
@@ -258,8 +272,6 @@ class MetricsRegistry:
     :class:`~repro.obs.instruments.EngineMetrics`.
     """
 
-    enabled = True
-
     def __init__(self):
         self._lock = threading.Lock()
         self._metrics: Dict[str, _Instrument] = {}
@@ -330,61 +342,6 @@ class MetricsRegistry:
                     f"{sample_name}{_label_string(labels)} {_format_value(value)}"
                 )
         return "\n".join(lines) + "\n"
-
-
-class _NullInstrument:
-    """One shared inert instrument: every mutation is a no-op."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0.0
-    count = 0
-    sum = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def labels(self, *values: str) -> "_NullInstrument":
-        return self
-
-    def bucket_counts(self) -> Dict[float, int]:
-        return {}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """The disabled registry: hands out inert instruments, exports nothing."""
-
-    enabled = False
-
-    def counter(self, name: str, help: str = "", labels: Sequence[str] = ()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str, help: str = "", fn=None) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, help: str = "", buckets: Sequence[float] = ()) -> _NullInstrument:
-        return _NULL_INSTRUMENT
-
-    def names(self) -> List[str]:
-        return []
-
-    def snapshot(self) -> Dict[str, float]:
-        return {}
-
-    def render_prometheus(self) -> str:
-        return ""
-
-
-NULL_REGISTRY = NullRegistry()
 
 
 def parse_prometheus(text: str) -> Dict[str, float]:

@@ -284,11 +284,7 @@ class Shell:
         self._print(self.db.health().render())
 
     def _cmd_metrics(self, _argument: str) -> None:
-        text = self.db.export_metrics()
-        if not text:
-            self._print("(observability is disabled for this database)")
-            return
-        self._print(text.rstrip("\n"))
+        self._print(self.db.export_metrics().rstrip("\n"))
 
     def _cmd_save(self, argument: str) -> None:
         if not argument:

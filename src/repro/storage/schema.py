@@ -33,18 +33,14 @@ class SqlType(enum.Enum):
     DATE = "DATE"
 
     def validate(self, value) -> None:
-        """Raise ``SchemaError`` if ``value`` is not acceptable for this type."""
+        """Raise ``SchemaError`` if ``value`` is not acceptable for this type.
+
+        A ``bool`` is refused by every type, although Python counts it as
+        an ``int``."""
         if value is None:
             return
-        if self is SqlType.INT and not isinstance(value, (int,)) or isinstance(value, bool):
-            if not (isinstance(value, int) and not isinstance(value, bool)):
-                raise SchemaError(f"expected INT, got {value!r}")
-        elif self is SqlType.FLOAT and not isinstance(value, (int, float)):
-            raise SchemaError(f"expected FLOAT, got {value!r}")
-        elif self is SqlType.TEXT and not isinstance(value, str):
-            raise SchemaError(f"expected TEXT, got {value!r}")
-        elif self is SqlType.DATE and not isinstance(value, str):
-            raise SchemaError(f"expected DATE (ISO string), got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, _ACCEPTED[self]):
+            raise SchemaError(f"expected {_EXPECTED[self]}, got {value!r}")
 
     def coerce(self, value):
         """Normalize a validated value to its canonical Python representation."""
@@ -54,6 +50,18 @@ class SqlType(enum.Enum):
             return float(value)
         return value
 
+
+#: The Python classes :meth:`SqlType.validate` accepts, and how its error
+#: names the type.
+_ACCEPTED = {
+    SqlType.INT: int, SqlType.FLOAT: (int, float), SqlType.TEXT: str, SqlType.DATE: str
+}
+_EXPECTED = {
+    SqlType.INT: "INT",
+    SqlType.FLOAT: "FLOAT",
+    SqlType.TEXT: "TEXT",
+    SqlType.DATE: "DATE (ISO string)",
+}
 
 #: The Python class every non-NULL value of a type has after coercion; a
 #: column whose values all have exactly it needs no per-value check.

@@ -13,7 +13,6 @@ from .mixed import (
     run_mixed_workload,
 )
 from .rng import iso_date, make_rng, tpcc_last_name
-from .trace import TraceRecorder, TraceReplayer
 
 __all__ = [
     "AggregateCacheSystem",
@@ -32,8 +31,6 @@ __all__ = [
     "Q3",
     "Q5",
     "Q9",
-    "TraceRecorder",
-    "TraceReplayer",
     "UncachedSystem",
     "iso_date",
     "make_rng",

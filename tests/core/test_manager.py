@@ -282,14 +282,16 @@ class TestOneBuildPerMiss:
             return real(query, snapshot, **kwargs)
 
         monkeypatch.setattr(executor, "execute", racing)
-        hits, misses = manager.total_hits, manager.total_misses
+        before = manager.counters_snapshot()
         result = db.query(HEADER_ITEM_SQL, strategy=FULL)
         (other,) = others
         assert other.entries_created == 1
         report = result.report
         assert report.entries_created == 0
         assert report.cache_hits == 0
-        assert (manager.total_hits, manager.total_misses) == (hits, misses + 2)
+        after = manager.counters_snapshot()
+        assert after["hits"] == before["hits"]
+        assert after["misses"] == before["misses"] + 2
         assert result == db.query(HEADER_ITEM_SQL, strategy=UNCACHED)
 
 

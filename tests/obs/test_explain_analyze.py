@@ -119,16 +119,3 @@ class TestMetricsFromQueries:
         assert snap["repro_cache_value_bytes"] == (
             erp_db.cache.counters_snapshot()["value_bytes"]
         )
-
-    def test_observability_disabled_still_answers(self):
-        db = make_erp_db(observability=False)
-        load_erp(db, n_headers=4, merge=True)
-        result = db.query(PROFIT_SQL)
-        assert result.report is not None
-        assert db.export_metrics() == ""
-        assert db.metrics_snapshot() == {}
-        # explain_analyze still traces: spans are per-query state, not
-        # registry state.  (star_join_tables=() keeps subjoins enumerated
-        # on this fully merged database so there are spans to see.)
-        trace = db.explain_analyze(PROFIT_SQL, star_join_tables=())
-        assert trace.subjoin_spans()

@@ -8,7 +8,6 @@ from repro.errors import ObservabilityError
 from repro.obs import (
     LATENCY_BUCKETS,
     MetricsRegistry,
-    NULL_REGISTRY,
     parse_prometheus,
 )
 
@@ -35,6 +34,15 @@ class TestCounter:
         snap = r.snapshot()
         assert snap['repro_test_total{outcome="hit"}'] == 2
         assert snap['repro_test_total{outcome="miss"}'] == 1
+
+    def test_reading_a_child_creates_no_sample(self):
+        r = MetricsRegistry()
+        c = r.counter("repro_test_total", "help", labels=("outcome",))
+        c.labels("hit").inc(2)
+        assert c.child_value("hit") == 2
+        assert c.child_value("miss") == 0
+        assert c.by_label() == {"hit": 2}
+        assert list(r.snapshot()) == ['repro_test_total{outcome="hit"}']
 
     def test_concurrent_increments_lose_nothing(self):
         r = MetricsRegistry()
@@ -116,16 +124,6 @@ class TestRegistry:
             r.counter("repro_dup_total", "help")
         with pytest.raises(ObservabilityError):
             r.gauge("repro_dup_total", "help")
-
-    def test_null_registry_is_inert(self):
-        c = NULL_REGISTRY.counter("repro_x_total", "help")
-        c.inc()
-        c.labels("a").inc(10)
-        h = NULL_REGISTRY.histogram("repro_x_seconds", "help", (1.0,))
-        h.observe(0.5)
-        assert NULL_REGISTRY.snapshot() == {}
-        assert NULL_REGISTRY.render_prometheus() == ""
-        assert NULL_REGISTRY.enabled is False
 
 
 class TestExporter:

@@ -103,6 +103,28 @@ class TestRowValidation:
         with pytest.raises(SchemaError):
             validate_row(schema, {"n": True})
 
+    @pytest.mark.parametrize(
+        "sql_type, name",
+        [
+            (SqlType.INT, "INT"),
+            (SqlType.FLOAT, "FLOAT"),
+            (SqlType.TEXT, "TEXT"),
+            (SqlType.DATE, "DATE"),
+        ],
+    )
+    def test_bool_refused_naming_the_column_type(self, sql_type, name):
+        with pytest.raises(SchemaError, match=rf"^expected {name}\b.*got True$"):
+            sql_type.validate(True)
+
+    def test_insert_of_bool_names_the_column_type(self):
+        from repro import Database
+
+        db = Database()
+        db.create_table("t", [("id", "INT"), ("label", "TEXT")], primary_key="id")
+        with pytest.raises(SchemaError, match=r"^expected TEXT, got False$"):
+            db.insert("t", {"id": 1, "label": False})
+        assert db.table("t").row_count() == 0
+
     def test_float_accepts_int(self):
         schema = Schema([ColumnDef("x", SqlType.FLOAT)])
         assert validate_row(schema, {"x": 3})["x"] == 3.0

@@ -61,15 +61,15 @@ class TestCacheStats:
         db.query(HEADER_ITEM_SQL, strategy=FULL)
         stats = db.statistics()
         assert stats.cache.entries == 1
-        assert stats.cache.total_misses == 1
-        assert stats.cache.total_hits == 2
+        assert stats.cache.misses == 1
+        assert stats.cache.hits == 2
         assert stats.cache.hit_rate == pytest.approx(2 / 3)
 
     def test_maintenance_counter(self):
         db = make_db()
         db.query(HEADER_ITEM_SQL, strategy=FULL)
         db.merge()
-        assert db.statistics().cache.total_maintenance_runs >= 1
+        assert db.statistics().cache.maintenance_runs >= 1
 
     def test_eviction_counter(self):
         from repro import CacheConfig
@@ -78,7 +78,7 @@ class TestCacheStats:
         load_erp(db, n_headers=3, merge=True)
         db.query("SELECT cid, COUNT(*) AS n FROM item GROUP BY cid", strategy=FULL)
         db.query("SELECT cid, SUM(price) AS s FROM item GROUP BY cid", strategy=FULL)
-        assert db.statistics().cache.total_evictions >= 1
+        assert db.statistics().cache.evictions >= 1
 
 
 class TestEnforcementStats:
