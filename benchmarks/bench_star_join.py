@@ -84,9 +84,11 @@ def _timed(fn, repeats=3):
     return best
 
 
-def _measure(db, sql, star_join_tables):
-    """Cold-plan and warm-hit timings plus the final prune report."""
-    run = lambda: db.query(sql, strategy=FULL, star_join_tables=star_join_tables)
+def _measure(db, sql, reduction):
+    """Cold-plan and warm-hit timings plus the final prune report, with
+    ``CacheConfig.star_join_reduction`` set to ``reduction``."""
+    db.cache.config.star_join_reduction = reduction
+    run = lambda: db.query(sql, strategy=FULL)
     db.plan_cache.clear()
     cold = _timed(lambda: (db.plan_cache.clear(), run()))
     warm = _timed(run)
@@ -100,9 +102,9 @@ def test_star_join_collapse(figures, name):
     sql = CH_QUERIES[name]
     tables = CH_QUERY_TABLES[name]
 
-    cold_red, warm_red, reduced = _measure(db, sql, None)
+    cold_red, warm_red, reduced = _measure(db, sql, True)
     report_red = reduced.report.prune
-    cold_exh, warm_exh, exhaustive = _measure(db, sql, ())
+    cold_exh, warm_exh, exhaustive = _measure(db, sql, False)
     report_exh = exhaustive.report.prune
 
     # The exhaustive run enumerates the full product; the reduced run

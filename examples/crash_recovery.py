@@ -17,6 +17,7 @@ Fault points you can arm instead of ``wal.append``: ``checkpoint.write``,
 Run with:  python examples/crash_recovery.py
 """
 
+import shutil
 import tempfile
 from pathlib import Path
 
@@ -52,8 +53,14 @@ def load(db: Database, hids) -> None:
 
 
 def main() -> None:
-    path = Path(tempfile.mkdtemp(prefix="repro-crash-")) / "db"
+    workdir = Path(tempfile.mkdtemp(prefix="repro-crash-"))
+    try:
+        run(workdir / "db")
+    finally:
+        shutil.rmtree(workdir)
 
+
+def run(path: Path) -> None:
     # ------------------------------------------------- a durable lifetime
     db = Database.open(path)
     build(db)
@@ -100,6 +107,7 @@ def main() -> None:
     recovered.merge()
     print("\ndurability counters:")
     print(recovered.statistics().render().split("durability:")[1])
+    recovered.close()
 
 
 if __name__ == "__main__":

@@ -44,6 +44,14 @@ def create_schema(db: Database) -> None:
 
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="repro_ops_"))
+    try:
+        run(workdir)
+    finally:
+        shutil.rmtree(workdir)
+    print("\ndone.")
+
+
+def run(workdir: Path) -> None:
     # Durable: every commit, DDL statement and merge reaches the WAL.
     db = Database.open(workdir / "db")
     create_schema(db)
@@ -109,8 +117,6 @@ def main() -> None:
     assert restored.query(SQL) == result
     print(f"save/load round-trip verified ({saved_dir.name}: one checkpoint file)")
     db.close()
-    shutil.rmtree(workdir)
-    print("\ndone.")
 
 
 if __name__ == "__main__":

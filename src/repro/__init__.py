@@ -17,7 +17,6 @@ from .core import (
     CacheConfig,
     ExecutionStrategy,
     LruEviction,
-    MaintenanceMode,
     MatchingDependency,
     ProfitAdmission,
     ProfitEviction,
@@ -75,7 +74,6 @@ __all__ = [
     "HealthReport",
     "IntegrityError",
     "LruEviction",
-    "MaintenanceMode",
     "MatchingDependency",
     "MetricsRegistry",
     "ProfitAdmission",

@@ -10,9 +10,9 @@ from .explain import QueryPlan, SubjoinPlan, explain_query
 from .main_compensation import StaleEntryError
 from .manager import AggregateCacheManager, CacheQueryReport
 from .matching_dependency import MatchingDependency, validate_md
-from .metrics import CacheMetrics, EntryStatus
+from .metrics import CacheMetrics
 from .pruning import JoinPruner, PruneReport, partition_temperature
-from .strategies import CacheConfig, ExecutionStrategy, MaintenanceMode
+from .strategies import CacheConfig, ExecutionStrategy
 
 __all__ = [
     "AdmissionPolicy",
@@ -25,13 +25,11 @@ __all__ = [
     "CacheMetrics",
     "CacheQueryReport",
     "EnforcementStats",
-    "EntryStatus",
     "EvictionPolicy",
     "ExecutionStrategy",
     "JoinPruner",
     "LruEviction",
     "MDEnforcer",
-    "MaintenanceMode",
     "MatchingDependency",
     "ProfitAdmission",
     "ProfitEviction",

@@ -25,7 +25,7 @@ from ..query.aggregates import GroupedAggregates
 from ..storage.bitvector import BitVector
 from ..storage.partition import Partition
 from .cache_key import CacheKey
-from .metrics import CacheMetrics, EntryStatus
+from .metrics import CacheMetrics
 
 
 @dataclass
@@ -115,15 +115,6 @@ class AggregateCacheEntry:
             self.invalidation_epochs.setdefault(alias, partition.invalidation_epoch)
 
     # ------------------------------------------------------------------
-    @property
-    def is_active(self) -> bool:
-        """False once invalidated (DROP-mode maintenance)."""
-        return self.metrics.status is EntryStatus.ACTIVE
-
-    def invalidate(self) -> None:
-        """Mark the entry invalidated; the next lookup replaces it."""
-        self.metrics.status = EntryStatus.INVALIDATED
-
     def matches_current_partitions(self) -> bool:
         """False once a referenced main partition was rebuilt (delta merge)
         without this entry being maintained — the entry is then stale and
@@ -169,5 +160,5 @@ class AggregateCacheEntry:
     def __repr__(self) -> str:
         return (
             f"AggregateCacheEntry(key={self.key.combo}, "
-            f"groups={self.value.group_count()}, status={self.metrics.status.value})"
+            f"groups={self.value.group_count()})"
         )

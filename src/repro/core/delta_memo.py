@@ -139,14 +139,14 @@ class DeltaMemo:
     #: mean no referenced table changed at all (per-table version counters),
     #: so validation can skip the per-partition walk.
     signature: Tuple = ()
-    #: The star-join exclusion decision — ``(alias, reason)`` per excluded
-    #: table — of the plan whose combo set ``folded`` was folded over.  A
-    #: memo is only ever replayed for a plan with the *same* decision:
-    #: toggling the override, flipping the config switch, or a dimension
-    #: delta going empty→non-empty all change the fingerprint and route
-    #: :func:`classify_memo` to a step from birth.  (A reduced-set memo does
-    #: not cover the excluded tables' delta partitions.)
-    excluded: Tuple[Tuple[str, str], ...] = ()
+    #: The star-join exclusion decision — the sorted excluded aliases — of
+    #: the plan whose combo set ``folded`` was folded over.  A memo is only
+    #: ever replayed for a plan with the *same* decision: flipping the
+    #: config switch or a dimension delta going empty→non-empty both change
+    #: the fingerprint and route :func:`classify_memo` to a step from
+    #: birth.  (A reduced-set memo does not cover the excluded tables'
+    #: delta partitions.)
+    excluded: Tuple[str, ...] = ()
     #: The silent versions cancelled at the anchor — the earlier side of
     #: every step's swaps, and what a read that steps over nothing reports.
     effective: EffectiveRows = field(default_factory=EffectiveRows)
@@ -279,9 +279,9 @@ def classify_memo(memo: Optional[DeltaMemo], snapshot: int, plan) -> str:
 
     A memo folded over one combo set is never replayed for a plan with a
     different star-join exclusion fingerprint — even when the partition
-    walk would pass (e.g. a plan built under a different strategy or
-    override whose reduced partition set happens to coincide), because the
-    watermarks only cover the memo's own combo set.
+    walk would pass (e.g. a plan built under a different strategy whose
+    reduced partition set happens to coincide), because the watermarks
+    only cover the memo's own combo set.
     """
     if memo is None:
         return "birth"

@@ -66,8 +66,8 @@ class QueryPlan:
     cached_combos: List[Dict[str, str]] = field(default_factory=list)
     entry_states: List[str] = field(default_factory=list)  # "HIT"/"MISS" per combo
     subjoins: List[SubjoinPlan] = field(default_factory=list)
-    #: Star-join variant reduction: "alias:reason" per excluded table and
-    #: the number of combinations never enumerated because of it.
+    #: Star-join variant reduction: the excluded aliases and the number of
+    #: combinations never enumerated because of them.
     excluded: List[str] = field(default_factory=list)
     combos_excluded: int = 0
 
@@ -110,20 +110,17 @@ def explain_query(
     manager,
     query: Union[str, AggregateQuery],
     strategy: Optional[ExecutionStrategy] = None,
-    star_join_tables=None,
 ) -> QueryPlan:
     """Build the :class:`QueryPlan` for ``query`` under ``strategy``.
 
     ``manager`` is the :class:`~repro.core.manager.AggregateCacheManager`;
     nothing is executed and no entry is created.  The fates are taken from
     the manager's (possibly cached) physical plan, never re-derived.
-    ``star_join_tables`` is the per-statement star-join override, matching
-    :meth:`~repro.core.manager.AggregateCacheManager.execute`.
     """
     strategy = strategy if strategy is not None else manager.config.default_strategy
-    physical = manager.plan_for(query, strategy, star_join_tables=star_join_tables)
+    physical = manager.plan_for(query, strategy)
     plan = QueryPlan(strategy=strategy, cacheable=physical.cacheable)
-    plan.excluded = [e.describe() for e in physical.excluded]
+    plan.excluded = [e.alias for e in physical.excluded]
     plan.combos_excluded = physical.prune.combos_excluded
     if not plan.cacheable:
         return plan
@@ -132,9 +129,7 @@ def explain_query(
             entry = manager._entries.get(key)
             state = (
                 "HIT"
-                if entry is not None
-                and entry.is_active
-                and entry.matches_current_partitions()
+                if entry is not None and entry.matches_current_partitions()
                 else "MISS (would be computed and admitted)"
             )
         plan.cached_combos.append({alias: p.name for alias, p in combo.items()})

@@ -12,7 +12,7 @@ Orchestrates the full query path of the paper:
 4. hit or freshly created, **main compensation** then **delta compensation**
    are applied to produce the transaction-consistent result;
 5. at delta-merge time the manager acts as a merge listener and maintains
-   its entries incrementally (or drops them, per configuration).
+   its entries incrementally.
 
 Matching dependencies and consistent-aging declarations registered here
 power the dynamic join pruning and predicate pushdown of delta compensation.
@@ -32,7 +32,6 @@ from ..obs.trace import QueryTrace, Span
 from ..plan.cache import PlanCache
 from ..plan.logical import Binder
 from ..plan.physical import PhysicalPlan, Planner, plan_validity
-from ..plan.star_join import normalize_star_join_override
 from ..query.aggregates import GroupedAggregates
 from ..query.executor import (
     ComboSpec,
@@ -73,7 +72,7 @@ from .maintenance import (
 from .matching_dependency import MatchingDependency
 from .metrics import CacheMetrics
 from .pruning import PruneReport
-from .strategies import CacheConfig, ExecutionStrategy, MaintenanceMode
+from .strategies import CacheConfig, ExecutionStrategy
 
 
 @dataclass
@@ -371,11 +370,11 @@ class AggregateCacheManager:
             self.obs.plan_cache_evictions.inc(dropped_plans)
         return len(victims)
 
-    def explain(self, query, strategy=None, star_join_tables=None):
+    def explain(self, query, strategy=None):
         """Dry-run plan: see :func:`repro.core.explain.explain_query`."""
         from .explain import explain_query
 
-        return explain_query(self, query, strategy, star_join_tables)
+        return explain_query(self, query, strategy)
 
     # ------------------------------------------------------------------
     # planning
@@ -385,7 +384,6 @@ class AggregateCacheManager:
         query: Union[str, AggregateQuery],
         strategy: Optional[ExecutionStrategy] = None,
         trace: Optional[QueryTrace] = None,
-        star_join_tables=None,
     ) -> PhysicalPlan:
         """The :class:`PhysicalPlan` answering ``query`` under ``strategy``.
 
@@ -397,18 +395,12 @@ class AggregateCacheManager:
         (:meth:`_rederive`); otherwise the statement is bound and lowered,
         and the fresh plan is admitted under both slots.
 
-        ``star_join_tables`` is the per-statement star-join override
-        (None = config override, then automatic detection).  It is part
-        of both cache-slot keys: the same statement planned under two
-        overrides yields two distinct plans with distinct combo sets.
-
         EXPLAIN, EXPLAIN ANALYZE, and :meth:`execute` all call this — they
         consume the same plan object, so they cannot drift.
         """
         strategy = strategy if strategy is not None else self.config.default_strategy
-        override = normalize_star_join_override(star_join_tables)
         sql = query if isinstance(query, str) else None
-        sql_key = ("sql", sql, strategy.value, override) if sql is not None else None
+        sql_key = ("sql", sql, strategy.value) if sql is not None else None
         bind_span = trace.child("bind") if trace is not None else None
         plan = None
         outcome: Optional[str] = None
@@ -432,7 +424,6 @@ class AggregateCacheManager:
                 bound.canonical_key(),
                 bound.presentation_key(),
                 strategy.value,
-                override,
             )
             plan, canon_outcome = self.plan_cache.get(canon_key, self._validity_of)
             if canon_outcome == "stale":
@@ -440,7 +431,7 @@ class AggregateCacheManager:
             if outcome is None or plan is not None or canon_outcome == "invalidated":
                 outcome = canon_outcome
             if plan is None:
-                plan = self._build(self._binder.plan(bound), strategy, override)
+                plan = self._build(self._binder.plan(bound), strategy)
                 self.plan_cache.put(
                     canon_key,
                     plan,
@@ -458,14 +449,12 @@ class AggregateCacheManager:
             self.obs.plan_cache_lookups.labels(outcome).inc()
         return plan
 
-    def _build(self, logical, strategy, override) -> PhysicalPlan:
+    def _build(self, logical, strategy) -> PhysicalPlan:
         """A full plan build under the registered MDs and agings."""
         build_started = time.perf_counter()
         with self._lock:
             mds, agings = list(self._mds), list(self._agings)
-        plan = self._planner.build(
-            logical, strategy, mds, agings, star_override=override
-        )
+        plan = self._planner.build(logical, strategy, mds, agings)
         self.obs.plan_build_seconds.observe(time.perf_counter() - build_started)
         return plan
 
@@ -481,7 +470,7 @@ class AggregateCacheManager:
         fresh = self._planner.reprune(stale)
         rederived = fresh is not None
         if not rederived:
-            fresh = self._build(stale.logical, stale.strategy, stale.star_override)
+            fresh = self._build(stale.logical, stale.strategy)
         self.plan_cache.settle(key, stale, fresh, rederived)
         return fresh, "hit" if rederived else "invalidated"
 
@@ -490,11 +479,7 @@ class AggregateCacheManager:
         tables, under the plan's own exclusion decision (see
         :func:`~repro.plan.physical.plan_validity`)."""
         return plan_validity(
-            self._catalog,
-            self.config,
-            plan.table_names(),
-            plan.star_override,
-            plan.excluded,
+            self._catalog, self.config, plan.table_names(), plan.excluded
         )
 
     # ------------------------------------------------------------------
@@ -507,7 +492,6 @@ class AggregateCacheManager:
         strategy: Optional[ExecutionStrategy] = None,
         trace: Optional[QueryTrace] = None,
         cancel=None,
-        star_join_tables=None,
     ) -> Tuple[QueryResult, CacheQueryReport]:
         """Answer a query through the cache pipeline (Fig. 3); returns
         (finished result, report).
@@ -533,7 +517,7 @@ class AggregateCacheManager:
         strategy = strategy if strategy is not None else self.config.default_strategy
         report = CacheQueryReport(strategy=strategy)
         started = time.perf_counter()
-        plan = self.plan_for(query, strategy, trace, star_join_tables)
+        plan = self.plan_for(query, strategy, trace)
         report.plan = plan
         bound = plan.query
         if cancel is not None:
@@ -675,7 +659,6 @@ class AggregateCacheManager:
                 or order.signature != plan.signature
                 or not (order.anchor <= snapshot < order.horizon)
                 or order.presentation != plan.query.presentation_key()
-                or not entry.is_active
             ):
                 return None
             entry.metrics.record_use(self._clock)
@@ -744,7 +727,6 @@ class AggregateCacheManager:
         with self._lock:
             if (
                 self._entries.get(entry.key) is entry
-                and entry.is_active
                 and entry.value is value
                 and entry.delta_memo is memo
             ):
@@ -816,9 +798,7 @@ class AggregateCacheManager:
             cancel.check()  # per-combination boundary
         with self._lock:
             entry = self._entries.get(key)
-            recomputed = entry is not None and (
-                not entry.is_active or not entry.matches_current_partitions()
-            )
+            recomputed = entry is not None and not entry.matches_current_partitions()
             if recomputed:
                 self._drop_entry_locked(key)
                 report.entries_recomputed += 1
@@ -1012,9 +992,7 @@ class AggregateCacheManager:
         )
         with self._lock:
             existing = self._entries.get(key)
-            if existing is not None and existing.is_active and (
-                existing.matches_current_partitions()
-            ):
+            if existing is not None and existing.matches_current_partitions():
                 existing.metrics.record_use(self._clock)
                 if span is not None:
                     span.attrs["resident"] = True
@@ -1264,7 +1242,7 @@ class AggregateCacheManager:
             span.attrs["subjoins_total"] = report.prune.combos_total
             span.attrs["subjoins_pruned"] = report.prune.pruned_total
             if plan.excluded:
-                span.attrs["excluded"] = [e.describe() for e in plan.excluded]
+                span.attrs["excluded"] = [e.alias for e in plan.excluded]
                 span.attrs["subjoins_excluded"] = report.prune.combos_excluded
             span.attrs["compensation"] = mode
             if report.delta_memo_reason:
@@ -1372,7 +1350,7 @@ class AggregateCacheManager:
             return None
         entry = route.entry
         with self._lock:
-            if entry.delta_memo is route.memo and entry.is_active:
+            if entry.delta_memo is route.memo:
                 entry.delta_memo = memo
                 return memo
         return None
@@ -1462,8 +1440,6 @@ class AggregateCacheManager:
         """
         installed = {"advance": 0, "rebuild": 0}
         for entry in self.entries():
-            if not entry.is_active:
-                continue
             plan = self.plan_for(entry.query)
             if plan.cache_keys != [entry.key]:
                 continue  # several entries answer it, or another entry does
@@ -1518,13 +1494,6 @@ class AggregateCacheManager:
 
     def _before_merge_locked(self, event: MergeEvent) -> None:
         for key, entry in self._entries.items():
-            if not entry.is_active:
-                self._pending_drops.add(key)
-                continue
-            if self.config.maintenance_mode is MaintenanceMode.DROP:
-                if self._entry_references(entry, event):
-                    self._pending_drops.add(key)
-                continue
             try:
                 pending = plan_entry_maintenance(entry, event, self._executor)
             except StaleEntryError:
@@ -1573,11 +1542,3 @@ class AggregateCacheManager:
                 ]
             if not self._pending_maintenance:
                 self._pending_drops = set()
-
-    @staticmethod
-    def _entry_references(entry: AggregateCacheEntry, event: MergeEvent) -> bool:
-        merging_main = event.table.partition(event.main_name)
-        return any(
-            partition is merging_main
-            for partition in entry.main_partitions.values()
-        )

@@ -1,7 +1,6 @@
 """Per-entry aggregate cache metrics (Fig. 2: "Aggregate Cache Metrics").
 
-Of the fields the paper lists, the entry keeps its status, the aggregate's
-size, the number of records aggregated from main, and usage information:
+Of the fields the paper lists, the entry keeps the aggregate's size, the number of records aggregated from main, and usage information:
 what the eviction rank (Mueller et al. [20], cited in Section 2.1) and the
 cache's gauges read.  The paper's creation, compensation and maintenance
 times are not kept: no policy reads them — the rank counts rows, not
@@ -11,15 +10,7 @@ are on the query report, the trace spans and the metrics registry instead.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-
-
-class EntryStatus(enum.Enum):
-    """Lifecycle state of a cache entry."""
-
-    ACTIVE = "active"
-    INVALIDATED = "invalidated"  # dropped at merge (MaintenanceMode.DROP)
 
 
 @dataclass
@@ -31,7 +22,6 @@ class CacheMetrics:
     counter).
     """
 
-    status: EntryStatus = EntryStatus.ACTIVE
     size_bytes: int = 0
     aggregated_records_main: int = 0
     reference_count: int = 0  # uses of the key, earlier residencies included

@@ -16,8 +16,8 @@ The four strategies are exactly the ones compared throughout Section 6.4:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 
 class ExecutionStrategy(enum.Enum):
@@ -47,13 +47,6 @@ class ExecutionStrategy(enum.Enum):
         return self is ExecutionStrategy.CACHED_FULL_PRUNING
 
 
-class MaintenanceMode(enum.Enum):
-    """What happens to cache entries at delta-merge time (Section 5.2)."""
-
-    INCREMENTAL = "incremental"  # fold the merged delta into the entry
-    DROP = "drop"  # invalidate; the next query recreates the entry
-
-
 @dataclass
 class CacheConfig:
     """Tuning knobs of the aggregate cache manager."""
@@ -62,8 +55,6 @@ class CacheConfig:
     default_strategy: ExecutionStrategy = ExecutionStrategy.CACHED_FULL_PRUNING
     # Apply join predicate pushdown to unpruned mixed subjoins.
     predicate_pushdown: bool = True
-    # Entry lifecycle at merge time.
-    maintenance_mode: MaintenanceMode = MaintenanceMode.INCREMENTAL
     # Maximum number of entries (None = unbounded); eviction policy applies.
     max_entries: Optional[int] = None
     # Maximum total approximate bytes of cached values (None = unbounded).
@@ -80,8 +71,3 @@ class CacheConfig:
     # to 2^k-1 over the k remaining tables.  Off = enumerate exhaustively
     # and rely on per-combo pruning alone (the paper's baseline).
     star_join_reduction: bool = True
-    # Config-wide star-join override: None = detect automatically; any
-    # iterable (or comma-separated string) of table/alias names restricts
-    # exclusion candidates to exactly those names (() = exclude nothing).
-    # A per-query star_join_tables=... takes precedence when given.
-    star_join_tables: Optional[Union[str, Iterable[str]]] = None

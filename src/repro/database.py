@@ -772,15 +772,8 @@ class Database:
         as_of: Optional[int] = None,
         timeout_ms: Optional[float] = None,
         cancel: Optional[CancelToken] = None,
-        star_join_tables=None,
     ) -> QueryResult:
         """Answer an aggregate query (SQL text or query object).
-
-        ``star_join_tables`` overrides star-join variant-reduction
-        detection for this statement: an iterable (or comma-separated
-        string) of table/alias names restricts exclusion candidates to
-        exactly those names, ``()`` disables exclusion, and ``None``
-        (default) detects automatically (see :mod:`repro.plan.star_join`).
 
         ``as_of`` pins the read to a past transaction id (time travel); it
         sees whatever that snapshot saw, provided history was retained
@@ -800,7 +793,6 @@ class Database:
         return self._run_query(
             query, strategy, txn, as_of, trace=None,
             timeout_ms=timeout_ms, cancel=cancel,
-            star_join_tables=star_join_tables,
         )
 
     def explain_analyze(
@@ -811,7 +803,6 @@ class Database:
         as_of: Optional[int] = None,
         timeout_ms: Optional[float] = None,
         cancel: Optional[CancelToken] = None,
-        star_join_tables=None,
     ) -> QueryTrace:
         """Run the query for real and return its structured trace.
 
@@ -828,7 +819,6 @@ class Database:
         result = self._run_query(
             query, strategy, txn, as_of, trace=trace,
             timeout_ms=timeout_ms, cancel=cancel,
-            star_join_tables=star_join_tables,
         )
         trace.finish()
         trace.result = result
@@ -845,7 +835,6 @@ class Database:
         trace: Optional[QueryTrace],
         timeout_ms: Optional[float] = None,
         cancel: Optional[CancelToken] = None,
-        star_join_tables=None,
     ) -> QueryResult:
         # Raw SQL passes through untouched: the manager's plan cache hits on
         # the literal text, skipping parse *and* bind for repeated
@@ -858,8 +847,7 @@ class Database:
                 reader = SnapshotReader(as_of)
                 with self.lock.read():
                     result, report = self.cache.execute(
-                        query, reader, strategy=strategy, trace=trace,
-                        cancel=token, star_join_tables=star_join_tables,
+                        query, reader, strategy=strategy, trace=trace, cancel=token
                     )
                 return self._finish_query(result, report)
             transaction, own = self._txn_or_begin(txn)
@@ -867,7 +855,7 @@ class Database:
                 try:
                     result, report = self.cache.execute(
                         query, transaction, strategy=strategy, trace=trace,
-                        cancel=token, star_join_tables=star_join_tables,
+                        cancel=token,
                     )
                 except BaseException:
                     # Aborting the auto-begun transaction here (inside the
@@ -896,19 +884,17 @@ class Database:
         self,
         query: Union[str, AggregateQuery],
         strategy: Optional[ExecutionStrategy] = None,
-        star_join_tables=None,
     ) -> str:
         """EXPLAIN: how the cache would answer the query, without running it.
 
         Shows the cached all-main combinations (hit/miss), the star-join
-        exclusions with a reason per table (when variant reduction
-        engages), and the fate of every delta-compensation subjoin —
+        exclusions (when variant reduction engages), and the fate of every delta-compensation subjoin —
         evaluated, or pruned by which mechanism, with any derived pushdown
         filters.  Rendered from the same (possibly cached) physical plan
         :meth:`query` would run.
         """
         with self.lock.read():
-            return self.cache.explain(query, strategy, star_join_tables).render()
+            return self.cache.explain(query, strategy).render()
 
     def export_csv(self, table_name: str, path, include_tid_columns: bool = False) -> int:
         """Write the table's visible rows to a CSV file; returns the count."""

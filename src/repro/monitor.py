@@ -1,20 +1,25 @@
 """System monitoring views: storage, cache, and enforcement statistics.
 
 The equivalents of a DBMS's monitoring views (``M_CS_TABLES``-style), built
-from live engine state: per-partition row counts and byte sizes, aggregate
-cache occupancy and lifetime hit/miss/eviction counters, and matching-
-dependency enforcement activity.  ``Database.statistics()`` returns the
-structured snapshot; ``render()`` formats it for humans (the shell and the
-examples use it).
+from live engine state: per-partition row counts and byte sizes, the cache
+manager's ``counters_snapshot()``, and copies of the engine's own
+:class:`~repro.core.enforcement.EnforcementStats`,
+:class:`~repro.reliability.wal.WalStats` and
+:class:`~repro.reliability.recovery.RecoveryStats`.
+``Database.statistics()`` returns the structured snapshot; ``render()``
+formats it for humans (the shell and the examples use it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from typing import Dict, List, Optional
 
+from .core.enforcement import EnforcementStats
 from .database import Database
 from .governor import HealthReport
+from .reliability.recovery import RecoveryStats
+from .reliability.wal import WalStats
 
 
 @dataclass
@@ -59,29 +64,28 @@ class TableStats:
 
 @dataclass
 class CacheStats:
-    """Aggregate cache occupancy and lifetime counters (the registry's
-    ``repro_cache_*`` counts, read in one manager-locked snapshot)."""
+    """Aggregate cache occupancy and lifetime counters: the fields of the
+    manager's one locked ``counters_snapshot()`` of the same names."""
 
     entries: int
-    total_value_bytes: int
+    value_bytes: int
+    #: Total bytes the memory budget tracks (entries + memos + orders +
+    #: plan/parse estimates).
+    tracked_bytes: int
     hits: int
     misses: int
     evictions: int
     maintenance_runs: int
     #: Hits answered from an entry's remembered output order (pure hits).
-    result_reuses: int = 0
+    result_reuses: int
     # Compensation routing (see repro.core.delta_memo): which memo a
     # single-entry read stepped.
-    memo_hits: int = 0  # incremental: the entry's memo
-    memo_misses: int = 0  # full: the entry's birth memo (a recompute)
-    memo_bypass: int = 0  # no single entry: hot/cold plans, direct scans
-    #: Total bytes the memory budget tracks (entries + memos + orders +
-    #: plan/parse estimates), from the same locked snapshot
-    #: as the counters above.
-    tracked_bytes: int = 0
+    memo_hits: int  # incremental: the entry's memo
+    memo_misses: int  # full: the entry's birth memo (a recompute)
+    memo_bypass: int  # no single entry: hot/cold plans, direct scans
     # Proactive cardinality-based refreshes (see repro.core.maintenance).
-    refresh_advances: int = 0
-    refresh_rebuilds: int = 0
+    refresh_advances: int
+    refresh_rebuilds: int
 
     @property
     def hit_rate(self) -> float:
@@ -97,37 +101,22 @@ class CacheStats:
 
 
 @dataclass
-class EnforcementSnapshot:
-    """Matching-dependency enforcement activity counters."""
-
-    matching_dependencies: int
-    parent_stamps: int
-    child_lookups: int
-    lookups_failed: int
-
-
-@dataclass
 class DurabilityStats:
-    """WAL append counters plus what the last recovery replayed.
+    """The WAL's append counters and what the last recovery replayed.
 
     Only present for durable databases (``Database(path=...)``); an
     in-memory engine has nothing to fsync and nothing to recover.
     """
 
     path: str
-    wal_records_appended: int
-    wal_transactions_logged: int
-    wal_merges_logged: int
-    wal_bytes_written: int
-    wal_last_lsn: int
-    checkpoints_written: int
-    recovered: bool  # True when opening found previous state to replay
-    recovery_checkpoint_lsn: Optional[int] = None
-    recovery_records_replayed: int = 0
-    recovery_transactions_replayed: int = 0
-    recovery_merges_replayed: int = 0
-    recovery_torn_records_dropped: int = 0
-    recovered_tid: int = 0
+    wal: WalStats
+    recovery: Optional[RecoveryStats] = None
+
+    @property
+    def recovered(self) -> bool:
+        """True when opening found previous state to replay."""
+        r = self.recovery
+        return r is not None and (r.records_scanned > 0 or r.checkpoint_lsn is not None)
 
 
 @dataclass
@@ -137,7 +126,8 @@ class DatabaseStats:
     snapshot_tid: int
     tables: List[TableStats]
     cache: CacheStats
-    enforcement: EnforcementSnapshot
+    matching_dependencies: int
+    enforcement: EnforcementStats
     durability: Optional[DurabilityStats] = None
     #: The resource governor's health snapshot (degraded mode,
     #: abort/retry/shed counters); see :mod:`repro.governor`.
@@ -169,11 +159,11 @@ class DatabaseStats:
                     f"visible={part.visible_rows} ~{part.bytes}B "
                     f"invalidations={part.invalidation_epoch}"
                 )
-        cache = self.cache
+        cache, md = self.cache, self.enforcement
         lines += [
             "",
             "aggregate cache:",
-            f"  entries={cache.entries} value-bytes~{cache.total_value_bytes} "
+            f"  entries={cache.entries} value-bytes~{cache.value_bytes} "
             f"hits={cache.hits} misses={cache.misses} "
             f"hit-rate={cache.hit_rate:.1%} "
             f"result-reuses={cache.result_reuses} "
@@ -186,33 +176,34 @@ class DatabaseStats:
             f"rebuilds={cache.refresh_rebuilds}",
             "",
             "matching dependencies:",
-            f"  declared={self.enforcement.matching_dependencies} "
-            f"parent-stamps={self.enforcement.parent_stamps} "
-            f"child-lookups={self.enforcement.child_lookups} "
-            f"failed-lookups={self.enforcement.lookups_failed}",
+            f"  declared={self.matching_dependencies} "
+            f"parent-stamps={md.parent_stamps} "
+            f"child-lookups={md.child_lookups} "
+            f"failed-lookups={md.lookups_failed}",
         ]
         if self.durability is not None:
-            d = self.durability
+            d, wal = self.durability, self.durability.wal
             lines += [
                 "",
                 "durability:",
-                f"  wal@{d.path}: records={d.wal_records_appended} "
-                f"txns={d.wal_transactions_logged} merges={d.wal_merges_logged} "
-                f"~{d.wal_bytes_written}B last-lsn={d.wal_last_lsn} "
-                f"checkpoints={d.checkpoints_written}",
+                f"  wal@{d.path}: records={wal.records_appended} "
+                f"txns={wal.transactions_logged} merges={wal.merges_logged} "
+                f"~{wal.bytes_written}B last-lsn={wal.last_lsn} "
+                f"checkpoints={wal.checkpoints_written}",
             ]
             if d.recovered:
+                r = d.recovery
                 ckpt = (
-                    f"checkpoint-lsn={d.recovery_checkpoint_lsn}"
-                    if d.recovery_checkpoint_lsn is not None
+                    f"checkpoint-lsn={r.checkpoint_lsn}"
+                    if r.checkpoint_lsn is not None
                     else "no-checkpoint"
                 )
                 lines.append(
-                    f"  recovered: {ckpt} records={d.recovery_records_replayed} "
-                    f"txns={d.recovery_transactions_replayed} "
-                    f"merges={d.recovery_merges_replayed} "
-                    f"torn-dropped={d.recovery_torn_records_dropped} "
-                    f"tid={d.recovered_tid}"
+                    f"  recovered: {ckpt} records={r.records_replayed} "
+                    f"txns={r.transactions_replayed} "
+                    f"merges={r.merges_replayed} "
+                    f"torn-dropped={r.torn_records_dropped} "
+                    f"tid={r.recovered_tid}"
                 )
         if self.health is not None:
             lines += ["", "health:"]
@@ -247,71 +238,28 @@ def collect_statistics(db: Database) -> DatabaseStats:
                 )
             )
         tables.append(stats)
-    manager = db.cache
-    # One locked snapshot of the lifetime counters: reading the attributes
-    # one by one could interleave with a concurrent query's bookkeeping and
-    # report e.g. more hits than lookups.  ``value_bytes`` comes from the
-    # same snapshot — computing it from a separate ``manager.entries()``
-    # call would take the lock a second time, and entries created or
-    # evicted in between would make the byte total disagree with
-    # ``entries`` (a torn read).
-    counters = manager.counters_snapshot()
-    cache = CacheStats(
-        entries=counters["entries"],
-        total_value_bytes=counters["value_bytes"],
-        hits=counters["hits"],
-        misses=counters["misses"],
-        evictions=counters["evictions"],
-        maintenance_runs=counters["maintenance_runs"],
-        result_reuses=counters["result_reuses"],
-        memo_hits=counters["memo_hits"],
-        memo_misses=counters["memo_misses"],
-        memo_bypass=counters["memo_bypass"],
-        tracked_bytes=counters["tracked_bytes"],
-        refresh_advances=counters["refresh_advances"],
-        refresh_rebuilds=counters["refresh_rebuilds"],
-    )
-    enforcement = EnforcementSnapshot(
-        matching_dependencies=len(db.enforcer.dependencies()),
-        parent_stamps=db.enforcer.stats.parent_stamps,
-        child_lookups=db.enforcer.stats.child_lookups,
-        lookups_failed=db.enforcer.stats.lookups_failed,
-    )
+    # One locked snapshot of the lifetime counters, entry bytes and tracked
+    # bytes: reading them one by one could interleave with a concurrent
+    # query's bookkeeping and report e.g. more hits than lookups, or a
+    # byte total that disagrees with the entry count (a torn read).
+    counters = db.cache.counters_snapshot()
     durability: Optional[DurabilityStats] = None
     if db.wal is not None:
-        wal_stats = db.wal.stats
         recovery = db.recovery_stats
-        recovered = recovery is not None and (
-            recovery.records_scanned > 0 or recovery.checkpoint_lsn is not None
-        )
         durability = DurabilityStats(
             path=str(db.path),
-            wal_records_appended=wal_stats.records_appended,
-            wal_transactions_logged=wal_stats.transactions_logged,
-            wal_merges_logged=wal_stats.merges_logged,
-            wal_bytes_written=wal_stats.bytes_written,
-            wal_last_lsn=wal_stats.last_lsn,
-            checkpoints_written=wal_stats.checkpoints_written,
-            recovered=recovered,
+            wal=replace(db.wal.stats),
+            recovery=replace(recovery) if recovery is not None else None,
         )
-        if recovery is not None:
-            durability.recovery_checkpoint_lsn = recovery.checkpoint_lsn
-            durability.recovery_records_replayed = recovery.records_replayed
-            durability.recovery_transactions_replayed = recovery.transactions_replayed
-            durability.recovery_merges_replayed = recovery.merges_replayed
-            durability.recovery_torn_records_dropped = recovery.torn_records_dropped
-            durability.recovered_tid = recovery.recovered_tid
     return DatabaseStats(
         snapshot_tid=snapshot,
         tables=tables,
-        cache=cache,
-        enforcement=enforcement,
+        cache=CacheStats(**{f.name: counters[f.name] for f in fields(CacheStats)}),
+        matching_dependencies=len(db.enforcer.dependencies()),
+        enforcement=replace(db.enforcer.stats),
         durability=durability,
-        # The byte reading comes from the counters snapshot above — a
-        # separate manager.tracked_bytes() call would take the manager
-        # lock a second time, and a shed or insert between the two takes
-        # would make the health view disagree with the cache stats (the
-        # same torn-read class the single-snapshot counters fix closed).
+        # tracked_bytes comes from the counters snapshot above, so the
+        # health view describes the same instant as the cache stats.
         health=db.governor.health(
             tracked_bytes=counters["tracked_bytes"], wal_degraded=db.wal_degraded
         ),

@@ -23,13 +23,7 @@ from __future__ import annotations
 
 from .cost import FILTER_SELECTIVITY, JoinStep, choose_join_order, estimate_scan_rows
 from .logical import Binder, LogicalPlan
-from .star_join import (
-    ExcludedTable,
-    alias_is_filtering,
-    detect_star_join_tables,
-    exclusion_is_sound,
-    normalize_star_join_override,
-)
+from .star_join import ExcludedTable, exclusion_is_sound, star_join_exclusions
 
 __all__ = [
     "Binder",
@@ -39,10 +33,8 @@ __all__ = [
     "choose_join_order",
     "estimate_scan_rows",
     "ExcludedTable",
-    "alias_is_filtering",
-    "detect_star_join_tables",
+    "star_join_exclusions",
     "exclusion_is_sound",
-    "normalize_star_join_override",
     "Planner",
     "PhysicalPlan",
     "PlannedSubjoin",

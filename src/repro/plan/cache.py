@@ -28,15 +28,13 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from .physical import PhysicalPlan
 
-#: A cache slot: ("sql", statement text, strategy value, override) or
-#: ("canon", canonical key, presentation key, strategy value, override),
-#: the override being the normalized per-statement star_join_tables or
-#: None — part of the key because it changes the planned combo set.  The
-#: cache treats keys as opaque.
+#: A cache slot: ("sql", statement text, strategy value) or ("canon",
+#: canonical key, presentation key, strategy value).  The cache treats
+#: keys as opaque.
 PlanKey = Tuple
 
 
@@ -207,11 +205,6 @@ class PlanCache:
                 "rederived": self.rederived,
                 "exclusion_flips": self.exclusion_flips,
             }
-
-    def cached_plans(self) -> List[PhysicalPlan]:
-        """The live plans, LRU order (oldest first; diagnostics only)."""
-        with self._lock:
-            return [entry.plan for entry in self._entries.values()]
 
     # ------------------------------------------------------------------
     def _drop_locked(self, primary_key: PlanKey) -> None:

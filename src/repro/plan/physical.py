@@ -36,12 +36,7 @@ from ..core.delta_compensation import compensation_assignments, excluded_combo_c
 from ..core.pruning import JoinPruner, PruneReport
 from ..core.strategies import CacheConfig, ExecutionStrategy
 from .logical import LogicalPlan
-from .star_join import (
-    ExcludedTable,
-    detect_star_join_tables,
-    excluded_fingerprint,
-    normalize_star_join_override,
-)
+from .star_join import ExcludedTable, excluded_fingerprint, star_join_exclusions
 
 
 @dataclass
@@ -88,11 +83,9 @@ class PhysicalPlan:
     pruner: Optional[JoinPruner] = None
     subjoins: List[PlannedSubjoin] = field(default_factory=list)
     prune: PruneReport = field(default_factory=PruneReport)
-    #: Star-join variant reduction: tables pinned to their mains with a
-    #: reason each, and the per-statement override the plan was built
-    #: under (None = automatic detection) — both part of the signature.
+    #: Star-join variant reduction: the tables pinned to their mains —
+    #: part of the signature.
     excluded: Tuple[ExcludedTable, ...] = ()
-    star_override: Optional[Tuple[str, ...]] = None
 
     @property
     def query(self) -> AggregateQuery:
@@ -112,9 +105,9 @@ class PhysicalPlan:
         """Fresh :class:`ComboSpec`\\ s for every non-pruned subjoin."""
         return [s.to_spec() for s in self.subjoins if s.action == "evaluate"]
 
-    def excluded_fingerprint(self) -> Tuple[Tuple[str, str], ...]:
-        """The ``(alias, reason)`` exclusion decision this plan's combo
-        set was generated under — part of delta-memo identity."""
+    def excluded_fingerprint(self) -> Tuple[str, ...]:
+        """The excluded aliases this plan's combo set was generated
+        under — part of delta-memo identity."""
         return excluded_fingerprint(self.excluded)
 
 
@@ -122,20 +115,19 @@ def plan_validity(
     catalog: Catalog,
     config: CacheConfig,
     table_names: Sequence[str],
-    star_override: Optional[Tuple[str, ...]] = None,
     excluded: Tuple[ExcludedTable, ...] = (),
 ) -> Tuple[Tuple, Tuple]:
     """``(structure, signature)`` of a plan over ``table_names``, in one
     pass over the tables.
 
     ``structure`` is what a plan's meaning depends on: the pruning-relevant
-    config switches, the star-join flag and overrides, and every
+    config switches, the star-join flag, and every
     referenced table's (name, id, epoch).  Merges, schema changes and MD /
     aging registration move the epoch, drop/recreate changes the id.
     While it holds, a cached plan's skeleton stands.
 
     ``signature`` adds every table's data ``version`` — insert, update and
-    delete move it too — and the ``(alias, reason)`` star-join exclusions.
+    delete move it too — and the excluded star-join aliases.
     Equal signatures mean nothing a plan's verdicts, a delta memo, or a
     remembered output order was derived from has changed (see
     :func:`repro.core.delta_memo.classify_memo`).  A dimension delta going
@@ -150,8 +142,6 @@ def plan_validity(
         config.predicate_pushdown,
         config.enforce_referential_integrity,
         config.star_join_reduction,
-        normalize_star_join_override(config.star_join_tables),
-        star_override,
     )
     tables = []
     versions = []
@@ -167,11 +157,10 @@ def plan_signature(
     catalog: Catalog,
     config: CacheConfig,
     table_names: Sequence[str],
-    star_override: Optional[Tuple[str, ...]] = None,
     excluded: Tuple[ExcludedTable, ...] = (),
 ) -> Tuple:
     """The ``signature`` half of :func:`plan_validity`."""
-    return plan_validity(catalog, config, table_names, star_override, excluded)[1]
+    return plan_validity(catalog, config, table_names, excluded)[1]
 
 
 class Planner:
@@ -187,22 +176,16 @@ class Planner:
         strategy: ExecutionStrategy,
         mds: Sequence = (),
         agings: Sequence = (),
-        star_override: Optional[Tuple[str, ...]] = None,
     ) -> PhysicalPlan:
         """Plan ``logical`` under ``strategy`` with the given object
         declarations (matching dependencies / consistent agings): the
         skeleton, then the verdicts :meth:`reprune` re-derives.
-
-        ``star_override`` is the normalized per-statement
-        ``star_join_tables`` override (None = fall back to the config
-        override, then automatic detection).
         """
         bound = logical.query
         plan = PhysicalPlan(
             logical=logical,
             strategy=strategy,
-            excluded=self._exclusions(logical, strategy, star_override),
-            star_override=star_override,
+            excluded=self._exclusions(logical, strategy),
         )
         if not strategy.uses_cache or not logical.cacheable:
             plan.assignments = all_partition_combos(bound, self._catalog)
@@ -239,7 +222,7 @@ class Planner:
         non-empty): that changes the assignments and the memo identity, so
         the caller must build afresh.
         """
-        excluded = self._exclusions(plan.logical, plan.strategy, plan.star_override)
+        excluded = self._exclusions(plan.logical, plan.strategy)
         if excluded_fingerprint(excluded) != plan.excluded_fingerprint():
             return None
         return self._derive(plan)
@@ -248,7 +231,6 @@ class Planner:
         self,
         logical: LogicalPlan,
         strategy: ExecutionStrategy,
-        star_override: Optional[Tuple[str, ...]],
     ) -> Tuple[ExcludedTable, ...]:
         """The star-join exclusions over the current deltas; none outside
         the cached pruning strategies or with the config switch off."""
@@ -259,12 +241,7 @@ class Planner:
             and self._config.star_join_reduction
         ):
             return ()
-        effective = (
-            star_override
-            if star_override is not None
-            else normalize_star_join_override(self._config.star_join_tables)
-        )
-        return detect_star_join_tables(logical.query, self._catalog, effective)
+        return star_join_exclusions(logical.query, self._catalog)
 
     def _derive(self, skeleton: PhysicalPlan) -> PhysicalPlan:
         """The verdict half: every assignment's fate over the current data,
@@ -274,7 +251,6 @@ class Planner:
             self._catalog,
             self._config,
             skeleton.table_names(),
-            skeleton.star_override,
             skeleton.excluded,
         )
         prune = PruneReport()

@@ -8,56 +8,32 @@ own dimension-table argument) is that a table whose delta partitions
 hold no rows cannot contribute a non-main partition to any *non-empty*
 subjoin — so it can be **excluded** from variant generation and its main
 partition re-attached to every remaining variant, collapsing the
-enumeration to ``2^k - 1`` over the ``k`` remaining ("filtering")
+enumeration to ``2^k - 1`` over the ``k`` remaining
 tables.  Unlike enumerate-then-prune, the excluded combinations are
 never materialized, and the reduced combo set is *stable*, which keeps
 per-combo delta memos reusable across queries.
 
-Detection is tiered; the tier only decides the *recorded reason*, while
-every candidate must independently pass the soundness gate:
-
-* ``override`` — the table was named in an explicit
-  ``star_join_tables=...`` override (per query or per config).  When an
-  override is present it *replaces* automatic detection: only the named
-  tables are candidates, and ``star_join_tables=()`` disables exclusion
-  for the statement entirely.
-* ``non_filtering`` — the alias contributes nothing beyond its join
-  keys: no local WHERE predicates, no references from residual
-  (multi-table) filters, no group-by columns, no aggregate arguments.
-  The classic star-join hub/bridge table.
-* ``empty_delta`` — the table filters (so it stays interesting to the
-  reader) but all of its delta partitions are physically empty, which
-  is the common steady state for dimension tables between merges.
-
-The **soundness gate** applies to every tier: pinning a table to its
-main partition is only correct when *all* of its write-side partitions
-are physically empty (``row_count == 0`` — conservative: invalidated
-but unmerged rows still count) and the table is not aged (a single main
-partition exists to pin).  A non-filtering table with delta rows must
-NOT be excluded: its delta rows can join another table's delta rows,
-and pinning it to main would silently drop that contribution.  The gate
-is re-validated at enumeration time by
-:func:`~repro.core.delta_compensation.compensation_assignments`, so a
-stale exclusion decision degrades to full enumeration instead of a
+Which tables are excluded is one rule, :func:`exclusion_is_sound`:
+pinning a table to its main partition is only correct when *all* of its
+write-side partitions are physically empty (``row_count == 0`` —
+conservative: invalidated but unmerged rows still count) and the table
+is not aged (a single main partition exists to pin).  Every table that
+passes is excluded, whether or not the query reads more than its join
+keys; a table with delta rows never is, since its delta rows can join
+another table's delta rows.  The gate is re-validated at enumeration
+time by :func:`~repro.core.delta_compensation.compensation_assignments`,
+so a stale exclusion decision degrades to full enumeration instead of a
 wrong answer.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Tuple, Union
+from typing import Tuple
 
 from ..query.query import AggregateQuery
 from ..storage.catalog import Catalog
 from ..storage.table import Table
-
-REASON_OVERRIDE = "override"
-REASON_NON_FILTERING = "non_filtering"
-REASON_EMPTY_DELTA = "empty_delta"
-
-#: Accepted override spellings: a comma-separated string, or any iterable
-#: of table/alias names.  ``None`` means "no override; detect".
-StarJoinOverride = Optional[Union[str, Iterable[str]]]
 
 
 @dataclass(frozen=True)
@@ -66,29 +42,6 @@ class ExcludedTable:
 
     alias: str
     table: str
-    reason: str  # REASON_OVERRIDE | REASON_NON_FILTERING | REASON_EMPTY_DELTA
-
-    def describe(self) -> str:
-        """``alias:reason`` — the rendering used by EXPLAIN and spans."""
-        return f"{self.alias}:{self.reason}"
-
-
-def normalize_star_join_override(
-    override: StarJoinOverride,
-) -> Optional[Tuple[str, ...]]:
-    """Canonicalize an override value for signatures and plan-cache keys.
-
-    ``None`` stays ``None`` (automatic detection); anything else becomes a
-    sorted, deduplicated tuple of names — ``()`` is the explicit "exclude
-    nothing" override, distinct from ``None``.
-    """
-    if override is None:
-        return None
-    if isinstance(override, str):
-        names = [part.strip() for part in override.split(",")]
-    else:
-        names = [str(name).strip() for name in override]
-    return tuple(sorted({name for name in names if name}))
 
 
 def exclusion_is_sound(table: Table) -> bool:
@@ -106,62 +59,22 @@ def exclusion_is_sound(table: Table) -> bool:
     return all(p.row_count == 0 for p in table.delta_partitions())
 
 
-def alias_is_filtering(query: AggregateQuery, alias: str) -> bool:
-    """True when ``alias`` contributes anything beyond its join keys:
-    local filters, residual-filter references, group-by columns, or
-    aggregate arguments."""
-    if query.local_filters(alias):
-        return True
-    for expr in query.residual_filters():
-        if any(a == alias for a, _ in expr.column_refs()):
-            return True
-    if any(col.alias == alias for col in query.group_by):
-        return True
-    for spec in query.aggregates:
-        if spec.arg is not None and any(
-            a == alias for a, _ in spec.arg.column_refs()
-        ):
-            return True
-    return False
-
-
-def detect_star_join_tables(
-    query: AggregateQuery,
-    catalog: Catalog,
-    override: Optional[Tuple[str, ...]] = None,
+def star_join_exclusions(
+    query: AggregateQuery, catalog: Catalog
 ) -> Tuple[ExcludedTable, ...]:
-    """Decide which of the bound query's tables to exclude from variant
-    generation, with a reason per table.
-
-    ``override`` (already normalized) replaces automatic detection when
-    not ``None``: only tables named there (by alias or table name) are
-    candidates.  Every candidate — override or detected — must pass
-    :func:`exclusion_is_sound`; reason precedence for detected tables is
-    ``non_filtering`` over ``empty_delta``.  The result is sorted by
-    alias so it is deterministic across FROM-order re-spellings.
-    """
-    excluded = []
-    for ref in query.tables:
-        if not exclusion_is_sound(catalog.table(ref.table)):
-            continue
-        if override is not None:
-            if ref.alias in override or ref.table in override:
-                excluded.append(
-                    ExcludedTable(ref.alias, ref.table, REASON_OVERRIDE)
-                )
-            continue
-        if not alias_is_filtering(query, ref.alias):
-            reason = REASON_NON_FILTERING
-        else:
-            reason = REASON_EMPTY_DELTA
-        excluded.append(ExcludedTable(ref.alias, ref.table, reason))
+    """Every table of the bound query that passes
+    :func:`exclusion_is_sound`, sorted by alias so the result is
+    deterministic across FROM-order re-spellings."""
+    excluded = [
+        ExcludedTable(ref.alias, ref.table)
+        for ref in query.tables
+        if exclusion_is_sound(catalog.table(ref.table))
+    ]
     return tuple(sorted(excluded, key=lambda e: e.alias))
 
 
-def excluded_fingerprint(
-    excluded: Tuple[ExcludedTable, ...]
-) -> Tuple[Tuple[str, str], ...]:
-    """The ``(alias, reason)`` tuple embedded in plan signatures and
-    delta-memo identities (see ISSUE satellite: toggling the exclusion
-    decision must never replay a memo folded over a different combo set)."""
-    return tuple((e.alias, e.reason) for e in excluded)
+def excluded_fingerprint(excluded: Tuple[ExcludedTable, ...]) -> Tuple[str, ...]:
+    """The sorted alias tuple embedded in plan signatures and delta-memo
+    identities: a memo folded over one combo set is never replayed for a
+    plan that excludes different tables."""
+    return tuple(e.alias for e in excluded)

@@ -212,6 +212,18 @@ class Schema:
         """Return a new schema with ``extra`` columns appended."""
         return Schema(list(self._columns) + list(extra), primary_key=self.primary_key)
 
+    def describe(self) -> str:
+        """One line per column: name, type, and its PRIMARY KEY / NOT NULL /
+        MD tid flags."""
+        lines = []
+        for c in self._columns:
+            flags = [("PRIMARY KEY", c.name == self.primary_key),
+                     ("NOT NULL", not c.nullable), ("MD tid", c.is_tid)]
+            shown = ", ".join(name for name, on in flags if on)
+            suffix = f"  ({shown})" if shown else ""
+            lines.append(f"{c.name}  {c.sql_type.value}{suffix}")
+        return "\n".join(lines)
+
     def __repr__(self) -> str:
         cols = ", ".join(f"{c.name} {c.sql_type.value}" for c in self._columns)
         pk = f", pk={self.primary_key}" if self.primary_key else ""

@@ -227,3 +227,13 @@ class ErpWorkload:
             f"WHERE I.HeaderID = H.HeaderID AND H.FiscalYear = {year} "
             "GROUP BY H.DocType"
         )
+
+
+def load_demo(db: Database) -> str:
+    """Load the shell's demo dataset into the empty ``db``: 300 merged
+    business objects and 20 in the deltas.  Returns a profit-and-loss
+    statement to try on it."""
+    workload = ErpWorkload(db, ErpConfig(seed=1, n_categories=8))
+    workload.insert_objects(300, merge_after=True)
+    workload.insert_objects(20)
+    return workload.profit_and_loss_sql(year=2013).replace("\n", " ")

@@ -52,6 +52,18 @@ def forget_memos(db: Database) -> None:
         entry.delta_memo = entry.result_order = None
 
 
+def query_exhaustive(db: Database, sql: str, **kwargs):
+    """``db.query`` with star-join reduction switched off for this one
+    statement: every compensation variant is enumerated (the paper's
+    exhaustive baseline)."""
+    config = db.cache.config
+    previous, config.star_join_reduction = config.star_join_reduction, False
+    try:
+        return db.query(sql, **kwargs)
+    finally:
+        config.star_join_reduction = previous
+
+
 def load_erp(
     db: Database,
     n_headers: int = 6,

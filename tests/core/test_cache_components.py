@@ -10,7 +10,6 @@ from repro.core import (
     AlwaysAdmit,
     CacheKey,
     CacheMetrics,
-    EntryStatus,
     LruEviction,
     ProfitAdmission,
     ProfitEviction,
@@ -84,15 +83,6 @@ class TestEntryInvariants:
                 snapshot=entry.snapshot,
             )
 
-    def test_invalidate_flips_status(self):
-        db = build_db()
-        db.query(HEADER_ITEM_SQL, strategy=ExecutionStrategy.CACHED_FULL_PRUNING)
-        (entry,) = db.cache.entries_for(db.parse(HEADER_ITEM_SQL))
-        assert entry.is_active
-        entry.invalidate()
-        assert not entry.is_active
-        assert entry.metrics.status is EntryStatus.INVALIDATED
-
 
 def stub_entries(*shapes):
     """``{name: entry}`` for eviction-policy tests: one stand-in per
@@ -141,7 +131,7 @@ class TestMetrics:
         # The metrics hold no time to rank by: uses, rows, bytes and the
         # logical access clock are all integers.
         assert all(
-            f.type in ("int", "EntryStatus") for f in dataclasses.fields(CacheMetrics)
+            f.type == "int" for f in dataclasses.fields(CacheMetrics)
         )
         entries = stub_entries((1, 50, 10), (3, 40, 200), (2, 90, 30), (1, 10, 5))
         assert ProfitEviction().select_victims(entries, 2, None) == ["e4", "e1"]

@@ -73,11 +73,10 @@ class TestMemoReuse:
         """With reduction pinned off on both sides, a memo folded under
         one strategy is valid under another: pruned subjoins are *truly*
         empty, so they contribute zero to the fold."""
-        erp_db.query(PROFIT_SQL, strategy=FULL, star_join_tables=())
+        erp_db.cache.config.star_join_reduction = False
+        erp_db.query(PROFIT_SQL, strategy=FULL)
         result = erp_db.query(
-            PROFIT_SQL,
-            strategy=ExecutionStrategy.CACHED_NO_PRUNING,
-            star_join_tables=(),
+            PROFIT_SQL, strategy=ExecutionStrategy.CACHED_NO_PRUNING
         )
         assert erp_db.last_report.delta_memo_mode == "incremental"
         assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
@@ -117,13 +116,14 @@ class TestTelescopedIncrement:
         "k, grow", [(1, _grow_item), (2, _grow_header_and_item), (3, _grow_all_three)]
     )
     def test_one_spec_per_grown_alias_and_equal_to_uncached(self, erp_db, k, grow):
-        kwargs = {"strategy": FULL, "star_join_tables": ()}
+        erp_db.cache.config.star_join_reduction = False
+        kwargs = {"strategy": FULL}
         erp_db.query(PROFIT_SQL, **kwargs)
         erp_db.query(PROFIT_SQL, **kwargs)
         (entry,) = erp_db.cache.entries()
         memo = entry.delta_memo
         grow(erp_db)
-        plan = erp_db.cache.plan_for(PROFIT_SQL, FULL, star_join_tables=())
+        plan = erp_db.cache.plan_for(PROFIT_SQL, FULL)
         step = visibility_step(memo, entry, erp_db.transactions.global_snapshot())
         specs, spec_counts = subjoin_step_specs(plan, step)
         terms = {}
@@ -150,12 +150,13 @@ class TestTelescopedIncrement:
         """A new business object's header and items carry one fresh tid, so
         the term joining the new headers to the items below the watermark
         is empty by Equation 5 over those row sets, and is never run."""
-        kwargs = {"strategy": FULL, "star_join_tables": ()}
+        erp_db.cache.config.star_join_reduction = False
+        kwargs = {"strategy": FULL}
         erp_db.query(PROFIT_SQL, **kwargs)
         (entry,) = erp_db.cache.entries()
         memo = entry.delta_memo
         _grow_header_and_item(erp_db)
-        plan = erp_db.cache.plan_for(PROFIT_SQL, FULL, star_join_tables=())
+        plan = erp_db.cache.plan_for(PROFIT_SQL, FULL)
         step = visibility_step(memo, entry, erp_db.transactions.global_snapshot())
         _specs, spec_counts = subjoin_step_specs(plan, step)
         both = next(
@@ -196,7 +197,8 @@ class TestInvalidationMatrix:
         # Star-join reduction off: a category update would otherwise end the
         # empty-delta exclusion of ``category``, which does rebuild the memo
         # (test_star_join_memo.py).
-        kwargs = {"strategy": FULL, "star_join_tables": ()}
+        erp_db.cache.config.star_join_reduction = False
+        kwargs = {"strategy": FULL}
         erp_db.query(PROFIT_SQL, **kwargs)
         erp_db.query(PROFIT_SQL, **kwargs)
         changes = {
@@ -213,7 +215,8 @@ class TestInvalidationMatrix:
 
     @pytest.mark.parametrize("table,pk", [("header", 2), ("item", 3), ("category", 1)])
     def test_delete_on_each_referenced_table_advances(self, erp_db, table, pk):
-        kwargs = {"strategy": FULL, "star_join_tables": ()}
+        erp_db.cache.config.star_join_reduction = False
+        kwargs = {"strategy": FULL}
         erp_db.query(PROFIT_SQL, **kwargs)
         erp_db.query(PROFIT_SQL, **kwargs)
         erp_db.delete(table, pk)
@@ -280,7 +283,8 @@ class TestInvalidationMatrix:
         """A silent update revives the stored category row (no statement
         column changed); deleting its successor ends the revival, and the
         step subtracts the stored row only then."""
-        kwargs = {"strategy": FULL, "star_join_tables": ()}
+        erp_db.cache.config.star_join_reduction = False
+        kwargs = {"strategy": FULL}
         erp_db.query(PROFIT_SQL, **kwargs)
         erp_db.update("category", 0, {"lang": "GER"})
         result = erp_db.query(PROFIT_SQL, **kwargs)

@@ -30,11 +30,12 @@ class TestExplain:
         assert "HIT" in db.explain(PROFIT_SQL)
 
     def test_subjoin_fates_listed(self):
-        # star_join_tables=() pins exhaustive enumeration so every prune
-        # mechanism shows up; the empty-delta category combos otherwise
-        # never get enumerated (see test_star_join_reduction_line below).
+        # Without star-join reduction the enumeration is exhaustive, so
+        # every prune mechanism shows up; the empty-delta category combos
+        # otherwise never get enumerated (see test_star_join_reduction_line).
         db = make_db()
-        text = db.explain(PROFIT_SQL, strategy=FULL, star_join_tables=())
+        db.cache.config.star_join_reduction = False
+        text = db.explain(PROFIT_SQL, strategy=FULL)
         assert "PRUNED [empty]" in text
         assert "PRUNED [dynamic]" in text
         assert "EVALUATE" in text
@@ -46,7 +47,7 @@ class TestExplain:
         text = db.explain(PROFIT_SQL, strategy=FULL)
         # category's delta is empty -> excluded; only 2^2-1 subjoins remain
         # with d pinned to its main in every one.
-        assert "star-join reduction: excluded=[d:empty_delta]" in text
+        assert "star-join reduction: excluded=[d]" in text
         assert "(4 combinations not enumerated)" in text
         assert text.count("(d:main") == 3 + 1  # + the cached combination line
 
@@ -82,16 +83,15 @@ class TestExplain:
         assert plan.cacheable
         # category excluded (empty delta) -> 2^2-1 enumerated subjoins.
         assert len(plan.subjoins) == 3
-        assert plan.excluded == ["d:empty_delta"]
+        assert plan.excluded == ["d"]
         assert plan.combos_excluded == 4
         pruned = [s for s in plan.subjoins if s.action == "pruned"]
         assert all(s.reason in ("empty", "logical", "dynamic") for s in pruned)
 
     def test_plan_object_api_exhaustive_override(self):
         db = make_db()
-        plan = explain_query(
-            db.cache, db.parse(PROFIT_SQL), FULL, star_join_tables=()
-        )
+        db.cache.config.star_join_reduction = False
+        plan = explain_query(db.cache, db.parse(PROFIT_SQL), FULL)
         assert len(plan.subjoins) == 7
         assert plan.excluded == []
         assert plan.combos_excluded == 0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CacheConfig, Database, ExecutionStrategy, MaintenanceMode
+from repro import Database, ExecutionStrategy
 from repro.storage import threshold_aging
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
@@ -45,7 +45,7 @@ class TestIncrementalMaintenance:
                 HEADER_ITEM_SQL, strategy=UNCACHED
             )
         (entry,) = erp_db.cache.entries_for(erp_db.parse(HEADER_ITEM_SQL))
-        assert entry.metrics.status.value == "active"
+        assert entry.matches_current_partitions()
 
     def test_unsynchronized_merges_stay_correct(self, erp_db):
         """Merging item and header independently (Section 5.2's bad case for
@@ -76,36 +76,6 @@ class TestIncrementalMaintenance:
         value_before = sorted(entry.value.copy().finalize())
         erp_db.merge()  # nothing in the deltas
         assert sorted(entry.value.finalize()) == value_before
-
-
-class TestDropMode:
-    def test_entries_dropped_on_merge(self):
-        db = make_erp_db(
-            cache_config=CacheConfig(maintenance_mode=MaintenanceMode.DROP)
-        )
-        load_erp(db, n_headers=4, merge=True)
-        db.query(HEADER_ITEM_SQL, strategy=FULL)
-        assert db.cache.entry_count() == 1
-        load_erp(db, n_headers=1, start_hid=50, merge=False)
-        db.merge("item")
-        assert db.cache.entry_count() == 0
-        # Next query recreates the entry with correct contents.
-        result = db.query(HEADER_ITEM_SQL, strategy=FULL)
-        assert db.last_report.entries_created == 1
-        assert result == db.query(HEADER_ITEM_SQL, strategy=UNCACHED)
-
-    def test_unrelated_entries_survive_drop_mode(self):
-        db = make_erp_db(
-            cache_config=CacheConfig(maintenance_mode=MaintenanceMode.DROP)
-        )
-        load_erp(db, n_headers=4, merge=True)
-        db.query(HEADER_ITEM_SQL, strategy=FULL)
-        db.query("SELECT lang, COUNT(*) AS n FROM category GROUP BY lang", strategy=FULL)
-        db.merge("header")  # nothing to merge: no event, nothing dropped
-        assert db.cache.entry_count() == 2
-        db.insert("header", {"hid": 77, "year": 2013})
-        db.merge("header")  # touches only the header/item entry
-        assert db.cache.entry_count() == 1
 
 
 class TestAgedMaintenance:

@@ -11,10 +11,8 @@ from repro import (
     Database,
     ExecutionStrategy,
     LruEviction,
-    MaintenanceMode,
     ProfitAdmission,
 )
-from repro.core import EntryStatus
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
 
@@ -129,9 +127,10 @@ class TestPruningCounters:
         assert report.prune.pruned_total == 2
 
     def test_full_pruning_exhaustive_with_override(self, erp_db):
-        # star_join_tables=() pins exhaustive enumeration: the legacy
+        # Star-join reduction off pins exhaustive enumeration: the legacy
         # 2^3 - 1 shape with the category-delta combos empty-pruned.
-        erp_db.query(PROFIT_SQL, strategy=FULL, star_join_tables=())
+        erp_db.cache.config.star_join_reduction = False
+        erp_db.query(PROFIT_SQL, strategy=FULL)
         report = erp_db.last_report
         assert report.prune.combos_total == 7
         assert report.prune.excluded_tables == 0
@@ -162,7 +161,8 @@ class TestPruningCounters:
         assert report.prune.evaluated == 3
 
     def test_empty_delta_pruning_exhaustive_with_override(self, erp_db):
-        erp_db.query(PROFIT_SQL, strategy=EMPTY, star_join_tables=())
+        erp_db.cache.config.star_join_reduction = False
+        erp_db.query(PROFIT_SQL, strategy=EMPTY)
         report = erp_db.last_report
         # The legacy shape: category-delta combos enumerated, then pruned.
         assert report.prune.pruned_empty == 4
@@ -415,22 +415,6 @@ class TestUsesAcrossEvictions:
         assert reborn.metrics.reference_count == 2
         assert list(db.cache._ghosts.items()) == [(keys[2], 1), (keys[3], 1)]
 
-    def test_a_drop_mode_merge_hands_the_count_over(self):
-        db = self._db(maintenance_mode=MaintenanceMode.DROP)
-        for _ in range(3):
-            db.query(HEADER_ITEM_SQL, strategy=FULL)
-        db.query(CATEGORY_SQL, strategy=FULL)
-        key = self._key_of(db, HEADER_ITEM_SQL)
-        load_erp(db, n_headers=1, start_hid=50, merge=False)
-        db.merge("item")
-        assert db.cache.entry_count() == 1
-        assert dict(db.cache._ghosts) == {key: 3}
-        result = db.query(HEADER_ITEM_SQL, strategy=FULL)
-        assert result.report.entries_created == 1
-        (entry,) = db.cache.entries_for(db.parse(HEADER_ITEM_SQL))
-        assert entry.metrics.reference_count == 4
-        assert dict(db.cache._ghosts) == {}
-
     def test_dropping_a_table_forgets_its_keys(self):
         db = self._db(max_entries=2, eviction=LruEviction())
         for sql in (HEADER_ITEM_SQL, CATEGORY_SQL, HEADER_SQL, FEW_ROWS_SQL):
@@ -482,7 +466,6 @@ class TestMetrics:
         erp_db.query(HEADER_ITEM_SQL, strategy=FULL)
         (entry,) = erp_db.cache.entries_for(erp_db.parse(HEADER_ITEM_SQL))
         assert entry.metrics.reference_count == 2
-        assert entry.metrics.status is EntryStatus.ACTIVE
         assert entry.metrics.size_bytes > 0
 
     def test_profit_gauge_is_rows_saved_per_cached_byte(self, erp_db):

@@ -22,7 +22,7 @@ import pytest
 from repro import CacheConfig, Database, ExecutionStrategy
 from repro.query.executor import ComboSpec
 
-from ..conftest import PROFIT_SQL, load_erp, make_erp_db
+from ..conftest import PROFIT_SQL, load_erp, make_erp_db, query_exhaustive
 
 FULL = ExecutionStrategy.CACHED_FULL_PRUNING
 UNCACHED = ExecutionStrategy.UNCACHED
@@ -217,10 +217,7 @@ class TestNullTidRegression:
         reference = db.query(PROFIT_SQL, strategy=UNCACHED).rows
         assert db.query(PROFIT_SQL, strategy=FULL).rows == reference
         # ...and matches the exhaustive enumeration bit for bit.
-        assert (
-            db.query(PROFIT_SQL, strategy=FULL, star_join_tables=()).rows
-            == reference
-        )
+        assert query_exhaustive(db, PROFIT_SQL, strategy=FULL).rows == reference
 
     def test_random_null_tid_histories_reduced_vs_exhaustive(self):
         """Property sweep: under RI-off dangling histories the reduced
@@ -233,20 +230,15 @@ class TestNullTidRegression:
             )
             reference = db.query(PROFIT_SQL, strategy=UNCACHED).rows
             assert db.query(PROFIT_SQL, strategy=FULL).rows == reference
-            assert (
-                db.query(
-                    PROFIT_SQL, strategy=FULL, star_join_tables=()
-                ).rows
-                == reference
-            )
+            assert query_exhaustive(db, PROFIT_SQL, strategy=FULL).rows == reference
 
     def test_with_ri_enforced_ranges_still_prune(self):
         """Control: under enforced RI the same shapes stay prunable —
         the fix must not cost trusted deployments their prunes.
-        (star_join_tables=() keeps enumeration exhaustive: the merged
+        (Star-join reduction off keeps enumeration exhaustive: the merged
         tables would otherwise all be excluded with nothing left to
         prune.)"""
-        db = make_erp_db()
+        db = make_erp_db(cache_config=CacheConfig(star_join_reduction=False))
         load_erp(db, n_headers=3, merge=True)
-        db.query(PROFIT_SQL, strategy=FULL, star_join_tables=())
+        db.query(PROFIT_SQL, strategy=FULL)
         assert db.last_report.prune.pruned_total > 0

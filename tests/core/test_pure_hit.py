@@ -102,11 +102,12 @@ class TestThePathItself:
 
     def test_prune_report_matches_the_long_way(self, merged_db):
         db = merged_db
-        db.query(PROFIT_SQL, star_join_tables=())  # keep subjoins enumerated
-        reused = db.query(PROFIT_SQL, star_join_tables=()).report
+        db.cache.config.star_join_reduction = False  # keep subjoins enumerated
+        db.query(PROFIT_SQL)
+        reused = db.query(PROFIT_SQL).report
         assert reused.result_reused
         entry_of(db, PROFIT_SQL).result_order = None
-        plain = db.query(PROFIT_SQL, star_join_tables=()).report
+        plain = db.query(PROFIT_SQL).report
         assert not plain.result_reused
         assert reused.prune == plain.prune
         assert reused.prune.combos_total == 7 and reused.prune.pruned_total == 7
@@ -135,8 +136,8 @@ class TestThePathItself:
         assert (report.delta_memo_mode, report.delta_memo_reason) == ("full", "")
         assert db.query(PROFIT_SQL).report.result_reused
         none = ExecutionStrategy.CACHED_NO_PRUNING
-        db.query(PROFIT_SQL, strategy=none, star_join_tables=())
-        report = db.query(PROFIT_SQL, strategy=none, star_join_tables=()).report
+        db.query(PROFIT_SQL, strategy=none)
+        report = db.query(PROFIT_SQL, strategy=none).report
         assert report.result_reused
         assert report.executor_stats.combos_evaluated == 0
 
@@ -390,8 +391,9 @@ class TestObservability:
         """Same span shape as any other hit: one cache_lookup, one
         delta_compensation holding one child per planned subjoin."""
         db = merged_db
-        db.explain_analyze(PROFIT_SQL, star_join_tables=())
-        trace = db.explain_analyze(PROFIT_SQL, star_join_tables=())
+        db.cache.config.star_join_reduction = False  # keep subjoins enumerated
+        db.explain_analyze(PROFIT_SQL)
+        trace = db.explain_analyze(PROFIT_SQL)
         assert trace.report.result_reused
         assert trace.result.rows == uncached_rows(db, PROFIT_SQL)
         names = [span.name for span in trace.root.children]
@@ -408,7 +410,7 @@ class TestObservability:
         assert comp.attrs["subjoins_total"] == 7
         # The same statement the long way round: identical subjoin spans.
         entry_of(db, PROFIT_SQL).result_order = None
-        plain = db.explain_analyze(PROFIT_SQL, star_join_tables=())
+        plain = db.explain_analyze(PROFIT_SQL)
         assert not plain.report.result_reused
         assert plain.identity() == trace.identity()
         assert "reused" not in plain.span_named("cache_lookup").attrs
@@ -419,10 +421,8 @@ class TestObservability:
         db = merged_db
         strategy = ExecutionStrategy.CACHED_NO_PRUNING
         for _ in range(2):
-            db.explain_analyze(PROFIT_SQL, strategy=strategy, star_join_tables=())
-        trace = db.explain_analyze(
-            PROFIT_SQL, strategy=strategy, star_join_tables=()
-        )
+            db.explain_analyze(PROFIT_SQL, strategy=strategy)
+        trace = db.explain_analyze(PROFIT_SQL, strategy=strategy)
         assert trace.report.result_reused
         statuses = [span.attrs["status"] for span in trace.subjoin_spans()]
         assert statuses == ["memoized"] * 7

@@ -267,6 +267,7 @@ class PureHitMachine(RuleBasedStateMachine):
     rederived = 0
     flips = 0
     births = Counter()  # steps from birth, by delta_memo_reason
+    star_reads = Counter()  # cached reads, by CacheConfig.star_join_reduction
 
     def __init__(self):
         super().__init__()
@@ -361,6 +362,20 @@ class PureHitMachine(RuleBasedStateMachine):
         evicts an entry — at 1 often, at 0 always, the one just built."""
         self.db.cache.config.max_entries = cap
 
+    @rule(which=st.integers(0, 50))
+    def read_with_room_for_none(self, which):
+        """Shed every entry and read with a cap of 0: the miss builds an
+        entry the cache does not keep, so the read steps from birth
+        (``not_cached``)."""
+        self.last = which % len(self.shape.statements)
+        config = self.db.cache.config
+        cap, config.max_entries = config.max_entries, 0
+        self.db.cache.shed_to_budget(0)
+        try:
+            self._read(self.shape.statements[self.last], None, {})
+        finally:
+            config.max_entries = cap
+
     @rule()
     def clear_plan_cache(self):
         self.db.plan_cache.clear()
@@ -380,16 +395,13 @@ class PureHitMachine(RuleBasedStateMachine):
         strategy=st.sampled_from(CACHED),
         reader=st.sampled_from(["fresh", "fresh", "fresh", "txn", "as_of"]),
         back=st.integers(0, 6),
-        no_star=st.booleans(),
         repeat=st.integers(1, 3),
     )
-    def query(self, which, strategy, reader, back, no_star, repeat):
+    def query(self, which, strategy, reader, back, repeat):
         if which is not None:
             self.last = which % len(self.shape.statements)
         sql = self.shape.statements[self.last]
         kwargs = {}
-        if no_star:
-            kwargs["star_join_tables"] = ()
         if reader == "txn" and self.open:
             kwargs["txn"] = self.open[back % len(self.open)]
         elif reader == "as_of":
@@ -461,6 +473,7 @@ class PureHitMachine(RuleBasedStateMachine):
         assert report.degraded_reason == "", (sql, kwargs, strategy)
         assert Counter(result.rows) == Counter(truth), (sql, kwargs, strategy)
         type(self).cancelled += report.silent_rows_cancelled
+        type(self).star_reads[self.db.cache.config.star_join_reduction] += 1
         if report.delta_memo_mode == "full":
             type(self).births[report.delta_memo_reason] += 1
             if report.delta_memo_reason == "older_reader":
@@ -536,6 +549,7 @@ def _run(machine, steps):
     machine.reuses = machine.cancelled = 0
     machine.rederived = machine.flips = 0
     machine.births = Counter()
+    machine.star_reads = Counter()
     run_state_machine_as_test(machine, settings=SETTINGS)
     assert machine.reuses > 0
     assert machine.cancelled > 0
@@ -545,6 +559,9 @@ def _run(machine, steps):
         assert steps[moved] > 0, moved
     for reason in ("", "stale", "older_reader", "not_cached"):
         assert machine.births[reason] > 0, (reason, machine.births)
+    # The toggle rule reads under both settings: exhaustive enumeration
+    # (the paper's baseline) and star-join reduction.
+    assert machine.star_reads[True] > 0 and machine.star_reads[False] > 0
 
 
 def test_erp_histories_equal_uncached_and_do_reuse(counted_steps):

@@ -24,7 +24,14 @@ from repro import CacheConfig, Database, ExecutionStrategy
 from repro.core.delta_compensation import sound_exclusions
 from repro.plan.star_join import ExcludedTable
 
-from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, forget_memos, load_erp, make_erp_db
+from ..conftest import (
+    HEADER_ITEM_SQL,
+    PROFIT_SQL,
+    forget_memos,
+    load_erp,
+    make_erp_db,
+    query_exhaustive,
+)
 
 FULL = ExecutionStrategy.CACHED_FULL_PRUNING
 UNCACHED = ExecutionStrategy.UNCACHED
@@ -40,11 +47,12 @@ class TestMemoIdentity:
         erp_db.query(PROFIT_SQL, strategy=FULL)
         assert erp_db.last_report.delta_memo_mode == "incremental"
         # Same strategy, different combo set -> fingerprint mismatch.
-        result = erp_db.query(PROFIT_SQL, strategy=FULL, star_join_tables=())
+        erp_db.cache.config.star_join_reduction = False
+        result = erp_db.query(PROFIT_SQL, strategy=FULL)
         assert erp_db.last_report.delta_memo_mode == "full"
         assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
         # And the new decision settles in turn.
-        erp_db.query(PROFIT_SQL, strategy=FULL, star_join_tables=())
+        erp_db.query(PROFIT_SQL, strategy=FULL)
         assert erp_db.last_report.delta_memo_mode == "incremental"
 
     def test_dimension_delta_growth_rebuilds_memo(self, erp_db):
@@ -127,7 +135,7 @@ class TestDegenerateShapes:
         """The enumeration-time gate: an exclusion decided when the delta
         was empty is dropped by sound_exclusions once rows exist."""
         query = erp_db.cache.plan_for(PROFIT_SQL, FULL).query
-        stale = (ExcludedTable("d", "category", "empty_delta"),)
+        stale = (ExcludedTable("d", "category"),)
         assert sound_exclusions(query, erp_db.catalog, stale) == stale
         erp_db.insert("category", {"cid": 7, "name": "cat7", "lang": "ENG"})
         assert sound_exclusions(query, erp_db.catalog, stale) == ()
@@ -177,9 +185,7 @@ class TestReductionParity:
                     reduced = db.query(sql, strategy=FULL)
                     if config_name == "no_memo":
                         forget_memos(db)
-                    exhaustive = db.query(
-                        sql, strategy=FULL, star_join_tables=()
-                    )
+                    exhaustive = query_exhaustive(db, sql, strategy=FULL)
                     reference = db.query(sql, strategy=UNCACHED)
                     assert self._typed(reduced.rows) == self._typed(
                         reference.rows
@@ -201,8 +207,8 @@ class TestReductionParity:
             "item", {"iid": 9700, "hid": 101, "cid": 4, "price": 6.5}
         )
         old_reduced = erp_db.query(PROFIT_SQL, strategy=FULL, as_of=pinned)
-        old_exhaustive = erp_db.query(
-            PROFIT_SQL, strategy=FULL, as_of=pinned, star_join_tables=()
+        old_exhaustive = query_exhaustive(
+            erp_db, PROFIT_SQL, strategy=FULL, as_of=pinned
         )
         old_reference = _uncached_rows(erp_db, PROFIT_SQL, as_of=pinned)
         assert old_reduced.rows == old_reference

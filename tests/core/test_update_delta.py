@@ -170,14 +170,15 @@ class TestPruningBenefit:
         assert with_udelta.evaluated <= without.evaluated + 2  # udelta combos are extra
 
     def test_udelta_subjoins_counted_but_cheap(self):
-        # star_join_tables=() keeps enumeration exhaustive: after the
+        # Star-join reduction off keeps enumeration exhaustive: after the
         # merge header's deltas are empty, so reduction would otherwise
         # pin it and count 2 combos instead of the udelta-shaped 8.
         db = make_db(True)
+        db.cache.config.star_join_reduction = False
         load(db, n_headers=10)
-        db.query(SQL, strategy=FULL, star_join_tables=())
+        db.query(SQL, strategy=FULL)
         db.update("item", 1, {"price": 3.0})
-        db.query(SQL, strategy=FULL, star_join_tables=())
+        db.query(SQL, strategy=FULL)
         report = db.last_report.prune
         assert report.combos_total == 8
         # Most of the 8 compensation subjoins are pruned (empty or ranges).

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro import CacheConfig, Database, ExecutionStrategy, MaintenanceMode
-from repro.storage import threshold_aging
+from repro import Database, ExecutionStrategy
 from repro.workloads import CH_QUERIES, ChBenchmark, ChConfig, ErpConfig, ErpWorkload
 
 FULL = ExecutionStrategy.CACHED_FULL_PRUNING
@@ -114,32 +113,6 @@ class TestChBenchWithModifications:
             assert ch_db.query(CH_QUERIES[name], strategy=FULL) == ch_db.query(
                 CH_QUERIES[name], strategy=UNCACHED
             )
-
-
-class TestAgedDropModeScenario:
-    """Hot/cold partitioning combined with DROP-mode maintenance."""
-
-    def test_lifecycle(self):
-        db = Database(
-            cache_config=CacheConfig(maintenance_mode=MaintenanceMode.DROP)
-        )
-        workload = ErpWorkload(
-            db,
-            ErpConfig(seed=17, n_categories=5, years=(2012, 2013, 2014)),
-            header_aging=threshold_aging("FiscalYear", 2014),
-            item_aging=threshold_aging("FiscalYear", 2014),
-        )
-        sql = workload.header_item_sql()
-        workload.insert_objects(40, merge_after=True)
-        db.query(sql, strategy=FULL)
-        assert db.cache.entry_count() == 4  # 2x2 temperature combinations
-        workload.insert_objects(5, year=2014)
-        db.merge("Item", group_name="hot")
-        # DROP mode removed the entries whose Item hot main was rebuilt.
-        assert db.cache.entry_count() == 2
-        result = db.query(sql, strategy=FULL)
-        assert db.cache.entry_count() == 4  # recreated on demand
-        assert result == db.query(sql, strategy=UNCACHED)
 
 
 class TestLongRunningReader:

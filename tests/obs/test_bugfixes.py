@@ -1,6 +1,6 @@
 """Regression tests for the torn-stats bugfix sweep.
 
-1. ``collect_statistics`` used to compute ``total_value_bytes`` from a
+1. ``collect_statistics`` used to compute the entries' value bytes from a
    second, separately-locked ``manager.entries()`` walk — torn against the
    ``counters_snapshot()`` it had already taken.
 2. ``Database.last_report`` was one shared attribute — concurrent queries
@@ -39,7 +39,7 @@ class TestTornValueBytes:
             stats = erp_db.statistics()
         finally:
             erp_db.cache.entries = original
-        assert stats.cache.total_value_bytes == expected["value_bytes"]
+        assert stats.cache.value_bytes == expected["value_bytes"]
         assert stats.cache.entries == expected["entries"]
 
     def test_byte_total_never_tears_under_concurrent_eviction(self):

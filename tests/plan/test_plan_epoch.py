@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro import ExecutionStrategy
+from repro import CacheConfig, ExecutionStrategy
 from repro.storage.schema import tid_column
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
@@ -33,8 +33,8 @@ DML = [
 ]
 
 
-def merged_db():
-    db = make_erp_db()
+def merged_db(star_join_reduction=True):
+    db = make_erp_db(cache_config=CacheConfig(star_join_reduction=star_join_reduction))
     load_erp(db, n_headers=6, merge=True)
     return db
 
@@ -93,47 +93,51 @@ class TestDmlKeepsTheSkeleton:
     @pytest.mark.parametrize("seed", [3, 11])
     def test_rederived_verdicts_equal_a_fresh_build(self, seed):
         rng = random.Random(seed)
-        db = merged_db()
+        # The same history on a reducing and an exhaustive database.
+        reducing, exhaustive = merged_db(), merged_db(star_join_reduction=False)
         next_iid = 5000
         deletable = list(range(6, 18))  # main items no update touches
-        statements = [(PROFIT_SQL, None), (PROFIT_SQL, ()), (HEADER_ITEM_SQL, ())]
-        for sql, override in statements:
-            db.cache.plan_for(sql, FULL, star_join_tables=override)
+        statements = [
+            (reducing, PROFIT_SQL), (exhaustive, PROFIT_SQL), (exhaustive, HEADER_ITEM_SQL)
+        ]
+        for db, sql in statements:
+            db.cache.plan_for(sql, FULL)
+
+        def stat(name):
+            return sum(db.plan_cache.stats()[name] for db in (reducing, exhaustive))
+
         for _ in range(12):
             action = rng.choice(["late_item", "object", "update", "delete"])
             if action == "late_item":
                 next_iid += 1
-                db.insert(
-                    "item",
-                    {"iid": next_iid, "hid": rng.randrange(6), "cid": 1, "price": 2.5},
-                )
+                row = {"iid": next_iid, "hid": rng.randrange(6), "cid": 1, "price": 2.5}
+                write = lambda db: db.insert("item", row)
             elif action == "object":
-                load_erp(db, n_headers=1, start_hid=rng.randrange(100, 900), merge=False)
+                hid = rng.randrange(100, 900)
+                write = lambda db: load_erp(db, n_headers=1, start_hid=hid, merge=False)
             elif action == "update":
-                db.update("item", rng.randrange(6), {"price": rng.randrange(1, 9) * 0.5})
+                key, price = rng.randrange(6), rng.randrange(1, 9) * 0.5
+                write = lambda db: db.update("item", key, {"price": price})
             else:
-                db.delete("item", deletable.pop(rng.randrange(len(deletable))))
-            before = db.plan_cache.stats()
-            again = [
-                db.cache.plan_for(sql, FULL, star_join_tables=override)
-                for sql, override in statements
-            ]
-            after = db.plan_cache.stats()
+                key = deletable.pop(rng.randrange(len(deletable)))
+                write = lambda db: db.delete("item", key)
+            write(reducing)
+            write(exhaustive)
+            before = stat("rederived") + stat("exclusion_flips")
+            again = [db.cache.plan_for(sql, FULL) for db, sql in statements]
             # Every lookup re-derived, or found the exclusions flipped.
-            assert (after["rederived"] + after["exclusion_flips"]) - (
-                before["rederived"] + before["exclusion_flips"]
-            ) == len(statements)
-            db.plan_cache.clear()
-            for plan, (sql, override) in zip(again, statements):
-                fresh = db.cache.plan_for(sql, FULL, star_join_tables=override)
-                assert fates(plan) == fates(fresh)
-        assert db.plan_cache.stats()["rederived"] >= 2 * len(statements)
+            assert stat("rederived") + stat("exclusion_flips") - before == len(statements)
+            for db, sql in statements:
+                db.plan_cache.clear()
+            for plan, (db, sql) in zip(again, statements):
+                assert fates(plan) == fates(db.cache.plan_for(sql, FULL))
+        assert stat("rederived") >= 2 * len(statements)
 
 
 class TestVerdictsFollowTheData:
     def test_empty_pruned_subjoin_is_evaluated_once_its_delta_has_rows(self):
-        db = merged_db()
-        plan = db.cache.plan_for(HEADER_ITEM_SQL, FULL, star_join_tables=())
+        db = merged_db(star_join_reduction=False)
+        plan = db.cache.plan_for(HEADER_ITEM_SQL, FULL)
         both_deltas = [
             s for s in plan.subjoins
             if s.partition_names() == {"h": "delta", "i": "delta"}
@@ -141,32 +145,32 @@ class TestVerdictsFollowTheData:
         assert both_deltas[0].action == "pruned"
         assert both_deltas[0].reason == "empty"
         load_erp(db, n_headers=1, start_hid=100, merge=False)
-        plan = db.cache.plan_for(HEADER_ITEM_SQL, FULL, star_join_tables=())
+        plan = db.cache.plan_for(HEADER_ITEM_SQL, FULL)
         assert db.plan_cache.stats()["rederived"] == 1
         assert pushdown_of(plan, h="delta", i="delta") is not None
-        result = db.query(HEADER_ITEM_SQL, strategy=FULL, star_join_tables=())
+        result = db.query(HEADER_ITEM_SQL, strategy=FULL)
         assert result.report.prune.evaluated >= 1
         assert result.rows == db.query(HEADER_ITEM_SQL, strategy=UNCACHED).rows
 
     def test_pushdown_bounds_follow_a_widened_tid_range(self):
-        db = merged_db()
+        db = merged_db(star_join_reduction=False)
         tid_of = {
             hid: db.table("header").get_row(hid)["tid_header"] for hid in (1, 4)
         }
         db.insert("item", {"iid": 9000, "hid": 1, "cid": 0, "price": 2.0})
-        plan = db.cache.plan_for(HEADER_ITEM_SQL, FULL, star_join_tables=())
+        plan = db.cache.plan_for(HEADER_ITEM_SQL, FULL)
         lo = tid_of[1]
         assert pushdown_of(plan, h="main", i="delta")["h"] == [
             f"(h.tid_header >= {lo})", f"(h.tid_header <= {lo})"
         ]
         db.insert("item", {"iid": 9001, "hid": 4, "cid": 0, "price": 2.0})
         rederived = db.plan_cache.stats()["rederived"]
-        plan = db.cache.plan_for(HEADER_ITEM_SQL, FULL, star_join_tables=())
+        plan = db.cache.plan_for(HEADER_ITEM_SQL, FULL)
         assert db.plan_cache.stats()["rederived"] == rederived + 1
         assert pushdown_of(plan, h="main", i="delta")["h"] == [
             f"(h.tid_header >= {lo})", f"(h.tid_header <= {tid_of[4]})"
         ]
-        result = db.query(HEADER_ITEM_SQL, strategy=FULL, star_join_tables=())
+        result = db.query(HEADER_ITEM_SQL, strategy=FULL)
         assert result.rows == db.query(HEADER_ITEM_SQL, strategy=UNCACHED).rows
 
 
@@ -177,7 +181,7 @@ class TestRebuilds:
         db.query(PROFIT_SQL, strategy=FULL)
         db.query(PROFIT_SQL, strategy=FULL)
         old = db.cache.plan_for(PROFIT_SQL, FULL)
-        assert [e.describe() for e in old.excluded] == ["d:empty_delta"]
+        assert old.excluded_fingerprint() == ("d",)
         before = db.plan_cache.stats()
         db.insert("category", {"cid": 5, "name": "cat5", "lang": "ENG"})
         assert lookup_outcome(db, PROFIT_SQL) == "invalidated"
@@ -237,15 +241,16 @@ class TestPureHitAfterDml:
         """Exhaustive enumeration, so that the insert re-derives the plan
         rather than lifting an exclusion."""
         db = make_two_domain_db()
+        db.cache.config.star_join_reduction = False
         db.merge()
-        db.query(PROFIT_SQL, star_join_tables=())
-        assert db.query(PROFIT_SQL, star_join_tables=()).report.result_reused
+        db.query(PROFIT_SQL)
+        assert db.query(PROFIT_SQL).report.result_reused
         db.insert("other", {"k": 100, "g": 0, "v": 1.0})
         # An unrelated table: the plan is a plain hit and the order holds.
-        assert db.query(PROFIT_SQL, star_join_tables=()).report.result_reused
+        assert db.query(PROFIT_SQL).report.result_reused
         rederived = db.plan_cache.stats()["rederived"]
         db.insert("item", {"iid": 9200, "hid": 0, "cid": 0, "price": 4.0})
-        result = db.query(PROFIT_SQL, star_join_tables=())
+        result = db.query(PROFIT_SQL)
         assert db.plan_cache.stats()["rederived"] == rederived + 1
         assert not result.report.result_reused
         assert result.rows == db.query(PROFIT_SQL, strategy=UNCACHED).rows

@@ -38,7 +38,7 @@ class TestPlannerOutput:
         assert len(plan.cached_combos) == len(plan.cache_keys) == 1
         # category's delta is empty -> star-join reduction excludes it:
         # 2^2 - 1 enumerated subjoins with d pinned to main in each.
-        assert [e.describe() for e in plan.excluded] == ["d:empty_delta"]
+        assert plan.excluded_fingerprint() == ("d",)
         assert len(plan.subjoins) == 3
         assert plan.prune.combos_total == 3
         assert plan.prune.excluded_tables == 1
@@ -53,10 +53,10 @@ class TestPlannerOutput:
 
     def test_full_plan_shape_exhaustive_override(self):
         db = loaded_db()
-        plan = db.cache.plan_for(PROFIT_SQL, FULL, star_join_tables=())
+        db.cache.config.star_join_reduction = False
+        plan = db.cache.plan_for(PROFIT_SQL, FULL)
         # 3 tables -> 2^3 - 1 compensation subjoins, every fate decided.
         assert plan.excluded == ()
-        assert plan.star_override == ()
         assert len(plan.subjoins) == 7
         assert plan.prune.combos_total == 7
         assert plan.prune.combos_excluded == 0

@@ -1,16 +1,15 @@
-"""Star-join exclusion detection, the soundness gate, and overrides.
+"""Star-join exclusion detection and its soundness gate.
 
 The reduction replaces 2^t - 1 compensation variants with 2^k - 1 over
 the k tables that can still contribute delta rows; everything here pins
-the *decision* layer: which tables get excluded, why, when the gate
-vetoes a candidate, and how the override and plan cache interact.
+the *decision* layer: which tables get excluded, when the gate vetoes a
+candidate, and when the config switch and strategy turn it off.
 """
 
 import pytest
 
 from repro import CacheConfig, Database, ExecutionStrategy
-from repro.plan import detect_star_join_tables, normalize_star_join_override
-from repro.plan.star_join import alias_is_filtering, exclusion_is_sound
+from repro.plan import exclusion_is_sound, star_join_exclusions
 from repro.storage import threshold_aging
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
@@ -26,36 +25,19 @@ def merged_db(**kwargs):
     return db
 
 
-class TestNormalizeOverride:
-    def test_none_means_automatic(self):
-        assert normalize_star_join_override(None) is None
-
-    def test_empty_is_distinct_from_none(self):
-        assert normalize_star_join_override(()) == ()
-        assert normalize_star_join_override("") == ()
-
-    def test_comma_string_and_iterable_agree(self):
-        assert normalize_star_join_override("d, h") == ("d", "h")
-        assert normalize_star_join_override(["h", "d"]) == ("d", "h")
-
-    def test_sorted_and_deduplicated(self):
-        assert normalize_star_join_override("h,d,h, d") == ("d", "h")
-
-
 class TestDetectionTiers:
     def test_empty_delta_reason_for_filtering_table(self, erp_db):
-        # category groups the result (filtering) but its delta is empty.
+        # category groups the result but its delta is empty.
         plan = erp_db.cache.plan_for(PROFIT_SQL, FULL)
-        assert [e.describe() for e in plan.excluded] == ["d:empty_delta"]
+        assert [e.alias for e in plan.excluded] == ["d"]
+        assert plan.excluded_fingerprint() == ("d",)
 
     def test_non_filtering_reason_for_join_only_table(self):
-        # header contributes only its join key to HEADER_ITEM_SQL; with
-        # the deltas merged both tables pass the gate, and the tier
-        # records *why* each one was excluded.
+        # header contributes only its join key to HEADER_ITEM_SQL, item its
+        # price too; with the deltas merged both pass the gate alike.
         db = merged_db()
         plan = db.cache.plan_for(HEADER_ITEM_SQL, FULL)
-        reasons = {e.alias: e.reason for e in plan.excluded}
-        assert reasons == {"h": "non_filtering", "i": "empty_delta"}
+        assert plan.excluded_fingerprint() == ("h", "i")
         assert plan.prune.combos_total == 0  # k = 0: nothing to enumerate
 
     def test_delta_rows_block_exclusion(self, erp_db):
@@ -68,7 +50,7 @@ class TestDetectionTiers:
     def test_detection_sorted_by_alias(self):
         db = merged_db()
         query = db.parse(PROFIT_SQL)
-        excluded = detect_star_join_tables(query, db.catalog)
+        excluded = star_join_exclusions(query, db.catalog)
         assert [e.alias for e in excluded] == sorted(e.alias for e in excluded)
         assert {e.alias for e in excluded} == {"d", "h", "i"}
 
@@ -122,57 +104,9 @@ class TestSoundnessGate:
         plan = db.cache.plan_for(sql, FULL)
         assert plan.excluded == ()
 
-    def test_alias_is_filtering_classification(self, erp_db):
-        query = erp_db.parse(PROFIT_SQL)
-        assert alias_is_filtering(query, "d")  # GROUP BY d.name
-        assert alias_is_filtering(query, "i")  # SUM(i.price)
-        assert not alias_is_filtering(query, "h")  # join key only
-        filtered = PROFIT_SQL.replace(
-            "WHERE h.hid = i.hid", "WHERE h.hid = i.hid AND h.year = 2013"
-        )
-        assert alias_is_filtering(erp_db.parse(filtered), "h")
-
-
 class TestOverride:
-    def test_override_replaces_detection(self):
-        db = merged_db()
-        # Only the named table is excluded, with the override reason,
-        # even though detection would have claimed all three.
-        plan = db.cache.plan_for(PROFIT_SQL, FULL, star_join_tables=("d",))
-        assert [e.describe() for e in plan.excluded] == ["d:override"]
-        assert plan.prune.combos_total == 3
-
-    def test_override_accepts_table_names(self):
-        db = merged_db()
-        plan = db.cache.plan_for(
-            PROFIT_SQL, FULL, star_join_tables="category,header"
-        )
-        assert {e.alias for e in plan.excluded} == {"d", "h"}
-        assert all(e.reason == "override" for e in plan.excluded)
-
-    def test_empty_override_disables_reduction(self):
-        db = merged_db()
-        plan = db.cache.plan_for(PROFIT_SQL, FULL, star_join_tables=())
-        assert plan.excluded == ()
-        assert plan.prune.combos_total == 7
-
-    def test_override_cannot_defeat_the_gate(self, erp_db):
-        # header has delta rows: naming it is a no-op, not an unsound pin.
-        plan = erp_db.cache.plan_for(PROFIT_SQL, FULL, star_join_tables=("h",))
-        assert plan.excluded == ()
-        assert plan.prune.combos_total == 7
-        result = erp_db.query(PROFIT_SQL, strategy=FULL, star_join_tables=("h",))
-        assert result == erp_db.query(
-            PROFIT_SQL, strategy=ExecutionStrategy.UNCACHED
-        )
-
-    def test_config_override_applies_and_per_query_wins(self):
-        db = merged_db(cache_config=CacheConfig(star_join_tables=("d",)))
-        plan = db.cache.plan_for(PROFIT_SQL, FULL)
-        assert [e.describe() for e in plan.excluded] == ["d:override"]
-        # The per-query override replaces the config's.
-        plan = db.cache.plan_for(PROFIT_SQL, FULL, star_join_tables=())
-        assert plan.excluded == ()
+    """``CacheConfig.star_join_reduction`` is the one override: off, the
+    enumeration stays exhaustive (the paper's baseline)."""
 
     def test_config_flag_disables_reduction_entirely(self):
         db = merged_db(cache_config=CacheConfig(star_join_reduction=False))
@@ -196,40 +130,35 @@ class TestStrategyGating:
 
 class TestPlanCacheKeying:
     def test_override_values_get_distinct_plans(self):
+        """The switch is part of a plan's structure: flipping it replaces
+        the cached plan (never a stale hit), and flipping it back again."""
         db = merged_db()
-        db.query(PROFIT_SQL, strategy=FULL)
-        stats = db.plan_cache.stats()
-        db.query(PROFIT_SQL, strategy=FULL, star_join_tables=())
-        after = db.plan_cache.stats()
-        # Different override -> different keys (sql + canon probes both
-        # miss) -> a rebuild, not a stale hit.
-        assert after["misses"] == stats["misses"] + 2
-        assert after["hits"] == stats["hits"]
-        db.query(PROFIT_SQL, strategy=FULL)
-        db.query(PROFIT_SQL, strategy=FULL, star_join_tables=())
-        final = db.plan_cache.stats()
-        assert final["hits"] == after["hits"] + 2
-
-    def test_equivalent_override_spellings_share_a_plan(self):
-        db = merged_db()
-        db.query(PROFIT_SQL, strategy=FULL, star_join_tables="h,d")
+        reduced = db.query(PROFIT_SQL, strategy=FULL)
+        assert reduced.report.plan.excluded_fingerprint() == ("d", "h", "i")
         before = db.plan_cache.stats()
-        db.query(PROFIT_SQL, strategy=FULL, star_join_tables=["d", "h", "d"])
+        db.cache.config.star_join_reduction = False
+        exhaustive = db.query(PROFIT_SQL, strategy=FULL)
+        assert exhaustive.report.plan.excluded == ()
+        db.cache.config.star_join_reduction = True
+        again = db.query(PROFIT_SQL, strategy=FULL)
         after = db.plan_cache.stats()
-        assert after["hits"] == before["hits"] + 1
-        assert after["misses"] == before["misses"]
+        assert after["hits"] == before["hits"]
+        assert after["invalidations"] == before["invalidations"] + 2
+        assert again.report.plan.excluded_fingerprint() == ("d", "h", "i")
+        assert reduced.rows == exhaustive.rows == again.rows
 
 
 class TestSpanRendering:
     def test_delta_compensation_span_reports_exclusions(self, erp_db):
         trace = erp_db.explain_analyze(PROFIT_SQL)
         span = trace.span_named("delta_compensation")
-        assert span.attrs["excluded"] == ["d:empty_delta"]
+        assert span.attrs["excluded"] == ["d"]
         assert span.attrs["subjoins_excluded"] == 4
         # One span per *enumerated* subjoin only.
         assert len(trace.subjoin_spans()) == trace.report.prune.combos_total
 
     def test_span_attrs_absent_without_exclusions(self, erp_db):
-        trace = erp_db.explain_analyze(PROFIT_SQL, star_join_tables=())
+        erp_db.cache.config.star_join_reduction = False
+        trace = erp_db.explain_analyze(PROFIT_SQL)
         span = trace.span_named("delta_compensation")
         assert "excluded" not in span.attrs

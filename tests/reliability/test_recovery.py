@@ -304,15 +304,15 @@ class TestStatisticsSurface:
         load_erp(db, n_headers=2, merge=True)
         stats = db.statistics()
         assert stats.durability is not None
-        assert stats.durability.wal_records_appended > 0
-        assert stats.durability.wal_transactions_logged > 0
-        assert stats.durability.wal_merges_logged == 3  # one per table
-        assert stats.durability.checkpoints_written == 1
+        assert stats.durability.wal.records_appended > 0
+        assert stats.durability.wal.transactions_logged > 0
+        assert stats.durability.wal.merges_logged == 3  # one per table
+        assert stats.durability.wal.checkpoints_written == 1
         assert not stats.durability.recovered
         assert "durability:" in stats.render()
         recovered = reopen(db)
         rstats = recovered.statistics().durability
         assert rstats.recovered
-        assert rstats.recovery_transactions_replayed >= 0
-        assert rstats.recovered_tid == db.transactions.latest_tid
+        assert rstats.recovery.transactions_replayed >= 0
+        assert rstats.recovery.recovered_tid == db.transactions.latest_tid
         assert "recovered:" in recovered.statistics().render()

@@ -84,8 +84,8 @@ class TestCacheStats:
 class TestEnforcementStats:
     def test_counts_exposed(self):
         db = make_db()
+        assert db.statistics().matching_dependencies == 2
         stats = db.statistics().enforcement
-        assert stats.matching_dependencies == 2
         assert stats.parent_stamps > 0
         assert stats.child_lookups > 0
         assert stats.lookups_failed == 0

@@ -1,11 +1,15 @@
-"""Tests for the interactive shell (driven through string streams)."""
+"""Tests for the interactive shell (driven through string streams, and
+once as ``python -m repro`` in a subprocess)."""
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-import pytest
-
-from repro import Database, ExecutionStrategy
+from repro import Database
 from repro.shell import Shell
+from repro.workloads.erp import ErpWorkload
 
 
 def run_shell(script: str, db=None) -> str:
@@ -30,7 +34,7 @@ def make_db():
 class TestMetaCommands:
     def test_help(self):
         out = run_shell("\\help\n\\quit\n")
-        assert "\\tables" in out
+        assert "\\stats" in out
         assert "bye" in out
 
     def test_quit_and_eof(self):
@@ -41,11 +45,6 @@ class TestMetaCommands:
     def test_unknown_command(self):
         out = run_shell("\\bogus\n\\quit\n")
         assert "unknown command" in out
-
-    def test_tables_empty_and_populated(self):
-        assert "(no tables" in run_shell("\\tables\n\\quit\n")
-        out = run_shell("\\tables\n\\quit\n", db=make_db())
-        assert "sales" in out and "main=3" in out
 
     def test_schema(self):
         out = run_shell("\\schema sales\n\\quit\n", db=make_db())
@@ -70,23 +69,7 @@ class TestMetaCommands:
         db.create_table("t", [("k", "INT")], primary_key="k")
         db.insert("t", {"k": 1})
         out = run_shell("\\merge t\n\\quit\n", db=db)
-        assert "1 rows moved" in out
-
-    def test_entries_and_report(self):
-        db = make_db()
-        out = run_shell(
-            "SELECT cat, SUM(price) AS s FROM sales GROUP BY cat;\n"
-            "\\entries\n\\report\n\\quit\n",
-            db=db,
-        )
-        assert "groups=2" in out
-        assert "strategy=cached_full_pruning" in out
-
-    def test_entries_empty(self):
-        assert "cache is empty" in run_shell("\\entries\n\\quit\n", db=make_db())
-
-    def test_report_before_any_query(self):
-        assert "no query executed" in run_shell("\\report\n\\quit\n")
+        assert "rows_moved=1" in out
 
     def test_explain(self):
         out = run_shell(
@@ -151,3 +134,23 @@ class TestSnapshotCommands:
     def test_open_missing_snapshot(self, tmp_path):
         out = run_shell(f"\\open {tmp_path}/void\n\\quit\n")
         assert "error:" in out
+
+
+def test_python_m_repro_session():
+    """The demo, a profit-and-loss query, its trace and the statistics, piped
+    through the real entry point."""
+    pnl = ErpWorkload.profit_and_loss_sql(year=2013).replace("\n", " ")
+    script = f"\\demo\n{pnl};\n\\analyze {pnl}\n\\stats\n\\quit\n"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "repro"], input=script, capture_output=True,
+        text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    out = done.stdout
+    assert "loaded ERP demo" in out and "subjoins pruned=" in out
+    assert "delta_compensation" in out  # the \\analyze span trace
+    assert "\ntables:" in out and "\naggregate cache:" in out  # \\stats
+    assert out.rstrip().endswith("bye")

@@ -119,13 +119,14 @@ class TestQueries:
         assert report.prune.pruned_total >= report.prune.combos_total - tables
 
     @pytest.mark.parametrize("name", list(CH_QUERIES))
-    def test_exhaustive_override_restores_full_enumeration(self, ch, name):
+    def test_exhaustive_override_restores_full_enumeration(
+        self, ch, name, monkeypatch
+    ):
         db, _ = ch
         tables = CH_QUERY_TABLES[name]
         reduced = db.query(CH_QUERIES[name], strategy=FULL)
-        exhaustive = db.query(
-            CH_QUERIES[name], strategy=FULL, star_join_tables=()
-        )
+        monkeypatch.setattr(db.cache.config, "star_join_reduction", False)
+        exhaustive = db.query(CH_QUERIES[name], strategy=FULL)
         assert db.last_report.prune.combos_total == 2**tables - 1
         assert db.last_report.prune.excluded_tables == 0
         assert exhaustive.rows == reduced.rows
