@@ -5,7 +5,7 @@ An entry binds a :class:`CacheKey` to
 * the **value**: the grouped aggregate computed over *one all-main partition
   combination only* (never the deltas — that is the whole point of the
   design: inserts go to the delta and cannot invalidate the entry);
-* the **visibility snapshot**: one bit vector per referenced main partition,
+* the **visibility snapshot**: one bool mask per referenced main partition,
   captured at creation time through the consistent view manager — the
   mains' state in the memo the entry is born with
   (:func:`repro.core.delta_memo.birth_memo`), whose step subtracts the
@@ -22,7 +22,6 @@ import numpy as np
 
 from ..errors import CacheError
 from ..query.aggregates import GroupedAggregates
-from ..storage.bitvector import BitVector
 from ..storage.partition import Partition
 from .cache_key import CacheKey
 from .metrics import CacheMetrics
@@ -80,7 +79,7 @@ class AggregateCacheEntry:
     # alias -> the main partition the entry is defined on
     main_partitions: Dict[str, Partition]
     # alias -> visibility of that main partition at creation/maintenance time
-    visibility: Dict[str, BitVector]
+    visibility: Dict[str, np.ndarray]
     snapshot: int  # transaction id the visibility was captured at
     # alias -> partition.invalidation_epoch at snapshot time, or -1 while the
     # stored visibility keeps rows the stamps hide (merge maintenance): an
@@ -135,7 +134,7 @@ class AggregateCacheEntry:
         self,
         alias: str,
         new_partition: Partition,
-        new_visibility: BitVector,
+        new_visibility: np.ndarray,
         new_value: GroupedAggregates,
         snapshot: int,
     ) -> None:

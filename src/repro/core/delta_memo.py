@@ -219,7 +219,7 @@ def birth_memo(entry: AggregateCacheEntry, plan=None) -> DeltaMemo:
         since = partition.invalidation_epoch - entry.invalidation_epochs[alias]
         if since:
             hidden = np.flatnonzero((dts != 0) & (dts <= entry.snapshot))
-            kept = hidden[entry.visibility[alias].get_many(hidden)]
+            kept = hidden[entry.visibility[alias][hidden]]
             if len(kept):
                 revived[alias] = kept
             live = partition.row_count - len(hidden)

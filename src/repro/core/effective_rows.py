@@ -165,7 +165,7 @@ def effective_rows(entry: AggregateCacheEntry, snapshot: int) -> EffectiveRows:
                 continue
             successors, ancestors = successors[silent], ancestors[silent]
             keep = delta.visible_at(snapshot, successors)
-            keep &= stored.get_many(ancestors) & ~main.visible_at(snapshot, ancestors)
+            keep &= stored[ancestors] & ~main.visible_at(snapshot, ancestors)
             if keep.any():
                 found.append((delta, successors[keep], ancestors[keep]))
         if not found:

@@ -2,7 +2,7 @@
 
 Updates and deletes invalidate rows in the main storage (the new version,
 if any, goes to the delta).  A cache entry therefore stores the visibility
-bit vector of every referenced main partition at creation time; at use
+mask of every referenced main partition at creation time; at use
 time the rows the stored vectors count and the reader no longer sees are
 *subtracted* from the cached aggregate.
 

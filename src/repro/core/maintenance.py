@@ -133,7 +133,7 @@ def finish_entry_maintenance(
             epoch = partition.invalidation_epoch
             revived = pending.revived.get(other_alias)
             if revived is not None:
-                stored.set_many(revived)
+                stored[revived] = True
                 epoch = -1
             entry.visibility[other_alias] = stored
             entry.invalidation_epochs[other_alias] = epoch

@@ -8,13 +8,17 @@ compensation subset (everything except the cached all-main combination),
 and the object-aware layer passes a pruned subset plus per-combination
 pushdown filters (Section 5.3).
 
-Work that repeats across combinations referencing the same partition —
-visible-row scans with local filters and join-side hash tables — is memoized
-per ``execute`` call, which mirrors how a real engine would share scans
-across union branches.  Before a subjoin joins anything its inputs are
-semi-join-reduced by their smaller neighbours (``_reduce_scans``), so a
-compensation subjoin pinned to a handful of changed rows costs in
-proportion to those rows, not to the mains it joins them with.
+A compensation subjoin pins some inputs to given rows (``fixed_rows``).
+Every main such a pinned input reaches along a join edge that ends in the
+main's single-column primary key is not scanned: its rows are gathered
+through the main's pk array (``Table.pk_rows``), then visibility and the
+alias' filters are applied to those rows only (``_probe``) — and a
+gathered input probes its own partners in turn.  So a subjoin pinned to a
+handful of changed rows costs in proportion to those rows, not to the mains
+it joins them with.  The other inputs are scanned — visible-row scans with
+local filters, memoized per ``execute`` call with the join-side hash tables,
+as a real engine shares scans across union branches — and semi-join-reduced
+by their smaller neighbours (``_reduce_scans``) before anything is joined.
 
 Subjoins run one after another on the calling thread.  Each is evaluated
 into a fresh grouped partial that is merged into the result **in
@@ -37,6 +41,7 @@ from ..plan.cost import choose_join_order
 from ..plan.logical import Binder
 from ..storage.catalog import Catalog
 from ..storage.partition import Partition
+from ..storage.table import Table
 from .aggregates import GroupedAggregates
 from .expr import Expr
 from .operators import (
@@ -45,6 +50,7 @@ from .operators import (
     build_hash_table,
     filter_rows,
     join_kernel,
+    pk_probe,
     probe_hash_join,
     scan_partition,
     semi_join_reduce,
@@ -227,6 +233,7 @@ class QueryExecutor:
         grouped = into if into is not None else GroupedAggregates(bound.aggregates)
         residuals = bound.residual_filters()
         local_filters = {ref.alias: bound.local_filters(ref.alias) for ref in bound.tables}
+        pk_edges = self._pk_edges(bound)
         # Scans and join-side hash tables repeat across subjoins that share
         # a partition; both memos live for this call only.
         scan_memo: Dict[tuple, np.ndarray] = {}
@@ -235,12 +242,69 @@ class QueryExecutor:
             if cancel is not None:
                 cancel.check()
             partial = self._execute_combo(
-                bound, residuals, local_filters, snapshot, combo, sign,
+                bound, residuals, local_filters, pk_edges, snapshot, combo, sign,
                 scan_memo, hash_memo, grouped.new_like, stats, span_sink,
             )
             if partial is not None:
                 grouped.merge(partial)
         return grouped
+
+    def _pk_edges(self, query: AggregateQuery) -> List[Tuple[str, str, str, str, Table]]:
+        """``(source, column, target, pk column, target table)`` per join edge
+        direction that ends in the target table's (single-column) primary
+        key — the edges a pinned source can probe along."""
+        tables = {ref.alias: self._catalog.table(ref.table) for ref in query.tables}
+        out = []
+        for edge in query.join_edges:
+            for source in edge.aliases():
+                target, column = edge.other(source)
+                if tables[target].schema.primary_key == column:
+                    out.append((source, edge.side_for(source), target, column, tables[target]))
+        return out
+
+    def _probe(
+        self,
+        combo: ComboSpec,
+        local_filters: Dict[str, List[Expr]],
+        pk_edges: List[Tuple[str, str, str, str, Table]],
+        snapshot: int,
+        scans: Dict[str, np.ndarray],
+    ) -> Dict[str, np.ndarray]:
+        """Gather, by primary key, the rows of every main a pinned input
+        (or, in turn, a gathered one) reaches along a foreign-key edge.
+
+        The rows are the visible ones whose key occurs on the source side
+        and that pass the alias' local and pushdown filters, ascending:
+        the rows the full scan followed by a semi-join with the source's
+        keys would keep.  Sources go smallest first.  A main whose pk array
+        does not map every row, or that has no more rows than the source,
+        is scanned instead.  Returns alias -> gathered rows.
+        """
+        found = dict(scans)
+        pending = set(scans)
+        while pending:
+            source = min(pending, key=lambda alias: (len(found[alias]), alias))
+            pending.discard(source)
+            source_rows = found[source]
+            if not len(source_rows):
+                break  # the subjoin is empty; nothing left worth probing
+            for edge_source, column, target, pk_column, table in pk_edges:
+                if edge_source != source or target in found:
+                    continue
+                main = combo.partitions[target]
+                if main.kind != "main" or len(source_rows) >= main.row_count:
+                    continue
+                pk_rows = table.pk_rows(main)
+                if pk_rows is None:
+                    continue
+                rows = pk_probe(
+                    combo.partitions[source], source_rows, column, main, pk_column, pk_rows
+                )
+                rows = rows[main.visible_at(snapshot, rows)]
+                filters = local_filters[target] + combo.extra_filters.get(target, [])
+                found[target] = filter_rows(target, main, rows, filters)
+                pending.add(target)
+        return {alias: rows for alias, rows in found.items() if alias not in scans}
 
     def _scan(
         self,
@@ -277,6 +341,7 @@ class QueryExecutor:
         query: AggregateQuery,
         residuals: List[Expr],
         local_filters: Dict[str, List[Expr]],
+        pk_edges: List[Tuple[str, str, str, str, Table]],
         snapshot: int,
         combo: ComboSpec,
         sign: int,
@@ -294,7 +359,7 @@ class QueryExecutor:
         sign *= combo.sign
         if span_sink is None:
             return self._execute_combo_inner(
-                query, residuals, local_filters, snapshot, combo, sign,
+                query, residuals, local_filters, pk_edges, snapshot, combo, sign,
                 scan_memo, hash_memo, partial_factory, stats, None,
             )
         attrs: Dict[str, object] = {
@@ -313,7 +378,7 @@ class QueryExecutor:
             attrs["sign"] = sign
         started = time.perf_counter()
         partial = self._execute_combo_inner(
-            query, residuals, local_filters, snapshot, combo, sign,
+            query, residuals, local_filters, pk_edges, snapshot, combo, sign,
             scan_memo, hash_memo, partial_factory, stats, attrs,
         )
         span_sink.append(Span(
@@ -329,6 +394,7 @@ class QueryExecutor:
         query: AggregateQuery,
         residuals: List[Expr],
         local_filters: Dict[str, List[Expr]],
+        pk_edges: List[Tuple[str, str, str, str, Table]],
         snapshot: int,
         combo: ComboSpec,
         sign: int,
@@ -352,30 +418,53 @@ class QueryExecutor:
                 attrs["status"] = "empty"
             return None
 
-        # Scan every alias up front (memoized across subjoins): the counts
-        # drive build-side selection, and any empty input empties the join.
-        # Inputs restricted to given rows (compensation terms) are scanned
-        # first; an empty one ends the subjoin before the full scans run,
-        # and stands as its probe side.
+        # Read every input up front: the counts drive build-side selection,
+        # and any empty input empties the join.  Inputs restricted to given
+        # rows (compensation terms) are read first, then the mains they
+        # reach by primary key are probed (``_probe``), then the rest are
+        # scanned (memoized across subjoins).  An empty pinned or probed
+        # input ends the subjoin before the scans run, and stands as its
+        # probe side.
         scans: Dict[str, np.ndarray] = {}
-        for ref in sorted(query.tables, key=lambda ref: ref.alias not in combo.fixed_rows):
-            rows = self._scan(ref.alias, combo, local_filters, snapshot, scan_memo)
-            scans[ref.alias] = rows
-            if not len(rows) and ref.alias in combo.fixed_rows:
-                if stats is not None:
-                    stats.probe_sides.append(ref.alias)
-                if attrs is not None:
-                    attrs["rows_scanned"] = {a: len(r) for a, r in sorted(scans.items())}
-                    attrs["probe_side"] = ref.alias
-                return empty()
+
+        def stop(alias: str):
+            if stats is not None:
+                stats.probe_sides.append(alias)
+            if attrs is not None:
+                attrs["rows_scanned"] = {a: len(r) for a, r in sorted(scans.items())}
+                attrs["probe_side"] = alias
+            return empty()
+
+        for ref in query.tables:
+            if ref.alias in combo.fixed_rows:
+                rows = self._scan(ref.alias, combo, local_filters, snapshot, scan_memo)
+                scans[ref.alias] = rows
+                if not len(rows):
+                    return stop(ref.alias)
+        probed = self._probe(combo, local_filters, pk_edges, snapshot, scans) if scans else {}
+        if probed and attrs is not None:
+            attrs["probed"] = sorted(probed)
+        scans.update(probed)
+        for alias in sorted(probed):
+            if not len(probed[alias]):
+                return stop(alias)
+        for ref in query.tables:
+            if ref.alias not in scans:
+                scans[ref.alias] = self._scan(ref.alias, combo, local_filters, snapshot, scan_memo)
         row_counts = {alias: len(rows) for alias, rows in scans.items()}
         reduced = _reduce_scans(query, combo, scans)
         reduced_counts = {alias: len(rows) for alias, rows in reduced.items()}
         # Runtime ordering ranks the *scanned* counts, so the semi-join
-        # reduction above never changes the plan — the joined tuples come
-        # out in the same sequence with or without it, which keeps group
-        # order and float summation order bit-identical.
-        first, steps = choose_join_order(query, row_counts)
+        # reduction above never changes the plan.  A probed main has no scan
+        # count: it ranks by its row count, which bounds that count from
+        # above.  The plan is the scan path's unless another input's count
+        # falls between the two; then the probed main moves towards the
+        # probe side and the same tuples come out in another sequence, so
+        # group order and float summation order can differ from the scan
+        # path's (quantum-valued sums, as in every workload, stay exact).
+        ranks = dict(row_counts)
+        ranks.update((alias, combo.partitions[alias].row_count) for alias in probed)
+        first, steps = choose_join_order(query, ranks)
         if stats is not None:
             stats.probe_sides.append(first)
         if attrs is not None:
@@ -395,9 +484,10 @@ class QueryExecutor:
             kernel = join_kernel(len(rows), provider.row_count())
             if attrs is not None:
                 attrs.setdefault("kernels", {})[step.alias] = kernel
-            if rows is not scans[step.alias]:
+            if rows is not scans[step.alias] or step.alias in probed:
                 # The memo key describes the partition's full scan; a table
-                # over this subjoin's reduced rows must never be shared.
+                # over this subjoin's reduced or probed rows must never be
+                # shared.
                 table = build_hash_table(partition, rows, key_columns, kernel)
             else:
                 extra = combo.extra_filters.get(step.alias, [])

@@ -37,6 +37,7 @@ from ..storage.partition import Partition
 from ..storage.schema import SqlType
 from .aggregates import AggregateSpec, GroupedAggregates
 from .expr import Col, Expr
+from .fastpath import fast_filter_mask
 
 # ---------------------------------------------------------------------------
 # kernel selection
@@ -177,8 +178,6 @@ def scan_partition(
     ``repro.query.fastpath``) before any row is decoded; only the remaining
     predicates touch decoded values, and only for rows that survived.
     """
-    from .fastpath import fast_filter_mask
-
     mask = partition.visible_mask(snapshot)
     slow_filters: List[Expr] = []
     for expr in filters:
@@ -205,8 +204,6 @@ def filter_rows(
     filter, nothing decoded), the expressions the fast path declines are
     evaluated over the decoded survivors.  Row order is preserved.
     """
-    from .fastpath import fast_filter_mask
-
     rows = np.asarray(rows, dtype=np.int64)
     slow_filters: List[Expr] = []
     for expr in filters:
@@ -485,6 +482,48 @@ def semi_join_reduce(
     member[keys] = True
     keep = member[fragment.codes_for(rows)]
     return rows if keep.all() else rows[keep]
+
+
+def pk_probe(
+    key_partition: Partition,
+    key_rows: np.ndarray,
+    key_column: str,
+    main: Partition,
+    pk_column: str,
+    pk_rows: np.ndarray,
+) -> np.ndarray:
+    """The rows of ``main`` whose primary key equals a key of ``key_rows``,
+    ascending, visibility not applied.
+
+    ``pk_rows`` maps ``main``'s pk dictionary codes to rows and covers every
+    row of ``main`` (:meth:`~repro.storage.table.Table.pk_rows`), so the
+    rows returned are exactly those a scan of ``main`` semi-joined with the
+    keys would keep, in the same order, found without touching the others:
+    the distinct non-NULL key codes are bridged into the pk dictionary and
+    looked up, nothing more.  At most ``_SMALL_INPUT_ROWS`` key rows take
+    the same lookups one decoded value at a time.
+    """
+    key_fragment = key_partition.column(key_column)
+    fragment = main.column(pk_column)
+    if len(key_rows) <= _SMALL_INPUT_ROWS:
+        # A handful of keys: one hash probe of the pk dictionary per value.
+        code_of = fragment.dictionary.code_map().get
+        values = set(key_fragment.decode_rows(key_rows).tolist())
+        found = {pk_rows.item(code) for code in map(code_of, values) if code is not None}
+        found.discard(-1)  # a dictionary value no row holds
+        return np.array(sorted(found), dtype=np.int64)
+    # Distinct non-NULL codes: sort, then keep each first occurrence.
+    codes = np.sort(key_fragment.codes_for(key_rows))
+    keep = codes != NULL_CODE
+    np.logical_and(keep[1:], codes[1:] != codes[:-1], out=keep[1:])
+    codes = codes[keep]
+    if key_fragment.dictionary is not fragment.dictionary:
+        codes = _translate_codes(key_fragment.dictionary, codes, fragment.dictionary)
+        codes = codes[codes != _NO_MATCH]
+    rows = pk_rows[codes]
+    rows = rows[rows >= 0]  # a dictionary value no row holds
+    rows.sort()
+    return rows
 
 
 def _csr_layout(

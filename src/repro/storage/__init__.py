@@ -2,7 +2,7 @@
 
 Implements the storage model the aggregate cache relies on (Section 2 of
 the paper): dictionary-encoded column fragments, main/delta partitions with
-MVCC visibility stamps, packed visibility bit vectors, the delta-merge
+MVCC visibility stamps and masks, the delta-merge
 operation, hot/cold aging, and the table catalog.
 """
 

@@ -1,15 +1,9 @@
-"""Packed bit vectors used for record-visibility snapshots.
+"""Packed bit vectors: a standalone bit set, 64 bits per ``uint64`` word.
 
-The consistent view manager (Section 2.2 of the paper) represents the set of
-records of a partition visible to a transaction as a bit vector.  The
-aggregate cache stores the bit vector of each main partition at entry
-creation time, and main compensation is a bit-vector comparison: records
-that were visible then but are invisible now have been invalidated and their
-contribution must be subtracted from the cached aggregate.
-
-The implementation packs 64 bits per word into a ``numpy`` ``uint64`` array
-so the comparisons used on the hot path (``and_not``, ``pop_count``) are
-single vectorized operations.
+The paper's consistent view manager (Section 2.2) represents the records of
+a partition visible to a transaction as a bit vector.  This engine keeps
+those snapshots as NumPy bool masks (``Partition.visibility``), which its
+readers index directly; no engine path uses this class.
 """
 
 from __future__ import annotations

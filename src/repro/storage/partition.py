@@ -9,8 +9,8 @@ two MVCC stamp vectors:
 Updates in the delta-main architecture never modify rows in place: the new
 version is inserted into the delta partition and the old row's ``dts`` is
 stamped (Section 2).  A snapshot's visibility is therefore a pure function
-of the stamps, materialized either as a numpy mask or as the packed
-:class:`BitVector` the consistent view manager hands to the aggregate cache.
+of the stamps, materialized as a NumPy bool mask — the consistent view manager
+hands the same masks to the aggregate cache.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import StorageError
-from .bitvector import BitVector
 from .column import ColumnFragment
 from .dictionary import MainDictionary
 from .schema import Schema
@@ -126,7 +125,7 @@ class Partition:
         )
         # Monotonic count of invalidations ever applied to this partition.
         # Cache entries snapshot it to detect "nothing was invalidated since
-        # entry creation" in O(1), skipping the bit-vector diff entirely.
+        # entry creation" in O(1), skipping the visibility diff entirely.
         self.invalidation_epoch = 0
         # Monotonic write counter: bumped on every append and invalidation.
         # The resident synopsis below is keyed on it.
@@ -281,9 +280,10 @@ class Partition:
         dts = self._dts.view()[rows]
         return (cts <= snapshot) & ((dts == LIVE) | (dts > snapshot))
 
-    def visibility(self, snapshot: int) -> BitVector:
-        """Packed visibility vector for ``snapshot`` (consistent view manager)."""
-        return BitVector.from_numpy_bool(self.visible_mask(snapshot))
+    def visibility(self, snapshot: int) -> np.ndarray:
+        """A fresh visibility mask for ``snapshot`` that the caller owns
+        (consistent view manager, entry visibility)."""
+        return self.visible_mask(snapshot)
 
     def visible_count(self, snapshot: int) -> int:
         """Number of rows visible to ``snapshot``."""

@@ -126,10 +126,13 @@ class Table:
         }
         # Primary-key index, in two parts (see ``rebuild_pk_index``): the
         # keys written since the last rebuild — locator of the live version,
-        # or None once deleted — and per main, (name, its pk dictionary's
-        # value -> code probe, code -> live row or -1).
+        # or None once deleted — and per main, (the main, its pk
+        # dictionary's value -> code probe, code -> live row or -1, and that
+        # array again when it maps every row of the main, else None).
         self._pk_written: Dict[object, Optional[RowLocator]] = {}
-        self._pk_mains: List[Tuple[str, Callable, memoryview]] = []
+        self._pk_mains: List[
+            Tuple[Partition, Callable, memoryview, Optional[np.ndarray]]
+        ] = []
         # Two monotonic change counters.  ``epoch`` moves on structural
         # changes only — a merge's partition swap, schema evolution, and
         # MD / consistent-aging registration — which change what a cached
@@ -341,12 +344,29 @@ class Table:
         locator = self._pk_written.get(pk_value, _UNWRITTEN)
         if locator is not _UNWRITTEN:
             return locator
-        for name, code_of, rows in self._pk_mains:
+        for main, code_of, rows, _exact in self._pk_mains:
             code = code_of(pk_value)
             if code is not None:
                 row = rows[code]
                 if row >= 0:
-                    return _new_locator(RowLocator, (name, row))
+                    return _new_locator(RowLocator, (main.name, row))
+        return None
+
+    def pk_rows(self, main: Partition) -> Optional[np.ndarray]:
+        """``main``'s pk dictionary code -> row array, when it maps every
+        row of ``main``; else None.
+
+        The array is built from the rows live at the last rebuild, so it
+        stays exact until the next merge: a later update or delete stamps
+        the row it points to, and visibility decides.  A main that held
+        invalidated rows at the rebuild — several versions of one key after
+        ``merge(keep_history=True)``, or a restored main — has unmapped rows,
+        and so has no array here; neither has a main the index was not
+        built for.
+        """
+        for indexed, _code_of, _rows, exact in self._pk_mains:
+            if indexed is main:
+                return exact
         return None
 
     def get_row(self, pk_value) -> Optional[Dict[str, object]]:
@@ -439,9 +459,10 @@ class Table:
             live = np.flatnonzero(group.main.dts_array() == LIVE)
             rows = np.full(len(fragment.dictionary), -1, dtype=np.int64)
             rows[fragment.codes()[live]] = live
+            exact = rows if np.count_nonzero(rows >= 0) == group.main.row_count else None
             # A memoryview reads one slot as a Python int, no numpy scalar.
             self._pk_mains.append(
-                (group.main.name, fragment.dictionary.code_map().get, memoryview(rows))
+                (group.main, fragment.dictionary.code_map().get, memoryview(rows), exact)
             )
             for delta in group.delta_partitions():
                 live = np.flatnonzero(delta.dts_array() == LIVE).tolist()

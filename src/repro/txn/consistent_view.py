@@ -1,7 +1,7 @@
 """The consistent view manager (Fig. 1 / Section 2.2).
 
 Translates a transaction's token (its tid) into per-partition visibility
-bit vectors.  The aggregate cache asks it for
+masks.  The aggregate cache asks it for
 
 * the *global* visibility of a main partition when an entry is created,
 * the *current transaction's* visibility of main and delta partitions when
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..storage.bitvector import BitVector
 from ..storage.partition import Partition
 from .manager import Transaction, TransactionManager
 
@@ -26,11 +25,11 @@ class ConsistentViewManager:
         self._txn_manager = txn_manager
 
     # ------------------------------------------------------------------
-    def global_visibility(self, partition: Partition) -> BitVector:
+    def global_visibility(self, partition: Partition) -> np.ndarray:
         """Visibility vector of ``partition`` for the latest committed state."""
         return partition.visibility(self._txn_manager.global_snapshot())
 
-    def txn_visibility(self, partition: Partition, txn: Transaction) -> BitVector:
+    def txn_visibility(self, partition: Partition, txn: Transaction) -> np.ndarray:
         """Visibility vector of ``partition`` for transaction ``txn``."""
         return partition.visibility(txn.snapshot)
 

@@ -154,7 +154,7 @@ def test_merge_of_another_table_keeps_revived_rows_stored():
     # The old version stays stored, and the alias is marked as not as
     # stored until cust merges.
     assert entry.invalidation_epochs["c"] == -1
-    assert entry.visibility["c"].to_numpy().sum() == 3
+    assert entry.visibility["c"].sum() == 3
     assert entry.main_partitions["c"].visible_count(snapshot) == 2
     report = checked(db, ORDERS_SQL)
     assert (report.silent_rows_cancelled, report.invalidated_rows_compensated) == (1, 0)

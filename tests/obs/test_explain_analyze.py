@@ -119,3 +119,24 @@ class TestMetricsFromQueries:
         assert snap["repro_cache_value_bytes"] == (
             erp_db.cache.counters_snapshot()["value_bytes"]
         )
+
+
+class TestProbedSubjoins:
+    def test_span_names_the_probed_alias_and_counts_gathered_rows(self):
+        """A delta step pinned to two late items gathers their one header
+        from the header main by primary key: the span says so, and
+        ``rows_scanned`` counts the gathered row, not the main."""
+        db = make_erp_db()
+        load_erp(db, n_headers=8, merge=True)
+        db.query(PROFIT_SQL)
+        for iid in (900, 901):
+            db.insert("item", {"iid": iid, "hid": 3, "cid": 0, "price": 2.5})
+        trace = db.explain_analyze(PROFIT_SQL)
+        spans = [s for s in trace.root.walk() if "probed" in s.attrs]
+        assert spans
+        for span in spans:
+            assert "h" in span.attrs["probed"]
+            assert span.attrs["rows_scanned"]["h"] == 1
+            assert span.attrs["rows_scanned"]["i"] == 2
+        assert "probed=['h'" in trace.render()
+        assert trace.result == db.query(PROFIT_SQL, strategy=ExecutionStrategy.UNCACHED)

@@ -76,8 +76,10 @@ class TestVisibility:
     def test_visibility_bitvector_matches_mask(self):
         part = make_delta([({"k": i}, i) for i in range(1, 8)])
         part.invalidate(2, 6)
-        bv = part.visibility(6)
-        assert bv.to_numpy().tolist() == part.visible_mask(6).tolist()
+        stored = part.visibility(6)
+        assert stored.tolist() == part.visible_mask(6).tolist()
+        stored[2] = True  # the caller owns its copy
+        assert not part.visibility(6)[2]
 
 
 class TestBuildMain:

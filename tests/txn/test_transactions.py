@@ -74,11 +74,11 @@ class TestConsistentViewManager:
         table.insert({"id": 1}, t1.tid)
         t1.commit()
         delta = table.partition("delta")
-        assert cvm.global_visibility(delta).set_indices() == [0]
+        assert cvm.global_visibility(delta).nonzero()[0].tolist() == [0]
         t2 = mgr.begin()
         table.insert({"id": 2}, t2.tid)
         t2.commit()
-        assert cvm.global_visibility(delta).set_indices() == [0, 1]
+        assert cvm.global_visibility(delta).nonzero()[0].tolist() == [0, 1]
 
     def test_txn_visibility_is_snapshot_bound(self):
         mgr = TransactionManager()
@@ -91,7 +91,7 @@ class TestConsistentViewManager:
         t3 = mgr.begin()
         table.insert({"id": 2}, t3.tid)
         delta = table.partition("delta")
-        assert cvm.txn_visibility(delta, reader).set_indices() == [0]
+        assert cvm.txn_visibility(delta, reader).nonzero()[0].tolist() == [0]
         assert cvm.txn_visible_rows(delta, reader).tolist() == [0]
         assert cvm.txn_visible_mask(delta, reader).tolist() == [True, False]
 
@@ -102,4 +102,4 @@ class TestConsistentViewManager:
         txn = mgr.begin()
         table.insert({"id": 1}, txn.tid)
         delta = table.partition("delta")
-        assert cvm.txn_visibility(delta, txn).set_indices() == [0]
+        assert cvm.txn_visibility(delta, txn).nonzero()[0].tolist() == [0]
