@@ -296,6 +296,10 @@ def tid_range(partition: Partition, column: str, rows) -> Tuple:
     dictionary = fragment.dictionary
     if not isinstance(dictionary, DeltaDictionary):  # sorted: codes are ranks
         return dictionary.decode(int(codes.min())), dictionary.decode(int(codes.max()))
+    ints = dictionary.int_values()
+    if ints is not None:
+        values = ints[codes]
+        return int(values.min()), int(values.max())
     values = dictionary.decode_table()[codes]
     return values.min(), values.max()
 

@@ -9,16 +9,17 @@ and the object-aware layer passes a pruned subset plus per-combination
 pushdown filters (Section 5.3).
 
 A compensation subjoin pins some inputs to given rows (``fixed_rows``).
-Every main such a pinned input reaches along a join edge that ends in the
+A main such a pinned input reaches along a join edge that ends in the
 main's single-column primary key is not scanned: its rows are gathered
 through the main's pk array (``Table.pk_rows``), then visibility and the
-alias' filters are applied to those rows only (``_probe``) — and a
-gathered input probes its own partners in turn.  So a subjoin pinned to a
-handful of changed rows costs in proportion to those rows, not to the mains
-it joins them with.  The other inputs are scanned — visible-row scans with
-local filters, memoized per ``execute`` call with the join-side hash tables,
-as a real engine shares scans across union branches — and semi-join-reduced
-by their smaller neighbours (``_reduce_scans``) before anything is joined.
+alias' filters are applied to those rows only (``_probe``).  So a subjoin
+pinned to a handful of changed rows costs in proportion to those rows, not
+to the mains it joins them with.  The other inputs are scanned — visible-row
+scans with local filters, memoized per ``execute`` call with the join-side
+hash tables, as a real engine shares scans across union branches.  One walk
+over the inputs, smallest first (``_reduce``), gathers the pinned terms'
+mains and semi-join-reduces the rest by their smaller neighbours before
+anything is joined.
 
 Subjoins run one after another on the calling thread.  Each is evaluated
 into a fresh grouped partial that is merged into the result **in
@@ -31,7 +32,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from ..storage.catalog import Catalog
 from ..storage.partition import Partition
 from ..storage.table import Table
 from .aggregates import GroupedAggregates
-from .expr import Expr
+from .expr import Expr, single_alias_of
 from .operators import (
     JoinedProvider,
     aggregate_into,
@@ -55,7 +56,7 @@ from .operators import (
     scan_partition,
     semi_join_reduce,
 )
-from .query import AggregateQuery
+from .query import AggregateQuery, JoinEdge
 
 
 @dataclass(frozen=True)
@@ -172,6 +173,45 @@ def _fixed_rows_key(fixed) -> object:
     return id(fixed)
 
 
+def _scan_key(alias: str, combo: ComboSpec) -> tuple:
+    """Memo key of an alias' read in one subjoin: its partition, pushdown
+    filters and pinned rows (the local filters are the query's own)."""
+    return (
+        alias,
+        id(combo.partitions[alias]),
+        tuple(sorted(e.canonical() for e in combo.extra_filters.get(alias, []))),
+        _fixed_rows_key(combo.fixed_rows.get(alias)),
+    )
+
+
+class _PkEdge(NamedTuple):
+    """A join edge direction ending in the target table's primary key."""
+
+    source: str
+    column: str  # the source's join column
+    target: str
+    pk_column: str
+    table: Table  # the target's
+
+
+@dataclass
+class _Call:
+    """What every subjoin of one ``execute`` call shares: the bound query's
+    filters split into residual and per-alias local ones, its join edges
+    per alias, the edges that end in a primary key, and the call's memos —
+    scans and join-side hash tables repeat across subjoins that share a
+    partition, and live for this call only."""
+
+    query: AggregateQuery
+    snapshot: int
+    residuals: List[Expr]
+    local_filters: Dict[str, List[Expr]]
+    neighbours: Dict[str, List[JoinEdge]]
+    pk_edges: List[_PkEdge]
+    scan_memo: Dict[tuple, np.ndarray] = field(default_factory=dict)
+    hash_memo: Dict[tuple, object] = field(default_factory=dict)
+
+
 class QueryExecutor:
     """Evaluates aggregate queries over explicit partition combinations."""
 
@@ -231,122 +271,168 @@ class QueryExecutor:
                 for partitions in all_partition_combos(bound, self._catalog)
             ]
         grouped = into if into is not None else GroupedAggregates(bound.aggregates)
-        residuals = bound.residual_filters()
-        local_filters = {ref.alias: bound.local_filters(ref.alias) for ref in bound.tables}
-        pk_edges = self._pk_edges(bound)
-        # Scans and join-side hash tables repeat across subjoins that share
-        # a partition; both memos live for this call only.
-        scan_memo: Dict[tuple, np.ndarray] = {}
-        hash_memo: Dict[tuple, object] = {}
+        call = self._call(bound, snapshot)
         for combo in combos:
             if cancel is not None:
                 cancel.check()
             partial = self._execute_combo(
-                bound, residuals, local_filters, pk_edges, snapshot, combo, sign,
-                scan_memo, hash_memo, grouped.new_like, stats, span_sink,
+                call, combo, sign, grouped.new_like, stats, span_sink,
             )
             if partial is not None:
                 grouped.merge(partial)
         return grouped
 
-    def _pk_edges(self, query: AggregateQuery) -> List[Tuple[str, str, str, str, Table]]:
-        """``(source, column, target, pk column, target table)`` per join edge
-        direction that ends in the target table's (single-column) primary
-        key — the edges a pinned source can probe along."""
+    def _call(self, query: AggregateQuery, snapshot: int) -> "_Call":
+        """What every subjoin of one ``execute`` call shares."""
+        local: Dict[Optional[str], List[Expr]] = {ref.alias: [] for ref in query.tables}
+        local[None] = []
+        for expr in query.filters:
+            local[single_alias_of(expr)].append(expr)
+        neighbours: Dict[str, List[JoinEdge]] = {ref.alias: [] for ref in query.tables}
+        pk_edges: List[_PkEdge] = []
         tables = {ref.alias: self._catalog.table(ref.table) for ref in query.tables}
-        out = []
         for edge in query.join_edges:
             for source in edge.aliases():
+                neighbours[source].append(edge)
                 target, column = edge.other(source)
                 if tables[target].schema.primary_key == column:
-                    out.append((source, edge.side_for(source), target, column, tables[target]))
-        return out
+                    pk_edges.append(
+                        _PkEdge(source, edge.side_for(source), target, column, tables[target])
+                    )
+        return _Call(query, snapshot, local.pop(None), local, neighbours, pk_edges)
+
+    def _gatherable(
+        self, call: "_Call", combo: ComboSpec, scans: Dict[str, np.ndarray]
+    ) -> Dict[str, Tuple[_PkEdge, np.ndarray]]:
+        """The unpinned mains this subjoin gathers by primary key instead of
+        scanning: alias -> (the edge from its pinned partner, the main's pk
+        array).
+
+        A main qualifies when a pinned input (``scans``) reaches it along an
+        edge ending in its primary key, the pinned side has fewer rows than
+        the main, and the main's pk array maps every one of its rows
+        (:meth:`~repro.storage.table.Table.pk_rows`).  A main whose full
+        scan this ``execute`` call already holds is reduced from that scan
+        instead.  Of several pinned partners the smallest gathers.
+        """
+        found: Dict[str, Tuple[_PkEdge, np.ndarray]] = {}
+        for edge in call.pk_edges:
+            if edge.source not in scans or edge.target in combo.fixed_rows:
+                continue
+            main = combo.partitions[edge.target]
+            size = len(scans[edge.source])
+            if main.kind != "main" or size >= main.row_count:
+                continue
+            chosen = found.get(edge.target)
+            if chosen is not None and (len(scans[chosen[0].source]), chosen[0].source) <= (
+                size, edge.source
+            ):
+                continue
+            if _scan_key(edge.target, combo) in call.scan_memo:
+                continue
+            pk_rows = edge.table.pk_rows(main)
+            if pk_rows is not None:
+                found[edge.target] = (edge, pk_rows)
+        return found
 
     def _probe(
         self,
+        call: "_Call",
         combo: ComboSpec,
-        local_filters: Dict[str, List[Expr]],
-        pk_edges: List[Tuple[str, str, str, str, Table]],
-        snapshot: int,
-        scans: Dict[str, np.ndarray],
-    ) -> Dict[str, np.ndarray]:
-        """Gather, by primary key, the rows of every main a pinned input
-        (or, in turn, a gathered one) reaches along a foreign-key edge.
-
-        The rows are the visible ones whose key occurs on the source side
-        and that pass the alias' local and pushdown filters, ascending:
-        the rows the full scan followed by a semi-join with the source's
-        keys would keep.  Sources go smallest first.  A main whose pk array
-        does not map every row, or that has no more rows than the source,
-        is scanned instead.  Returns alias -> gathered rows.
-        """
-        found = dict(scans)
-        pending = set(scans)
-        while pending:
-            source = min(pending, key=lambda alias: (len(found[alias]), alias))
-            pending.discard(source)
-            source_rows = found[source]
-            if not len(source_rows):
-                break  # the subjoin is empty; nothing left worth probing
-            for edge_source, column, target, pk_column, table in pk_edges:
-                if edge_source != source or target in found:
-                    continue
-                main = combo.partitions[target]
-                if main.kind != "main" or len(source_rows) >= main.row_count:
-                    continue
-                pk_rows = table.pk_rows(main)
-                if pk_rows is None:
-                    continue
-                rows = pk_probe(
-                    combo.partitions[source], source_rows, column, main, pk_column, pk_rows
-                )
-                rows = rows[main.visible_at(snapshot, rows)]
-                filters = local_filters[target] + combo.extra_filters.get(target, [])
-                found[target] = filter_rows(target, main, rows, filters)
-                pending.add(target)
-        return {alias: rows for alias, rows in found.items() if alias not in scans}
-
-    def _scan(
-        self,
-        alias: str,
-        combo: ComboSpec,
-        local_filters: Dict[str, List[Expr]],
-        snapshot: int,
-        scan_memo: Dict[tuple, np.ndarray],
+        edge: _PkEdge,
+        source_rows: np.ndarray,
+        pk_rows: np.ndarray,
     ) -> np.ndarray:
-        partition = combo.partitions[alias]
-        extra = combo.extra_filters.get(alias, [])
-        fixed = combo.fixed_rows.get(alias)
-        key = (
-            alias,
-            id(partition),
-            tuple(sorted(e.canonical() for e in extra)),
-            _fixed_rows_key(fixed),
+        """The rows of ``edge.target``'s main whose primary key occurs among
+        ``source_rows``' keys, visible at the call's snapshot and passing
+        the alias' local and pushdown filters, ascending: the rows its full
+        scan semi-joined with the source would keep, found through the pk
+        array without touching the others."""
+        target = edge.target
+        main = combo.partitions[target]
+        rows = pk_probe(
+            combo.partitions[edge.source], source_rows, edge.column, main, edge.pk_column, pk_rows
         )
-        rows = scan_memo.get(key)
+        rows = rows[main.visible_at(call.snapshot, rows)]
+        filters = call.local_filters[target] + combo.extra_filters.get(target, [])
+        return filter_rows(target, main, rows, filters)
+
+    def _scan(self, call: "_Call", combo: ComboSpec, alias: str, key: tuple) -> np.ndarray:
+        """The alias' visible rows passing its local and pushdown filters
+        (its pinned ones, if pinned), memoized under ``key``."""
+        rows = call.scan_memo.get(key)
         if rows is None:
-            filters = local_filters[alias] + extra
+            partition = combo.partitions[alias]
+            fixed = combo.fixed_rows.get(alias)
+            filters = call.local_filters[alias] + combo.extra_filters.get(alias, [])
             if isinstance(fixed, RowRange):
-                visible = partition.visible_rows_in(snapshot, fixed.start, fixed.stop)
+                visible = partition.visible_rows_in(call.snapshot, fixed.start, fixed.stop)
                 rows = filter_rows(alias, partition, visible, filters)
             elif fixed is not None:
                 rows = filter_rows(alias, partition, fixed, filters)
             else:
-                rows = scan_partition(alias, partition, snapshot, filters)
-            scan_memo[key] = rows
+                rows = scan_partition(alias, partition, call.snapshot, filters)
+            call.scan_memo[key] = rows
         return rows
+
+    def _reduce(
+        self,
+        call: "_Call",
+        combo: ComboSpec,
+        scans: Dict[str, np.ndarray],
+        gather: Dict[str, Tuple[_PkEdge, np.ndarray]],
+    ) -> Dict[str, np.ndarray]:
+        """Sideways information passing: the rows of every input that can
+        join, read smallest input first.
+
+        Each input taken restricts every not yet taken join neighbour to
+        the rows whose key occurs among its own (possibly already reduced)
+        rows — :func:`~repro.query.operators.semi_join_reduce`, which
+        declines unless the two sides are skewed enough to pay — and reads
+        the mains it gathers by primary key (``gather``, see
+        :meth:`_gatherable`; the gathered rows go into ``scans`` too).  A
+        small input thus thins the whole chain of joins hanging off it.
+        Every join edge is a conjunctive inner equi-join whose NULL keys
+        never match, a reduction or a gather only drops rows that join
+        nothing on that edge, and survivors keep their order, so the subjoin
+        yields the identical tuple multiset from inputs sized by its
+        smallest side.  Returns a new mapping; an alias that was scanned and
+        not reduced keeps its (memoized) scan array *object*, which is how
+        callers tell the two apart.  Ties break on the alias name, never on
+        FROM order.  An empty input ends the walk: a gathered main not
+        reached by then is not read at all.
+        """
+        reduced = dict(scans)
+        pending = set(reduced)
+        taken = set()
+        while pending:
+            source = min(pending, key=lambda alias: (len(reduced[alias]), alias))
+            pending.discard(source)
+            taken.add(source)
+            if not len(reduced[source]):
+                break  # the subjoin is empty; nothing left worth reading
+            for edge in call.neighbours[source]:
+                target, target_column = edge.other(source)
+                if target in taken:
+                    continue
+                if target not in reduced:
+                    via, pk_rows = gather[target]
+                    if via.source == source and via.pk_column == target_column:
+                        rows = self._probe(call, combo, via, reduced[source], pk_rows)
+                        scans[target] = reduced[target] = rows
+                        pending.add(target)
+                    continue
+                reduced[target] = semi_join_reduce(
+                    combo.partitions[source], reduced[source], edge.side_for(source),
+                    combo.partitions[target], reduced[target], target_column,
+                )
+        return reduced
 
     def _execute_combo(
         self,
-        query: AggregateQuery,
-        residuals: List[Expr],
-        local_filters: Dict[str, List[Expr]],
-        pk_edges: List[Tuple[str, str, str, str, Table]],
-        snapshot: int,
+        call: "_Call",
         combo: ComboSpec,
         sign: int,
-        scan_memo: Dict[tuple, np.ndarray],
-        hash_memo: Dict[tuple, object],
         partial_factory,
         stats: Optional[ExecutionStats],
         span_sink: Optional[List[Span]],
@@ -358,10 +444,7 @@ class QueryExecutor:
         """
         sign *= combo.sign
         if span_sink is None:
-            return self._execute_combo_inner(
-                query, residuals, local_filters, pk_edges, snapshot, combo, sign,
-                scan_memo, hash_memo, partial_factory, stats, None,
-            )
+            return self._execute_combo_inner(call, combo, sign, partial_factory, stats, None)
         attrs: Dict[str, object] = {
             "combo": combo.describe(),
             "status": "evaluated",
@@ -377,10 +460,7 @@ class QueryExecutor:
         if sign != 1:
             attrs["sign"] = sign
         started = time.perf_counter()
-        partial = self._execute_combo_inner(
-            query, residuals, local_filters, pk_edges, snapshot, combo, sign,
-            scan_memo, hash_memo, partial_factory, stats, attrs,
-        )
+        partial = self._execute_combo_inner(call, combo, sign, partial_factory, stats, attrs)
         span_sink.append(Span(
             name="subjoin",
             start=started,
@@ -391,19 +471,14 @@ class QueryExecutor:
 
     def _execute_combo_inner(
         self,
-        query: AggregateQuery,
-        residuals: List[Expr],
-        local_filters: Dict[str, List[Expr]],
-        pk_edges: List[Tuple[str, str, str, str, Table]],
-        snapshot: int,
+        call: "_Call",
         combo: ComboSpec,
         sign: int,
-        scan_memo: Dict[tuple, np.ndarray],
-        hash_memo: Dict[tuple, object],
         partial_factory,
         stats: Optional[ExecutionStats],
         attrs: Optional[Dict[str, object]],
     ) -> Optional[GroupedAggregates]:
+        query = call.query
         missing = {ref.alias for ref in query.tables} - set(combo.partitions)
         if missing:
             raise QueryError(f"combo misses partitions for aliases {sorted(missing)}")
@@ -420,50 +495,49 @@ class QueryExecutor:
 
         # Read every input up front: the counts drive build-side selection,
         # and any empty input empties the join.  Inputs restricted to given
-        # rows (compensation terms) are read first, then the mains they
-        # reach by primary key are probed (``_probe``), then the rest are
-        # scanned (memoized across subjoins).  An empty pinned or probed
-        # input ends the subjoin before the scans run, and stands as its
-        # probe side.
+        # rows (compensation terms) are read first; an empty one ends the
+        # subjoin before the full scans run, and stands as its probe side.
+        # The mains they gather by primary key are read during the
+        # reduction (``_reduce``); the rest are scanned (memoized across
+        # subjoins).
+        keys = {ref.alias: _scan_key(ref.alias, combo) for ref in query.tables}
         scans: Dict[str, np.ndarray] = {}
-
-        def stop(alias: str):
-            if stats is not None:
-                stats.probe_sides.append(alias)
-            if attrs is not None:
-                attrs["rows_scanned"] = {a: len(r) for a, r in sorted(scans.items())}
-                attrs["probe_side"] = alias
-            return empty()
-
         for ref in query.tables:
-            if ref.alias in combo.fixed_rows:
-                rows = self._scan(ref.alias, combo, local_filters, snapshot, scan_memo)
-                scans[ref.alias] = rows
-                if not len(rows):
-                    return stop(ref.alias)
-        probed = self._probe(combo, local_filters, pk_edges, snapshot, scans) if scans else {}
-        if probed and attrs is not None:
-            attrs["probed"] = sorted(probed)
-        scans.update(probed)
-        for alias in sorted(probed):
-            if not len(probed[alias]):
-                return stop(alias)
+            if ref.alias not in combo.fixed_rows:
+                continue
+            rows = self._scan(call, combo, ref.alias, keys[ref.alias])
+            scans[ref.alias] = rows
+            if not len(rows):
+                if stats is not None:
+                    stats.probe_sides.append(ref.alias)
+                if attrs is not None:
+                    attrs["rows_scanned"] = {a: len(r) for a, r in sorted(scans.items())}
+                    attrs["probe_side"] = ref.alias
+                return empty()
+        gather = self._gatherable(call, combo, scans) if scans else {}
         for ref in query.tables:
-            if ref.alias not in scans:
-                scans[ref.alias] = self._scan(ref.alias, combo, local_filters, snapshot, scan_memo)
+            if ref.alias not in scans and ref.alias not in gather:
+                scans[ref.alias] = self._scan(call, combo, ref.alias, keys[ref.alias])
+        reduced = self._reduce(call, combo, scans, gather)
+        gathered = sorted(alias for alias in gather if alias in scans)
+        if gathered and attrs is not None:
+            attrs["probed"] = gathered
         row_counts = {alias: len(rows) for alias, rows in scans.items()}
-        reduced = _reduce_scans(query, combo, scans)
         reduced_counts = {alias: len(rows) for alias, rows in reduced.items()}
         # Runtime ordering ranks the *scanned* counts, so the semi-join
-        # reduction above never changes the plan.  A probed main has no scan
-        # count: it ranks by its row count, which bounds that count from
-        # above.  The plan is the scan path's unless another input's count
-        # falls between the two; then the probed main moves towards the
-        # probe side and the same tuples come out in another sequence, so
-        # group order and float summation order can differ from the scan
-        # path's (quantum-valued sums, as in every workload, stay exact).
+        # reduction above never changes the plan — the joined tuples come
+        # out in the same sequence with or without it, which keeps group
+        # order and float summation order bit-identical.  A gathered main
+        # has no scan count: it ranks by its row count, which bounds that
+        # count from above.  The plan is the scan path's unless another
+        # input's count falls between the two; then the gathered main moves
+        # towards the probe side and the same tuples come out in another
+        # sequence, so group order and float summation order can differ
+        # from the scan path's (quantum-valued sums, as in every workload,
+        # stay exact).  A gather an empty input cut short leaves its main
+        # unread; the subjoin is empty and is not joined.
         ranks = dict(row_counts)
-        ranks.update((alias, combo.partitions[alias].row_count) for alias in probed)
+        ranks.update((alias, combo.partitions[alias].row_count) for alias in gather)
         first, steps = choose_join_order(query, ranks)
         if stats is not None:
             stats.probe_sides.append(first)
@@ -484,26 +558,18 @@ class QueryExecutor:
             kernel = join_kernel(len(rows), provider.row_count())
             if attrs is not None:
                 attrs.setdefault("kernels", {})[step.alias] = kernel
-            if rows is not scans[step.alias] or step.alias in probed:
+            if rows is not scans[step.alias] or step.alias in gather:
                 # The memo key describes the partition's full scan; a table
-                # over this subjoin's reduced or probed rows must never be
+                # over this subjoin's reduced or gathered rows must never be
                 # shared.
                 table = build_hash_table(partition, rows, key_columns, kernel)
             else:
-                extra = combo.extra_filters.get(step.alias, [])
-                fixed = combo.fixed_rows.get(step.alias)
-                hash_key = (
-                    step.alias,
-                    id(partition),
-                    key_columns,
-                    tuple(sorted(e.canonical() for e in extra)),
-                    _fixed_rows_key(fixed),
-                    kernel,  # a table built for a small step never serves a large one
-                )
-                table = hash_memo.get(hash_key)
+                # A table built for a small step never serves a large one.
+                hash_key = (keys[step.alias], key_columns, kernel)
+                table = call.hash_memo.get(hash_key)
                 if table is None:
                     table = build_hash_table(partition, rows, key_columns, kernel)
-                    hash_memo[hash_key] = table
+                    call.hash_memo[hash_key] = table
             if not table:
                 return empty()
             probe_columns = [edge.other(step.alias) for edge in step.edges]
@@ -512,7 +578,7 @@ class QueryExecutor:
             )
             if provider.row_count() == 0:
                 return empty()
-        for residual in residuals:
+        for residual in call.residuals:
             mask = residual.evaluate(provider).astype(bool)
             provider = provider.select(mask)
             if provider.row_count() == 0:
@@ -524,43 +590,4 @@ class QueryExecutor:
         if attrs is not None:
             attrs["rows_aggregated"] = n
         return partial
-
-
-def _reduce_scans(
-    query: AggregateQuery, combo: ComboSpec, scans: Dict[str, np.ndarray]
-) -> Dict[str, np.ndarray]:
-    """Sideways information passing: semi-join-reduce skewed inputs.
-
-    Aliases are taken smallest-first; each one restricts every not yet taken
-    join neighbour to the rows whose key occurs among its own (possibly
-    already reduced) rows — :func:`~repro.query.operators.semi_join_reduce`,
-    which declines unless the two sides are skewed enough to pay.  A small
-    input thus thins the whole chain of joins hanging off it.  Every join
-    edge is a conjunctive inner equi-join whose NULL keys never match, a
-    reduction only drops rows that join nothing on that edge, and survivors
-    keep their order, so the subjoin yields the identical tuple multiset
-    from inputs sized by its smallest side.  Returns a new mapping; an alias
-    that was not reduced keeps its (memoized) scan array *object*, which is
-    how callers tell the two apart.  Ties break on the alias name, never on
-    FROM order.
-    """
-    reduced = dict(scans)
-    neighbours: Dict[str, List] = {alias: [] for alias in reduced}
-    for edge in query.join_edges:
-        for alias in edge.aliases():
-            neighbours[alias].append(edge)
-    pending = set(reduced)
-    while pending:
-        source = min(pending, key=lambda alias: (len(reduced[alias]), alias))
-        pending.discard(source)
-        if not len(reduced[source]):
-            break  # the subjoin is empty; nothing left worth reducing
-        for edge in neighbours[source]:
-            target, target_column = edge.other(source)
-            if target in pending:
-                reduced[target] = semi_join_reduce(
-                    combo.partitions[source], reduced[source], edge.side_for(source),
-                    combo.partitions[target], reduced[target], target_column,
-                )
-    return reduced
 

@@ -36,13 +36,13 @@ _SPARSE_RANGE_FACTOR = 4
 
 
 def _normalize(expr: Expr):
-    """Return (column name, op, literal value) for a Col-vs-Lit comparison."""
+    """Return (column, op, literal value) for a Col-vs-Lit comparison."""
     if not isinstance(expr, Cmp):
         return None
     if isinstance(expr.left, Col) and isinstance(expr.right, Lit):
-        return expr.left.name, expr.op, expr.right.value
+        return expr.left, expr.op, expr.right.value
     if isinstance(expr.left, Lit) and isinstance(expr.right, Col):
-        return expr.right.name, _FLIP[expr.op], expr.left.value
+        return expr.right, _FLIP[expr.op], expr.left.value
     return None
 
 
@@ -60,14 +60,13 @@ def fast_filter_mask(
     normalized = _normalize(expr)
     if normalized is None:
         return None
-    name, op, value = normalized
+    col, op, value = normalized
     if value is None:
         return None  # comparisons against NULL are all-false, but rare; fall back
-    refs = expr.column_refs()
-    if alias is not None and any(a not in (None, alias) for a, _ in refs):
+    if alias is not None and col.alias not in (None, alias):
         return None
     try:
-        fragment: ColumnFragment = partition.column(name)
+        fragment: ColumnFragment = partition.column(col.name)
     except Exception:
         return None
     codes = fragment.codes() if rows is None else fragment.codes_for(rows)
@@ -92,23 +91,33 @@ def fast_filter_mask(
             if op in ("<", "<="):
                 return (codes >= 0) & (codes < dictionary.rank(value, op == "<="))
             return codes >= dictionary.rank(value, op == ">")
-        table = dictionary.decode_table()
+        # An integer literal against integer values compares in int64, one
+        # vectorized compare; anything else compares Python objects.
+        values = dictionary.int_values() if _is_int64(value) else None
+        if values is None:
+            values = dictionary.decode_table()[:-1]
         if _SPARSE_RANGE_FACTOR * len(codes) < len(dictionary):
             # A handful of pinned rows (a compensation step's changed rows)
             # against a large unsorted dictionary: compare their own values.
             keep = codes != NULL_CODE
             out = np.zeros(len(codes), dtype=bool)
-            out[keep] = _compare(table[codes[keep]], op, value)
+            out[keep] = _compare(values[codes[keep]], op, value)
             return out
         # lut[code]; the trailing slot is NULL's -1, always false.
         lut = np.zeros(len(dictionary) + 1, dtype=bool)
-        lut[:-1] = _compare(table[:-1], op, value)
+        lut[:-1] = _compare(values, op, value)
     except TypeError:
         return None  # incomparable literal type; fall back to generic eval
     return lut[codes]
 
 
+def _is_int64(value) -> bool:
+    """Whether ``value`` is a plain ``int`` (not a ``bool``) inside int64."""
+    return type(value) is int and -(1 << 63) <= value < (1 << 63)
+
+
 def _compare(values: np.ndarray, op: str, value) -> np.ndarray:
     """``values <op> value`` elementwise over an object array (each element
-    compared by Python's own operator, as a row-at-a-time filter would)."""
+    compared by Python's own operator, as a row-at-a-time filter would) or
+    an int64 array with an int64 literal (exact either way)."""
     return np.asarray(_RANGE_OPS[op](values, value), dtype=bool)

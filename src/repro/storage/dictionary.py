@@ -44,12 +44,13 @@ def _build_decode_table(values: Sequence[object]) -> np.ndarray:
 class DeltaDictionary:
     """Unsorted, append-order dictionary for write-optimized partitions."""
 
-    __slots__ = ("_values", "_codes", "_decode_table")
+    __slots__ = ("_values", "_codes", "_decode_table", "_int_values")
 
     def __init__(self):
         self._values: List[object] = []
         self._codes: Dict[object, int] = {}
         self._decode_table: Optional[np.ndarray] = None
+        self._int_values = _UNSET
 
     def encode(self, value) -> int:
         """Return the code for ``value``, inserting it if unseen."""
@@ -120,13 +121,43 @@ class DeltaDictionary:
             table = self._decode_table = fresh
         return table
 
+    def int_values(self) -> Optional[np.ndarray]:
+        """Cached ``int64`` array of the values in code order (``array[code]``
+        is the value), or None once a value is not a plain ``int`` — not a
+        ``bool`` — inside int64 range.
+
+        Extended lazily after the dictionary grows, like
+        :meth:`decode_table`; callers must treat it as read-only.
+        """
+        ints = self._int_values
+        if ints is None:
+            return None
+        known = 0 if ints is _UNSET else len(ints)
+        fresh = self._values[known:]
+        if fresh or ints is _UNSET:
+            if not all(type(v) is int and _INT64_MIN <= v <= _INT64_MAX for v in fresh):
+                self._int_values = None
+                return None
+            grown = np.empty(known + len(fresh), dtype=np.int64)
+            grown[:known] = ints if known else ()
+            grown[known:] = fresh
+            ints = self._int_values = grown
+        return ints
+
     def min_value(self):
-        """Smallest stored value, or ``None`` for an empty dictionary."""
-        return min(self._values) if self._values else None
+        """Smallest stored value, or ``None`` for an empty dictionary
+        (integer values: one vectorized pass over :meth:`int_values`)."""
+        if not self._values:
+            return None
+        ints = self.int_values()
+        return min(self._values) if ints is None else int(ints.min())
 
     def max_value(self):
         """Largest stored value, or ``None`` for an empty dictionary."""
-        return max(self._values) if self._values else None
+        if not self._values:
+            return None
+        ints = self.int_values()
+        return max(self._values) if ints is None else int(ints.max())
 
     def nbytes(self) -> int:
         """Approximate heap bytes of the dictionary payload."""

@@ -127,12 +127,10 @@ class Table:
         # Primary-key index, in two parts (see ``rebuild_pk_index``): the
         # keys written since the last rebuild — locator of the live version,
         # or None once deleted — and per main, (the main, its pk
-        # dictionary's value -> code probe, code -> live row or -1, and that
-        # array again when it maps every row of the main, else None).
+        # dictionary's value -> code probe, code -> live row or -1, and
+        # whether that array maps every row of the main).
         self._pk_written: Dict[object, Optional[RowLocator]] = {}
-        self._pk_mains: List[
-            Tuple[Partition, Callable, memoryview, Optional[np.ndarray]]
-        ] = []
+        self._pk_mains: List[Tuple[Partition, Callable, memoryview, bool]] = []
         # Two monotonic change counters.  ``epoch`` moves on structural
         # changes only — a merge's partition swap, schema evolution, and
         # MD / consistent-aging registration — which change what a cached
@@ -364,9 +362,9 @@ class Table:
         and so has no array here; neither has a main the index was not
         built for.
         """
-        for indexed, _code_of, _rows, exact in self._pk_mains:
+        for indexed, _code_of, rows, exact in self._pk_mains:
             if indexed is main:
-                return exact
+                return np.asarray(rows) if exact else None
         return None
 
     def get_row(self, pk_value) -> Optional[Dict[str, object]]:
@@ -459,7 +457,7 @@ class Table:
             live = np.flatnonzero(group.main.dts_array() == LIVE)
             rows = np.full(len(fragment.dictionary), -1, dtype=np.int64)
             rows[fragment.codes()[live]] = live
-            exact = rows if np.count_nonzero(rows >= 0) == group.main.row_count else None
+            exact = bool(np.count_nonzero(rows >= 0) == group.main.row_count)
             # A memoryview reads one slot as a Python int, no numpy scalar.
             self._pk_mains.append(
                 (group.main, fragment.dictionary.code_map().get, memoryview(rows), exact)

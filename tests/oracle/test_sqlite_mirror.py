@@ -43,10 +43,9 @@ def probes(monkeypatch):
     fired = Counter()
     original = QueryExecutor._probe
 
-    def counting(self, *args):
-        found = original(self, *args)
-        fired.update(found.keys())
-        return found
+    def counting(self, call, combo, edge, *args):
+        fired[edge.target] += 1
+        return original(self, call, combo, edge, *args)
 
     monkeypatch.setattr(QueryExecutor, "_probe", counting)
     return fired

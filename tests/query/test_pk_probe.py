@@ -20,6 +20,7 @@ from repro.query import ComboSpec, QueryExecutor
 from repro.query import operators
 from repro.query.executor import RowRange
 from repro.query.operators import pk_probe
+from repro.query.sql import parse_sql
 from repro.storage import threshold_aging
 from tests.conftest import HEADER_ITEM_SQL, PROFIT_SQL, forget_memos, load_erp, make_erp_db
 from tests.query.test_kernel_parity import build_catalog, parity_query
@@ -40,10 +41,9 @@ def probed(monkeypatch):
     fired = []
     original = QueryExecutor._probe
 
-    def recording(self, *args):
-        found = original(self, *args)
-        fired.extend(found)
-        return found
+    def recording(self, call, combo, edge, *args):
+        fired.append(edge.target)
+        return original(self, call, combo, edge, *args)
 
     monkeypatch.setattr(QueryExecutor, "_probe", recording)
     return fired
@@ -51,7 +51,7 @@ def probed(monkeypatch):
 
 def scan_only(monkeypatch):
     """Take the probe out: every partner main is scanned and reduced."""
-    monkeypatch.setattr(QueryExecutor, "_probe", lambda self, *args: {})
+    monkeypatch.setattr(QueryExecutor, "_gatherable", lambda self, *args: {})
 
 
 def check(db, sql, fired, **read):
@@ -224,16 +224,36 @@ class TestExecutorParity:
         i_main, i_delta = item.partition("main"), item.partition("delta")
         rng = random.Random(seed)
         combos = [
-            ComboSpec({"h": h_main, "i": i_delta}, fixed_rows={"i": RowRange(0, i_delta.row_count)}),
             ComboSpec({"h": h_main, "i": i_delta}, fixed_rows={"i": RowRange(1, 3)}),
             ComboSpec(
                 {"h": h_main, "i": i_main},
                 fixed_rows={"i": np.array(sorted(rng.sample(range(i_main.row_count), 3)))},
                 sign=-1,
             ),
+            ComboSpec({"h": h_main, "i": i_delta}, fixed_rows={"i": RowRange(0, i_delta.row_count)}),
         ]
         gathered = QueryExecutor(catalog).execute(query, txn.latest_tid, combos=combos)
         assert "h" in probed
         scan_only(monkeypatch)
         scanned = QueryExecutor(catalog).execute(query, txn.latest_tid, combos=combos)
         assert sorted(gathered.finalize(), key=repr) == sorted(scanned.finalize(), key=repr)
+
+    def test_a_main_scanned_earlier_in_the_call_is_not_probed(self, monkeypatch, probed):
+        """Two terms share the header main: the first pins more item rows
+        than the main has and scans it; the second, pinned to two rows,
+        reduces that memoized scan instead of probing the main."""
+        db = merged_erp()
+        query = parse_sql(HEADER_ITEM_SQL)
+        snapshot = db.transactions.global_snapshot()
+        h_main = db.table("header").partition("main")
+        i_main = db.table("item").partition("main")
+        assert i_main.row_count > h_main.row_count
+        wide = ComboSpec({"h": h_main, "i": i_main}, fixed_rows={"i": RowRange(0, i_main.row_count)})
+        narrow = ComboSpec({"h": h_main, "i": i_main}, fixed_rows={"i": np.array([0, 4])}, sign=-1)
+        both = db.executor.execute(query, snapshot, combos=[wide, narrow])
+        assert probed == []
+        alone = db.executor.execute(query, snapshot, combos=[narrow])
+        assert probed == ["h"]
+        scan_only(monkeypatch)
+        assert both.finalize() == db.executor.execute(query, snapshot, combos=[wide, narrow]).finalize()
+        assert alone.finalize() == db.executor.execute(query, snapshot, combos=[narrow]).finalize()
