@@ -204,6 +204,7 @@ class _Call:
 
     query: AggregateQuery
     snapshot: int
+    aliases: frozenset
     residuals: List[Expr]
     local_filters: Dict[str, List[Expr]]
     neighbours: Dict[str, List[JoinEdge]]
@@ -299,7 +300,9 @@ class QueryExecutor:
                     pk_edges.append(
                         _PkEdge(source, edge.side_for(source), target, column, tables[target])
                     )
-        return _Call(query, snapshot, local.pop(None), local, neighbours, pk_edges)
+        return _Call(
+            query, snapshot, frozenset(neighbours), local.pop(None), local, neighbours, pk_edges
+        )
 
     def _gatherable(
         self, call: "_Call", combo: ComboSpec, scans: Dict[str, np.ndarray]
@@ -357,9 +360,13 @@ class QueryExecutor:
         filters = call.local_filters[target] + combo.extra_filters.get(target, [])
         return filter_rows(target, main, rows, filters)
 
-    def _scan(self, call: "_Call", combo: ComboSpec, alias: str, key: tuple) -> np.ndarray:
+    def _scan(
+        self, call: "_Call", combo: ComboSpec, alias: str, keys: Dict[str, tuple]
+    ) -> np.ndarray:
         """The alias' visible rows passing its local and pushdown filters
-        (its pinned ones, if pinned), memoized under ``key``."""
+        (its pinned ones, if pinned), memoized across the call under its
+        :func:`_scan_key`, which goes into ``keys``."""
+        key = keys[alias] = _scan_key(alias, combo)
         rows = call.scan_memo.get(key)
         if rows is None:
             partition = combo.partitions[alias]
@@ -479,7 +486,7 @@ class QueryExecutor:
         attrs: Optional[Dict[str, object]],
     ) -> Optional[GroupedAggregates]:
         query = call.query
-        missing = {ref.alias for ref in query.tables} - set(combo.partitions)
+        missing = call.aliases - combo.partitions.keys()
         if missing:
             raise QueryError(f"combo misses partitions for aliases {sorted(missing)}")
         if stats is not None:
@@ -500,12 +507,12 @@ class QueryExecutor:
         # The mains they gather by primary key are read during the
         # reduction (``_reduce``); the rest are scanned (memoized across
         # subjoins).
-        keys = {ref.alias: _scan_key(ref.alias, combo) for ref in query.tables}
+        keys: Dict[str, tuple] = {}
         scans: Dict[str, np.ndarray] = {}
         for ref in query.tables:
             if ref.alias not in combo.fixed_rows:
                 continue
-            rows = self._scan(call, combo, ref.alias, keys[ref.alias])
+            rows = self._scan(call, combo, ref.alias, keys)
             scans[ref.alias] = rows
             if not len(rows):
                 if stats is not None:
@@ -517,7 +524,7 @@ class QueryExecutor:
         gather = self._gatherable(call, combo, scans) if scans else {}
         for ref in query.tables:
             if ref.alias not in scans and ref.alias not in gather:
-                scans[ref.alias] = self._scan(call, combo, ref.alias, keys[ref.alias])
+                scans[ref.alias] = self._scan(call, combo, ref.alias, keys)
         reduced = self._reduce(call, combo, scans, gather)
         gathered = sorted(alias for alias in gather if alias in scans)
         if gathered and attrs is not None:

@@ -112,3 +112,30 @@ def test_property_fast_equals_generic(values, op, literal):
         rows = np.arange(part.row_count)
         generic = expr.evaluate(PartitionProvider(None, part, rows)).astype(bool)
         assert fast.tolist() == generic.tolist()
+
+
+@given(
+    st.lists(
+        st.one_of(st.none(), st.integers(-20, 20), st.sampled_from([1 << 63, -(1 << 64)])),
+        max_size=60,
+    ),
+    st.sampled_from(["<", "<=", ">", ">="]),
+    st.one_of(st.integers(-20, 20), st.sampled_from([1 << 63, -(1 << 64), 2.5, -0.5])),
+    st.data(),
+)
+def test_property_delta_range_on_pinned_rows_equals_generic(values, op, literal, data):
+    """Integer delta dictionaries compare in int64 — over all rows or a
+    pinned subset, whichever of the two table layouts the sizes pick —
+    exactly as decoded values do; wide ints and float literals fall back."""
+    part = make_delta(values)
+    expr = Cmp(op, Col("x"), Lit(literal))
+    rows = np.array(
+        sorted(data.draw(st.sets(st.integers(0, max(part.row_count - 1, 0)), max_size=part.row_count)))
+        if part.row_count else [],
+        dtype=np.int64,
+    )
+    for pinned in (None, rows):
+        fast = fast_filter_mask(expr, part, rows=pinned)
+        at = np.arange(part.row_count) if pinned is None else pinned
+        generic = expr.evaluate(PartitionProvider(None, part, at)).astype(bool)
+        assert fast.tolist() == generic.tolist()

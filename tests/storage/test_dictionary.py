@@ -1,5 +1,6 @@
 """Unit tests for delta and main dictionaries."""
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -49,6 +50,29 @@ class TestDeltaDictionary:
         d.encode(9)
         assert d.min_value() == 2
         assert d.max_value() == 9
+
+    def test_int_values_grow_with_the_dictionary(self):
+        d = DeltaDictionary()
+        assert d.int_values().tolist() == []
+        for value in (7, -3, 7, 12):
+            d.encode(value)
+        first = d.int_values()
+        assert first.dtype == np.int64 and first.tolist() == [7, -3, 12]
+        assert d.int_values() is first  # cached until the dictionary grows
+        d.encode(1 << 40)
+        assert d.int_values().tolist() == [7, -3, 12, 1 << 40]
+        assert type(d.min_value()) is int and d.min_value() == -3
+        assert type(d.max_value()) is int and d.max_value() == 1 << 40
+
+    @pytest.mark.parametrize("odd", ["x", 2.5, True, 1 << 63, -(1 << 63) - 1])
+    def test_int_values_refused_once_a_value_is_not_an_int64(self, odd):
+        d = DeltaDictionary()
+        d.encode(3)
+        assert d.int_values() is not None
+        d.encode(odd)
+        assert d.int_values() is None
+        d.encode(4)
+        assert d.int_values() is None
 
 
 class TestMainDictionary:
