@@ -250,6 +250,17 @@ _DENSE_MAP_LIMIT = 1 << 20
 _DENSE_ROWS_FACTOR = 8
 
 
+def _distinct(codes: np.ndarray) -> np.ndarray:
+    """The distinct ``codes``, ascending: a sort and an adjacent dedup
+    (``np.unique`` does the same through a several times slower path on
+    NumPy 2.x, and its ``return_inverse`` is a ``searchsorted`` of the
+    codes into this)."""
+    out = np.sort(codes)
+    keep = np.ones(len(out), dtype=bool)
+    np.not_equal(out[1:], out[:-1], out=keep[1:])
+    return out[keep]
+
+
 def _dense_range(size: int, rows: int) -> bool:
     """Whether a code range of ``size`` slots over ``rows`` inputs is dense."""
     return size <= _DENSE_ROWS_FACTOR * rows and size <= _DENSE_MAP_LIMIT
@@ -298,12 +309,7 @@ class _CodeKeySpace:
                 ucodes, lut = _rank_lut(codes, size)
                 ranks = lut[codes]
             else:
-                # Sort + adjacent dedup: np.unique without an inverse does
-                # the same through a several times slower path on NumPy 2.x.
-                ucodes = np.sort(codes)
-                distinct = np.ones(len(ucodes), dtype=bool)
-                np.not_equal(ucodes[1:], ucodes[:-1], out=distinct[1:])
-                ucodes = ucodes[distinct]
+                ucodes = _distinct(codes)
                 ranks = np.searchsorted(ucodes, codes)
             radix = int(len(ucodes))
             compact: Optional[np.ndarray] = None
@@ -421,7 +427,8 @@ def _bridge_codes(probe_fragment, probe_codes: np.ndarray, build_fragment) -> np
         return probe_codes
     m = len(probe_dict)
     if _SPARSE_BRIDGE_FACTOR * len(probe_codes) < m:
-        present, inverse = np.unique(probe_codes, return_inverse=True)
+        present = _distinct(probe_codes)
+        inverse = np.searchsorted(present, probe_codes)
         # NULL_CODE, if present, sorts first.
         start = int(len(present) > 0 and present[0] == NULL_CODE)
         lut = np.full(len(present), _NO_MATCH, dtype=np.int64)
@@ -512,11 +519,8 @@ def pk_probe(
         found = {pk_rows.item(code) for code in map(code_of, values) if code is not None}
         found.discard(-1)  # a dictionary value no row holds
         return np.array(sorted(found), dtype=np.int64)
-    # Distinct non-NULL codes: sort, then keep each first occurrence.
-    codes = np.sort(key_fragment.codes_for(key_rows))
-    keep = codes != NULL_CODE
-    np.logical_and(keep[1:], codes[1:] != codes[:-1], out=keep[1:])
-    codes = codes[keep]
+    codes = _distinct(key_fragment.codes_for(key_rows))
+    codes = codes[codes != NULL_CODE]
     if key_fragment.dictionary is not fragment.dictionary:
         codes = _translate_codes(key_fragment.dictionary, codes, fragment.dictionary)
         codes = codes[codes != _NO_MATCH]
