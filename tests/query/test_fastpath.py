@@ -116,17 +116,26 @@ def test_property_fast_equals_generic(values, op, literal):
 
 @given(
     st.lists(
-        st.one_of(st.none(), st.integers(-20, 20), st.sampled_from([1 << 63, -(1 << 64)])),
+        st.one_of(
+            st.none(),
+            st.integers(-20, 20),
+            st.sampled_from([(1 << 53) + 1, 1 << 63, -(1 << 64)]),
+        ),
         max_size=60,
     ),
     st.sampled_from(["<", "<=", ">", ">="]),
-    st.one_of(st.integers(-20, 20), st.sampled_from([1 << 63, -(1 << 64), 2.5, -0.5])),
+    st.one_of(
+        st.integers(-20, 20),
+        st.sampled_from([1 << 63, -(1 << 64), 2.5, -0.5, float(1 << 53)]),
+    ),
     st.data(),
 )
 def test_property_delta_range_on_pinned_rows_equals_generic(values, op, literal, data):
     """Integer delta dictionaries compare in int64 — over all rows or a
     pinned subset, whichever of the two table layouts the sizes pick —
-    exactly as decoded values do; wide ints and float literals fall back."""
+    exactly as decoded values do; wide ints and float literals fall back
+    (an int64 past 2**53 against a float literal is where a float64
+    compare would differ from Python's)."""
     part = make_delta(values)
     expr = Cmp(op, Col("x"), Lit(literal))
     rows = np.array(
@@ -139,3 +148,12 @@ def test_property_delta_range_on_pinned_rows_equals_generic(values, op, literal,
         at = np.arange(part.row_count) if pinned is None else pinned
         generic = expr.evaluate(PartitionProvider(None, part, at)).astype(bool)
         assert fast.tolist() == generic.tolist()
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+def test_delta_int_past_2_53_against_a_float_literal(op):
+    """A float64 compare would round 2**53 + 1 down to the literal."""
+    part = make_delta([(1 << 53) + 1, 3, None])
+    expr = Cmp(op, Col("x"), Lit(float(1 << 53)))
+    generic = expr.evaluate(PartitionProvider(None, part, np.arange(3))).astype(bool)
+    assert fast_filter_mask(expr, part).tolist() == generic.tolist()
