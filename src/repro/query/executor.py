@@ -283,7 +283,7 @@ class QueryExecutor:
                 grouped.merge(partial)
         return grouped
 
-    def _call(self, query: AggregateQuery, snapshot: int) -> "_Call":
+    def _call(self, query: AggregateQuery, snapshot: int) -> _Call:
         """What every subjoin of one ``execute`` call shares."""
         local: Dict[Optional[str], List[Expr]] = {ref.alias: [] for ref in query.tables}
         local[None] = []
@@ -305,7 +305,7 @@ class QueryExecutor:
         )
 
     def _gatherable(
-        self, call: "_Call", combo: ComboSpec, scans: Dict[str, np.ndarray]
+        self, call: _Call, combo: ComboSpec, scans: Dict[str, np.ndarray]
     ) -> Dict[str, Tuple[_PkEdge, np.ndarray]]:
         """The unpinned mains this subjoin gathers by primary key instead of
         scanning: alias -> (the edge from its pinned partner, the main's pk
@@ -340,7 +340,7 @@ class QueryExecutor:
 
     def _probe(
         self,
-        call: "_Call",
+        call: _Call,
         combo: ComboSpec,
         edge: _PkEdge,
         source_rows: np.ndarray,
@@ -361,7 +361,7 @@ class QueryExecutor:
         return filter_rows(target, main, rows, filters)
 
     def _scan(
-        self, call: "_Call", combo: ComboSpec, alias: str, keys: Dict[str, tuple]
+        self, call: _Call, combo: ComboSpec, alias: str, keys: Dict[str, tuple]
     ) -> np.ndarray:
         """The alias' visible rows passing its local and pushdown filters
         (its pinned ones, if pinned), memoized across the call under its
@@ -384,7 +384,7 @@ class QueryExecutor:
 
     def _reduce(
         self,
-        call: "_Call",
+        call: _Call,
         combo: ComboSpec,
         scans: Dict[str, np.ndarray],
         gather: Dict[str, Tuple[_PkEdge, np.ndarray]],
@@ -437,7 +437,7 @@ class QueryExecutor:
 
     def _execute_combo(
         self,
-        call: "_Call",
+        call: _Call,
         combo: ComboSpec,
         sign: int,
         partial_factory,
@@ -478,7 +478,7 @@ class QueryExecutor:
 
     def _execute_combo_inner(
         self,
-        call: "_Call",
+        call: _Call,
         combo: ComboSpec,
         sign: int,
         partial_factory,
