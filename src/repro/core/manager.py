@@ -707,13 +707,15 @@ class AggregateCacheManager:
         which older and newer readers see the same rows.
         """
         value = entry.value
+        width = len(plan.query.group_by)
+        if not width and not value.group_count():
+            return  # the ungrouped empty-state row: no slot holds it
         horizon = float("inf")
         for table in set(entry.tables.values()):
             for partition in table.partitions():
                 horizon = min(horizon, partition.min_stamp_after(snapshot))
         # The finished rows start with their group key; the key table maps
         # each to its slot in the value.
-        width = len(plan.query.group_by)
         order = ResultOrder(
             slots=value.slots_of(row[:width] for row in finished.rows),
             presentation=plan.query.presentation_key(),

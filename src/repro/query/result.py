@@ -12,7 +12,7 @@ import numbers
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import QueryError
-from .aggregates import GroupedAggregates
+from .aggregates import AggFunc, GroupedAggregates
 from .query import AggregateQuery, OrderItem
 
 
@@ -72,8 +72,13 @@ class QueryResult:
         query: AggregateQuery,
         grouped: GroupedAggregates,
     ) -> "QueryResult":
-        """Finalize grouped state and apply the query's ORDER BY / LIMIT."""
-        return cls.from_rows(query, grouped.finalize())
+        """Finalize grouped state and apply the query's HAVING / ORDER BY /
+        LIMIT.  Without GROUP BY and with no live group, SQL still answers
+        one row: COUNT (DISTINCT too) 0, every other aggregate NULL."""
+        rows = grouped.finalize()
+        if not rows and not query.group_by:
+            rows = [tuple(0 if s.func is AggFunc.COUNT else None for s in query.aggregates)]
+        return cls.from_rows(query, rows)
 
     @classmethod
     def from_rows(

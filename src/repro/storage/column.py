@@ -54,12 +54,15 @@ class ColumnFragment:
         """Bulk-build a read-optimized fragment from raw ``values``.
 
         Used where rows arrive decoded (checkpoint and snapshot restore):
-        the sorted main dictionary is created from the distinct values and
-        every row encoded against it in one batch lookup.  The delta merge
-        stays in code space and uses :meth:`from_codes` instead.
+        the non-NULL values are sorted and deduplicated by the merge's
+        :meth:`MainDictionary.encode`, which also codes every row.  The
+        delta merge stays in code space and uses :meth:`from_codes`.
         """
-        dictionary = MainDictionary(values)
-        codes = np.array(dictionary.lookup_many(values, NULL_CODE), dtype=np.int64)
+        objects = np.fromiter(values, dtype=object, count=len(values))
+        present = np.flatnonzero(np.not_equal(objects, None))
+        dictionary, present_codes = MainDictionary.encode(objects[present])
+        codes = np.full(len(objects), NULL_CODE, dtype=np.int64)
+        codes[present] = present_codes
         return cls.from_codes(name, dictionary, codes)
 
     @classmethod

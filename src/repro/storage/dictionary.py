@@ -7,8 +7,9 @@ the paper's storage model (Section 2):
 * :class:`DeltaDictionary` — write-optimized: values are appended in first-
   seen order, lookup is a hash map.  Used by delta partitions.
 * :class:`MainDictionary` — read-optimized: values are sorted, codes are
-  ranks.  Built in bulk during the delta merge.  Sorted order makes the
-  min/max needed by dynamic join pruning (Example 1 / Equation 5) O(1).
+  ranks.  Built in bulk by one stable sort during the delta merge.  Sorted
+  order makes the min/max needed by dynamic join pruning (Example 1 /
+  Equation 5) O(1).
 
 NULL is never stored in a dictionary; columns encode NULL as code ``-1``.
 """
@@ -16,35 +17,143 @@ NULL is never stored in a dictionary; columns encode NULL as code ``-1``.
 from __future__ import annotations
 
 import bisect
-from itertools import chain
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 NULL_CODE = -1
 
-_INT64_MIN, _INT64_MAX = -(1 << 63), (1 << 63) - 1
-
-#: ``MainDictionary._int_values`` before its first computation.
+#: ``int_values``' cache before its first computation.
 _UNSET = object()
 
 
-def _build_decode_table(values: Sequence[object]) -> np.ndarray:
-    """Dense decode LUT: ``table[code]`` is the value, ``table[-1]`` is None.
+def _int64_array(values: Sequence[object]) -> Optional[np.ndarray]:
+    """``values`` as an ``int64`` array, or None unless each is a plain
+    ``int`` — not a ``bool`` — inside int64 range.  Two C-level passes: the
+    set of the values' types, then the conversion, which overflows outside
+    the range."""
+    if not set(map(type, values)) <= {int}:
+        return None
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return None
 
-    The extra trailing slot lets ``NULL_CODE`` (-1) wrap to a None entry, so
-    a whole code vector decodes in one fancy-indexing operation without a
-    separate NULL branch.
+
+def _sort_distinct(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of ``values`` (an ``int64`` or object
+    array, no None) and each value's index among them, by one stable
+    argsort: a first-of-run mask over the sorted values and its ``cumsum``
+    number the runs.
+
+    Of ``==``-equal values (``1`` / ``1.0`` / ``True``, ``0.0`` / ``-0.0``)
+    the first in input order represents the run, as ``dict.fromkeys``
+    keeps it.  NaN equals nothing, so it would break runs and leave the
+    order undefined: every NaN sorts after the other values, as one value
+    represented by the first NaN.
     """
-    return np.fromiter(
-        chain(values, (None,)), dtype=object, count=len(values) + 1
-    )
+    nan = values != values if values.dtype == object else None
+    if nan is not None and nan.any():
+        regular = np.flatnonzero(~nan)
+        order = np.concatenate(
+            (regular[np.argsort(values[regular], kind="stable")], np.flatnonzero(nan))
+        )
+    else:
+        regular = order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.empty(len(ordered), dtype=bool)
+    first[:1] = True
+    first[1:] = ordered[1:] != ordered[:-1]
+    first[len(regular) + 1 :] = False  # the NaN run
+    codes = np.empty(len(ordered), dtype=np.int64)
+    codes[order] = np.cumsum(first) - 1
+    return ordered[first], codes
 
 
-class DeltaDictionary:
-    """Unsorted, append-order dictionary for write-optimized partitions."""
+class _Dictionary:
+    """What both flavours share: the values in code order, the value ->
+    code map and the cached arrays derived from the values."""
 
     __slots__ = ("_values", "_codes", "_decode_table", "_int_values")
+
+    def lookup(self, value) -> Optional[int]:
+        """Return the code for ``value`` or ``None`` if absent (NULL -> None)."""
+        if value is None:
+            return None
+        return self.code_map().get(value)
+
+    def lookup_many(self, values: Iterable[object], default: int) -> List[int]:
+        """Codes for a batch of values, ``default`` where absent or NULL."""
+        get = self.code_map().get
+        return [get(value, default) for value in values]
+
+    def code_map(self) -> Mapping[object, int]:
+        """The value -> code map itself, without NULL (read-only: callers
+        that probe it per key skip :meth:`lookup`'s call)."""
+        return self._codes
+
+    def decode(self, code: int):
+        """Return the value for ``code`` (``NULL_CODE`` -> None)."""
+        if code == NULL_CODE:
+            return None
+        return self._values[code]
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __contains__(self, value) -> bool:
+        return value in self.code_map()
+
+    def values(self) -> List[object]:
+        """The distinct values in code order (a copy)."""
+        return list(self._values)
+
+    def decode_table(self) -> np.ndarray:
+        """Cached decode LUT: ``table[code]`` -> value, ``table[-1]`` -> None.
+
+        The trailing slot lets ``NULL_CODE`` (-1) wrap to None, so a whole
+        code vector decodes in one fancy-indexing operation.  Extended
+        lazily after a delta dictionary grows — codes never change, so only
+        the new values are decoded.  Callers must treat the array as
+        read-only (a grown dictionary hands out a new one).
+        """
+        table = self._decode_table
+        size = len(self._values)
+        if table is None or len(table) != size + 1:
+            known = 0 if table is None else len(table) - 1
+            fresh = np.empty(size + 1, dtype=object)  # all None
+            fresh[:known] = table[:known] if known else ()
+            fresh[known:size] = np.fromiter(self._values[known:], object, size - known)
+            table = self._decode_table = fresh
+        return table
+
+    def int_values(self) -> Optional[np.ndarray]:
+        """Cached ``int64`` array of the values in code order (``array[code]``
+        is the value), or None once a value is not a plain ``int`` — not a
+        ``bool`` — inside int64 range.
+
+        It lets the merge sort integers as ``int64`` and two integer main
+        dictionaries translate codes with one ``searchsorted``.  Extended
+        lazily after a delta dictionary grows, like :meth:`decode_table`;
+        callers must treat it as read-only.
+        """
+        ints = self._int_values
+        if ints is None:
+            return None
+        known = 0 if ints is _UNSET else len(ints)
+        fresh = self._values[known:]
+        if fresh or ints is _UNSET:
+            fresh = _int64_array(fresh)
+            if fresh is not None and known:
+                fresh = np.concatenate((ints, fresh))
+            ints = self._int_values = fresh
+        return ints
+
+
+class DeltaDictionary(_Dictionary):
+    """Unsorted, append-order dictionary for write-optimized partitions."""
+
+    __slots__ = ()
 
     def __init__(self):
         self._values: List[object] = []
@@ -76,74 +185,6 @@ class DeltaDictionary:
                     codes[position] = self.encode(values[position])
         return codes
 
-    def lookup(self, value) -> Optional[int]:
-        """Return the code for ``value`` or ``None`` if absent (NULL -> None)."""
-        if value is None:
-            return None
-        return self._codes.get(value)
-
-    def lookup_many(self, values: Iterable[object], default: int) -> List[int]:
-        """Codes for a batch of values, ``default`` where absent or NULL."""
-        get = self._codes.get
-        return [get(value, default) for value in values]
-
-    def decode(self, code: int):
-        """Return the value for ``code`` (``NULL_CODE`` -> None)."""
-        if code == NULL_CODE:
-            return None
-        return self._values[code]
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, value) -> bool:
-        return value in self._codes
-
-    def values(self) -> List[object]:
-        """The distinct values in code order (a copy)."""
-        return list(self._values)
-
-    def decode_table(self) -> np.ndarray:
-        """Cached decode LUT: ``table[code]`` -> value, ``table[-1]`` -> None.
-
-        Extended lazily after the dictionary grows — codes never change, so
-        the old table's entries are copied and only the new values are
-        decoded.  Callers must treat the array as read-only (it is shared
-        across all decode calls; a grown dictionary hands out a new one).
-        """
-        table = self._decode_table
-        size = len(self._values)
-        if table is None or len(table) != size + 1:
-            known = 0 if table is None else len(table) - 1
-            fresh = np.empty(size + 1, dtype=object)
-            fresh[:known] = table[:known] if known else ()
-            fresh[known:] = _build_decode_table(self._values[known:])
-            table = self._decode_table = fresh
-        return table
-
-    def int_values(self) -> Optional[np.ndarray]:
-        """Cached ``int64`` array of the values in code order (``array[code]``
-        is the value), or None once a value is not a plain ``int`` — not a
-        ``bool`` — inside int64 range.
-
-        Extended lazily after the dictionary grows, like
-        :meth:`decode_table`; callers must treat it as read-only.
-        """
-        ints = self._int_values
-        if ints is None:
-            return None
-        known = 0 if ints is _UNSET else len(ints)
-        fresh = self._values[known:]
-        if fresh or ints is _UNSET:
-            if not all(type(v) is int and _INT64_MIN <= v <= _INT64_MAX for v in fresh):
-                self._int_values = None
-                return None
-            grown = np.empty(known + len(fresh), dtype=np.int64)
-            grown[:known] = ints if known else ()
-            grown[known:] = fresh
-            ints = self._int_values = grown
-        return ints
-
     def min_value(self):
         """Smallest stored value, or ``None`` for an empty dictionary
         (integer values: one vectorized pass over :meth:`int_values`)."""
@@ -167,99 +208,48 @@ class DeltaDictionary:
         return f"DeltaDictionary(size={len(self._values)})"
 
 
-class MainDictionary:
+class MainDictionary(_Dictionary):
     """Sorted dictionary for read-optimized main partitions.
 
     Codes are the ranks of the values in sorted order, which is what enables
-    order-preserving compressed scans in a real column store.  Built once
-    from the distinct values present at merge time.
+    order-preserving compressed scans in a real column store.  Built once,
+    by the merge or a restore, through :meth:`encode`'s one stable sort.
+    The value -> code map is built by its first user — the primary-key
+    index for a key column, a hash bridge or an equality filter otherwise —
+    so a column nobody looks a value up in never builds one.
     """
 
-    __slots__ = ("_values", "_codes", "_decode_table", "_int_values")
+    __slots__ = ()
 
     def __init__(self, values: Iterable[object] = ()):
-        distinct = set(v for v in values if v is not None)
-        self._values: List[object] = sorted(distinct)
-        self._codes: Dict[object, int] = {v: i for i, v in enumerate(self._values)}
-        self._decode_table: Optional[np.ndarray] = None
-        self._int_values = _UNSET
+        objects = np.fromiter((v for v in values if v is not None), dtype=object)
+        self._adopt(_sort_distinct(objects)[0])
 
     @classmethod
-    def from_sorted(cls, sorted_values: Sequence[object]) -> "MainDictionary":
-        """Build from an already-sorted, de-duplicated sequence (no checks)."""
-        out = cls()
-        out._values = list(sorted_values)
-        out._codes = {v: i for i, v in enumerate(out._values)}
-        return out
+    def encode(cls, values: np.ndarray) -> Tuple["MainDictionary", np.ndarray]:
+        """The dictionary of ``values`` — an ``int64`` or object array, no
+        NULL — and the code of each value (see :func:`_sort_distinct`)."""
+        distinct, codes = _sort_distinct(values)
+        dictionary = cls.__new__(cls)
+        dictionary._adopt(distinct)
+        return dictionary, codes
 
-    def lookup(self, value) -> Optional[int]:
-        """Return the code for ``value`` or ``None`` if absent (NULL -> None)."""
-        if value is None:
-            return None
-        return self._codes.get(value)
-
-    def lookup_many(self, values: Iterable[object], default: int) -> List[int]:
-        """Codes for a batch of values, ``default`` where absent or NULL."""
-        get = self._codes.get
-        return [get(value, default) for value in values]
+    def _adopt(self, distinct: np.ndarray) -> None:
+        self._values: List[object] = distinct.tolist()
+        self._codes: Optional[Dict[object, int]] = None
+        self._decode_table: Optional[np.ndarray] = None
+        self._int_values = distinct if distinct.dtype == np.int64 else _UNSET
 
     def code_map(self) -> Mapping[object, int]:
-        """The value -> code map itself, without NULL (read-only: callers
-        that probe it per key skip :meth:`lookup`'s call)."""
-        return self._codes
-
-    def decode(self, code: int):
-        """Return the value for ``code`` (``NULL_CODE`` -> None)."""
-        if code == NULL_CODE:
-            return None
-        return self._values[code]
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __contains__(self, value) -> bool:
-        return value in self._codes
-
-    def values(self) -> List[object]:
-        """The distinct values in code (= sorted) order (a copy)."""
-        return list(self._values)
+        codes = self._codes
+        if codes is None:
+            codes = self._codes = dict(zip(self._values, range(len(self._values))))
+        return codes
 
     def rank(self, value, right: bool = False) -> int:
         """How many values sort below ``value`` (``right``: or equal it) —
         the code where a range predicate's allowed interval starts or ends."""
         return (bisect.bisect_right if right else bisect.bisect_left)(self._values, value)
-
-    def decode_table(self) -> np.ndarray:
-        """Cached decode LUT: ``table[code]`` -> value, ``table[-1]`` -> None.
-
-        Main dictionaries are immutable between merges, so the LUT is built
-        once; callers must treat the array as read-only.
-        """
-        table = self._decode_table
-        if table is None or len(table) != len(self._values) + 1:
-            table = _build_decode_table(self._values)
-            self._decode_table = table
-        return table
-
-    def int_values(self) -> Optional[np.ndarray]:
-        """Cached sorted ``int64`` array of the values (``array[code]`` is
-        the value), or None unless every value is a plain ``int`` — not a
-        ``bool`` — inside int64 range.
-
-        It lets two integer dictionaries translate codes with one
-        ``searchsorted`` instead of a hash lookup per value.  Built once,
-        like :meth:`decode_table`; callers must treat it as read-only.
-        """
-        ints = self._int_values
-        if ints is _UNSET:
-            values = self._values
-            ints = None
-            if all(type(v) is int for v in values) and (
-                not values or (_INT64_MIN <= values[0] and values[-1] <= _INT64_MAX)
-            ):
-                ints = np.array(values, dtype=np.int64)
-            self._int_values = ints
-        return ints
 
     def min_value(self):
         """Smallest stored value (O(1) — first element), or ``None`` if empty."""

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from itertools import chain
 from typing import List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
@@ -43,6 +42,7 @@ from ..errors import StorageError
 from .column import ColumnFragment
 from .dictionary import NULL_CODE, MainDictionary
 from .partition import LIVE, Partition
+from .schema import ColumnDef, SqlType
 from .table import PartitionGroup, Table
 
 
@@ -260,9 +260,7 @@ def _build_group(
             moved += kept
         keeps.append(keep)
     fragments = {
-        col.name: _merge_column(
-            col.name, [p.column(col.name) for p in sources], keeps
-        )
+        col.name: _merge_column(col, [p.column(col.name) for p in sources], keeps)
         for col in table.schema
     }
     new_main = Partition.from_fragments(
@@ -277,40 +275,46 @@ def _build_group(
 
 
 def _merge_column(
-    name: str, fragments: Sequence[ColumnFragment], keeps: Sequence[np.ndarray]
+    column: ColumnDef, fragments: Sequence[ColumnFragment], keeps: Sequence[np.ndarray]
 ) -> ColumnFragment:
     """Merge one column of a group's partitions into a main fragment.
 
-    Four steps, none of them per row in Python:
+    Four steps, none of them per row or per value in Python:
 
     1. mark the codes the kept rows of each source reference (NULL's -1
-       lands in a trailing slot);
-    2. build the new sorted dictionary from exactly the marked values — an
-       unreferenced value must not survive, or the dictionary would grow
-       with every invalidated row.  Where sources hold ``==``-equal values
-       (``1`` / ``1.0``), the earliest source's representative is kept;
-    3. one old-code -> new-code table per source, |dictionary| lookups;
+       lands in a trailing slot) — an unreferenced value must not survive,
+       or the dictionary would grow with every invalidated row;
+    2. concatenate the referenced values, source by source — as ``int64``
+       when every source dictionary of an INT column has
+       :meth:`int_values`, else from the object decode tables — and sort
+       them once (:meth:`MainDictionary.encode`, a stable sort: of
+       ``==``-equal values, ``1`` / ``1.0``, the earliest source's is kept);
+    3. scatter each referenced old code's new code into one old-code ->
+       new-code table per source;
     4. one gather through that table per source, concatenated in source
        order.
     """
-    sources = []  # per fragment: (kept codes, referenced old codes, their values)
+    used_codes = []  # per fragment: (kept codes, referenced old codes)
     for fragment, keep in zip(fragments, keeps):
         codes = fragment.codes()[keep]
         used = np.zeros(len(fragment.dictionary) + 1, dtype=bool)
         used[codes] = True
-        present = np.flatnonzero(used[:-1])
-        values = fragment.dictionary.decode_table()[present].tolist()
-        sources.append((codes, present, values))
-    # A dict keeps the first of two equal keys.  The main's referenced
-    # values arrive sorted, so the sort is one merge of that run with the
-    # (short) delta runs.
-    distinct = dict.fromkeys(
-        chain.from_iterable(values for _codes, _present, values in sources)
+        used_codes.append((codes, np.flatnonzero(used[:-1])))
+    tables = [None]  # anything but INT takes the object path
+    if column.sql_type is SqlType.INT:
+        tables = [fragment.dictionary.int_values() for fragment in fragments]
+    if any(table is None for table in tables):
+        tables = [fragment.dictionary.decode_table() for fragment in fragments]
+    dictionary, new_codes = MainDictionary.encode(
+        np.concatenate(
+            [table[present] for table, (_codes, present) in zip(tables, used_codes)]
+        )
     )
-    dictionary = MainDictionary.from_sorted(sorted(distinct))
     remapped: List[np.ndarray] = []
-    for fragment, (codes, present, values) in zip(fragments, sources):
+    start = 0
+    for fragment, (codes, present) in zip(fragments, used_codes):
         remap = np.full(len(fragment.dictionary) + 1, NULL_CODE, dtype=np.int64)
-        remap[present] = dictionary.lookup_many(values, NULL_CODE)
+        remap[present] = new_codes[start : start + len(present)]
+        start += len(present)
         remapped.append(remap[codes])
-    return ColumnFragment.from_codes(name, dictionary, np.concatenate(remapped))
+    return ColumnFragment.from_codes(column.name, dictionary, np.concatenate(remapped))

@@ -79,6 +79,10 @@ def assert_mirrored(db: Database, statements) -> None:
             assert got == want, (strategy, sql)
 
 
+#: No row qualifies: without GROUP BY, SQL still answers one row.
+EMPTY_UNGROUPED = "SELECT COUNT(*), SUM(I.Price) FROM Item AS I WHERE I.Price < 0"
+
+
 def erp_statements(w: ErpWorkload):
     return [
         w.profit_and_loss_sql(2013),
@@ -86,6 +90,7 @@ def erp_statements(w: ErpWorkload):
         w.header_item_sql(),
         w.single_table_sql(),
         w.doc_type_sql(),
+        EMPTY_UNGROUPED,
     ]
 
 
@@ -115,6 +120,29 @@ def test_erp_history_matches_sqlite(seed, probes):
         if round_no % 2 == 0:
             db.merge()
     assert probes["H"]
+
+
+def test_empty_ungrouped_aggregate_answers_one_row():
+    """Under every strategy, also from a cached entry whose only group the
+    compensation empties and then the merge retires — and on the repeated
+    read that a remembered order would otherwise answer."""
+    db = Database()
+    workload = ErpWorkload(db, ErpConfig(items_per_header=2, seed=3))
+    workload.insert_objects(4)
+    db.merge()
+    one_item = "SELECT COUNT(*) AS n, SUM(I.Price), AVG(I.Price) FROM Item AS I WHERE I.ItemID = 1"
+    distinct = "SELECT COUNT(DISTINCT I.HeaderID), MAX(I.Price) FROM Item AS I WHERE I.ItemID = 1"
+    statements = [EMPTY_UNGROUPED, one_item, distinct]
+    assert_mirrored(db, statements)
+    assert db.query(EMPTY_UNGROUPED).rows == [(0, None)]
+    db.delete("Item", 1)
+    assert_mirrored(db, statements)
+    db.merge()
+    for _ in range(2):
+        assert_mirrored(db, statements)
+        assert db.query(one_item).rows == [(0, None, None)]
+    assert db.query(distinct).rows == [(0, None)]
+    assert db.query(one_item + " HAVING n > 0").rows == []
 
 
 @pytest.mark.parametrize("seed", [1])

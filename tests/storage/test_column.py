@@ -74,7 +74,7 @@ class TestMainFragment:
         assert frag.codes().tolist() == [1, -1, 1, 0, 1]
 
     def test_from_codes_adopts_dictionary_and_codes(self):
-        dictionary = MainDictionary.from_sorted(["a", "b"])
+        dictionary = MainDictionary(["b", "a"])
         codes = np.array([1, -1, 0], dtype=np.int64)
         frag = ColumnFragment.from_codes("c", dictionary, codes)
         assert frag.dictionary is dictionary

@@ -98,10 +98,29 @@ class TestMainDictionary:
         assert d.min_value() is None
         assert d.max_value() is None
 
-    def test_from_sorted(self):
-        d = MainDictionary.from_sorted([1, 2, 3])
+    def test_encode_codes_each_value(self):
+        d, codes = MainDictionary.encode(np.array([3, 1, 2, 1], dtype=np.int64))
+        assert d.values() == [1, 2, 3]
+        assert codes.tolist() == [2, 0, 1, 0]
+        assert d.int_values() is not None and d.int_values().tolist() == [1, 2, 3]
         assert d.lookup(2) == 1
         assert d.decode(0) == 1
+
+    def test_nan_sorts_last_as_one_value(self):
+        first, second = float("nan"), float("nan")
+        values = np.array([2.0, first, -1.0, second, 2.0], dtype=object)
+        d, codes = MainDictionary.encode(values)
+        assert len(d) == 3 and d.values()[:2] == [-1.0, 2.0] and d.values()[2] is first
+        assert codes.tolist() == [1, 2, 0, 2, 1]
+
+    @given(st.lists(st.one_of(
+        st.none(), st.integers(-2, 2), st.sampled_from([0.0, -0.0, 1.0, 2.5, True, False])
+    )))
+    def test_property_first_of_equal_values_is_kept(self, values):
+        """As ``sorted(dict.fromkeys(...))``: ``1`` / ``1.0`` / ``True`` and
+        ``0.0`` / ``-0.0`` are one value, the first seen represents it."""
+        want = sorted(dict.fromkeys(v for v in values if v is not None))
+        assert list(map(repr, MainDictionary(values).values())) == list(map(repr, want))
 
     def test_decode_null(self):
         d = MainDictionary([1])

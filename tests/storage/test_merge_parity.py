@@ -7,11 +7,18 @@ types* (``1`` / ``1.0`` / ``True`` collide under ``==``), code vectors,
 stamps, byte accounting, ``MergeStats`` and the primary-key lookup of
 every key ever written.
 
-The guard test pins the reason the merge was rewritten: on a table of any
-size it makes no per-row call into the storage classes.
+The guard tests pin the reasons the merge was rewritten: on a table of any
+size it makes no per-row call into the storage classes, and it looks no
+value up in a dictionary — the new one comes out of one stable sort.
+``MERGE_PARITY_EXAMPLES`` sets the property's example budget (CI's chaos
+job raises it).
 """
 
+import math
+import os
 from unittest import mock
+
+import numpy as np
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,6 +26,7 @@ from hypothesis import strategies as st
 from repro.storage import (
     ColumnDef,
     ColumnFragment,
+    DeltaDictionary,
     IntVector,
     MainDictionary,
     Partition,
@@ -97,13 +105,14 @@ def merge_and_compare(
 # ----------------------------------------------------------------------
 #: Value domains are small on purpose: duplicates, shared values between
 #: main and delta, and values whose last reference gets invalidated.
+NAN = float("nan")  # one object: a dictionary keeps it once, as ``dict`` does
 COLUMN_KINDS = {
     "int": (SqlType.INT, st.one_of(st.none(), st.integers(-3, 12))),
     # Under ``untyped_columns`` a column keeps what it is given, so equal
     # values of different type meet in one dictionary.
     "float": (
         SqlType.FLOAT,
-        st.sampled_from([None, 0, 0.0, False, 1, 1.0, True, 2.5]),
+        st.sampled_from([None, 0, 0.0, -0.0, False, 1, 1.0, True, 2.5, NAN]),
     ),
     "str": (SqlType.TEXT, st.sampled_from([None, "", "a", "ab", "b", "é"])),
     "null": (SqlType.INT, st.none()),
@@ -167,7 +176,7 @@ def make_table(history) -> Table:
 
 
 @settings(
-    max_examples=120,
+    max_examples=int(os.environ.get("MERGE_PARITY_EXAMPLES", "120")),
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
@@ -243,8 +252,79 @@ def test_equal_values_of_different_type_keep_the_earliest_source():
         assert [(v, type(v)) for v in values] == [(0.0, float), (True, bool)]
 
 
+def one_column_table(sql_type: SqlType) -> Table:
+    schema = Schema(
+        [ColumnDef("id", SqlType.INT, nullable=False), ColumnDef("v", sql_type)],
+        primary_key="id",
+    )
+    return Table("t", schema)
+
+
+def test_int64_extremes_keep_the_int64_path():
+    table = one_column_table(SqlType.INT)
+    low, high = -(1 << 63), (1 << 63) - 1
+    for key, value in enumerate([high, 0, low]):
+        table.insert({"id": key, "v": value}, tid=1)
+    merge_and_compare(table, 1, False, range(3))
+    table.insert({"id": 3, "v": high - 1}, tid=2)
+    table.insert({"id": 4, "v": low}, tid=2)
+    table.delete(1, tid=3)
+    merge_and_compare(table, 3, False, range(5))
+    ints = table.partition("main").column("v").dictionary.int_values()
+    assert ints.dtype == np.int64 and ints.tolist() == [low, high - 1, high]
+
+
+def test_an_int_beyond_int64_takes_the_object_path():
+    """The main has an ``int64`` array, the delta a Python int past int64:
+    the column merges from the decode tables, as Python ints."""
+    table = one_column_table(SqlType.INT)
+    for key, value in enumerate([5, -7, 1 << 62]):
+        table.insert({"id": key, "v": value}, tid=1)
+    merge_and_compare(table, 1, False, range(3))
+    assert table.partition("main").column("v").dictionary.int_values() is not None
+    table.insert({"id": 3, "v": 1 << 64}, tid=2)
+    table.insert({"id": 4, "v": -(1 << 63) - 1}, tid=2)
+    table.insert({"id": 5, "v": 5}, tid=2)
+    assert table.partition("delta").column("v").dictionary.int_values() is None
+    merge_and_compare(table, 2, False, range(6))
+    dictionary = table.partition("main").column("v").dictionary
+    assert dictionary.values() == [-(1 << 63) - 1, -7, 5, 1 << 62, 1 << 64]
+    assert {type(v) for v in dictionary.values()} == {int}
+    assert dictionary.int_values() is None
+    # Once the big values are gone, the column is int64 again.
+    table.delete(3, tid=3)
+    table.delete(4, tid=4)
+    merge_and_compare(table, 4, False, range(6))
+    assert table.partition("main").column("v").dictionary.int_values().tolist() == [
+        -7, 5, 1 << 62
+    ]
+
+
+def test_nan_and_signed_zero_match_the_oracle():
+    """``0.0 == -0.0``: the earliest source's zero represents both.  NaN
+    equals nothing, so it sorts after every other value, once."""
+    table = one_column_table(SqlType.FLOAT)
+    for key, value in enumerate([2.5, NAN, 0.0, None]):
+        table.insert({"id": key, "v": value}, tid=1)
+    merge_and_compare(table, 1, False, range(4))
+    for key, value in enumerate([-0.0, NAN, 1.0, -0.0], start=4):
+        table.insert({"id": key, "v": value}, tid=2)
+    merge_and_compare(table, 2, False, range(8))
+    values = table.partition("main").column("v").dictionary.values()
+    assert values[:3] == [0.0, 1.0, 2.5] and values[3] is NAN
+    assert math.copysign(1.0, values[0]) == 1.0  # the main's 0.0
+    # The merge coded every zero row as the main's 0.0; once no surviving
+    # main row refers to it, a delta's -0.0 takes over.
+    for key in (2, 4, 7):
+        table.delete(key, tid=3)
+    table.insert({"id": 8, "v": -0.0}, tid=4)
+    merge_and_compare(table, 4, False, range(9))
+    values = table.partition("main").column("v").dictionary.values()
+    assert math.copysign(1.0, values[0]) == -1.0 and values[-1] is NAN
+
+
 # ----------------------------------------------------------------------
-# the guard: no per-row call
+# the guards: no per-row call, no per-value lookup
 # ----------------------------------------------------------------------
 def test_merge_makes_no_per_row_call(monkeypatch):
     schema = Schema(
@@ -286,3 +366,50 @@ def test_merge_makes_no_per_row_call(monkeypatch):
     assert_pk_lookups(table, range(1200))
     assert table.get_row(0)["status"] == "void"
     assert table.get_row(1) is None
+
+
+def test_merge_looks_no_value_up(monkeypatch):
+    """An INT column of 10k distinct values merges without one dictionary
+    lookup, and only the key column builds its value -> code map (for the
+    primary-key index)."""
+    schema = Schema(
+        [
+            ColumnDef("id", SqlType.INT, nullable=False),
+            ColumnDef("v", SqlType.INT),
+            ColumnDef("s", SqlType.TEXT),
+        ],
+        primary_key="id",
+    )
+    table = Table("t", schema)
+    rows = [{"id": key, "v": 7 * key - 35_000, "s": str(key % 50)} for key in range(10_000)]
+    table.append_rows(table.check_rows(rows), tid=1)
+    merge_table(table, snapshot=1)
+    rows = [{"id": key, "v": -key, "s": "new"} for key in range(10_000, 10_500)]
+    table.append_rows(table.check_rows(rows), tid=2)
+    for key in range(0, 600, 3):
+        table.update(key, {"v": key}, tid=3)
+    for key in range(1, 600, 3):
+        table.delete(key, tid=4)
+
+    def per_value_call(*args, **kwargs):
+        raise AssertionError("per-value lookup during the merge")
+
+    want_main, _moved, _dropped = build_group_by_rows(table, table.group("default"), 4, False)
+    built = []
+    code_map = MainDictionary.code_map
+
+    def spy(self):
+        built.append(self)
+        return code_map(self)
+
+    monkeypatch.setattr(MainDictionary, "lookup_many", per_value_call)
+    monkeypatch.setattr(DeltaDictionary, "lookup_many", per_value_call)
+    monkeypatch.setattr(MainDictionary, "code_map", spy)
+    merge_table(table, snapshot=4)
+    monkeypatch.undo()
+
+    main = table.partition("main")
+    assert built == [main.column("id").dictionary]
+    assert type(main.column("v").dictionary._int_values) is np.ndarray  # from the sort
+    assert_same_partition(main, want_main)
+    assert_pk_lookups(table, range(10_500))
