@@ -13,8 +13,8 @@ silent versions swapped.  A :class:`DeltaMemo` captures one reusable state:
   silent versions swapped there;
 * ``watermarks`` — per partition, a :class:`Watermark`: the physical row
   count, the write ``version``, the rows visible at the anchor, whether
-  some row below the watermark carries a stamp above the anchor, and the
-  tid ranges of the rows below it.
+  some row below the watermark carries a stamp above the anchor, the tid
+  ranges of the rows below it, and the partition's invalidation epoch.
 
 A read at ``S ≥ anchor`` does not recompute ``C(S)``; it takes the
 *visibility step* ``C(S) − C(anchor)`` (:func:`visibility_step`).  Per
@@ -40,9 +40,12 @@ Equation 5, applied to row sets instead of whole partitions.
 
 Only a partition whose ``version`` moved since the memo (an append or an
 invalidation), or which is ``ahead``, can hold such rows, so the rest are
-never looked at.  ``ahead`` is all that is left of the *horizon* an earlier
-design bounded reuse with: a stamp above the anchor is just a row whose
-visibility a later step finds changed.  What no step can see is a stamp at
+never looked at.  Of a partition that was invalidated, the step reads the
+rows its stamp log (``Partition.stamp_log``) names past the watermark's
+epoch, not the stamps of every row below the watermark.  ``ahead`` is all
+that is left of the *horizon* an earlier design bounded reuse with: a stamp
+above the anchor is just a row whose visibility a later step finds
+changed.  What no step can see is a stamp at
 or *below* the anchor written after the memo was taken — an open
 transaction older than the memo's reader deleting a row, or that reader's
 own later write — because it changes the anchor's own state.  Rows only
@@ -107,10 +110,15 @@ class Watermark:
     #: ``(tid column, min, max)`` over the rows below ``rows``, for the
     #: columns step pruning reads (:meth:`VisibilityStep.specs`).
     tids: Tuple[Tuple[str, object, object], ...] = ()
+    #: ``Partition.invalidation_epoch`` when the mark was taken: the rows
+    #: stamped since are the stamp log's entries past it.  -1 when unknown
+    #: (a main whose stored visibility keeps rows its stamps hide).
+    epoch: int = -1
 
 
-#: A delta's watermark at birth: no row folded, the version of no append.
-_UNBORN = Watermark(0, 0, 0, False)
+#: A delta's watermark at birth: no row folded, the version of no append,
+#: every stamp in its log past the mark.
+_UNBORN = Watermark(0, 0, 0, False, (), 0)
 
 
 def _tids(partition: Partition, columns: Tuple[str, ...]) -> Tuple:
@@ -234,6 +242,7 @@ def birth_memo(entry: AggregateCacheEntry, plan=None) -> DeltaMemo:
             live,
             False,
             _tids(partition, columns.get(pid, ())),
+            entry.invalidation_epochs[alias],
         )
     return DeltaMemo(
         folded=entry.value.new_like(signed=True),
@@ -375,10 +384,13 @@ def visibility_step(
     ``"incremental"``.
     A partition that only grew keeps its prefix as the anchor left it: its
     new rows are one row range, read through the effective scan at
-    ``snapshot``.  A partition with an invalidation since the memo or a
-    stamp above the anchor has its prefix rows stamped above the anchor
-    compared at both snapshots; so has, once there is such a partition,
-    every row whose silent-version swap differs between them.
+    ``snapshot``.  A partition with an invalidation since the memo has the
+    prefix rows its stamp log names since the mark compared at both
+    snapshots; one that is ``ahead``, whose mark's epoch is unknown, or
+    whose log names a stamp at or below the anchor has its prefix rows
+    stamped above the anchor found by one pass over the prefix.  Once there
+    is such a partition, so has every row whose silent-version swap
+    differs between the two snapshots.
     """
     anchor = memo.anchor
     shifts: Dict[int, RowShift] = {}
@@ -417,7 +429,13 @@ def visibility_step(
             flipped = _NO_ROWS
         else:
             flipped = np.setxor1d(before, after, assume_unique=True)
-        if pid in stamped:
+        logged = _logged_since(partition, mark, anchor) if pid in stamped else None
+        if logged is not None:
+            # Only a row stamped since the mark can be visible at one of
+            # the two snapshots and not the other: the stamp log names them.
+            cts, dts = partition.cts_array(), partition.dts_array()
+            moved = np.union1d(logged, flipped) if len(flipped) else logged
+        elif pid in stamped:
             cts, dts = partition.cts_array()[:low], partition.dts_array()[:low]
             # The one pass over the prefix: only a row stamped above the
             # anchor can be visible at one of the two snapshots and not the
@@ -437,13 +455,16 @@ def visibility_step(
         then = _visible(moved_cts, moved_dts, anchor)
         now = _visible(moved_cts, moved_dts, snapshot)
         if pid in stamped:
-            # Rows visible at the anchor, counted again: outside ``moved`` a
-            # row is visible there exactly when it carries no ``dts``.
             seen_then, seen_now = int(np.count_nonzero(then)), int(np.count_nonzero(now))
-            live = low - int(np.count_nonzero(dts)) - len(moved)
-            live += int(np.count_nonzero(moved_dts)) + seen_then
-            if live != mark.live:
-                return None  # a stamp at or below the anchor landed since
+            live = mark.live
+            if logged is None:
+                # Rows visible at the anchor, counted again: outside
+                # ``moved`` a row is visible there exactly when it carries
+                # no ``dts``.
+                live = low - int(np.count_nonzero(dts)) - len(moved)
+                live += int(np.count_nonzero(moved_dts)) + seen_then
+                if live != mark.live:
+                    return None  # a stamp at or below the anchor landed since
             ahead = bool(np.any(moved_dts > snapshot)) or (
                 mark.ahead and bool(np.any(moved_cts > snapshot))
             )
@@ -481,7 +502,24 @@ def _extend(memo: DeltaMemo, pid: int, live: int, ahead: bool, snapshot: int) ->
         live += int(np.count_nonzero(partition.visible_mask(snapshot, low, rows)))
         ahead = ahead or partition.min_stamp_after(snapshot, low, rows) != _NONE
         tids = _tids(partition, memo.columns.get(pid, ()))
-    return Watermark(rows, partition.version, live, ahead, tids)
+    return Watermark(rows, partition.version, live, ahead, tids, partition.invalidation_epoch)
+
+
+def _logged_since(partition: Partition, mark: Watermark, anchor: int) -> Optional[np.ndarray]:
+    """The rows below ``mark`` stamped since it was taken, ascending, read
+    from the partition's stamp log: O(stamps), not O(rows).  None when the
+    log cannot tell and the prefix pass must look: the mark is ``ahead`` (a
+    row below it was stamped above the anchor before the mark), its epoch is
+    unknown, or a logged stamp lies at or below the anchor (the anchor's own
+    state changed; for a memo other than a birth memo the pass then finds
+    the ``live`` count off and the read steps from birth)."""
+    if mark.ahead or mark.epoch < 0:
+        return None
+    rows = partition.stamp_log.view()[mark.epoch:]
+    rows = rows[rows < mark.rows]
+    if len(rows) and bool((partition.dts_array()[rows] <= anchor).any()):
+        return None
+    return np.sort(rows)
 
 
 def _visible(cts: np.ndarray, dts: np.ndarray, snapshot: int) -> np.ndarray:

@@ -536,6 +536,7 @@ class AggregateCacheManager:
                 combos=plan.evaluated_specs(),
                 stats=report.executor_stats,
                 cancel=cancel,
+                compiled=plan.compiled,
             )
             if scan_span is not None:
                 scan_span.finish()
@@ -859,7 +860,7 @@ class AggregateCacheManager:
             if specs:
                 execute_effective(
                     self._executor, bound, txn.snapshot, specs, step.effective,
-                    comp, cancel=cancel,
+                    comp, cancel=cancel, compiled=plan.compiled,
                 )
             rows = sum(shift.rows_left() for shift in moved.values())
             elapsed = time.perf_counter() - comp_started
@@ -1278,6 +1279,7 @@ class AggregateCacheManager:
             stats=report.executor_stats,
             span_sink=span_sink,
             cancel=cancel,
+            compiled=plan.compiled,
         )
 
     def _delta_compensation_step(
@@ -1321,6 +1323,7 @@ class AggregateCacheManager:
                 inner if span_sink is not None else None,
                 stats=report.executor_stats,
                 cancel=cancel,
+                compiled=plan.compiled,
             )
         if span_sink is not None:
             self._synthesize_memo_spans(plan, spec_counts, inner, span_sink)
@@ -1471,7 +1474,8 @@ class AggregateCacheManager:
             specs = step.specs(entry.main_partitions, pruner=plan.pruner)
             specs += subjoin_step_specs(plan, step)[0]
             execute_effective(
-                self._executor, plan.query, snapshot, specs, step.effective, inc
+                self._executor, plan.query, snapshot, specs, step.effective, inc,
+                compiled=plan.compiled,
             )
         advanced = self._advance(route, snapshot, inc, plan.signature)
         if advanced is route.memo or self._install(route, advanced) is None:

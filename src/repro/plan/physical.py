@@ -26,7 +26,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..query.executor import ComboSpec, all_partition_combos, main_only_combos
+from ..query.executor import (
+    ComboSpec,
+    CompiledTerms,
+    all_partition_combos,
+    main_only_combos,
+)
 from ..query.expr import Expr
 from ..query.query import AggregateQuery
 from ..storage.catalog import Catalog
@@ -86,6 +91,9 @@ class PhysicalPlan:
     #: Star-join variant reduction: the tables pinned to their mains —
     #: part of the signature.
     excluded: Tuple[ExcludedTable, ...] = ()
+    #: What every subjoin of the statement shares, built with the skeleton
+    #: and kept by :meth:`Planner.reprune` (``execute(..., compiled=)``).
+    compiled: Optional[CompiledTerms] = None
 
     @property
     def query(self) -> AggregateQuery:
@@ -186,6 +194,7 @@ class Planner:
             logical=logical,
             strategy=strategy,
             excluded=self._exclusions(logical, strategy),
+            compiled=CompiledTerms(bound, self._catalog),
         )
         if not strategy.uses_cache or not logical.cacheable:
             plan.assignments = all_partition_combos(bound, self._catalog)

@@ -175,6 +175,34 @@ def _add(col: np.ndarray, at: np.ndarray, values: np.ndarray, sign: int) -> np.n
     return col
 
 
+def _fold_values(kind: int, col: np.ndarray, slots: np.ndarray, rows: Sequence[int],
+                 values: Sequence, sign: int, single: bool) -> np.ndarray:
+    """Fold ``values[r]`` (a row's value if ``single``, else a group's count
+    / set / extremum) into group ``slots[rows[r]]`` of ``col``, a component
+    of ``kind``, in order, on the states taken out as Python values; returns
+    the (possibly widened) column."""
+    states, nulls = col[slots].tolist(), False
+    for i, value in zip(rows, values):
+        if value is None:
+            nulls = True
+            continue
+        held = states[i]
+        if kind == _SUM or kind == _COUNT:
+            states[i] = held + (sign if kind == _COUNT and single else sign * value)
+        elif kind == _SET:
+            held.add(value) if single else held.update(value)
+        elif held is None or (value < held if kind == _MIN else value > held):
+            states[i] = value
+    if nulls:  # store only the groups a value reached
+        reached = sorted({i for i, value in zip(rows, values) if value is not None})
+        slots, states = slots[reached], [states[i] for i in reached]
+    if kind == _SUM and states:
+        states = _numbers(states)
+        col = _widened(col, states)
+    col[slots] = states
+    return col
+
+
 class GroupedAggregates:
     """Mutable grouped aggregation state supporting signed accumulation: the
     executor's sink, the *aggregate cache value* (computed on the mains), a
@@ -214,8 +242,27 @@ class GroupedAggregates:
             if j:
                 jobs += [(j, column), (j + 1, column)] if self._kinds[j] == _SUM else [(j, column)]
         for j, column in jobs:
-            self._fold_rows(j, slots, rows, column, sign, single=True)
+            self._cols[j] = _fold_values(self._kinds[j], self._cols[j], slots, rows, column, sign, True)
         self._retire(slots)
+
+    def fold_rows(self, keys: Sequence[GroupKey], agg_columns: Sequence, sign: int = 1) -> None:
+        """Fold rows into the groups as one contribution per group: each
+        group's rows are first reduced from zero in row order — the
+        components :meth:`accumulate` leaves in an empty state — and each
+        reduction is then added once with ``sign`` (:meth:`fold`).  Nothing
+        is written before every row is reduced."""
+        self._check_sign(sign)
+        groups: Dict[GroupKey, int] = {}
+        rows = [groups.setdefault(key, len(groups)) for key in keys]
+        every = np.arange(len(groups))
+        components = [np.bincount(rows, minlength=len(groups))]  # COUNT(*)
+        for (_func, _distinct, j), column in zip(self._renders, agg_columns):
+            if not j:
+                continue  # COUNT(*): counted above
+            for c in (j, j + 1) if self._kinds[j] == _SUM else (j,):
+                fresh = _fresh(self._kinds[c], len(groups))
+                components.append(_fold_values(self._kinds[c], fresh, every, rows, column, 1, True))
+        self.fold(groups, components, sign)
 
     def fold(self, keys: Iterable[GroupKey], components: Sequence, sign: int = 1) -> None:
         """Add pre-aggregated contributions of distinct groups straight into
@@ -231,7 +278,9 @@ class GroupedAggregates:
             elif self._kinds[j] == _COUNT:
                 self._cols[j][slots] += sign * part
             else:
-                self._fold_rows(j, slots, range(len(slots)), part, sign, single=False)
+                self._cols[j] = _fold_values(
+                    self._kinds[j], self._cols[j], slots, range(len(slots)), part, sign, False
+                )
         self._retire(slots)  # only the groups touched can have emptied
 
     def merge(self, other: "GroupedAggregates", sign: int = 1) -> None:
@@ -248,7 +297,7 @@ class GroupedAggregates:
             return
         if not self._slot and sign == 1:
             # The first fold into a fresh aggregate (a hit's cached value,
-            # an executor run's first partial): adopt a copy.
+            # a memo's folded compensation): adopt a copy.
             self._copy_from(other)
             if other.signed and not self.signed:
                 self._retire(self._live())
@@ -281,31 +330,6 @@ class GroupedAggregates:
                 grown = [np.concatenate(pair) for pair in zip(self._cols, grown)]
             self._keys, self._cols = keys, grown
         return np.array(slots, dtype=np.intp)
-
-    def _fold_rows(self, j: int, slots: np.ndarray, rows: Sequence[int], values: Sequence,
-                   sign: int, single: bool) -> None:
-        """Fold ``values[r]`` (a row's value if ``single``, else a group's
-        count / set / extremum) into group ``slots[rows[r]]`` of component
-        ``j`` in order, on the states taken out as Python values."""
-        kind, states, nulls = self._kinds[j], self._cols[j][slots].tolist(), False
-        for i, value in zip(rows, values):
-            if value is None:
-                nulls = True
-                continue
-            held = states[i]
-            if kind == _SUM or kind == _COUNT:
-                states[i] = held + (sign if kind == _COUNT and single else sign * value)
-            elif kind == _SET:
-                held.add(value) if single else held.update(value)
-            elif held is None or (value < held if kind == _MIN else value > held):
-                states[i] = value
-        if nulls:  # store only the groups a value reached
-            reached = sorted({i for i, value in zip(rows, values) if value is not None})
-            slots, states = slots[reached], [states[i] for i in reached]
-        if kind == _SUM and states:
-            states = _numbers(states)
-            self._cols[j] = _widened(self._cols[j], states)
-        self._cols[j][slots] = states
 
     def _retire(self, slots: np.ndarray) -> None:
         """Drop the empty groups among ``slots`` from the key table."""

@@ -21,10 +21,15 @@ over the inputs, smallest first (``_reduce``), gathers the pinned terms'
 mains and semi-join-reduces the rest by their smaller neighbours before
 anything is joined.
 
-Subjoins run one after another on the calling thread.  Each is evaluated
-into a fresh grouped partial that is merged into the result **in
-combination order**, so a query's float additions happen in one fixed
-order.
+Subjoins run one after another on the calling thread, **in combination
+order**.  Each reduces its joined rows per group and folds the reductions
+straight into the result, so a query's float additions happen in one fixed
+order: a group's partial sum first, then one add into the target.
+
+What the subjoins of a statement share — its filters split by alias, its
+join edges per alias and the edges ending in a primary key, and the join
+orders already chosen — is derived once per plan (:class:`CompiledTerms`,
+carried by the physical plan).
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import numpy as np
 
 from ..errors import QueryError
 from ..obs.trace import Span
-from ..plan.cost import choose_join_order
+from ..plan.cost import JoinStep, choose_join_order
 from ..plan.logical import Binder
 from ..storage.catalog import Catalog
 from ..storage.partition import Partition
@@ -194,21 +199,77 @@ class _PkEdge(NamedTuple):
     table: Table  # the target's
 
 
+#: Distinct row-count patterns whose join order one :class:`CompiledTerms`
+#: remembers; a statement meets a handful (two to four inputs).
+_JOIN_ORDER_PATTERNS = 64
+
+
+class CompiledTerms:
+    """What every subjoin of one bound statement shares, derived from the
+    statement and the catalog's tables alone: its filters split into
+    residual and per-alias local ones, its join edges per alias, the edges
+    that end in a primary key, and the join orders chosen so far.
+
+    The physical plan builds it once (``PhysicalPlan.compiled``) and keeps it
+    while its structure holds; callers without a plan have ``execute``
+    build one per call.  Shared by concurrent readers: only the join-order
+    memo changes, by single dict stores of equal values.
+    """
+
+    __slots__ = (
+        "query", "aliases", "residuals", "local_filters", "neighbours", "pk_edges",
+        "_from_order", "_orders",
+    )
+
+    def __init__(self, query: AggregateQuery, catalog: Catalog):
+        local: Dict[Optional[str], List[Expr]] = {ref.alias: [] for ref in query.tables}
+        local[None] = []
+        for expr in query.filters:
+            local[single_alias_of(expr)].append(expr)
+        neighbours: Dict[str, List[JoinEdge]] = {ref.alias: [] for ref in query.tables}
+        pk_edges: List[_PkEdge] = []
+        tables = {ref.alias: catalog.table(ref.table) for ref in query.tables}
+        for edge in query.join_edges:
+            for source in edge.aliases():
+                neighbours[source].append(edge)
+                target, column = edge.other(source)
+                if tables[target].schema.primary_key == column:
+                    pk_edges.append(
+                        _PkEdge(source, edge.side_for(source), target, column, tables[target])
+                    )
+        self.query = query
+        self.aliases = frozenset(neighbours)
+        self.residuals: List[Expr] = local.pop(None)
+        self.local_filters: Dict[str, List[Expr]] = local
+        self.neighbours = neighbours
+        self.pk_edges = pk_edges
+        self._from_order = tuple(ref.alias for ref in query.tables)
+        self._orders: Dict[tuple, Tuple[str, List[JoinStep]]] = {}
+
+    def join_order(self, counts: Dict[str, int]) -> Tuple[str, List[JoinStep]]:
+        """:func:`~repro.plan.cost.choose_join_order` over ``counts``,
+        memoized by their dense rank pattern in FROM order (ties kept):
+        the function only compares counts, so one pattern has one order.
+        At most ``_JOIN_ORDER_PATTERNS`` patterns are kept."""
+        row = [counts[alias] for alias in self._from_order]
+        rank = {count: i for i, count in enumerate(sorted(set(row)))}
+        key = tuple(map(rank.__getitem__, row))
+        order = self._orders.get(key)
+        if order is None:
+            order = choose_join_order(self.query, counts)
+            if len(self._orders) < _JOIN_ORDER_PATTERNS:
+                self._orders[key] = order
+        return order
+
+
 @dataclass
 class _Call:
-    """What every subjoin of one ``execute`` call shares: the bound query's
-    filters split into residual and per-alias local ones, its join edges
-    per alias, the edges that end in a primary key, and the call's memos —
-    scans and join-side hash tables repeat across subjoins that share a
-    partition, and live for this call only."""
+    """One ``execute`` call: the statement's compiled terms, the snapshot,
+    and the call's memos — scans and join-side hash tables repeat across
+    subjoins that share a partition, and live for this call only."""
 
-    query: AggregateQuery
+    terms: CompiledTerms
     snapshot: int
-    aliases: frozenset
-    residuals: List[Expr]
-    local_filters: Dict[str, List[Expr]]
-    neighbours: Dict[str, List[JoinEdge]]
-    pk_edges: List[_PkEdge]
     scan_memo: Dict[tuple, np.ndarray] = field(default_factory=dict)
     hash_memo: Dict[tuple, object] = field(default_factory=dict)
 
@@ -242,16 +303,22 @@ class QueryExecutor:
         stats: Optional[ExecutionStats] = None,
         span_sink: Optional[List[Span]] = None,
         cancel=None,
+        compiled: Optional[CompiledTerms] = None,
     ) -> GroupedAggregates:
         """Evaluate the union of the given subjoins into a grouped state.
 
         ``combos`` defaults to the full partition product.  ``into`` lets
         the aggregate cache fold compensation contributions into (a copy of)
         a cached value; ``sign=-1`` subtracts, for main compensation.
+        ``compiled`` is the statement's :class:`CompiledTerms` (a plan's
+        ``compiled``); without it, or for another statement, the call
+        derives its own.
 
-        Every subjoin is evaluated into a fresh partial which is merged into
-        the result **in combination order**; folding subjoins straight into
-        ``into`` would change the order of the float additions.
+        The subjoins fold into the result **in combination order**, each
+        straight into it with its sign: a subjoin reduces its rows per group
+        from zero before it writes to the result, then adds each group's
+        reduction once — the float additions of a partial merged into the
+        result, in the same order (``t + (-s)`` is ``t - s`` exactly).
 
         ``stats`` receives the counters and ``span_sink`` one trace
         :class:`Span` per evaluated subjoin (partition assignment, rows
@@ -265,44 +332,25 @@ class QueryExecutor:
         :class:`~repro.errors.QueryAborted` instead of running to
         completion.  An abort folds nothing further into ``into``.
         """
-        bound = self.bind(query)
+        if compiled is None or compiled.query is not query:
+            compiled = self.compile(query)
+        bound = compiled.query
         if combos is None:
             combos = [
                 ComboSpec(partitions)
                 for partitions in all_partition_combos(bound, self._catalog)
             ]
         grouped = into if into is not None else GroupedAggregates(bound.aggregates)
-        call = self._call(bound, snapshot)
+        call = _Call(compiled, snapshot)
         for combo in combos:
             if cancel is not None:
                 cancel.check()
-            partial = self._execute_combo(
-                call, combo, sign, grouped.new_like, stats, span_sink,
-            )
-            if partial is not None:
-                grouped.merge(partial)
+            self._execute_combo(call, combo, sign, grouped, stats, span_sink)
         return grouped
 
-    def _call(self, query: AggregateQuery, snapshot: int) -> _Call:
-        """What every subjoin of one ``execute`` call shares."""
-        local: Dict[Optional[str], List[Expr]] = {ref.alias: [] for ref in query.tables}
-        local[None] = []
-        for expr in query.filters:
-            local[single_alias_of(expr)].append(expr)
-        neighbours: Dict[str, List[JoinEdge]] = {ref.alias: [] for ref in query.tables}
-        pk_edges: List[_PkEdge] = []
-        tables = {ref.alias: self._catalog.table(ref.table) for ref in query.tables}
-        for edge in query.join_edges:
-            for source in edge.aliases():
-                neighbours[source].append(edge)
-                target, column = edge.other(source)
-                if tables[target].schema.primary_key == column:
-                    pk_edges.append(
-                        _PkEdge(source, edge.side_for(source), target, column, tables[target])
-                    )
-        return _Call(
-            query, snapshot, frozenset(neighbours), local.pop(None), local, neighbours, pk_edges
-        )
+    def compile(self, query: AggregateQuery) -> CompiledTerms:
+        """The :class:`CompiledTerms` of ``query``, bound first."""
+        return CompiledTerms(self.bind(query), self._catalog)
 
     def _gatherable(
         self, call: _Call, combo: ComboSpec, scans: Dict[str, np.ndarray]
@@ -319,7 +367,7 @@ class QueryExecutor:
         instead.  Of several pinned partners the smallest gathers.
         """
         found: Dict[str, Tuple[_PkEdge, np.ndarray]] = {}
-        for edge in call.pk_edges:
+        for edge in call.terms.pk_edges:
             if edge.source not in scans or edge.target in combo.fixed_rows:
                 continue
             main = combo.partitions[edge.target]
@@ -357,7 +405,7 @@ class QueryExecutor:
             combo.partitions[edge.source], source_rows, edge.column, main, edge.pk_column, pk_rows
         )
         rows = rows[main.visible_at(call.snapshot, rows)]
-        filters = call.local_filters[target] + combo.extra_filters.get(target, [])
+        filters = call.terms.local_filters[target] + combo.extra_filters.get(target, [])
         return filter_rows(target, main, rows, filters)
 
     def _scan(
@@ -371,7 +419,7 @@ class QueryExecutor:
         if rows is None:
             partition = combo.partitions[alias]
             fixed = combo.fixed_rows.get(alias)
-            filters = call.local_filters[alias] + combo.extra_filters.get(alias, [])
+            filters = call.terms.local_filters[alias] + combo.extra_filters.get(alias, [])
             if isinstance(fixed, RowRange):
                 visible = partition.visible_rows_in(call.snapshot, fixed.start, fixed.stop)
                 rows = filter_rows(alias, partition, visible, filters)
@@ -418,7 +466,7 @@ class QueryExecutor:
             taken.add(source)
             if not len(reduced[source]):
                 break  # the subjoin is empty; nothing left worth reading
-            for edge in call.neighbours[source]:
+            for edge in call.terms.neighbours[source]:
                 target, target_column = edge.other(source)
                 if target in taken:
                     continue
@@ -440,18 +488,16 @@ class QueryExecutor:
         call: _Call,
         combo: ComboSpec,
         sign: int,
-        partial_factory,
+        into: GroupedAggregates,
         stats: Optional[ExecutionStats],
         span_sink: Optional[List[Span]],
-    ) -> Optional[GroupedAggregates]:
-        """Evaluate one subjoin into a fresh partial grouped state.
-
-        Returns the partial, or None when the subjoin is empty; counts go
-        to ``stats`` and one span to ``span_sink`` (each when given).
-        """
+    ) -> None:
+        """Evaluate one subjoin and fold it into ``into``; counts go to
+        ``stats`` and one span to ``span_sink`` (each when given)."""
         sign *= combo.sign
         if span_sink is None:
-            return self._execute_combo_inner(call, combo, sign, partial_factory, stats, None)
+            self._execute_combo_inner(call, combo, sign, into, stats, None)
+            return
         attrs: Dict[str, object] = {
             "combo": combo.describe(),
             "status": "evaluated",
@@ -467,26 +513,26 @@ class QueryExecutor:
         if sign != 1:
             attrs["sign"] = sign
         started = time.perf_counter()
-        partial = self._execute_combo_inner(call, combo, sign, partial_factory, stats, attrs)
+        self._execute_combo_inner(call, combo, sign, into, stats, attrs)
         span_sink.append(Span(
             name="subjoin",
             start=started,
             duration=time.perf_counter() - started,
             attrs=attrs,
         ))
-        return partial
 
     def _execute_combo_inner(
         self,
         call: _Call,
         combo: ComboSpec,
         sign: int,
-        partial_factory,
+        into: GroupedAggregates,
         stats: Optional[ExecutionStats],
         attrs: Optional[Dict[str, object]],
-    ) -> Optional[GroupedAggregates]:
-        query = call.query
-        missing = call.aliases - combo.partitions.keys()
+    ) -> None:
+        terms = call.terms
+        query = terms.query
+        missing = terms.aliases - combo.partitions.keys()
         if missing:
             raise QueryError(f"combo misses partitions for aliases {sorted(missing)}")
         if stats is not None:
@@ -498,7 +544,6 @@ class QueryExecutor:
                 stats.combos_empty += 1
             if attrs is not None:
                 attrs["status"] = "empty"
-            return None
 
         # Read every input up front: the counts drive build-side selection,
         # and any empty input empties the join.  Inputs restricted to given
@@ -545,7 +590,7 @@ class QueryExecutor:
         # unread; the subjoin is empty and is not joined.
         ranks = dict(row_counts)
         ranks.update((alias, combo.partitions[alias].row_count) for alias in gather)
-        first, steps = choose_join_order(query, ranks)
+        first, steps = terms.join_order(ranks)
         if stats is not None:
             stats.probe_sides.append(first)
         if attrs is not None:
@@ -585,16 +630,14 @@ class QueryExecutor:
             )
             if provider.row_count() == 0:
                 return empty()
-        for residual in call.residuals:
+        for residual in terms.residuals:
             mask = residual.evaluate(provider).astype(bool)
             provider = provider.select(mask)
             if provider.row_count() == 0:
                 return empty()
-        partial = partial_factory()
-        n = aggregate_into(partial, provider, query.group_by, query.aggregates, sign)
+        n = aggregate_into(into, provider, query.group_by, query.aggregates, sign)
         if stats is not None:
             stats.rows_aggregated += n
         if attrs is not None:
             attrs["rows_aggregated"] = n
-        return partial
 

@@ -801,15 +801,18 @@ def aggregate_into(
     specs: Sequence[AggregateSpec],
     sign: int = 1,
 ) -> int:
-    """Fold the provider's tuples into ``grouped``; returns rows aggregated.
+    """Fold the provider's tuples into ``grouped`` with ``sign``; returns
+    rows aggregated.
 
-    Large self-maintainable aggregations take a vectorized path: rows are
-    grouped on dictionary *codes* (overflow-safe mixed-radix fold across the
-    group-by columns) and reduced per group before the grouped state is
-    touched once per group — the column-store way.  Inputs under
-    ``_SMALL_INPUT_ROWS``, MIN/MAX aggregations, and a forced ``rowloop``
-    kernel use the straightforward row loop.  Both paths produce
-    bit-identical grouped state.
+    Both paths reduce the rows per group from zero before ``grouped`` is
+    touched, then add each group's reduction once.  Large self-maintainable
+    aggregations take a vectorized path: rows are grouped on dictionary
+    *codes* (overflow-safe mixed-radix fold across the group-by columns) and
+    reduced per group by array operations — the column-store way.  Inputs
+    under ``_SMALL_INPUT_ROWS``, MIN/MAX aggregations, and a forced
+    ``rowloop`` kernel reduce in a row loop
+    (:meth:`~repro.query.aggregates.GroupedAggregates.fold_rows`).  Both
+    paths produce bit-identical grouped state.
     """
     n = provider.row_count()
     if n == 0:
@@ -835,7 +838,7 @@ def aggregate_into(
             agg_columns.append(empty)  # COUNT(*) ignores its value column
         else:
             agg_columns.append(spec.arg.evaluate(provider))
-    grouped.accumulate(keys, agg_columns, sign=sign)
+    grouped.fold_rows(keys, agg_columns, sign=sign)
     return n
 
 

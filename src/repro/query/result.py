@@ -73,12 +73,8 @@ class QueryResult:
         grouped: GroupedAggregates,
     ) -> "QueryResult":
         """Finalize grouped state and apply the query's HAVING / ORDER BY /
-        LIMIT.  Without GROUP BY and with no live group, SQL still answers
-        one row: COUNT (DISTINCT too) 0, every other aggregate NULL."""
-        rows = grouped.finalize()
-        if not rows and not query.group_by:
-            rows = [tuple(0 if s.func is AggFunc.COUNT else None for s in query.aggregates)]
-        return cls.from_rows(query, rows)
+        LIMIT (see :meth:`from_rows`)."""
+        return cls.from_rows(query, grouped.finalize())
 
     @classmethod
     def from_rows(
@@ -86,7 +82,11 @@ class QueryResult:
         query: AggregateQuery,
         rows: Sequence[Tuple],
     ) -> "QueryResult":
-        """Wrap pre-finalized rows, applying HAVING / ORDER BY / LIMIT."""
+        """Wrap pre-finalized rows, applying HAVING / ORDER BY / LIMIT.
+        Without GROUP BY and with no row, SQL still answers one row: COUNT
+        (DISTINCT too) 0, every other aggregate NULL."""
+        if not rows and not query.group_by:
+            rows = [tuple(0 if s.func is AggFunc.COUNT else None for s in query.aggregates)]
         columns = query.output_columns()
         if query.having is not None:
             rows = _apply_having(query.having, columns, rows)

@@ -32,10 +32,10 @@ class ColumnFragment:
         self.name = name
         self.dictionary: Dictionary = dictionary if dictionary is not None else DeltaDictionary()
         self._codes = IntVector()
-        # Cached (row_count, has_nulls) synopsis fact.  Code vectors are
-        # append-only (invalidation touches only MVCC stamps), so a cached
-        # verdict stays valid exactly while the length is unchanged.
-        self._null_state: Optional[tuple] = None
+        # (rows checked, has_nulls among them).  Code vectors are
+        # append-only (invalidation touches only MVCC stamps), so a NULL
+        # found stays found and only rows past those checked need a look.
+        self._null_state = (0, False)
 
     # ------------------------------------------------------------------
     # writes
@@ -131,14 +131,15 @@ class ColumnFragment:
 
         The dictionary ranges used for dynamic join pruning ignore NULLs;
         the pruner must know whether NULL rows exist when referential
-        integrity is not enforced (a NULL-tid row may still join).  The
-        verdict is cached per code-vector length (codes are append-only),
-        so repeated prune checks answer without scanning.
+        integrity is not enforced (a NULL-tid row may still join).  Codes
+        are append-only, so a cached True stands, and otherwise only the
+        rows appended since the last call are scanned.
         """
+        checked, verdict = self._null_state
         n_rows = len(self._codes)
-        if self._null_state is not None and self._null_state[0] == n_rows:
-            return self._null_state[1]
-        verdict = bool((self._codes.view() == NULL_CODE).any())
+        if verdict or checked == n_rows:
+            return verdict
+        verdict = bool((self._codes.view()[checked:] == NULL_CODE).any())
         self._null_state = (n_rows, verdict)
         return verdict
 

@@ -40,6 +40,20 @@ def _int64_array(values: Sequence[object]) -> Optional[np.ndarray]:
         return None
 
 
+def _grown(view: Optional[np.ndarray], need: int, dtype) -> np.ndarray:
+    """A buffer that starts with ``view``'s elements and has room for
+    ``need``: the buffer ``view`` slices when it is large enough, else a new
+    one of at least twice its capacity.  An object buffer's spare slots are
+    None."""
+    buffer = None if view is None else (view if view.base is None else view.base)
+    if buffer is not None and need <= len(buffer):
+        return buffer
+    grown = np.empty(need if buffer is None else max(2 * len(buffer), need), dtype=dtype)
+    if view is not None:
+        grown[: len(view)] = view
+    return grown
+
+
 def _sort_distinct(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """The sorted distinct values of ``values`` (an ``int64`` or object
     array, no None) and each value's index among them, by one stable
@@ -112,19 +126,22 @@ class _Dictionary:
         """Cached decode LUT: ``table[code]`` -> value, ``table[-1]`` -> None.
 
         The trailing slot lets ``NULL_CODE`` (-1) wrap to None, so a whole
-        code vector decodes in one fancy-indexing operation.  Extended
-        lazily after a delta dictionary grows — codes never change, so only
-        the new values are decoded.  Callers must treat the array as
-        read-only (a grown dictionary hands out a new one).
+        code vector decodes in one fancy-indexing operation.  After a delta
+        dictionary grows, the first call decodes only the new values, in
+        place, into a buffer of doubling capacity, and hands out a view of
+        it one slot longer than the values.  That slot is overwritten by
+        the next value added, so a view is only good until the dictionary
+        grows: reads hold the database's read lock and writes its write
+        lock, so no read holds a view across a write.  Callers must treat
+        the array as read-only.
         """
         table = self._decode_table
         size = len(self._values)
         if table is None or len(table) != size + 1:
             known = 0 if table is None else len(table) - 1
-            fresh = np.empty(size + 1, dtype=object)  # all None
-            fresh[:known] = table[:known] if known else ()
-            fresh[known:size] = np.fromiter(self._values[known:], object, size - known)
-            table = self._decode_table = fresh
+            buffer = _grown(table, size + 1, object)  # spare slots are None
+            buffer[known:size] = np.fromiter(self._values[known:], object, size - known)
+            table = self._decode_table = buffer[: size + 1]
         return table
 
     def int_values(self) -> Optional[np.ndarray]:
@@ -133,33 +150,41 @@ class _Dictionary:
         ``bool`` — inside int64 range.
 
         It lets the merge sort integers as ``int64`` and two integer main
-        dictionaries translate codes with one ``searchsorted``.  Extended
-        lazily after a delta dictionary grows, like :meth:`decode_table`;
-        callers must treat it as read-only.
+        dictionaries translate codes with one ``searchsorted``.  After a
+        delta dictionary grows, the first call converts only the new values,
+        in place, like :meth:`decode_table` — and like it, the view it
+        hands out is good until the dictionary grows.  Callers must treat it
+        as read-only.
         """
         ints = self._int_values
         if ints is None:
             return None
+        size = len(self._values)
         known = 0 if ints is _UNSET else len(ints)
-        fresh = self._values[known:]
-        if fresh or ints is _UNSET:
-            fresh = _int64_array(fresh)
-            if fresh is not None and known:
-                fresh = np.concatenate((ints, fresh))
-            ints = self._int_values = fresh
+        if known == size and ints is not _UNSET:
+            return ints
+        fresh = _int64_array(self._values[known:])
+        if fresh is None:
+            self._int_values = None
+            return None
+        buffer = _grown(None if ints is _UNSET else ints, size, np.int64)
+        buffer[known:size] = fresh
+        ints = self._int_values = buffer[:size]
         return ints
 
 
 class DeltaDictionary(_Dictionary):
     """Unsorted, append-order dictionary for write-optimized partitions."""
 
-    __slots__ = ()
+    __slots__ = ("_bounds",)
 
     def __init__(self):
         self._values: List[object] = []
         self._codes: Dict[object, int] = {}
         self._decode_table: Optional[np.ndarray] = None
         self._int_values = _UNSET
+        #: (values covered, min, max): the running bounds of :meth:`_range`.
+        self._bounds: Tuple[int, object, object] = (0, None, None)
 
     def encode(self, value) -> int:
         """Return the code for ``value``, inserting it if unseen."""
@@ -186,19 +211,36 @@ class DeltaDictionary(_Dictionary):
         return codes
 
     def min_value(self):
-        """Smallest stored value, or ``None`` for an empty dictionary
-        (integer values: one vectorized pass over :meth:`int_values`)."""
-        if not self._values:
-            return None
-        ints = self.int_values()
-        return min(self._values) if ints is None else int(ints.min())
+        """Smallest stored value, or ``None`` for an empty dictionary."""
+        return self._range()[0] if self._values else None
 
     def max_value(self):
         """Largest stored value, or ``None`` for an empty dictionary."""
-        if not self._values:
-            return None
+        return self._range()[1] if self._values else None
+
+    def _range(self) -> Tuple[object, object]:
+        """``(min, max)`` of the values, kept as the dictionary grows: the
+        values added since the last call are folded into the bounds of the
+        ones before them — integers by one vectorized pass over their slice
+        of :meth:`int_values`, anything else in Python, continuing the left
+        fold ``min`` / ``max`` over the whole list would take.  A read after
+        a write costs O(new values)."""
+        known, low, high = self._bounds
+        size = len(self._values)
+        if known == size:
+            return low, high
         ints = self.int_values()
-        return max(self._values) if ints is None else int(ints.max())
+        if ints is not None:
+            fresh = ints[known:]
+            fresh_low, fresh_high = int(fresh.min()), int(fresh.max())
+            low = fresh_low if not known else min(low, fresh_low)
+            high = fresh_high if not known else max(high, fresh_high)
+        else:
+            fresh = self._values[known:]
+            low = min(fresh) if not known else min(low, *fresh)
+            high = max(fresh) if not known else max(high, *fresh)
+        self._bounds = (size, low, high)
+        return low, high
 
     def nbytes(self) -> int:
         """Approximate heap bytes of the dictionary payload."""

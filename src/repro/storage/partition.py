@@ -123,10 +123,12 @@ class Partition:
         self.lineage: Optional[LineageLog] = (
             LineageLog() if kind == "delta" else None
         )
-        # Monotonic count of invalidations ever applied to this partition.
-        # Cache entries snapshot it to detect "nothing was invalidated since
-        # entry creation" in O(1), skipping the visibility diff entirely.
-        self.invalidation_epoch = 0
+        #: The rows :meth:`invalidate` stamped since the partition was
+        #: built, in stamp order.  Its length is the invalidation epoch; the
+        #: delta memo reads the entries past its mark instead of the stamps
+        #: of every row below it.  Like the pk index it is bookkeeping, not
+        #: stored data, so :meth:`nbytes` leaves it out.
+        self.stamp_log = IntVector()
         # Monotonic write counter: bumped on every append and invalidation.
         # The resident synopsis below is keyed on it.
         self.version = 0
@@ -218,8 +220,15 @@ class Partition:
                 f"row {row} in partition {self.name!r} is already invalidated"
             )
         self._dts[row] = dts
-        self.invalidation_epoch += 1
+        self.stamp_log.append(row)
         self.version += 1
+
+    @property
+    def invalidation_epoch(self) -> int:
+        """Invalidations applied since the partition was built (the stamp
+        log's length).  Cache entries snapshot it to detect "nothing was
+        invalidated since entry creation" in O(1)."""
+        return len(self.stamp_log)
 
     # ------------------------------------------------------------------
     # row access

@@ -15,6 +15,7 @@ import random
 import pytest
 
 from repro import CacheConfig, Database, ExecutionStrategy
+from repro.core import delta_memo
 from repro.core.delta_memo import subjoin_step_specs, visibility_step
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, forget_memos, load_erp, make_erp_db
@@ -317,6 +318,116 @@ class TestInvalidationMatrix:
             "stale",
         )
         assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
+
+
+@pytest.fixture
+def log_reads(monkeypatch):
+    """Every answer the stamp log gave a step: (partition kind, the mark's
+    epoch, its ``ahead``, the rows named — None sends it to the prefix pass)."""
+    seen = []
+    real = delta_memo._logged_since
+
+    def spy(partition, mark, anchor):
+        rows = real(partition, mark, anchor)
+        seen.append((partition.kind, mark.epoch, mark.ahead, rows))
+        return rows
+
+    monkeypatch.setattr(delta_memo, "_logged_since", spy)
+    return seen
+
+
+class TestStampLog:
+    """A stamped partition's step reads the rows its stamp log names past
+    the mark's epoch; the prefix pass is left for an ``ahead`` mark, an
+    unknown epoch and a logged stamp at or below the anchor."""
+
+    def test_a_main_delete_after_the_memo_is_read_from_the_log(self, erp_db, log_reads):
+        erp_db.query(PROFIT_SQL, strategy=FULL)
+        erp_db.query(PROFIT_SQL, strategy=FULL)  # the memo is installed
+        erp_db.delete("item", 3)
+        erp_db.update("item", 4, {"price": 0.75})
+        result = erp_db.query(PROFIT_SQL, strategy=FULL)
+        assert result.report.delta_memo_mode == "incremental"
+        assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
+        main = erp_db.table("item").partition("main")
+        ((kind, epoch, ahead, rows),) = log_reads
+        assert (kind, epoch, ahead) == ("main", 0, False)
+        assert rows.tolist() == main.stamp_log.view().tolist() == sorted(rows.tolist())
+        assert len(rows) == 2 and result.report.invalidated_rows_compensated == 2
+
+    def test_a_stamp_below_the_anchor_takes_the_prefix_pass_and_steps_from_birth(
+        self, erp_db, log_reads
+    ):
+        erp_db.query(PROFIT_SQL, strategy=FULL)
+        writer = erp_db.begin()  # older than the next read's anchor
+        _grow_item(erp_db)
+        erp_db.query(PROFIT_SQL, strategy=FULL)  # steps the memo past it
+        log_reads.clear()
+        erp_db.delete("item", 2, txn=writer)  # a main row, dts below the anchor
+        writer.commit()
+        result = erp_db.query(PROFIT_SQL, strategy=FULL)
+        assert (result.report.delta_memo_mode, result.report.delta_memo_reason) == (
+            "full",
+            "stale",
+        )
+        assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
+        # The memo's step found the stamp at or below its anchor in the log;
+        # the step from birth, anchored below the writer, reads the log.
+        (refused, from_birth) = log_reads
+        assert refused[:3] == ("main", 0, False) and refused[3] is None
+        assert from_birth[3] is not None and len(from_birth[3]) == 1
+
+    def test_an_ahead_memo_takes_the_prefix_pass(self, erp_db, log_reads):
+        erp_db.query(PROFIT_SQL, strategy=FULL)
+        txn = erp_db.begin()
+        erp_db.delete("item", 100 * 100)  # a delta row, dts above txn's snapshot
+        result = erp_db.query(PROFIT_SQL, strategy=FULL, txn=txn)
+        assert result.rows == _uncached_rows(erp_db, PROFIT_SQL, txn=txn)
+        assert log_reads[-1][2:] != (False, None)  # read from the log
+        txn.commit()
+        log_reads.clear()
+        result = erp_db.query(PROFIT_SQL, strategy=FULL)
+        assert result.report.delta_memo_mode == "incremental"
+        assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
+        assert [(kind, ahead, rows) for kind, _epoch, ahead, rows in log_reads] == [
+            ("delta", True, None)
+        ]
+
+    def test_an_unknown_epoch_after_merge_maintenance_takes_the_prefix_pass(
+        self, erp_db, log_reads
+    ):
+        erp_db.cache.config.star_join_reduction = False
+        erp_db.query(PROFIT_SQL, strategy=FULL)
+        erp_db.update("category", 0, {"lang": "GER"})  # silent: revives cat0
+        erp_db.merge("item")
+        (entry,) = erp_db.cache.entries()
+        assert entry.invalidation_epochs["d"] == -1
+        log_reads.clear()
+        result = erp_db.query(PROFIT_SQL, strategy=FULL)
+        assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
+        assert ("main", -1, False, None) in log_reads
+        erp_db.delete("category", 1)
+        result = erp_db.query(PROFIT_SQL, strategy=FULL)
+        assert result.rows == _uncached_rows(erp_db, PROFIT_SQL)
+
+    def test_a_merged_main_starts_with_an_empty_log(self, erp_db):
+        erp_db.delete("item", 1)
+        erp_db.update("item", 5, {"price": 2.0})
+        main = erp_db.table("item").partition("main")
+        assert main.invalidation_epoch == len(main.stamp_log) == 2
+        erp_db.merge()
+        main = erp_db.table("item").partition("main")
+        assert main.invalidation_epoch == len(main.stamp_log) == 0
+        assert erp_db.table("item").partition("delta").invalidation_epoch == 0
+
+    def test_invalidations_leave_nbytes_unchanged(self, erp_db):
+        item = erp_db.table("item")
+        main, delta = item.partition("main"), item.partition("delta")
+        before = main.nbytes(), delta.nbytes()
+        erp_db.delete("item", 1)
+        erp_db.delete("item", 100 * 100)
+        assert (main.invalidation_epoch, delta.invalidation_epoch) == (1, 1)
+        assert (main.nbytes(), delta.nbytes()) == before
 
 
 class TestBypasses:

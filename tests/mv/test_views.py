@@ -141,6 +141,19 @@ class TestLazyView:
         db.delete("sales", 1)
         assert view.read().rows == []
 
+    @pytest.mark.parametrize("view_class", [EagerIncrementalView, LazyIncrementalView])
+    def test_empty_ungrouped_aggregate_answers_one_row(self, view_class):
+        """As ``db.query``: COUNT 0 and SUM NULL over no row, before any
+        write and after the only row is deleted again."""
+        sql = "SELECT COUNT(*) AS n, SUM(s.price) AS total FROM sales AS s"
+        db = make_db()
+        view = view_class(db, sql)
+        assert view.read().rows == [(0, None)] == db.query(sql).rows
+        db.insert("sales", {"sid": 1, "cat": "a", "price": 2.0})
+        assert view.read().rows == [(1, 2.0)] == db.query(sql).rows
+        db.delete("sales", 1)
+        assert view.read().rows == [(0, None)] == db.query(sql).rows
+
     def test_apply_pending_explicit(self):
         db = make_db()
         view = LazyIncrementalView(db, SQL)

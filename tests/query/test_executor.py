@@ -449,18 +449,14 @@ class TestCancellation:
         token = CancelToken()
         aggregated = []
         real_aggregate = executor_module.aggregate_into
-        real_merge = executor_module.GroupedAggregates.merge
 
-        def counting_aggregate(*args):
+        def aggregate_then_cancel(*args):
             aggregated.append(args)
-            return real_aggregate(*args)
-
-        def merge_then_cancel(self, other, *args, **kwargs):
-            real_merge(self, other, *args, **kwargs)
+            folded = real_aggregate(*args)  # the subjoin is in the result now
             token.cancel("after the first subjoin")
+            return folded
 
-        monkeypatch.setattr(executor_module, "aggregate_into", counting_aggregate)
-        monkeypatch.setattr(executor_module.GroupedAggregates, "merge", merge_then_cancel)
+        monkeypatch.setattr(executor_module, "aggregate_into", aggregate_then_cancel)
         stats = ExecutionStats()
         with pytest.raises(QueryCancelled):
             QueryExecutor(catalog).execute(

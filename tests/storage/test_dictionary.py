@@ -75,6 +75,64 @@ class TestDeltaDictionary:
         assert d.int_values() is None
 
 
+INT64 = st.integers(-(2**63), 2**63 - 1)
+
+
+class TestGrowthInPlace:
+    """``int_values()``, ``decode_table()`` and the running bounds grow with
+    the dictionary; at every step they equal a rebuild from scratch."""
+
+    @given(st.lists(st.lists(st.one_of(INT64, st.sampled_from(
+        [0, -1, 1, 2**63 - 1, -(2**63)]
+    )), max_size=20), max_size=12))
+    def test_interleaved_appends_and_reads_equal_a_rebuild(self, batches):
+        d = DeltaDictionary()
+        values = []
+        for batch in batches:
+            d.encode_many(batch)
+            values += [v for v in dict.fromkeys(batch) if v not in values]
+            ints, table = d.int_values(), d.decode_table()
+            assert ints.dtype == np.int64 and ints.tolist() == values
+            assert table.tolist() == values + [None]
+            assert table[NULL_CODE] is None
+            if values:
+                assert (d.min_value(), d.max_value()) == (min(values), max(values))
+                assert type(d.min_value()) is int and type(d.max_value()) is int
+            else:
+                assert d.min_value() is None and d.max_value() is None
+
+    def test_null_code_decodes_to_none_after_every_growth(self):
+        d = DeltaDictionary()
+        for value in range(100):
+            d.encode(value * 3 - 50)
+            table = d.decode_table()
+            assert table[NULL_CODE] is None and len(table) == value + 2
+            assert table[np.array([NULL_CODE, value])].tolist() == [None, value * 3 - 50]
+
+    def test_a_late_non_int_value_turns_int_values_off_for_good(self):
+        d = DeltaDictionary()
+        for value in (5, -7, 2**62):
+            d.encode(value)
+        assert d.int_values().tolist() == [5, -7, 2**62]
+        assert (d.min_value(), d.max_value()) == (-7, 2**62)
+        d.encode(-7.5)
+        assert d.int_values() is None
+        assert (d.min_value(), d.max_value()) == (-7.5, 2**62)
+        d.encode(2**63)  # past int64: still Python's own comparisons
+        d.encode(3)
+        assert d.int_values() is None
+        assert (d.min_value(), d.max_value()) == (-7.5, 2**63)
+        assert d.decode_table().tolist() == [5, -7, 2**62, -7.5, 2**63, 3, None]
+
+    def test_text_bounds_fold_like_min_and_max(self):
+        d = DeltaDictionary()
+        seen = []
+        for word in ("pear", "apple", "fig", "zucchini", "banana"):
+            d.encode(word)
+            seen.append(word)
+            assert (d.min_value(), d.max_value()) == (min(seen), max(seen))
+
+
 class TestMainDictionary:
     def test_sorted_codes(self):
         d = MainDictionary(["pear", "apple", "pear", "fig"])
