@@ -27,6 +27,16 @@ In the merging alias that pair simply leaves with the old partitions; in
 any other alias the revived row is still counted by the value, so it stays
 in the stored visibility, and the alias is marked as not as-stored until
 its own table merges.
+
+Both steps prune as a read does (:mod:`repro.core.pruning`): step 1's
+terms are dropped when Equation 5 finds their row sets' tid ranges
+disjoint, and each step-2 subjoin goes through the pruner's verdict —
+skipped when empty, logically or dynamically pruned, evaluated with its
+Section 5.3 pushdown filters otherwise.  A pruned subjoin is provably
+empty, so the maintained value is the one evaluating it would give.  The
+Header event of an ERP merge is the common case: Header merges before
+Item, so ``Header:delta x Item:main`` pairs fresh header tids with old
+item tids.
 """
 
 from __future__ import annotations
@@ -43,6 +53,7 @@ from .cache_entry import AggregateCacheEntry
 from .delta_memo import birth_memo, mains_as_stored, visibility_step
 from .effective_rows import EffectiveRows, execute_effective
 from .main_compensation import StaleEntryError
+from .pruning import JoinPruner
 
 
 @dataclass
@@ -67,8 +78,10 @@ def plan_entry_maintenance(
     entry: AggregateCacheEntry,
     event: MergeEvent,
     executor: QueryExecutor,
+    pruner: JoinPruner,
 ) -> Optional[_PendingMaintenance]:
-    """Compute the post-merge value of ``entry`` (pre-merge state required).
+    """Compute the post-merge value of ``entry`` (pre-merge state required),
+    skipping the subjoins ``pruner`` (the entry's statement's) finds empty.
 
     Returns None when the entry does not reference the merging main.
     Raises :class:`StaleEntryError` when the entry cannot be maintained
@@ -93,13 +106,16 @@ def plan_entry_maintenance(
         specs, effective = [], EffectiveRows()
     else:
         step = visibility_step(birth_memo(entry), entry, event.snapshot)
-        specs, effective = step.specs(entry.main_partitions), step.effective
+        specs = step.specs(entry.main_partitions, pruner=pruner)
+        effective = step.effective
     # Step 2: fold in the rows the merge moves out of the delta(s) — the
     # insert delta plus, when the table keeps one, the separate update delta.
     for delta_name in (event.delta_name, event.update_delta_name):
         if delta_name is not None:
             combo = {**entry.main_partitions, alias: event.table.partition(delta_name)}
-            specs.append(ComboSpec(combo))
+            reason, pushdown = pruner.check(combo)
+            if reason is None:
+                specs.append(ComboSpec(combo, pushdown))
     corrected = entry.value.copy()
     execute_effective(
         executor, entry.query, event.snapshot, specs, effective, corrected

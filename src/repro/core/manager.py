@@ -71,7 +71,7 @@ from .maintenance import (
 )
 from .matching_dependency import MatchingDependency
 from .metrics import CacheMetrics
-from .pruning import PruneReport
+from .pruning import JoinPruner, PruneReport
 from .strategies import CacheConfig, ExecutionStrategy
 
 
@@ -858,10 +858,15 @@ class AggregateCacheManager:
                 return entry, route
             specs = step.specs(entry.main_partitions, pruner=plan.pruner)
             if specs:
+                # A traced read keeps one "main_term" span per term (what it
+                # probed, pinned and scanned); an untraced one passes no sink.
+                terms = comp_span.children if comp_span is not None else None
                 execute_effective(
                     self._executor, bound, txn.snapshot, specs, step.effective,
-                    comp, cancel=cancel, compiled=plan.compiled,
+                    comp, terms, cancel=cancel, compiled=plan.compiled,
                 )
+                for term in terms or ():
+                    term.name = "main_term"
             rows = sum(shift.rows_left() for shift in moved.values())
             elapsed = time.perf_counter() - comp_started
             if comp_span is not None:
@@ -1500,8 +1505,18 @@ class AggregateCacheManager:
 
     def _before_merge_locked(self, event: MergeEvent) -> None:
         for key, entry in self._entries.items():
+            # Pruning drops only subjoins that are provably empty, so it is
+            # taken whatever strategy the entry's readers ran.
+            pruner = JoinPruner(
+                entry.query,
+                self._mds,
+                self._agings,
+                ExecutionStrategy.CACHED_FULL_PRUNING,
+                predicate_pushdown=self.config.predicate_pushdown,
+                assume_md_integrity=self.config.enforce_referential_integrity,
+            )
             try:
-                pending = plan_entry_maintenance(entry, event, self._executor)
+                pending = plan_entry_maintenance(entry, event, self._executor, pruner)
             except StaleEntryError:
                 self._pending_drops.add(key)
                 continue

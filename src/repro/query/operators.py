@@ -362,21 +362,22 @@ class _CodeKeySpace:
 
 def _dict_lookup_many(build_dict, values: np.ndarray) -> np.ndarray:
     """Build-side codes for an array of values (``_NO_MATCH`` where absent),
-    one hash lookup per value."""
+    one lookup per value."""
     return np.array(
         build_dict.lookup_many(values.tolist(), _NO_MATCH), dtype=np.int64
     )
 
 
 def _int_pair(probe_dict, build_dict) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Both dictionaries' sorted int64 values when both are integer main
-    dictionaries, else None: delta dictionaries and non-integer values take
-    the hash path."""
-    if type(probe_dict) is not MainDictionary or type(build_dict) is not MainDictionary:
+    """The probe dictionary's int64 values and the build dictionary's sorted
+    ones when the build side is an integer main dictionary and every probe
+    value is an integer (delta or main alike), else None: non-integer values
+    and delta build sides take the hash path."""
+    if type(build_dict) is not MainDictionary:
         return None
-    probe_ints = probe_dict.int_values()
-    build_ints = build_dict.int_values() if probe_ints is not None else None
-    return None if build_ints is None else (probe_ints, build_ints)
+    build_ints = build_dict.int_values()
+    probe_ints = probe_dict.int_values() if build_ints is not None else None
+    return None if probe_ints is None else (probe_ints, build_ints)
 
 
 def _translate_codes(probe_dict, codes, build_dict) -> np.ndarray:
@@ -384,10 +385,12 @@ def _translate_codes(probe_dict, codes, build_dict) -> np.ndarray:
     of non-NULL codes, or ``slice(m)`` for all ``m``), ``_NO_MATCH`` where
     the value is absent.
 
-    More than ``_SMALL_INPUT_ROWS`` values between two integer main
-    dictionaries translate with one ``searchsorted`` over their int64
+    More than ``_SMALL_INPUT_ROWS`` integer values bridged into an integer
+    main dictionary translate with one ``searchsorted`` over their int64
     arrays plus an equality check; every other case looks each value up in
-    the build dictionary's hash map.
+    the build dictionary (:meth:`~repro.storage.dictionary.MainDictionary.
+    finder`: a binary search for an integer in an integer main, a hash
+    probe otherwise), so no integer main builds a value -> code map.
     """
     count = len(probe_dict) if isinstance(codes, slice) else len(codes)
     ints = _int_pair(probe_dict, build_dict) if count > _SMALL_INPUT_ROWS else None
@@ -513,8 +516,8 @@ def pk_probe(
     key_fragment = key_partition.column(key_column)
     fragment = main.column(pk_column)
     if len(key_rows) <= _SMALL_INPUT_ROWS:
-        # A handful of keys: one hash probe of the pk dictionary per value.
-        code_of = fragment.dictionary.code_map().get
+        # A handful of keys: one search of the pk dictionary per value.
+        code_of = fragment.dictionary.finder()
         values = set(key_fragment.decode_rows(key_rows).tolist())
         found = {pk_rows.item(code) for code in map(code_of, values) if code is not None}
         found.discard(-1)  # a dictionary value no row holds

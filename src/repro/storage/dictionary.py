@@ -17,7 +17,7 @@ NULL is never stored in a dictionary; columns encode NULL as code ``-1``.
 from __future__ import annotations
 
 import bisect
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -94,16 +94,20 @@ class _Dictionary:
         """Return the code for ``value`` or ``None`` if absent (NULL -> None)."""
         if value is None:
             return None
-        return self.code_map().get(value)
+        return self.finder()(value)
 
     def lookup_many(self, values: Iterable[object], default: int) -> List[int]:
         """Codes for a batch of values, ``default`` where absent or NULL."""
         get = self.code_map().get
         return [get(value, default) for value in values]
 
+    def finder(self) -> Callable[[object], Optional[int]]:
+        """A function from a value to its code, None where absent or NULL
+        (callers that look up many keys skip :meth:`lookup`'s call)."""
+        return self._codes.get
+
     def code_map(self) -> Mapping[object, int]:
-        """The value -> code map itself, without NULL (read-only: callers
-        that probe it per key skip :meth:`lookup`'s call)."""
+        """The value -> code map itself, without NULL (read-only)."""
         return self._codes
 
     def decode(self, code: int):
@@ -116,7 +120,7 @@ class _Dictionary:
         return len(self._values)
 
     def __contains__(self, value) -> bool:
-        return value in self.code_map()
+        return self.lookup(value) is not None
 
     def values(self) -> List[object]:
         """The distinct values in code order (a copy)."""
@@ -256,9 +260,13 @@ class MainDictionary(_Dictionary):
     Codes are the ranks of the values in sorted order, which is what enables
     order-preserving compressed scans in a real column store.  Built once,
     by the merge or a restore, through :meth:`encode`'s one stable sort.
-    The value -> code map is built by its first user — the primary-key
-    index for a key column, a hash bridge or an equality filter otherwise —
-    so a column nobody looks a value up in never builds one.
+    An ``int64`` sort output is kept as it is: its values are a
+    ``memoryview`` of the array, which indexes, slices, iterates and
+    bisects to Python ints as the value list would, with no Python object
+    per value, and a plain ``int`` is found by binary search
+    (:meth:`finder`).  The value -> code map is built only by the first
+    lookup of any other value, or in any other dictionary, so a column
+    nobody looks such a value up in never builds one.
     """
 
     __slots__ = ()
@@ -277,16 +285,49 @@ class MainDictionary(_Dictionary):
         return dictionary, codes
 
     def _adopt(self, distinct: np.ndarray) -> None:
-        self._values: List[object] = distinct.tolist()
+        ints = distinct.dtype == np.int64
+        self._values: Sequence[object] = memoryview(distinct) if ints else distinct.tolist()
         self._codes: Optional[Dict[object, int]] = None
         self._decode_table: Optional[np.ndarray] = None
-        self._int_values = distinct if distinct.dtype == np.int64 else _UNSET
+        self._int_values = distinct if ints else _UNSET
 
     def code_map(self) -> Mapping[object, int]:
         codes = self._codes
         if codes is None:
             codes = self._codes = dict(zip(self._values, range(len(self._values))))
         return codes
+
+    def lookup_many(self, values: Iterable[object], default: int) -> List[int]:
+        codes = list(map(self.finder(), values))
+        return [default if code is None else code for code in codes]
+
+    def finder(self) -> Callable[[object], Optional[int]]:
+        """A function from a value to its code, None where absent or NULL.
+
+        In an ``int64`` dictionary a plain ``int`` is one ``bisect`` over the
+        sorted values (a value above the largest answers at once); any
+        other value — ``1.0``, ``True``, ``'1'`` — and any other dictionary
+        probe the value -> code map, built at that first probe, so every
+        value finds the code ``==`` and hashing give.
+        """
+        code_map = self.code_map
+        if self.int_values() is None:
+            return lambda value: code_map().get(value)
+        values = self._values
+        if not values:
+            return lambda value: None
+        top = values[-1]
+        search = bisect.bisect_left
+
+        def find(value):
+            if type(value) is int:
+                if value > top:
+                    return None
+                code = search(values, value)
+                return code if values[code] == value else None
+            return None if value is None else code_map().get(value)
+
+        return find
 
     def rank(self, value, right: bool = False) -> int:
         """How many values sort below ``value`` (``right``: or equal it) —

@@ -127,7 +127,7 @@ class Table:
         # Primary-key index, in two parts (see ``rebuild_pk_index``): the
         # keys written since the last rebuild — locator of the live version,
         # or None once deleted — and per main, (the main, its pk
-        # dictionary's value -> code probe, code -> live row or -1, and
+        # dictionary's value -> code finder, code -> live row or -1, and
         # whether that array maps every row of the main).
         self._pk_written: Dict[object, Optional[RowLocator]] = {}
         self._pk_mains: List[Tuple[Partition, Callable, memoryview, bool]] = []
@@ -337,7 +337,8 @@ class Table:
         """Locator of the live version of ``pk_value`` or ``None``.
 
         A key written since the last rebuild answers from the overlay;
-        any other key is one dictionary probe and one array read per main.
+        any other key is one search of each main's sorted pk dictionary
+        (``MainDictionary.finder``) and one array read.
         """
         locator = self._pk_written.get(pk_value, _UNWRITTEN)
         if locator is not _UNWRITTEN:
@@ -440,9 +441,11 @@ class Table:
     def rebuild_pk_index(self) -> None:
         """Recompute the primary-key index after partitions were rebuilt.
 
-        A main's sorted pk dictionary already maps each key to a code, so
-        its part of the index is one ``int64`` array from code to live row
-        (-1 for none), filled by one scatter; no per-key object is built.
+        A main's sorted pk dictionary already finds each key's code — an
+        ``int64`` dictionary by binary search, any other by a map built at
+        its first lookup — so its part of the index is one ``int64`` array
+        from code to live row (-1 for none), filled by one scatter; no
+        per-key object is built.
         The live rows of the deltas — non-empty only after a restore or a
         merge of another group — go to the overlay of written keys, later
         partitions winning, as with row-at-a-time assignment.
@@ -460,7 +463,7 @@ class Table:
             exact = bool(np.count_nonzero(rows >= 0) == group.main.row_count)
             # A memoryview reads one slot as a Python int, no numpy scalar.
             self._pk_mains.append(
-                (group.main, fragment.dictionary.code_map().get, memoryview(rows), exact)
+                (group.main, fragment.dictionary.finder(), memoryview(rows), exact)
             )
             for delta in group.delta_partitions():
                 live = np.flatnonzero(delta.dts_array() == LIVE).tolist()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database, ExecutionStrategy
+from repro.workloads.erp import ErpConfig, ErpWorkload
 
 
 PROFIT_SQL = (
@@ -114,6 +115,23 @@ def scatter_erp_writes(db: Database) -> dict:
         "header": [0, 1, 2, 3, 50, 51],
         "item": list(range(12)) + list(range(5000, 5006)),
     }
+
+
+def mid_stream_erp(statements):
+    """An ERP stream between two merges (seed 3): 30 merged objects with
+    ``statements`` cached, then 4 new objects (some items late) and
+    re-priced and deleted merged items, so a read compensates its mains and
+    its deltas.  Returns the database and its workload."""
+    db = Database()
+    erp = ErpWorkload(db, ErpConfig(late_item_rate=0.1, seed=3))
+    erp.insert_objects(30, merge_after=True)
+    for sql in statements:
+        db.query(sql)
+    erp.insert_objects(4)
+    for item_id in (3, 17, 41):
+        db.update("Item", item_id, {"Price": 2.5})
+    db.delete("Item", 58)
+    return db, erp
 
 
 def assert_same_pk_lookups(actual: Database, expected: Database, keys: dict) -> None:

@@ -3,8 +3,10 @@
 import pytest
 
 from repro import ExecutionStrategy
+from repro.core import manager as manager_module
+from repro.workloads.erp import ErpWorkload
 
-from ..conftest import PROFIT_SQL, load_erp, make_erp_db
+from ..conftest import PROFIT_SQL, load_erp, make_erp_db, mid_stream_erp
 
 
 class TestTraceStructure:
@@ -140,3 +142,40 @@ class TestProbedSubjoins:
             assert span.attrs["rows_scanned"]["i"] == 2
         assert "probed=['h'" in trace.render()
         assert trace.result == db.query(PROFIT_SQL, strategy=ExecutionStrategy.UNCACHED)
+
+
+#: Profit and loss over every year: a mid-stream read steps mains and deltas.
+ERP_PROFIT_SQL = ErpWorkload.profit_and_loss_sql(year=None)
+
+
+class TestMainCompensationTerms:
+    def test_each_main_term_leaves_a_span(self):
+        db, _erp = mid_stream_erp([ERP_PROFIT_SQL])
+        trace = db.explain_analyze(ERP_PROFIT_SQL)
+        comp = trace.span_named("main_compensation")
+        terms = comp.children
+        assert len(terms) == comp.attrs["terms"] >= 1
+        assert {term.name for term in terms} == {"main_term"}
+        for term in terms:
+            assert term.attrs["fixed_rows"]
+            if term.attrs["status"] == "evaluated":
+                assert "rows_scanned" in term.attrs
+        # A pinned item term gathers its header and category by key.
+        assert any(term.attrs.get("probed") for term in terms)
+        # The plan's compensation subjoins are counted as before.
+        assert len(trace.subjoin_spans()) == trace.report.prune.combos_total
+        assert trace.result == db.query(ERP_PROFIT_SQL, strategy=ExecutionStrategy.UNCACHED)
+        assert "main_term" in trace.render()
+
+    def test_untraced_read_passes_no_span_list(self, monkeypatch):
+        db, _erp = mid_stream_erp([ERP_PROFIT_SQL])
+        sinks = []
+        original = manager_module.execute_effective
+
+        def recording(executor, query, snapshot, specs, effective, into, span_sink=None, **kw):
+            sinks.append(span_sink)
+            return original(executor, query, snapshot, specs, effective, into, span_sink, **kw)
+
+        monkeypatch.setattr(manager_module, "execute_effective", recording)
+        db.query(ERP_PROFIT_SQL)
+        assert sinks and all(sink is None for sink in sinks)

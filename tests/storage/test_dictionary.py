@@ -204,3 +204,43 @@ class TestMemoryEstimates:
 
     def test_main_nbytes(self):
         assert MainDictionary(["ab", "c"]).nbytes() == 3
+
+
+INT64_EDGES = [-(1 << 63), -(1 << 62), -3, 0, 1, 255, 256, 65_536, (1 << 62), (1 << 63) - 1]
+
+
+class TestInt64MainKeepsOnlyItsArray:
+    """An int64 main dictionary built by the merge's sort keeps no value
+    list, only a ``memoryview`` of its array; every answer it gives equals
+    the answer of the same values held as a list (a dictionary built from
+    Python objects), Python ints included."""
+
+    @given(st.lists(st.sampled_from(INT64_EDGES) | st.integers(-1000, 1000), max_size=40))
+    def test_array_answers_equal_list_answers(self, values):
+        array_only, _codes = MainDictionary.encode(np.array(values, dtype=np.int64))
+        listed = MainDictionary(values)
+        assert type(array_only._values) is memoryview and type(listed._values) is list
+        assert len(array_only) == len(listed)
+        assert array_only.values() == listed.values()
+        assert array_only.min_value() == listed.min_value()
+        assert array_only.max_value() == listed.max_value()
+        assert array_only.nbytes() == listed.nbytes() == _loop_nbytes(listed.values())
+        table = array_only.decode_table()
+        assert table.tolist() == listed.decode_table().tolist()
+        for code in range(len(listed)):
+            assert type(array_only.decode(code)) is int is type(table[code])
+            assert array_only.decode(code) == listed.decode(code)
+        probes = [*INT64_EDGES, 1 << 63, -(1 << 63) - 1, 2**70, -7, 999, 1.0, 0.5, True]
+        find_array, find_list = array_only.finder(), listed.finder()
+        for probe in probes + ["1", None]:
+            assert find_array(probe) == find_list(probe), probe
+        for probe in probes:
+            for right in (False, True):
+                assert array_only.rank(probe, right) == listed.rank(probe, right), probe
+
+
+def _loop_nbytes(values):
+    """The delta-encoded size of sorted distinct ints, one gap at a time."""
+    if not values:
+        return 0
+    return 8 + sum(max(1, ((b - a).bit_length() + 7) // 8) for a, b in zip(values, values[1:]))

@@ -187,3 +187,71 @@ class TestRebuildPkIndex:
         assert table.update(1, {"amount": 2.0}, tid=3).partition == "cold_udelta"
         with pytest.raises(StorageError):
             table._group_of_partition("warm_main")
+
+
+def _lookup_db(kind: str):
+    """A one-key table of ``kind`` keys 0..11 with gaps at 3 and 7, plus a
+    header/item pair whose matching dependency looks headers up by key."""
+    from repro import Database
+
+    key = int if kind == "INT" else str
+    db = Database()
+    db.create_table("t", [("k", kind), ("v", "INT")], primary_key="k")
+    db.create_table("header", [("hid", kind)], primary_key="hid")
+    db.create_table("item", [("iid", "INT"), ("hid", kind)], primary_key="iid")
+    db.add_matching_dependency("header", "hid", "item", "hid")
+    written = [key(k) for k in range(12) if k not in (3, 7)]
+    db.insert_many("t", [{"k": k, "v": 0} for k in written])
+    db.insert_many("header", [{"hid": k} for k in written])
+    return db, key, {k: {"k": k, "v": 0} for k in written}
+
+
+class TestKeyLookupParity:
+    """The primary-key index answers every key as a dict of the live keys
+    does — ``1.0`` and ``True`` find the int key ``1``, ``'1'`` does not —
+    whether the key lives in the written-keys overlay or in a main, before
+    and after a merge, and through every caller of the index."""
+
+    PROBES = [1, 1.0, True, 5.0, 5.5, "1", 2**70, -3]
+
+    def check(self, db, key, oracle):
+        table = db.table("t")
+        # A gap, a key above the largest (``'99'`` sorts above ``'9'``).
+        for probe in self.PROBES + [key(3), key(99)] + list(oracle):
+            want = oracle.get(probe)
+            assert table.get_row(probe) == want, probe
+            assert (table.pk_lookup(probe) is None) == (want is None), probe
+
+    @pytest.mark.parametrize("kind", ["INT", "TEXT"])
+    def test_lookups_before_and_after_a_merge(self, kind):
+        db, key, oracle = _lookup_db(kind)
+        self.check(db, key, oracle)
+        db.merge()
+        self.check(db, key, oracle)
+        # Updated and deleted since the merge; an INT key spelled as a float.
+        db.update("t", 5.0 if kind == "INT" else "5", {"v": 1})
+        oracle[key(5)] = {"k": key(5), "v": 1}
+        db.delete("t", key(1))
+        del oracle[key(1)]
+        self.check(db, key, oracle)
+        db.merge()
+        self.check(db, key, oracle)
+
+    @pytest.mark.parametrize("kind", ["INT", "TEXT"])
+    def test_errors_are_unchanged_by_the_index(self, kind):
+        db, key, _oracle = _lookup_db(kind)
+        db.merge()
+        with pytest.raises(IntegrityError, match=f"duplicate primary key {key(4)!r} in table 't'"):
+            db.insert("t", {"k": key(4), "v": 0})
+        with pytest.raises(IntegrityError, match="no live row with primary key 3 in table 't'"):
+            db.delete("t", 3)
+        # The value check runs before the key check: a bad value in a later
+        # row wins over a duplicate key in an earlier one.
+        with pytest.raises(SchemaError):
+            db.insert_many("t", [{"k": key(4), "v": 0}, {"k": key(20), "v": "x"}])
+        # Matching-dependency stamping looks the parent up by key first.
+        missing = "9" if kind == "INT" else 9
+        with pytest.raises(IntegrityError, match=f"references missing 'header' row {missing!r}"):
+            db.insert("item", {"iid": 1, "hid": missing})
+        db.insert("item", {"iid": 2, "hid": key(9)})
+        assert db.table("item").get_row(2)["hid"] == key(9)
