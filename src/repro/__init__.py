@@ -12,15 +12,7 @@ Most applications only need :class:`Database` and
 :class:`ExecutionStrategy`; see the README quickstart.
 """
 
-from .core import (
-    AlwaysAdmit,
-    CacheConfig,
-    ExecutionStrategy,
-    LruEviction,
-    MatchingDependency,
-    ProfitAdmission,
-    ProfitEviction,
-)
+from .core import CacheConfig, ExecutionStrategy, MatchingDependency
 from .database import Database
 from .errors import (
     CacheError,
@@ -57,7 +49,6 @@ __version__ = "1.0.0"
 
 __all__ = [
     "AggregateQuery",
-    "AlwaysAdmit",
     "CacheConfig",
     "CacheError",
     "CancelToken",
@@ -73,11 +64,8 @@ __all__ = [
     "GovernorConfig",
     "HealthReport",
     "IntegrityError",
-    "LruEviction",
     "MatchingDependency",
     "MetricsRegistry",
-    "ProfitAdmission",
-    "ProfitEviction",
     "QueryAborted",
     "QueryCancelled",
     "QueryError",

@@ -10,7 +10,7 @@ An entry binds a :class:`CacheKey` to
   mains' state in the memo the entry is born with
   (:func:`repro.core.delta_memo.birth_memo`), whose step subtracts the
   stored rows a reader no longer sees (main compensation, Section 2.2);
-* the **metrics** used for admission/eviction/maintenance decisions.
+* the **metrics** used for eviction and maintenance decisions.
 """
 
 from __future__ import annotations

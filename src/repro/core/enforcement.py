@@ -10,7 +10,9 @@ Every insert passes through the enforcer before it reaches the table:
   copy it from the header written in the same call; any other parent is
   looked up through the primary-key index, once per distinct key in the
   batch.  This is the insert-time lookup whose overhead Section 6.3
-  measures; it doubles as the referential-integrity check.
+  measures; it doubles as the referential-integrity check, which is always
+  on: a missing parent raises, so a child's tid is NULL only when its
+  foreign key is, and such a row joins nothing.
 
 The enforcer keeps counters so the insert-overhead benchmark can report the
 number of lookups separately from wall-clock time.
@@ -18,7 +20,7 @@ number of lookups separately from wall-clock time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 from ..errors import IntegrityError
@@ -38,9 +40,8 @@ class EnforcementStats:
 class MDEnforcer:
     """Stamps and copies matching-dependency tid columns on insert."""
 
-    def __init__(self, catalog: Catalog, enforce_referential_integrity: bool = True):
+    def __init__(self, catalog: Catalog):
         self._catalog = catalog
-        self._enforce_ri = enforce_referential_integrity
         self._as_parent: Dict[str, List[MatchingDependency]] = {}
         self._as_child: Dict[str, List[MatchingDependency]] = {}
         self.stats = EnforcementStats()
@@ -72,9 +73,7 @@ class MDEnforcer:
         ``header`` — a ``(table, stamped row)`` written in the same call,
         the business-object header of Section 3.2 — when the foreign key
         names it, else looked up once per distinct key in the batch.  A
-        missing parent raises ``IntegrityError`` when referential-integrity
-        enforcement is on, otherwise the tid stays NULL (and the row can
-        never join, since its foreign key has no matching parent either).
+        missing parent raises ``IntegrityError``.
         """
         stamped_rows = list(map(dict, rows))
         for md in self._as_parent.get(table_name, ()):
@@ -102,13 +101,11 @@ class MDEnforcer:
         locator = parent.pk_lookup(fk_value)
         if locator is None:
             self.stats.lookups_failed += 1
-            if self._enforce_ri:
-                raise IntegrityError(
-                    f"insert into {md.child_table!r} references missing "
-                    f"{md.parent_table!r} row {fk_value!r} "
-                    f"(via {md.child_fk!r})"
-                )
-            return None
+            raise IntegrityError(
+                f"insert into {md.child_table!r} references missing "
+                f"{md.parent_table!r} row {fk_value!r} "
+                f"(via {md.child_fk!r})"
+            )
         partition = parent.partition(locator.partition)
         return partition.column(md.tid_column).value_at(locator.row)
 

@@ -117,9 +117,8 @@ def explain_query(
     nothing is executed and no entry is created.  The fates are taken from
     the manager's (possibly cached) physical plan, never re-derived.
     """
-    strategy = strategy if strategy is not None else manager.config.default_strategy
     physical = manager.plan_for(query, strategy)
-    plan = QueryPlan(strategy=strategy, cacheable=physical.cacheable)
+    plan = QueryPlan(strategy=physical.strategy, cacheable=physical.cacheable)
     plan.excluded = [e.alias for e in physical.excluded]
     plan.combos_excluded = physical.prune.combos_excluded
     if not plan.cacheable:

@@ -7,8 +7,7 @@ Orchestrates the full query path of the paper:
    combination (one for plain tables, one per temperature under hot/cold
    partitioning);
 3. on a miss the aggregate is computed on the main partitions with the
-   global record visibility and, if the admission policy agrees, an entry
-   is created;
+   global record visibility and an entry is created;
 4. hit or freshly created, **main compensation** then **delta compensation**
    are applied to produce the transaction-consistent result;
 5. at delta-merge time the manager acts as a merge listener and maintains
@@ -47,7 +46,6 @@ from ..storage.catalog import Catalog
 from ..storage.merge import MergeEvent
 from ..txn.consistent_view import ConsistentViewManager
 from ..txn.manager import Transaction
-from .admission import AdmissionPolicy, AdmissionRequest, AlwaysAdmit
 from .cache_entry import AggregateCacheEntry, ResultOrder
 from .cache_key import CacheKey
 from .effective_rows import execute_effective
@@ -62,7 +60,7 @@ from .delta_memo import (
     subjoin_step_specs,
     visibility_step,
 )
-from .eviction import EvictionPolicy, ProfitEviction
+from .eviction import select_victims
 from .main_compensation import StaleEntryError
 from .maintenance import (
     _PendingMaintenance,
@@ -83,7 +81,6 @@ class CacheQueryReport:
     fallback_uncached: bool = False  # query did not qualify for the cache
     cache_hits: int = 0
     entries_created: int = 0
-    admission_rejected: int = 0
     entries_recomputed: int = 0  # stale/invalidated entries replaced
     #: Main rows this read subtracted: those that left since the anchor of
     #: the memo it stepped — the entry's snapshot for a step from birth.
@@ -192,8 +189,6 @@ class AggregateCacheManager:
         executor: QueryExecutor,
         view_manager: ConsistentViewManager,
         config: Optional[CacheConfig] = None,
-        admission: Optional[AdmissionPolicy] = None,
-        eviction: Optional[EvictionPolicy] = None,
         obs: Optional[EngineMetrics] = None,
         governor=None,
     ):
@@ -204,11 +199,9 @@ class AggregateCacheManager:
         # counters_snapshot().
         self.obs = obs if obs is not None else EngineMetrics()
         self.config = config if config is not None else CacheConfig()
-        self._admission = admission if admission is not None else AlwaysAdmit()
-        self._eviction = eviction if eviction is not None else ProfitEviction()
         self._binder = Binder(catalog)
         self._planner = Planner(catalog, self.config)
-        self.plan_cache = PlanCache(self.config.plan_cache_size)
+        self.plan_cache = PlanCache()
         self._lock = threading.RLock()
         self._entries: Dict[CacheKey, AggregateCacheEntry] = {}
         # Uses of keys whose entries left the map, least recently touched
@@ -398,7 +391,8 @@ class AggregateCacheManager:
         EXPLAIN, EXPLAIN ANALYZE, and :meth:`execute` all call this — they
         consume the same plan object, so they cannot drift.
         """
-        strategy = strategy if strategy is not None else self.config.default_strategy
+        if strategy is None:
+            strategy = ExecutionStrategy.CACHED_FULL_PRUNING
         sql = query if isinstance(query, str) else None
         sql_key = ("sql", sql, strategy.value) if sql is not None else None
         bind_span = trace.child("bind") if trace is not None else None
@@ -443,9 +437,9 @@ class AggregateCacheManager:
                 self.plan_cache.add_alias(sql_key, canon_key)
         if plan_span is not None:
             plan_span.finish()
-            if self.plan_cache.enabled and outcome is not None:
+            if outcome is not None:
                 plan_span.attrs["plan_cache"] = outcome
-        if self.plan_cache.enabled and outcome is not None:
+        if outcome is not None:
             self.obs.plan_cache_lookups.labels(outcome).inc()
         return plan
 
@@ -514,11 +508,10 @@ class AggregateCacheManager:
         falls back to a clean from-scratch run over the base tables
         (``degraded_reason="fallback"``) instead of failing the query.
         """
-        strategy = strategy if strategy is not None else self.config.default_strategy
-        report = CacheQueryReport(strategy=strategy)
         started = time.perf_counter()
         plan = self.plan_for(query, strategy, trace)
-        report.plan = plan
+        strategy = plan.strategy
+        report = CacheQueryReport(strategy=strategy, plan=plan)
         bound = plan.query
         if cancel is not None:
             cancel.check()
@@ -958,20 +951,20 @@ class AggregateCacheManager:
         span: Optional[Span] = None,
         cancel=None,
     ) -> Tuple[AggregateCacheEntry, bool]:
-        """Compute the main aggregate with global visibility; admit or not.
+        """Compute the main aggregate with global visibility and admit it.
         Returns the entry that answers the combination and whether the
         cache holds it.
 
         The entry built here answers whatever the cache does with it: one
-        the admission policy rejects, or the eviction it triggers removes
-        at once, is *transient* — never in the entry map, read once from
-        its birth memo and dropped.  The entry is born with its key's
-        remembered uses plus this read's, so eviction ranks it by its
-        statement's history.  The (expensive) aggregate build runs
-        without the manager lock held; only the admission decision and the
-        entry-map insert are serialized.  If another thread admitted an
-        equivalent entry while this one was computing, the first entry wins
-        and this build is discarded; the read stays the miss it was.
+        the eviction its admission triggers removes at once is *transient*
+        — never kept in the entry map, read once from its birth memo and
+        dropped.  The entry is born with its key's remembered uses plus
+        this read's, so eviction ranks it by its statement's history.  The
+        (expensive) aggregate build runs without the manager lock held;
+        only the entry-map insert and the eviction are serialized.  If
+        another thread admitted an equivalent entry while this one was
+        computing, the first entry wins and this build is discarded; the
+        read stays the miss it was.
         """
         global_snapshot = self._views.txn_manager.global_snapshot()
         build_started = time.perf_counter()
@@ -981,7 +974,6 @@ class AggregateCacheManager:
         creation_time = time.perf_counter() - build_started
         self.obs.cache_build_seconds.observe(creation_time)
         records = value.total_rows_aggregated()
-        request = AdmissionRequest(bound, value, creation_time, records)
         entry = AggregateCacheEntry(
             key=key,
             query=bound,
@@ -1007,25 +999,18 @@ class AggregateCacheManager:
                 return existing, True
             entry.metrics.reference_count = self._ghosts.pop(key, 0)
             entry.metrics.record_use(self._clock)
-            admitted = self._admission.admit(request)
-            if admitted:
-                self._entries[key] = entry
-                report.entries_created += 1
-                self._run_eviction()
-            else:
-                self._remember_uses_locked(key, entry)
-                report.admission_rejected += 1
+            self._entries[key] = entry
+            report.entries_created += 1
+            self._run_eviction()
             # The freshly inserted entry may itself have been evicted.
             resident = self._entries.get(key) is entry
         if span is not None:
-            span.attrs.update(admitted=admitted, resident=resident)
+            span.attrs["resident"] = resident
         return entry, resident
 
     def _run_eviction(self) -> None:
         with self._lock:
-            victims = self._eviction.select_victims(
-                self._entries, self.config.max_entries, self.config.max_bytes
-            )
+            victims = select_victims(self._entries, self.config.max_entries, None)
             for key in victims:
                 self._drop_entry_locked(key)
             if victims:
@@ -1093,9 +1078,9 @@ class AggregateCacheManager:
            (they only accelerate a hit; the entry keeps serving without
            them), least-recently-used entries' first — an order is tied to
            its memo object, so the two go together;
-        2. **entries**, fewest rows saved per byte first (the eviction
-           policy under a byte budget — :class:`ProfitEviction` ranks by
-           the key's uses × the rows its build folded ÷ ``size_bytes``);
+        2. **entries**, fewest rows saved per byte first (eviction under a
+           byte budget — :func:`~repro.core.eviction.select_victims` ranks
+           by the key's uses × the rows its build folded ÷ ``size_bytes``);
            their use counts stay in the ghost history;
         3. the **plan and parse caches** last (pure recompute caches).
 
@@ -1135,7 +1120,7 @@ class AggregateCacheManager:
                 overhead = tracked - sum(
                     e.metrics.size_bytes for e in self._entries.values()
                 )
-                victims = self._eviction.select_victims(
+                victims = select_victims(
                     self._entries,
                     None,
                     max(0, budget_bytes - overhead),
@@ -1513,7 +1498,6 @@ class AggregateCacheManager:
                 self._agings,
                 ExecutionStrategy.CACHED_FULL_PRUNING,
                 predicate_pushdown=self.config.predicate_pushdown,
-                assume_md_integrity=self.config.enforce_referential_integrity,
             )
             try:
                 pending = plan_entry_maintenance(entry, event, self._executor, pruner)

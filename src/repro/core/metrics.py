@@ -17,9 +17,9 @@ from dataclasses import dataclass
 class CacheMetrics:
     """Mutable per-entry statistics.
 
-    ``last_access_clock`` orders accesses for LRU eviction without depending
-    on the system clock (the engine passes a monotonically increasing access
-    counter).
+    ``last_access_clock`` orders accesses (eviction's rank ties, the shed's
+    memo order) without depending on the system clock (the engine passes a
+    monotonically increasing access counter).
     """
 
     size_bytes: int = 0
@@ -43,7 +43,7 @@ class CacheMetrics:
         key's uses, remembered across evictions (the manager's ghost
         history), so a rebuilt entry ranks by its statement's whole
         history.  No time enters: an entry kept and one rebuilt pay the
-        same compensation.  Eviction divides
-        by the budget it is over (:class:`~repro.core.eviction.ProfitEviction`).
+        same compensation.  Eviction divides by the budget it is over
+        (:func:`~repro.core.eviction.select_victims`).
         """
         return self.reference_count * self.aggregated_records_main

@@ -19,23 +19,20 @@ be skipped, and if not, which pushdown filters can narrow it:
 4. **Join predicate pushdown** (Section 5.3): if the ranges overlap, tuples
    can still only match inside the *intersection* of the ranges, so a local
    tid-range predicate is pushed onto each side whose own range is wider.
-   With referential integrity enforced (the default), a NULL tid implies a
-   NULL or dangling foreign key — a row that cannot join — so the pushed
-   filter is a plain range pair evaluable in dictionary-code space.  When
-   the engine runs with RI enforcement off, matching dependencies are no
-   longer guaranteed to hold and the pruner must be constructed with
-   ``assume_md_integrity=False``, which keeps NULL-tid rows conservatively
-   (``NOT (tid < lo OR tid > hi)``).
+   Referential integrity is always enforced (the insert-time parent lookup
+   of :mod:`repro.core.enforcement` is the check), so a NULL tid implies a
+   NULL foreign key — a row that cannot join — and the pushed filter is a
+   plain range pair evaluable in dictionary-code space.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..query.expr import Cmp, Col, Expr, Lit, Not, Or
+from ..query.expr import Cmp, Col, Expr, Lit
 from ..query.query import AggregateQuery, JoinEdge
 from ..storage.aging import ConsistentAging
 from ..storage.dictionary import NULL_CODE, DeltaDictionary
@@ -96,7 +93,6 @@ class JoinPruner:
         consistent_agings: Sequence[ConsistentAging],
         strategy: ExecutionStrategy,
         predicate_pushdown: bool = False,
-        assume_md_integrity: bool = True,
         obs=None,
     ):
         self._query = query
@@ -105,7 +101,6 @@ class JoinPruner:
         # counts feed the metrics registry straight from the decision site.
         self._obs = obs
         self._pushdown = predicate_pushdown and strategy.prunes_dynamic
-        self._assume_md_integrity = assume_md_integrity
         self._edges: List[_EdgeInfo] = []
         for edge in query.join_edges:
             table_a = query.table_of(edge.left_alias)
@@ -166,49 +161,29 @@ class JoinPruner:
             left = assignment[info.edge.left_alias]
             right = assignment[info.edge.right_alias]
             tid = info.md.tid_column
-            # The dictionary ranges below cover only non-NULL tids.  Under
-            # enforced RI a NULL tid implies a NULL or dangling foreign key —
-            # a row with no join partner — so range reasoning covers every
-            # joinable row.  With RI off a NULL-tid row may still join
-            # (a dangling child whose parent arrived later), which poisons
-            # range reasoning in two directions: NULLs on *either* side make
-            # a range-based prune unsound, and NULLs on one side make any
-            # filter derived from that side's range unsound on the *other*
-            # side (the NULL partner's tid is not in the range).
-            # All three synopsis facts (null flags, ranges) come from the
-            # partition's resident synopsis.
-            left_nulls = not self._assume_md_integrity and left.has_nulls(tid)
-            right_nulls = not self._assume_md_integrity and right.has_nulls(tid)
-            nullable_tids = left_nulls or right_nulls
+            # The ranges cover only non-NULL tids.  Under enforced RI a NULL
+            # tid implies a NULL foreign key — a row with no join partner —
+            # so range reasoning covers every joinable row.  Both ranges
+            # come from the partitions' resident synopses.
             left_range = (left.min_value(tid), left.max_value(tid))
             right_range = (right.min_value(tid), right.max_value(tid))
             if left_range[0] is None or right_range[0] is None:
-                # One side has no non-NULL tid values at all.  With trusted
-                # MDs no tuple can satisfy the implied equality, so the
-                # subjoin is empty ("for an empty partition we define
-                # min()/max() such that the prefilter is true").
-                if nullable_tids:
-                    continue  # all-NULL side may still join; nothing to push
+                # One side has no non-NULL tid values at all, so no tuple
+                # can satisfy the implied equality and the subjoin is empty
+                # ("for an empty partition we define min()/max() such that
+                # the prefilter is true").
                 return "dynamic", {}
             if left_range[1] < right_range[0] or left_range[0] > right_range[1]:
-                if not nullable_tids:
-                    return "dynamic", {}
-                # Disjoint ranges with NULLs present: only pairs with a NULL
-                # tid on one side can match.  The pushdown below narrows
-                # whichever side still admits a sound filter.
+                return "dynamic", {}
             if self._pushdown:
-                self._collect_pushdown(
-                    info, left_range, right_range, pushdown,
-                    left_nulls, right_nulls,
-                )
+                self._collect_pushdown(info, left_range, right_range, pushdown)
         return None, pushdown
 
     def row_set_columns(self) -> Dict[str, Tuple[str, ...]]:
         """alias -> the tid columns :meth:`rows_disjoint` reads on it (none
-        when the strategy prunes nothing dynamically or the matching
-        dependencies are not trusted)."""
+        when the strategy prunes nothing dynamically)."""
         out: Dict[str, Tuple[str, ...]] = {}
-        if not (self._strategy.prunes_dynamic and self._assume_md_integrity):
+        if not self._strategy.prunes_dynamic:
             return out
         for info in self._edges:
             if info.md is not None:
@@ -225,7 +200,7 @@ class JoinPruner:
         it holds no non-NULL tid, None when unknown (never pruned on).  Only
         edges touching an alias in ``restricted`` (read as part of its
         partition) are checked: the subjoin's own verdict covers the rest."""
-        if not (self._strategy.prunes_dynamic and self._assume_md_integrity):
+        if not self._strategy.prunes_dynamic:
             return False
         for info in self._edges:
             if info.md is None or not (
@@ -248,37 +223,24 @@ class JoinPruner:
         left_range: Tuple,
         right_range: Tuple,
         pushdown: Dict[str, List[Expr]],
-        left_nulls: bool = False,
-        right_nulls: bool = False,
     ) -> None:
-        """Narrow each side to the intersection of the two tid ranges.
-
-        A side's filter bounds its tids by the *partner's* dictionary range,
-        so it is only sound while every joinable partner row actually has
-        its tid in that range — i.e. while the partner side is NULL-free.
-        The side's own NULL rows are preserved by the null-safe filter form.
-        """
+        """Narrow each side to the intersection of the two tid ranges:
+        plain range conjuncts, evaluable in code space.  They drop the
+        side's NULL-tid rows, which under enforced RI have no join partner
+        on an MD-covered edge."""
         tid = info.md.tid_column
         lo = max(left_range[0], right_range[0])
         hi = min(left_range[1], right_range[1])
-        for alias, own, partner_nulls in (
-            (info.edge.left_alias, left_range, right_nulls),
-            (info.edge.right_alias, right_range, left_nulls),
+        for alias, own in (
+            (info.edge.left_alias, left_range),
+            (info.edge.right_alias, right_range),
         ):
-            if partner_nulls:
-                continue  # a NULL partner may join outside any range
             if own[0] >= lo and own[1] <= hi:
                 continue  # the side is already inside the intersection
-            filters = pushdown.setdefault(alias, [])
             col = Col(tid, alias)
-            if self._assume_md_integrity:
-                # Plain range conjuncts: evaluable in code space; NULL-tid
-                # rows are dropped, which is safe because under enforced RI
-                # they cannot have a join partner on an MD-covered edge.
-                filters.append(Cmp(">=", col, Lit(lo)))
-                filters.append(Cmp("<=", col, Lit(hi)))
-            else:
-                filters.append(_null_safe_range(col, lo, hi))
+            pushdown.setdefault(alias, []).extend(
+                (Cmp(">=", col, Lit(lo)), Cmp("<=", col, Lit(hi)))
+            )
 
 
 def tid_range(partition: Partition, column: str, rows) -> Tuple:
@@ -303,8 +265,3 @@ def tid_range(partition: Partition, column: str, rows) -> Tuple:
     values = dictionary.decode_table()[codes]
     return values.min(), values.max()
 
-
-def _null_safe_range(col: Col, lo, hi) -> Expr:
-    """``NOT (col < lo OR col > hi)`` — true for values in [lo, hi] AND for
-    NULL (a NULL comparison is false, so the negation keeps the row)."""
-    return Not(Or([Cmp("<", col, Lit(lo)), Cmp(">", col, Lit(hi))]))

@@ -49,21 +49,20 @@ class ExecutionStrategy(enum.Enum):
 
 @dataclass
 class CacheConfig:
-    """Tuning knobs of the aggregate cache manager."""
+    """The aggregate cache's switches, each kept for a caller that sets it.
 
-    # Default strategy when a query does not name one explicitly.
-    default_strategy: ExecutionStrategy = ExecutionStrategy.CACHED_FULL_PRUNING
+    A read that names no strategy runs ``CACHED_FULL_PRUNING``;
+    referential integrity is always enforced (the matching-dependency
+    lookup at insert time is the RI check, Section 6.3); every computed
+    aggregate is admitted; the plan cache holds 128 plans; and eviction
+    ranks by profit (:mod:`repro.core.eviction`).  The one byte bound is
+    the governor's memory budget.
+    """
+
     # Apply join predicate pushdown to unpruned mixed subjoins.
     predicate_pushdown: bool = True
-    # Maximum number of entries (None = unbounded); eviction policy applies.
+    # Maximum number of entries (None = unbounded).
     max_entries: Optional[int] = None
-    # Maximum total approximate bytes of cached values (None = unbounded).
-    max_bytes: Optional[int] = None
-    # Enforce referential integrity on matching-dependency lookups.
-    enforce_referential_integrity: bool = True
-    # Physical plans cached per (statement, strategy); 0 disables the plan
-    # cache (every query re-binds and re-plans).
-    plan_cache_size: int = 128
     # Star-join-aware variant reduction (see repro.plan.star_join): under
     # the pruning strategies, exclude tables whose delta partitions are
     # provably empty from compensation-variant generation and re-attach

@@ -31,9 +31,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .concurrency import ReadWriteLock
-from .core.admission import AdmissionPolicy
 from .core.enforcement import MDEnforcer
-from .core.eviction import EvictionPolicy
 from .core.manager import AggregateCacheManager, CacheQueryReport
 from .core.matching_dependency import MatchingDependency
 from .core.strategies import CacheConfig, ExecutionStrategy
@@ -98,7 +96,7 @@ class Database:
     The facade is safe to share between threads.  A database-level
     readers–writer lock (``db.lock``) lets any number of queries proceed in
     parallel while DML, delta merges, DDL, and checkpointing take exclusive
-    ownership; cache admission/eviction bookkeeping during a query is
+    ownership; cache entry/eviction bookkeeping during a query is
     guarded by the cache manager's own internal lock.  Each query runs its
     subjoins serially on the calling thread.
     """
@@ -106,8 +104,6 @@ class Database:
     def __init__(
         self,
         cache_config: Optional[CacheConfig] = None,
-        admission: Optional[AdmissionPolicy] = None,
-        eviction: Optional[EvictionPolicy] = None,
         path=None,
         fault_injector: Optional[FaultInjector] = None,
         governor: Optional[Union[ResourceGovernor, GovernorConfig]] = None,
@@ -117,7 +113,6 @@ class Database:
         self.transactions = TransactionManager()
         self.views = ConsistentViewManager(self.transactions)
         self.executor = QueryExecutor(self.catalog)
-        config = cache_config if cache_config is not None else CacheConfig()
         self.faults = fault_injector if fault_injector is not None else FaultInjector()
         # The resource governor: pass a ResourceGovernor or a GovernorConfig
         # to override the environment defaults.  A passed governor brings
@@ -130,17 +125,12 @@ class Database:
             self.catalog,
             self.executor,
             self.views,
-            config=config,
-            admission=admission,
-            eviction=eviction,
+            config=cache_config,
             obs=self.obs,
             governor=self.governor,
         )
         self.cache.fault_injector = self.faults
-        self.enforcer = MDEnforcer(
-            self.catalog,
-            enforce_referential_integrity=config.enforce_referential_integrity,
-        )
+        self.enforcer = MDEnforcer(self.catalog)
         self._thread_state = threading.local()
         self._close_lock = threading.Lock()
         self._closed = False

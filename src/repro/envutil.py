@@ -20,9 +20,7 @@ import math
 import os
 import threading
 import warnings
-from typing import Callable, Optional, TypeVar
-
-Number = TypeVar("Number", int, float)
+from typing import Optional
 
 # Variables already warned about, so each malformed knob warns exactly
 # once per process no matter how many Databases consult it.
@@ -36,19 +34,18 @@ def _reset_warnings() -> None:
         _warned.clear()
 
 
-def _parse(
+def env_float(
     name: str,
-    default: Optional[Number],
-    convert: Callable[[str], Number],
-    kind: str,
-    minimum: Optional[Number],
-) -> Optional[Number]:
+    default: Optional[float] = None,
+    minimum: Optional[float] = None,
+) -> Optional[float]:
+    """Read a float knob from the environment (contract above)."""
     raw = os.environ.get(name)
     if not raw:
         return default
     try:
-        value = convert(raw)
-        if isinstance(value, float) and not math.isfinite(value):
+        value = float(raw)
+        if not math.isfinite(value):
             # NaN would slip past the range check below, and an infinite
             # budget or deadline is not a value any knob means.
             raise ValueError(raw)
@@ -58,10 +55,10 @@ def _parse(
             _warned.add(name)
         if first:
             warnings.warn(
-                f"ignoring malformed {name}={raw!r} (not {kind}); "
+                f"ignoring malformed {name}={raw!r} (not a finite number); "
                 f"falling back to the default ({default!r})",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
         return default
     if minimum is not None and value < minimum:
@@ -70,21 +67,3 @@ def _parse(
             "(unset the variable for the default)"
         )
     return value
-
-
-def env_int(
-    name: str,
-    default: Optional[int] = None,
-    minimum: Optional[int] = None,
-) -> Optional[int]:
-    """Read an integer knob from the environment (contract above)."""
-    return _parse(name, default, int, "an integer", minimum)
-
-
-def env_float(
-    name: str,
-    default: Optional[float] = None,
-    minimum: Optional[float] = None,
-) -> Optional[float]:
-    """Read a float knob from the environment (contract above)."""
-    return _parse(name, default, float, "a finite number", minimum)

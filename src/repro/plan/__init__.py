@@ -38,7 +38,6 @@ __all__ = [
     "Planner",
     "PhysicalPlan",
     "PlannedSubjoin",
-    "plan_signature",
     "PlanCache",
 ]
 
@@ -46,7 +45,6 @@ _LAZY = {
     "Planner": "physical",
     "PhysicalPlan": "physical",
     "PlannedSubjoin": "physical",
-    "plan_signature": "physical",
     "PlanCache": "cache",
 }
 

@@ -17,8 +17,9 @@ registration, config switch, or a dropped table — drops the entry
 ``"stale"``: the caller re-derives its verdicts outside the lock and
 :meth:`PlanCache.settle` swaps the fresh plan in (counted as a hit), or a
 rebuild when the star-join exclusions flipped (counted as an
-invalidation).  Capacity is enforced by LRU over entries (an entry and
-all its alias slots live and die together).
+invalidation).  At most :data:`PLAN_CACHE_SIZE` entries are kept, by
+LRU over entries (an entry and all its alias slots live and die
+together).
 
 The cache is thread-safe: one lock guards the maps, and lookups never run
 user code under it beyond the validity recompute (a few attribute reads).
@@ -37,6 +38,9 @@ from .physical import PhysicalPlan
 #: keys as opaque.
 PlanKey = Tuple
 
+#: Plans kept per database, one per (statement, strategy).
+PLAN_CACHE_SIZE = 128
+
 
 class _Entry:
     __slots__ = ("plan", "alias_keys")
@@ -49,7 +53,7 @@ class _Entry:
 class PlanCache:
     """Bounded, epoch-keyed, thread-safe cache of physical plans."""
 
-    def __init__(self, capacity: int = 128):
+    def __init__(self, capacity: int = PLAN_CACHE_SIZE):
         self._capacity = capacity
         self._lock = threading.Lock()
         # primary (canonical) key → entry, in LRU order (oldest first).
@@ -64,11 +68,6 @@ class PlanCache:
         self.rederived = 0
         #: Invalidations found by re-deriving: the exclusions flipped.
         self.exclusion_flips = 0
-
-    @property
-    def enabled(self) -> bool:
-        """False when constructed with capacity 0 (cache disabled)."""
-        return self._capacity > 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -88,8 +87,6 @@ class PlanCache:
         Outcomes: ``"hit"``, ``"stale"`` (structure holds, data moved: the
         plan comes back for :meth:`settle`), ``"miss"``, ``"invalidated"``.
         """
-        if not self.enabled:
-            return None, "miss"
         with self._lock:
             primary = self._aliases.get(key, key)
             entry = self._entries.get(primary)
@@ -144,8 +141,6 @@ class PlanCache:
         alias slots are released).  The plan's own ``structure`` and
         ``signature`` are what future lookups compare against.
         """
-        if not self.enabled:
-            return
         with self._lock:
             if primary_key in self._entries:
                 self._drop_locked(primary_key)
@@ -161,8 +156,6 @@ class PlanCache:
     def add_alias(self, alias_key: PlanKey, primary_key: PlanKey) -> None:
         """Attach another raw-SQL slot to an already-cached entry (a later
         spelling of the same canonical statement)."""
-        if not self.enabled:
-            return
         with self._lock:
             entry = self._entries.get(primary_key)
             if entry is None or alias_key in self._aliases:

@@ -128,10 +128,10 @@ def plan_validity(
     """``(structure, signature)`` of a plan over ``table_names``, in one
     pass over the tables.
 
-    ``structure`` is what a plan's meaning depends on: the pruning-relevant
-    config switches, the star-join flag, and every
-    referenced table's (name, id, epoch).  Merges, schema changes and MD /
-    aging registration move the epoch, drop/recreate changes the id.
+    ``structure`` is what a plan's meaning depends on: the pushdown and
+    star-join switches, and every referenced table's (name, id, epoch).
+    Merges, schema changes and MD / aging registration move the epoch,
+    drop/recreate changes the id.
     While it holds, a cached plan's skeleton stands.
 
     ``signature`` adds every table's data ``version`` — insert, update and
@@ -146,11 +146,7 @@ def plan_validity(
     Raises ``CatalogError`` when a referenced table no longer exists (the
     caller treats that as invalidated).
     """
-    switches = (
-        config.predicate_pushdown,
-        config.enforce_referential_integrity,
-        config.star_join_reduction,
-    )
+    switches = (config.predicate_pushdown, config.star_join_reduction)
     tables = []
     versions = []
     for name in table_names:
@@ -159,16 +155,6 @@ def plan_validity(
         versions.append(table.version)
     structure = (switches, tuple(tables))
     return structure, (structure, excluded_fingerprint(excluded), tuple(versions))
-
-
-def plan_signature(
-    catalog: Catalog,
-    config: CacheConfig,
-    table_names: Sequence[str],
-    excluded: Tuple[ExcludedTable, ...] = (),
-) -> Tuple:
-    """The ``signature`` half of :func:`plan_validity`."""
-    return plan_validity(catalog, config, table_names, excluded)[1]
 
 
 class Planner:
@@ -217,7 +203,6 @@ class Planner:
                 agings,
                 strategy,
                 predicate_pushdown=self._config.predicate_pushdown,
-                assume_md_integrity=self._config.enforce_referential_integrity,
                 obs=None,
             )
         return self._derive(plan)

@@ -16,7 +16,6 @@ from .aging import (
     ratio_aging,
     threshold_aging,
 )
-from .bitvector import BitVector
 from .catalog import Catalog
 from .column import ColumnFragment
 from .dictionary import NULL_CODE, DeltaDictionary, MainDictionary
@@ -32,7 +31,6 @@ from .vector import IntVector
 from ..reliability.checkpoint import load_database, save_database
 
 __all__ = [
-    "BitVector",
     "Catalog",
     "COLD",
     "ColumnDef",

@@ -26,16 +26,12 @@ Dictionary = Union[DeltaDictionary, MainDictionary]
 class ColumnFragment:
     """One column of one partition: dictionary + code vector."""
 
-    __slots__ = ("name", "dictionary", "_codes", "_null_state")
+    __slots__ = ("name", "dictionary", "_codes")
 
     def __init__(self, name: str, dictionary: Optional[Dictionary] = None):
         self.name = name
         self.dictionary: Dictionary = dictionary if dictionary is not None else DeltaDictionary()
         self._codes = IntVector()
-        # (rows checked, has_nulls among them).  Code vectors are
-        # append-only (invalidation touches only MVCC stamps), so a NULL
-        # found stays found and only rows past those checked need a look.
-        self._null_state = (0, False)
 
     # ------------------------------------------------------------------
     # writes
@@ -125,23 +121,6 @@ class ColumnFragment:
         if code is None:
             return np.zeros(len(self._codes), dtype=bool)
         return self._codes.view() == code
-
-    def has_nulls(self) -> bool:
-        """True when any stored row is NULL.
-
-        The dictionary ranges used for dynamic join pruning ignore NULLs;
-        the pruner must know whether NULL rows exist when referential
-        integrity is not enforced (a NULL-tid row may still join).  Codes
-        are append-only, so a cached True stands, and otherwise only the
-        rows appended since the last call are scanned.
-        """
-        checked, verdict = self._null_state
-        n_rows = len(self._codes)
-        if verdict or checked == n_rows:
-            return verdict
-        verdict = bool((self._codes.view()[checked:] == NULL_CODE).any())
-        self._null_state = (n_rows, verdict)
-        return verdict
 
     def min_value(self):
         """Dictionary minimum (the pruning prefilter input), None if empty."""

@@ -31,11 +31,10 @@ LIVE = 0  # dts value of a row that has not been invalidated
 
 @dataclass(frozen=True)
 class ColumnStats:
-    """One column's resident synopsis entry: the three facts pruning needs."""
+    """One column's resident synopsis entry: the range pruning needs."""
 
     min: object
     max: object
-    has_nulls: bool
 
 
 class LineageLog:
@@ -132,7 +131,7 @@ class Partition:
         # Monotonic write counter: bumped on every append and invalidation.
         # The resident synopsis below is keyed on it.
         self.version = 0
-        # Resident synopsis: per-column (min, max, has_nulls), rebuilt
+        # Resident synopsis: per-column (min, max), rebuilt
         # lazily whenever the version moves.  This spares every prune
         # verdict the repeated O(dict) min/max walk.
         self._synopsis: Dict[str, ColumnStats] = {}
@@ -341,7 +340,7 @@ class Partition:
     # statistics (resident synopsis)
     # ------------------------------------------------------------------
     def column_stats(self, column: str) -> ColumnStats:
-        """The synopsis entry of one column: (min, max, has_nulls).
+        """The synopsis entry of one column: (min, max).
 
         Cached per partition version — appends and invalidations bump the
         version, which lazily invalidates the whole synopsis.
@@ -352,11 +351,7 @@ class Partition:
         stats = self._synopsis.get(column)
         if stats is None:
             fragment = self.column(column)
-            stats = ColumnStats(
-                min=fragment.min_value(),
-                max=fragment.max_value(),
-                has_nulls=fragment.has_nulls(),
-            )
+            stats = ColumnStats(min=fragment.min_value(), max=fragment.max_value())
             self._synopsis[column] = stats
         return stats
 
@@ -372,10 +367,6 @@ class Partition:
     def max_value(self, column: str):
         """Dictionary max of a column (see :meth:`min_value`)."""
         return self.column_stats(column).max
-
-    def has_nulls(self, column: str) -> bool:
-        """Whether any row of ``column`` is NULL (synopsis-cached)."""
-        return self.column_stats(column).has_nulls
 
     def nbytes(self) -> int:
         """Approximate bytes: all column fragments + MVCC stamp vectors

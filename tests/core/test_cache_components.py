@@ -1,4 +1,4 @@
-"""Unit tests for cache keys, entries, metrics, admission, and eviction."""
+"""Unit tests for cache keys, entries, metrics, and eviction."""
 
 import dataclasses
 from types import SimpleNamespace
@@ -6,18 +6,8 @@ from types import SimpleNamespace
 import pytest
 
 from repro import Database, ExecutionStrategy
-from repro.core import (
-    AlwaysAdmit,
-    CacheKey,
-    CacheMetrics,
-    LruEviction,
-    ProfitAdmission,
-    ProfitEviction,
-    cache_key_for,
-)
-from repro.core.admission import AdmissionRequest
+from repro.core import CacheKey, CacheMetrics, cache_key_for, select_victims
 from repro.errors import CacheError
-from repro.query import AggFunc, AggregateSpec, GroupedAggregates
 from repro.query.executor import main_only_combos
 
 from ..conftest import HEADER_ITEM_SQL, load_erp, make_erp_db
@@ -98,7 +88,7 @@ def stub_entries(*shapes):
 
 def victims_one_by_one(policy_rank, entries, max_entries, max_bytes):
     """The reference victim selection: re-check both budgets over what
-    remains after every victim (the quadratic loop the policies replaced)."""
+    remains after every victim (the quadratic loop the rank replaced)."""
 
     def over(remaining):
         return (max_entries is not None and len(remaining) > max_entries) or (
@@ -134,31 +124,7 @@ class TestMetrics:
             f.type == "int" for f in dataclasses.fields(CacheMetrics)
         )
         entries = stub_entries((1, 50, 10), (3, 40, 200), (2, 90, 30), (1, 10, 5))
-        assert ProfitEviction().select_victims(entries, 2, None) == ["e4", "e1"]
-
-
-class TestAdmissionPolicies:
-    def request(self, creation_time, records, groups=1):
-        grouped = GroupedAggregates([AggregateSpec(AggFunc.COUNT, None, "n")])
-        import numpy as np
-
-        keys = [(g,) for g in range(groups) for _ in range(records // max(1, groups))]
-        grouped.accumulate(keys, [np.empty(0, dtype=object)])
-        bound = None
-        return AdmissionRequest(bound, grouped, creation_time, records)
-
-    def test_always_admit(self):
-        assert AlwaysAdmit().admit(self.request(0.0, 0))
-
-    def test_time_gate(self):
-        policy = ProfitAdmission(min_creation_time=1.0)
-        assert not policy.admit(self.request(0.5, 100))
-        assert policy.admit(self.request(2.0, 100))
-
-    def test_compression_gate(self):
-        policy = ProfitAdmission(min_compression=50.0)
-        assert policy.admit(self.request(0.0, 100, groups=1))
-        assert not policy.admit(self.request(0.0, 100, groups=100))
+        assert select_victims(entries, 2, None) == ["e4", "e1"]
 
 
 class TestEvictionPolicies:
@@ -174,25 +140,13 @@ class TestEvictionPolicies:
 
     def test_no_eviction_within_budget(self):
         entries = self.make_entries(3)
-        assert LruEviction().select_victims(entries, max_entries=5, max_bytes=None) == []
-        assert (
-            ProfitEviction().select_victims(entries, max_entries=None, max_bytes=None)
-            == []
-        )
-
-    def test_lru_selects_oldest(self):
-        entries = self.make_entries(3)
-        victims = LruEviction().select_victims(entries, max_entries=2, max_bytes=None)
-        assert len(victims) == 1
-        clocks = {k: e.metrics.last_access_clock for k, e in entries.items()}
-        assert victims[0] == min(clocks, key=clocks.get)
+        assert select_victims(entries, max_entries=5, max_bytes=None) == []
+        assert select_victims(entries, max_entries=None, max_bytes=None) == []
 
     def test_bytes_budget(self):
         entries = self.make_entries(3)
         total = sum(e.metrics.size_bytes for e in entries.values())
-        victims = ProfitEviction().select_victims(
-            entries, max_entries=None, max_bytes=total - 1
-        )
+        victims = select_victims(entries, max_entries=None, max_bytes=total - 1)
         assert len(victims) >= 1
 
     def test_profit_eviction_prefers_low_profit(self):
@@ -200,22 +154,21 @@ class TestEvictionPolicies:
         entry_list = list(entries.values())
         entry_list[0].metrics.aggregated_records_main = 10_000  # saves many rows
         entry_list[1].metrics.aggregated_records_main = 1
-        victims = ProfitEviction().select_victims(entries, max_entries=1, max_bytes=None)
+        victims = select_victims(entries, max_entries=1, max_bytes=None)
         assert victims == [entry_list[1].key]
 
     def test_the_budget_over_picks_the_denominator(self):
         # "big" saves the most rows, "small" the most rows per byte.
         entries = stub_entries((2, 1000, 1000), (2, 100, 10))
         big, small = entries
-        policy = ProfitEviction()
-        assert policy.select_victims(entries, max_entries=1, max_bytes=None) == [small]
-        assert policy.select_victims(entries, max_entries=None, max_bytes=1000) == [big]
+        assert select_victims(entries, max_entries=1, max_bytes=None) == [small]
+        assert select_victims(entries, max_entries=None, max_bytes=1000) == [big]
         # Both budgets set, only the count is over: per slot.
-        assert policy.select_victims(entries, max_entries=1, max_bytes=10**6) == [small]
+        assert select_victims(entries, max_entries=1, max_bytes=10**6) == [small]
 
     def test_ties_go_to_the_least_recently_used(self):
         entries = stub_entries((1, 10, 8), (1, 10, 8), (1, 10, 8))
-        assert ProfitEviction().select_victims(entries, 1, None) == ["e1", "e2"]
+        assert select_victims(entries, 1, None) == ["e1", "e2"]
 
     @pytest.mark.parametrize(
         "max_entries, max_bytes", [(3, 250), (5, 100), (2, 10_000), (4, 0)]
@@ -225,20 +178,15 @@ class TestEvictionPolicies:
             (1, 50, 10), (3, 40, 200), (2, 90, 30), (1, 10, 5), (4, 20, 80), (2, 5, 40)
         )
         nbytes = sum(e.metrics.size_bytes for e in entries.values())
-        for policy, rank in (
-            (LruEviction(), lambda e: e.metrics.last_access_clock),
-            (
-                ProfitEviction(),
-                lambda e: (
-                    e.metrics.profit() / e.metrics.size_bytes
-                    if nbytes > max_bytes
-                    else e.metrics.profit(),
-                    e.metrics.last_access_clock,
-                ),
-            ),
-        ):
-            victims = policy.select_victims(entries, max_entries, max_bytes)
-            assert victims == victims_one_by_one(rank, entries, max_entries, max_bytes)
-            remaining = [e for k, e in entries.items() if k not in victims]
-            assert len(remaining) <= max_entries
-            assert sum(e.metrics.size_bytes for e in remaining) <= max_bytes
+
+        def rank(e):
+            profit = e.metrics.profit()
+            if nbytes > max_bytes:
+                profit /= e.metrics.size_bytes
+            return profit, e.metrics.last_access_clock
+
+        victims = select_victims(entries, max_entries, max_bytes)
+        assert victims == victims_one_by_one(rank, entries, max_entries, max_bytes)
+        remaining = [e for k, e in entries.items() if k not in victims]
+        assert len(remaining) <= max_entries
+        assert sum(e.metrics.size_bytes for e in remaining) <= max_bytes

@@ -128,7 +128,7 @@ class TestQueries:
     def test_default_strategy_from_config(self):
         db = make_erp_db()
         load_erp(db, n_headers=2, merge=True)
-        db.query(HEADER_ITEM_SQL)  # config default = CACHED_FULL_PRUNING
+        db.query(HEADER_ITEM_SQL)  # the default strategy
         assert db.last_report.strategy is ExecutionStrategy.CACHED_FULL_PRUNING
 
     def test_query_in_explicit_transaction_sees_snapshot(self):

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro import CacheConfig, Database, ExecutionStrategy
+from repro import Database, ExecutionStrategy
 from repro.core import delta_memo
 from repro.core.delta_memo import subjoin_step_specs, visibility_step
 
@@ -480,11 +480,13 @@ class TestBypasses:
         assert result.rows == _uncached_rows(erp_db, PROFIT_SQL, as_of=1)
 
     def test_plan_cache_disabled_still_reuses_the_memo(self):
-        db = make_erp_db(cache_config=CacheConfig(plan_cache_size=0))
+        db = make_erp_db()
         load_erp(db, n_headers=4, merge=True)
         load_erp(db, n_headers=2, start_hid=100, merge=False)
+        db.plan_cache.clear()
         db.query(PROFIT_SQL, strategy=FULL)
         load_erp(db, n_headers=1, start_hid=200, merge=False)
+        db.plan_cache.clear()  # every read plans afresh
         result = db.query(PROFIT_SQL, strategy=FULL)
         # Validity is keyed on partition identity, not plan identity: a
         # freshly planned query reuses the memo all the same.

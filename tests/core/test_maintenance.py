@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import CacheConfig, Database, ExecutionStrategy
+from repro import Database, ExecutionStrategy
 from repro.query import QueryExecutor
 from repro.storage import MainDictionary, threshold_aging
 from repro.workloads.erp import ErpWorkload
@@ -186,22 +186,6 @@ class TestMaintenancePrunes:
         load_erp(db, n_headers=3, start_hid=100, merge=False)
         db.update("item", 4, {"price": 7.5})  # main debt for step 1
         merge_prunes_header_delta(db, (HEADER_ITEM_SQL, PROFIT_SQL), merge_combos)
-
-    def test_dangling_item_without_referential_integrity(self, merge_combos):
-        """With RI off a dangling item carries a NULL tid.  Kept in the item
-        delta, it leaves the Header event's subjoin prunable; the Item event
-        keeps it through the null-safe pushdown filter, and it joins the
-        header written after it."""
-        db = make_erp_db(cache_config=CacheConfig(enforce_referential_integrity=False))
-        load_erp(db, n_headers=6, merge=True)
-        db.query(HEADER_ITEM_SQL, strategy=FULL)
-        db.insert("item", {"iid": 990, "hid": 300, "cid": 1, "price": 4.25})
-        (md,) = [m for m in db.cache.matching_dependencies if m.parent_table == "header"]
-        assert db.table("item").get_row(990)[md.tid_column] is None
-        load_erp(db, n_headers=1, start_hid=300, merge=False)
-        merge_prunes_header_delta(db, (HEADER_ITEM_SQL,), merge_combos)
-        rows = dict((cid, n) for cid, _profit, n in db.query(HEADER_ITEM_SQL).rows)
-        assert rows[1] == 6 // 2 * 3 + 2  # the dangling item joined header 300
 
     def test_aged_tables_prune_logically(self, merge_combos):
         aged = TestAgedMaintenance()

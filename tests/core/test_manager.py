@@ -5,14 +5,8 @@ import threading
 
 import pytest
 
-from repro import (
-    AlwaysAdmit,
-    CacheConfig,
-    Database,
-    ExecutionStrategy,
-    LruEviction,
-    ProfitAdmission,
-)
+from repro import CacheConfig, Database, ExecutionStrategy, GovernorConfig
+from repro.core import manager as manager_module
 
 from ..conftest import HEADER_ITEM_SQL, PROFIT_SQL, load_erp, make_erp_db
 
@@ -197,43 +191,47 @@ def _count_main_joins(db, monkeypatch):
     return joins
 
 
-class _EvictNewest:
-    """Evicts the most recently admitted entries beyond ``max_entries``: an
-    admission into a full cache evicts the entry it just admitted."""
+def _spy_victims(monkeypatch):
+    """The entries eviction drops, in order, as the manager evicts them."""
+    victims = []
+    real = manager_module.select_victims
 
-    def __init__(self):
-        self.victims = []
-
-    def select_victims(self, entries, max_entries, max_bytes):
-        keys = list(entries)[max_entries:]
-        self.victims.extend(entries[key] for key in keys)
+    def spy(entries, max_entries, max_bytes):
+        keys = real(entries, max_entries, max_bytes)
+        victims.extend(entries[key] for key in keys)
         return keys
+
+    monkeypatch.setattr(manager_module, "select_victims", spy)
+    return victims
 
 
 class TestOneBuildPerMiss:
     """A miss answers from the entry it built, kept by the cache or not."""
 
-    def _db(self, deltas: bool):
-        eviction = _EvictNewest()
-        db = make_erp_db(cache_config=CacheConfig(max_entries=1), eviction=eviction)
+    def _db(self, monkeypatch, deltas: bool):
+        db = make_erp_db(cache_config=CacheConfig(max_entries=1))
         load_erp(db, n_headers=6, merge=True)
         if deltas:
             load_erp(db, n_headers=2, start_hid=100, merge=False)
             db.update("item", 0, {"price": 50.0})
             db.delete("item", 4)
-        db.query(PROFIT_SQL, strategy=FULL)  # the one resident entry
-        return db, eviction
+        # The one resident entry: three uses of 18 rows each outrank a
+        # HEADER_ITEM_SQL build (18 rows) read once or twice, so eviction
+        # drops that build as soon as it is admitted.
+        for _ in range(3):
+            db.query(PROFIT_SQL, strategy=FULL)
+        return db, _spy_victims(monkeypatch)
 
     def test_evicted_build_answers_its_read(self, monkeypatch):
-        db, eviction = self._db(deltas=False)
+        db, victims = self._db(monkeypatch, deltas=False)
         db.query(HEADER_ITEM_SQL, strategy=FULL)  # plans and parses it once
         tracked = db.cache.tracked_bytes()
         joins = _count_main_joins(db, monkeypatch)
         result = db.query(HEADER_ITEM_SQL, strategy=FULL)
         report = result.report
         assert report.entries_created == 1
-        assert len(eviction.victims) == 2
-        evicted = eviction.victims[-1]
+        assert len(victims) == 2
+        evicted = victims[-1]
         assert evicted.key not in {e.key for e in db.cache.entries()}
         # One all-main join (the build); no direct scan aggregated a row.
         assert joins == ["(h:main, i:main)"]
@@ -247,7 +245,7 @@ class TestOneBuildPerMiss:
         assert result == db.query(HEADER_ITEM_SQL, strategy=UNCACHED)
 
     def test_evicted_build_compensates_like_a_resident_entry(self, monkeypatch):
-        db, eviction = self._db(deltas=True)
+        db, victims = self._db(monkeypatch, deltas=True)
         joins = _count_main_joins(db, monkeypatch)
         result = db.query(HEADER_ITEM_SQL, strategy=FULL)
         report = result.report
@@ -257,15 +255,15 @@ class TestOneBuildPerMiss:
         # rows they invalidated; the delta subjoins add their successors.
         assert report.invalidated_rows_compensated == 0
         assert report.executor_stats.rows_aggregated > 0
-        evicted = eviction.victims[-1]
+        (evicted,) = victims
         assert evicted.delta_memo is None and evicted.result_order is None
         assert result == db.query(HEADER_ITEM_SQL, strategy=UNCACHED)
 
-    def test_trace_separates_admitted_from_resident(self):
-        db, _ = self._db(deltas=False)
+    def test_trace_separates_admitted_from_resident(self, monkeypatch):
+        db, _ = self._db(monkeypatch, deltas=False)
         text = db.explain_analyze(HEADER_ITEM_SQL, strategy=FULL).render()
         line = next(line for line in text.splitlines() if "build_entry" in line)
-        assert "admitted=True" in line and "resident=False" in line
+        assert "resident=False" in line
         assert "direct_scan" not in text
 
     def test_lost_build_race_counts_one_miss(self, monkeypatch):
@@ -296,63 +294,13 @@ class TestOneBuildPerMiss:
         assert result == db.query(HEADER_ITEM_SQL, strategy=UNCACHED)
 
 
-class TestAdmission:
-    def test_profit_admission_rejects_cheap_queries(self, monkeypatch):
-        db = make_erp_db(admission=ProfitAdmission(min_creation_time=999.0))
-        load_erp(db, n_headers=4, merge=True)
-        db.query(HEADER_ITEM_SQL, strategy=FULL)
-        tracked = db.cache.tracked_bytes()
-        joins = _count_main_joins(db, monkeypatch)
-        result = db.query(HEADER_ITEM_SQL, strategy=FULL)
-        report = result.report
-        assert report.admission_rejected == 1
-        assert db.cache.entry_count() == 0
-        # The rejected build answers the read: no second all-main join.
-        assert joins == ["(h:main, i:main)"]
-        assert report.executor_stats.rows_aggregated == 0
-        assert (report.delta_memo_mode, report.delta_memo_reason) == (
-            "full",
-            "not_cached",
-        )
-        assert db.cache.tracked_bytes() == tracked
-        # Result must still be correct without an entry.
-        assert result == db.query(HEADER_ITEM_SQL, strategy=UNCACHED)
-
-    def test_compression_gate(self):
-        admitting = ProfitAdmission(min_compression=1.0)
-        rejecting = ProfitAdmission(min_compression=10_000.0)
-        db = make_erp_db(admission=admitting)
-        load_erp(db, n_headers=4, merge=True)
-        db.query(HEADER_ITEM_SQL, strategy=FULL)
-        assert db.cache.entry_count() == 1
-        db2 = make_erp_db(admission=rejecting)
-        load_erp(db2, n_headers=4, merge=True)
-        db2.query(HEADER_ITEM_SQL, strategy=FULL)
-        assert db2.cache.entry_count() == 0
-
-
 class TestEviction:
-    def test_max_entries_enforced_lru(self):
-        db = make_erp_db(
-            cache_config=CacheConfig(max_entries=2), eviction=LruEviction()
-        )
-        load_erp(db, n_headers=4, merge=True)
-        queries = [
-            f"SELECT cid, COUNT(*) AS n FROM item WHERE price > {p} GROUP BY cid"
-            for p in (0, 1, 2)
-        ]
-        for sql in queries:
-            db.query(sql, strategy=FULL)
-        assert db.cache.entry_count() == 2
-        # The first (least recently used) entry was evicted.
-        db.query(queries[0], strategy=FULL)
-        assert db.last_report.cache_hits == 0
-
     def test_max_bytes_enforced(self):
-        db = make_erp_db(cache_config=CacheConfig(max_bytes=1))
+        # The governor's memory budget is the one byte bound.
+        db = make_erp_db(governor=GovernorConfig(memory_budget_mb=1e-6))
         load_erp(db, n_headers=4, merge=True)
         db.query(HEADER_ITEM_SQL, strategy=FULL)
-        # Even the fresh entry cannot fit a 1-byte cache.
+        # Even the fresh entry cannot fit a 1-byte budget.
         assert db.cache.entry_count() == 0
         # Correctness unaffected.
         assert db.query(HEADER_ITEM_SQL, strategy=FULL) == db.query(
@@ -372,8 +320,7 @@ class TestUsesAcrossEvictions:
     and a key's uses outlive its entry in a bounded ghost history."""
 
     def _db(self, **config):
-        eviction = config.pop("eviction", None)
-        db = make_erp_db(cache_config=CacheConfig(**config), eviction=eviction)
+        db = make_erp_db(cache_config=CacheConfig(**config))
         load_erp(db, n_headers=6, merge=True)
         return db
 
@@ -401,7 +348,9 @@ class TestUsesAcrossEvictions:
         assert dict(db.cache._ghosts) == {b.key: 3}
 
     def test_ghost_history_keeps_the_most_recently_touched_keys(self):
-        db = self._db(max_entries=2, eviction=LruEviction())
+        db = self._db(max_entries=2)
+        # 18, 16, 13, 9 and 6 item rows: each statement from the third on
+        # folds fewer rows than both residents and is evicted at once.
         statements = [
             f"SELECT cid, COUNT(*) AS n FROM item WHERE price > {p} GROUP BY cid"
             for p in range(5)
@@ -409,19 +358,24 @@ class TestUsesAcrossEvictions:
         for sql in statements:
             db.query(sql, strategy=FULL)
         keys = [self._key_of(db, sql) for sql in statements]
+        assert {e.key for e in db.cache.entries()} == {keys[0], keys[1]}
         # Three left the map; the history holds the last two of them.
-        assert list(db.cache._ghosts.items()) == [(keys[1], 1), (keys[2], 1)]
-        db.query(statements[1], strategy=FULL)  # reborn, evicts statement 3
-        (reborn,) = [e for e in db.cache.entries() if e.key == keys[1]]
+        assert list(db.cache._ghosts.items()) == [(keys[3], 1), (keys[4], 1)]
+        # Reborn with two uses (2 × 9 rows), statement 3 evicts statement 1
+        # (16 rows), not statement 0 (18 rows, less recently used).
+        db.query(statements[3], strategy=FULL)
+        (reborn,) = [e for e in db.cache.entries() if e.key == keys[3]]
         assert reborn.metrics.reference_count == 2
-        assert list(db.cache._ghosts.items()) == [(keys[2], 1), (keys[3], 1)]
+        assert list(db.cache._ghosts.items()) == [(keys[4], 1), (keys[1], 1)]
 
     def test_dropping_a_table_forgets_its_keys(self):
-        db = self._db(max_entries=2, eviction=LruEviction())
-        for sql in (HEADER_ITEM_SQL, CATEGORY_SQL, HEADER_SQL, FEW_ROWS_SQL):
+        db = self._db(max_entries=2)
+        # Rows saved: header 2 × 6, then category 2, few-rows 7, header-item
+        # 18 — category, then few-rows, leave the map.
+        for sql in (HEADER_SQL, HEADER_SQL, CATEGORY_SQL, FEW_ROWS_SQL, HEADER_ITEM_SQL):
             db.query(sql, strategy=FULL)
         category = self._key_of(db, CATEGORY_SQL)
-        assert set(db.cache._ghosts) == {self._key_of(db, HEADER_ITEM_SQL), category}
+        assert set(db.cache._ghosts) == {self._key_of(db, FEW_ROWS_SQL), category}
         db.drop_table("item")
         assert dict(db.cache._ghosts) == {category: 1}
         assert [e.query.canonical_key() for e in db.cache.entries()] == [

@@ -111,16 +111,6 @@ class TestEnforcement:
         with pytest.raises(IntegrityError):
             db.insert("item", {"iid": 1, "hid": 999, "cid": None, "price": 1.0})
 
-    def test_missing_parent_null_tid_without_ri(self):
-        from repro import CacheConfig
-
-        db = make_erp_db(
-            cache_config=CacheConfig(enforce_referential_integrity=False)
-        )
-        db.insert("item", {"iid": 1, "hid": 999, "cid": None, "price": 1.0})
-        assert db.table("item").get_row(1)["tid_header"] is None
-        assert db.enforcer.stats.lookups_failed == 1
-
     def test_null_fk_leaves_tid_null_without_lookup(self):
         db = make_erp_db()
         before = db.enforcer.stats.child_lookups

@@ -4,8 +4,8 @@ import pytest
 
 from repro import Database, ExecutionStrategy
 from repro.core import JoinPruner, MatchingDependency
-from repro.core.pruning import _null_safe_range, partition_temperature
-from repro.query import Col, Lit, parse_sql
+from repro.core.pruning import partition_temperature
+from repro.query import Lit, parse_sql
 from repro.storage import ConsistentAging, threshold_aging
 
 from ..conftest import HEADER_ITEM_SQL, make_erp_db, load_erp
@@ -234,18 +234,3 @@ class TestPushdown:
         }
         assert pruner.check(assignment)[1] == {}
 
-
-class TestNullSafeRange:
-    def test_keeps_nulls_and_in_range(self):
-        import numpy as np
-
-        expr = _null_safe_range(Col("t", "x"), 5, 10)
-
-        class P:
-            def get(self, alias, name):
-                return np.array([None, 4, 5, 10, 11], dtype=object)
-
-            def row_count(self):
-                return 5
-
-        assert expr.evaluate(P()).tolist() == [True, False, True, True, False]

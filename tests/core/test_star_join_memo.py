@@ -20,7 +20,7 @@ import random
 
 import pytest
 
-from repro import CacheConfig, Database, ExecutionStrategy
+from repro import Database, ExecutionStrategy
 from repro.core.delta_compensation import sound_exclusions
 from repro.plan.star_join import ExcludedTable
 
@@ -146,12 +146,9 @@ class TestReductionParity:
     row order — whatever the execution configuration."""
 
     #: ``no_memo`` drops every memo before each read: every read steps
-    #: from its entry's birth.
-    CONFIGS = {
-        "serial": {},
-        "no_memo": {},
-        "no_plan_cache": {"cache_config": CacheConfig(plan_cache_size=0)},
-    }
+    #: from its entry's birth.  ``no_plan_cache`` drops every plan before
+    #: each read: every read binds and plans afresh.
+    CONFIGS = ("serial", "no_memo", "no_plan_cache")
 
     @staticmethod
     def _typed(rows):
@@ -160,7 +157,14 @@ class TestReductionParity:
     @pytest.mark.parametrize("config_name", sorted(CONFIGS))
     @pytest.mark.parametrize("seed", [7, 19])
     def test_randomized_histories(self, config_name, seed):
-        db = make_erp_db(**self.CONFIGS[config_name])
+        db = make_erp_db()
+
+        def before_read():
+            if config_name == "no_memo":
+                forget_memos(db)
+            elif config_name == "no_plan_cache":
+                db.plan_cache.clear()
+
         load_erp(db, n_headers=4, merge=True)
         rng = random.Random(seed)
         try:
@@ -179,13 +183,12 @@ class TestReductionParity:
                     db.merge()
                 for sql in (PROFIT_SQL, HEADER_ITEM_SQL):
                     # Warm both plans so later rounds exercise the
-                    # plan-cache-hit path (except under plan_cache_size=0).
-                    if config_name == "no_memo":
-                        forget_memos(db)
+                    # plan-cache-hit path (except under no_plan_cache).
+                    before_read()
                     reduced = db.query(sql, strategy=FULL)
-                    if config_name == "no_memo":
-                        forget_memos(db)
+                    before_read()
                     exhaustive = query_exhaustive(db, sql, strategy=FULL)
+                    before_read()
                     reference = db.query(sql, strategy=UNCACHED)
                     assert self._typed(reduced.rows) == self._typed(
                         reference.rows

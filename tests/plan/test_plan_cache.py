@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro import Database, ExecutionStrategy
-from repro.core.strategies import CacheConfig
+from repro.plan import PlanCache
 
 from ..conftest import PROFIT_SQL, load_erp, make_erp_db
 
@@ -182,7 +182,8 @@ class TestSlotsAndBounds:
         assert db.cache.entry_count() == 1  # one extent serves both
 
     def test_lru_eviction_respects_capacity(self):
-        db = make_erp_db(cache_config=CacheConfig(plan_cache_size=2))
+        db = make_erp_db()
+        db.cache.plan_cache = PlanCache(2)
         load_erp(db, n_headers=2, merge=True)
         sqls = [
             PROFIT_SQL,
@@ -195,15 +196,6 @@ class TestSlotsAndBounds:
         assert db.plan_cache.stats()["evictions"] >= 1
         # The oldest plan is gone; re-asking is a miss, not a crash.
         assert lookup_outcome(db, sqls[0]) == "miss"
-
-    def test_zero_capacity_disables_the_cache(self):
-        db = make_erp_db(cache_config=CacheConfig(plan_cache_size=0))
-        load_erp(db, n_headers=2, merge=True)
-        r1 = db.query(PROFIT_SQL)
-        r2 = db.query(PROFIT_SQL)
-        assert r1.rows == r2.rows
-        assert len(db.plan_cache) == 0
-        assert db.plan_cache.stats()["hits"] == 0
 
     def test_plan_cache_metrics_exported(self):
         db = make_two_domain_db()

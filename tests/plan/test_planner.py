@@ -6,7 +6,7 @@ import pytest
 
 from repro import ExecutionStrategy
 from repro.plan import estimate_scan_rows
-from repro.plan.physical import plan_signature
+from repro.plan.physical import plan_validity
 
 from ..conftest import PROFIT_SQL, load_erp, make_erp_db
 
@@ -120,23 +120,23 @@ class TestSignature:
     def test_signature_changes_with_dml(self):
         db = loaded_db()
         names = ["category", "header", "item"]
-        before = plan_signature(db.catalog, db.cache.config, names)
+        before = plan_validity(db.catalog, db.cache.config, names)[1]
         db.insert("item", {"iid": 5555, "hid": 0, "cid": 0, "price": 2.0})
-        after = plan_signature(db.catalog, db.cache.config, names)
+        after = plan_validity(db.catalog, db.cache.config, names)[1]
         assert before != after
 
     def test_signature_stable_across_reads(self):
         db = loaded_db()
         names = ["category", "header", "item"]
-        before = plan_signature(db.catalog, db.cache.config, names)
+        before = plan_validity(db.catalog, db.cache.config, names)[1]
         db.query(PROFIT_SQL)
         db.explain(PROFIT_SQL)
-        assert plan_signature(db.catalog, db.cache.config, names) == before
+        assert plan_validity(db.catalog, db.cache.config, names)[1] == before
 
     def test_signature_raises_for_missing_table(self):
         db = loaded_db()
         with pytest.raises(Exception):
-            plan_signature(db.catalog, db.cache.config, ["nonexistent"])
+            plan_validity(db.catalog, db.cache.config, ["nonexistent"])
 
 
 class TestExplainFromPlan:

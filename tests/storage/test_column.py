@@ -48,19 +48,6 @@ class TestDeltaFragment:
         assert frag.max_value() == 9
 
 
-    def test_has_nulls_flips_when_the_first_null_arrives_late(self):
-        f = ColumnFragment("x")
-        for start in range(0, 500, 50):
-            f.extend(list(range(start, start + 50)))
-            assert f.has_nulls() is False
-        f.extend([7, None, 8])
-        assert f.has_nulls() is True
-        f.extend([9])
-        assert f.has_nulls() is True
-        assert ColumnFragment.build_main("m", [1, None]).has_nulls() is True
-        assert ColumnFragment.build_main("m", [1, 2]).has_nulls() is False
-
-
 class TestMainFragment:
     def test_build_main_sorted_dictionary(self):
         frag = ColumnFragment.build_main("c", ["b", "a", "b", None])
@@ -93,7 +80,6 @@ class TestMainFragment:
         assert frag.dictionary is dictionary
         assert np.shares_memory(frag.codes(), codes)
         assert frag.decode_codes(frag.codes()).tolist() == ["b", None, "a"]
-        assert frag.has_nulls()
 
 
 class TestMemory:

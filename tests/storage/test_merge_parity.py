@@ -58,7 +58,6 @@ def assert_same_partition(actual: Partition, expected: Partition) -> None:
             type(v) for v in want.dictionary.values()
         ], name
         assert got.codes().tolist() == want.codes().tolist(), name
-        assert got.has_nulls() == want.has_nulls(), name
         assert got.nbytes() == want.nbytes(), name
     assert actual.cts_array().tolist() == expected.cts_array().tolist()
     assert actual.dts_array().tolist() == expected.dts_array().tolist()

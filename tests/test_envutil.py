@@ -12,7 +12,7 @@ import warnings
 import pytest
 
 from repro import envutil
-from repro.envutil import env_float, env_int
+from repro.envutil import env_float
 
 
 @pytest.fixture(autouse=True)
@@ -23,51 +23,54 @@ def _fresh_warning_state():
 
 
 class TestEnvInt:
+    """The parser contract, read through ``env_float`` with the integer
+    spellings the knobs take in practice."""
+
     def test_unset_returns_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
-        assert env_int("REPRO_TEST_KNOB", 7) == 7
+        assert env_float("REPRO_TEST_KNOB", 7) == 7
 
     def test_empty_returns_default(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "")
-        assert env_int("REPRO_TEST_KNOB", 7) == 7
+        assert env_float("REPRO_TEST_KNOB", 7) == 7
 
     def test_none_default_passes_through(self, monkeypatch):
         monkeypatch.delenv("REPRO_TEST_KNOB", raising=False)
-        assert env_int("REPRO_TEST_KNOB", None) is None
+        assert env_float("REPRO_TEST_KNOB", None) is None
 
     def test_valid_value_parsed(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "42")
-        assert env_int("REPRO_TEST_KNOB", 7) == 42
+        assert env_float("REPRO_TEST_KNOB", 7) == 42
 
     def test_whitespace_tolerated(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "  42  ")
-        assert env_int("REPRO_TEST_KNOB", 7) == 42
+        assert env_float("REPRO_TEST_KNOB", 7) == 42
 
     def test_malformed_warns_once_and_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "banana")
         with pytest.warns(RuntimeWarning, match="REPRO_TEST_KNOB"):
-            assert env_int("REPRO_TEST_KNOB", 7) == 7
+            assert env_float("REPRO_TEST_KNOB", 7) == 7
         # Second read of the same malformed variable stays silent.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert env_int("REPRO_TEST_KNOB", 7) == 7
+            assert env_float("REPRO_TEST_KNOB", 7) == 7
 
     def test_each_variable_warns_independently(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "x")
         monkeypatch.setenv("REPRO_OTHER_KNOB", "y")
         with pytest.warns(RuntimeWarning, match="REPRO_TEST_KNOB"):
-            env_int("REPRO_TEST_KNOB", 1)
+            env_float("REPRO_TEST_KNOB", 1)
         with pytest.warns(RuntimeWarning, match="REPRO_OTHER_KNOB"):
-            env_int("REPRO_OTHER_KNOB", 1)
+            env_float("REPRO_OTHER_KNOB", 1)
 
     def test_below_minimum_raises(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "0")
         with pytest.raises(ValueError, match="REPRO_TEST_KNOB"):
-            env_int("REPRO_TEST_KNOB", 7, minimum=1)
+            env_float("REPRO_TEST_KNOB", 7, minimum=1)
 
     def test_at_minimum_accepted(self, monkeypatch):
         monkeypatch.setenv("REPRO_TEST_KNOB", "1")
-        assert env_int("REPRO_TEST_KNOB", 7, minimum=1) == 1
+        assert env_float("REPRO_TEST_KNOB", 7, minimum=1) == 1
 
 
 class TestEnvFloat:
